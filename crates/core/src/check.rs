@@ -34,7 +34,7 @@ use crate::catalog::{status, Catalog};
 use crate::error::RejectReason;
 use crate::ids::{InstanceId, PoolId, PromiseId};
 use crate::predicate::Predicate;
-use crate::promise::{Allocation, PromiseRecord};
+use crate::promise::{qty_demand_on, Allocation, PromiseRecord};
 use crate::schema::{CheckStrategy, PoolKind};
 
 /// Failure modes of a check.
@@ -65,7 +65,9 @@ impl From<RmError> for CheckError {
 pub struct CheckerStats {
     /// Pools visited by [`Checker::post_check`], in visit order.
     pub pools_visited: Vec<PoolId>,
-    /// Promise records handed to `post_check` (the snapshot size).
+    /// Promise records cloned out of the table for the pass: the snapshot
+    /// handed to [`Checker::grant`] or [`Checker::post_check`]. A pool
+    /// checked from its cached demand alone contributes none.
     pub promises_considered: usize,
 }
 
@@ -77,12 +79,15 @@ pub struct Checker<'a> {
     pub txn: &'a Txn,
     /// Pool schemas.
     pub catalog: &'a Catalog,
-    /// Pre-computed total `QtyAtLeast` demand per pool (including any
-    /// candidate), derived from the promise table's aggregate cache. When
-    /// a pool is present here, the quantity check is O(1) instead of
-    /// summing over the snapshot; a `debug_assert` re-sums the snapshot to
-    /// guard against aggregate drift.
+    /// Exact total `QtyAtLeast` demand per pool (including any
+    /// candidate), computed by the manager from the promise table. A pool
+    /// present here is checked against this figure alone — its records
+    /// need not be in the snapshot at all; a pool absent from it is
+    /// re-summed over the snapshot.
     qty_demand_hint: HashMap<PoolId, u64>,
+    /// Names the promise a failed post-check blames for a pool none of
+    /// whose records are in the snapshot.
+    victim_of: Option<VictimLookup<'a>>,
     /// Promises whose allocations a client has *observed* (via
     /// [`crate::PromiseManager::promise`]) and may be acting on: their
     /// slots are restricted to the instances they currently hold, so no
@@ -105,6 +110,8 @@ struct Slot {
 
 type SlotKey = (PromiseId, usize, u32);
 
+type VictimLookup<'a> = &'a dyn Fn(&PoolId) -> Option<PromiseId>;
+
 impl<'a> Checker<'a> {
     /// Creates a checker.
     pub fn new(rm: &'a ResourceManager, txn: &'a Txn, catalog: &'a Catalog) -> Self {
@@ -113,16 +120,26 @@ impl<'a> Checker<'a> {
             txn,
             catalog,
             qty_demand_hint: HashMap::new(),
+            victim_of: None,
             pinned: HashSet::new(),
             stats: RefCell::new(CheckerStats::default()),
         }
     }
 
-    /// Supplies cached per-pool quantity demand (see
+    /// Supplies exact per-pool quantity demand (see
     /// [`Checker::qty_demand_hint`]); pools absent from the map fall back
     /// to summing over the snapshot.
     pub fn with_qty_demand(mut self, demand: HashMap<PoolId, u64>) -> Self {
         self.qty_demand_hint = demand;
+        self
+    }
+
+    /// Supplies the lookup a failed post-check uses to name its victim
+    /// for a pool whose records were left out of the snapshot (pools
+    /// covered by [`Checker::with_qty_demand`]). Called on the error path
+    /// only.
+    pub fn with_victim_lookup(mut self, lookup: &'a dyn Fn(&PoolId) -> Option<PromiseId>) -> Self {
+        self.victim_of = Some(lookup);
         self
     }
 
@@ -150,6 +167,7 @@ impl<'a> Checker<'a> {
         candidate: &mut PromiseRecord,
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
+        self.stats.borrow_mut().promises_considered += existing.len();
         for pool in candidate.pools().into_iter().cloned().collect::<Vec<_>>() {
             let schema = self
                 .catalog
@@ -209,10 +227,7 @@ impl<'a> Checker<'a> {
         };
         pools.sort();
         pools.dedup();
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.promises_considered += live.len();
-        }
+        self.stats.borrow_mut().promises_considered += live.len();
         for pool in pools {
             self.stats.borrow_mut().pools_visited.push(pool.clone());
             let schema = match self.catalog.get(&pool) {
@@ -288,29 +303,13 @@ impl<'a> Checker<'a> {
                 crate::error::PromiseError::Rm(rm) => CheckError::Rm(rm),
                 _ => CheckError::Reject(RejectReason::UnknownPool(pool.clone())),
             })?;
-        let recompute = || -> u64 {
-            existing
+        let demand: u64 = match self.qty_demand_hint.get(pool) {
+            Some(&exact) => exact,
+            None => existing
                 .iter()
                 .chain(candidate)
-                .flat_map(|p| p.predicates.iter())
-                .filter_map(|pred| match pred {
-                    Predicate::QtyAtLeast { pool: p, amount } if p == pool => Some(*amount),
-                    _ => None,
-                })
-                .sum()
-        };
-        let demand: u64 = match self.qty_demand_hint.get(pool) {
-            Some(&cached) => {
-                // Any promise demanding from this pool intersects it, so a
-                // footprint snapshot must re-sum to exactly the aggregate.
-                debug_assert_eq!(
-                    cached,
-                    recompute(),
-                    "cached quantity demand for {pool} drifted from snapshot"
-                );
-                cached
-            }
-            None => recompute(),
+                .map(|p| qty_demand_on(&p.predicates, pool))
+                .sum(),
         };
         if demand <= on_hand {
             Ok(())
@@ -710,6 +709,7 @@ impl<'a> Checker<'a> {
                     .iter()
                     .find(|p| p.pools().contains(&pool))
                     .map(|p| p.id)
+                    .or_else(|| self.victim_of.and_then(|lookup| lookup(pool)))
                     .unwrap_or(PromiseId(0));
                 CheckError::Violation {
                     promise: victim,

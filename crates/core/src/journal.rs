@@ -261,26 +261,36 @@ pub fn encode_entry(entry: &JournalEntry) -> String {
         JournalOp::Lease { pool, qty } => {
             out.push_str(&format!("\tL\t{}\t{qty}", escape(&pool.0)));
         }
-        JournalOp::Checkpoint(cp) => {
-            out.push_str(&format!("\tK\t{}\t{}", cp.next_id, cp.live.len()));
-            for item in &cp.live {
-                encode_record(
-                    &mut out,
-                    if item.prepared { 'P' } else { 'G' },
-                    &item.record,
-                );
-            }
-            // Trailing lease group, omitted when empty so lease-free
-            // checkpoints keep the pre-lease line format.
-            if !cp.leases.is_empty() {
-                out.push_str(&format!("\t{}", cp.leases.len()));
-                for (pool, qty) in &cp.leases {
-                    out.push_str(&format!("\t{}\t{qty}", escape(&pool.0)));
-                }
-            }
-        }
+        JournalOp::Checkpoint(cp) => encode_checkpoint(
+            &mut out,
+            cp.next_id,
+            cp.live.iter().map(|item| (item.prepared, &item.record)),
+            &cp.leases,
+        ),
     }
     out
+}
+
+/// Encodes a `K` payload from borrowed records, so a compaction writes the
+/// table out without copying it first.
+fn encode_checkpoint<'a>(
+    out: &mut String,
+    next_id: u64,
+    live: impl ExactSizeIterator<Item = (bool, &'a PromiseRecord)>,
+    leases: &[(PoolId, u64)],
+) {
+    out.push_str(&format!("\tK\t{next_id}\t{}", live.len()));
+    for (prepared, record) in live {
+        encode_record(out, if prepared { 'P' } else { 'G' }, record);
+    }
+    // Trailing lease group, omitted when empty so lease-free
+    // checkpoints keep the pre-lease line format.
+    if !leases.is_empty() {
+        out.push_str(&format!("\t{}", leases.len()));
+        for (pool, qty) in leases {
+            out.push_str(&format!("\t{}\t{qty}", escape(&pool.0)));
+        }
+    }
 }
 
 struct FieldReader<'a> {
@@ -564,24 +574,28 @@ impl PromiseJournal {
     }
 
     /// Atomically swaps the journal's contents for a single checkpoint
-    /// entry carrying `state`. The swap happens under the journal lock —
-    /// the in-memory analogue of writing the checkpoint to a temp file and
-    /// renaming it over the log, so a reader (or a crash) sees either the
-    /// full old journal or the checkpointed one, never a mix. The
-    /// checkpoint is assigned the next sequence number; entries appended
-    /// afterwards form the post-checkpoint suffix replay picks up after
-    /// resetting at the `K` record.
-    pub fn install_checkpoint(&self, state: CheckpointState) -> CheckpointStats {
+    /// entry — the [`CheckpointState`] made of `next_id`, `live` (each
+    /// record with its prepared mark, in the order given) and `leases`,
+    /// encoded straight from the borrowed records. The swap happens under
+    /// the journal lock — the in-memory analogue of writing the checkpoint
+    /// to a temp file and renaming it over the log, so a reader (or a
+    /// crash) sees either the full old journal or the checkpointed one,
+    /// never a mix. The checkpoint is assigned the next sequence number;
+    /// entries appended afterwards form the post-checkpoint suffix replay
+    /// picks up after resetting at the `K` record.
+    pub fn install_checkpoint(
+        &self,
+        next_id: u64,
+        live: &[(bool, &PromiseRecord)],
+        leases: &[(PoolId, u64)],
+    ) -> CheckpointStats {
         let mut inner = self.inner.lock();
         let dropped = inner.lines.len();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let entry = JournalEntry {
-            seq,
-            generation: inner.generation,
-            op: JournalOp::Checkpoint(state),
-        };
-        inner.lines = vec![encode_entry(&entry)];
+        let mut line = format!("{seq}\t{}", inner.generation);
+        encode_checkpoint(&mut line, next_id, live.iter().copied(), leases);
+        inner.lines = vec![line];
         // The swap is itself one durable write, and it covers every record
         // folded into the checkpoint: nothing below the `K` line can be
         // pending afterwards.
@@ -960,11 +974,7 @@ mod tests {
         j.append(JournalOp::Grant(sample_record()));
         j.append(JournalOp::Release(PromiseId(7)));
         j.bump_generation();
-        let stats = j.install_checkpoint(CheckpointState {
-            next_id: 7,
-            live: vec![],
-            leases: vec![],
-        });
+        let stats = j.install_checkpoint(7, &[], &[]);
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.seq, 3);
         assert_eq!(j.len(), 1);
@@ -1065,14 +1075,28 @@ mod tests {
         // exists leader-side — the segment is the checkpoint plus tail.
         leader.append(JournalOp::Release(PromiseId(7)));
         leader.append(JournalOp::Grant(sample_record()));
-        leader.install_checkpoint(CheckpointState {
-            next_id: 9,
-            live: vec![CheckpointRecord {
-                prepared: false,
-                record: sample_record(),
-            }],
-            leases: vec![("pink-widgets".into(), 40)],
-        });
+        leader.install_checkpoint(
+            9,
+            &[(false, &sample_record())],
+            &[("pink-widgets".into(), 40)],
+        );
+        // Encoding from borrowed records writes the same bytes as encoding
+        // the owned entry a decoder hands back.
+        assert_eq!(
+            leader.lines(),
+            vec![encode_entry(&JournalEntry {
+                seq: 4,
+                generation: 0,
+                op: JournalOp::Checkpoint(CheckpointState {
+                    next_id: 9,
+                    live: vec![CheckpointRecord {
+                        prepared: false,
+                        record: sample_record(),
+                    }],
+                    leases: vec![("pink-widgets".into(), 40)],
+                }),
+            })]
+        );
         leader.append(JournalOp::Expire(PromiseId(7)));
         let segment = leader.segment_after(acked);
         assert_eq!(segment.len(), 2, "checkpoint + tail");
@@ -1115,11 +1139,7 @@ mod tests {
         let journal = PromiseJournal::new();
         journal.append(JournalOp::Release(PromiseId(1)));
         journal.append(JournalOp::Release(PromiseId(2)));
-        let stats = journal.install_checkpoint(CheckpointState {
-            next_id: 3,
-            live: vec![],
-            leases: vec![],
-        });
+        let stats = journal.install_checkpoint(3, &[], &[]);
         assert_eq!(journal.flushed_seq(), stats.seq);
         let (writes, records) = journal.flush_stats();
         assert_eq!(writes, 1);

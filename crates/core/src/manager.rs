@@ -56,10 +56,11 @@ use crate::clock::Clock;
 use crate::environment::Environment;
 use crate::error::{ActionError, PromiseError, RejectReason};
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
-use crate::journal::{CheckpointRecord, CheckpointState, JournalOp, PromiseJournal};
+use crate::journal::{JournalOp, PromiseJournal};
 use crate::predicate::Predicate;
-use crate::promise::{PromiseRecord, PromiseTable};
-use crate::schema::PoolSchema;
+use crate::promise::{qty_demand_on, PromiseRecord, PromiseTable};
+use crate::schema::{PoolKind, PoolSchema};
+use crate::tombstones::Tombstones;
 
 /// RM synchronisation point serialising promise operations: locked whole
 /// under [`LockingMode::Global`]; suffixed with `/<pool>` per footprint
@@ -412,8 +413,9 @@ pub struct PromiseManager {
     locking: LockingMode,
     max_duration_ms: u64,
     retry_limit: usize,
-    /// What the most recent execute post-check actually looked at; lets
-    /// tests and experiments verify footprint scoping narrowed the work.
+    /// What the most recent grant check, execute post-check or prune
+    /// actually looked at; lets tests and experiments verify footprint
+    /// scoping narrowed the work.
     last_check_stats: Mutex<CheckerStats>,
     upstreams: RwLock<HashMap<PoolId, Arc<PromiseManager>>>,
     delegations: Mutex<HashMap<PromiseId, UpstreamRefs>>,
@@ -421,9 +423,9 @@ pub struct PromiseManager {
     /// be answered with the paper's distinct "promise-expired" error (§2)
     /// instead of "unknown promise". *Bounded*: each tombstone carries an
     /// eviction deadline (reap time plus [`Self::tombstone_grace_ms`]) and
-    /// is dropped by the next prune after it passes — so the map tracks
+    /// is dropped by the next prune after it passes — so the set tracks
     /// recently-expired promises, not all of history.
-    expired_tombstones: Mutex<HashMap<PromiseId, u64>>,
+    expired_tombstones: Mutex<Tombstones>,
     /// Durable journal of promise-table transitions; `None` disables
     /// journalling (the pre-durability behaviour).
     journal: RwLock<Option<Arc<PromiseJournal>>>,
@@ -519,6 +521,17 @@ pub struct RecoveryReport {
     pub generation: u64,
 }
 
+/// What one check reads from the promise table (see
+/// [`PromiseManager::check_inputs`]).
+struct CheckInputs {
+    /// Clones of the records the checker may re-arrange.
+    snapshot: Vec<PromiseRecord>,
+    /// Exact demand for every pool checked without its records.
+    qty_demand: HashMap<PoolId, u64>,
+    /// Observation pins as of the snapshot.
+    pinned: HashSet<PromiseId>,
+}
+
 impl PromiseManager {
     /// Creates a manager over `rm` with the given clock.
     pub fn new(rm: Arc<ResourceManager>, clock: Arc<dyn Clock>) -> Self {
@@ -533,7 +546,7 @@ impl PromiseManager {
             last_check_stats: Mutex::new(CheckerStats::default()),
             upstreams: RwLock::new(HashMap::new()),
             delegations: Mutex::new(HashMap::new()),
-            expired_tombstones: Mutex::new(HashMap::new()),
+            expired_tombstones: Mutex::new(Tombstones::default()),
             journal: RwLock::new(None),
             request_index: Mutex::new(HashMap::new()),
             pinned: Mutex::new(HashSet::new()),
@@ -787,6 +800,8 @@ impl PromiseManager {
             if let Err(e) = self.lock_lease_ops(&txn, &pool) {
                 return Err(self.abort_with(txn, e.into()));
             }
+            // Crate-wide lock order: catalog → table.
+            let catalog = self.catalog.read();
             let tbl = self.table.lock();
             let lease = self.leases.lock().get(&pool).copied().unwrap_or(0);
             let headroom = lease.saturating_sub(tbl.promised_qty(&pool));
@@ -796,7 +811,6 @@ impl PromiseManager {
                 return self.abort_then(txn, 0);
             }
             let qty = lease - moved;
-            let catalog = self.catalog.read();
             if let Err(e) = catalog.set_quantity(&self.rm, &txn, &pool, qty) {
                 drop(tbl);
                 return Err(self.abort_with(txn, e));
@@ -824,10 +838,11 @@ impl PromiseManager {
             if let Err(e) = self.lock_lease_ops(&txn, &pool) {
                 return Err(self.abort_with(txn, e.into()));
             }
+            // Crate-wide lock order: catalog → table.
+            let catalog = self.catalog.read();
             let tbl = self.table.lock();
             let lease = self.leases.lock().get(&pool).copied().unwrap_or(0);
             let qty = lease.saturating_add(delta);
-            let catalog = self.catalog.read();
             if let Err(e) = catalog.set_quantity(&self.rm, &txn, &pool, qty) {
                 drop(tbl);
                 return Err(self.abort_with(txn, e));
@@ -1153,7 +1168,7 @@ impl PromiseManager {
     pub fn commit_prepared(&self, id: PromiseId) -> Result<bool, PromiseError> {
         let tbl = self.table.lock();
         if tbl.get(id).is_none() {
-            return Err(if self.expired_tombstones.lock().contains_key(&id) {
+            return Err(if self.expired_tombstones.lock().contains(id) {
                 PromiseError::PromiseExpired(id)
             } else {
                 PromiseError::UnknownPromise(id)
@@ -1337,9 +1352,9 @@ impl PromiseManager {
             for rec in &reaped {
                 tombs.insert(rec.id, evict_at);
             }
-            // Evict tombstones whose grace window has passed, so the map
+            // Evict tombstones whose grace window has passed, so the set
             // tracks recent expiries instead of growing with history.
-            tombs.retain(|_, at| *at > now);
+            tombs.evict_due(now);
         }
         for rec in &reaped {
             self.cascade_release(rec.id);
@@ -1441,7 +1456,7 @@ impl PromiseManager {
         let recovered = table.len();
 
         let mut index: HashMap<(ClientId, RequestId), PromiseId> = HashMap::new();
-        for rec in table.all() {
+        for rec in table.records() {
             index.insert((rec.client.clone(), rec.request.clone()), rec.id);
         }
 
@@ -1460,9 +1475,12 @@ impl PromiseManager {
             .clock
             .now_ms()
             .saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
-        self.expired_tombstones
-            .lock()
-            .extend(tombstones.into_iter().map(|id| (id, evict_at)));
+        {
+            let mut tombs = self.expired_tombstones.lock();
+            for id in tombstones {
+                tombs.insert(id, evict_at);
+            }
+        }
         *self.journal.write() = Some(journal);
 
         // The journal is the durable truth for escrow leases: force each
@@ -1526,35 +1544,29 @@ impl PromiseManager {
         // Crate-wide lock order: table → prepared.
         let table = self.table.lock();
         let prepared_set = self.prepared.lock();
-        let mut live = Vec::with_capacity(table.len());
-        let mut prepared_count = 0usize;
-        for record in table.all() {
-            let prepared = prepared_set.contains(&record.id);
-            prepared_count += usize::from(prepared);
-            live.push(CheckpointRecord { prepared, record });
-        }
+        let mut live: Vec<(bool, &PromiseRecord)> = table
+            .records()
+            .map(|record| (prepared_set.contains(&record.id), record))
+            .collect();
         drop(prepared_set);
         // Canonical order keeps the checkpoint line deterministic for a
         // given table state (table iteration order is not).
-        live.sort_by_key(|item| item.record.id);
-        let state = CheckpointState {
-            next_id: table.id_high_water(),
-            live,
-            // BTreeMap iteration is sorted, keeping the line deterministic.
-            leases: self
-                .leases
-                .lock()
-                .iter()
-                .map(|(p, q)| (p.clone(), *q))
-                .collect(),
-        };
+        live.sort_by_key(|(_, record)| record.id);
+        let prepared_count = live.iter().filter(|(prepared, _)| *prepared).count();
+        // BTreeMap iteration is sorted, keeping the line deterministic.
+        let leases: Vec<(PoolId, u64)> = self
+            .leases
+            .lock()
+            .iter()
+            .map(|(p, q)| (p.clone(), *q))
+            .collect();
         let crash = self.compaction_crash.lock().take();
         if crash == Some(CompactionCrash::BeforeSwap) {
             // Modeled crash while writing the checkpoint temp file: the
             // real journal was never touched.
             return Err(PromiseError::CompactionInterrupted);
         }
-        let stats = journal.install_checkpoint(state);
+        let stats = journal.install_checkpoint(table.id_high_water(), &live, &leases);
         let report = CompactionReport {
             dropped: stats.dropped,
             live: table.len(),
@@ -1679,9 +1691,11 @@ impl PromiseManager {
         }
     }
 
-    /// What the most recent [`PromiseManager::execute`] post-check looked
-    /// at (pools visited, promises considered). Test/experiment hook for
-    /// verifying footprint scoping; racy under concurrent executes.
+    /// What the most recent checking pass looked at: the pools a
+    /// [`PromiseManager::execute`] post-check visited, and the promise
+    /// records a grant check, post-check or prune cloned out of the table.
+    /// Test/experiment hook for verifying footprint scoping; racy under
+    /// concurrent operations.
     pub fn last_check_stats(&self) -> CheckerStats {
         self.last_check_stats.lock().clone()
     }
@@ -1694,10 +1708,10 @@ impl PromiseManager {
     /// against the post-[`PromiseManager::recover`] digest.
     pub fn state_digest(&self) -> String {
         let tbl = self.table.lock();
-        let mut records = tbl.all();
+        let mut records: Vec<&PromiseRecord> = tbl.records().collect();
         records.sort_by_key(|r| r.id);
         let mut out = String::new();
-        for rec in &records {
+        for rec in records {
             out.push_str(&format!(
                 "promise {} client={} request={} granted={} expires={}\n",
                 rec.id, rec.client, rec.request, rec.granted_at, rec.expires_at
@@ -1895,47 +1909,77 @@ impl PromiseManager {
         }
     }
 
-    /// Pre-computes exact per-pool `QtyAtLeast` demand for the checker
-    /// from the table's cached aggregate: aggregate − demand of `excluded`
-    /// records (which the snapshot omits) + demand of the `candidate`
-    /// predicates (checked on top of the snapshot). Returns an empty map —
-    /// falling back to the checker's snapshot re-sum — under global
-    /// locking (keeping the baseline faithful to the prototype) or when an
-    /// expired-but-unpruned record could inflate the aggregate.
-    fn qty_hints(
+    /// Gathers, under the table lock, what the checker reads for an
+    /// operation over `footprint` that takes `excluded` out of the table
+    /// (exchanged or released promises) and adds `candidate` predicates.
+    ///
+    /// Under footprint locking the table is read per pool kind. A pool
+    /// that is not an instance pool is checked from one number, its exact
+    /// live demand: the cached aggregate less `excluded` when nothing is
+    /// expired-but-unpruned, otherwise a re-sum over the pool's own
+    /// records, borrowed in place. Only the *instance* pools' promises are
+    /// cloned — matching rewrites their allocations — and only then is
+    /// the observation-pin set copied. So a quantity-only operation clones
+    /// no record at all, however many promises its pools hold.
+    ///
+    /// Under global locking every live record and every pin is copied and
+    /// no demand is supplied, so the checker re-sums the snapshot: the
+    /// prototype's whole-table check, kept as the baseline.
+    fn check_inputs(
         &self,
         tbl: &PromiseTable,
+        catalog: &Catalog,
         now: u64,
         footprint: &[PoolId],
         excluded: &[PromiseRecord],
         candidate: &[Predicate],
-    ) -> HashMap<PoolId, u64> {
-        let mut hints = HashMap::new();
-        if self.locking == LockingMode::Global || !tbl.none_expired(now) {
-            return hints;
+    ) -> CheckInputs {
+        let except: Vec<PromiseId> = excluded.iter().map(|rec| rec.id).collect();
+        if self.locking == LockingMode::Global {
+            return CheckInputs {
+                snapshot: tbl.snapshot(now, &except),
+                qty_demand: HashMap::new(),
+                // Read under the table lock so the pins are consistent
+                // with the snapshot's allocations (table → pinned).
+                pinned: self.pinned.lock().clone(),
+            };
         }
-        let demand_on = |preds: &[Predicate], pool: &PoolId| -> u64 {
-            preds
-                .iter()
-                .filter_map(|pred| match pred {
-                    Predicate::QtyAtLeast { pool: p, amount } if p == pool => Some(*amount),
-                    _ => None,
-                })
-                .sum()
+        let (instance_pools, counted_pools): (Vec<PoolId>, Vec<PoolId>) =
+            footprint.iter().cloned().partition(|pool| {
+                catalog
+                    .get(pool)
+                    .is_ok_and(|schema| schema.kind == PoolKind::Instances)
+            });
+        let nothing_expired = tbl.none_expired(now);
+        let qty_demand = counted_pools
+            .into_iter()
+            .map(|pool| {
+                let held = if nothing_expired {
+                    let leaving: u64 = excluded
+                        .iter()
+                        .map(|rec| qty_demand_on(&rec.predicates, &pool))
+                        .sum();
+                    tbl.promised_qty(&pool).saturating_sub(leaving)
+                } else {
+                    tbl.qty_demand(&pool, now, &except)
+                };
+                let demand = held.saturating_add(qty_demand_on(candidate, &pool));
+                (pool, demand)
+            })
+            .collect();
+        let (snapshot, pinned) = if instance_pools.is_empty() {
+            (Vec::new(), HashSet::new())
+        } else {
+            (
+                tbl.snapshot_pools(now, &instance_pools, &except),
+                self.pinned.lock().clone(),
+            )
         };
-        for pool in footprint {
-            let excluded_demand: u64 = excluded
-                .iter()
-                .map(|rec| demand_on(&rec.predicates, pool))
-                .sum();
-            hints.insert(
-                pool.clone(),
-                tbl.promised_qty(pool)
-                    .saturating_sub(excluded_demand)
-                    .saturating_add(demand_on(candidate, pool)),
-            );
+        CheckInputs {
+            snapshot,
+            qty_demand,
+            pinned,
         }
-        hints
     }
 
     /// Pools this manager protects that `txn` has written so far — the
@@ -2027,18 +2071,21 @@ impl PromiseManager {
             }
         }
 
-        let (id, mut existing, qty_hints, pinned_at) = {
+        // Crate-wide lock order: catalog → table.
+        let catalog = self.catalog.read();
+        let (id, inputs) = {
             let mut tbl = self.table.lock();
-            let existing = match self.locking {
-                LockingMode::Global => tbl.snapshot(now, &spec.exchange),
-                LockingMode::Footprint => tbl.snapshot_pools(now, &footprint, &spec.exchange),
-            };
-            let hints = self.qty_hints(&tbl, now, &footprint, &exchanged, &local_predicates);
-            // Observation pins, read under the table lock so they are
-            // consistent with the snapshot's allocations (table → pinned).
-            let pinned_at = self.pinned.lock().clone();
-            (tbl.next_id(), existing, hints, pinned_at)
+            let inputs = self.check_inputs(
+                &tbl,
+                &catalog,
+                now,
+                &footprint,
+                &exchanged,
+                &local_predicates,
+            );
+            (tbl.next_id(), inputs)
         };
+        let mut existing = inputs.snapshot;
         let mut candidate = PromiseRecord {
             id,
             client: spec.client.clone(),
@@ -2052,12 +2099,11 @@ impl PromiseManager {
         // Free exchanged tag allocations inside the txn: if the grant
         // fails the txn aborts and the old promises keep their resources
         // (§4: "the previous one should be retained").
-        let catalog = self.catalog.read();
         let check_started = Instant::now();
-        let grant_result = {
+        let (grant_result, check_stats) = {
             let checker = Checker::new(&self.rm, &txn, &catalog)
-                .with_qty_demand(qty_hints)
-                .with_pinned(pinned_at);
+                .with_qty_demand(inputs.qty_demand)
+                .with_pinned(inputs.pinned);
             let mut r = Ok(Vec::new());
             for rec in &exchanged {
                 if let Err(e) = checker.release_tags(rec) {
@@ -2068,7 +2114,7 @@ impl PromiseManager {
             if r.is_ok() {
                 r = checker.grant(&mut existing, &mut candidate);
             }
-            r
+            (r, checker.stats())
         };
         let check_dur = self.metrics.grant_lat.add_check(check_started);
         self.record_check(
@@ -2081,6 +2127,7 @@ impl PromiseManager {
             },
         );
         drop(catalog);
+        *self.last_check_stats.lock() = check_stats;
 
         match grant_result {
             Ok(changed) => {
@@ -2238,34 +2285,29 @@ impl PromiseManager {
 
     fn try_prune(&self) -> Result<Vec<PromiseRecord>, PromiseError> {
         let now = self.clock.now_ms();
-        // Fast path: nothing expired (O(log n) via the expiry histogram).
-        if self.table.lock().none_expired(now) {
-            return Ok(Vec::new());
-        }
-        let txn = self.rm.begin();
+        // The expired ids come off the table's expiry index: a first-key
+        // probe when nothing expired (the common case), otherwise a read
+        // of exactly the expired entries — never a pass over the table.
         // Footprint: the union of the expired promises' pools. The set is
         // re-read under the lock but only ever *shrinks* (concurrent
         // releases); `now` is fixed above so nothing new expires, and a
         // concurrent grant can only insert records live past `now`.
-        let expired_ids: Vec<PromiseId> = {
+        let (expired_ids, footprint) = {
             let tbl = self.table.lock();
-            tbl.all()
-                .into_iter()
-                .filter(|p| !p.is_live(now))
-                .map(|p| p.id)
-                .collect()
-        };
-        let footprint: Vec<PoolId> = {
-            let tbl = self.table.lock();
-            let mut pools: Vec<PoolId> = expired_ids
+            let ids = tbl.expired_ids(now);
+            if ids.is_empty() {
+                return Ok(Vec::new());
+            }
+            let mut pools: Vec<PoolId> = ids
                 .iter()
                 .filter_map(|id| tbl.get(*id))
                 .flat_map(|rec| rec.pools().into_iter().cloned())
                 .collect();
             pools.sort();
             pools.dedup();
-            pools
+            (ids, pools)
         };
+        let txn = self.rm.begin();
         if let Err(e) = self.lock_ops(&txn, &footprint, &self.metrics.prune_lat) {
             return Err(self.abort_with(txn, e.into()));
         }
@@ -2280,6 +2322,10 @@ impl PromiseManager {
         if expired.is_empty() {
             return self.abort_then(txn, Vec::new());
         }
+        *self.last_check_stats.lock() = CheckerStats {
+            promises_considered: expired.len(),
+            ..CheckerStats::default()
+        };
         let catalog = self.catalog.read();
         let check_started = Instant::now();
         let release_result = {
@@ -2379,22 +2425,18 @@ impl PromiseManager {
                 return Err(self.abort_with(txn, e));
             }
         }
-        let (release_recs, mut live, qty_hints, pinned_at) = {
+        // Crate-wide lock order: catalog → table.
+        let catalog = self.catalog.read();
+        let (release_recs, inputs) = {
             let tbl = self.table.lock();
             let recs: Vec<PromiseRecord> = releases
                 .iter()
                 .filter_map(|id| tbl.get(*id).cloned())
                 .collect();
-            let live = match self.locking {
-                LockingMode::Global => tbl.snapshot(now, &releases),
-                LockingMode::Footprint => tbl.snapshot_pools(now, &footprint, &releases),
-            };
-            let hints = self.qty_hints(&tbl, now, &footprint, &recs, &[]);
-            // Observation pins, read under the table lock so they are
-            // consistent with the snapshot's allocations (table → pinned).
-            let pinned_at = self.pinned.lock().clone();
-            (recs, live, hints, pinned_at)
+            let inputs = self.check_inputs(&tbl, &catalog, now, &footprint, &recs, &[]);
+            (recs, inputs)
         };
+        let mut live = inputs.snapshot;
         // Only the written pools can have been invalidated by the action;
         // released promises never constrain others tighter. Under global
         // locking keep the prototype's full re-check of every live pool.
@@ -2402,12 +2444,15 @@ impl PromiseManager {
             LockingMode::Global => None,
             LockingMode::Footprint => Some(footprint.as_slice()),
         };
-        let catalog = self.catalog.read();
+        // A failed check of a pool whose records were not snapshotted
+        // names its victim from the pool index, on that path only.
+        let victim_of = |pool: &PoolId| self.table.lock().first_live_in_pool(pool, now, &releases);
         let check_started = Instant::now();
         let (check_result, check_stats) = {
             let checker = Checker::new(&self.rm, &txn, &catalog)
-                .with_qty_demand(qty_hints)
-                .with_pinned(pinned_at);
+                .with_qty_demand(inputs.qty_demand)
+                .with_pinned(inputs.pinned)
+                .with_victim_lookup(&victim_of);
             let mut r = Ok(Vec::new());
             for rec in &release_recs {
                 if let Err(e) = checker.release_tags(rec) {
@@ -2528,7 +2573,7 @@ impl PromiseManager {
         let tbl = self.table.lock();
         for id in env.promise_ids() {
             match tbl.get(id) {
-                None if self.expired_tombstones.lock().contains_key(&id) => {
+                None if self.expired_tombstones.lock().contains(id) => {
                     self.metrics.expired_errors.fetch_add(1, Ordering::Relaxed);
                     return Err(PromiseError::PromiseExpired(id));
                 }

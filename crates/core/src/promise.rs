@@ -4,6 +4,7 @@
 //! their predicates in a 'promise table'. Promises are placed in this
 //! table when they are granted and removed when they are released" (§8).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
@@ -64,31 +65,45 @@ impl PromiseRecord {
     }
 }
 
+/// Total `QtyAtLeast` quantity `predicates` demand from `pool`.
+pub(crate) fn qty_demand_on(predicates: &[Predicate], pool: &PoolId) -> u64 {
+    predicates
+        .iter()
+        .filter_map(|pred| match pred {
+            Predicate::QtyAtLeast { pool: p, amount } if p == pool => Some(*amount),
+            _ => None,
+        })
+        .sum()
+}
+
 /// In-memory index of live promises. Thread-safety is provided by the
 /// manager (this structure is always accessed under its table mutex).
 ///
-/// Besides the primary id map, the table maintains two derived indexes so
-/// footprint-scoped operations avoid whole-table scans:
+/// Besides the primary id map, the table maintains three derived indexes
+/// so no manager operation scans the whole table:
 ///
 /// * `by_pool` — which promises constrain each pool, so a check over one
-///   pool snapshots only the intersecting promises;
+///   pool reads (or snapshots) only the intersecting promises;
 /// * `qty_agg` — the summed `QtyAtLeast` demand per pool over **every**
 ///   record still in the table (including expired-but-unpruned ones, which
 ///   over-counts conservatively until the next prune), making the quantity
-///   check O(1) instead of a table scan.
+///   check O(1) instead of a table scan;
+/// * `expiry` — the ids bucketed by `expires_at`, ascending, so the
+///   promises expired at `now` are a range read of O(k + log n) and "has
+///   anything expired?" is a first-key probe.
 ///
-/// Both indexes key off each record's *predicates*, which are immutable
-/// once granted; [`PromiseTable::get_mut`] exists only so the manager can
-/// rewrite `allocations`, which neither index depends on.
+/// All three key off fields that are immutable once granted (predicates,
+/// `expires_at`); [`PromiseTable::get_mut`] exists only so the manager can
+/// rewrite `allocations`, which no index depends on.
 #[derive(Debug, Default)]
 pub struct PromiseTable {
     live: HashMap<PromiseId, PromiseRecord>,
     by_pool: HashMap<PoolId, HashSet<PromiseId>>,
     qty_agg: HashMap<PoolId, u64>,
-    /// Histogram of `expires_at` values over records in the table, so
-    /// "does any unpruned record pre-date `now`?" is an O(log n) first-key
-    /// probe rather than a scan (guards [`PromiseTable::promised_qty`]).
-    expiry: BTreeMap<u64, u32>,
+    /// One bucket of ids per distinct `expires_at` (promises granted in the
+    /// same millisecond for the same duration share one). Removing an id
+    /// scans its bucket only.
+    expiry: BTreeMap<u64, Vec<PromiseId>>,
     next: u64,
 }
 
@@ -120,12 +135,16 @@ impl PromiseTable {
         self.next
     }
 
-    /// Inserts a granted promise.
+    /// Inserts a granted promise, replacing any record with the same id.
     pub fn insert(&mut self, rec: PromiseRecord) {
-        self.index(&rec);
-        if let Some(old) = self.live.insert(rec.id, rec) {
+        // Unindex the displaced record *before* indexing the new one: the
+        // two share an id, so the other order would strip the new record's
+        // id from `by_pool` and `expiry`.
+        if let Some(old) = self.live.remove(&rec.id) {
             self.unindex(&old);
         }
+        self.index(&rec);
+        self.live.insert(rec.id, rec);
         self.debug_assert_consistent();
     }
 
@@ -160,27 +179,59 @@ impl PromiseTable {
             .filter(move |p| p.is_live(now) && !except.contains(&p.id))
     }
 
+    /// Ids of every promise expired at `now`, earliest expiry first —
+    /// a range read of the expiry index, O(expired + log n).
+    pub fn expired_ids(&self, now: u64) -> Vec<PromiseId> {
+        self.expiry
+            .range(..=now)
+            .flat_map(|(_, ids)| ids)
+            .copied()
+            .collect()
+    }
+
     /// Removes and returns every promise expired at `now`.
     pub fn take_expired(&mut self, now: u64) -> Vec<PromiseRecord> {
-        let ids: Vec<PromiseId> = self
-            .live
-            .values()
-            .filter(|p| !p.is_live(now))
-            .map(|p| p.id)
-            .collect();
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
+        self.expired_ids(now)
+            .into_iter()
+            .filter_map(|id| self.remove(id))
+            .collect()
+    }
+
+    /// The promises live at `now` that constrain `pool`, excluding ids in
+    /// `except` — read through the pool index, borrowed in place.
+    fn live_in_pool<'a>(
+        &'a self,
+        pool: &PoolId,
+        now: u64,
+        except: &'a [PromiseId],
+    ) -> impl Iterator<Item = &'a PromiseRecord> {
+        self.by_pool
+            .get(pool)
+            .into_iter()
+            .flatten()
+            .filter_map(|id| self.live.get(id))
+            .filter(move |p| p.is_live(now) && !except.contains(&p.id))
     }
 
     /// Sum of quantities demanded from `pool` by promises live at `now`,
     /// excluding ids in `except` (§8's anonymous-resource check input).
+    /// Reads only the records that constrain `pool`, without cloning them.
     pub fn qty_demand(&self, pool: &PoolId, now: u64, except: &[PromiseId]) -> u64 {
-        self.live_at(now, except)
-            .flat_map(|p| p.predicates.iter())
-            .filter_map(|pred| match pred {
-                Predicate::QtyAtLeast { pool: p, amount } if p == pool => Some(*amount),
-                _ => None,
-            })
+        self.live_in_pool(pool, now, except)
+            .map(|p| qty_demand_on(&p.predicates, pool))
             .sum()
+    }
+
+    /// The lowest-id promise live at `now` that constrains `pool`,
+    /// excluding `except` — the promise a failed post-check of `pool`
+    /// names as violated.
+    pub fn first_live_in_pool(
+        &self,
+        pool: &PoolId,
+        now: u64,
+        except: &[PromiseId],
+    ) -> Option<PromiseId> {
+        self.live_in_pool(pool, now, except).map(|p| p.id).min()
     }
 
     /// Number of promises currently in the table (live or awaiting prune).
@@ -199,9 +250,10 @@ impl PromiseTable {
         self.live_at(now, except).cloned().collect()
     }
 
-    /// Copies of every promise in the table, live or expired.
-    pub fn all(&self) -> Vec<PromiseRecord> {
-        self.live.values().cloned().collect()
+    /// Every promise in the table, live or expired, in no particular
+    /// order.
+    pub fn records(&self) -> impl Iterator<Item = &PromiseRecord> {
+        self.live.values()
     }
 
     /// Snapshot of promises live at `now` whose footprint intersects any
@@ -259,11 +311,14 @@ impl PromiseTable {
 
     /// The expiry histogram (`expires_at` → record count), ascending.
     pub fn expiry_histogram(&self) -> Vec<(u64, u32)> {
-        self.expiry.iter().map(|(k, v)| (*k, *v)).collect()
+        self.expiry
+            .iter()
+            .map(|(at, ids)| (*at, ids.len() as u32))
+            .collect()
     }
 
     fn index(&mut self, rec: &PromiseRecord) {
-        *self.expiry.entry(rec.expires_at).or_default() += 1;
+        self.expiry.entry(rec.expires_at).or_default().push(rec.id);
         for pool in rec.pools() {
             self.by_pool.entry(pool.clone()).or_default().insert(rec.id);
         }
@@ -277,10 +332,13 @@ impl PromiseTable {
     }
 
     fn unindex(&mut self, rec: &PromiseRecord) {
-        if let Some(count) = self.expiry.get_mut(&rec.expires_at) {
-            *count -= 1;
-            if *count == 0 {
-                self.expiry.remove(&rec.expires_at);
+        if let Entry::Occupied(mut bucket) = self.expiry.entry(rec.expires_at) {
+            let ids = bucket.get_mut();
+            if let Some(at) = ids.iter().position(|id| *id == rec.id) {
+                ids.swap_remove(at);
+            }
+            if ids.is_empty() {
+                bucket.remove();
             }
         }
         for pool in rec.pools() {
@@ -305,33 +363,53 @@ impl PromiseTable {
         }
     }
 
-    /// Debug-only drift guard: recomputes both derived indexes from
-    /// scratch and asserts they match the maintained ones. Compiled out
-    /// in release builds.
+    /// Debug-only drift guard: recomputes every derived index from
+    /// scratch and asserts it matches the maintained one. Compiled out in
+    /// release builds. Runs on every mutation of a table of up to 511
+    /// records; a larger one is checked at one length in every
+    /// `len / 256`, which keeps the guard near 256 record visits a
+    /// mutation instead of making debug runs quadratic in table size.
     fn debug_assert_consistent(&self) {
         #[cfg(debug_assertions)]
         {
-            let mut by_pool: HashMap<PoolId, HashSet<PromiseId>> = HashMap::new();
-            let mut qty_agg: HashMap<PoolId, u64> = HashMap::new();
-            let mut expiry: BTreeMap<u64, u32> = BTreeMap::new();
+            let stride = (self.live.len() / 256).max(1);
+            if !self.live.len().is_multiple_of(stride) {
+                return;
+            }
+            let mut by_pool: HashMap<&PoolId, HashSet<PromiseId>> = HashMap::new();
+            let mut qty_agg: HashMap<&PoolId, u64> = HashMap::new();
+            let mut expiry: BTreeMap<u64, Vec<PromiseId>> = BTreeMap::new();
             for rec in self.live.values() {
-                *expiry.entry(rec.expires_at).or_default() += 1;
-                for pool in rec.pools() {
-                    by_pool.entry(pool.clone()).or_default().insert(rec.id);
-                }
+                expiry.entry(rec.expires_at).or_default().push(rec.id);
                 for pred in &rec.predicates {
+                    by_pool.entry(pred.pool()).or_default().insert(rec.id);
                     if let Predicate::QtyAtLeast { pool, amount } = pred {
-                        *qty_agg.entry(pool.clone()).or_default() += amount;
+                        *qty_agg.entry(pool).or_default() += amount;
                     }
                 }
             }
             qty_agg.retain(|_, v| *v != 0);
-            debug_assert_eq!(self.by_pool, by_pool, "pool index drifted from records");
-            debug_assert_eq!(
-                self.qty_agg, qty_agg,
-                "quantity aggregate drifted from records"
+            debug_assert!(
+                self.by_pool.len() == by_pool.len()
+                    && self
+                        .by_pool
+                        .iter()
+                        .all(|(p, ids)| by_pool.get(p) == Some(ids)),
+                "pool index {:?} drifted from records {by_pool:?}",
+                self.by_pool
             );
-            debug_assert_eq!(self.expiry, expiry, "expiry histogram drifted from records");
+            debug_assert!(
+                self.qty_agg.len() == qty_agg.len()
+                    && self.qty_agg.iter().all(|(p, q)| qty_agg.get(p) == Some(q)),
+                "quantity aggregate {:?} drifted from records {qty_agg:?}",
+                self.qty_agg
+            );
+            // Bucket order is history-dependent; compare as sorted sets.
+            let mut kept = self.expiry.clone();
+            for ids in kept.values_mut().chain(expiry.values_mut()) {
+                ids.sort_unstable();
+            }
+            debug_assert_eq!(kept, expiry, "expiry index drifted from records");
         }
     }
 }
@@ -520,6 +598,68 @@ mod tests {
         );
         t.take_expired(100);
         assert!(t.none_expired(u64::MAX));
+    }
+
+    /// Regression: `insert` over an existing id used to index the new
+    /// record and then unindex the old one, which — the two sharing an id —
+    /// stripped the id from `by_pool` (and tripped the drift guard in
+    /// debug builds).
+    #[test]
+    fn reinserting_a_record_keeps_every_index() {
+        let mut t = PromiseTable::new();
+        let w = PoolId::from("w");
+        let id = rec(&mut t, "w", 5, 100);
+        let same = t.get(id).unwrap().clone();
+        t.insert(same);
+        assert_eq!(t.len(), 1);
+        let snap = t.snapshot_pools(0, std::slice::from_ref(&w), &[]);
+        assert_eq!(snap.iter().map(|p| p.id).collect::<Vec<_>>(), vec![id]);
+        assert_eq!(t.promised_qty(&w), 5);
+        assert_eq!(t.expiry_histogram(), vec![(100, 1)]);
+        assert_eq!(t.expired_ids(100), vec![id]);
+
+        // Replacing it with a different pool and expiry moves every entry.
+        let mut moved = t.get(id).unwrap().clone();
+        moved.predicates = vec![Predicate::qty_at_least("x", 2)];
+        moved.expires_at = 50;
+        t.insert(moved);
+        assert!(t
+            .snapshot_pools(0, std::slice::from_ref(&w), &[])
+            .is_empty());
+        assert_eq!(t.promised_qty(&w), 0);
+        assert_eq!(t.promised_qty(&PoolId::from("x")), 2);
+        assert_eq!(t.expiry_histogram(), vec![(50, 1)]);
+    }
+
+    #[test]
+    fn expired_ids_come_off_the_index_in_expiry_order() {
+        let mut t = PromiseTable::new();
+        let late = rec(&mut t, "w", 1, 30);
+        let early = rec(&mut t, "x", 1, 10);
+        let _live = rec(&mut t, "w", 1, 100);
+        assert!(t.expired_ids(9).is_empty());
+        assert_eq!(
+            t.expired_ids(10),
+            vec![early],
+            "expired exactly at expires_at"
+        );
+        assert_eq!(t.expired_ids(99), vec![early, late]);
+        t.remove(early);
+        assert_eq!(t.expired_ids(99), vec![late]);
+    }
+
+    #[test]
+    fn first_live_in_pool_is_the_lowest_eligible_id() {
+        let mut t = PromiseTable::new();
+        let w = PoolId::from("w");
+        let dead = rec(&mut t, "w", 1, 10);
+        let a = rec(&mut t, "w", 1, 100);
+        let b = rec(&mut t, "w", 1, 100);
+        let _other = rec(&mut t, "x", 1, 100);
+        assert_eq!(t.first_live_in_pool(&w, 5, &[]), Some(dead));
+        assert_eq!(t.first_live_in_pool(&w, 50, &[]), Some(a));
+        assert_eq!(t.first_live_in_pool(&w, 50, &[a]), Some(b));
+        assert_eq!(t.first_live_in_pool(&PoolId::from("zzz"), 50, &[]), None);
     }
 
     #[test]

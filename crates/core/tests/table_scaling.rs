@@ -1,0 +1,228 @@
+//! The promise table's indexes against brute force, and the manager's
+//! per-operation work against table size — counted, never timed.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use promises_core::{
+    ActionError, Catalog, ClientId, Environment, ManualClock, PoolId, PoolSchema, Predicate,
+    PromiseId, PromiseManager, PromiseRecord, PromiseRequestSpec, PromiseTable, PropExpr,
+    RequestId,
+};
+use promises_rm::ResourceManager;
+
+const POOLS: [&str; 3] = ["a", "b", "c"];
+
+fn record(id: PromiseId, pool: u8, amount: u64, expires_at: u64, with_view: bool) -> PromiseRecord {
+    let pool = POOLS[pool as usize % POOLS.len()];
+    let mut predicates = vec![Predicate::qty_at_least(pool, amount)];
+    if with_view {
+        // A second pool, so multi-pool records exercise `by_pool` too.
+        predicates.push(Predicate::property("views", PropExpr::True, 1));
+    }
+    PromiseRecord {
+        id,
+        client: ClientId::from("c"),
+        request: RequestId(format!("r{}", id.0)),
+        predicates,
+        granted_at: 0,
+        expires_at,
+        allocations: Vec::new(),
+    }
+}
+
+fn qty_on(rec: &PromiseRecord, pool: &PoolId) -> u64 {
+    rec.predicates
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::QtyAtLeast { pool: q, amount } if q == pool => Some(*amount),
+            _ => None,
+        })
+        .sum()
+}
+
+/// Every index-backed read of `table` equals the same question answered by
+/// filtering `model`, at a spread of instants around the expiries in use.
+fn assert_matches_model(
+    table: &PromiseTable,
+    model: &BTreeMap<PromiseId, PromiseRecord>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(table.len(), model.len());
+    let mut histogram: BTreeMap<u64, u32> = BTreeMap::new();
+    for rec in model.values() {
+        *histogram.entry(rec.expires_at).or_default() += 1;
+    }
+    prop_assert_eq!(
+        table.expiry_histogram(),
+        histogram.into_iter().collect::<Vec<_>>()
+    );
+    let mut resident: Vec<PromiseId> = table.records().map(|r| r.id).collect();
+    resident.sort();
+    prop_assert_eq!(resident, model.keys().copied().collect::<Vec<_>>());
+
+    for now in [0u64, 7, 20, 33, 47, 64, 1_000] {
+        let mut expired = table.expired_ids(now);
+        expired.sort();
+        let brute: Vec<PromiseId> = model
+            .values()
+            .filter(|r| r.expires_at <= now)
+            .map(|r| r.id)
+            .collect();
+        prop_assert_eq!(table.none_expired(now), brute.is_empty());
+        prop_assert_eq!(expired, brute, "expired ids at {}", now);
+
+        for pool in POOLS.iter().copied().chain(["views"]).map(PoolId::from) {
+            let live_in_pool = || {
+                model
+                    .values()
+                    .filter(|r| r.is_live(now) && r.pools().contains(&&pool))
+            };
+            prop_assert_eq!(
+                table.qty_demand(&pool, now, &[]),
+                live_in_pool().map(|r| qty_on(r, &pool)).sum::<u64>()
+            );
+            prop_assert_eq!(
+                table.first_live_in_pool(&pool, now, &[]),
+                live_in_pool().map(|r| r.id).min()
+            );
+            let snap = table.snapshot_pools(now, std::slice::from_ref(&pool), &[]);
+            prop_assert_eq!(
+                snap.iter().map(|r| r.id).collect::<Vec<_>>(),
+                live_in_pool().map(|r| r.id).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                table.promised_qty(&pool),
+                model.values().map(|r| qty_on(r, &pool)).sum::<u64>()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// After any sequence of inserts, replacements (same id, new pool and
+    /// expiry), removals and take-expired sweeps, the expiry index, the
+    /// pool index and the quantity aggregates answer exactly what a scan
+    /// of the surviving records would.
+    #[test]
+    fn table_indexes_equal_brute_force(
+        ops in proptest::collection::vec(
+            (0u8..4, 0u8..3, 1u64..6, 1u64..64, any::<bool>(), 0usize..64),
+            1..48,
+        ),
+    ) {
+        let mut table = PromiseTable::new();
+        let mut model: BTreeMap<PromiseId, PromiseRecord> = BTreeMap::new();
+        for (kind, pool, amount, at, with_view, pick) in ops {
+            let picked = model.keys().nth(pick % model.len().max(1)).copied();
+            match (kind, picked) {
+                (1, Some(id)) => {
+                    let rec = record(id, pool, amount, at, with_view);
+                    model.insert(id, rec.clone());
+                    table.insert(rec);
+                }
+                (2, Some(id)) => {
+                    prop_assert_eq!(table.remove(id), model.remove(&id));
+                }
+                (3, _) => {
+                    let mut taken: Vec<PromiseId> =
+                        table.take_expired(at).iter().map(|r| r.id).collect();
+                    taken.sort();
+                    let due: Vec<PromiseId> = model
+                        .values()
+                        .filter(|r| r.expires_at <= at)
+                        .map(|r| r.id)
+                        .collect();
+                    model.retain(|_, r| r.expires_at > at);
+                    prop_assert_eq!(taken, due);
+                }
+                _ => {
+                    let rec = record(table.next_id(), pool, amount, at, with_view);
+                    model.insert(rec.id, rec.clone());
+                    table.insert(rec);
+                }
+            }
+            assert_matches_model(&table, &model)?;
+        }
+    }
+}
+
+const GRACE_MS: u64 = 1_000;
+const SHORT_MS: u64 = 50;
+const LONG_MS: u64 = 1_000_000_000;
+const EXPIRING: usize = 5;
+
+fn qty_spec(tag: &str, amount: u64, duration_ms: u64) -> PromiseRequestSpec {
+    PromiseRequestSpec::new(RequestId(tag.to_owned()), ClientId::from("t"))
+        .predicate(Predicate::qty_at_least("w", amount))
+        .duration_ms(duration_ms)
+}
+
+/// One quantity pool holding 10, 1 000 and 10 000 live promises: a grant
+/// and an action's post-check clone no record, a prune clones exactly the
+/// records that expired, and every tombstone is gone once its grace has
+/// passed — the same counts at every size.
+#[test]
+fn work_per_operation_does_not_grow_with_the_table() {
+    for size in [10usize, 1_000, 10_000] {
+        let clock = Arc::new(ManualClock::new());
+        let pm = PromiseManager::new(Arc::new(ResourceManager::new()), clock.clone())
+            .with_tombstone_grace_ms(GRACE_MS);
+        pm.register_pool(PoolSchema::quantity("w"));
+        pm.seed_quantity("w", 10 * size as u64).unwrap();
+        for i in 0..size {
+            let duration = if i < EXPIRING { SHORT_MS } else { LONG_MS };
+            let granted = pm.request(qty_spec(&format!("r{i}"), 1, duration)).unwrap();
+            assert!(granted.decision.is_granted());
+        }
+        assert_eq!(pm.live_count(), size);
+
+        let fresh = pm
+            .request(qty_spec("fresh", 2, LONG_MS))
+            .unwrap()
+            .decision
+            .granted_id()
+            .expect("stock left");
+        assert_eq!(
+            pm.last_check_stats().promises_considered,
+            0,
+            "a quantity grant reads one aggregate at {size} live promises"
+        );
+
+        pm.execute(&Environment::none().releasing(fresh), |rm, txn| {
+            rm.update(txn, Catalog::QTY_TABLE, "w", |r| {
+                let q = r.int("qty").unwrap();
+                r.set("qty", q - 2);
+            })
+            .map_err(ActionError::from)
+        })
+        .unwrap();
+        let stats = pm.last_check_stats();
+        assert_eq!(stats.pools_visited, vec![PoolId::from("w")]);
+        assert_eq!(
+            stats.promises_considered, 0,
+            "a quantity post-check reads one aggregate at {size} live promises"
+        );
+
+        clock.advance(SHORT_MS);
+        assert_eq!(pm.prune_expired().unwrap(), EXPIRING);
+        assert_eq!(
+            pm.last_check_stats().promises_considered,
+            EXPIRING,
+            "a prune reads the expired records only at {size} live promises"
+        );
+        assert_eq!(pm.live_count(), size - EXPIRING);
+        assert_eq!(pm.tombstone_count(), EXPIRING);
+
+        clock.advance(GRACE_MS - 1);
+        pm.prune_expired().unwrap();
+        assert_eq!(pm.tombstone_count(), EXPIRING, "still inside the grace");
+        clock.advance(1);
+        pm.prune_expired().unwrap();
+        assert_eq!(pm.tombstone_count(), 0, "evicted once the grace has passed");
+    }
+}

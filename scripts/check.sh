@@ -7,44 +7,43 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# Every crate's unit, integration and property tests, once: the suites
+# the smoke sections below lean on (telemetry, cluster, executor,
+# group_commit_model, thread_stress) all run here.
 echo "==> cargo test --workspace"
 cargo test -q --workspace
+
+# The benchmark is a package of its own with path dependencies on
+# crates/*: build it (only) so an API change that breaks it fails here.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Fault suite under three fixed seeds: sweep + crash-restart audits
 # (violations, double grants, leaks must all be zero; see DESIGN.md §11).
 echo "==> fault smoke (seeds 3 1117 90210)"
 cargo run --release -q -p promises-bench --bin experiments -- --faults 3 1117 90210
 
-# Telemetry unit tests plus the E12 observability smoke: an instrumented
-# fault sweep that fails if any required stage histogram (bus.deliver,
-# pm.grant, pm.check, rm.txn) is empty or the trace-replay lifecycle
-# audit finds an ordering violation (see DESIGN.md §12).
-echo "==> telemetry tests"
-cargo test -q -p promises-telemetry
+# The E12 observability smoke: an instrumented fault sweep that fails if
+# any required stage histogram (bus.deliver, pm.grant, pm.check, rm.txn)
+# is empty or the trace-replay lifecycle audit finds an ordering
+# violation (see DESIGN.md §12).
 echo "==> observability smoke (seeds 2007 4711)"
 cargo run --release -q -p promises-bench --bin experiments -- --obs 2007 4711
 
-# Cluster suite + E13 fault/crash sweep under three fixed seeds: the
-# scaling gate (>=2.5x at 4 shards vs 1) and the cross-shard guarantee
-# audits (partial grants, double grants, oversells, leaks must all be
-# zero; see DESIGN.md §13).
-echo "==> cluster tests"
-cargo test -q -p promises-cluster
+# The E13 fault/crash sweep under three fixed seeds: the scaling gate
+# (>=2.5x at 4 shards vs 1) and the cross-shard guarantee audits
+# (partial grants, double grants, oversells, leaks must all be zero; see
+# DESIGN.md §13).
 echo "==> cluster smoke (seeds 2007 31337 90210)"
 cargo run --release -q -p promises-bench --bin experiments -- --cluster 2007 31337 90210
 
-# Threaded-runtime suite: the race-pin tests (restart-under-load,
-# kill-between-flush-and-ship, bounded semi-sync), the group-commit
-# interleaving model, the sim-level stress matrix, then the E19 gate
-# under three fixed seeds: wall-clock scaling on real shard threads
-# (>=4x at 8 shards vs 1, near-linear trend reported), group-commit
-# amortization, and per-seed threaded stress sweeps at 0/10/20% fault
-# rates with the lifecycle auditor at zero violations (see DESIGN.md
-# §19). Merges the wall-clock `threads` section into BENCH_cluster.json
-# next to the modeled-time E13 results and fails on any gate miss.
-echo "==> threaded-runtime tests"
-cargo test -q -p promises-cluster --test executor --test group_commit_model
-cargo test -q -p promises-sim --test thread_stress
+# The E19 gate under three fixed seeds: wall-clock scaling on real shard
+# threads (>=4x at 8 shards vs 1, near-linear trend reported),
+# group-commit amortization, and per-seed threaded stress sweeps at
+# 0/10/20% fault rates with the lifecycle auditor at zero violations (see
+# DESIGN.md §19). Merges the wall-clock `threads` section into
+# BENCH_cluster.json next to the modeled-time E13 results and fails on
+# any gate miss.
 echo "==> threads smoke (seeds 2007 31337 90210)"
 cargo run --release -q -p promises-bench --bin experiments -- --threads 2007 31337 90210
 
