@@ -1,44 +1,25 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Regenerates every experiment table in EXPERIMENTS.md and runs the CI
+//! gates.
+//!
+//! * `experiments [e1 … e11]` prints the chosen tables (no ids = all).
+//! * `experiments --<mode> [seeds…]` runs one gate from [`MODES`] — each
+//!   owns its checks and its one `BENCH_*` output — and exits non-zero if
+//!   any check fails; without seeds the mode's defaults apply.
+//! * Anything else (an unknown `--flag`, an unknown id) prints the usage
+//!   and exits 2, so a typo'd gate can never pass CI by checking nothing.
 //!
 //! Run with: `cargo run --release -p promises-bench --bin experiments`
-//! (optionally pass experiment ids, e.g. `e4 e5`, to run a subset;
-//! `--faults` runs a fast fault-injection smoke check and exits non-zero
-//! if any guarantee audit fails; `--obs` runs the E12 instrumented sweep,
-//! prints per-stage latency and rejection-cause tables, dumps
-//! `BENCH_obs.json`/`BENCH_obs.prom`, and exits non-zero if any required
-//! stage histogram is empty or the lifecycle audit finds an ordering
-//! violation; `--recovery` runs the E14 checkpoint/compaction recovery
-//! benchmark and the crash/compact sweep, dumps `BENCH_recovery.json`,
-//! and exits non-zero on a digest mismatch or a recovery-time
-//! regression; `--cluster` runs the E13 scaling table plus cluster fault
-//! sweeps, dumping `BENCH_cluster.json`; `--leases` runs the E15
-//! lease-locality table plus per-seed lease sweeps with a mid-rebalance
-//! crash, dumping `BENCH_leases.json`; `--failover` runs the E16
-//! fail-over sweep — leader kills mid-2PC and mid-lease-rebalance with
-//! warm-follower promotion under replication faults — dumping
-//! `BENCH_replication.json`; `--doctor` runs the E17 health-plane
-//! confusion matrix — every doctor sweep at 0/10/20% fault rates, gated
-//! on zero missed detections, zero false positives, and every incident
-//! report parsing as JSON — dumping `BENCH_doctor.json`; `--workloads`
-//! runs the E18 production workload plane — the open-loop flash-sale
-//! scenario gated on its p99 SLO and on degraded mode both engaging and
-//! clearing, the travel-booking scenario at 0/10/20% fault rates gated
-//! on ≥95% completion with clean atomicity audits, and the 12-cell
-//! error-path matrix gated on zero failing cells — dumping
-//! `BENCH_workloads.json` and `BENCH_workloads.prom`; `--threads` runs
-//! the E19 thread-per-shard runtime gate — the wall-clock scaling table
-//! gated on the 8-vs-1 throughput ratio, the group-commit amortization
-//! probe, and per-seed threaded stress sweeps at 0/10/20% fault rates
-//! gated on zero lifecycle violations — merging a `threads` section
-//! into `BENCH_cluster.json`).
 
+use std::collections::BTreeMap;
 use std::env;
 use std::time::Duration;
 
-use promises_bench::exp::{self, System, View};
-use promises_bench::table::{f, print_table, us};
+use promises_bench::exp::{self, ScalingRow, System, View};
+use promises_bench::table::{f, list, map, print_rows, print_table, q, strings, us, Fields};
 use promises_core::CheckStrategy;
-use promises_telemetry::export::{to_json, to_prometheus};
+use promises_faults::FaultScenario;
+use promises_sim::{ClusterSweepConfig, FaultRunReport};
+use promises_telemetry::export::{to_json, to_prometheus, validate_json};
 
 /// Formats an optional mean latency; runs with zero successes have none.
 fn opt_us(d: Option<Duration>) -> String {
@@ -52,10 +33,209 @@ fn opt_ns(v: Option<u64>) -> String {
         .unwrap_or_else(|| "-".into())
 }
 
-/// Fast fault smoke check for CI: a small sweep across several seeds;
-/// any promise violation, double grant, or leaked promise is fatal.
-fn faults_smoke(seeds: &[u64]) {
-    let mut failures = 0usize;
+/// One CI gate: the `--flag` that selects it, the seeds it runs under
+/// when none are given, the function that runs it, and the one `BENCH_*`
+/// stem it writes (never reading another mode's file).
+struct Mode {
+    flag: &'static str,
+    seeds: &'static [u64],
+    run: fn(&[u64], Gate),
+    file: Option<&'static str>,
+}
+
+/// Default seeds of every cluster-era gate.
+const SEEDS: &[u64] = &[2007, 31337, 90210];
+
+/// The gates, in the order `scripts/check.sh` runs them. Each fails on:
+///
+/// * `--faults` — a promise violation, double grant or leak in the wire
+///   fault sweep, or a crash–restart digest mismatch (DESIGN §11);
+/// * `--obs` — an empty required stage histogram, a lifecycle-audit
+///   ordering violation, or telemetry overhead above 5% (§12);
+/// * `--cluster` — E13 modeled-time scaling below 2.5x at 4 shards vs 1,
+///   or a partial grant, double grant, oversell or leak in the faulted
+///   2PC sweep and shard crash–restart (§13);
+/// * `--threads` — E19 thread-per-shard scaling below 4x at 8 shards vs
+///   1, or an unclean 8-shard stress sweep at 0/10/20% faults (§19);
+/// * `--recovery` — E14 compacted recovery under 5x faster than history
+///   replay, or any digest mismatch, compaction crashes included (§14);
+/// * `--leases` — under 90% of hot-pool grants lease-local or under 1.2x
+///   uplift at 8 shards; in the lease sweep an oversell, Σ leases > Q, an
+///   unhealed mid-rebalance crash, a leak, or under 50% local (§15);
+/// * `--failover` — leaders killed mid-2PC and mid-rebalance at 0/10/20%
+///   replication faults: an unequal digest triple, a non-zero audit, an
+///   unrestored lease sum, or promotion MTTR over 500 ms (§16);
+/// * `--doctor` — a missed watchdog, a false positive at rate 0, or an
+///   incident report that is not valid JSON (§17);
+/// * `--workloads` — the flash-sale p99 SLO or degraded-mode arc, travel
+///   completion under 95% or an unclean audit, a failing matrix cell (§18).
+const MODES: [Mode; 9] = [
+    Mode {
+        flag: "--faults",
+        seeds: &[3, 1117, 90210],
+        run: faults_mode,
+        file: None,
+    },
+    Mode {
+        flag: "--obs",
+        seeds: &[2007, 4711],
+        run: obs_mode,
+        file: Some("BENCH_obs"),
+    },
+    Mode {
+        flag: "--cluster",
+        seeds: SEEDS,
+        run: cluster_mode,
+        file: Some("BENCH_cluster"),
+    },
+    Mode {
+        flag: "--threads",
+        seeds: SEEDS,
+        run: threads_mode,
+        file: Some("BENCH_threads"),
+    },
+    Mode {
+        flag: "--recovery",
+        seeds: SEEDS,
+        run: recovery_mode,
+        file: Some("BENCH_recovery"),
+    },
+    Mode {
+        flag: "--leases",
+        seeds: SEEDS,
+        run: leases_mode,
+        file: Some("BENCH_leases"),
+    },
+    Mode {
+        flag: "--failover",
+        seeds: SEEDS,
+        run: failover_mode,
+        file: Some("BENCH_replication"),
+    },
+    Mode {
+        flag: "--doctor",
+        seeds: SEEDS,
+        run: doctor_mode,
+        file: Some("BENCH_doctor"),
+    },
+    Mode {
+        flag: "--workloads",
+        seeds: SEEDS,
+        run: workloads_mode,
+        file: Some("BENCH_workloads"),
+    },
+];
+
+/// What one invocation asked for.
+enum Plan {
+    /// Run this gate under these seeds.
+    Gate(&'static Mode, Vec<u64>),
+    /// Print these experiment tables (empty = all).
+    Tables(Vec<String>),
+}
+
+/// Resolves the command line; `Err` names the argument that fits nothing.
+fn resolve(args: &[String]) -> Result<Plan, String> {
+    let args: Vec<String> = args.iter().map(|a| a.to_lowercase()).collect();
+    let (flags, rest): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with("--"));
+    let known = |id: &&String| TABLES.iter().any(|(t, _)| t == *id);
+    match flags[..] {
+        [] => match rest.iter().find(|id| !known(id)) {
+            Some(bad) => Err(format!("unknown experiment id {bad:?}")),
+            None => Ok(Plan::Tables(rest.into_iter().cloned().collect())),
+        },
+        [flag] => {
+            let mode = MODES.iter().find(|m| m.flag == flag);
+            let mode = mode.ok_or_else(|| format!("unknown mode {flag:?}"))?;
+            let seeds: Result<Vec<u64>, _> = rest.iter().map(|s| s.parse()).collect();
+            let seeds = seeds.map_err(|_| format!("{flag} takes numeric seeds, got {rest:?}"))?;
+            let defaults = || mode.seeds.to_vec();
+            Ok(Plan::Gate(
+                mode,
+                if seeds.is_empty() { defaults() } else { seeds },
+            ))
+        }
+        _ => Err(format!("one gate mode at a time, got {flags:?}")),
+    }
+}
+
+/// The mode table as help text.
+fn usage() -> String {
+    let ids: Vec<&str> = TABLES.iter().map(|(id, _)| *id).collect();
+    let mut text = format!(
+        "usage: experiments [{}]   print experiment tables (default: all)\n\
+         \x20      experiments --<mode> [seeds…]   run one CI gate:\n",
+        ids.join(" ")
+    );
+    for m in &MODES {
+        let file = m
+            .file
+            .map_or("no file".into(), |stem| format!("{stem}.json"));
+        text.push_str(&format!(
+            "  {:<12} default seeds {:?}, writes {file}\n",
+            m.flag, m.seeds
+        ));
+    }
+    text
+}
+
+/// The pass/fail accumulator every gate mode reports through.
+struct Gate {
+    mode: &'static Mode,
+    failures: usize,
+}
+
+impl Gate {
+    /// Records one check, echoing `what` with its verdict (failures on
+    /// stderr).
+    fn check(&mut self, what: &str, ok: bool) {
+        let name = &self.mode.flag[2..];
+        if ok {
+            println!("{name}: {what} -> OK");
+        } else {
+            eprintln!("{name}: {what} -> FAIL");
+            self.failures += 1;
+        }
+    }
+
+    /// Writes the mode's output file(s) — `<stem>.<ext>` at the repo root
+    /// for each `(ext, contents)`, JSON re-validated first — then exits
+    /// non-zero if any check failed.
+    fn finish(self, outputs: &[(&str, String)]) {
+        let name = &self.mode.flag[2..];
+        for (ext, contents) in outputs {
+            let stem = self.mode.file.expect("mode declares an output file");
+            if *ext == "json" {
+                validate_json(contents).expect("gate output is valid JSON");
+            }
+            let path = format!("{}/../../{stem}.{ext}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("wrote {stem}.{ext}");
+        }
+        if self.failures > 0 {
+            eprintln!("{name}: {} check(s) FAILED", self.failures);
+            std::process::exit(1);
+        }
+        println!("{name}: all checks passed");
+    }
+}
+
+/// The audited columns of one wire-pipeline fault sweep.
+fn fault_fields(r: &FaultRunReport) -> Fields {
+    Fields(vec![
+        ("granted", r.granted.to_string()),
+        ("purchased", r.purchased_ops.to_string()),
+        ("retries", r.retries.to_string()),
+        ("deduped", r.deduped.to_string()),
+        ("violations", r.violations.to_string()),
+        ("double_grants", r.double_grants.to_string()),
+        ("leaked", r.live_after_reap.to_string()),
+    ])
+}
+
+/// `--faults`: a small wire fault sweep plus crash–restart per seed.
+fn faults_mode(seeds: &[u64], mut gate: Gate) {
     for &seed in seeds {
         for rate in [0.05, 0.15] {
             let cfg = promises_sim::FaultSweepConfig {
@@ -64,697 +244,432 @@ fn faults_smoke(seeds: &[u64]) {
                 seed,
                 ..promises_sim::FaultSweepConfig::default()
             };
-            let scenario =
-                promises_faults::FaultScenario::uniform(seed, rate).with_storage_errors(rate);
+            let scenario = FaultScenario::uniform(seed, rate).with_storage_errors(rate);
             let r = promises_sim::run_fault_sweep(scenario, &cfg);
             let ok = r.violations == 0 && r.double_grants == 0 && r.live_after_reap == 0;
-            println!(
-                "faults-smoke seed={seed} rate={rate:.2}: granted={} purchased={} retries={} \
-                 deduped={} violations={} double_grants={} leaked={} -> {}",
-                r.granted,
-                r.purchased_ops,
-                r.retries,
-                r.deduped,
-                r.violations,
-                r.double_grants,
-                r.live_after_reap,
-                if ok { "OK" } else { "FAIL" }
-            );
-            if !ok {
-                failures += 1;
-            }
+            let fields = fault_fields(&r).log();
+            gate.check(&format!("sweep seed={seed} rate={rate:.2} {fields}"), ok);
         }
         let crash = promises_sim::run_crash_restart(seed, 12, 3_700_000);
-        let ok = crash.state_matches() && crash.pruned_while_down > 0;
-        println!(
-            "faults-smoke crash-restart seed={seed}: replayed={} recovered={} pruned={} -> {}",
-            crash.recovery.replayed,
-            crash.recovery.recovered,
-            crash.recovery.pruned,
-            if ok { "OK" } else { "FAIL" }
+        let what = format!(
+            "crash-restart seed={seed} replayed={} recovered={} pruned={}",
+            crash.recovery.replayed, crash.recovery.recovered, crash.recovery.pruned,
         );
-        if !ok {
-            failures += 1;
-        }
+        gate.check(&what, crash.state_matches() && crash.pruned_while_down > 0);
     }
-    if failures > 0 {
-        eprintln!("faults-smoke: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("faults-smoke: all checks passed");
+    gate.finish(&[]);
 }
 
-/// E13 cluster mode: the shard-count scaling table (gated on the 4-vs-1
-/// throughput ratio), then per seed a cluster fault sweep with injected
-/// coordinator crashes (gated on zero partial grants, double grants,
-/// oversells and leaks), a shard crash–restart with per-shard state
-/// digests, and the cross-shard lifecycle audit. Writes
-/// `BENCH_cluster.json` and exits non-zero if any gate fails.
-fn cluster_mode(seeds: &[u64]) {
-    const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    const MIN_RATIO_4V1: f64 = 2.5;
-    let mut failures = 0usize;
+/// One scaling-table row; E13 and E19 name the throughput column
+/// differently in their output files.
+fn scaling_fields(row: &ScalingRow, throughput_key: &'static str) -> Fields {
+    Fields(vec![
+        ("shards", row.shards.to_string()),
+        (throughput_key, f(row.throughput, 1)),
+        ("granted", row.granted.to_string()),
+        ("rejected", row.rejected.to_string()),
+        ("mean_op_us", f(row.mean_op_us, 1)),
+        ("flush_writes", row.flush_writes.to_string()),
+        ("flushed_records", row.flushed_records.to_string()),
+    ])
+}
 
-    let mut scaling_rows = Vec::new();
-    let mut scaling_json = Vec::new();
-    let mut by_shards = std::collections::HashMap::new();
-    for shards in SHARD_COUNTS {
-        let row = exp::e13_cluster_scaling(shards, 8, 250);
-        scaling_rows.push(vec![
-            shards.to_string(),
-            f(row.throughput, 0),
-            row.granted.to_string(),
-            row.rejected.to_string(),
-            us(row.mean_grant_us),
-        ]);
-        scaling_json.push(format!(
-            "{{\"shards\":{},\"ops_per_s\":{:.1},\"granted\":{},\"rejected\":{}}}",
-            row.shards, row.throughput, row.granted, row.rejected
-        ));
-        by_shards.insert(shards, row.throughput);
-    }
-    print_table(
-        &format!(
-            "E13 — cluster throughput vs shard count (8 pinned clients, \
-             {}us modeled service time per message)",
-            exp::E13_SERVICE_US
-        ),
-        &["shards", "ops/s", "granted", "rejected", "mean/op"],
-        &scaling_rows,
+/// Throughput at `shards` relative to the 1-shard row.
+fn speedup(rows: &[ScalingRow], shards: usize) -> f64 {
+    let at = |n| {
+        rows.iter()
+            .find(|r| r.shards == n)
+            .expect("row ran")
+            .throughput
+    };
+    at(shards) / at(1).max(1e-9)
+}
+
+/// One audited cluster fault sweep at `rate`: the always-zero columns
+/// plus the cross-shard lifecycle audit, checked on `gate`.
+fn cluster_sweep(gate: &mut Gate, label: &str, rate: f64, cfg: &ClusterSweepConfig) -> Fields {
+    let scenario = FaultScenario::uniform(cfg.seed, rate);
+    let (r, cluster) = promises_sim::run_cluster_fault_sweep(scenario, cfg);
+    let life = promises_telemetry::audit_cluster_lifecycles(
+        &cluster.telemetry.spans(),
+        &cluster.evidence(),
     );
-    let ratio = by_shards[&4] / by_shards[&1].max(1e-9);
-    println!("scaling ratio 4 shards vs 1: {ratio:.2}x (gate: >= {MIN_RATIO_4V1}x)");
-    if ratio < MIN_RATIO_4V1 {
-        eprintln!("cluster: scaling gate FAILED ({ratio:.2}x < {MIN_RATIO_4V1}x)");
-        failures += 1;
+    for v in life.all_violations() {
+        eprintln!("  LIFECYCLE VIOLATION: {v}");
     }
+    let fields = Fields(vec![
+        ("seed", cfg.seed.to_string()),
+        ("fault_rate", f(rate, 1)),
+        ("granted", r.granted.to_string()),
+        ("cross_shard_granted", r.cross_shard_granted.to_string()),
+        ("rejected", r.rejected.to_string()),
+        ("coordinator_crashes", r.crashed.to_string()),
+        ("presumed_aborted", r.presumed_aborted.to_string()),
+        ("commits_resent", r.commits_resent.to_string()),
+        ("partial_grants", r.partial_grants.to_string()),
+        ("double_grants", r.double_grants.to_string()),
+        ("oversells", r.oversells.to_string()),
+        ("leaked", r.live_after_reap.to_string()),
+        (
+            "lifecycle_violations",
+            life.all_violations().len().to_string(),
+        ),
+    ]);
+    gate.check(&format!("{label} {}", fields.log()), r.clean() && life.ok());
+    fields
+}
 
-    let mut sweep_json = Vec::new();
+/// `--cluster`: the E13 scaling table, then per seed a faulted 2PC sweep
+/// with injected coordinator crashes and a shard crash–restart.
+fn cluster_mode(seeds: &[u64], mut gate: Gate) {
+    const MIN_RATIO_4V1: f64 = 2.5;
+    let runs: Vec<ScalingRow> = [1, 2, 4, 8]
+        .iter()
+        .map(|&shards| exp::e13_cluster_scaling(shards, 8, 250))
+        .collect();
+    let scaling: Vec<Fields> = runs
+        .iter()
+        .map(|r| {
+            scaling_fields(r, "ops_per_s").pick(&["shards", "ops_per_s", "granted", "rejected"])
+        })
+        .collect();
+    let title = format!(
+        "E13 — modeled-time scaling shape vs shard count (8 pinned clients, \
+         {}us modeled service time per message)",
+        exp::E13_SERVICE_US
+    );
+    print_rows(&title, &scaling);
+    let ratio = speedup(&runs, 4);
+    let what = format!("scaling ratio 4 shards vs 1: {ratio:.2}x (gate: >= {MIN_RATIO_4V1}x)");
+    gate.check(&what, ratio >= MIN_RATIO_4V1);
+
+    let mut sweeps = Vec::new();
     for &seed in seeds {
-        let cfg = promises_sim::ClusterSweepConfig {
+        let cfg = ClusterSweepConfig {
             seed,
-            ..promises_sim::ClusterSweepConfig::default()
+            ..ClusterSweepConfig::default()
         };
-        let scenario = promises_faults::FaultScenario::uniform(seed, 0.1);
-        let (r, cluster) = promises_sim::run_cluster_fault_sweep(scenario, &cfg);
-        let life = promises_telemetry::audit_cluster_lifecycles(
-            &cluster.telemetry.spans(),
-            &cluster.evidence(),
-        );
-        let ok = r.clean() && life.ok();
-        println!(
-            "cluster-sweep seed={seed}: granted={} (cross-shard {}) rejected={} crashed={} \
-             presumed_aborted={} commits_resent={} | partial={} double={} oversell={} \
-             leaked={} lifecycle_violations={} -> {}",
-            r.granted,
-            r.cross_shard_granted,
-            r.rejected,
-            r.crashed,
-            r.presumed_aborted,
-            r.commits_resent,
-            r.partial_grants,
-            r.double_grants,
-            r.oversells,
-            r.live_after_reap,
-            life.all_violations().len(),
-            if ok { "OK" } else { "FAIL" }
-        );
-        for v in life.all_violations() {
-            eprintln!("  LIFECYCLE VIOLATION: {v}");
-        }
-        if !ok {
-            failures += 1;
-        }
+        let mut sweep = cluster_sweep(&mut gate, "sweep", 0.1, &cfg);
 
         let crash =
             promises_sim::run_cluster_crash_restart(seed, 5, promises_sim::RestartTarget::SameNode);
         let crash_ok = crash.digests_match()
             && crash.in_doubt.iter().all(|&n| n == 1)
             && crash.live_after_recovery == crash.committed_before_kill;
-        println!(
-            "cluster-crash seed={seed}: digests_match={} in_doubt={:?} live_after_recovery={} \
-             committed_before_kill={} -> {}",
-            crash.digests_match(),
-            crash.in_doubt,
-            crash.live_after_recovery,
-            crash.committed_before_kill,
-            if crash_ok { "OK" } else { "FAIL" }
-        );
-        if !crash_ok {
-            failures += 1;
-        }
-
-        sweep_json.push(format!(
-            "{{\"seed\":{seed},\"fault_rate\":0.1,\"granted\":{},\"cross_shard_granted\":{},\
-             \"rejected\":{},\"coordinator_crashes\":{},\"presumed_aborted\":{},\
-             \"commits_resent\":{},\"partial_grants\":{},\"double_grants\":{},\
-             \"oversells\":{},\"leaked\":{},\"lifecycle_violations\":{},\
-             \"crash_restart\":{{\"digests_match\":{},\"live_after_recovery\":{}}}}}",
-            r.granted,
-            r.cross_shard_granted,
-            r.rejected,
-            r.crashed,
-            r.presumed_aborted,
-            r.commits_resent,
-            r.partial_grants,
-            r.double_grants,
-            r.oversells,
-            r.live_after_reap,
-            life.all_violations().len(),
-            crash.digests_match(),
-            crash.live_after_recovery,
-        ));
+        let restart = Fields(vec![
+            ("digests_match", crash.digests_match().to_string()),
+            ("in_doubt", format!("{:?}", crash.in_doubt)),
+            ("live_after_recovery", crash.live_after_recovery.to_string()),
+            (
+                "committed_before_kill",
+                crash.committed_before_kill.to_string(),
+            ),
+        ]);
+        gate.check(&format!("crash seed={seed} {}", restart.log()), crash_ok);
+        let restart = restart.pick(&["digests_match", "live_after_recovery"]);
+        sweep.0.push(("crash_restart", restart.json()));
+        sweeps.push(sweep);
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e13-cluster\",\"service_time_us\":{},\
-         \"scaling\":[{}],\"scaling_ratio_4v1\":{ratio:.3},\"sweeps\":[{}]}}\n",
-        exp::E13_SERVICE_US,
-        scaling_json.join(","),
-        sweep_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    std::fs::write(json_path, json).expect("write BENCH_cluster.json");
-    println!("\nwrote BENCH_cluster.json");
-
-    if failures > 0 {
-        eprintln!("cluster: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("cluster: all checks passed");
+    let json = Fields(vec![
+        ("experiment", q("e13-cluster")),
+        ("service_time_us", exp::E13_SERVICE_US.to_string()),
+        ("scaling", list(&scaling)),
+        ("scaling_ratio_4v1", f(ratio, 3)),
+        ("sweeps", list(&sweeps)),
+    ]);
+    gate.finish(&[("json", json.json() + "\n")]);
 }
 
-/// E19 threads mode: the thread-per-shard runtime gate. First the
-/// wall-clock scaling table (real shard worker threads overlapping their
-/// service time; gated on the 8-vs-1 throughput ratio), then the
-/// group-commit amortization probe, then per seed a threaded
-/// concurrency-stress sweep — N client threads × 8 shards × wire-fault
-/// rates 0/10/20% — gated on the lifecycle auditor reporting zero
-/// oversells, partial grants, double grants, and leaks. Merges a
-/// `threads` section (the wall-clock fields) into `BENCH_cluster.json`
-/// alongside the modeled-time E13 results and exits non-zero if any gate
-/// fails.
-fn threads_mode(seeds: &[u64]) {
+/// `--threads`: the E19 scaling table on real shard threads, the
+/// group-commit amortization probe, then per seed the 8-client × 8-shard
+/// stress sweep at each wire-fault rate.
+fn threads_mode(seeds: &[u64], mut gate: Gate) {
     const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
     const MIN_RATIO_8V1: f64 = 4.0;
     const STRESS_FAULT_RATES: [f64; 3] = [0.0, 0.1, 0.2];
-    let mut failures = 0usize;
-
-    let mut scaling_rows = Vec::new();
-    let mut scaling_json = Vec::new();
-    let mut by_shards = std::collections::HashMap::new();
-    for shards in SHARD_COUNTS {
-        let row = exp::e19_thread_scaling(shards, exp::E19_CLIENTS, 120);
-        scaling_rows.push(vec![
-            shards.to_string(),
-            f(row.throughput, 0),
-            row.granted.to_string(),
-            row.rejected.to_string(),
-            us(row.mean_op_us),
-            format!("{}/{}", row.flushed_records, row.flush_writes),
-        ]);
-        scaling_json.push(format!(
-            "{{\"shards\":{},\"wall_clock_ops_per_s\":{:.1},\"granted\":{},\"rejected\":{},\
-             \"mean_op_us\":{:.1},\"flush_writes\":{},\"flushed_records\":{}}}",
-            row.shards,
-            row.throughput,
-            row.granted,
-            row.rejected,
-            row.mean_op_us,
-            row.flush_writes,
-            row.flushed_records
-        ));
-        by_shards.insert(shards, row.throughput);
-    }
-    print_table(
-        &format!(
-            "E19 — wall-clock throughput vs shard count ({} client threads, \
-             one worker thread per shard, {}us modeled service time per message)",
-            exp::E19_CLIENTS,
-            exp::E19_SERVICE_US
-        ),
-        &[
-            "shards",
-            "ops/s",
-            "granted",
-            "rejected",
-            "mean/op",
-            "recs/flush",
-        ],
-        &scaling_rows,
+    let runs: Vec<ScalingRow> = SHARD_COUNTS
+        .iter()
+        .map(|&shards| exp::e19_thread_scaling(shards, exp::E19_CLIENTS, 120))
+        .collect();
+    let scaling: Vec<Fields> = runs
+        .iter()
+        .map(|r| scaling_fields(r, "wall_clock_ops_per_s"))
+        .collect();
+    let title = format!(
+        "E19 — modeled-time scaling shape vs shard count ({} client threads, \
+         one worker thread per shard, {}us modeled service time per message)",
+        exp::E19_CLIENTS,
+        exp::E19_SERVICE_US
     );
-    let ratio = by_shards[&8] / by_shards[&1].max(1e-9);
+    print_rows(&title, &scaling);
     let trend: Vec<String> = SHARD_COUNTS
         .iter()
-        .map(|s| format!("{s}:{:.2}x", by_shards[s] / by_shards[&1].max(1e-9)))
+        .map(|&s| format!("{s}:{:.2}x", speedup(&runs, s)))
         .collect();
     println!("wall-clock scaling trend vs 1 shard: {}", trend.join(" "));
-    println!("scaling ratio 8 shards vs 1: {ratio:.2}x (gate: >= {MIN_RATIO_8V1}x)");
-    if ratio < MIN_RATIO_8V1 {
-        eprintln!("threads: scaling gate FAILED ({ratio:.2}x < {MIN_RATIO_8V1}x)");
-        failures += 1;
-    }
+    let ratio = speedup(&runs, 8);
+    let what = format!("scaling ratio 8 shards vs 1: {ratio:.2}x (gate: >= {MIN_RATIO_8V1}x)");
+    gate.check(&what, ratio >= MIN_RATIO_8V1);
 
-    let (amort_writes, amort_records) = exp::e19_group_commit_amortization(4, 8, 150);
-    let amortization = amort_records as f64 / (amort_writes.max(1)) as f64;
+    let (writes, records) = exp::e19_group_commit_amortization(4, 8, 150);
+    let group_commit = Fields(vec![
+        ("flush_writes", writes.to_string()),
+        ("flushed_records", records.to_string()),
+        (
+            "records_per_flush",
+            f(records as f64 / writes.max(1) as f64, 3),
+        ),
+    ]);
     println!(
-        "group-commit amortization (1 shard, 4 workers, 8 clients): \
-         {amort_records} records / {amort_writes} writes = {amortization:.2} records per flush"
+        "group-commit amortization (1 shard, 4 workers, 8 clients): {}",
+        group_commit.log()
     );
 
-    let mut sweep_json = Vec::new();
+    let mut stress = Vec::new();
     for &seed in seeds {
         for rate in STRESS_FAULT_RATES {
-            let cfg = promises_sim::ClusterSweepConfig {
+            let cfg = ClusterSweepConfig {
                 shards: 8,
                 clients: 8,
                 ops_per_client: 30,
                 pools: 8,
                 seed,
-                ..promises_sim::ClusterSweepConfig::default()
+                ..ClusterSweepConfig::default()
             };
-            let scenario = promises_faults::FaultScenario::uniform(seed, rate);
-            let (r, cluster) = promises_sim::run_cluster_fault_sweep(scenario, &cfg);
-            let life = promises_telemetry::audit_cluster_lifecycles(
-                &cluster.telemetry.spans(),
-                &cluster.evidence(),
-            );
-            let ok = r.clean() && life.ok();
-            println!(
-                "thread-stress seed={seed} rate={rate}: granted={} (cross-shard {}) \
-                 rejected={} crashed={} | partial={} double={} oversell={} leaked={} \
-                 lifecycle_violations={} -> {}",
-                r.granted,
-                r.cross_shard_granted,
-                r.rejected,
-                r.crashed,
-                r.partial_grants,
-                r.double_grants,
-                r.oversells,
-                r.live_after_reap,
-                life.all_violations().len(),
-                if ok { "OK" } else { "FAIL" }
-            );
-            for v in life.all_violations() {
-                eprintln!("  LIFECYCLE VIOLATION: {v}");
-            }
-            if !ok {
-                failures += 1;
-            }
-            sweep_json.push(format!(
-                "{{\"seed\":{seed},\"fault_rate\":{rate},\"granted\":{},\"rejected\":{},\
-                 \"partial_grants\":{},\"double_grants\":{},\"oversells\":{},\"leaked\":{},\
-                 \"lifecycle_violations\":{}}}",
-                r.granted,
-                r.rejected,
-                r.partial_grants,
-                r.double_grants,
-                r.oversells,
-                r.live_after_reap,
-                life.all_violations().len(),
-            ));
+            let sweep = cluster_sweep(&mut gate, "stress", rate, &cfg);
+            stress.push(sweep.pick(&[
+                "seed",
+                "fault_rate",
+                "granted",
+                "rejected",
+                "partial_grants",
+                "double_grants",
+                "oversells",
+                "leaked",
+                "lifecycle_violations",
+            ]));
         }
     }
 
-    // Merge the wall-clock section into BENCH_cluster.json next to the
-    // modeled-time E13 results (the cluster step writes that file first;
-    // re-runs replace any previous threads section).
-    let threads_json = format!(
-        "\"threads\":{{\"experiment\":\"e19-threads\",\"service_time_us\":{},\
-         \"wall_clock_scaling\":[{}],\"scaling_ratio_8v1\":{ratio:.3},\
-         \"group_commit\":{{\"flush_writes\":{amort_writes},\"flushed_records\":{amort_records},\
-         \"records_per_flush\":{amortization:.3}}},\"stress\":[{}]}}",
-        exp::E19_SERVICE_US,
-        scaling_json.join(","),
-        sweep_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    let merged = match std::fs::read_to_string(json_path) {
-        Ok(existing) => {
-            let base = existing.trim_end();
-            let base = match base.find(",\"threads\":") {
-                Some(i) => &base[..i],
-                None => base.strip_suffix('}').unwrap_or(base),
-            };
-            format!("{base},{threads_json}}}\n")
-        }
-        Err(_) => format!("{{{threads_json}}}\n"),
-    };
-    std::fs::write(json_path, merged).expect("write BENCH_cluster.json");
-    println!("\nwrote threads section into BENCH_cluster.json");
-
-    if failures > 0 {
-        eprintln!("threads: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("threads: all checks passed");
+    let json = Fields(vec![
+        ("experiment", q("e19-threads")),
+        ("service_time_us", exp::E19_SERVICE_US.to_string()),
+        ("wall_clock_scaling", list(&scaling)),
+        ("scaling_ratio_8v1", f(ratio, 3)),
+        ("group_commit", group_commit.json()),
+        ("stress", list(&stress)),
+    ]);
+    gate.finish(&[("json", json.json() + "\n")]);
 }
 
-/// E15 lease mode: the Zipf-skew locality table with and without
-/// per-shard escrow leases (gated at 8 shards on the hot-pool local-grant
-/// ratio and the throughput uplift over the lease-less baseline), then a
-/// per-seed lease sweep with a mid-rebalance crash and per-shard
-/// crash–restart (gated on zero lease oversells, zero lease-sum
-/// violations, digest equality across restart, heal back to the pool
-/// total, zero leaks, and a minimum local-grant ratio). Writes
-/// `BENCH_leases.json` and exits non-zero if any gate fails.
-fn leases_mode(seeds: &[u64]) {
-    const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
+/// `--leases`: the E15 Zipf-skew table with and without escrow leases,
+/// then per seed the lease sweep with its mid-rebalance crash.
+fn leases_mode(seeds: &[u64], mut gate: Gate) {
     const MIN_HOT_LOCAL_RATIO: f64 = 0.9;
     const MIN_UPLIFT_8: f64 = 1.2;
     const MIN_SWEEP_LOCAL_RATIO: f64 = 0.5;
-    let mut failures = 0usize;
 
-    let mut table_rows = Vec::new();
-    let mut row_json = Vec::new();
-    let mut by_key = std::collections::HashMap::new();
-    for shards in SHARD_COUNTS {
+    let mut runs = Vec::new();
+    for shards in [2, 4, 8] {
         for leases in [false, true] {
-            let row = exp::e15_lease_locality(shards, 8, 240, leases);
-            table_rows.push(vec![
-                shards.to_string(),
-                if leases { "leases" } else { "ownership" }.into(),
-                f(row.throughput, 0),
-                row.granted.to_string(),
-                row.rejected.to_string(),
-                row.local_grants.to_string(),
-                row.coordinator_fallbacks.to_string(),
-                f(row.hot_local_ratio * 100.0, 1),
-            ]);
-            row_json.push(format!(
-                "{{\"shards\":{},\"leases\":{},\"ops_per_s\":{:.1},\"granted\":{},\
-                 \"rejected\":{},\"local_grants\":{},\"coordinator_fallbacks\":{},\
-                 \"hot_local_ratio\":{:.4}}}",
-                row.shards,
-                row.leases,
-                row.throughput,
-                row.granted,
-                row.rejected,
-                row.local_grants,
-                row.coordinator_fallbacks,
-                row.hot_local_ratio,
-            ));
-            by_key.insert((shards, leases), row);
+            runs.push(exp::e15_lease_locality(shards, 8, 240, leases));
         }
     }
-    print_table(
-        &format!(
-            "E15 — Zipf-skew (s=1.1, {} pools) throughput and hot-pool locality, \
-             with vs without escrow leases ({}us modeled service time per message)",
-            exp::E15_POOLS,
-            exp::E13_SERVICE_US
-        ),
-        &[
-            "shards",
-            "routing",
-            "ops/s",
-            "granted",
-            "rejected",
-            "local",
-            "fallback",
-            "hot local %",
-        ],
-        &table_rows,
+    let rows: Vec<Fields> = runs
+        .iter()
+        .map(|row| {
+            Fields(vec![
+                ("shards", row.shards.to_string()),
+                ("leases", row.leases.to_string()),
+                ("ops_per_s", f(row.throughput, 1)),
+                ("granted", row.granted.to_string()),
+                ("rejected", row.rejected.to_string()),
+                ("local_grants", row.local_grants.to_string()),
+                (
+                    "coordinator_fallbacks",
+                    row.coordinator_fallbacks.to_string(),
+                ),
+                ("hot_local_ratio", f(row.hot_local_ratio, 4)),
+            ])
+        })
+        .collect();
+    let title = format!(
+        "E15 — modeled-time scaling shape under Zipf skew (s=1.1, {} pools) and hot-pool \
+         locality, with vs without escrow leases ({}us modeled service time per message)",
+        exp::E15_POOLS,
+        exp::E13_SERVICE_US
     );
-    let with = by_key[&(8usize, true)];
-    let without = by_key[&(8usize, false)];
+    print_rows(&title, &rows);
+    let at8 = |leases| runs.iter().find(|r| r.shards == 8 && r.leases == leases);
+    let (with, without) = (at8(true).expect("row ran"), at8(false).expect("row ran"));
     let uplift = with.throughput / without.throughput.max(1e-9);
-    println!(
-        "8-shard uplift over ownership routing: {uplift:.2}x (gate: >= {MIN_UPLIFT_8}x); \
-         hot-pool local ratio: {:.1}% (gate: >= {:.0}%)",
-        with.hot_local_ratio * 100.0,
-        MIN_HOT_LOCAL_RATIO * 100.0
+    let what = format!(
+        "8-shard hot-pool local ratio {:.3} (gate: >= {MIN_HOT_LOCAL_RATIO})",
+        with.hot_local_ratio
     );
-    if with.hot_local_ratio < MIN_HOT_LOCAL_RATIO {
-        eprintln!(
-            "leases: hot-pool locality gate FAILED ({:.3} < {MIN_HOT_LOCAL_RATIO})",
-            with.hot_local_ratio
-        );
-        failures += 1;
-    }
-    if uplift < MIN_UPLIFT_8 {
-        eprintln!("leases: throughput uplift gate FAILED ({uplift:.2}x < {MIN_UPLIFT_8}x)");
-        failures += 1;
-    }
+    gate.check(&what, with.hot_local_ratio >= MIN_HOT_LOCAL_RATIO);
+    let what =
+        format!("8-shard uplift over ownership routing {uplift:.2}x (gate: >= {MIN_UPLIFT_8}x)");
+    gate.check(&what, uplift >= MIN_UPLIFT_8);
 
-    let mut sweep_json = Vec::new();
+    let mut sweeps = Vec::new();
     for &seed in seeds {
-        let cfg = promises_sim::ClusterSweepConfig {
+        let cfg = ClusterSweepConfig {
             shards: 4,
             clients: 8,
             ops_per_client: 48,
             pools: 8,
             cross_shard_probability: 0.25,
             seed,
-            ..promises_sim::ClusterSweepConfig::default()
+            ..ClusterSweepConfig::default()
         };
         let (r, _cluster) = promises_sim::run_lease_sweep(&cfg);
+        let sweep = Fields(vec![
+            ("seed", seed.to_string()),
+            ("granted", r.granted.to_string()),
+            ("rejected", r.rejected.to_string()),
+            ("local_grants", r.local_grants.to_string()),
+            ("coordinator_fallbacks", r.coordinator_fallbacks.to_string()),
+            ("coord_log_skips", r.coord_log_skips.to_string()),
+            ("rebalance_moved", r.rebalance_moved.to_string()),
+            ("lease_oversells", r.lease_oversells.to_string()),
+            ("lease_sum_violations", r.lease_sum_violations.to_string()),
+            ("crash_fired", r.crash_fired.to_string()),
+            ("healed_after_crash", r.healed_after_crash.to_string()),
+            ("digests_match", r.digests_match().to_string()),
+            ("lease_sum_restored", r.lease_sum_restored.to_string()),
+            ("leaked", r.live_after_reap.to_string()),
+            ("local_ratio", f(r.local_ratio(), 4)),
+        ]);
         let ok = r.clean() && r.crash_fired && r.local_ratio() >= MIN_SWEEP_LOCAL_RATIO;
-        println!(
-            "lease-sweep seed={seed}: granted={} rejected={} local={} fallback={} \
-             log_skips={} moved={} | oversells={} sum_violations={} crash_fired={} \
-             healed={} digests_match={} sum_restored={} leaked={} local_ratio={:.2} -> {}",
-            r.granted,
-            r.rejected,
-            r.local_grants,
-            r.coordinator_fallbacks,
-            r.coord_log_skips,
-            r.rebalance_moved,
-            r.lease_oversells,
-            r.lease_sum_violations,
-            r.crash_fired,
-            r.healed_after_crash,
-            r.digests_match(),
-            r.lease_sum_restored,
-            r.live_after_reap,
-            r.local_ratio(),
-            if ok { "OK" } else { "FAIL" }
-        );
-        if !ok {
-            failures += 1;
-        }
-        sweep_json.push(format!(
-            "{{\"seed\":{seed},\"granted\":{},\"rejected\":{},\"local_grants\":{},\
-             \"coordinator_fallbacks\":{},\"coord_log_skips\":{},\"rebalance_moved\":{},\
-             \"lease_oversells\":{},\"lease_sum_violations\":{},\"crash_fired\":{},\
-             \"healed_after_crash\":{},\"digests_match\":{},\"lease_sum_restored\":{},\
-             \"leaked\":{},\"local_ratio\":{:.4}}}",
-            r.granted,
-            r.rejected,
-            r.local_grants,
-            r.coordinator_fallbacks,
-            r.coord_log_skips,
-            r.rebalance_moved,
-            r.lease_oversells,
-            r.lease_sum_violations,
-            r.crash_fired,
-            r.healed_after_crash,
-            r.digests_match(),
-            r.lease_sum_restored,
-            r.live_after_reap,
-            r.local_ratio(),
-        ));
+        gate.check(&format!("sweep {}", sweep.log()), ok);
+        sweeps.push(sweep);
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e15-leases\",\"service_time_us\":{},\
-         \"rows\":[{}],\"uplift_8_shards\":{uplift:.3},\
-         \"hot_local_ratio_8_shards\":{:.4},\
-         \"gates\":{{\"min_hot_local_ratio\":{MIN_HOT_LOCAL_RATIO},\
-         \"min_uplift\":{MIN_UPLIFT_8},\
-         \"min_sweep_local_ratio\":{MIN_SWEEP_LOCAL_RATIO}}},\"sweeps\":[{}]}}\n",
-        exp::E13_SERVICE_US,
-        row_json.join(","),
-        with.hot_local_ratio,
-        sweep_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_leases.json");
-    std::fs::write(json_path, json).expect("write BENCH_leases.json");
-    println!("\nwrote BENCH_leases.json");
-
-    if failures > 0 {
-        eprintln!("leases: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("leases: all checks passed");
+    let gates = Fields(vec![
+        ("min_hot_local_ratio", f(MIN_HOT_LOCAL_RATIO, 1)),
+        ("min_uplift", f(MIN_UPLIFT_8, 1)),
+        ("min_sweep_local_ratio", f(MIN_SWEEP_LOCAL_RATIO, 1)),
+    ]);
+    let json = Fields(vec![
+        ("experiment", q("e15-leases")),
+        ("service_time_us", exp::E13_SERVICE_US.to_string()),
+        ("rows", list(&rows)),
+        ("uplift_8_shards", f(uplift, 3)),
+        ("hot_local_ratio_8_shards", f(with.hot_local_ratio, 4)),
+        ("gates", gates.json()),
+        ("sweeps", list(&sweeps)),
+    ]);
+    gate.finish(&[("json", json.json() + "\n")]);
 }
 
-/// E16 failover mode: per seed × replication-fault rate, the fail-over
-/// sweep kills every shard leader once mid-2PC and once
-/// mid-lease-rebalance and promotes its warm follower. Gates: zero
-/// partial grants, double grants, oversells, lease-sum violations, and
-/// leaks; every promoted follower byte-identical to the dead leader (and
-/// to a clean replay of its journal); every lease sum healed back to the
-/// registered total; and promotion MTTR bounded. Writes
-/// `BENCH_replication.json` and exits non-zero if any gate fails.
-fn failover_mode(seeds: &[u64]) {
+/// `--failover`: per seed × replication-fault rate, the E16 sweep that
+/// kills every leader mid-2PC and mid-rebalance and promotes its follower.
+fn failover_mode(seeds: &[u64], mut gate: Gate) {
     const FAULT_RATES: [f64; 3] = [0.0, 0.1, 0.2];
-    const MAX_MTTR_US: u128 = 500_000;
-    let mut failures = 0usize;
+    const MAX_MTTR_US: u64 = 500_000;
 
-    let mut rows = Vec::new();
-    let mut sweep_json = Vec::new();
+    let mut sweeps = Vec::new();
     for &seed in seeds {
         for rate in FAULT_RATES {
             let r = promises_sim::run_failover_sweep(seed, rate);
-            let mttr_ok = r.mttr_max.as_micros() <= MAX_MTTR_US;
-            let ok = r.clean() && mttr_ok;
-            println!(
-                "failover seed={seed} repl_fault_rate={rate:.2}: granted={} rejected={} \
-                 failovers={} in_doubt={} presumed_aborted={} commits_resent={} \
-                 rebalance_crashes={} shipped={} dropped={} | partial={} double={} \
-                 oversell={} lease_violations={} leaked={} digests_match={} \
-                 sums_restored={} mttr_max={}us -> {}",
-                r.granted,
-                r.rejected,
-                r.failovers,
-                r.in_doubt_recovered,
-                r.presumed_aborted,
-                r.commits_resent,
-                r.rebalance_crashes_fired,
-                r.repl_shipped_lines,
-                r.repl_dropped_shipments,
-                r.partial_grants,
-                r.double_grants,
-                r.oversells,
-                r.lease_oversells + r.lease_sum_violations,
-                r.live_after_reap,
-                r.digests_match(),
-                r.lease_sums_restored,
-                r.mttr_max.as_micros(),
-                if ok { "OK" } else { "FAIL" }
-            );
-            if !mttr_ok {
-                eprintln!(
-                    "failover: MTTR gate FAILED ({}us > {MAX_MTTR_US}us)",
-                    r.mttr_max.as_micros()
-                );
-            }
-            if !ok {
-                failures += 1;
-            }
-            rows.push(vec![
-                seed.to_string(),
-                f(rate, 2),
-                r.failovers.to_string(),
-                r.repl_shipped_lines.to_string(),
-                r.repl_dropped_shipments.to_string(),
-                r.digests_match().to_string(),
-                us(r.mttr_mean.as_micros() as f64),
-                us(r.mttr_max.as_micros() as f64),
+            let sweep = Fields(vec![
+                ("seed", seed.to_string()),
+                ("repl_fault_rate", f(rate, 2)),
+                ("granted", r.granted.to_string()),
+                ("rejected", r.rejected.to_string()),
+                ("failovers", r.failovers.to_string()),
+                ("in_doubt_recovered", r.in_doubt_recovered.to_string()),
+                ("presumed_aborted", r.presumed_aborted.to_string()),
+                ("commits_resent", r.commits_resent.to_string()),
+                (
+                    "rebalance_crashes_fired",
+                    r.rebalance_crashes_fired.to_string(),
+                ),
+                ("repl_shipped_lines", r.repl_shipped_lines.to_string()),
+                (
+                    "repl_dropped_shipments",
+                    r.repl_dropped_shipments.to_string(),
+                ),
+                ("partial_grants", r.partial_grants.to_string()),
+                ("double_grants", r.double_grants.to_string()),
+                ("oversells", r.oversells.to_string()),
+                ("lease_oversells", r.lease_oversells.to_string()),
+                ("lease_sum_violations", r.lease_sum_violations.to_string()),
+                ("leaked", r.live_after_reap.to_string()),
+                ("digests_match", r.digests_match().to_string()),
+                ("lease_sums_restored", r.lease_sums_restored.to_string()),
+                ("mttr_mean_us", f(r.mttr_mean.as_micros() as f64, 1)),
+                ("mttr_max_us", f(r.mttr_max.as_micros() as f64, 1)),
             ]);
-            sweep_json.push(format!(
-                "{{\"seed\":{seed},\"repl_fault_rate\":{rate:.2},\"granted\":{},\
-                 \"rejected\":{},\"failovers\":{},\"in_doubt_recovered\":{},\
-                 \"presumed_aborted\":{},\"commits_resent\":{},\
-                 \"rebalance_crashes_fired\":{},\"repl_shipped_lines\":{},\
-                 \"repl_dropped_shipments\":{},\"partial_grants\":{},\
-                 \"double_grants\":{},\"oversells\":{},\"lease_oversells\":{},\
-                 \"lease_sum_violations\":{},\"leaked\":{},\"digests_match\":{},\
-                 \"lease_sums_restored\":{},\"mttr_mean_us\":{},\"mttr_max_us\":{}}}",
-                r.granted,
-                r.rejected,
-                r.failovers,
-                r.in_doubt_recovered,
-                r.presumed_aborted,
-                r.commits_resent,
-                r.rebalance_crashes_fired,
-                r.repl_shipped_lines,
-                r.repl_dropped_shipments,
-                r.partial_grants,
-                r.double_grants,
-                r.oversells,
-                r.lease_oversells,
-                r.lease_sum_violations,
-                r.live_after_reap,
-                r.digests_match(),
-                r.lease_sums_restored,
-                r.mttr_mean.as_micros(),
-                r.mttr_max.as_micros(),
-            ));
+            let mttr_ok = r.mttr_max.as_micros() as u64 <= MAX_MTTR_US;
+            let what = format!("sweep {} (gate: mttr_max <= {MAX_MTTR_US}us)", sweep.log());
+            gate.check(&what, r.clean() && mttr_ok);
+            sweeps.push(sweep);
         }
     }
-    print_table(
+    let shown: Vec<Fields> = sweeps
+        .iter()
+        .map(|s| {
+            s.pick(&[
+                "seed",
+                "repl_fault_rate",
+                "failovers",
+                "repl_shipped_lines",
+                "repl_dropped_shipments",
+                "digests_match",
+                "mttr_mean_us",
+                "mttr_max_us",
+            ])
+        })
+        .collect();
+    print_rows(
         "E16 — fail-over sweep: leader kills mid-2PC and mid-rebalance, \
          warm-follower promotion",
-        &[
-            "seed",
-            "fault rate",
-            "failovers",
-            "shipped",
-            "dropped",
-            "digests ok",
-            "mttr mean",
-            "mttr max",
-        ],
-        &rows,
+        &shown,
     );
 
-    let json = format!(
-        "{{\"experiment\":\"e16-replication\",\
-         \"gates\":{{\"max_mttr_us\":{MAX_MTTR_US}}},\"sweeps\":[{}]}}\n",
-        sweep_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");
-    std::fs::write(json_path, json).expect("write BENCH_replication.json");
-    println!("\nwrote BENCH_replication.json");
-
-    if failures > 0 {
-        eprintln!("failover: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("failover: all checks passed");
+    let json = Fields(vec![
+        ("experiment", q("e16-replication")),
+        (
+            "gates",
+            Fields(vec![("max_mttr_us", MAX_MTTR_US.to_string())]).json(),
+        ),
+        ("sweeps", list(&sweeps)),
+    ]);
+    gate.finish(&[("json", json.json() + "\n")]);
 }
 
-/// E14 recovery mode: times a cold restart from the full append-only
-/// history versus the compacted (checkpoint-seeded) journal, then runs a
-/// crash/compact sweep per seed (compaction killed before and after the
-/// journal swap, plus the uninterrupted path) gating on digest
-/// equivalence. Writes `BENCH_recovery.json` and exits non-zero if the
-/// digests diverge or compacted recovery is not at least
-/// `MIN_RECOVERY_SPEEDUP`x faster than history replay.
-fn recovery_mode(seeds: &[u64]) {
+/// `--recovery`: E14 cold restart from full history vs the compacted
+/// journal, then per seed compaction killed before/after the swap.
+fn recovery_mode(seeds: &[u64], mut gate: Gate) {
     use promises_core::CompactionCrash;
-
     const MIN_RECOVERY_SPEEDUP: f64 = 5.0;
-    let mut failures = 0usize;
 
     let row = exp::e14_recovery(5_000, 64, 5);
-    print_table(
-        "E14 — recovery time: compacted vs uncompacted journal \
-         (5000 grant+release cycles, 64 live promises)",
-        &["journal", "records", "mean recovery"],
-        &[
-            vec![
-                "uncompacted history".into(),
-                row.history_records.to_string(),
-                us(row.uncompacted_us),
-            ],
-            vec![
-                "compacted (checkpoint)".into(),
-                row.compacted_records.to_string(),
-                us(row.compacted_us),
-            ],
-        ],
+    let mut summary = Fields(vec![
+        ("experiment", q("e14-recovery")),
+        ("cycles", row.cycles.to_string()),
+        ("live", row.live.to_string()),
+        ("history_records", row.history_records.to_string()),
+        ("compacted_records", row.compacted_records.to_string()),
+        ("uncompacted_recovery_us", f(row.uncompacted_us, 1)),
+        ("compacted_recovery_us", f(row.compacted_us, 1)),
+        ("speedup", f(row.speedup(), 2)),
+        ("min_speedup_gate", f(MIN_RECOVERY_SPEEDUP, 1)),
+        ("digests_match", row.digests_match.to_string()),
+    ]);
+    let title = "E14 — recovery time: compacted vs uncompacted journal";
+    print_rows(title, std::slice::from_ref(&summary));
+    gate.check("replay digests are byte-equivalent", row.digests_match);
+    let what = format!(
+        "recovery speedup {:.1}x (gate: >= {MIN_RECOVERY_SPEEDUP}x)",
+        row.speedup()
     );
-    println!(
-        "recovery speedup: {:.1}x (gate: >= {MIN_RECOVERY_SPEEDUP}x), digests_match={}",
-        row.speedup(),
-        row.digests_match
-    );
-    if !row.digests_match {
-        eprintln!("recovery: digest gate FAILED (replay is not byte-equivalent)");
-        failures += 1;
-    }
-    if row.speedup() < MIN_RECOVERY_SPEEDUP {
-        eprintln!(
-            "recovery: speedup gate FAILED ({:.1}x < {MIN_RECOVERY_SPEEDUP}x)",
-            row.speedup()
-        );
-        failures += 1;
-    }
+    gate.check(&what, row.speedup() >= MIN_RECOVERY_SPEEDUP);
 
-    let mut sweep_json = Vec::new();
+    let mut sweeps = Vec::new();
     for &seed in seeds {
         for (label, crash) in [
             ("none", None),
@@ -762,57 +677,22 @@ fn recovery_mode(seeds: &[u64]) {
             ("after-swap", Some(CompactionCrash::AfterSwap)),
         ] {
             let r = promises_sim::run_compaction_crash_restart(seed, 24, crash);
+            let sweep = Fields(vec![
+                ("seed", seed.to_string()),
+                ("crash", q(label)),
+                ("journal_before", r.journal_len_before.to_string()),
+                ("journal_after", r.journal_len_after.to_string()),
+                ("interrupted", r.interrupted.to_string()),
+                ("live", r.live.to_string()),
+                ("digests_match", r.state_matches().to_string()),
+            ]);
             let ok = r.state_matches() && r.live > 0;
-            println!(
-                "compaction-crash seed={seed} crash={label}: journal {} -> {} records, \
-                 interrupted={} live={} digests_match={} -> {}",
-                r.journal_len_before,
-                r.journal_len_after,
-                r.interrupted,
-                r.live,
-                r.state_matches(),
-                if ok { "OK" } else { "FAIL" }
-            );
-            if !ok {
-                failures += 1;
-            }
-            sweep_json.push(format!(
-                "{{\"seed\":{seed},\"crash\":\"{label}\",\"journal_before\":{},\
-                 \"journal_after\":{},\"interrupted\":{},\"live\":{},\"digests_match\":{}}}",
-                r.journal_len_before,
-                r.journal_len_after,
-                r.interrupted,
-                r.live,
-                r.state_matches(),
-            ));
+            gate.check(&format!("compaction-crash {}", sweep.log()), ok);
+            sweeps.push(sweep);
         }
     }
-
-    let json = format!(
-        "{{\"experiment\":\"e14-recovery\",\"cycles\":{},\"live\":{},\
-         \"history_records\":{},\"compacted_records\":{},\
-         \"uncompacted_recovery_us\":{:.1},\"compacted_recovery_us\":{:.1},\
-         \"speedup\":{:.2},\"min_speedup_gate\":{MIN_RECOVERY_SPEEDUP},\
-         \"digests_match\":{},\"crash_sweeps\":[{}]}}\n",
-        row.cycles,
-        row.live,
-        row.history_records,
-        row.compacted_records,
-        row.uncompacted_us,
-        row.compacted_us,
-        row.speedup(),
-        row.digests_match,
-        sweep_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(json_path, json).expect("write BENCH_recovery.json");
-    println!("\nwrote BENCH_recovery.json");
-
-    if failures > 0 {
-        eprintln!("recovery: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("recovery: all checks passed");
+    summary.0.push(("crash_sweeps", list(&sweeps)));
+    gate.finish(&[("json", summary.json() + "\n")]);
 }
 
 /// Stages the E12 smoke requires to have recorded samples: if any of
@@ -825,17 +705,12 @@ const REQUIRED_STAGES: &[&str] = &[
     "rm.txn",
 ];
 
-/// E12 observability mode: one instrumented fault sweep per seed, with
-/// per-stage latency and rejection-cause tables, the lifecycle audit, a
-/// telemetry-overhead probe on the E4b footprint workload, and
-/// `BENCH_obs.json` + `BENCH_obs.prom` dumps. Exits non-zero when a
-/// required stage histogram is empty, the lifecycle audit finds an
-/// ordering violation, or a sweep invariant (violations / double grants)
-/// breaks.
-fn obs_mode(seeds: &[u64]) {
+/// `--obs`: one instrumented fault sweep per seed (stage latency and
+/// rejection-cause tables, lifecycle audit), then the telemetry-overhead
+/// probe on the E4b footprint workload.
+fn obs_mode(seeds: &[u64], mut gate: Gate) {
     const RATE: f64 = 0.15;
-    let mut failures = 0usize;
-    let mut run_jsons = Vec::new();
+    let mut runs = Vec::new();
     let mut last_prom = String::new();
 
     for &seed in seeds {
@@ -874,61 +749,47 @@ fn obs_mode(seeds: &[u64]) {
             &cause_rows,
         );
 
+        for stage in REQUIRED_STAGES {
+            let filled = obs.snapshot.histogram(stage).is_some_and(|h| !h.is_empty());
+            gate.check(
+                &format!("seed {seed}: stage histogram {stage} has samples"),
+                filled,
+            );
+        }
         let life = &obs.lifecycle;
-        println!(
-            "\nlifecycle audit seed={seed}: promises={} complete={} violations={} \
-             journal(granted={} released={} expired={})",
-            life.promises,
-            life.complete,
-            life.violations.len(),
-            obs.facts.granted.len(),
-            obs.facts.released.len(),
-            obs.facts.expired.len(),
-        );
         for v in &life.violations {
             eprintln!("  VIOLATION: {v}");
         }
-
-        for stage in REQUIRED_STAGES {
-            let empty = obs.snapshot.histogram(stage).is_none_or(|h| h.is_empty());
-            if empty {
-                eprintln!("obs: required stage histogram {stage} is EMPTY (seed {seed})");
-                failures += 1;
-            }
-        }
-        if !obs.ok() {
-            eprintln!(
-                "obs: audit FAILED (seed {seed}): sweep violations={} double_grants={} \
-                 lifecycle violations={}",
-                obs.sweep.violations,
-                obs.sweep.double_grants,
-                life.violations.len()
-            );
-            failures += 1;
-        }
+        let lifecycle = Fields(vec![
+            ("promises", life.promises.to_string()),
+            ("complete", life.complete.to_string()),
+            ("violations", life.violations.len().to_string()),
+        ]);
+        let sweep = fault_fields(&obs.sweep);
+        let what = format!(
+            "audit seed={seed}: lifecycle {} journal granted={} released={} expired={} | sweep {}",
+            lifecycle.log(),
+            obs.facts.granted.len(),
+            obs.facts.released.len(),
+            obs.facts.expired.len(),
+            sweep.log()
+        );
+        gate.check(&what, obs.ok());
 
         let r = &obs.sweep;
-        let dedup_ratio =
-            (r.granted + r.deduped > 0).then(|| r.deduped as f64 / (r.granted + r.deduped) as f64);
-        run_jsons.push(format!(
-            "{{\"seed\":{seed},\"fault_rate\":{RATE},\"telemetry\":{},\
-             \"lifecycle\":{{\"promises\":{},\"complete\":{},\"violations\":{}}},\
-             \"sweep\":{{\"granted\":{},\"purchased\":{},\"retries\":{},\"deduped\":{},\
-             \"violations\":{},\"double_grants\":{},\"leaked\":{}}},\
-             \"dedup_ratio\":{}}}",
-            to_json(&obs.snapshot),
-            life.promises,
-            life.complete,
-            life.violations.len(),
-            r.granted,
-            r.purchased_ops,
-            r.retries,
-            r.deduped,
-            r.violations,
-            r.double_grants,
-            r.live_after_reap,
-            dedup_ratio.map_or("null".into(), |d| format!("{d:.4}")),
-        ));
+        let answered = r.granted + r.deduped;
+        let dedup_ratio = match answered {
+            0 => "null".to_string(),
+            n => f(r.deduped as f64 / n as f64, 4),
+        };
+        runs.push(Fields(vec![
+            ("seed", seed.to_string()),
+            ("fault_rate", f(RATE, 2)),
+            ("telemetry", to_json(&obs.snapshot)),
+            ("lifecycle", lifecycle.json()),
+            ("sweep", sweep.json()),
+            ("dedup_ratio", dedup_ratio),
+        ]));
         last_prom = to_prometheus(&obs.snapshot);
     }
 
@@ -950,63 +811,37 @@ fn obs_mode(seeds: &[u64]) {
         );
         o = exp::e12_overhead(8, 2_000, 10_000_000, 8);
     }
-    print_table(
-        "E12b — telemetry overhead on the E4b footprint workload",
-        &["variant", "median ops/s"],
-        &[
-            vec!["telemetry off".into(), f(o.plain, 0)],
-            vec!["telemetry on".into(), f(o.instrumented, 0)],
-        ],
+    let overhead = Fields(vec![
+        ("plain_ops_s", f(o.plain, 0)),
+        ("instrumented_ops_s", f(o.instrumented, 0)),
+        ("overhead_pct", f(o.overhead_pct(), 2)),
+    ]);
+    print_rows(
+        "E12b — telemetry overhead on the E4b footprint workload (median of 9 paired \
+         off/on rounds after warmup)",
+        std::slice::from_ref(&overhead),
     );
-    println!(
-        "overhead: {:.1}% (median of 9 paired off/on rounds after warmup; \
-         acceptance bar <={OVERHEAD_BAR_PCT}%, gated, best of {OVERHEAD_ATTEMPTS} attempts)",
+    let what = format!(
+        "telemetry overhead {:.1}% (gate: <= {OVERHEAD_BAR_PCT}%, best of {OVERHEAD_ATTEMPTS} attempts)",
         o.overhead_pct()
     );
-    if o.overhead_pct() > OVERHEAD_BAR_PCT {
-        eprintln!(
-            "obs: telemetry overhead {:.1}% EXCEEDS the {OVERHEAD_BAR_PCT}% bar \
-             on all {OVERHEAD_ATTEMPTS} attempts",
-            o.overhead_pct()
-        );
-        failures += 1;
-    }
+    gate.check(&what, o.overhead_pct() <= OVERHEAD_BAR_PCT);
 
-    let json = format!(
-        "{{\"experiment\":\"e12-obs\",\"runs\":[{}],\
-         \"overhead\":{{\"plain_ops_s\":{:.0},\"instrumented_ops_s\":{:.0},\
-         \"overhead_pct\":{:.2}}}}}\n",
-        run_jsons.join(","),
-        o.plain,
-        o.instrumented,
-        o.overhead_pct(),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(json_path, json).expect("write BENCH_obs.json");
-    let prom_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.prom");
-    std::fs::write(prom_path, last_prom).expect("write BENCH_obs.prom");
-    println!("\nwrote BENCH_obs.json and BENCH_obs.prom");
-
-    if failures > 0 {
-        eprintln!("obs: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("obs: all checks passed");
+    let json = Fields(vec![
+        ("experiment", q("e12-obs")),
+        ("runs", list(&runs)),
+        ("overhead", overhead.json()),
+    ]);
+    gate.finish(&[("json", json.json() + "\n"), ("prom", last_prom)]);
 }
 
-/// E17 doctor mode: the health-plane confusion matrix. For every seed ×
-/// fault rate (0 / 10 / 20%) the three doctor sweeps run with the
-/// watchdogs armed — delay faults vs the SLO burn monitor, a stranded
-/// lease rebalance vs the conservation probe, a wedged follower plus
-/// aging in-doubt holds vs their watchdogs. The gate demands zero missed
-/// detections, zero false positives (every rate-0 run must be silent),
-/// and every incident report parseable as JSON. Writes
-/// `BENCH_doctor.json`.
-fn doctor_mode(seeds: &[u64]) {
+/// `--doctor`: the E17 confusion matrix — per seed × fault rate the three
+/// doctor sweeps with the watchdogs armed. The output keeps every cell's
+/// counts and one sample incident per watchdog kind.
+fn doctor_mode(seeds: &[u64], mut gate: Gate) {
     const RATES: [f64; 3] = [0.0, 0.1, 0.2];
-    let mut failures = 0usize;
-    let mut cell_jsons = Vec::new();
-    let mut matrix_rows = Vec::new();
+    let mut cells = Vec::new();
+    let mut samples: BTreeMap<String, String> = BTreeMap::new();
     let mut total_incidents = 0usize;
 
     for &seed in seeds {
@@ -1019,111 +854,57 @@ fn doctor_mode(seeds: &[u64]) {
             for r in reports {
                 let mut invalid = 0usize;
                 for incident in &r.incidents {
-                    if let Err(e) = promises_telemetry::export::validate_json(incident) {
-                        eprintln!(
-                            "doctor: INVALID incident JSON ({} seed={seed} rate={rate}): {e}",
-                            r.sweep
-                        );
+                    if let Err(e) = validate_json(incident) {
+                        eprintln!("doctor: INVALID incident JSON (seed={seed}): {e}");
                         invalid += 1;
+                    }
+                    let cut_by = |t: &&String| incident.contains(&format!("watchdog:{t} "));
+                    if let Some(kind) = r.tripped.iter().find(cut_by) {
+                        let sample = || incident.clone();
+                        samples.entry(kind.clone()).or_insert_with(sample);
                     }
                 }
                 total_incidents += r.incidents.len();
-                let ok = r.clean() && invalid == 0;
-                matrix_rows.push(vec![
-                    r.sweep.to_string(),
-                    seed.to_string(),
-                    format!("{rate:.2}"),
-                    if r.expected.is_empty() {
-                        "-".into()
-                    } else {
-                        r.expected.join(" ")
-                    },
-                    if r.tripped.is_empty() {
-                        "-".into()
-                    } else {
-                        r.tripped.join(" ")
-                    },
-                    r.incidents.len().to_string(),
-                    if ok { "OK" } else { "FAIL" }.into(),
+                let fail_fast = Fields(vec![
+                    ("engaged", r.fail_fast_engaged.to_string()),
+                    ("cleared", r.fail_fast_cleared.to_string()),
                 ]);
-                if !ok {
-                    eprintln!(
-                        "doctor: {} seed={seed} rate={rate} FAILED: missed={:?} unexpected={:?} \
-                         invalid_incidents={invalid}",
-                        r.sweep,
-                        r.missed(),
-                        r.unexpected()
-                    );
-                    failures += 1;
-                }
-                let quote = |v: &[String]| {
-                    v.iter()
-                        .map(|s| format!("\"{s}\""))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                let expected: Vec<String> = r.expected.iter().map(|s| s.to_string()).collect();
-                cell_jsons.push(format!(
-                    "{{\"sweep\":\"{}\",\"seed\":{seed},\"fault_rate\":{rate},\"ticks\":{},\
-                     \"expected\":[{}],\"tripped\":[{}],\"incidents\":{},\"missed\":{},\
-                     \"unexpected\":{},\"fail_fast\":{{\"engaged\":{},\"cleared\":{}}},\
-                     \"sample_incident\":{}}}",
-                    r.sweep,
-                    r.ticks,
-                    quote(&expected),
-                    quote(&r.tripped),
-                    r.incidents.len(),
-                    r.missed().len(),
-                    r.unexpected().len(),
-                    r.fail_fast_engaged,
-                    r.fail_fast_cleared,
-                    r.incidents.first().map_or("null", |s| s.as_str()),
-                ));
+                let cell = Fields(vec![
+                    ("sweep", q(r.sweep)),
+                    ("seed", seed.to_string()),
+                    ("fault_rate", f(rate, 1)),
+                    ("ticks", r.ticks.to_string()),
+                    ("expected", strings(&r.expected)),
+                    ("tripped", strings(&r.tripped)),
+                    ("incidents", r.incidents.len().to_string()),
+                    ("missed", r.missed().len().to_string()),
+                    ("unexpected", r.unexpected().len().to_string()),
+                    ("fail_fast", fail_fast.json()),
+                ]);
+                let what = format!("{} invalid_incidents={invalid}", cell.log());
+                gate.check(&what, r.clean() && invalid == 0);
+                cells.push(cell);
             }
         }
     }
 
-    print_table(
-        "E17 — health-plane confusion matrix (doctor sweeps)",
-        &[
-            "sweep",
-            "seed",
-            "rate",
-            "expected",
-            "tripped",
-            "incidents",
-            "gate",
-        ],
-        &matrix_rows,
-    );
-    println!("doctor: {total_incidents} incident report(s) cut, all validated as JSON");
+    let title = "E17 — health-plane confusion matrix (doctor sweeps)";
+    print_rows(title, &cells);
+    println!("doctor: {total_incidents} incident report(s) cut, all checked as JSON");
 
-    let json = format!(
-        "{{\"experiment\":\"e17-doctor\",\"cells\":[{}],\"total_incidents\":{total_incidents},\
-         \"failures\":{failures}}}\n",
-        cell_jsons.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_doctor.json");
-    std::fs::write(json_path, json).expect("write BENCH_doctor.json");
-    println!("wrote BENCH_doctor.json");
-
-    if failures > 0 {
-        eprintln!("doctor: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("doctor: all checks passed");
+    let json = Fields(vec![
+        ("experiment", q("e17-doctor")),
+        ("cells", list(&cells)),
+        ("sample_incidents", map(samples)),
+        ("total_incidents", total_incidents.to_string()),
+        ("failures", gate.failures.to_string()),
+    ]);
+    gate.finish(&[("json", json.json() + "\n")]);
 }
 
-/// E18 workloads mode: the production workload plane. Per seed, the
-/// flash-sale scenario (gated on the normal-phase p99 SLO at the offered
-/// rate, on degraded mode engaging during overload AND clearing after,
-/// and on load being shed), the travel-booking scenario at 0/10/20%
-/// wire-fault rates (gated on ≥95% completion with zero partial grants,
-/// double grants, oversells, and leaks), and the 6-failure-class ×
-/// 2-scenario error-path matrix (gated on zero failing cells). Writes
-/// `BENCH_workloads.json` and `BENCH_workloads.prom` and exits non-zero
-/// if any gate fails.
-fn workloads_mode(seeds: &[u64]) {
+/// `--workloads`: per seed the E18 flash sale, travel booking at each
+/// wire-fault rate, and the error-path matrix.
+fn workloads_mode(seeds: &[u64], mut gate: Gate) {
     use promises_workloads::{
         run_error_path_matrix, run_flash_sale, run_travel_booking, CellStatus, FlashSaleConfig,
         TravelConfig,
@@ -1131,87 +912,43 @@ fn workloads_mode(seeds: &[u64]) {
 
     const TRAVEL_FAULT_RATES: [f64; 3] = [0.0, 0.1, 0.2];
     const MIN_TRAVEL_COMPLETION: f64 = 0.95;
-    let mut failures = 0usize;
     let tel = promises_telemetry::Telemetry::new();
 
-    let mut flash_rows = Vec::new();
-    let mut flash_json = Vec::new();
+    let mut flash = Vec::new();
     for &seed in seeds {
         let r = run_flash_sale(&FlashSaleConfig {
             seed,
             ..FlashSaleConfig::default()
         });
-        let causes = r
-            .reject_causes
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        flash_rows.push(vec![
-            seed.to_string(),
-            opt_ns(Some(r.verdict.p99_ns)),
-            opt_ns(Some(r.verdict.p99_ns_max)),
-            f(r.verdict.goodput_ratio * 100.0, 1),
-            r.degraded_engaged.to_string(),
-            r.degraded_cleared.to_string(),
-            r.shed_rejections.to_string(),
-            if r.passed() { "OK" } else { "FAIL" }.into(),
+        let causes = r.reject_causes.iter().map(|(k, v)| (k, v.to_string()));
+        let sale = Fields(vec![
+            ("seed", seed.to_string()),
+            ("p99_ns", r.verdict.p99_ns.to_string()),
+            ("p99_ns_max", r.verdict.p99_ns_max.to_string()),
+            ("goodput_ratio", f(r.verdict.goodput_ratio, 4)),
+            ("slo_passed", r.verdict.passed.to_string()),
+            ("degraded_engaged", r.degraded_engaged.to_string()),
+            ("degraded_cleared", r.degraded_cleared.to_string()),
+            ("shed_rejections", r.shed_rejections.to_string()),
+            ("reject_causes", map(causes)),
+            ("passed", r.passed().to_string()),
         ]);
-        println!(
-            "flash-sale seed={seed}: {} | causes: {causes}",
-            r.verdict.summary()
-        );
-        if !r.passed() {
-            eprintln!(
-                "workloads: flash-sale gate FAILED (seed {seed}): slo_passed={} \
-                 degraded_engaged={} degraded_cleared={} shed={}",
-                r.verdict.passed, r.degraded_engaged, r.degraded_cleared, r.shed_rejections
-            );
-            failures += 1;
-        }
+        println!("flash-sale seed={seed}: {}", r.verdict.summary());
+        gate.check(&format!("flash-sale {}", sale.log()), r.passed());
         tel.set_gauge("workload.flash_sale.p99_ns", r.verdict.p99_ns);
         tel.set_gauge("workload.flash_sale.shed_rejections", r.shed_rejections);
         tel.set_gauge(
             "workload.flash_sale.goodput_ppm",
             (r.verdict.goodput_ratio * 1e6) as u64,
         );
-        let cause_json = r
-            .reject_causes
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        flash_json.push(format!(
-            "{{\"seed\":{seed},\"p99_ns\":{},\"p99_ns_max\":{},\"goodput_ratio\":{:.4},\
-             \"slo_passed\":{},\"degraded_engaged\":{},\"degraded_cleared\":{},\
-             \"shed_rejections\":{},\"reject_causes\":{{{cause_json}}},\"passed\":{}}}",
-            r.verdict.p99_ns,
-            r.verdict.p99_ns_max,
-            r.verdict.goodput_ratio,
-            r.verdict.passed,
-            r.degraded_engaged,
-            r.degraded_cleared,
-            r.shed_rejections,
-            r.passed(),
-        ));
+        flash.push(sale);
     }
-    print_table(
+    print_rows(
         "E18a — flash sale: open-loop SLO gate, overload shedding, degraded-mode arc",
-        &[
-            "seed",
-            "p99",
-            "p99 max",
-            "goodput %",
-            "engaged",
-            "cleared",
-            "shed",
-            "gate",
-        ],
-        &flash_rows,
+        &flash,
     );
 
-    let mut travel_rows = Vec::new();
-    let mut travel_json = Vec::new();
+    let mut travel = Vec::new();
     for &seed in seeds {
         for rate in TRAVEL_FAULT_RATES {
             let r = run_travel_booking(&TravelConfig {
@@ -1220,472 +957,394 @@ fn workloads_mode(seeds: &[u64]) {
                 ..TravelConfig::default()
             });
             let ok = r.completion_ratio() >= MIN_TRAVEL_COMPLETION && r.audits_clean();
-            travel_rows.push(vec![
-                seed.to_string(),
-                f(rate, 2),
-                r.completed().to_string(),
-                f(r.completion_ratio() * 100.0, 1),
-                r.negotiated_down.to_string(),
-                r.desk_completed.to_string(),
-                r.transport_failures.to_string(),
-                format!(
-                    "{}/{}/{}/{}",
-                    r.partial_grants, r.double_grants, r.oversells, r.live_after_reap
-                ),
-                if ok { "OK" } else { "FAIL" }.into(),
+            let trip = Fields(vec![
+                ("seed", seed.to_string()),
+                ("fault_rate", f(rate, 2)),
+                ("completed", r.completed().to_string()),
+                ("completion_ratio", f(r.completion_ratio(), 4)),
+                ("granted_full", r.granted_full.to_string()),
+                ("negotiated_down", r.negotiated_down.to_string()),
+                ("desk_completed", r.desk_completed.to_string()),
+                ("rejected", r.rejected.to_string()),
+                ("transport_failures", r.transport_failures.to_string()),
+                ("partial_grants", r.partial_grants.to_string()),
+                ("double_grants", r.double_grants.to_string()),
+                ("oversells", r.oversells.to_string()),
+                ("leaked", r.live_after_reap.to_string()),
+                ("state_after_reap", r.state_after_reap.to_string()),
+                ("passed", ok.to_string()),
             ]);
-            if !ok {
-                eprintln!(
-                    "workloads: travel gate FAILED (seed {seed} rate {rate:.2}): \
-                     completion={:.3} partial={} double={} oversell={} leaked={} state={}",
-                    r.completion_ratio(),
-                    r.partial_grants,
-                    r.double_grants,
-                    r.oversells,
-                    r.live_after_reap,
-                    r.state_after_reap
-                );
-                failures += 1;
-            }
+            gate.check(&format!("travel {}", trip.log()), ok);
             tel.set_gauge(
                 "workload.travel.completion_ppm",
                 (r.completion_ratio() * 1e6) as u64,
             );
             tel.set_gauge("workload.travel.negotiated_down", r.negotiated_down);
-            travel_json.push(format!(
-                "{{\"seed\":{seed},\"fault_rate\":{rate:.2},\"completed\":{},\
-                 \"completion_ratio\":{:.4},\"granted_full\":{},\"negotiated_down\":{},\
-                 \"desk_completed\":{},\"rejected\":{},\"transport_failures\":{},\
-                 \"partial_grants\":{},\"double_grants\":{},\"oversells\":{},\
-                 \"leaked\":{},\"state_after_reap\":{},\"passed\":{ok}}}",
-                r.completed(),
-                r.completion_ratio(),
-                r.granted_full,
-                r.negotiated_down,
-                r.desk_completed,
-                r.rejected,
-                r.transport_failures,
-                r.partial_grants,
-                r.double_grants,
-                r.oversells,
-                r.live_after_reap,
-                r.state_after_reap,
-            ));
+            travel.push(trip);
         }
     }
-    print_table(
-        &format!(
-            "E18b — travel booking: 3-leg atomic grants under wire faults \
-             (gate: completion >= {:.0}%, audits p/d/o/l all zero)",
-            MIN_TRAVEL_COMPLETION * 100.0
-        ),
-        &[
-            "seed",
-            "rate",
-            "completed",
-            "completion %",
-            "negotiated",
-            "via desk",
-            "transport err",
-            "p/d/o/l",
-            "gate",
-        ],
-        &travel_rows,
+    let title = format!(
+        "E18b — travel booking: 3-leg atomic grants under wire faults \
+         (gate: completion >= {:.0}%, every audit zero)",
+        MIN_TRAVEL_COMPLETION * 100.0
     );
+    print_rows(&title, &travel);
 
-    let mut matrix_json = Vec::new();
+    let mut matrix = Vec::new();
     for &seed in seeds {
         let m = run_error_path_matrix(seed);
-        let mut rows = Vec::new();
-        let mut cell_jsons = Vec::new();
+        let mut cells = Vec::new();
         for c in &m.cells {
-            let (status, note) = match &c.status {
-                CellStatus::Pass => ("pass", String::new()),
-                CellStatus::Skip(why) => ("skip", why.clone()),
-                CellStatus::Fail(why) => ("fail", why.clone()),
+            let status = match &c.status {
+                CellStatus::Pass => "pass",
+                CellStatus::Skip(_) => "skip",
+                CellStatus::Fail(why) => {
+                    eprintln!("  {} x {}: {why}", c.failure.name(), c.scenario.name());
+                    "fail"
+                }
             };
-            rows.push(vec![
-                c.failure.name().into(),
-                c.scenario.name().into(),
-                c.status.legend().into(),
-                if note.is_empty() {
-                    c.detail.clone()
-                } else {
-                    note.clone()
-                },
-            ]);
-            cell_jsons.push(format!(
-                "{{\"failure\":\"{}\",\"scenario\":\"{}\",\"status\":\"{status}\",\
-                 \"detail\":\"{}\"}}",
-                c.failure.name(),
-                c.scenario.name(),
-                c.detail.replace('"', "'"),
-            ));
+            cells.push(Fields(vec![
+                ("failure", q(c.failure.name())),
+                ("scenario", q(c.scenario.name())),
+                ("status", q(status)),
+                ("detail", q(&c.detail.replace('"', "'"))),
+            ]));
         }
-        print_table(
-            &format!("E18c — error-path matrix (seed {seed}; [x] pass, [-] skip, [!] fail)"),
-            &["failure class", "scenario", "cell", "detail"],
-            &rows,
-        );
+        print_rows(&format!("E18c — error-path matrix (seed {seed})"), &cells);
         let bad = m.failures().len();
-        if !m.all_clean() {
-            eprintln!("workloads: error-path matrix has {bad} failing cell(s) (seed {seed})");
-            failures += 1;
-        }
+        let what = format!("error-path matrix seed={seed} failing_cells={bad}");
+        gate.check(&what, m.all_clean());
         tel.set_gauge("workload.matrix.cells", m.cells.len() as u64);
         tel.set_gauge("workload.matrix.failing_cells", bad as u64);
-        matrix_json.push(format!(
-            "{{\"seed\":{seed},\"cells\":[{}],\"failing_cells\":{bad}}}",
-            cell_jsons.join(","),
-        ));
+        matrix.push(Fields(vec![
+            ("seed", seed.to_string()),
+            ("cells", list(&cells)),
+            ("failing_cells", bad.to_string()),
+        ]));
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e18-workloads\",\
-         \"gates\":{{\"min_travel_completion\":{MIN_TRAVEL_COMPLETION}}},\
-         \"flash_sale\":[{}],\"travel\":[{}],\"matrix\":[{}]}}\n",
-        flash_json.join(","),
-        travel_json.join(","),
-        matrix_json.join(","),
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workloads.json");
-    std::fs::write(json_path, json).expect("write BENCH_workloads.json");
-    let prom_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workloads.prom");
-    std::fs::write(prom_path, to_prometheus(&tel.snapshot())).expect("write BENCH_workloads.prom");
-    println!("\nwrote BENCH_workloads.json and BENCH_workloads.prom");
-
-    if failures > 0 {
-        eprintln!("workloads: {failures} check(s) FAILED");
-        std::process::exit(1);
-    }
-    println!("workloads: all checks passed");
+    let min_completion = f(MIN_TRAVEL_COMPLETION, 2);
+    let json = Fields(vec![
+        ("experiment", q("e18-workloads")),
+        (
+            "gates",
+            Fields(vec![("min_travel_completion", min_completion)]).json(),
+        ),
+        ("flash_sale", list(&flash)),
+        ("travel", list(&travel)),
+        ("matrix", list(&matrix)),
+    ]);
+    let prom = to_prometheus(&tel.snapshot());
+    gate.finish(&[("json", json.json() + "\n"), ("prom", prom)]);
 }
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    if args.iter().any(|a| a == "--faults") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        faults_smoke(if seeds.is_empty() {
-            &[3, 1117, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--obs") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        obs_mode(if seeds.is_empty() {
-            &[2007, 4711]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--recovery") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        recovery_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--cluster") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        cluster_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--threads") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        threads_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--leases") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        leases_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--doctor") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        doctor_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--workloads") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        workloads_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    if args.iter().any(|a| a == "--failover") {
-        let seeds: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        failover_mode(if seeds.is_empty() {
-            &[2007, 31337, 90210]
-        } else {
-            &seeds
-        });
-        return;
-    }
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
+fn e1() {
+    let mean = exp::e1_figure1(2_000);
+    print_table(
+        "E1 (Figure 1) — ordering-process walkthrough latency",
+        &["metric", "value"],
+        &[
+            vec!["promise+purchase+release cycle".into(), us(mean)],
+            vec!["iterations".into(), "2000".into()],
+        ],
+    );
+}
 
-    println!("# Promises experiment suite");
-    println!("# (one table per experiment in DESIGN.md section 4)");
-
-    if want("e1") {
-        let mean = exp::e1_figure1(2_000);
-        print_table(
-            "E1 (Figure 1) — ordering-process walkthrough latency",
-            &["metric", "value"],
-            &[
-                vec!["promise+purchase+release cycle".into(), us(mean)],
-                vec!["iterations".into(), "2000".into()],
-            ],
-        );
+fn e2() {
+    let mut rows = Vec::new();
+    for clients in [1usize, 2, 4, 8, 16] {
+        let (tput, ok) = exp::e2_pipeline(clients, 200);
+        rows.push(vec![clients.to_string(), f(tput, 0), f(ok * 100.0, 1)]);
     }
+    print_table(
+        "E2 (Figure 2) — wire pipeline throughput vs concurrent clients",
+        &["clients", "ops/s", "ok %"],
+        &rows,
+    );
+}
 
-    if want("e2") {
-        let mut rows = Vec::new();
-        for clients in [1usize, 2, 4, 8, 16] {
-            let (tput, ok) = exp::e2_pipeline(clients, 200);
-            rows.push(vec![clients.to_string(), f(tput, 0), f(ok * 100.0, 1)]);
-        }
-        print_table(
-            "E2 (Figure 2) — wire pipeline throughput vs concurrent clients",
-            &["clients", "ops/s", "ok %"],
-            &rows,
-        );
+fn e3() {
+    let mut rows = Vec::new();
+    for live in [10usize, 100, 500, 1000] {
+        let a = exp::e3_check_cost(View::Anonymous, live, 200);
+        let n = exp::e3_check_cost(View::Named, live, 50);
+        let p = exp::e3_check_cost(View::Property, live.min(500), 20);
+        rows.push(vec![live.to_string(), us(a), us(n), us(p)]);
     }
+    print_table(
+        "E3 — grant+release cost vs live promises, by resource view",
+        &["live promises", "anonymous", "named", "property"],
+        &rows,
+    );
+}
 
-    if want("e3") {
-        let mut rows = Vec::new();
-        for live in [10usize, 100, 500, 1000] {
-            let a = exp::e3_check_cost(View::Anonymous, live, 200);
-            let n = exp::e3_check_cost(View::Named, live, 50);
-            let p = exp::e3_check_cost(View::Property, live.min(500), 20);
-            rows.push(vec![live.to_string(), us(a), us(n), us(p)]);
-        }
-        print_table(
-            "E3 — grant+release cost vs live promises, by resource view",
-            &["live promises", "anonymous", "named", "property"],
-            &rows,
-        );
-    }
-
-    if want("e4") {
-        let mut rows = Vec::new();
-        for clients in [4usize, 16, 48] {
-            let cfg = exp::e4_config(clients, 25);
-            for sys in System::ALL {
-                let r = exp::run_system(sys, &cfg, 1_000_000);
-                rows.push(vec![
-                    clients.to_string(),
-                    sys.name().into(),
-                    f(r.throughput, 0),
-                    r.completed.to_string(),
-                    r.failed_fast.to_string(),
-                    r.failed_late.to_string(),
-                    r.deadlocks.to_string(),
-                    opt_us(r.avg_latency),
-                ]);
-            }
-        }
-        print_table(
-            "E4 — contention: throughput under hotspot skew (ample stock)",
-            &[
-                "clients",
-                "system",
-                "ops/s",
-                "done",
-                "fail-fast",
-                "fail-late",
-                "deadlock",
-                "latency",
-            ],
-            &rows,
-        );
-    }
-
-    if want("e5") {
-        let mut rows = Vec::new();
-        for clients in [4usize, 8, 16] {
-            let cfg = exp::e5_config(clients, 20);
-            for sys in [System::Locks, System::Promises] {
-                let r = exp::run_system(sys, &cfg, 1_000_000);
-                rows.push(vec![
-                    clients.to_string(),
-                    sys.name().into(),
-                    r.completed.to_string(),
-                    r.deadlocks.to_string(),
-                    f(r.wall.as_secs_f64(), 2),
-                ]);
-            }
-        }
-        print_table(
-            "E5 — multi-resource ops: 2PL deadlocks vs promise rejection",
-            &["clients", "system", "completed", "deadlocks", "wall s"],
-            &rows,
-        );
-    }
-
-    if want("e6") {
-        let mut rows = Vec::new();
-        let cfg = exp::e6_config(16, 25);
+fn e4() {
+    let mut rows = Vec::new();
+    for clients in [4usize, 16, 48] {
+        let cfg = exp::e4_config(clients, 25);
         for sys in System::ALL {
-            let r = exp::run_system(sys, &cfg, 400); // scarce: demand ~ 2.5x stock
+            let r = exp::run_system(sys, &cfg, 1_000_000);
             rows.push(vec![
+                clients.to_string(),
                 sys.name().into(),
+                f(r.throughput, 0),
                 r.completed.to_string(),
                 r.failed_fast.to_string(),
                 r.failed_late.to_string(),
                 r.deadlocks.to_string(),
-                f(r.goodput_ratio() * 100.0, 1),
+                opt_us(r.avg_latency),
             ]);
         }
-        print_table(
-            "E6 — scarce anonymous stock: admission behaviour (escrow vs promises identical; optimistic fails late)",
-            &["system", "completed", "fail-fast", "fail-late", "deadlock", "goodput %"],
-            &rows,
-        );
     }
+    print_table(
+        "E4 — contention: throughput under hotspot skew (ample stock)",
+        &[
+            "clients",
+            "system",
+            "ops/s",
+            "done",
+            "fail-fast",
+            "fail-late",
+            "deadlock",
+            "latency",
+        ],
+        &rows,
+    );
+}
 
-    if want("e7") {
-        let mut rows = Vec::new();
-        for rooms in [100usize, 400, 1000] {
-            for (name, strategy) in [
-                ("allocated-tags", CheckStrategy::AllocatedTags),
-                ("tentative", CheckStrategy::TentativeAllocation),
-                ("satisfiability", CheckStrategy::Satisfiability),
-            ] {
-                let o = exp::e7_strategy(rooms, strategy);
-                rows.push(vec![
-                    rooms.to_string(),
-                    name.into(),
-                    o.granted.to_string(),
-                    o.rejected.to_string(),
-                    us(o.mean_us),
-                ]);
+fn e5() {
+    let mut rows = Vec::new();
+    for clients in [4usize, 8, 16] {
+        let cfg = exp::e5_config(clients, 20);
+        for sys in [System::Locks, System::Promises] {
+            let r = exp::run_system(sys, &cfg, 1_000_000);
+            rows.push(vec![
+                clients.to_string(),
+                sys.name().into(),
+                r.completed.to_string(),
+                r.deadlocks.to_string(),
+                f(r.wall.as_secs_f64(), 2),
+            ]);
+        }
+    }
+    print_table(
+        "E5 — multi-resource ops: 2PL deadlocks vs promise rejection",
+        &["clients", "system", "completed", "deadlocks", "wall s"],
+        &rows,
+    );
+}
+
+fn e6() {
+    let mut rows = Vec::new();
+    let cfg = exp::e6_config(16, 25);
+    for sys in System::ALL {
+        let r = exp::run_system(sys, &cfg, 400); // scarce: demand ~ 2.5x stock
+        rows.push(vec![
+            sys.name().into(),
+            r.completed.to_string(),
+            r.failed_fast.to_string(),
+            r.failed_late.to_string(),
+            r.deadlocks.to_string(),
+            f(r.goodput_ratio() * 100.0, 1),
+        ]);
+    }
+    print_table(
+        "E6 — scarce anonymous stock: admission behaviour (escrow vs promises identical; optimistic fails late)",
+        &["system", "completed", "fail-fast", "fail-late", "deadlock", "goodput %"],
+        &rows,
+    );
+}
+
+fn e7() {
+    let mut rows = Vec::new();
+    for rooms in [100usize, 400, 1000] {
+        for (name, strategy) in [
+            ("allocated-tags", CheckStrategy::AllocatedTags),
+            ("tentative", CheckStrategy::TentativeAllocation),
+            ("satisfiability", CheckStrategy::Satisfiability),
+        ] {
+            let o = exp::e7_strategy(rooms, strategy);
+            rows.push(vec![
+                rooms.to_string(),
+                name.into(),
+                o.granted.to_string(),
+                o.rejected.to_string(),
+                us(o.mean_us),
+            ]);
+        }
+    }
+    print_table(
+        "E7 — property-view strategies on an adversarial feasible sequence",
+        &["rooms", "strategy", "granted", "rejected", "mean/request"],
+        &rows,
+    );
+}
+
+fn e8() {
+    let atomic = exp::e8_race(60, true);
+    let naive = exp::e8_race(60, false);
+    print_table(
+        "E8 — action+release atomicity vs naive release-then-act (60 races)",
+        &[
+            "variant",
+            "protected ok",
+            "protected lost",
+            "competitor grabs",
+        ],
+        &[
+            vec![
+                "atomic (§4)".into(),
+                atomic.protected_ok.to_string(),
+                atomic.protected_lost.to_string(),
+                atomic.competitor_got.to_string(),
+            ],
+            vec![
+                "naive two-step".into(),
+                naive.protected_ok.to_string(),
+                naive.protected_lost.to_string(),
+                naive.competitor_got.to_string(),
+            ],
+        ],
+    );
+}
+
+fn e9() {
+    let mut rows = Vec::new();
+    for ttl in [5u64, 20, 100, 1_000, 1_000_000] {
+        let o = exp::e9_ttl(ttl, 200, 50, 4);
+        rows.push(vec![
+            format!("{ttl}"),
+            o.completed.to_string(),
+            o.expired.to_string(),
+            o.latecomer_rejections.to_string(),
+        ]);
+    }
+    print_table(
+        "E9 — promise TTL vs completion and latecomer starvation (think=50ms-on-manual-clock, 25% abandon)",
+        &["ttl ms", "completed", "promise-expired", "latecomer rejections"],
+        &rows,
+    );
+}
+
+fn e10() {
+    let mut rows = Vec::new();
+    for depth in [0usize, 1, 2, 4, 8] {
+        let mean = exp::e10_delegation(depth, 300);
+        rows.push(vec![depth.to_string(), us(mean)]);
+    }
+    print_table(
+        "E10 — delegation chain depth vs grant+release latency",
+        &["chain depth", "mean grant+release"],
+        &rows,
+    );
+}
+
+fn e11() {
+    let rows: Vec<Fields> = exp::e11_fault_sweep(&[0.0, 0.05, 0.10, 0.20], 4, 50)
+        .iter()
+        .map(|row| {
+            let mut fields = Fields(vec![
+                ("fault_rate", f(row.rate, 2)),
+                ("goodput_ops_s", f(row.goodput, 0)),
+            ]);
+            fields.0.extend(fault_fields(&row.report).0);
+            let dedup_pct = row.dedup_ratio.map_or("n/a".into(), |d| f(d * 100.0, 1));
+            fields.0.push(("dedup_pct", dedup_pct));
+            fields
+        })
+        .collect();
+    print_rows(
+        "E11 — fault sweep: goodput and guarantee audits vs fault rate (violations and double_grants must be 0)",
+        &rows,
+    );
+}
+
+/// The experiment tables, by id.
+const TABLES: [(&str, fn()); 11] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+];
+
+fn main() {
+    let args: Vec<String> = env::args().skip(1).collect();
+    match resolve(&args) {
+        Ok(Plan::Gate(mode, seeds)) => (mode.run)(&seeds, Gate { mode, failures: 0 }),
+        Ok(Plan::Tables(ids)) => {
+            println!("# Promises experiment suite");
+            println!("# (one table per experiment in DESIGN.md section 4)");
+            for (id, run) in TABLES {
+                if ids.is_empty() || ids.iter().any(|want| want == id) {
+                    run();
+                }
             }
+            println!("\n(done)");
         }
-        print_table(
-            "E7 — property-view strategies on an adversarial feasible sequence",
-            &["rooms", "strategy", "granted", "rejected", "mean/request"],
-            &rows,
-        );
-    }
-
-    if want("e8") {
-        let atomic = exp::e8_race(60, true);
-        let naive = exp::e8_race(60, false);
-        print_table(
-            "E8 — action+release atomicity vs naive release-then-act (60 races)",
-            &[
-                "variant",
-                "protected ok",
-                "protected lost",
-                "competitor grabs",
-            ],
-            &[
-                vec![
-                    "atomic (§4)".into(),
-                    atomic.protected_ok.to_string(),
-                    atomic.protected_lost.to_string(),
-                    atomic.competitor_got.to_string(),
-                ],
-                vec![
-                    "naive two-step".into(),
-                    naive.protected_ok.to_string(),
-                    naive.protected_lost.to_string(),
-                    naive.competitor_got.to_string(),
-                ],
-            ],
-        );
-    }
-
-    if want("e9") {
-        let mut rows = Vec::new();
-        for ttl in [5u64, 20, 100, 1_000, 1_000_000] {
-            let o = exp::e9_ttl(ttl, 200, 50, 4);
-            rows.push(vec![
-                format!("{ttl}"),
-                o.completed.to_string(),
-                o.expired.to_string(),
-                o.latecomer_rejections.to_string(),
-            ]);
+        Err(why) => {
+            eprintln!("experiments: {why}\n\n{}", usage());
+            std::process::exit(2);
         }
-        print_table(
-            "E9 — promise TTL vs completion and latecomer starvation (think=50ms-on-manual-clock, 25% abandon)",
-            &["ttl ms", "completed", "promise-expired", "latecomer rejections"],
-            &rows,
-        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan(args: &[&str]) -> Result<Plan, String> {
+        resolve(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
-    if want("e10") {
-        let mut rows = Vec::new();
-        for depth in [0usize, 1, 2, 4, 8] {
-            let mean = exp::e10_delegation(depth, 300);
-            rows.push(vec![depth.to_string(), us(mean)]);
+    #[test]
+    fn every_check_sh_flag_resolves_to_its_mode_with_default_seeds() {
+        let check_sh = include_str!("../../../../scripts/check.sh");
+        let mut files = Vec::new();
+        for name in
+            "faults obs cluster threads recovery leases failover doctor workloads".split(' ')
+        {
+            assert!(check_sh.contains(name), "check.sh no longer runs {name}");
+            let flag = format!("--{name}");
+            let Ok(Plan::Gate(mode, seeds)) = plan(&[&flag]) else {
+                panic!("{flag} must resolve to a gate");
+            };
+            assert_eq!((mode.flag, &seeds[..]), (flag.as_str(), mode.seeds));
+            files.extend(mode.file);
         }
-        print_table(
-            "E10 — delegation chain depth vs grant+release latency",
-            &["chain depth", "mean grant+release"],
-            &rows,
+        files.sort_unstable();
+        files.dedup();
+        assert_eq!(
+            (MODES.len(), files.len()),
+            (9, 8),
+            "one output file per mode, none shared"
         );
+        let Ok(Plan::Gate(mode, seeds)) = plan(&["--Leases", "7", "11"]) else {
+            panic!("explicit seeds must resolve");
+        };
+        assert_eq!((mode.flag, seeds), ("--leases", vec![7, 11]));
     }
 
-    if want("e11") {
-        let mut rows = Vec::new();
-        for row in exp::e11_fault_sweep(&[0.0, 0.05, 0.10, 0.20], 4, 50) {
-            let r = &row.report;
-            rows.push(vec![
-                format!("{:.2}", row.rate),
-                f(row.goodput, 0),
-                r.granted.to_string(),
-                r.purchased_ops.to_string(),
-                r.retries.to_string(),
-                r.deduped.to_string(),
-                row.dedup_ratio
-                    .map(|d| f(d * 100.0, 1))
-                    .unwrap_or_else(|| "n/a".into()),
-                r.violations.to_string(),
-                r.double_grants.to_string(),
-                r.live_after_reap.to_string(),
-            ]);
+    #[test]
+    fn unknown_arguments_are_refused_not_ignored() {
+        let bad: [&[&str]; 5] = [
+            &["--leasse"],
+            &["e99"],
+            &["e4", "--leasse"],
+            &["--cluster", "--threads"],
+            &["--cluster", "not-a-seed"],
+        ];
+        for args in bad {
+            assert!(plan(args).is_err(), "{args:?} must be refused");
         }
-        print_table(
-            "E11 — fault sweep: goodput and guarantee audits vs fault rate (violations and double-grants must be 0)",
-            &[
-                "fault rate",
-                "goodput ops/s",
-                "granted",
-                "purchased",
-                "retries",
-                "deduped",
-                "dedup %",
-                "violations",
-                "double grants",
-                "leaked",
-            ],
-            &rows,
-        );
+        assert!(usage().contains("--workloads") && usage().contains("BENCH_threads.json"));
+        assert!(matches!(plan(&[]), Ok(Plan::Tables(ids)) if ids.is_empty()));
+        assert!(matches!(plan(&["E4", "e11"]), Ok(Plan::Tables(ids)) if ids == ["e4", "e11"]));
     }
-
-    println!("\n(done)");
 }

@@ -1,9 +1,11 @@
 //! Experiment implementations (E1/Figure 1 … E10). See DESIGN.md §4.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use promises_baselines::{EscrowReserver, LockReserver, OptimisticReserver};
+use promises_cluster::PromiseCluster;
 use promises_core::{
     ActionError, Catalog, CheckStrategy, Environment, LockingMode, ManualClock, PoolSchema,
     Predicate, PromiseJournal, PromiseManager, PromiseRequestSpec, PropExpr,
@@ -12,9 +14,9 @@ use promises_faults::FaultScenario;
 use promises_rm::ResourceManager;
 use promises_services::Merchant;
 use promises_sim::{
-    pool_name, promise_reserver, promise_reserver_with_mode, run_fault_sweep_with, run_obs_sweep,
-    run_qty_workload, seed_pools, FaultRunReport, FaultSweepConfig, ObsReport, RunReport,
-    WorkloadConfig,
+    drive_clients, pool_name, promise_reserver, promise_reserver_with_mode, run_fault_sweep_with,
+    run_obs_sweep, run_qty_workload, seed_pools, ClientOp, FaultRunReport, FaultSweepConfig,
+    ObsReport, Release, RunReport, WorkloadConfig,
 };
 use promises_telemetry::Telemetry;
 use promises_wire::{
@@ -147,70 +149,43 @@ pub enum View {
 /// Prepares a manager holding `live` promises of the given view, then
 /// returns mean microseconds per additional grant+release cycle.
 pub fn e3_check_cost(view: View, live: usize, iters: usize) -> f64 {
-    match view {
-        View::Anonymous => {
-            let pm = crate::setup::pm_with_qty_pool("p", (live + 2) as u64);
-            for i in 0..live {
-                let r = pm
-                    .request(
-                        PromiseRequestSpec::new(
-                            promises_core::RequestId(format!("pre-{i}")),
-                            promises_core::ClientId("bench".into()),
-                        )
-                        .predicate(Predicate::qty_at_least("p", 1)),
-                    )
-                    .expect("rm ok");
-                assert!(r.decision.is_granted());
-            }
-            grant_release_us(&pm, Predicate::qty_at_least("p", 1), iters)
-        }
-        View::Named => {
-            let pm = crate::setup::pm_with_rooms("p", live + 2, CheckStrategy::TentativeAllocation);
-            for i in 0..live {
-                let r = pm
-                    .request(
-                        PromiseRequestSpec::new(
-                            promises_core::RequestId(format!("pre-{i}")),
-                            promises_core::ClientId("bench".into()),
-                        )
-                        .predicate(Predicate::named("p", format!("room-{i:05}").as_str())),
-                    )
-                    .expect("rm ok");
-                assert!(r.decision.is_granted());
-            }
-            grant_release_us(
-                &pm,
-                Predicate::named("p", format!("room-{live:05}").as_str()),
-                iters,
-            )
-        }
-        View::Property => {
-            // 2x headroom so the extra grant always succeeds.
-            let pm =
-                crate::setup::pm_with_rooms("p", live * 2 + 4, CheckStrategy::TentativeAllocation);
-            for i in 0..live {
-                let r = pm
-                    .request(
-                        PromiseRequestSpec::new(
-                            promises_core::RequestId(format!("pre-{i}")),
-                            promises_core::ClientId("bench".into()),
-                        )
-                        .predicate(Predicate::property(
-                            "p",
-                            PropExpr::eq("floor", ((i / 2) % ((live * 2 + 4) / 20).max(1)) as i64),
-                            1,
-                        )),
-                    )
-                    .expect("rm ok");
-                assert!(r.decision.is_granted(), "precondition grant {i}");
-            }
-            grant_release_us(
-                &pm,
-                Predicate::property("p", PropExpr::eq("view", true), 1),
-                iters,
-            )
-        }
+    use crate::setup::{pm_with_qty_pool, pm_with_rooms};
+    let rooms = |n| pm_with_rooms("p", n, CheckStrategy::TentativeAllocation);
+    let floors = ((live * 2 + 4) / 20).max(1);
+    let on_floor = move |i: usize| PropExpr::eq("floor", ((i / 2) % floors) as i64);
+    // The manager, its i-th standing promise, and the probe each
+    // measured iteration grants and releases on top of them.
+    let (pm, held, probe): (_, Box<dyn Fn(usize) -> Predicate>, _) = match view {
+        View::Anonymous => (
+            pm_with_qty_pool("p", (live + 2) as u64),
+            Box::new(|_| Predicate::qty_at_least("p", 1)),
+            Predicate::qty_at_least("p", 1),
+        ),
+        View::Named => (
+            rooms(live + 2),
+            Box::new(|i| Predicate::named("p", format!("room-{i:05}").as_str())),
+            Predicate::named("p", format!("room-{live:05}").as_str()),
+        ),
+        // 2x headroom so the extra grant always succeeds.
+        View::Property => (
+            rooms(live * 2 + 4),
+            Box::new(move |i| Predicate::property("p", on_floor(i), 1)),
+            Predicate::property("p", PropExpr::eq("view", true), 1),
+        ),
+    };
+    for i in 0..live {
+        let r = pm.request(spec(format!("pre-{i}"), "bench", held(i)));
+        assert!(
+            r.expect("rm ok").decision.is_granted(),
+            "standing grant {i}"
+        );
     }
+    grant_release_us(&pm, probe, iters)
+}
+
+/// A single-predicate promise request from `client`.
+fn spec(request: String, client: &str, predicate: Predicate) -> PromiseRequestSpec {
+    PromiseRequestSpec::new(request.as_str(), client).predicate(predicate)
 }
 
 fn grant_release_us(pm: &PromiseManager, predicate: Predicate, iters: usize) -> f64 {
@@ -218,13 +193,7 @@ fn grant_release_us(pm: &PromiseManager, predicate: Predicate, iters: usize) -> 
     mean_us(iters, || {
         n += 1;
         let resp = pm
-            .request(
-                PromiseRequestSpec::new(
-                    promises_core::RequestId(format!("bench-{n}")),
-                    promises_core::ClientId("bench".into()),
-                )
-                .predicate(predicate.clone()),
-            )
+            .request(spec(format!("bench-{n}"), "bench", predicate.clone()))
             .expect("rm ok");
         let id = resp
             .decision
@@ -486,13 +455,7 @@ pub fn e7_strategy(rooms: usize, strategy: CheckStrategy) -> E7Outcome {
         let mut ask = |pred: Predicate| {
             n += 1;
             let resp = pm
-                .request(
-                    PromiseRequestSpec::new(
-                        promises_core::RequestId(format!("e7-{n}")),
-                        promises_core::ClientId("bench".into()),
-                    )
-                    .predicate(pred),
-                )
+                .request(spec(format!("e7-{n}"), "bench", pred))
                 .expect("rm ok");
             if resp.decision.is_granted() {
                 granted += 1;
@@ -544,13 +507,11 @@ pub fn e8_race(trials: usize, atomic: bool) -> E8Outcome {
     for trial in 0..trials {
         let pm = crate::setup::pm_with_qty_pool("unit", 1);
         let p = pm
-            .request(
-                PromiseRequestSpec::new(
-                    promises_core::RequestId(format!("hold-{trial}")),
-                    promises_core::ClientId("protected".into()),
-                )
-                .predicate(Predicate::qty_at_least("unit", 1)),
-            )
+            .request(spec(
+                format!("hold-{trial}"),
+                "protected",
+                Predicate::qty_at_least("unit", 1),
+            ))
             .expect("rm ok")
             .decision
             .granted_id()
@@ -566,13 +527,11 @@ pub fn e8_race(trials: usize, atomic: bool) -> E8Outcome {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     n += 1;
                     let resp = pm
-                        .request(
-                            PromiseRequestSpec::new(
-                                promises_core::RequestId(format!("steal-{n}")),
-                                promises_core::ClientId("competitor".into()),
-                            )
-                            .predicate(Predicate::qty_at_least("unit", 1)),
-                        )
+                        .request(spec(
+                            format!("steal-{n}"),
+                            "competitor",
+                            Predicate::qty_at_least("unit", 1),
+                        ))
                         .expect("rm ok");
                     if let Some(id) = resp.decision.granted_id() {
                         got += 1;
@@ -669,11 +628,11 @@ pub fn e9_ttl(ttl_ms: u64, n: usize, think_ms: u64, abandon_every: usize) -> E9O
     for i in 0..n {
         let resp = pm
             .request(
-                PromiseRequestSpec::new(
-                    promises_core::RequestId(format!("p1-{i}")),
-                    promises_core::ClientId("pop1".into()),
+                spec(
+                    format!("p1-{i}"),
+                    "pop1",
+                    Predicate::qty_at_least("capacity", 1),
                 )
-                .predicate(Predicate::qty_at_least("capacity", 1))
                 .duration_ms(ttl_ms),
             )
             .expect("rm ok");
@@ -706,11 +665,11 @@ pub fn e9_ttl(ttl_ms: u64, n: usize, think_ms: u64, abandon_every: usize) -> E9O
     for i in 0..n / 4 {
         let resp = pm
             .request(
-                PromiseRequestSpec::new(
-                    promises_core::RequestId(format!("p2-{i}")),
-                    promises_core::ClientId("pop2".into()),
+                spec(
+                    format!("p2-{i}"),
+                    "pop2",
+                    Predicate::qty_at_least("capacity", 1),
                 )
-                .predicate(Predicate::qty_at_least("capacity", 1))
                 .duration_ms(ttl_ms),
             )
             .expect("rm ok");
@@ -733,13 +692,11 @@ pub fn e10_delegation(depth: usize, iters: usize) -> f64 {
     mean_us(iters, || {
         n += 1;
         let resp = front
-            .request(
-                PromiseRequestSpec::new(
-                    promises_core::RequestId(format!("d-{n}")),
-                    promises_core::ClientId("bench".into()),
-                )
-                .predicate(Predicate::qty_at_least("stock", 1)),
-            )
+            .request(spec(
+                format!("d-{n}"),
+                "bench",
+                Predicate::qty_at_least("stock", 1),
+            ))
             .expect("rm ok");
         let id = resp.decision.granted_id().expect("ample stock");
         front.release(id).expect("release");
@@ -903,10 +860,11 @@ pub fn e12_overhead(clients: usize, ops: usize, qty: u64, standing_per_pool: usi
 // E13 — cluster: shard-count throughput scaling + cross-shard mix
 // ======================================================================
 
-/// One E13 row: a shard count and the measured workload outcome.
+/// One row of a shard-count scaling table (E13 and E19 share the shape
+/// and the driver; they differ in service time, seed and request ids).
 #[derive(Debug, Clone, Copy)]
-pub struct E13Row {
-    /// Cluster size.
+pub struct ScalingRow {
+    /// Cluster size (one dedicated worker thread per shard).
     pub shards: usize,
     /// Grant+release operations per wall-clock second.
     pub throughput: f64,
@@ -914,8 +872,12 @@ pub struct E13Row {
     pub granted: u64,
     /// Unit rejections.
     pub rejected: u64,
-    /// Mean grant latency in microseconds.
-    pub mean_grant_us: f64,
+    /// Mean wall-clock latency per op, microseconds.
+    pub mean_op_us: f64,
+    /// Journal flush writes across the cluster (group-commit batches).
+    pub flush_writes: u64,
+    /// Journal records covered by those writes.
+    pub flushed_records: u64,
 }
 
 /// Modeled per-message service time for the E13 scaling runs: each shard
@@ -923,67 +885,62 @@ pub struct E13Row {
 /// it ran on its own machine (see [`promises_cluster::ShardServer`]).
 pub const E13_SERVICE_US: u64 = 100;
 
-/// Runs the E13 scaling workload on a `shards`-node cluster: `clients`
-/// concurrent clients, each pinned to its own pool (pools spread
-/// round-robin, so shard load divides evenly), driving single-shard
-/// grant+release cycles through the coordinator's fast path. Every node
-/// is modeled as a single-threaded server with a fixed per-message
-/// service time, so with one shard the whole offered load funnels
-/// through one serialized loop, while N shards serve their pinned
-/// clients' requests in parallel — the throughput a real cluster buys by
-/// adding machines.
-pub fn e13_cluster_scaling(shards: usize, clients: usize, ops_per_client: usize) -> E13Row {
-    use promises_cluster::{ClusterDecision, PromiseCluster};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let cluster = PromiseCluster::build(shards, 2013);
-    cluster.set_service_time_us(E13_SERVICE_US);
+/// The scaling workload behind E13 and E19: `clients` concurrent clients,
+/// each pinned to its own pool (pools spread round-robin, so shard load
+/// divides evenly), drive single-shard grant+release cycles through the
+/// coordinator's fast path against a `shards`-node cluster whose worker
+/// threads sleep `service_us` per message. With one shard the whole
+/// offered load funnels through one serialized loop, while N shards
+/// overlap their service time — the *shape* adding machines buys. The
+/// sleep dominates, so this is modeled-time scaling, not throughput.
+fn cluster_scaling(
+    tag: &str,
+    seed: u64,
+    service_us: u64,
+    shards: usize,
+    clients: usize,
+    ops_per_client: usize,
+) -> ScalingRow {
+    let cluster = PromiseCluster::build(shards, seed);
+    cluster.set_service_time_us(service_us);
     for c in 0..clients {
         cluster.register_quantity_pool(&pool_name(c), 1_000_000);
     }
-    let granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let cluster = &cluster;
-            let granted = &granted;
-            let rejected = &rejected;
-            scope.spawn(move || {
-                let predicates = vec![format!("qty('{}') >= 2", pool_name(c))];
-                for op in 0..ops_per_client {
-                    let decision = cluster
-                        .coordinator
-                        .grant(
-                            &format!("client-{c}"),
-                            &format!("e13-{c}-{op}"),
-                            &predicates,
-                            3_600_000,
-                        )
-                        .expect("quiet bus cannot fail");
-                    match decision {
-                        ClusterDecision::Granted { parts } => {
-                            granted.fetch_add(1, Ordering::Relaxed);
-                            cluster.coordinator.release(&parts);
-                        }
-                        ClusterDecision::Rejected { .. } => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
+    let run = drive_clients(
+        &cluster,
+        clients,
+        0..ops_per_client,
+        |_| 0,
+        |c, op, _| ClientOp {
+            rid: format!("{tag}-{c}-{op}"),
+            predicates: vec![format!("qty('{}') >= 2", pool_name(c))],
+            release: Release::Always,
+        },
+    );
     let wall = start.elapsed().as_secs_f64().max(1e-9);
+    run.assert_quiet(tag);
     let total = (clients * ops_per_client) as f64;
-    E13Row {
+    let (flush_writes, flushed_records) = cluster
+        .nodes
+        .iter()
+        .map(|n| n.journal.flush_stats())
+        .fold((0, 0), |(w, r), (nw, nr)| (w + nw, r + nr));
+    ScalingRow {
         shards,
         throughput: total / wall,
-        granted: granted.into_inner(),
-        rejected: rejected.into_inner(),
-        mean_grant_us: wall * 1e6 / total,
+        granted: run.tally.granted,
+        rejected: run.tally.rejected,
+        mean_op_us: wall * 1e6 / total,
+        flush_writes,
+        flushed_records,
     }
+}
+
+/// Runs the E13 scaling workload ([`cluster_scaling`] at
+/// [`E13_SERVICE_US`]) on a `shards`-node cluster.
+pub fn e13_cluster_scaling(shards: usize, clients: usize, ops_per_client: usize) -> ScalingRow {
+    cluster_scaling("e13", 2013, E13_SERVICE_US, shards, clients, ops_per_client)
 }
 
 // ======================================================================
@@ -1141,9 +1098,6 @@ pub fn e15_lease_locality(
     ops_per_client: usize,
     leases: bool,
 ) -> E15Row {
-    use promises_cluster::{ClusterDecision, PromiseCluster};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
     let cluster = PromiseCluster::build(shards, 2015);
     if leases {
         let dir = cluster.enable_leases();
@@ -1168,52 +1122,39 @@ pub fn e15_lease_locality(
     let streams: Vec<_> = (0..clients).map(|c| workload.ops_for_client(c)).collect();
 
     // Drives every client through `range` of its op stream concurrently.
-    let drive = |range: std::ops::Range<usize>, granted: &AtomicU64, rejected: &AtomicU64| {
-        std::thread::scope(|scope| {
-            for (c, stream) in streams.iter().enumerate() {
-                let cluster = &cluster;
-                let range = range.clone();
-                scope.spawn(move || {
-                    for i in range {
-                        let op = &stream[i];
-                        let predicates = vec![format!(
-                            "qty('{}') >= {}",
-                            pool_name(op.pools[0]),
-                            op.amount
-                        )];
-                        let decision = cluster
-                            .coordinator
-                            .grant(
-                                &format!("client-{c}"),
-                                &format!("e15-{c}-{i}"),
-                                &predicates,
-                                3_600_000,
-                            )
-                            .expect("quiet bus cannot fail");
-                        match decision {
-                            ClusterDecision::Granted { parts } => {
-                                granted.fetch_add(1, Ordering::Relaxed);
-                                if !op.abandon {
-                                    cluster.coordinator.release(&parts);
-                                }
-                            }
-                            ClusterDecision::Rejected { .. } => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
+    let drive = |range: std::ops::Range<usize>| {
+        let run = drive_clients(
+            &cluster,
+            clients,
+            range,
+            |_| 0,
+            |c, i, _| {
+                let op = &streams[c][i];
+                ClientOp {
+                    rid: format!("e15-{c}-{i}"),
+                    predicates: vec![format!(
+                        "qty('{}') >= {}",
+                        pool_name(op.pools[0]),
+                        op.amount
+                    )],
+                    release: if op.abandon {
+                        Release::Never
+                    } else {
+                        Release::Always
+                    },
+                }
+            },
+        );
+        run.assert_quiet("e15");
+        run.tally
     };
 
     // Warm-up: half the stream, with a rebalance cycle after each quarter
     // so lease headroom has chased the Zipf head before we measure.
     let warmup = ops_per_client / 2;
-    let sink = (AtomicU64::new(0), AtomicU64::new(0));
-    drive(0..warmup / 2, &sink.0, &sink.1);
+    drive(0..warmup / 2);
     cluster.advance_and_prune(10_000);
-    drive(warmup / 2..warmup, &sink.0, &sink.1);
+    drive(warmup / 2..warmup);
     cluster.advance_and_prune(10_000);
 
     let counter = |name: &str| cluster.telemetry.counter(name).load(Ordering::Relaxed);
@@ -1230,10 +1171,8 @@ pub fn e15_lease_locality(
     let hot_fallback_before = snap_hot("fallback");
 
     // Measure phase.
-    let granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
     let start = Instant::now();
-    drive(warmup..ops_per_client, &granted, &rejected);
+    let measured = drive(warmup..ops_per_client);
     let wall = start.elapsed().as_secs_f64().max(1e-9);
 
     let hot_local = snap_hot("local") - hot_local_before;
@@ -1243,8 +1182,8 @@ pub fn e15_lease_locality(
         shards,
         leases,
         throughput: (clients * (ops_per_client - warmup)) as f64 / wall,
-        granted: granted.into_inner(),
-        rejected: rejected.into_inner(),
+        granted: measured.granted,
+        rejected: measured.rejected,
         local_grants: counter("cluster.lease.local_grants") - local_before,
         coordinator_fallbacks: counter("cluster.lease.coordinator_fallbacks") - fallback_before,
         hot_local_ratio: if hot_routed == 0 {
@@ -1258,27 +1197,6 @@ pub fn e15_lease_locality(
 // ======================================================================
 // E19 — thread-per-shard runtime: wall-clock scaling and group commit
 // ======================================================================
-
-/// One E19 row: a shard count and the wall-clock workload outcome on the
-/// threaded executor (real shard threads, real concurrent clients — no
-/// modeled-time accounting anywhere in the measurement).
-#[derive(Debug, Clone, Copy)]
-pub struct E19Row {
-    /// Cluster size (one dedicated worker thread per shard).
-    pub shards: usize,
-    /// Grant+release operations per wall-clock second.
-    pub throughput: f64,
-    /// Unit grants confirmed.
-    pub granted: u64,
-    /// Unit rejections.
-    pub rejected: u64,
-    /// Mean wall-clock latency per op, microseconds.
-    pub mean_op_us: f64,
-    /// Journal flush writes across the cluster (group-commit batches).
-    pub flush_writes: u64,
-    /// Journal records covered by those writes.
-    pub flushed_records: u64,
-}
 
 /// Modeled per-message service time for the E19 scaling runs. Larger than
 /// E13's so the run is sleep-dominated even on a single-core test box:
@@ -1297,72 +1215,13 @@ pub const E19_CLIENTS: usize = 16;
 /// in-flight flush, short enough that the probe stays quick.
 pub const E19_FLUSH_DELAY_US: u64 = 150;
 
-/// Runs the E19 wall-clock scaling workload: `clients` real client
-/// threads drive single-shard grant+release cycles against a
-/// `shards`-node cluster where each node's dedicated worker thread
-/// executes a fixed modeled service time per message. Unlike E13 (which
-/// this supersedes as the concurrency gate), every number here is
-/// wall-clock: arrival-to-reply time measured across real thread
-/// handoffs, the group-commit barrier included.
-pub fn e19_thread_scaling(shards: usize, clients: usize, ops_per_client: usize) -> E19Row {
-    use promises_cluster::{ClusterDecision, PromiseCluster};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let cluster = PromiseCluster::build(shards, 2019);
-    cluster.set_service_time_us(E19_SERVICE_US);
-    for c in 0..clients {
-        cluster.register_quantity_pool(&pool_name(c), 1_000_000);
-    }
-    let granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let cluster = &cluster;
-            let granted = &granted;
-            let rejected = &rejected;
-            scope.spawn(move || {
-                let predicates = vec![format!("qty('{}') >= 2", pool_name(c))];
-                for op in 0..ops_per_client {
-                    let decision = cluster
-                        .coordinator
-                        .grant(
-                            &format!("client-{c}"),
-                            &format!("e19-{c}-{op}"),
-                            &predicates,
-                            3_600_000,
-                        )
-                        .expect("quiet bus cannot fail");
-                    match decision {
-                        ClusterDecision::Granted { parts } => {
-                            granted.fetch_add(1, Ordering::Relaxed);
-                            cluster.coordinator.release(&parts);
-                        }
-                        ClusterDecision::Rejected { .. } => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let total = (clients * ops_per_client) as f64;
-    let (flush_writes, flushed_records) = cluster
-        .nodes
-        .iter()
-        .map(|n| n.journal.flush_stats())
-        .fold((0, 0), |(w, r), (nw, nr)| (w + nw, r + nr));
-    E19Row {
-        shards,
-        throughput: total / wall,
-        granted: granted.into_inner(),
-        rejected: rejected.into_inner(),
-        mean_op_us: wall * 1e6 / total,
-        flush_writes,
-        flushed_records,
-    }
+/// Runs the E19 scaling workload ([`cluster_scaling`] at
+/// [`E19_SERVICE_US`]): the concurrency gate for the thread-per-shard
+/// executor. Every number is wall-clock — arrival-to-reply time measured
+/// across real thread handoffs, the group-commit barrier included — but
+/// the service sleep dominates it.
+pub fn e19_thread_scaling(shards: usize, clients: usize, ops_per_client: usize) -> ScalingRow {
+    cluster_scaling("e19", 2019, E19_SERVICE_US, shards, clients, ops_per_client)
 }
 
 /// The E19b group-commit amortization probe: one shard grown to a small
@@ -1378,8 +1237,6 @@ pub fn e19_group_commit_amortization(
     clients: usize,
     ops_per_client: usize,
 ) -> (u64, u64) {
-    use promises_cluster::{ClusterDecision, PromiseCluster};
-
     let mut cluster = PromiseCluster::build(1, 2019);
     cluster.nodes[0].server.set_workers(workers);
     // Modeled service time plus modeled write latency open the batching
@@ -1398,24 +1255,17 @@ pub fn e19_group_commit_amortization(
     for c in 0..clients {
         cluster.register_quantity_pool(&pool_name(c), 1_000_000);
     }
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let cluster = &cluster;
-            scope.spawn(move || {
-                let predicates = vec![format!("qty('{}') >= 1", pool_name(c))];
-                for op in 0..ops_per_client {
-                    if let Ok(ClusterDecision::Granted { parts }) = cluster.coordinator.grant(
-                        &format!("client-{c}"),
-                        &format!("e19b-{c}-{op}"),
-                        &predicates,
-                        3_600_000,
-                    ) {
-                        cluster.coordinator.release(&parts);
-                    }
-                }
-            });
-        }
-    });
+    drive_clients(
+        &cluster,
+        clients,
+        0..ops_per_client,
+        |_| 0,
+        |c, op, _| ClientOp {
+            rid: format!("e19b-{c}-{op}"),
+            predicates: vec![format!("qty('{}') >= 1", pool_name(c))],
+            release: Release::Always,
+        },
+    );
     cluster.nodes[0].journal.flush_stats()
 }
 

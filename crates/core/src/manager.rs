@@ -583,15 +583,10 @@ impl PromiseManager {
     }
 
     /// Caps the number of live promises; requests beyond the cap are
-    /// rejected immediately with [`RejectReason::Overloaded`] (0 = no cap).
-    pub fn with_overload_limit(self, limit: usize) -> Self {
-        self.overload_limit.store(limit, Ordering::Relaxed);
-        self
-    }
-
-    /// Runtime setter for the overload cap (0 = no cap) — lets operators
-    /// (and the workload plane's admission experiments) tighten or lift
-    /// fail-fast admission on a live manager.
+    /// rejected immediately with [`RejectReason::Overloaded`] (0 = no
+    /// cap). A runtime setter, so operators (and the workload plane's
+    /// admission experiments) can tighten or lift fail-fast admission on
+    /// a live manager.
     pub fn set_overload_limit(&self, limit: usize) {
         self.overload_limit.store(limit, Ordering::Relaxed);
     }
@@ -610,11 +605,6 @@ impl PromiseManager {
     pub fn with_compaction_threshold(self, records: usize) -> Self {
         self.compaction_threshold.store(records, Ordering::Relaxed);
         self
-    }
-
-    /// Runtime setter for the auto-compaction trigger (0 disables).
-    pub fn set_compaction_threshold(&self, records: usize) {
-        self.compaction_threshold.store(records, Ordering::Relaxed);
     }
 
     /// Arms a one-shot crash inside the next [`PromiseManager::compact`]
@@ -642,11 +632,6 @@ impl PromiseManager {
     pub fn with_locking_mode(mut self, mode: LockingMode) -> Self {
         self.locking = mode;
         self
-    }
-
-    /// The active locking mode.
-    pub fn locking_mode(&self) -> LockingMode {
-        self.locking
     }
 
     /// The underlying resource manager.

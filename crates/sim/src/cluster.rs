@@ -28,16 +28,20 @@
 //! mid-rebalance crash, per-shard crash–restart with digest comparison,
 //! and a heal check that the lease sum returns to the pool total.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::ops::{AddAssign, Deref};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use promises_cluster::{ClusterDecision, CoordError, CrashPoint, GrantPart, PromiseCluster};
+use promises_cluster::{CoordError, CrashPoint, PromiseCluster};
 use promises_core::{
     ClientId, Clock, JournalOp, PoolSchema, PromiseId, PromiseJournal, PromiseManager, RequestId,
 };
 use promises_faults::{FaultInjector, FaultScenario};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use crate::clients::{drive_clients, ClientOp, ClientRun, OpOutcome, Release};
+use crate::workload::pool_name;
 
 /// Shape of a cluster fault-sweep workload.
 #[derive(Debug, Clone, Copy)]
@@ -88,25 +92,11 @@ impl Default for ClusterSweepConfig {
     }
 }
 
-/// Outcome of one cluster sweep, including the post-run audits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClusterRunReport {
-    /// Grant attempts.
-    pub attempts: u64,
-    /// Unit grants confirmed (single- and cross-shard).
-    pub granted: u64,
-    /// Cross-shard grants among `granted`.
-    pub cross_shard_granted: u64,
-    /// Unit rejections.
-    pub rejected: u64,
-    /// Coordinator crashes injected (transactions left for recovery).
-    pub crashed: u64,
-    /// Transport-level failures surfaced by the coordinator.
-    pub transport_failures: u64,
-    /// Undecided transactions recovery presumed aborted.
-    pub presumed_aborted: u64,
-    /// Committed transactions whose resolutions recovery resent.
-    pub commits_resent: u64,
+/// The always-zero columns every cluster sweep audits after the dust
+/// settles (see the module docs for each guarantee). Audits of several
+/// clusters add up with `+=`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterAudit {
     /// Transactions whose observable outcome was not all-or-nothing.
     /// The §4 unit guarantee says **always zero**.
     pub partial_grants: u64,
@@ -129,6 +119,50 @@ pub struct ClusterRunReport {
     /// Pools whose cluster-wide lease sum exceeded the registered quantity
     /// (leases only — lease units must never be minted). **Always zero.**
     pub lease_sum_violations: u64,
+}
+
+impl ClusterAudit {
+    /// True when every audited guarantee held.
+    pub fn clean(&self) -> bool {
+        *self == Self::default()
+    }
+}
+
+impl AddAssign for ClusterAudit {
+    fn add_assign(&mut self, o: Self) {
+        self.partial_grants += o.partial_grants;
+        self.double_grants += o.double_grants;
+        self.oversells += o.oversells;
+        self.live_after_reap += o.live_after_reap;
+        self.dedup_after_reap += o.dedup_after_reap;
+        self.tombstones_after_reap += o.tombstones_after_reap;
+        self.lease_oversells += o.lease_oversells;
+        self.lease_sum_violations += o.lease_sum_violations;
+    }
+}
+
+/// Outcome of one cluster sweep, including the post-run audits (read
+/// through `Deref`: `report.partial_grants`, `report.clean()`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ClusterRunReport {
+    /// Grant attempts.
+    pub attempts: u64,
+    /// Unit grants confirmed (single- and cross-shard).
+    pub granted: u64,
+    /// Cross-shard grants among `granted`.
+    pub cross_shard_granted: u64,
+    /// Unit rejections.
+    pub rejected: u64,
+    /// Coordinator crashes injected (transactions left for recovery).
+    pub crashed: u64,
+    /// Transport-level failures surfaced by the coordinator.
+    pub transport_failures: u64,
+    /// Undecided transactions recovery presumed aborted.
+    pub presumed_aborted: u64,
+    /// Committed transactions whose resolutions recovery resent.
+    pub commits_resent: u64,
+    /// The always-zero guarantee audits.
+    pub audit: ClusterAudit,
     /// Orphan Abort records recovery replay tolerated (counted, not
     /// swallowed).
     pub orphan_aborts: u64,
@@ -136,17 +170,10 @@ pub struct ClusterRunReport {
     pub elapsed: Duration,
 }
 
-impl ClusterRunReport {
-    /// True when every audited guarantee held.
-    pub fn clean(&self) -> bool {
-        self.partial_grants == 0
-            && self.double_grants == 0
-            && self.oversells == 0
-            && self.live_after_reap == 0
-            && self.dedup_after_reap == 0
-            && self.tombstones_after_reap == 0
-            && self.lease_oversells == 0
-            && self.lease_sum_violations == 0
+impl Deref for ClusterRunReport {
+    type Target = ClusterAudit;
+    fn deref(&self) -> &ClusterAudit {
+        &self.audit
     }
 }
 
@@ -175,21 +202,7 @@ pub fn cluster_harness(scenario: FaultScenario, cfg: &ClusterSweepConfig) -> Pro
 fn cross_shard_pools(cfg: &ClusterSweepConfig, rng: &mut StdRng) -> (String, String) {
     let a = rng.random_range(0..cfg.pools);
     let b = (a + 1) % cfg.pools;
-    (crate::workload::pool_name(a), crate::workload::pool_name(b))
-}
-
-/// What one workload op observed, recorded for the post-run audit.
-enum OpOutcome {
-    /// Unit grant; `released` if the client then released the parts.
-    Granted {
-        parts: Vec<GrantPart>,
-        released: bool,
-    },
-    /// Unit rejection, or a transport failure the coordinator aborted.
-    RejectedOrAborted,
-    /// The coordinator crashed mid-transaction; the coordinator log
-    /// decides the expected outcome.
-    Crashed,
+    (pool_name(a), pool_name(b))
 }
 
 /// Drives `cfg.clients` concurrent clients through the coordinator under
@@ -201,88 +214,41 @@ pub fn run_cluster_fault_sweep(
     cfg: &ClusterSweepConfig,
 ) -> (ClusterRunReport, PromiseCluster) {
     let cluster = cluster_harness(scenario, cfg);
-    let granted = AtomicU64::new(0);
-    let cross_granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let crashed = AtomicU64::new(0);
-    let transport = AtomicU64::new(0);
-    let outcomes: Mutex<Vec<(String, String, OpOutcome)>> = Mutex::new(Vec::new());
-
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..cfg.clients {
-            let cluster = &cluster;
-            let granted = &granted;
-            let cross_granted = &cross_granted;
-            let rejected = &rejected;
-            let crashed = &crashed;
-            let transport = &transport;
-            let outcomes = &outcomes;
-            let cfg = *cfg;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 6151));
-                let client = format!("client-{c}");
-                for op in 0..cfg.ops_per_client {
-                    let cross = cfg.shards > 1 && rng.random_bool(cfg.cross_shard_probability);
-                    let amount = rng.random_range(1..=cfg.amount_max);
-                    let predicates = if cross {
-                        let (pa, pb) = cross_shard_pools(&cfg, &mut rng);
-                        let amount_b = rng.random_range(1..=cfg.amount_max);
-                        vec![
-                            format!("qty('{pa}') >= {amount}"),
-                            format!("qty('{pb}') >= {amount_b}"),
-                        ]
-                    } else {
-                        let pool = crate::workload::pool_name(rng.random_range(0..cfg.pools));
-                        vec![format!("qty('{pool}') >= {amount}")]
-                    };
-                    if cross && rng.random_bool(cfg.crash_probability) {
-                        let point = if rng.random_bool(0.5) {
-                            CrashPoint::AfterPrepare
-                        } else {
-                            CrashPoint::AfterCommitLogged
-                        };
-                        cluster.coordinator.set_crash_point(Some(point));
-                    }
-                    let rid = format!("c{c}-o{op}");
-                    let outcome =
-                        match cluster
-                            .coordinator
-                            .grant(&client, &rid, &predicates, 3_600_000)
-                        {
-                            Ok(ClusterDecision::Granted { parts }) => {
-                                granted.fetch_add(1, Ordering::Relaxed);
-                                if parts.len() > 1 {
-                                    cross_granted.fetch_add(1, Ordering::Relaxed);
-                                }
-                                let released = rng.random_bool(cfg.release_probability);
-                                if released {
-                                    cluster.coordinator.release(&parts);
-                                }
-                                OpOutcome::Granted { parts, released }
-                            }
-                            Ok(ClusterDecision::Rejected { .. }) => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                                OpOutcome::RejectedOrAborted
-                            }
-                            Err(CoordError::Crashed(_)) => {
-                                crashed.fetch_add(1, Ordering::Relaxed);
-                                OpOutcome::Crashed
-                            }
-                            Err(CoordError::Transport(_)) => {
-                                transport.fetch_add(1, Ordering::Relaxed);
-                                OpOutcome::RejectedOrAborted
-                            }
-                            Err(e) => panic!("unexpected coordinator error: {e}"),
-                        };
-                    outcomes
-                        .lock()
-                        .unwrap()
-                        .push((client.clone(), rid, outcome));
-                }
-            });
-        }
-    });
+    let run = drive_clients(
+        &cluster,
+        cfg.clients,
+        0..cfg.ops_per_client,
+        |c| cfg.seed.wrapping_add(c as u64 * 6151),
+        |c, op, rng| {
+            let cross = cfg.shards > 1 && rng.random_bool(cfg.cross_shard_probability);
+            let amount = rng.random_range(1..=cfg.amount_max);
+            let predicates = if cross {
+                let (pa, pb) = cross_shard_pools(cfg, rng);
+                let amount_b = rng.random_range(1..=cfg.amount_max);
+                vec![
+                    format!("qty('{pa}') >= {amount}"),
+                    format!("qty('{pb}') >= {amount_b}"),
+                ]
+            } else {
+                let pool = pool_name(rng.random_range(0..cfg.pools));
+                vec![format!("qty('{pool}') >= {amount}")]
+            };
+            if cross && rng.random_bool(cfg.crash_probability) {
+                let point = if rng.random_bool(0.5) {
+                    CrashPoint::AfterPrepare
+                } else {
+                    CrashPoint::AfterCommitLogged
+                };
+                cluster.coordinator.set_crash_point(Some(point));
+            }
+            ClientOp {
+                rid: format!("c{c}-o{op}"),
+                predicates,
+                release: Release::Chance(cfg.release_probability),
+            }
+        },
+    );
     let elapsed = start.elapsed();
 
     // ---- Audits run on a quiet system. ----
@@ -292,20 +258,20 @@ pub fn run_cluster_fault_sweep(
         .recover()
         .expect("coordinator recovery succeeds");
 
-    let mut report = ClusterRunReport {
-        attempts: (cfg.clients * cfg.ops_per_client) as u64,
-        granted: granted.into_inner(),
-        cross_shard_granted: cross_granted.into_inner(),
-        rejected: rejected.into_inner(),
-        crashed: crashed.into_inner(),
-        transport_failures: transport.into_inner(),
+    let t = run.tally;
+    let report = ClusterRunReport {
+        attempts: t.attempts,
+        granted: t.granted,
+        cross_shard_granted: t.cross_shard_granted,
+        rejected: t.rejected,
+        crashed: t.crashed,
+        transport_failures: t.transport_failures,
         presumed_aborted: recovery.presumed_aborted as u64,
         commits_resent: recovery.commits_resent as u64,
+        audit: audit_cluster(&cluster, &run),
         orphan_aborts: recovery.orphan_aborts as u64,
         elapsed,
-        ..ClusterRunReport::default()
     };
-    audit_cluster(&cluster, &outcomes.into_inner().unwrap(), &mut report);
     (report, cluster)
 }
 
@@ -331,11 +297,8 @@ fn committed_hold(
 /// coordinator log — logged-committed means every part lives, anything
 /// else means no committed hold survives. Unresolved *prepared* holds are
 /// in doubt, not grants, and fall to the leak audit.
-fn audit_cluster(
-    cluster: &PromiseCluster,
-    outcomes: &[(String, String, OpOutcome)],
-    report: &mut ClusterRunReport,
-) {
+fn audit_cluster(cluster: &PromiseCluster, run: &ClientRun) -> ClusterAudit {
+    let mut report = ClusterAudit::default();
     let summary = cluster
         .coordinator
         .log()
@@ -347,7 +310,7 @@ fn audit_cluster(
         .map(|(txn, shards)| ((txn.client.clone(), txn.request.clone()), shards.clone()))
         .collect();
 
-    for (client, rid, outcome) in outcomes {
+    for (client, rid, outcome) in &run.outcomes {
         let partial = match outcome {
             OpOutcome::Granted { released: true, .. } => false, // leak audit covers
             OpOutcome::Granted {
@@ -430,6 +393,7 @@ fn audit_cluster(
     cluster.advance_and_prune(400_000);
     report.dedup_after_reap = cluster.coordinator.dedup_len();
     report.tombstones_after_reap = cluster.nodes.iter().map(|n| n.pm.tombstone_count()).sum();
+    report
 }
 
 /// Cluster-wide lease sum for one pool, read from the authoritative
@@ -559,69 +523,45 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
     cluster.bus.set_fault_injector(None);
 
     let cdf = crate::workload::zipf_cdf(cfg.pools, 1.1);
-    let granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-
     let rounds = 4usize;
     let per_round = cfg.ops_per_client.div_ceil(rounds).max(1);
+    let mut run = ClientRun::default();
     let start = Instant::now();
     for round in 0..rounds {
-        std::thread::scope(|scope| {
-            for c in 0..cfg.clients {
-                let cluster = &cluster;
-                let cdf = &cdf;
-                let granted = &granted;
-                let rejected = &rejected;
-                let cfg = leased_cfg;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed ^ ((round * 8191 + c) as u64).wrapping_mul(0x9E3779B9),
-                    );
-                    let client = format!("client-{c}");
-                    for op in 0..per_round {
-                        let first = crate::workload::sample_zipf(cdf, &mut rng);
-                        let amount = rng.random_range(1..=cfg.amount_max);
-                        let mut predicates = vec![format!(
-                            "qty('{}') >= {amount}",
-                            crate::workload::pool_name(first)
-                        )];
-                        if cfg.pools > 1 && rng.random_bool(cfg.cross_shard_probability) {
-                            let mut second = crate::workload::sample_zipf(cdf, &mut rng);
-                            while second == first {
-                                second = crate::workload::sample_zipf(cdf, &mut rng);
-                            }
-                            predicates.push(format!(
-                                "qty('{}') >= {}",
-                                crate::workload::pool_name(second),
-                                rng.random_range(1..=cfg.amount_max)
-                            ));
-                        }
-                        let rid = format!("r{round}-c{c}-o{op}");
-                        match cluster
-                            .coordinator
-                            .grant(&client, &rid, &predicates, 3_600_000)
-                        {
-                            Ok(ClusterDecision::Granted { parts }) => {
-                                granted.fetch_add(1, Ordering::Relaxed);
-                                if rng.random_bool(cfg.release_probability) {
-                                    cluster.coordinator.release(&parts);
-                                }
-                            }
-                            Ok(ClusterDecision::Rejected { .. }) => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("quiet-bus lease sweep errored: {e}"),
-                        }
+        run += drive_clients(
+            &cluster,
+            cfg.clients,
+            0..per_round,
+            |c| cfg.seed ^ ((round * 8191 + c) as u64).wrapping_mul(0x9E3779B9),
+            |c, op, rng| {
+                let first = crate::workload::sample_zipf(&cdf, rng);
+                let amount = rng.random_range(1..=cfg.amount_max);
+                let mut predicates = vec![format!("qty('{}') >= {amount}", pool_name(first))];
+                if cfg.pools > 1 && rng.random_bool(cfg.cross_shard_probability) {
+                    let mut second = crate::workload::sample_zipf(&cdf, rng);
+                    while second == first {
+                        second = crate::workload::sample_zipf(&cdf, rng);
                     }
-                });
-            }
-        });
+                    predicates.push(format!(
+                        "qty('{}') >= {}",
+                        pool_name(second),
+                        rng.random_range(1..=cfg.amount_max)
+                    ));
+                }
+                ClientOp {
+                    rid: format!("r{round}-c{c}-o{op}"),
+                    predicates,
+                    release: Release::Chance(cfg.release_probability),
+                }
+            },
+        );
         if round + 1 < rounds {
             // Rebalance between rounds: headroom chases the Zipf head.
             cluster.advance_and_prune(10_000);
         }
     }
     let elapsed = start.elapsed();
+    run.assert_quiet("lease sweep");
 
     // Audit with holds still outstanding (the interesting instant).
     let (mut lease_oversells, mut lease_sum_violations) = audit_leases(&cluster);
@@ -659,9 +599,9 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
 
     let counter = |name: &str| cluster.telemetry.counter(name).load(Ordering::Relaxed);
     let report = LeaseSweepReport {
-        attempts: (cfg.clients * per_round * rounds) as u64,
-        granted: granted.into_inner(),
-        rejected: rejected.into_inner(),
+        attempts: run.tally.attempts,
+        granted: run.tally.granted,
+        rejected: run.tally.rejected,
         local_grants: counter("cluster.lease.local_grants"),
         coordinator_fallbacks: counter("cluster.lease.coordinator_fallbacks"),
         coord_log_skips: counter("cluster.lease.coord_log_skips"),
@@ -878,23 +818,9 @@ pub struct FailoverSweepReport {
     pub lease_sums_restored: bool,
     /// The digest triple for every fail-over. All must match.
     pub digests: Vec<FailoverDigests>,
-    /// Observable all-or-nothing violations. **Always zero.**
-    pub partial_grants: u64,
-    /// Duplicate grant-like journal records per (client, request).
-    /// **Always zero.**
-    pub double_grants: u64,
-    /// Shards with promised > on-hand. **Always zero.**
-    pub oversells: u64,
-    /// Shards with promised > lease (phase B). **Always zero.**
-    pub lease_oversells: u64,
-    /// Pools with Σ leases > total (phase B). **Always zero.**
-    pub lease_sum_violations: u64,
-    /// Promises surviving recovery + full expiry. **Always zero.**
-    pub live_after_reap: usize,
-    /// Coordinator dedup entries surviving the eviction grace. **Zero.**
-    pub dedup_after_reap: usize,
-    /// Shard tombstones surviving the eviction grace. **Zero.**
-    pub tombstones_after_reap: usize,
+    /// The always-zero guarantee audits, summed over both clusters (the
+    /// lease columns only ever count in phase B).
+    pub audit: ClusterAudit,
     /// Journal lines shipped over every replication link.
     pub repl_shipped_lines: u64,
     /// Shipments the `repl-drop` point lost in flight (each retried).
@@ -916,60 +842,24 @@ impl FailoverSweepReport {
 
     /// True when every audited guarantee held.
     pub fn clean(&self) -> bool {
-        self.partial_grants == 0
-            && self.double_grants == 0
-            && self.oversells == 0
-            && self.lease_oversells == 0
-            && self.lease_sum_violations == 0
-            && self.digests_match()
-            && self.lease_sums_restored
-            && self.live_after_reap == 0
-            && self.dedup_after_reap == 0
-            && self.tombstones_after_reap == 0
+        self.audit.clean() && self.digests_match() && self.lease_sums_restored
     }
 }
 
-/// Running grant tallies for [`run_failover_sweep`].
-#[derive(Debug, Default)]
-struct GrantCounters {
-    attempts: u64,
-    granted: u64,
-    rejected: u64,
+impl Deref for FailoverSweepReport {
+    type Target = ClusterAudit;
+    fn deref(&self) -> &ClusterAudit {
+        &self.audit
+    }
 }
 
-/// One audited grant attempt on a quiet bus: granted (maybe released) or
-/// rejected — any coordinator error fails the sweep outright.
-fn sweep_grant(
-    cluster: &PromiseCluster,
-    outcomes: &mut Vec<(String, String, OpOutcome)>,
-    rng: &mut StdRng,
-    counters: &mut GrantCounters,
-    client: &str,
-    rid: String,
-    predicates: &[String],
-) {
-    counters.attempts += 1;
-    match cluster
-        .coordinator
-        .grant(client, &rid, predicates, 3_600_000)
-    {
-        Ok(ClusterDecision::Granted { parts }) => {
-            counters.granted += 1;
-            let released = rng.random_bool(0.5);
-            if released {
-                cluster.coordinator.release(&parts);
-            }
-            outcomes.push((
-                client.to_owned(),
-                rid,
-                OpOutcome::Granted { parts, released },
-            ));
-        }
-        Ok(ClusterDecision::Rejected { .. }) => {
-            counters.rejected += 1;
-            outcomes.push((client.to_owned(), rid, OpOutcome::RejectedOrAborted));
-        }
-        Err(e) => panic!("unexpected coordinator error in failover sweep: {e}"),
+/// One audited grant on the fail-over sweep's quiet bus, released with
+/// probability one half.
+fn sweep_op(rid: String, predicates: Vec<String>) -> ClientOp {
+    ClientOp {
+        rid,
+        predicates,
+        release: Release::Chance(0.5),
     }
 }
 
@@ -1025,7 +915,6 @@ fn fail_over(
 pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepReport {
     const SHARDS: usize = 4;
     const CLIENTS: usize = 3;
-    const DURATION_MS: u64 = 3_600_000;
     let repl_injector = |salt: u64| {
         Some(Arc::new(FaultInjector::new(
             FaultScenario::quiet(seed ^ salt)
@@ -1035,7 +924,6 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
 
     let mut digests: Vec<FailoverDigests> = Vec::new();
     let mut mttrs: Vec<Duration> = Vec::new();
-    let mut counters = GrantCounters::default();
     let mut doomed_crashes = 0u64;
     let mut in_doubt_recovered = 0u64;
     let mut presumed_aborted = 0u64;
@@ -1056,38 +944,25 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
     cluster.bus.set_fault_injector(None);
     cluster.enable_replication();
     cluster.set_replication_faults(repl_injector(0x5EED0A));
-    let mut outcomes: Vec<(String, String, OpOutcome)> = Vec::new();
+    let mut run_a = ClientRun::default();
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(0xFA11));
     for k in 0..SHARDS {
+        let (pool, next) = (pool_name(k), pool_name((k + 1) % SHARDS));
         // Steady traffic: every client lands one single-shard grant on the
         // soon-to-die shard and one cross-shard grant spanning it.
         for c in 0..CLIENTS {
             let client = format!("client-{c}");
-            let pool = crate::workload::pool_name(k);
-            let next = crate::workload::pool_name((k + 1) % SHARDS);
             let amount = rng.random_range(1..=3);
-            sweep_grant(
-                &cluster,
-                &mut outcomes,
-                &mut rng,
-                &mut counters,
-                &client,
-                format!("f{k}-c{c}-single"),
-                &[format!("qty('{pool}') >= {amount}")],
-            );
+            let single = vec![format!("qty('{pool}') >= {amount}")];
+            let op = sweep_op(format!("f{k}-c{c}-single"), single);
+            run_a.step(&cluster, &mut rng, &client, op);
             let amount_b = rng.random_range(1..=3);
-            sweep_grant(
-                &cluster,
-                &mut outcomes,
-                &mut rng,
-                &mut counters,
-                &client,
-                format!("f{k}-c{c}-cross"),
-                &[
-                    format!("qty('{pool}') >= {amount}"),
-                    format!("qty('{next}') >= {amount_b}"),
-                ],
-            );
+            let cross = vec![
+                format!("qty('{pool}') >= {amount}"),
+                format!("qty('{next}') >= {amount_b}"),
+            ];
+            let op = sweep_op(format!("f{k}-c{c}-cross"), cross);
+            run_a.step(&cluster, &mut rng, &client, op);
         }
         // The doomed grant: crash the coordinator mid-2PC with shard k's
         // prepared hold outstanding, then kill shard k itself.
@@ -1097,7 +972,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
             CrashPoint::AfterCommitLogged
         };
         cluster.coordinator.set_crash_point(Some(point));
-        counters.attempts += 1;
+        run_a.tally.attempts += 1;
         doomed_crashes += 1;
         let rid = format!("kill{k}");
         let err = cluster
@@ -1105,18 +980,14 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
             .grant(
                 "doomed",
                 &rid,
-                &[
-                    format!("qty('{}') >= 5", crate::workload::pool_name(k)),
-                    format!(
-                        "qty('{}') >= 5",
-                        crate::workload::pool_name((k + 1) % SHARDS)
-                    ),
-                ],
-                DURATION_MS,
+                &[format!("qty('{pool}') >= 5"), format!("qty('{next}') >= 5")],
+                3_600_000,
             )
             .expect_err("armed coordinator crash fires");
         assert!(matches!(err, CoordError::Crashed(_)), "{err:?}");
-        outcomes.push(("doomed".to_owned(), rid, OpOutcome::Crashed));
+        run_a
+            .outcomes
+            .push(("doomed".to_owned(), rid, OpOutcome::Crashed));
 
         let recovery = fail_over(
             &mut cluster,
@@ -1138,22 +1009,15 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
 
         // The promoted leader serves on its epoch-fenced endpoint.
         for c in 0..CLIENTS {
-            let client = format!("client-{c}");
-            let pool = crate::workload::pool_name(k);
             let amount = rng.random_range(1..=3);
-            sweep_grant(
-                &cluster,
-                &mut outcomes,
-                &mut rng,
-                &mut counters,
-                &client,
+            let op = sweep_op(
                 format!("p{k}-c{c}"),
-                &[format!("qty('{pool}') >= {amount}")],
+                vec![format!("qty('{pool}') >= {amount}")],
             );
+            run_a.step(&cluster, &mut rng, &format!("client-{c}"), op);
         }
     }
-    let mut report_a = ClusterRunReport::default();
-    audit_cluster(&cluster, &outcomes, &mut report_a);
+    let mut audit = audit_cluster(&cluster, &run_a);
     let counter_a = |name: &str| cluster.telemetry.counter(name).load(Ordering::Relaxed);
     let mut repl_shipped = counter_a("cluster.repl.shipped_lines");
     let mut repl_dropped = counter_a("cluster.repl.dropped_shipments");
@@ -1172,7 +1036,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
     leased.bus.set_fault_injector(None);
     leased.enable_replication();
     leased.set_replication_faults(repl_injector(0x5EED0B));
-    let mut leased_outcomes: Vec<(String, String, OpOutcome)> = Vec::new();
+    let mut run_b = ClientRun::default();
     let mut rebalance_crashes_fired = 0u64;
     let mut lease_sums_restored = true;
     let totals = leased.registered_pools();
@@ -1181,17 +1045,13 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
         for c in 0..cfg_b.clients {
             let client = format!("client-{c}");
             for op in 0..4 {
-                let pool = crate::workload::pool_name(rng.random_range(0..cfg_b.pools));
+                let pool = pool_name(rng.random_range(0..cfg_b.pools));
                 let amount = rng.random_range(1..=3);
-                sweep_grant(
-                    &leased,
-                    &mut leased_outcomes,
-                    &mut rng,
-                    &mut counters,
-                    &client,
+                let op = sweep_op(
                     format!("L{j}-c{c}-o{op}"),
-                    &[format!("qty('{pool}') >= {amount}")],
+                    vec![format!("qty('{pool}') >= {amount}")],
                 );
+                run_b.step(&leased, &mut rng, &client, op);
             }
         }
         // The rebalance cycle dies between its withdraws and deposits —
@@ -1214,12 +1074,15 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
             .iter()
             .all(|(pool, total, _)| lease_sum(&leased, pool) == *total);
     }
-    let mut report_b = ClusterRunReport::default();
-    audit_cluster(&leased, &leased_outcomes, &mut report_b);
+    audit += audit_cluster(&leased, &run_b);
     let counter_b = |name: &str| leased.telemetry.counter(name).load(Ordering::Relaxed);
     repl_shipped += counter_b("cluster.repl.shipped_lines");
     repl_dropped += counter_b("cluster.repl.dropped_shipments");
 
+    // The doomed grants went to the coordinator directly, so on this
+    // quiet bus `step` itself must have seen no crash and no transport error.
+    run_a += run_b;
+    run_a.assert_quiet("failover sweep");
     let failovers = mttrs.len() as u64;
     let mttr_max = mttrs.iter().copied().max().unwrap_or_default();
     let mttr_mean = if mttrs.is_empty() {
@@ -1228,9 +1091,9 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
         mttrs.iter().sum::<Duration>() / mttrs.len() as u32
     };
     FailoverSweepReport {
-        attempts: counters.attempts,
-        granted: counters.granted,
-        rejected: counters.rejected,
+        attempts: run_a.tally.attempts,
+        granted: run_a.tally.granted,
+        rejected: run_a.tally.rejected,
         doomed_crashes,
         failovers,
         in_doubt_recovered,
@@ -1239,14 +1102,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
         rebalance_crashes_fired,
         lease_sums_restored,
         digests,
-        partial_grants: report_a.partial_grants + report_b.partial_grants,
-        double_grants: report_a.double_grants + report_b.double_grants,
-        oversells: report_a.oversells + report_b.oversells,
-        lease_oversells: report_a.lease_oversells + report_b.lease_oversells,
-        lease_sum_violations: report_a.lease_sum_violations + report_b.lease_sum_violations,
-        live_after_reap: report_a.live_after_reap + report_b.live_after_reap,
-        dedup_after_reap: report_a.dedup_after_reap + report_b.dedup_after_reap,
-        tombstones_after_reap: report_a.tombstones_after_reap + report_b.tombstones_after_reap,
+        audit,
         repl_shipped_lines: repl_shipped,
         repl_dropped_shipments: repl_dropped,
         mttr_max,
@@ -1416,6 +1272,18 @@ mod tests {
         );
         assert!(report.repl_shipped_lines > 0);
         assert_eq!(report.repl_dropped_shipments, 0);
+    }
+
+    /// Pinned to what the commit before the one-driver refactor produced:
+    /// the sweep is single-threaded, so any change to the order RNG draws
+    /// are taken in (amounts, then the release coin, per op) moves these.
+    #[test]
+    fn single_threaded_sweeps_replay_the_parent_op_streams() {
+        let r = run_failover_sweep(2007, 0.0);
+        assert_eq!((r.attempts, r.granted, r.rejected), (104, 97, 3));
+        assert_eq!((r.in_doubt_recovered, r.presumed_aborted), (4, 2));
+        assert_eq!((r.commits_resent, r.rebalance_crashes_fired), (34, 4));
+        assert!(r.digests_match() && r.lease_sums_restored && r.clean());
     }
 
     #[test]

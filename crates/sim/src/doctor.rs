@@ -25,16 +25,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use promises_cluster::{ClusterDecision, CoordError, CrashPoint, PromiseCluster};
+use promises_cluster::{CoordError, CrashPoint, PromiseCluster};
 use promises_faults::FaultScenario;
 use promises_telemetry::{
     FlightRecorder, HealthState, IncidentReport, Telemetry, Watchdog, WatchdogConfig, WatchdogTrip,
 };
-use promises_wire::{Envelope, PromiseRequestHeader, PromiseResult, RetryPolicy, RetryingClient};
+use promises_wire::{Envelope, PromiseResult, RetryPolicy, RetryingClient};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::clients::{ClientOp, ClientRun, Release};
 use crate::cluster::{cluster_harness, ClusterSweepConfig};
-use crate::faults::{fault_harness_with, PM_ENDPOINT};
+use crate::faults::{fault_harness_with, grant_request, PM_ENDPOINT};
 use crate::workload::{pool_name, sample_zipf, zipf_cdf};
 
 /// Outcome of one doctor sweep: the confusion-matrix row for one
@@ -63,13 +64,15 @@ pub struct DoctorReport {
 }
 
 impl DoctorReport {
-    fn new(sweep: &'static str, seed: u64, fault_rate: f64, expected: Vec<&'static str>) -> Self {
+    /// A fresh report; `watchdogs` are expected to trip iff faults fire.
+    fn new(sweep: &'static str, seed: u64, fault_rate: f64, watchdogs: &[Watchdog]) -> Self {
+        let armed = if fault_rate > 0.0 { watchdogs } else { &[] };
         Self {
             sweep,
             seed,
             fault_rate,
             ticks: 0,
-            expected,
+            expected: armed.iter().map(|w| w.name()).collect(),
             tripped: Vec::new(),
             incidents: Vec::new(),
             fail_fast_engaged: false,
@@ -154,11 +157,7 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
     const OPS_PER_ROUND: usize = 50;
     const POOLS: usize = 2;
 
-    let mut expected = Vec::new();
-    if fault_rate > 0.0 {
-        expected.push(Watchdog::SloBurnRate.name());
-    }
-    let mut report = DoctorReport::new("fault", seed, fault_rate, expected);
+    let mut report = DoctorReport::new("fault", seed, fault_rate, &[Watchdog::SloBurnRate]);
 
     let mut scenario = FaultScenario::quiet(seed);
     scenario.delay_probability = fault_rate;
@@ -179,15 +178,7 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
             let pool = pool_name(rng.random_range(0..POOLS));
             let amount = rng.random_range(1..=3u64);
             let request_id = format!("d{round}-o{op}");
-            let grant = Envelope::new().with_promise_request(PromiseRequestHeader {
-                request_id: request_id.clone(),
-                client: "doctor".into(),
-                predicates: vec![format!("qty('{pool}') >= {amount}")],
-                duration_ms: 60_000,
-                exchange: vec![],
-                negotiate: false,
-                prepare: false,
-            });
+            let grant = grant_request(&request_id, "doctor", &pool, amount, 60_000);
             let Ok(reply) = client.send(PM_ENDPOINT, &grant) else {
                 continue;
             };
@@ -249,11 +240,8 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
     const ROUNDS: usize = 3;
     const OPS_PER_CLIENT: usize = 12;
 
-    let mut expected = Vec::new();
-    if fault_rate > 0.0 {
-        expected.push(Watchdog::LeaseSumInvariant.name());
-    }
-    let mut report = DoctorReport::new("lease", seed, fault_rate, expected);
+    let expected = [Watchdog::LeaseSumInvariant];
+    let mut report = DoctorReport::new("lease", seed, fault_rate, &expected);
 
     let cfg = ClusterSweepConfig {
         shards: 4,
@@ -270,23 +258,19 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
     let cdf = zipf_cdf(cfg.pools, 1.1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1EA5E);
 
-    let run_round = |round: usize, rng: &mut StdRng| {
+    let mut run = ClientRun::default();
+    let mut run_round = |round: usize, rng: &mut StdRng| {
         for c in 0..cfg.clients {
             let client = format!("client-{c}");
             for op in 0..OPS_PER_CLIENT {
                 let pool = pool_name(sample_zipf(&cdf, rng));
                 let amount = rng.random_range(1..=cfg.amount_max);
-                let rid = format!("d{round}-c{c}-o{op}");
-                match cluster.coordinator.grant(
-                    &client,
-                    &rid,
-                    &[format!("qty('{pool}') >= {amount}")],
-                    3_600_000,
-                ) {
-                    Ok(ClusterDecision::Granted { parts }) => cluster.coordinator.release(&parts),
-                    Ok(ClusterDecision::Rejected { .. }) => {}
-                    Err(e) => panic!("quiet-bus doctor lease sweep errored: {e}"),
-                }
+                let op = ClientOp {
+                    rid: format!("d{round}-c{c}-o{op}"),
+                    predicates: vec![format!("qty('{pool}') >= {amount}")],
+                    release: Release::Always,
+                };
+                run.step(&cluster, rng, &client, op);
             }
         }
     };
@@ -315,6 +299,7 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
         report.note(&cluster.health_tick(&mut state));
     }
 
+    run.assert_quiet("doctor lease sweep");
     cluster.advance_and_prune(4_000_000);
     report
 }
@@ -339,12 +324,8 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
 pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
     const SHARDS: usize = 2;
 
-    let mut expected = Vec::new();
-    if fault_rate > 0.0 {
-        expected.push(Watchdog::StalledReplication.name());
-        expected.push(Watchdog::InDoubtAge.name());
-    }
-    let mut report = DoctorReport::new("failover", seed, fault_rate, expected);
+    let expected = [Watchdog::StalledReplication, Watchdog::InDoubtAge];
+    let mut report = DoctorReport::new("failover", seed, fault_rate, &expected);
 
     let cfg = ClusterSweepConfig {
         shards: SHARDS,
@@ -361,22 +342,18 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA11);
     let mut op = 0usize;
 
-    let run_round = |cluster: &PromiseCluster, rng: &mut StdRng, op: &mut usize| {
+    let mut run = ClientRun::default();
+    let mut run_round = |cluster: &PromiseCluster, rng: &mut StdRng, op: &mut usize| {
         for _ in 0..6 {
             let pool = pool_name(rng.random_range(0..SHARDS));
             let amount = rng.random_range(1..=3u64);
-            let rid = format!("d-o{op}");
+            let next = ClientOp {
+                rid: format!("d-o{op}"),
+                predicates: vec![format!("qty('{pool}') >= {amount}")],
+                release: Release::Always,
+            };
             *op += 1;
-            match cluster.coordinator.grant(
-                "doctor",
-                &rid,
-                &[format!("qty('{pool}') >= {amount}")],
-                3_600_000,
-            ) {
-                Ok(ClusterDecision::Granted { parts }) => cluster.coordinator.release(&parts),
-                Ok(ClusterDecision::Rejected { .. }) => {}
-                Err(e) => panic!("quiet-bus doctor failover sweep errored: {e}"),
-            }
+            run.step(cluster, rng, "doctor", next);
         }
     };
 
@@ -448,6 +425,7 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
         report.note(&cluster.health_tick(&mut state));
     }
 
+    run.assert_quiet("doctor failover sweep");
     cluster.advance_and_prune(4_000_000);
     report
 }
@@ -472,6 +450,20 @@ mod tests {
             assert!(report.clean(), "{label}: {report:?}");
             assert!(report.ticks > 0);
         }
+    }
+
+    /// Pinned to what the commit before the one-driver refactor produced
+    /// (these two sweeps are single-threaded and clock-driven).
+    #[test]
+    fn doctor_sweeps_at_seed_2007_trip_what_the_parent_tripped() {
+        let shape = |r: DoctorReport| (r.ticks, r.tripped, r.incidents.len());
+        let lease = |rate| shape(run_doctor_lease_sweep(2007, rate));
+        let failover = |rate| shape(run_doctor_failover_sweep(2007, rate));
+        assert_eq!(lease(0.0), (3, vec![], 0));
+        assert_eq!(lease(0.1), (5, vec!["lease-sum-invariant".to_owned()], 1));
+        assert_eq!(failover(0.0), (2, vec![], 0));
+        let both = vec!["stalled-replication".to_owned(), "in-doubt-age".to_owned()];
+        assert_eq!(failover(0.1), (9, both, 5));
     }
 
     #[test]

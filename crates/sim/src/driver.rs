@@ -8,7 +8,7 @@ use promises_baselines::{QtyReserver, ReserveFailure, QTY_FIELD, QTY_TABLE, RESE
 use promises_rm::{Record, ResourceManager};
 
 use crate::metrics::{Counters, RunReport};
-use crate::workload::{pool_name, WorkloadConfig};
+use crate::workload::{pool_name, Op, WorkloadConfig};
 
 /// Creates `pools` quantity pools of `qty` units each in `rm` using the
 /// shared table layout (with an escrow `reserved` field initialised to 0).
@@ -28,23 +28,23 @@ pub fn seed_pools(rm: &ResourceManager, pools: usize, qty: u64) {
     rm.commit(tx).expect("seeding commit");
 }
 
-/// Runs the reserve–think–consume workload over any [`QtyReserver`] with
-/// `cfg.clients` concurrent threads and returns the aggregated report.
-///
-/// Per operation: reserve each pool in the op (the first via
-/// [`QtyReserver::reserve`], the rest via [`QtyReserver::extend`]), hold
-/// through the think time (the "long-running operation" of the paper),
-/// then consume or abandon.
-pub fn run_qty_workload<R>(reserver: Arc<R>, cfg: &WorkloadConfig) -> RunReport
-where
-    R: QtyReserver + Send + Sync + 'static,
-{
-    let counters = Arc::new(Counters::default());
+/// The reserve–think–consume loop every closed-loop workload shares:
+/// `cfg.clients` threads each walk their generated op stream — `reserve`
+/// (given the client, the op's index and the op), hold through the think
+/// time (the "long-running operation" of the paper), then `consume` or,
+/// for abandoned ops, `cancel` — and the failure taxonomy is tallied
+/// into one [`RunReport`].
+pub(crate) fn run_workload<T>(
+    cfg: &WorkloadConfig,
+    reserve: impl Fn(usize, usize, &Op) -> Result<T, ReserveFailure> + Sync,
+    cancel: impl Fn(T) + Sync,
+    consume: impl Fn(T) -> Result<(), ReserveFailure> + Sync,
+) -> RunReport {
+    let counters = Counters::default();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..cfg.clients {
-            let reserver = Arc::clone(&reserver);
-            let counters = Arc::clone(&counters);
+            let (counters, reserve, cancel, consume) = (&counters, &reserve, &cancel, &consume);
             let ops = cfg.ops_for_client(client);
             let think = cfg.think;
             let real_think = cfg.real_time_think;
@@ -53,42 +53,62 @@ where
             // window, so reported latency keeps its meaning.
             let vthink = if real_think { Duration::ZERO } else { think };
             scope.spawn(move || {
-                for op in ops {
+                for (i, op) in ops.iter().enumerate() {
                     counters.attempts.fetch_add(1, Ordering::Relaxed);
                     let op_start = Instant::now();
-                    let mut token = match reserver.reserve(&pool_name(op.pools[0]), op.amount) {
-                        Ok(t) => Some(t),
+                    let token = match reserve(client, i, op) {
+                        Ok(token) => token,
                         Err(e) => {
-                            count_failure(&counters, &e, op_start.elapsed());
+                            count_failure(counters, &e, op_start.elapsed());
                             continue;
                         }
                     };
-                    for &pool in &op.pools[1..] {
-                        let t = token.as_mut().expect("set above");
-                        if let Err(e) = reserver.extend(t, &pool_name(pool), op.amount) {
-                            count_failure(&counters, &e, op_start.elapsed());
-                            reserver.cancel(token.take().expect("still held"));
-                            break;
-                        }
-                    }
-                    let Some(token) = token else { continue };
                     if real_think && !think.is_zero() {
                         std::thread::sleep(think);
                     }
                     if op.abandon {
-                        reserver.cancel(token);
+                        cancel(token);
                         counters.abandoned.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    match reserver.consume(token) {
+                    match consume(token) {
                         Ok(()) => counters.succeeded(op_start.elapsed() + vthink),
-                        Err(e) => count_failure(&counters, &e, op_start.elapsed() + vthink),
+                        Err(e) => count_failure(counters, &e, op_start.elapsed() + vthink),
                     }
                 }
             });
         }
     });
     counters.report(start.elapsed())
+}
+
+/// Runs the reserve–think–consume workload over any [`QtyReserver`] with
+/// `cfg.clients` concurrent threads and returns the aggregated report.
+///
+/// Per operation: reserve each pool in the op (the first via
+/// [`QtyReserver::reserve`], the rest via [`QtyReserver::extend`], a
+/// failed extension cancelling what is held), think, then consume or
+/// abandon.
+pub fn run_qty_workload<R>(reserver: Arc<R>, cfg: &WorkloadConfig) -> RunReport
+where
+    R: QtyReserver + Send + Sync + 'static,
+{
+    let reserve = |_, _, op: &Op| {
+        let mut token = reserver.reserve(&pool_name(op.pools[0]), op.amount)?;
+        for &pool in &op.pools[1..] {
+            if let Err(e) = reserver.extend(&mut token, &pool_name(pool), op.amount) {
+                reserver.cancel(token);
+                return Err(e);
+            }
+        }
+        Ok(token)
+    };
+    run_workload(
+        cfg,
+        reserve,
+        |token| reserver.cancel(token),
+        |token| reserver.consume(token),
+    )
 }
 
 fn count_failure(counters: &Counters, e: &ReserveFailure, elapsed: Duration) {

@@ -15,7 +15,6 @@
 //! Everything is deterministic per seed: the workload mix, the jitter, and
 //! the entire fault sequence.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -138,6 +137,40 @@ pub fn fault_harness_with(
     }
 }
 
+/// A plain single-predicate promise request for `qty('{pool}') >= amount`.
+pub(crate) fn grant_request(
+    request_id: &str,
+    client: &str,
+    pool: &str,
+    amount: u64,
+    duration_ms: u64,
+) -> Envelope {
+    Envelope::new().with_promise_request(PromiseRequestHeader {
+        request_id: request_id.to_owned(),
+        client: client.to_owned(),
+        predicates: vec![format!("qty('{pool}') >= {amount}")],
+        duration_ms,
+        exchange: vec![],
+        negotiate: false,
+        prepare: false,
+    })
+}
+
+/// What a restart builds: a fresh manager over the surviving RM and
+/// clock (the sweeps' two pools registered), recovered from `journal`.
+fn restarted(
+    rm: &Arc<ResourceManager>,
+    clock: &Arc<ManualClock>,
+    journal: Arc<PromiseJournal>,
+) -> (PromiseManager, RecoveryReport) {
+    let clock = Arc::clone(clock) as Arc<dyn promises_core::Clock>;
+    let pm = PromiseManager::new(Arc::clone(rm), clock);
+    pm.register_pool(PoolSchema::quantity(pool_name(0)));
+    pm.register_pool(PoolSchema::quantity(pool_name(1)));
+    let recovery = pm.recover(journal).expect("recovery succeeds");
+    (pm, recovery)
+}
+
 /// Shape of a fault-sweep workload.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSweepConfig {
@@ -229,6 +262,106 @@ pub fn run_fault_sweep(scenario: FaultScenario, cfg: &FaultSweepConfig) -> Fault
     run_fault_sweep_with(scenario, cfg, None).0
 }
 
+/// One sweep client's op stream; returns its share of the client-side
+/// tallies (the audit columns are filled in by the caller).
+fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize) -> FaultRunReport {
+    let mut t = FaultRunReport::default();
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 7919));
+    for op in 0..cfg.ops_per_client {
+        let pool = pool_name(rng.random_range(0..cfg.pools));
+        let amount = rng.random_range(1..=cfg.amount_max);
+        let kill = rng.random_bool(cfg.kill_probability);
+        let request_id = format!("c{c}-o{op}");
+        // Killed clients get a short promise so expiry can reclaim it;
+        // live clients a long one.
+        let duration_ms = if kill { 10 } else { 3_600_000 };
+        let who = format!("client-{c}");
+        let grant = grant_request(&request_id, &who, &pool, amount, duration_ms);
+        let reply = match client.send(PM_ENDPOINT, &grant) {
+            Ok(r) => r,
+            Err(_) => {
+                t.gave_up += 1;
+                continue;
+            }
+        };
+        let promise_id = match reply.response_for(&request_id) {
+            Some(resp) if matches!(resp.result, PromiseResult::Rejected(_)) => {
+                t.rejected += 1;
+                continue;
+            }
+            Some(resp) => match resp.promise_id {
+                Some(id) => {
+                    t.granted += 1;
+                    id
+                }
+                None => {
+                    t.action_failed += 1;
+                    continue;
+                }
+            },
+            None => {
+                t.gave_up += 1;
+                continue;
+            }
+        };
+        if kill {
+            // The client dies holding its promise: no release,
+            // no purchase. Expiry is the only way back.
+            t.killed += 1;
+            continue;
+        }
+        if op % 5 == 4 {
+            // Every fifth op changes its mind: release the
+            // promise standalone instead of purchasing, so the
+            // pm.release histogram sees real wire traffic (the
+            // action path's release_after flag bypasses it).
+            match client.send(PM_ENDPOINT, &Envelope::new().with_release(promise_id)) {
+                Ok(_) => t.released += 1,
+                Err(_) => t.gave_up += 1,
+            }
+            continue;
+        }
+        let action = Envelope::new()
+            .with_environment(EnvironmentHeader {
+                entries: vec![EnvEntry {
+                    reference: EnvRef::Id(promise_id),
+                    release_after: true,
+                }],
+            })
+            .with_action(
+                ActionRequest::new("merchant", "purchase")
+                    .param("pool", &pool)
+                    .param("qty", amount),
+            );
+        match client.send(PM_ENDPOINT, &action) {
+            Err(_) => t.gave_up += 1,
+            Ok(reply) => match reply.action_response {
+                Some(resp) if resp.ok => {
+                    t.purchased_ops += 1;
+                    t.confirmed_units += amount;
+                }
+                Some(resp) => {
+                    let msg = resp.error.unwrap_or_default();
+                    if msg.contains("unknown promise") {
+                        // The action+release already committed
+                        // on a delivery whose reply was lost;
+                        // the released promise id proves it.
+                        t.already_applied += 1;
+                        t.purchased_ops += 1;
+                        t.confirmed_units += amount;
+                    } else if msg.contains("promise-expired") {
+                        t.expired += 1;
+                    } else {
+                        t.action_failed += 1;
+                    }
+                }
+                None => t.action_failed += 1,
+            },
+        }
+    }
+    t
+}
+
 /// [`run_fault_sweep`] with an optional telemetry registry threaded
 /// through client, bus, PM and RM; returns the quiesced harness so
 /// callers can run further audits (journal, spans) after the sweep.
@@ -245,142 +378,16 @@ pub fn run_fault_sweep_with(
     }
     let client = Arc::new(client);
 
-    let granted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let purchased_ops = AtomicU64::new(0);
-    let released = AtomicU64::new(0);
-    let confirmed_units = AtomicU64::new(0);
-    let already_applied = AtomicU64::new(0);
-    let expired = AtomicU64::new(0);
-    let action_failed = AtomicU64::new(0);
-    let gave_up = AtomicU64::new(0);
-    let killed = AtomicU64::new(0);
-
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..cfg.clients {
-            let client = Arc::clone(&client);
-            let granted = &granted;
-            let rejected = &rejected;
-            let purchased_ops = &purchased_ops;
-            let released = &released;
-            let confirmed_units = &confirmed_units;
-            let already_applied = &already_applied;
-            let expired = &expired;
-            let action_failed = &action_failed;
-            let gave_up = &gave_up;
-            let killed = &killed;
-            let cfg = *cfg;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 7919));
-                for op in 0..cfg.ops_per_client {
-                    let pool = pool_name(rng.random_range(0..cfg.pools));
-                    let amount = rng.random_range(1..=cfg.amount_max);
-                    let kill = rng.random_bool(cfg.kill_probability);
-                    let request_id = format!("c{c}-o{op}");
-                    let grant = Envelope::new().with_promise_request(PromiseRequestHeader {
-                        request_id: request_id.clone(),
-                        client: format!("client-{c}"),
-                        predicates: vec![format!("qty('{pool}') >= {amount}")],
-                        // Killed clients get a short promise so expiry can
-                        // reclaim it; live clients a long one.
-                        duration_ms: if kill { 10 } else { 3_600_000 },
-                        exchange: vec![],
-                        negotiate: false,
-                        prepare: false,
-                    });
-                    let reply = match client.send(PM_ENDPOINT, &grant) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            gave_up.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    };
-                    let promise_id = match reply.response_for(&request_id) {
-                        Some(resp) if matches!(resp.result, PromiseResult::Rejected(_)) => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        Some(resp) => match resp.promise_id {
-                            Some(id) => {
-                                granted.fetch_add(1, Ordering::Relaxed);
-                                id
-                            }
-                            None => {
-                                action_failed.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        },
-                        None => {
-                            gave_up.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    };
-                    if kill {
-                        // The client dies holding its promise: no release,
-                        // no purchase. Expiry is the only way back.
-                        killed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if op % 5 == 4 {
-                        // Every fifth op changes its mind: release the
-                        // promise standalone instead of purchasing, so the
-                        // pm.release histogram sees real wire traffic (the
-                        // action path's release_after flag bypasses it).
-                        match client.send(PM_ENDPOINT, &Envelope::new().with_release(promise_id)) {
-                            Ok(_) => {
-                                released.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                gave_up.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        continue;
-                    }
-                    let action = Envelope::new()
-                        .with_environment(EnvironmentHeader {
-                            entries: vec![EnvEntry {
-                                reference: EnvRef::Id(promise_id),
-                                release_after: true,
-                            }],
-                        })
-                        .with_action(
-                            ActionRequest::new("merchant", "purchase")
-                                .param("pool", &pool)
-                                .param("qty", amount),
-                        );
-                    match client.send(PM_ENDPOINT, &action) {
-                        Err(_) => {
-                            gave_up.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(reply) => match reply.action_response {
-                            Some(resp) if resp.ok => {
-                                purchased_ops.fetch_add(1, Ordering::Relaxed);
-                                confirmed_units.fetch_add(amount, Ordering::Relaxed);
-                            }
-                            Some(resp) => {
-                                let msg = resp.error.unwrap_or_default();
-                                if msg.contains("unknown promise") {
-                                    // The action+release already committed
-                                    // on a delivery whose reply was lost;
-                                    // the released promise id proves it.
-                                    already_applied.fetch_add(1, Ordering::Relaxed);
-                                    purchased_ops.fetch_add(1, Ordering::Relaxed);
-                                    confirmed_units.fetch_add(amount, Ordering::Relaxed);
-                                } else if msg.contains("promise-expired") {
-                                    expired.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    action_failed.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            None => {
-                                action_failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        },
-                    }
-                }
-            });
-        }
+    let tallies: Vec<FaultRunReport> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..cfg.clients)
+            .map(|c| {
+                let (client, cfg) = (Arc::clone(&client), *cfg);
+                scope.spawn(move || fault_sweep_client(&client, &cfg, c))
+            })
+            .collect();
+        let joined = clients.into_iter().map(|h| h.join().expect("sweep client"));
+        joined.collect()
     });
     let elapsed = start.elapsed();
 
@@ -388,22 +395,24 @@ pub fn run_fault_sweep_with(
     h.quiesce();
     let mut report = FaultRunReport {
         attempts: (cfg.clients * cfg.ops_per_client) as u64,
-        granted: granted.into_inner(),
-        rejected: rejected.into_inner(),
-        purchased_ops: purchased_ops.into_inner(),
-        released: released.into_inner(),
-        confirmed_units: confirmed_units.into_inner(),
-        already_applied: already_applied.into_inner(),
-        expired: expired.into_inner(),
-        action_failed: action_failed.into_inner(),
-        gave_up: gave_up.into_inner(),
-        killed: killed.into_inner(),
         deduped: h.pm.metrics().grants_deduped,
         retries: client.stats().retries,
         faults: h.injector.stats(),
         elapsed,
         ..FaultRunReport::default()
     };
+    for t in tallies {
+        report.granted += t.granted;
+        report.rejected += t.rejected;
+        report.purchased_ops += t.purchased_ops;
+        report.released += t.released;
+        report.confirmed_units += t.confirmed_units;
+        report.already_applied += t.already_applied;
+        report.expired += t.expired;
+        report.action_failed += t.action_failed;
+        report.gave_up += t.gave_up;
+        report.killed += t.killed;
+    }
 
     // Violation audit: promised quantity must never exceed on-hand.
     let promised = h.pm.promised_quantities();
@@ -481,15 +490,7 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
         // A third of the grants are short-lived so down-time can expire
         // them; the rest outlive any plausible down-time.
         let duration_ms = if i % 3 == 0 { 50 } else { 10_000_000 };
-        let envelope = Envelope::new().with_promise_request(PromiseRequestHeader {
-            request_id: format!("r{i}"),
-            client: "crash-client".into(),
-            predicates: vec![format!("qty('{pool}') >= {amount}")],
-            duration_ms,
-            exchange: vec![],
-            negotiate: false,
-            prepare: false,
-        });
+        let envelope = grant_request(&format!("r{i}"), "crash-client", &pool, amount, duration_ms);
         let _ = client.send(PM_ENDPOINT, &envelope);
     }
 
@@ -503,15 +504,7 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
 
     clock.advance(down_ms);
 
-    let pm2 = Arc::new(PromiseManager::new(
-        Arc::clone(&rm),
-        Arc::clone(&clock) as Arc<dyn promises_core::Clock>,
-    ));
-    pm2.register_pool(PoolSchema::quantity(pool_name(0)));
-    pm2.register_pool(PoolSchema::quantity(pool_name(1)));
-    let recovery = pm2
-        .recover(Arc::clone(&journal))
-        .expect("recovery succeeds");
+    let (pm2, recovery) = restarted(&rm, &clock, Arc::clone(&journal));
     let post_digest = pm2.state_digest();
 
     // When nothing expired in the gap the recovered digest must equal the
@@ -522,14 +515,7 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
     let pre_digest = if recovery.pruned == 0 {
         pre_digest_at_crash
     } else {
-        let pm3 = PromiseManager::new(
-            Arc::clone(&rm),
-            Arc::clone(&clock) as Arc<dyn promises_core::Clock>,
-        );
-        pm3.register_pool(PoolSchema::quantity(pool_name(0)));
-        pm3.register_pool(PoolSchema::quantity(pool_name(1)));
-        pm3.recover(journal).expect("re-recovery succeeds");
-        pm3.state_digest()
+        restarted(&rm, &clock, journal).0.state_digest()
     };
 
     CrashRestartReport {
@@ -587,15 +573,7 @@ pub fn run_compaction_crash_restart(
         let pool = pool_name(rng.random_range(0..2usize));
         let amount = rng.random_range(1..=4u64);
         let request_id = format!("r{i}");
-        let envelope = Envelope::new().with_promise_request(PromiseRequestHeader {
-            request_id: request_id.clone(),
-            client: "compact-client".into(),
-            predicates: vec![format!("qty('{pool}') >= {amount}")],
-            duration_ms: 10_000_000,
-            exchange: vec![],
-            negotiate: false,
-            prepare: false,
-        });
+        let envelope = grant_request(&request_id, "compact-client", &pool, amount, 10_000_000);
         if let Ok(reply) = client.send(PM_ENDPOINT, &envelope) {
             if let Some(id) = reply.response_for(&request_id).and_then(|r| r.promise_id) {
                 held.push(id);
@@ -612,16 +590,9 @@ pub fn run_compaction_crash_restart(
     // Ground truth: a recovery over the full uncompacted history.
     let reference_journal =
         Arc::new(PromiseJournal::from_lines(&h.journal.lines()).expect("journal parses"));
-    let reference_pm = PromiseManager::new(
-        Arc::clone(&h.rm),
-        Arc::clone(&h.clock) as Arc<dyn promises_core::Clock>,
-    );
-    reference_pm.register_pool(PoolSchema::quantity(pool_name(0)));
-    reference_pm.register_pool(PoolSchema::quantity(pool_name(1)));
-    reference_pm
-        .recover(reference_journal)
-        .expect("reference recovery succeeds");
-    let reference_digest = reference_pm.state_digest();
+    let reference_digest = restarted(&h.rm, &h.clock, reference_journal)
+        .0
+        .state_digest();
 
     if let Some(point) = crash {
         h.pm.arm_compaction_crash(point);
@@ -639,14 +610,7 @@ pub fn run_compaction_crash_restart(
     let clock = Arc::clone(&h.clock);
     drop(h);
 
-    let pm2 = PromiseManager::new(
-        Arc::clone(&rm),
-        Arc::clone(&clock) as Arc<dyn promises_core::Clock>,
-    );
-    pm2.register_pool(PoolSchema::quantity(pool_name(0)));
-    pm2.register_pool(PoolSchema::quantity(pool_name(1)));
-    pm2.recover(Arc::clone(&journal))
-        .expect("post-compaction recovery succeeds");
+    let (pm2, _) = restarted(&rm, &clock, Arc::clone(&journal));
     CompactionCrashReport {
         reference_digest,
         recovered_digest: pm2.state_digest(),

@@ -4,7 +4,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use promises_baselines::{InstanceReserver, ReserveFailure};
 use promises_core::{
@@ -13,8 +12,9 @@ use promises_core::{
 };
 use promises_rm::{Record, ResourceManager, RmError};
 
-use crate::metrics::{Counters, RunReport};
-use crate::workload::WorkloadConfig;
+use crate::driver::run_workload;
+use crate::metrics::RunReport;
+use crate::workload::{Op, WorkloadConfig};
 
 /// Name of the instance pool used by instance workloads.
 pub const INSTANCE_POOL: &str = "instances";
@@ -154,85 +154,22 @@ pub fn run_instance_workload<R>(
 where
     R: InstanceReserver + Send + Sync + 'static,
 {
-    let counters = Arc::new(Counters::default());
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..cfg.clients {
-            let reserver = Arc::clone(&reserver);
-            let counters = Arc::clone(&counters);
-            let ops = cfg.ops_for_client(client);
-            let think = cfg.think;
-            let real_think = cfg.real_time_think;
-            // See `run_qty_workload`: virtual think sleeps nothing but
-            // still counts toward latencies past the hold window.
-            let vthink = if real_think {
-                std::time::Duration::ZERO
-            } else {
-                think
-            };
-            scope.spawn(move || {
-                for (i, op) in ops.iter().enumerate() {
-                    counters.attempts.fetch_add(1, Ordering::Relaxed);
-                    let op_start = Instant::now();
-                    // Map the generated pool/amount onto an instance index:
-                    // hotspot ops hit the low indices.
-                    let idx = if op.pools[0] == 0 {
-                        (client + i) % (instances / 4).max(1)
-                    } else {
-                        (client * 31 + i * 7) % instances
-                    };
-                    let token = match reserver.reserve_instance(INSTANCE_POOL, &instance_name(idx))
-                    {
-                        Ok(t) => t,
-                        Err(ReserveFailure::Insufficient) => {
-                            counters.failed_fast.fetch_add(1, Ordering::Relaxed);
-                            counters.failed_op(op_start.elapsed());
-                            continue;
-                        }
-                        Err(ReserveFailure::Deadlock) => {
-                            counters.deadlocks.fetch_add(1, Ordering::Relaxed);
-                            counters.failed_op(op_start.elapsed());
-                            continue;
-                        }
-                        Err(ReserveFailure::LateConflict) => {
-                            counters.failed_late.fetch_add(1, Ordering::Relaxed);
-                            counters.failed_op(op_start.elapsed());
-                            continue;
-                        }
-                        Err(ReserveFailure::Rm(_)) => {
-                            counters.errors.fetch_add(1, Ordering::Relaxed);
-                            counters.failed_op(op_start.elapsed());
-                            continue;
-                        }
-                    };
-                    if real_think && !think.is_zero() {
-                        std::thread::sleep(think);
-                    }
-                    if op.abandon {
-                        reserver.cancel(token);
-                        counters.abandoned.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        match reserver.consume(token) {
-                            Ok(()) => counters.succeeded(op_start.elapsed() + vthink),
-                            Err(ReserveFailure::Deadlock) => {
-                                counters.deadlocks.fetch_add(1, Ordering::Relaxed);
-                                counters.failed_op(op_start.elapsed() + vthink);
-                            }
-                            Err(ReserveFailure::LateConflict) => {
-                                counters.failed_late.fetch_add(1, Ordering::Relaxed);
-                                counters.failed_op(op_start.elapsed() + vthink);
-                            }
-                            Err(_) => {
-                                counters.errors.fetch_add(1, Ordering::Relaxed);
-                                counters.failed_op(op_start.elapsed() + vthink);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    counters.report(start.elapsed())
+    // Map the generated pool/amount onto an instance index: hotspot ops
+    // hit the low indices.
+    let reserve = |client: usize, i: usize, op: &Op| {
+        let idx = if op.pools[0] == 0 {
+            (client + i) % (instances / 4).max(1)
+        } else {
+            (client * 31 + i * 7) % instances
+        };
+        reserver.reserve_instance(INSTANCE_POOL, &instance_name(idx))
+    };
+    run_workload(
+        cfg,
+        reserve,
+        |token| reserver.cancel(token),
+        |token| reserver.consume(token),
+    )
 }
 
 #[cfg(test)]

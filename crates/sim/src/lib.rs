@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 mod adapter;
+mod clients;
 mod cluster;
 mod doctor;
 mod driver;
@@ -29,10 +30,11 @@ mod obs;
 mod workload;
 
 pub use adapter::{promise_reserver, promise_reserver_with_mode, PromiseQtyReserver};
+pub use clients::{drive_clients, ClientOp, ClientRun, ClientTally, Release};
 pub use cluster::{
     cluster_harness, run_cluster_crash_restart, run_cluster_fault_sweep, run_failover_sweep,
-    run_lease_sweep, ClusterCrashReport, ClusterRunReport, ClusterSweepConfig, FailoverDigests,
-    FailoverSweepReport, LeaseSweepReport, RestartTarget,
+    run_lease_sweep, ClusterAudit, ClusterCrashReport, ClusterRunReport, ClusterSweepConfig,
+    FailoverDigests, FailoverSweepReport, LeaseSweepReport, RestartTarget,
 };
 pub use doctor::{
     run_doctor_failover_sweep, run_doctor_fault_sweep, run_doctor_lease_sweep, DoctorReport,

@@ -38,8 +38,6 @@ pub use flash_sale::{run_flash_sale, FlashSaleConfig, FlashSaleReport};
 pub use matrix::{
     run_error_path_matrix, CellStatus, FailureClass, MatrixCell, MatrixReport, Scenario,
 };
-pub use openloop::{
-    run_open_loop, run_open_loop_threaded, OpStatus, OpenLoopConfig, OpenLoopReport,
-};
+pub use openloop::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
 pub use slo::{SloGate, SloVerdict};
 pub use travel::{run_travel_booking, TravelConfig, TravelReport};

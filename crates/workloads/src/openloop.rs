@@ -165,84 +165,6 @@ where
     }
 }
 
-/// The concurrent-arrivals variant: the same seeded Poisson arrival
-/// schedule, but dispatched by **real threads against the wall clock**.
-/// `max_in_flight` worker threads claim arrivals in order; each sleeps
-/// until its arrival's scheduled instant, runs the op, and records
-/// completion-minus-scheduled-arrival — so when every worker is busy the
-/// claim happens late and the queueing delay lands in the latency, same
-/// coordinated-omission discipline as the virtual-time generator.
-///
-/// Use this mode when the system under test is itself threaded (the
-/// thread-per-shard runtime): the virtual-time generator executes ops one
-/// at a time, so the server never sees concurrent requests and its queue,
-/// lock, and group-commit behavior goes unmeasured. Here up to
-/// `max_in_flight` ops are genuinely in flight at once. The cost is that
-/// latencies inherit scheduler noise, so runs are reproducible in
-/// *structure* (the arrival schedule is seed-fixed) but not in exact
-/// nanoseconds — gate on invariants and coarse ratios, not exact values.
-pub fn run_open_loop_threaded<F>(cfg: &OpenLoopConfig, op: F) -> OpenLoopReport
-where
-    F: Fn(usize) -> OpStatus + Sync,
-{
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    assert!(cfg.offered_rate > 0.0, "offered rate must be positive");
-    assert!(cfg.max_in_flight > 0, "need at least one dispatch thread");
-    // Identical arrival stream to the virtual-time mode: same seed, same
-    // salt, same exponential gaps.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let mut arrivals = Vec::with_capacity(cfg.ops);
-    let mut arrival_ns = 0u64;
-    for _ in 0..cfg.ops {
-        let u = unit(&mut rng);
-        arrival_ns = arrival_ns.saturating_add((-(1.0 - u).ln() / cfg.offered_rate * 1e9) as u64);
-        arrivals.push(arrival_ns);
-    }
-
-    let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let latency = Histogram::default();
-    let completed = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let makespan = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..cfg.max_in_flight {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfg.ops {
-                    return;
-                }
-                let scheduled = arrivals[i];
-                let now = start.elapsed().as_nanos() as u64;
-                if scheduled > now {
-                    std::thread::sleep(std::time::Duration::from_nanos(scheduled - now));
-                }
-                let status = op(i);
-                let done = start.elapsed().as_nanos() as u64;
-                latency.record(done.saturating_sub(scheduled));
-                makespan.fetch_max(done, Ordering::Relaxed);
-                match status {
-                    OpStatus::Ok => &completed,
-                    OpStatus::Rejected => &rejected,
-                    OpStatus::Failed => &failed,
-                }
-                .fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-
-    OpenLoopReport {
-        offered: cfg.ops,
-        completed: completed.into_inner(),
-        rejected: rejected.into_inner(),
-        failed: failed.into_inner(),
-        latency: latency.snapshot(),
-        makespan_ns: makespan.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,54 +205,6 @@ mod tests {
             p99 > 20 * service.as_nanos(),
             "p99 {p99}ns must include queueing behind ~39 predecessors"
         );
-    }
-
-    #[test]
-    fn threaded_mode_overlaps_ops_and_keeps_queueing_in_latency() {
-        // Burst arrivals (rate far above service capacity), 4 dispatch
-        // threads, 1ms service: 8 ops run as two waves of 4, so the wall
-        // clock must come in well under the 8ms a serial run would take,
-        // while second-wave ops must carry their ~1ms queueing delay.
-        let cfg = OpenLoopConfig {
-            offered_rate: 1_000_000.0,
-            ops: 8,
-            max_in_flight: 4,
-            seed: 11,
-        };
-        let service = Duration::from_millis(1);
-        let wall = Instant::now();
-        let report = run_open_loop_threaded(&cfg, |_| {
-            std::thread::sleep(service);
-            OpStatus::Ok
-        });
-        let elapsed = wall.elapsed();
-        assert_eq!(report.completed, 8);
-        assert!(
-            elapsed < Duration::from_millis(7),
-            "8 x 1ms ops on 4 threads took {elapsed:?} — arrivals are not concurrent"
-        );
-        let p99 = report.latency.p99().expect("recorded") as u128;
-        assert!(
-            p99 > (service.as_nanos() * 3) / 2,
-            "p99 {p99}ns must include the second wave's queueing delay"
-        );
-    }
-
-    #[test]
-    fn threaded_mode_counts_statuses_like_the_virtual_mode() {
-        let cfg = OpenLoopConfig {
-            ops: 30,
-            ..OpenLoopConfig::default()
-        };
-        let report = run_open_loop_threaded(&cfg, |i| match i % 3 {
-            0 => OpStatus::Ok,
-            1 => OpStatus::Rejected,
-            _ => OpStatus::Failed,
-        });
-        assert_eq!(report.completed + report.rejected + report.failed, 30);
-        assert_eq!(report.completed, 10);
-        assert_eq!(report.rejected, 10);
-        assert_eq!(report.failed, 10);
     }
 
     #[test]
