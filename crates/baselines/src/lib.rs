@@ -5,8 +5,8 @@
 //! isolation "depends on assumptions of trust and timeliness that no
 //! longer apply", optimistic check-then-act forces programmers to handle
 //! concurrency failures "throughout the normal processing paths", while
-//! domain-specific techniques (escrow locking \[8\], soft locks) are special
-//! cases the Promise pattern generalises. This crate implements those
+//! domain-specific techniques (escrow locking \[8\]) are special cases the
+//! Promise pattern generalises. This crate implements those
 //! comparators against the same resource manager so the claims can be
 //! measured head-to-head (experiments E4–E6):
 //!
@@ -17,27 +17,22 @@
 //!   re-validates at consume time, failing late when a concurrent client
 //!   won the race;
 //! * [`EscrowReserver`] — per-pool reserved-quantity escrow (O'Neil): the
-//!   specialised equivalent of an anonymous-view promise;
-//! * [`SoftLockReserver`] — availability-flag reservation of named
-//!   instances, the "common business practice" of §2.
+//!   specialised equivalent of an anonymous-view promise.
 //!
-//! All implement the [`QtyReserver`] / [`InstanceReserver`] traits so the
-//! simulation harness can drive them interchangeably with a
-//! promise-manager-backed adapter.
+//! All implement the [`QtyReserver`] trait so the simulation harness can
+//! drive them interchangeably with a promise-manager-backed adapter.
 
 #![warn(missing_docs)]
 
 mod escrow;
 mod lock_based;
 mod optimistic;
-mod soft_lock;
 mod traits;
 
 pub use escrow::EscrowReserver;
 pub use lock_based::LockReserver;
 pub use optimistic::OptimisticReserver;
-pub use soft_lock::SoftLockReserver;
-pub use traits::{InstanceReserver, QtyReserver, ReserveFailure};
+pub use traits::{QtyReserver, ReserveFailure};
 
 /// Table used by quantity baselines; matches `promises_core::Catalog`'s
 /// layout so the same seeded data serves both systems.

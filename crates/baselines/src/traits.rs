@@ -70,18 +70,3 @@ pub trait QtyReserver: Send + Sync {
     /// Abandons the reservation.
     fn cancel(&self, token: Self::Token);
 }
-
-/// Reserve-then-consume protocol over named instances.
-pub trait InstanceReserver: Send + Sync {
-    /// Opaque reservation token.
-    type Token: Send;
-
-    /// Reserves the named instance in `pool`.
-    fn reserve_instance(&self, pool: &str, instance: &str) -> Result<Self::Token, ReserveFailure>;
-
-    /// Takes the instance.
-    fn consume(&self, token: Self::Token) -> Result<(), ReserveFailure>;
-
-    /// Abandons the reservation.
-    fn cancel(&self, token: Self::Token);
-}

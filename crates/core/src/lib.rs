@@ -79,6 +79,7 @@ mod predicate;
 mod promise;
 mod reaper;
 mod schema;
+mod state;
 mod tombstones;
 
 pub use catalog::{status, Catalog};

@@ -15,7 +15,19 @@
 //! solution we adopted here was to wrap each promise operation in a
 //! transaction... This transaction covers all of the action code executed
 //! inside the application as well as the subsequent promise checking code
-//! (including modifications to the promise table)."
+//! (including modifications to the promise table)." That pattern is
+//! written once, as `PromiseManager::transition`; the operations differ
+//! only in which promises leave the table, which candidate enters it and
+//! what is checked in between (§4's atomic units: request + exchange,
+//! action + release).
+//!
+//! Everything the manager records per promise — the table, the request-id
+//! index, prepared marks, observation pins, tombstones, leases — is one
+//! value behind one mutex (`crate::state`), so every reader sees one
+//! consistent cut and the journal, appended under that mutex, is in
+//! table-mutation order. The check itself runs on a snapshot *outside*
+//! the mutex. Lock order: RM synchronisation points, then the catalog,
+//! then the state.
 //!
 //! The prototype serialised those transactions on a *single* exclusive
 //! synchronisation point, making every promise operation conflict with
@@ -38,7 +50,7 @@
 //! availability**: unfulfillable requests are rejected immediately (§9),
 //! which is why the promise layer introduces no deadlocks of its own.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,9 +70,9 @@ use crate::error::{ActionError, PromiseError, RejectReason};
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
 use crate::journal::{JournalOp, PromiseJournal};
 use crate::predicate::Predicate;
-use crate::promise::{qty_demand_on, PromiseRecord, PromiseTable};
+use crate::promise::{qty_demand_on, PromiseRecord};
 use crate::schema::{PoolKind, PoolSchema};
-use crate::tombstones::Tombstones;
+use crate::state::PromiseState;
 
 /// RM synchronisation point serialising promise operations: locked whole
 /// under [`LockingMode::Global`]; suffixed with `/<pool>` per footprint
@@ -191,13 +203,9 @@ struct OpLatencyMetrics {
 }
 
 impl OpLatencyMetrics {
-    fn add_lock_wait(&self, since: Instant) {
-        self.lock_wait.record_duration(since.elapsed());
-    }
-
     /// Records the checking time and hands the measurement back so the
-    /// telemetry mirror ([`PromiseManager::record_check`]) doesn't read
-    /// the clock a second time for the same interval.
+    /// telemetry mirror ([`PmTel::note_check`]) doesn't read the clock a
+    /// second time for the same interval.
     fn add_check(&self, since: Instant) -> std::time::Duration {
         let dur = since.elapsed();
         self.check.record_duration(dur);
@@ -394,6 +402,50 @@ impl PmTel {
         });
         (if granted { g } else { r }).fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Records one finished operation: its duration into `hist`, and a
+    /// `kind` span. Spans are trace artifacts (DESIGN §12): a clean
+    /// operation outside any ambient trace joins nothing downstream — the
+    /// journal, not the ring, is lifecycle ground truth — so it is elided;
+    /// failures are always recorded for diagnosis.
+    fn note_op(
+        &self,
+        hist: &Histogram,
+        kind: SpanKind,
+        started: Instant,
+        promise: Option<PromiseId>,
+        outcome: SpanOutcome,
+        note: Option<String>,
+    ) {
+        let dur = started.elapsed();
+        hist.record_duration(dur);
+        let clean = matches!(outcome, SpanOutcome::Ok | SpanOutcome::Deduped);
+        if clean && current_trace().is_none() {
+            return;
+        }
+        let mut span = self.span_since(kind, started).outcome(outcome);
+        if let Some(id) = promise {
+            span = span.promise(id.0);
+        }
+        if let Some(note) = note {
+            span = span.note(note);
+        }
+        span.finish_with(dur);
+    }
+
+    /// Mirrors one checking pass: the `pm.check` stage histogram plus a
+    /// `pm.check` span with the pass's outcome (joining the ambient trace,
+    /// so a check shows up under the client operation that triggered it).
+    /// An Ok check outside any trace carries no promise id and no causal
+    /// edge, so the histogram sample is its whole signal.
+    fn note_check(&self, started: Instant, dur: std::time::Duration, outcome: SpanOutcome) {
+        self.check_hist.record_duration(dur);
+        if outcome != SpanOutcome::Ok || current_trace().is_some() {
+            self.span_since(SpanKind::PmCheck, started)
+                .outcome(outcome)
+                .finish_with(dur);
+        }
+    }
 }
 
 impl std::ops::Deref for PmTel {
@@ -408,7 +460,11 @@ impl std::ops::Deref for PmTel {
 pub struct PromiseManager {
     rm: Arc<ResourceManager>,
     catalog: RwLock<Catalog>,
-    table: Mutex<PromiseTable>,
+    /// The promise table with every per-promise mark, the tombstones and
+    /// the leases: one value behind one lock (see [`PromiseState`]). Every
+    /// journal append happens under it, so journal order is table-mutation
+    /// order. Taken after `catalog` when both are held.
+    state: Mutex<PromiseState>,
     clock: Arc<dyn Clock>,
     locking: LockingMode,
     max_duration_ms: u64,
@@ -418,36 +474,12 @@ pub struct PromiseManager {
     /// scoping narrowed the work.
     last_check_stats: Mutex<CheckerStats>,
     upstreams: RwLock<HashMap<PoolId, Arc<PromiseManager>>>,
+    /// Upstream promises backing delegated ones. Kept outside `state`: its
+    /// values are foreign managers, called with no local lock held.
     delegations: Mutex<HashMap<PromiseId, UpstreamRefs>>,
-    /// Ids of promises reaped by expiry, kept so operations under them can
-    /// be answered with the paper's distinct "promise-expired" error (§2)
-    /// instead of "unknown promise". *Bounded*: each tombstone carries an
-    /// eviction deadline (reap time plus [`Self::tombstone_grace_ms`]) and
-    /// is dropped by the next prune after it passes — so the set tracks
-    /// recently-expired promises, not all of history.
-    expired_tombstones: Mutex<Tombstones>,
     /// Durable journal of promise-table transitions; `None` disables
     /// journalling (the pre-durability behaviour).
     journal: RwLock<Option<Arc<PromiseJournal>>>,
-    /// `(client, request)` → granted promise, so a *retried* grant request
-    /// (duplicate delivery, reply lost) is answered with the original
-    /// promise instead of being granted — and charged — twice.
-    request_index: Mutex<HashMap<(ClientId, RequestId), PromiseId>>,
-    /// Promises whose allocations a client has observed via
-    /// [`PromiseManager::promise`]. Once observed, an allocation is never
-    /// moved by re-arrangement — the client may already be acting on the
-    /// specific instances it read. Pins are volatile: not journalled, not
-    /// part of [`PromiseManager::state_digest`], cleared on recovery, and
-    /// dropped when the promise leaves the table. Locking order is always
-    /// table → pinned.
-    pinned: Mutex<HashSet<PromiseId>>,
-    /// Promises granted as *prepared holds* for a cross-shard transaction
-    /// ([`PromiseManager::request_prepared`]): resources are reserved like
-    /// any grant, but the hold awaits its coordinator's commit/abort.
-    /// Unlike pins, prepared marks are durable — journalled as `P`/`C`
-    /// records, rebuilt by recovery, and part of
-    /// [`PromiseManager::state_digest`]. Locking order is table → prepared.
-    prepared: Mutex<HashSet<PromiseId>>,
     /// Administratively degraded: fail-fast all new grant requests.
     degraded: AtomicBool,
     /// Live-promise count above which new grants are refused (0 = no cap).
@@ -466,14 +498,6 @@ pub struct PromiseManager {
     /// Armed fault-injection point inside [`PromiseManager::compact`];
     /// consumed by the next compaction.
     compaction_crash: Mutex<Option<CompactionCrash>>,
-    /// Per-pool *escrow leases*: the slice of a cluster-wide quantity this
-    /// manager may grant locally (O'Neil-style escrow applied at the
-    /// cluster layer). Empty for standalone managers. Leases are durable —
-    /// journalled as absolute-value `L` records, folded into checkpoints,
-    /// rebuilt by recovery (which also forces each leased pool's on-hand
-    /// quantity back to its lease slice), and part of
-    /// [`PromiseManager::state_digest`]. Locking order is table → leases.
-    leases: Mutex<BTreeMap<PoolId, u64>>,
 }
 
 /// Where an armed [`PromiseManager::compact`] crash fires. Models a
@@ -523,6 +547,7 @@ pub struct RecoveryReport {
 
 /// What one check reads from the promise table (see
 /// [`PromiseManager::check_inputs`]).
+#[derive(Default)]
 struct CheckInputs {
     /// Clones of the records the checker may re-arrange.
     snapshot: Vec<PromiseRecord>,
@@ -532,13 +557,113 @@ struct CheckInputs {
     pinned: HashSet<PromiseId>,
 }
 
+/// How the promises a transaction takes out of the table leave it.
+#[derive(Clone, Copy)]
+enum Leave {
+    /// Released, or handed back in exchange (journalled `R`).
+    Release,
+    /// Reaped by expiry (journalled `E`, tombstoned).
+    Expire,
+}
+
+/// What a transaction checks once the leaving promises' tags are freed.
+enum Check<'a> {
+    /// Nothing: a release or an expiry sweep only gives resources back.
+    Nothing,
+    /// A candidate promise against the live ones (§6): `predicates` for
+    /// `duration_ms` on behalf of `spec`, as a prepared hold if `prepared`.
+    Grant {
+        spec: &'a PromiseRequestSpec,
+        predicates: Vec<Predicate>,
+        duration_ms: u64,
+        prepared: bool,
+    },
+    /// The live promises against what an action wrote in the transaction
+    /// (§8 "Executing Actions").
+    Action,
+}
+
+/// One §8 transaction over the promise table; see
+/// [`PromiseManager::transition`].
+struct Transition<'a> {
+    /// The pools whose synchronisation points serialise it.
+    footprint: &'a [PoolId],
+    /// Where its lock wait and checking time are recorded.
+    lat: &'a OpLatencyMetrics,
+    /// The promises it takes out of the table when it commits; ids no
+    /// longer there are skipped.
+    leaving: &'a [PromiseId],
+    leave: Leave,
+    check: Check<'a>,
+}
+
+/// What a committed transition did to the table.
+struct Committed {
+    /// The promises that left.
+    left: Vec<PromiseId>,
+    /// The grant of the candidate, if there was one.
+    granted: Option<PromiseDecision>,
+}
+
+/// Why a transition rolled back instead of committing.
+enum Halt {
+    /// The candidate's request already holds a live promise, granted
+    /// thus: a retried grant.
+    Deduped(PromiseDecision),
+    /// The candidate cannot be granted.
+    Rejected(RejectReason),
+    /// The operation failed; [`PromiseManager::with_retries`] re-runs the
+    /// retryable ones.
+    Failed(PromiseError),
+}
+
+impl From<PromiseError> for Halt {
+    fn from(e: PromiseError) -> Self {
+        Halt::Failed(e)
+    }
+}
+
+impl Halt {
+    /// The error of a transition that had no candidate. A reject there is
+    /// a post-check that found its pool gone mid-flight — a violation with
+    /// no promise to name.
+    fn into_error(self) -> PromiseError {
+        match self {
+            Halt::Failed(e) => e,
+            Halt::Rejected(reason) => PromiseError::ViolationRolledBack {
+                violated: PromiseId(0),
+                detail: reason.to_string(),
+            },
+            Halt::Deduped(..) => unreachable!("only a grant's admission deduplicates"),
+        }
+    }
+}
+
+fn answer(spec: &PromiseRequestSpec, decision: PromiseDecision) -> PromiseResponse {
+    PromiseResponse {
+        correlation: spec.request.clone(),
+        decision,
+    }
+}
+
+fn rejection(spec: &PromiseRequestSpec, reason: RejectReason) -> PromiseResponse {
+    answer(spec, PromiseDecision::Rejected { reason })
+}
+
+fn granted(rec: &PromiseRecord) -> PromiseDecision {
+    PromiseDecision::Granted {
+        promise: rec.id,
+        expires_at: rec.expires_at,
+    }
+}
+
 impl PromiseManager {
     /// Creates a manager over `rm` with the given clock.
     pub fn new(rm: Arc<ResourceManager>, clock: Arc<dyn Clock>) -> Self {
         Self {
             rm,
             catalog: RwLock::new(Catalog::new()),
-            table: Mutex::new(PromiseTable::new()),
+            state: Mutex::new(PromiseState::default()),
             clock,
             locking: LockingMode::default(),
             max_duration_ms: u64::MAX,
@@ -546,11 +671,7 @@ impl PromiseManager {
             last_check_stats: Mutex::new(CheckerStats::default()),
             upstreams: RwLock::new(HashMap::new()),
             delegations: Mutex::new(HashMap::new()),
-            expired_tombstones: Mutex::new(Tombstones::default()),
             journal: RwLock::new(None),
-            request_index: Mutex::new(HashMap::new()),
-            pinned: Mutex::new(HashSet::new()),
-            prepared: Mutex::new(HashSet::new()),
             degraded: AtomicBool::new(false),
             overload_limit: AtomicUsize::new(0),
             metrics: PmMetrics::default(),
@@ -558,7 +679,6 @@ impl PromiseManager {
             tombstone_grace_ms: AtomicU64::new(DEFAULT_TOMBSTONE_GRACE_MS),
             compaction_threshold: AtomicUsize::new(DEFAULT_COMPACTION_THRESHOLD),
             compaction_crash: Mutex::new(None),
-            leases: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -617,7 +737,7 @@ impl PromiseManager {
     /// audits assert this stays proportional to recent expiries, not to
     /// all of history.
     pub fn tombstone_count(&self) -> usize {
-        self.expired_tombstones.lock().len()
+        self.state.lock().tombstones.len()
     }
 
     /// Caps every granted duration at `ms` (§6: the manager may "offer a
@@ -637,11 +757,6 @@ impl PromiseManager {
     /// The underlying resource manager.
     pub fn rm(&self) -> &Arc<ResourceManager> {
         &self.rm
-    }
-
-    /// The manager's clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
     }
 
     /// The attached journal, if any.
@@ -749,20 +864,7 @@ impl PromiseManager {
     /// The pool's schema must already be registered. Journalled as an `L`
     /// record so the split survives crash/restart.
     pub fn install_lease(&self, pool: impl Into<PoolId>, qty: u64) -> Result<(), PromiseError> {
-        let pool = pool.into();
-        let catalog = self.catalog.read();
-        let txn = self.rm.begin();
-        match catalog.set_quantity(&self.rm, &txn, &pool, qty) {
-            Ok(()) => {
-                let tbl = self.table.lock();
-                self.leases.lock().insert(pool.clone(), qty);
-                self.journal_append(JournalOp::Lease { pool, qty });
-                drop(tbl);
-                self.rm.commit(txn)?;
-                Ok(())
-            }
-            Err(e) => Err(self.abort_with(txn, e)),
-        }
+        self.set_lease(&pool.into(), |_, _| Some(qty)).map(drop)
     }
 
     /// Withdraws up to `want` units of lease *headroom* (lease minus
@@ -776,40 +878,14 @@ impl PromiseManager {
     /// before the receiver's, so a crash between them loses headroom
     /// (recoverable by a later top-up) but never mints it.
     pub fn lease_withdraw(&self, pool: impl Into<PoolId>, want: u64) -> Result<u64, PromiseError> {
-        let pool = pool.into();
         if want == 0 {
             return Ok(0);
         }
-        self.with_retries(|| {
-            let txn = self.rm.begin();
-            if let Err(e) = self.lock_lease_ops(&txn, &pool) {
-                return Err(self.abort_with(txn, e.into()));
-            }
-            // Crate-wide lock order: catalog → table.
-            let catalog = self.catalog.read();
-            let tbl = self.table.lock();
-            let lease = self.leases.lock().get(&pool).copied().unwrap_or(0);
-            let headroom = lease.saturating_sub(tbl.promised_qty(&pool));
-            let moved = want.min(headroom);
-            if moved == 0 {
-                drop(tbl);
-                return self.abort_then(txn, 0);
-            }
-            let qty = lease - moved;
-            if let Err(e) = catalog.set_quantity(&self.rm, &txn, &pool, qty) {
-                drop(tbl);
-                return Err(self.abort_with(txn, e));
-            }
-            drop(catalog);
-            self.leases.lock().insert(pool.clone(), qty);
-            self.journal_append(JournalOp::Lease {
-                pool: pool.clone(),
-                qty,
-            });
-            drop(tbl);
-            self.rm.commit(txn)?;
-            Ok(moved)
+        self.set_lease(&pool.into(), |lease, promised| {
+            let moved = want.min(lease.saturating_sub(promised));
+            (moved > 0).then(|| lease - moved)
         })
+        .map(|(before, after)| before - after)
     }
 
     /// Deposits `delta` units of lease headroom into this manager, growing
@@ -817,71 +893,72 @@ impl PromiseManager {
     /// lease. The caller (the cluster rebalancer) is responsible for only
     /// depositing units previously withdrawn from another shard.
     pub fn lease_deposit(&self, pool: impl Into<PoolId>, delta: u64) -> Result<u64, PromiseError> {
-        let pool = pool.into();
-        self.with_retries(|| {
+        self.set_lease(&pool.into(), |lease, _| Some(lease.saturating_add(delta)))
+            .map(|(_, after)| after)
+    }
+
+    /// One lease move, under the same synchronisation point grants over
+    /// `pool` take: `decide(lease, promised)` names the new absolute lease
+    /// (`None` leaves it alone), which becomes the pool's on-hand quantity
+    /// and an `L` record. Returns the lease before and after.
+    fn set_lease(
+        &self,
+        pool: &PoolId,
+        decide: impl Fn(u64, u64) -> Option<u64>,
+    ) -> Result<(u64, u64), PromiseError> {
+        let tel = self.tel();
+        let tel = tel.as_deref();
+        self.with_retries(tel, || {
             let txn = self.rm.begin();
-            if let Err(e) = self.lock_lease_ops(&txn, &pool) {
+            if let Err(e) = self.lock_ops(&txn, std::slice::from_ref(pool)) {
                 return Err(self.abort_with(txn, e.into()));
             }
-            // Crate-wide lock order: catalog → table.
-            let catalog = self.catalog.read();
-            let tbl = self.table.lock();
-            let lease = self.leases.lock().get(&pool).copied().unwrap_or(0);
-            let qty = lease.saturating_add(delta);
-            if let Err(e) = catalog.set_quantity(&self.rm, &txn, &pool, qty) {
-                drop(tbl);
+            // Nothing else moves this pool's lease or promised quantity
+            // while its synchronisation point is held, so the state lock
+            // is not kept across the RM write.
+            let (lease, promised) = {
+                let st = self.state.lock();
+                (st.lease(pool), st.table().promised_qty(pool))
+            };
+            let Some(qty) = decide(lease, promised) else {
+                return self.abort_then(txn, (lease, lease));
+            };
+            if let Err(e) = self.catalog.read().set_quantity(&self.rm, &txn, pool, qty) {
                 return Err(self.abort_with(txn, e));
             }
-            drop(catalog);
-            self.leases.lock().insert(pool.clone(), qty);
-            self.journal_append(JournalOp::Lease {
-                pool: pool.clone(),
-                qty,
-            });
-            drop(tbl);
+            {
+                let mut st = self.state.lock();
+                st.leases.insert(pool.clone(), qty);
+                let pool = pool.clone();
+                self.journal_append(tel, JournalOp::Lease { pool, qty });
+            }
             self.rm.commit(txn)?;
-            Ok(qty)
+            Ok((lease, qty))
         })
     }
 
     /// This manager's escrow lease for `pool`, if one is installed.
     pub fn lease_of(&self, pool: impl Into<PoolId>) -> Option<u64> {
-        self.leases.lock().get(&pool.into()).copied()
+        self.state.lock().leases.get(&pool.into()).copied()
     }
 
     /// All escrow leases held by this manager (sorted by pool).
     pub fn leases(&self) -> Vec<(PoolId, u64)> {
-        self.leases
-            .lock()
-            .iter()
-            .map(|(p, q)| (p.clone(), *q))
-            .collect()
+        self.state.lock().lease_list()
     }
 
     /// Unpromised lease headroom for `pool`: lease minus quantity promised
     /// (0 when no lease is installed).
     pub fn lease_headroom(&self, pool: impl Into<PoolId>) -> u64 {
         let pool = pool.into();
-        let tbl = self.table.lock();
-        let lease = self.leases.lock().get(&pool).copied().unwrap_or(0);
-        lease.saturating_sub(tbl.promised_qty(&pool))
+        let st = self.state.lock();
+        st.lease(&pool)
+            .saturating_sub(st.table().promised_qty(&pool))
     }
 
     /// Quantity promised against `pool` by live promises.
     pub fn promised_qty(&self, pool: impl Into<PoolId>) -> u64 {
-        self.table.lock().promised_qty(&pool.into())
-    }
-
-    /// The lease ops' synchronisation point: the same one grants over the
-    /// pool take, so lease moves serialise with grant/release traffic.
-    fn lock_lease_ops(&self, txn: &Txn, pool: &PoolId) -> Result<(), RmError> {
-        match self.locking {
-            LockingMode::Global => self.rm.lock_exclusive(txn, PM_OPS),
-            LockingMode::Footprint => {
-                let names = vec![format!("{PM_OPS}/{pool}")];
-                self.rm.lock_exclusive_many(txn, &names)
-            }
-        }
+        self.state.lock().table().promised_qty(&pool.into())
     }
 
     // ==================================================================
@@ -920,107 +997,92 @@ impl PromiseManager {
         spec: PromiseRequestSpec,
         prepared: bool,
     ) -> Result<PromiseResponse, PromiseError> {
-        // One registry read up front, cloned out of the lock, so the hot
-        // path acquires the telemetry lock at most once per request and
-        // allocates nothing. Per-pool attribution and exchanged-promise
-        // lifecycle events happen on the fresh-grant branch inside
-        // `try_grant_local`, where the spec is still in scope — they are
-        // per-grant costs, not per-request costs.
-        let tel = self.telemetry.read().clone();
-        let Some(tel) = tel else {
-            return self.request_inner(spec, prepared).map(|(resp, _)| resp);
-        };
+        let tel = self.tel();
         let started = Instant::now();
-        let result = self.request_inner(spec, prepared);
-        let dur = started.elapsed();
-        tel.grant_hist.record_duration(dur);
-        // Spans are trace artifacts (DESIGN §12): a clean grant outside
-        // any ambient trace joins nothing downstream, and the journal —
-        // not the ring — is lifecycle ground truth, so it is elided.
-        // Failures are always recorded for diagnosis.
-        let traced = current_trace().is_some();
-        match &result {
-            Ok((resp, deduped)) => match &resp.decision {
-                PromiseDecision::Granted { promise, .. } if *deduped => {
-                    tel.deduped.fetch_add(1, Ordering::Relaxed);
-                    if traced {
-                        tel.span_since(SpanKind::PmGrant, started)
-                            .promise(promise.0)
-                            .outcome(SpanOutcome::Deduped)
-                            .finish_with(dur);
+        let result = self.request_inner(tel.as_deref(), spec, prepared);
+        if let Ok((resp, deduped)) = &result {
+            let counter = match resp.decision {
+                PromiseDecision::Granted { .. } if *deduped => &self.metrics.grants_deduped,
+                PromiseDecision::Granted { .. } => &self.metrics.granted,
+                PromiseDecision::Rejected { .. } => &self.metrics.rejected,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(tel) = tel.as_deref() {
+            let (promise, outcome, note) = match &result {
+                Ok((resp, deduped)) => match &resp.decision {
+                    PromiseDecision::Granted { promise, .. } if *deduped => {
+                        tel.deduped.fetch_add(1, Ordering::Relaxed);
+                        (Some(*promise), SpanOutcome::Deduped, None)
                     }
-                }
-                PromiseDecision::Granted { promise, .. } => {
-                    tel.granted.fetch_add(1, Ordering::Relaxed);
-                    if traced {
-                        tel.span_since(SpanKind::PmGrant, started)
-                            .promise(promise.0)
-                            .finish_with(dur);
+                    PromiseDecision::Granted { promise, .. } => {
+                        tel.granted.fetch_add(1, Ordering::Relaxed);
+                        (Some(*promise), SpanOutcome::Ok, None)
                     }
-                }
-                PromiseDecision::Rejected { reason } => {
-                    let (cause, pool) = reject_cause(reason);
-                    tel.incr(&format!("pm.reject.{cause}"));
-                    if let Some(pool) = pool {
-                        tel.bump_pool(pool, false);
+                    PromiseDecision::Rejected { reason } => {
+                        let (cause, pool) = reject_cause(reason);
+                        tel.incr(&format!("pm.reject.{cause}"));
+                        if let Some(pool) = pool {
+                            tel.bump_pool(pool, false);
+                        }
+                        (None, SpanOutcome::Rejected, Some(cause.to_owned()))
                     }
-                    tel.span_since(SpanKind::PmGrant, started)
-                        .outcome(SpanOutcome::Rejected)
-                        .note(cause)
-                        .finish_with(dur);
+                },
+                Err(e) => {
+                    tel.grant_error.fetch_add(1, Ordering::Relaxed);
+                    (None, SpanOutcome::Error, Some(e.to_string()))
                 }
-            },
-            Err(e) => {
-                tel.grant_error.fetch_add(1, Ordering::Relaxed);
-                tel.span_since(SpanKind::PmGrant, started)
-                    .outcome(SpanOutcome::Error)
-                    .note(e.to_string())
-                    .finish_with(dur);
-            }
+            };
+            tel.note_op(
+                &tel.grant_hist,
+                SpanKind::PmGrant,
+                started,
+                promise,
+                outcome,
+                note,
+            );
         }
         result.map(|(resp, _)| resp)
     }
 
-    /// The grant path behind [`PromiseManager::request`]. The boolean in
-    /// the success value is true when the response was answered from the
-    /// request-id index (a deduplicated retry) rather than freshly granted.
+    /// The grant path behind [`PromiseManager::request`], which counts its
+    /// outcomes. The boolean in the success value is true when the response
+    /// was answered from the request-id index (a deduplicated retry) rather
+    /// than freshly granted.
     fn request_inner(
         &self,
+        tel: Option<&PmTel>,
         spec: PromiseRequestSpec,
         prepared: bool,
     ) -> Result<(PromiseResponse, bool), PromiseError> {
-        self.prune_expired()?;
+        self.prune(tel)?;
 
         // Duplicate-request fast path: a retried grant (lost reply, network
         // duplicate) whose original succeeded is answered with the original
         // promise — before delegation, so no duplicate upstream grants are
-        // acquired either. The authoritative re-check happens again inside
-        // `try_grant_local` under the footprint locks.
-        if let Some(resp) = self.dedup_hit(&spec) {
-            self.metrics.grants_deduped.fetch_add(1, Ordering::Relaxed);
-            return Ok((resp, true));
+        // acquired either. The authoritative re-check happens again in the
+        // grant transition's admission, under the footprint locks.
+        let now = self.clock.now_ms();
+        let held = {
+            let st = self.state.lock();
+            st.for_request(&spec.client, &spec.request, now)
+                .map(granted)
+        };
+        if let Some(decision) = held {
+            return Ok((answer(&spec, decision), true));
         }
 
         // Degraded/overload fail-fast (after dedup: answering a retry from
         // the index adds no load). New grants are the only thing refused.
         let over_limit = {
             let limit = self.overload_limit.load(Ordering::Relaxed);
-            limit > 0 && self.table.lock().len() >= limit
+            limit > 0 && self.live_count() >= limit
         };
         if self.degraded.load(Ordering::Relaxed) || over_limit {
             self.metrics
                 .overload_rejections
                 .fetch_add(1, Ordering::Relaxed);
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Ok((
-                PromiseResponse {
-                    correlation: spec.request,
-                    decision: PromiseDecision::Rejected {
-                        reason: RejectReason::Overloaded,
-                    },
-                },
-                false,
-            ));
+            return Ok((rejection(&spec, RejectReason::Overloaded), false));
         }
 
         // Split predicates between local pools and delegated pools.
@@ -1062,16 +1124,8 @@ impl PromiseManager {
                     }
                     PromiseDecision::Rejected { .. } => {
                         self.release_refs(&upstream_refs);
-                        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Ok((
-                            PromiseResponse {
-                                correlation: spec.request,
-                                decision: PromiseDecision::Rejected {
-                                    reason: RejectReason::UpstreamRejected { pool },
-                                },
-                            },
-                            false,
-                        ));
+                        let reason = RejectReason::UpstreamRejected { pool };
+                        return Ok((rejection(&spec, reason), false));
                     }
                 },
                 Err(e) => {
@@ -1081,62 +1135,138 @@ impl PromiseManager {
             }
         }
 
-        let effective_duration = spec.duration_ms.min(upstream_duration);
-        let result = self.with_retries(|| {
-            self.try_grant_local(&spec, local.clone(), effective_duration, prepared)
+        let duration_ms = spec.duration_ms.min(upstream_duration);
+        let result = self.with_retries(tel, || {
+            self.grant_local(tel, &spec, local.clone(), duration_ms, prepared)
         });
-        match &result {
-            Ok((resp, deduped)) => match &resp.decision {
-                PromiseDecision::Granted { promise, .. } if *deduped => {
-                    // The original grant already owns its delegation refs;
-                    // the ones acquired for this retry are surplus.
-                    let _ = promise;
-                    self.metrics.grants_deduped.fetch_add(1, Ordering::Relaxed);
-                    self.release_refs(&upstream_refs);
+        match result
+            .as_ref()
+            .map(|(resp, deduped)| (&resp.decision, deduped))
+        {
+            Ok((PromiseDecision::Granted { promise, .. }, false)) => {
+                if !upstream_refs.is_empty() {
+                    self.delegations.lock().insert(*promise, upstream_refs);
                 }
-                PromiseDecision::Granted { promise, .. } => {
-                    self.metrics.granted.fetch_add(1, Ordering::Relaxed);
-                    if !upstream_refs.is_empty() {
-                        self.delegations
-                            .lock()
-                            .insert(*promise, std::mem::take(&mut upstream_refs));
-                    }
-                }
-                PromiseDecision::Rejected { .. } => {
-                    self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.release_refs(&upstream_refs);
-                }
-            },
-            Err(_) => self.release_refs(&upstream_refs),
+            }
+            // Rejected, failed, or a deduplicated retry, whose original
+            // grant already owns its delegation refs: the ones acquired
+            // here are surplus.
+            _ => self.release_refs(&upstream_refs),
         }
         result
+    }
+
+    /// One attempt at granting `predicates` (the request's local ones) in
+    /// exchange for `spec.exchange` (§4: request + exchange is one atomic
+    /// unit; if the grant fails the old promises keep their resources).
+    /// The boolean is as in [`PromiseManager::request_inner`].
+    fn grant_local(
+        &self,
+        tel: Option<&PmTel>,
+        spec: &PromiseRequestSpec,
+        predicates: Vec<Predicate>,
+        duration_ms: u64,
+        prepared: bool,
+    ) -> Result<(PromiseResponse, bool), PromiseError> {
+        // The candidate's pools plus the exchanged promises' (read before
+        // locking — predicate sets are immutable, so an exchange record's
+        // pools cannot change while we wait; if the record vanishes
+        // meanwhile, admission rejects).
+        let pools = predicates.iter().map(|p| p.pool().clone()).collect();
+        let footprint = self.state.lock().footprint(pools, &spec.exchange);
+        let transition = Transition {
+            footprint: &footprint,
+            lat: &self.metrics.grant_lat,
+            leaving: &spec.exchange,
+            leave: Leave::Release,
+            check: Check::Grant {
+                spec,
+                predicates,
+                duration_ms,
+                prepared,
+            },
+        };
+        let done = self.transition(self.rm.begin(), tel, transition, |st, now| {
+            // A racing duplicate of this request may have been granted
+            // while we waited for the locks.
+            if let Some(rec) = st.for_request(&spec.client, &spec.request, now) {
+                return Err(Halt::Deduped(granted(rec)));
+            }
+            let live = |ex: &PromiseId| st.table().get(*ex).is_some_and(|r| r.is_live(now));
+            match spec.exchange.iter().find(|ex| !live(ex)) {
+                Some(ex) => Err(Halt::Rejected(RejectReason::UnknownExchange(*ex))),
+                None => Ok(()),
+            }
+        });
+        let decision = match done {
+            Ok(done) => done.granted.expect("a grant transition has a candidate"),
+            Err(Halt::Deduped(decision)) => return Ok((answer(spec, decision), true)),
+            Err(Halt::Rejected(reason)) => return Ok((rejection(spec, reason), false)),
+            Err(Halt::Failed(e)) => return Err(e),
+        };
+        // Per-pool attribution and exchanged-promise lifecycle terminals
+        // are recorded on the fresh-grant branch only — deduped/rejected
+        // requests never pay for them.
+        if let Some(tel) = tel {
+            let mut pools: Vec<&PoolId> = spec.predicates.iter().map(|p| p.pool()).collect();
+            pools.sort();
+            pools.dedup();
+            for pool in pools {
+                tel.bump_pool(pool, true);
+            }
+            for ex in &spec.exchange {
+                tel.event(SpanKind::PmRelease, ex.0);
+            }
+        }
+        for ex in &spec.exchange {
+            self.cascade_release(*ex);
+        }
+        Ok((answer(spec, decision), false))
     }
 
     /// Releases a promise (§6 promise release). Cascades to delegated
     /// upstream promises.
     pub fn release(&self, id: PromiseId) -> Result<(), PromiseError> {
+        let tel = self.tel();
+        let tel = tel.as_deref();
         let started = Instant::now();
-        let result = self.with_retries(|| self.try_release(id));
-        if let Some(tel) = self.telemetry.read().as_deref() {
-            let dur = started.elapsed();
-            tel.release_hist.record_duration(dur);
-            match &result {
-                // Clean untraced releases are elided like clean untraced
-                // grants (DESIGN §12); failures always get a span.
-                Ok(()) => {
-                    if current_trace().is_some() {
-                        tel.span_since(SpanKind::PmRelease, started)
-                            .promise(id.0)
-                            .finish_with(dur);
-                    }
-                }
-                Err(e) => tel
-                    .span_since(SpanKind::PmRelease, started)
-                    .promise(id.0)
-                    .outcome(SpanOutcome::Error)
-                    .note(e.to_string())
-                    .finish_with(dur),
-            }
+        let present = |st: &PromiseState| match st.table().get(id) {
+            Some(_) => Ok(()),
+            None => Err(st.absent(id)),
+        };
+        let result = self.with_retries(tel, || {
+            // The released promise's pools (immutable once granted, so the
+            // pre-lock read stays exact while we wait for the locks).
+            let footprint = {
+                let st = self.state.lock();
+                present(&st)?;
+                st.footprint(Vec::new(), &[id])
+            };
+            let transition = Transition {
+                footprint: &footprint,
+                lat: &self.metrics.release_lat,
+                leaving: &[id],
+                leave: Leave::Release,
+                check: Check::Nothing,
+            };
+            // Re-read under the locks: a concurrent prune may have reaped it.
+            self.transition(self.rm.begin(), tel, transition, |st, _| Ok(present(st)?))
+                .map(drop)
+                .map_err(Halt::into_error)
+        });
+        if let Some(tel) = tel {
+            let (outcome, note) = match &result {
+                Ok(()) => (SpanOutcome::Ok, None),
+                Err(e) => (SpanOutcome::Error, Some(e.to_string())),
+            };
+            tel.note_op(
+                &tel.release_hist,
+                SpanKind::PmRelease,
+                started,
+                Some(id),
+                outcome,
+                note,
+            );
         }
         result?;
         self.cascade_release(id);
@@ -1151,19 +1281,15 @@ impl PromiseManager {
     /// already expired or was never granted fails, letting the coordinator
     /// treat the transaction as aborted.
     pub fn commit_prepared(&self, id: PromiseId) -> Result<bool, PromiseError> {
-        let tbl = self.table.lock();
-        if tbl.get(id).is_none() {
-            return Err(if self.expired_tombstones.lock().contains(id) {
-                PromiseError::PromiseExpired(id)
-            } else {
-                PromiseError::UnknownPromise(id)
-            });
+        let tel = self.tel();
+        let mut st = self.state.lock();
+        if st.table().get(id).is_none() {
+            return Err(st.absent(id));
         }
-        let mut prepared = self.prepared.lock();
-        if !prepared.remove(&id) {
+        if !st.commit_prepared(id) {
             return Ok(false);
         }
-        self.journal_append(JournalOp::CommitPrepared(id));
+        self.journal_append(tel.as_deref(), JournalOp::CommitPrepared(id));
         Ok(true)
     }
 
@@ -1181,13 +1307,13 @@ impl PromiseManager {
     /// True if `id` is a prepared hold still awaiting its coordinator's
     /// decision (in doubt).
     pub fn is_prepared(&self, id: PromiseId) -> bool {
-        self.prepared.lock().contains(&id)
+        self.state.lock().prepared().contains(&id)
     }
 
     /// The prepared holds still awaiting a decision, sorted by id — the
     /// in-doubt set a recovering coordinator must resolve.
     pub fn prepared_ids(&self) -> Vec<PromiseId> {
-        let mut ids: Vec<PromiseId> = self.prepared.lock().iter().copied().collect();
+        let mut ids: Vec<PromiseId> = self.state.lock().prepared().iter().copied().collect();
         ids.sort();
         ids
     }
@@ -1197,16 +1323,15 @@ impl PromiseManager {
     /// plane's in-doubt-age signal: a coordinator stuck (or dead) between
     /// prepare and resolution shows up as this value climbing.
     pub fn oldest_in_doubt_age_ms(&self) -> Option<u64> {
-        // Locks taken one at a time (prepared, then table) — never nested,
-        // matching the table → prepared order used on the grant path.
-        let ids: Vec<PromiseId> = self.prepared.lock().iter().copied().collect();
-        if ids.is_empty() {
+        let st = self.state.lock();
+        if st.prepared().is_empty() {
             return None;
         }
         let now = self.clock.now_ms();
-        let tbl = self.table.lock();
-        ids.iter()
-            .filter_map(|id| tbl.get(*id).map(|rec| now.saturating_sub(rec.granted_at)))
+        st.prepared()
+            .iter()
+            .filter_map(|id| st.table().get(*id))
+            .map(|rec| now.saturating_sub(rec.granted_at))
             .max()
     }
 
@@ -1214,14 +1339,9 @@ impl PromiseManager {
     /// coordinator that lost a prepare reply resolves the hold by request
     /// key instead of promise id.
     pub fn promise_for_request(&self, client: &ClientId, request: &RequestId) -> Option<PromiseId> {
-        let key = (client.clone(), request.clone());
-        let id = *self.request_index.lock().get(&key)?;
-        let tbl = self.table.lock();
-        let rec = tbl.get(id)?;
-        if !rec.is_live(self.clock.now_ms()) {
-            return None;
-        }
-        Some(id)
+        let now = self.clock.now_ms();
+        let st = self.state.lock();
+        st.for_request(client, request, now).map(|rec| rec.id)
     }
 
     /// Atomically upgrades or weakens existing promises: grants `spec`'s
@@ -1250,18 +1370,9 @@ impl PromiseManager {
     pub fn execute<R>(
         &self,
         env: &Environment,
-        mut action: impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
+        action: impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
     ) -> Result<R, PromiseError> {
-        self.prune_expired()?;
-        let started = Instant::now();
-        let result = self.with_retries(|| self.try_execute(env, &mut action, false));
-        self.note_execute(env, started, result.as_ref().err());
-        let out = result?;
-        for id in env.releases() {
-            self.cascade_release(id);
-        }
-        self.metrics.executions.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
+        self.execute_with(env, action, false)
     }
 
     /// Like [`PromiseManager::execute`], but additionally *enforces*
@@ -1273,85 +1384,172 @@ impl PromiseManager {
     pub fn execute_scoped<R>(
         &self,
         env: &Environment,
-        mut action: impl FnMut(&ResourceManager, &Txn) -> Result<R, crate::error::ActionError>,
+        action: impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
     ) -> Result<R, PromiseError> {
-        self.prune_expired()?;
+        self.execute_with(env, action, true)
+    }
+
+    fn execute_with<R>(
+        &self,
+        env: &Environment,
+        mut action: impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
+        enforce_scope: bool,
+    ) -> Result<R, PromiseError> {
+        let tel = self.tel();
+        let tel = tel.as_deref();
+        self.prune(tel)?;
         let started = Instant::now();
-        let result = self.with_retries(|| self.try_execute(env, &mut action, true));
-        self.note_execute(env, started, result.as_ref().err());
+        let releases = env.releases();
+        let result = self.with_retries(tel, || {
+            self.try_action(tel, env, &releases, &mut action, enforce_scope)
+        });
+        if let Err(PromiseError::ViolationRolledBack { .. } | PromiseError::ScopeViolation { .. }) =
+            &result
+        {
+            self.metrics
+                .violations_rolled_back
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(tel) = tel {
+            // Rollbacks for promise violations are tagged with the
+            // violated promise; a clean traced execute also records a
+            // `pm.release` lifecycle event per promise released with it.
+            let (promise, outcome, note) = match &result {
+                Ok(_) => {
+                    if current_trace().is_some() {
+                        for id in &releases {
+                            tel.event(SpanKind::PmRelease, id.0);
+                        }
+                    }
+                    (None, SpanOutcome::Ok, None)
+                }
+                Err(PromiseError::ViolationRolledBack { violated, detail }) => (
+                    Some(*violated),
+                    SpanOutcome::RolledBack,
+                    Some(detail.clone()),
+                ),
+                Err(e) => (None, SpanOutcome::Error, Some(e.to_string())),
+            };
+            tel.note_op(
+                &tel.execute_hist,
+                SpanKind::PmExecute,
+                started,
+                promise,
+                outcome,
+                note,
+            );
+        }
         let out = result?;
-        for id in env.releases() {
+        for id in releases {
             self.cascade_release(id);
         }
         self.metrics.executions.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
-    /// Records the `pm.execute` histogram and span — plus a `pm.release`
-    /// lifecycle event per promise released with the action — when
-    /// telemetry is attached. Rollbacks for promise violations are tagged
-    /// with the violated promise.
-    fn note_execute(&self, env: &Environment, started: Instant, err: Option<&PromiseError>) {
-        let guard = self.telemetry.read();
-        let Some(tel) = guard.as_deref() else { return };
-        let dur = started.elapsed();
-        tel.execute_hist.record_duration(dur);
-        match err {
-            None => {
-                // A clean execute outside any ambient trace joins nothing
-                // an auditor could correlate — the journal carries the
-                // release ground truth and the histogram above already has
-                // the latency sample — so only traced executions earn ring
-                // slots (DESIGN §12).
-                if current_trace().is_some() {
-                    for id in env.releases() {
-                        tel.event(SpanKind::PmRelease, id.0);
-                    }
-                    tel.span_since(SpanKind::PmExecute, started)
-                        .finish_with(dur);
-                }
-            }
-            Some(PromiseError::ViolationRolledBack { violated, detail }) => tel
-                .span_since(SpanKind::PmExecute, started)
-                .promise(violated.0)
-                .outcome(SpanOutcome::RolledBack)
-                .note(detail.clone())
-                .finish_with(dur),
-            Some(e) => tel
-                .span_since(SpanKind::PmExecute, started)
-                .outcome(SpanOutcome::Error)
-                .note(e.to_string())
-                .finish_with(dur),
+    /// One attempt at an action and the promise transition that follows it
+    /// in the same transaction (§4: action + release is one atomic unit).
+    fn try_action<R>(
+        &self,
+        tel: Option<&PmTel>,
+        env: &Environment,
+        releases: &[PromiseId],
+        action: &mut impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
+        enforce_scope: bool,
+    ) -> Result<R, PromiseError> {
+        let txn = self.rm.begin();
+        // Pre-validate the environment (cheap fail-fast; re-checked after
+        // the action because time passes while it runs).
+        let now = self.clock.now_ms();
+        let valid = self.validate_env(&self.state.lock(), env, now);
+        if let Err(e) = valid {
+            return Err(self.abort_with(txn, e));
         }
+        let out = match action(&self.rm, &txn) {
+            Ok(v) => v,
+            Err(ActionError::App(msg)) => {
+                self.metrics.action_failures.fetch_add(1, Ordering::Relaxed);
+                return Err(self.abort_with(txn, PromiseError::ActionFailed(msg)));
+            }
+            // Storage failures (deadlock victims in particular) are not
+            // business failures; bubble them so with_retries re-runs the
+            // whole transactional attempt.
+            Err(ActionError::Rm(e)) => return Err(self.abort_with(txn, PromiseError::Rm(e))),
+        };
+        // The pools the action wrote plus the pools of the promises being
+        // released.
+        let written = match self.written_pools(&txn) {
+            Ok(pools) => pools,
+            Err(e) => return Err(self.abort_with(txn, e)),
+        };
+        let footprint = self.state.lock().footprint(written.clone(), releases);
+        let transition = Transition {
+            footprint: &footprint,
+            lat: &self.metrics.execute_lat,
+            leaving: releases,
+            leave: Leave::Release,
+            check: Check::Action,
+        };
+        self.transition(txn, tel, transition, |st, now| {
+            self.validate_env(st, env, now)?;
+            if enforce_scope {
+                check_scope(st, env, &written)?;
+            }
+            Ok(())
+        })
+        .map_err(Halt::into_error)?;
+        Ok(out)
     }
 
     /// Reaps expired promises, freeing their tag allocations. Called
     /// lazily by every operation; callable explicitly (e.g. on a timer).
     /// Returns the number reaped.
     pub fn prune_expired(&self) -> Result<usize, PromiseError> {
-        let reaped = self.with_retries(|| self.try_prune())?;
-        {
+        self.prune(self.tel().as_deref())
+    }
+
+    fn prune(&self, tel: Option<&PmTel>) -> Result<usize, PromiseError> {
+        let reaped = self.with_retries(tel, || {
             let now = self.clock.now_ms();
-            let evict_at = now.saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
-            let mut tombs = self.expired_tombstones.lock();
-            for rec in &reaped {
-                tombs.insert(rec.id, evict_at);
-            }
-            // Evict tombstones whose grace window has passed, so the set
-            // tracks recent expiries instead of growing with history.
-            tombs.evict_due(now);
-        }
-        for rec in &reaped {
-            self.cascade_release(rec.id);
-        }
-        if !reaped.is_empty() {
-            if let Some(tel) = self.telemetry.read().as_deref() {
-                for rec in &reaped {
-                    tel.event(SpanKind::PmExpire, rec.id.0);
+            // The expired ids come off the table's expiry index: a
+            // first-key probe when nothing expired (the common case),
+            // otherwise a read of exactly the expired entries — never a
+            // pass over the table. The set is re-read under the locks but
+            // only ever *shrinks* (concurrent releases): `now` is fixed, so
+            // nothing new expires, and a concurrent grant can only insert
+            // records live past it.
+            let (expired, footprint) = {
+                let mut st = self.state.lock();
+                let expired = st.table().expired_ids(now);
+                if expired.is_empty() {
+                    // Tombstones whose grace has passed go on every prune,
+                    // so the set tracks recent expiries, not history.
+                    st.tombstones.evict_due(now);
+                    return Ok(Vec::new());
                 }
-                tel.expired
-                    .fetch_add(reaped.len() as u64, Ordering::Relaxed);
+                let footprint = st.footprint(Vec::new(), &expired);
+                (expired, footprint)
+            };
+            let transition = Transition {
+                footprint: &footprint,
+                lat: &self.metrics.prune_lat,
+                leaving: &expired,
+                leave: Leave::Expire,
+                check: Check::Nothing,
+            };
+            self.transition(self.rm.begin(), tel, transition, |_, _| Ok(()))
+                .map(|done| done.left)
+                .map_err(Halt::into_error)
+        })?;
+        for id in &reaped {
+            self.cascade_release(*id);
+        }
+        if let Some(tel) = tel {
+            for id in &reaped {
+                tel.event(SpanKind::PmExpire, id.0);
             }
+            tel.expired
+                .fetch_add(reaped.len() as u64, Ordering::Relaxed);
         }
         self.metrics
             .expired_reaped
@@ -1359,9 +1557,10 @@ impl PromiseManager {
         Ok(reaped.len())
     }
 
-    /// Rebuilds the promise table, per-pool indexes, quantity aggregates
-    /// and request-id index from `journal` after a (simulated) crash, then
-    /// installs the journal for continued appends.
+    /// Rebuilds the promise state — table, per-pool indexes, quantity
+    /// aggregates, request-id index, prepared marks, tombstones, leases —
+    /// from `journal` after a (simulated) crash, installs it with one
+    /// store, then installs the journal for continued appends.
     ///
     /// Replay is *idempotent*: `Grant` inserts (replacing any stale copy),
     /// `Release`/`Expire` of an absent id is a no-op, and `Allocations`
@@ -1377,95 +1576,70 @@ impl PromiseManager {
             .map_err(|e| PromiseError::JournalCorrupt(e.to_string()))?;
         let replayed = entries.len();
 
-        let mut table = PromiseTable::new();
-        let mut tombstones: HashSet<PromiseId> = HashSet::new();
-        let mut prepared: HashSet<PromiseId> = HashSet::new();
-        let mut lease_map: BTreeMap<PoolId, u64> = BTreeMap::new();
+        // The fold goes through the same `insert`/`take` as live traffic,
+        // so the rebuilt marks agree with the rebuilt table by
+        // construction. Observation pins are volatile — any pre-crash
+        // observer's session is gone — and start empty.
+        let mut state = PromiseState::default();
+        let mut reaped: HashSet<PromiseId> = HashSet::new();
         let mut max_id = 0u64;
         for entry in entries {
             match entry.op {
                 JournalOp::Grant(rec) => {
                     max_id = max_id.max(rec.id.0);
-                    tombstones.remove(&rec.id);
-                    prepared.remove(&rec.id);
-                    table.insert(rec);
+                    reaped.remove(&rec.id);
+                    state.insert(rec, false);
                 }
                 JournalOp::Prepared(rec) => {
                     max_id = max_id.max(rec.id.0);
-                    tombstones.remove(&rec.id);
-                    prepared.insert(rec.id);
-                    table.insert(rec);
+                    reaped.remove(&rec.id);
+                    state.insert(rec, true);
                 }
                 JournalOp::CommitPrepared(id) => {
-                    prepared.remove(&id);
+                    state.commit_prepared(id);
                 }
                 JournalOp::Release(id) => {
-                    table.remove(id);
-                    prepared.remove(&id);
+                    state.take(id);
                 }
                 JournalOp::Expire(id) => {
-                    table.remove(id);
-                    prepared.remove(&id);
-                    tombstones.insert(id);
+                    state.take(id);
+                    reaped.insert(id);
                 }
                 JournalOp::Allocations { id, allocations } => {
-                    if let Some(rec) = table.get_mut(id) {
-                        rec.allocations = allocations;
-                    }
+                    state.set_allocations(id, allocations);
                 }
                 JournalOp::Lease { pool, qty } => {
                     // Absolute values: last write wins, exactly the state
                     // the pre-crash manager last made durable.
-                    lease_map.insert(pool, qty);
+                    state.leases.insert(pool, qty);
                 }
                 JournalOp::Checkpoint(cp) => {
                     // A checkpoint is a full snapshot of live state: reset
                     // the fold and continue replay from it. Everything
                     // before it is compacted-away history.
-                    table = PromiseTable::new();
-                    tombstones.clear();
-                    prepared.clear();
-                    lease_map = cp.leases.into_iter().collect();
+                    state = PromiseState::default();
+                    reaped.clear();
+                    state.leases = cp.leases.into_iter().collect();
                     max_id = max_id.max(cp.next_id);
                     for item in cp.live {
                         max_id = max_id.max(item.record.id.0);
-                        if item.prepared {
-                            prepared.insert(item.record.id);
-                        }
-                        table.insert(item.record);
+                        state.insert(item.record, item.prepared);
                     }
                 }
             }
         }
-        table.bump_next_to(max_id);
-        let recovered = table.len();
-
-        let mut index: HashMap<(ClientId, RequestId), PromiseId> = HashMap::new();
-        for rec in table.records() {
-            index.insert((rec.client.clone(), rec.request.clone()), rec.id);
-        }
-
-        // Install rebuilt state. Locks are taken one at a time — recovery
-        // runs before the manager serves traffic, so no consistency window
-        // matters here.
-        *self.table.lock() = table;
-        *self.request_index.lock() = index;
-        // Observation pins are volatile: any pre-crash observer's session
-        // is gone, so recovered promises re-arrange freely again.
-        self.pinned.lock().clear();
-        *self.prepared.lock() = prepared;
+        state.bump_next_to(max_id);
+        let recovered = state.table().len();
         // Replayed Expire records carry no wall-clock, so recovered
         // tombstones restart their grace window at recovery time.
         let evict_at = self
             .clock
             .now_ms()
             .saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
-        {
-            let mut tombs = self.expired_tombstones.lock();
-            for id in tombstones {
-                tombs.insert(id, evict_at);
-            }
+        for id in reaped {
+            state.tombstones.insert(id, evict_at);
         }
+        *self.state.lock() = state;
         *self.journal.write() = Some(journal);
 
         // The journal is the durable truth for escrow leases: force each
@@ -1473,20 +1647,16 @@ impl PromiseManager {
         // any divergence from a crash between the RM write and the `L`
         // append. Pools whose schema the caller has not re-registered are
         // skipped (schema registration is not journalled).
-        {
-            let catalog = self.catalog.read();
-            for (pool, qty) in &lease_map {
-                if !catalog.contains(pool) {
-                    continue;
-                }
-                let txn = self.rm.begin();
-                match catalog.set_quantity(&self.rm, &txn, pool, *qty) {
-                    Ok(()) => self.rm.commit(txn)?,
-                    Err(e) => return Err(self.abort_with(txn, e)),
-                }
+        let leases = self.leases();
+        let catalog = self.catalog.read();
+        for (pool, qty) in leases.iter().filter(|(pool, _)| catalog.contains(pool)) {
+            let txn = self.rm.begin();
+            match catalog.set_quantity(&self.rm, &txn, pool, *qty) {
+                Ok(()) => self.rm.commit(txn)?,
+                Err(e) => return Err(self.abort_with(txn, e)),
             }
         }
-        *self.leases.lock() = lease_map;
+        drop(catalog);
 
         // Reap promises that expired while the manager was down; their
         // Expire entries are appended under the new generation and their
@@ -1501,16 +1671,16 @@ impl PromiseManager {
             replayed,
             recovered,
             pruned,
-            in_doubt: self.prepared.lock().len(),
+            in_doubt: self.state.lock().prepared().len(),
             generation,
         })
     }
 
     /// Compacts the attached journal: captures the live table, prepared
-    /// marks, and id high-water into one checkpoint record and atomically
-    /// swaps it in for the accumulated history
+    /// marks, leases and id high-water into one checkpoint record and
+    /// atomically swaps it in for the accumulated history
     /// ([`PromiseJournal::install_checkpoint`]). The snapshot is built and
-    /// swapped under the table lock — the same lock every journal append
+    /// swapped under the state lock — the same lock every journal append
     /// holds — so the checkpoint is a consistent cut and no concurrent
     /// transition can fall between snapshot and swap. Recovery replays the
     /// checkpoint plus whatever suffix accumulates after it, making
@@ -1521,49 +1691,31 @@ impl PromiseManager {
     /// [`PromiseError::CompactionInterrupted`] when an armed crash hook
     /// fires ([`PromiseManager::arm_compaction_crash`]).
     pub fn compact(&self) -> Result<Option<CompactionReport>, PromiseError> {
-        let journal = match self.journal.read().as_ref() {
-            Some(j) => Arc::clone(j),
-            None => return Ok(None),
+        let Some(journal) = self.journal() else {
+            return Ok(None);
         };
         let started = Instant::now();
-        // Crate-wide lock order: table → prepared.
-        let table = self.table.lock();
-        let prepared_set = self.prepared.lock();
-        let mut live: Vec<(bool, &PromiseRecord)> = table
-            .records()
-            .map(|record| (prepared_set.contains(&record.id), record))
-            .collect();
-        drop(prepared_set);
-        // Canonical order keeps the checkpoint line deterministic for a
-        // given table state (table iteration order is not).
-        live.sort_by_key(|(_, record)| record.id);
-        let prepared_count = live.iter().filter(|(prepared, _)| *prepared).count();
-        // BTreeMap iteration is sorted, keeping the line deterministic.
-        let leases: Vec<(PoolId, u64)> = self
-            .leases
-            .lock()
-            .iter()
-            .map(|(p, q)| (p.clone(), *q))
-            .collect();
+        let st = self.state.lock();
+        let (live, leases) = (st.records(), st.lease_list());
         let crash = self.compaction_crash.lock().take();
         if crash == Some(CompactionCrash::BeforeSwap) {
             // Modeled crash while writing the checkpoint temp file: the
             // real journal was never touched.
             return Err(PromiseError::CompactionInterrupted);
         }
-        let stats = journal.install_checkpoint(table.id_high_water(), &live, &leases);
+        let stats = journal.install_checkpoint(st.table().id_high_water(), &live, &leases);
         let report = CompactionReport {
             dropped: stats.dropped,
-            live: table.len(),
-            prepared: prepared_count,
+            live: live.len(),
+            prepared: live.iter().filter(|(prepared, _)| *prepared).count(),
             seq: stats.seq,
         };
-        drop(table);
+        drop(st);
         if crash == Some(CompactionCrash::AfterSwap) {
             // Modeled crash right after the rename: the swap is durable.
             return Err(PromiseError::CompactionInterrupted);
         }
-        if let Some(tel) = self.telemetry.read().as_deref() {
+        if let Some(tel) = self.tel() {
             tel.compact_runs.fetch_add(1, Ordering::Relaxed);
             tel.compact_dropped
                 .fetch_add(report.dropped as u64, Ordering::Relaxed);
@@ -1587,7 +1739,7 @@ impl PromiseManager {
             Some(j) => j.len(),
             None => return Ok(None),
         };
-        if let Some(tel) = self.telemetry.read().as_deref() {
+        if let Some(tel) = self.tel() {
             tel.journal_records
                 .store(journal_len as u64, Ordering::Relaxed);
         }
@@ -1607,7 +1759,7 @@ impl PromiseManager {
 
     /// Number of promises currently in the table.
     pub fn live_count(&self) -> usize {
-        self.table.lock().len()
+        self.state.lock().table().len()
     }
 
     /// A copy of a promise's record, if present.
@@ -1615,32 +1767,27 @@ impl PromiseManager {
     /// Reading a record *pins* its allocations: the returned instances
     /// will not be moved by later re-arrangements (the caller may act on
     /// exactly what it read — e.g. book the room the manager allocated).
-    /// The pin is taken under the table lock, atomically with the read, so
+    /// The pin is taken under the state lock, atomically with the read, so
     /// a re-arrangement in flight either already shows in the returned
     /// record or detects the pin at write-back and recomputes. Pins drop
     /// when the promise is released, expired, or exchanged. Unobserved
     /// promises keep the paper's full §5 re-arrangement freedom.
     pub fn promise(&self, id: PromiseId) -> Option<PromiseRecord> {
-        let tbl = self.table.lock();
-        let rec = tbl.get(id).cloned()?;
-        if !rec.allocations.is_empty() {
-            self.pinned.lock().insert(id);
-        }
-        Some(rec)
+        self.state.lock().observe(id)
     }
 
     /// A copy of a promise's record without pinning its allocations —
     /// for audits and introspection that will never act on the specific
     /// instances (re-arrangement stays free afterwards).
     pub fn peek_promise(&self, id: PromiseId) -> Option<PromiseRecord> {
-        self.table.lock().get(id).cloned()
+        self.state.lock().table().get(id).cloned()
     }
 
     /// Per-pool totals of quantity promised by live promises (sorted by
     /// pool). An external audit can cross-check these against quantities
     /// on hand: promised exceeding on-hand is a promise violation.
     pub fn promised_quantities(&self) -> Vec<(PoolId, u64)> {
-        self.table.lock().qty_aggregates()
+        self.state.lock().table().qty_aggregates()
     }
 
     /// The quantity on hand in a quantity pool (audit/introspection).
@@ -1687,56 +1834,29 @@ impl PromiseManager {
 
     /// A canonical string over the full promise-table state: every record
     /// (sorted by id, predicates in `Display` form, allocations in slot
-    /// order), the per-pool promised-quantity aggregates, and the expiry
-    /// histogram. Two managers with byte-equal digests hold equivalent
-    /// promise state — the crash-recovery tests compare a pre-crash digest
-    /// against the post-[`PromiseManager::recover`] digest.
+    /// order), the per-pool promised-quantity aggregates, the expiry
+    /// histogram, the prepared marks and the escrow leases — one
+    /// consistent cut under the state lock. Two managers with byte-equal
+    /// digests hold equivalent promise state — the crash-recovery tests
+    /// compare a pre-crash digest against the
+    /// post-[`PromiseManager::recover`] digest.
     pub fn state_digest(&self) -> String {
-        let tbl = self.table.lock();
-        let mut records: Vec<&PromiseRecord> = tbl.records().collect();
-        records.sort_by_key(|r| r.id);
-        let mut out = String::new();
-        for rec in records {
-            out.push_str(&format!(
-                "promise {} client={} request={} granted={} expires={}\n",
-                rec.id, rec.client, rec.request, rec.granted_at, rec.expires_at
-            ));
-            for pred in &rec.predicates {
-                out.push_str(&format!("  pred {pred}\n"));
-            }
-            for alloc in &rec.allocations {
-                out.push_str(&format!("  alloc {}:{}\n", alloc.pred_idx, alloc.instance));
-            }
-        }
-        for (pool, qty) in tbl.qty_aggregates() {
-            out.push_str(&format!("qty {pool}={qty}\n"));
-        }
-        for (at, n) in tbl.expiry_histogram() {
-            out.push_str(&format!("expiry {at}={n}\n"));
-        }
-        // Prepared marks are durable state (journalled, recovered), so two
-        // equivalent managers must agree on them — unlike volatile pins.
-        // Read under the table lock (table → prepared) for a consistent cut.
-        let mut prepared: Vec<PromiseId> = self.prepared.lock().iter().copied().collect();
-        prepared.sort();
-        for id in prepared {
-            out.push_str(&format!("prepared {id}\n"));
-        }
-        // Escrow leases are durable state as well (journalled `L` records,
-        // checkpointed, recovered); read under the table lock
-        // (table → leases) for a consistent cut.
-        for (pool, qty) in self.leases.lock().iter() {
-            out.push_str(&format!("lease {pool}={qty}\n"));
-        }
-        out
+        self.state.lock().digest()
     }
 
     // ==================================================================
     // Internals
     // ==================================================================
 
+    /// The attached telemetry, read once per public operation and handed
+    /// down, so no operation takes the registry lock twice.
+    fn tel(&self) -> Option<Arc<PmTel>> {
+        self.telemetry.read().clone()
+    }
+
     fn with_retries<R>(
         &self,
+        tel: Option<&PmTel>,
         mut body: impl FnMut() -> Result<R, PromiseError>,
     ) -> Result<R, PromiseError> {
         let mut attempt: u32 = 0;
@@ -1747,7 +1867,7 @@ impl PromiseManager {
                     self.metrics
                         .deadlock_retries
                         .fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = self.telemetry.read().as_deref() {
+                    if let Some(tel) = tel {
                         tel.retry_deadlock.fetch_add(1, Ordering::Relaxed);
                     }
                     // Short bounded backoff breaks retry lockstep between
@@ -1779,88 +1899,27 @@ impl PromiseManager {
     }
 
     /// Appends to the journal if one is attached. Called while holding the
-    /// table lock, so journal order matches table-mutation order.
-    fn journal_append(&self, op: JournalOp) {
+    /// state lock, so journal order matches table-mutation order.
+    fn journal_append(&self, tel: Option<&PmTel>, op: JournalOp) {
         if let Some(j) = self.journal.read().as_ref() {
             j.append(op);
             // Keep the `pm.journal.records` gauge live on every append so
             // health monitors see journal growth between compaction and
             // reaper ticks, not just the post-compaction plateau.
-            if let Some(tel) = self.telemetry.read().as_deref() {
+            if let Some(tel) = tel {
                 tel.journal_records.store(j.len() as u64, Ordering::Relaxed);
             }
         }
     }
 
-    /// Answers a grant request from the request-id index if the same
-    /// `(client, request)` already holds a live promise. Locks are taken
-    /// one at a time (index, then table) — never nested.
-    fn dedup_hit(&self, spec: &PromiseRequestSpec) -> Option<PromiseResponse> {
-        let key = (spec.client.clone(), spec.request.clone());
-        let id = *self.request_index.lock().get(&key)?;
-        let expires_at = {
-            let tbl = self.table.lock();
-            let rec = tbl.get(id)?;
-            if !rec.is_live(self.clock.now_ms()) {
-                return None;
-            }
-            rec.expires_at
-        };
-        Some(PromiseResponse {
-            correlation: spec.request.clone(),
-            decision: PromiseDecision::Granted {
-                promise: id,
-                expires_at,
-            },
-        })
-    }
-
-    /// Drops request-index entries for promises leaving the table, keyed
-    /// conditionally so a newer grant under a reused request id survives.
-    /// Also drops their observation pins — a promise that left the table
-    /// can never be re-arranged again, so the pin is moot.
-    fn unindex_requests(&self, removed: &[PromiseRecord]) {
-        if removed.is_empty() {
-            return;
-        }
-        {
-            let mut pins = self.pinned.lock();
-            for rec in removed {
-                pins.remove(&rec.id);
-            }
-        }
-        {
-            // A prepared hold leaving the table (released by abort,
-            // consumed by exchange, or reaped by expiry) is resolved; its
-            // mark goes with it.
-            let mut prepared = self.prepared.lock();
-            for rec in removed {
-                prepared.remove(&rec.id);
-            }
-        }
-        let mut idx = self.request_index.lock();
-        for rec in removed {
-            let key = (rec.client.clone(), rec.request.clone());
-            if idx.get(&key) == Some(&rec.id) {
-                idx.remove(&key);
-            }
-        }
-    }
-
-    /// Acquires the operation's synchronisation point(s), recording the
-    /// wait in `lat`. In [`LockingMode::Global`] this is the single
-    /// whole-manager point; in [`LockingMode::Footprint`] it is one point
-    /// per footprint pool, taken in canonical sorted order (handled by
+    /// Acquires an operation's synchronisation point(s). In
+    /// [`LockingMode::Global`] this is the single whole-manager point; in
+    /// [`LockingMode::Footprint`] it is one point per footprint pool,
+    /// taken in canonical sorted order (handled by
     /// [`ResourceManager::lock_exclusive_many`]) so two promise operations
     /// can never deadlock on sync points alone.
-    fn lock_ops(
-        &self,
-        txn: &Txn,
-        footprint: &[PoolId],
-        lat: &OpLatencyMetrics,
-    ) -> Result<(), RmError> {
-        let started = Instant::now();
-        let result = match self.locking {
+    fn lock_ops(&self, txn: &Txn, footprint: &[PoolId]) -> Result<(), RmError> {
+        match self.locking {
             LockingMode::Global => self.rm.lock_exclusive(txn, PM_OPS),
             LockingMode::Footprint => {
                 let names: Vec<String> = footprint
@@ -1869,32 +1928,10 @@ impl PromiseManager {
                     .collect();
                 self.rm.lock_exclusive_many(txn, &names)
             }
-        };
-        lat.add_lock_wait(started);
-        result
-    }
-
-    /// Mirrors one checking pass into the attached telemetry registry:
-    /// the `pm.check` stage histogram plus a `pm.check` span with the
-    /// pass's outcome (joining the ambient trace, so a check shows up
-    /// under the client operation that triggered it).
-    fn record_check(&self, started: Instant, dur: std::time::Duration, outcome: SpanOutcome) {
-        let guard = self.telemetry.read();
-        let Some(tel) = guard.as_deref() else { return };
-        tel.check_hist.record_duration(dur);
-        // An Ok check outside any ambient trace carries no promise id and
-        // no causal edge, so nothing downstream can join it; the histogram
-        // sample above is the whole signal. Only traced or failed checks
-        // earn a ring slot — this also keeps tracing off the fast path of
-        // uninstrumented-by-wire workloads.
-        if outcome != SpanOutcome::Ok || current_trace().is_some() {
-            tel.span_since(SpanKind::PmCheck, started)
-                .outcome(outcome)
-                .finish_with(dur);
         }
     }
 
-    /// Gathers, under the table lock, what the checker reads for an
+    /// Gathers, under the state lock, what the checker reads for an
     /// operation over `footprint` that takes `excluded` out of the table
     /// (exchanged or released promises) and adds `candidate` predicates.
     ///
@@ -1912,21 +1949,20 @@ impl PromiseManager {
     /// prototype's whole-table check, kept as the baseline.
     fn check_inputs(
         &self,
-        tbl: &PromiseTable,
+        st: &PromiseState,
         catalog: &Catalog,
         now: u64,
         footprint: &[PoolId],
         excluded: &[PromiseRecord],
         candidate: &[Predicate],
     ) -> CheckInputs {
+        let tbl = st.table();
         let except: Vec<PromiseId> = excluded.iter().map(|rec| rec.id).collect();
         if self.locking == LockingMode::Global {
             return CheckInputs {
                 snapshot: tbl.snapshot(now, &except),
                 qty_demand: HashMap::new(),
-                // Read under the table lock so the pins are consistent
-                // with the snapshot's allocations (table → pinned).
-                pinned: self.pinned.lock().clone(),
+                pinned: st.pinned().clone(),
             };
         }
         let (instance_pools, counted_pools): (Vec<PoolId>, Vec<PoolId>) =
@@ -1957,7 +1993,7 @@ impl PromiseManager {
         } else {
             (
                 tbl.snapshot_pools(now, &instance_pools, &except),
-                self.pinned.lock().clone(),
+                st.pinned().clone(),
             )
         };
         CheckInputs {
@@ -1990,587 +2026,231 @@ impl PromiseManager {
         Ok(pools)
     }
 
-    /// One grant attempt. The boolean in the success value is true when the
-    /// response was answered from the request-id index (a deduplicated
-    /// retry) rather than freshly granted.
-    fn try_grant_local(
+    /// The §8 transaction every promise operation is: inside `txn`, lock
+    /// the footprint's synchronisation points; under the state lock, ask
+    /// `admit` whether the operation may go ahead as of `now` and read
+    /// what the check needs; *outside* it — so operations over disjoint
+    /// pools check in parallel — free the leaving promises' tags and run
+    /// the check against that snapshot; then, under the state lock again,
+    /// take the leaving promises out, write re-arranged allocations back,
+    /// put the candidate in, journal each step in that order, and commit.
+    /// Any other ending rolls `txn` back, the table untouched.
+    fn transition(
         &self,
-        spec: &PromiseRequestSpec,
-        local_predicates: Vec<Predicate>,
-        duration_ms: u64,
-        prepared: bool,
-    ) -> Result<(PromiseResponse, bool), PromiseError> {
-        let txn = self.rm.begin();
-
-        // Footprint: the candidate's pools plus the pools of exchanged
-        // promises (read before locking — predicate sets are immutable, so
-        // an exchange record's pools cannot change while we wait; if the
-        // record vanishes meanwhile, the post-lock validation rejects).
-        let footprint: Vec<PoolId> = {
-            let tbl = self.table.lock();
-            let mut pools: Vec<PoolId> =
-                local_predicates.iter().map(|p| p.pool().clone()).collect();
-            for ex in &spec.exchange {
-                if let Some(rec) = tbl.get(*ex) {
-                    pools.extend(rec.pools().into_iter().cloned());
-                }
-            }
-            pools.sort();
-            pools.dedup();
-            pools
-        };
-        if let Err(e) = self.lock_ops(&txn, &footprint, &self.metrics.grant_lat) {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        // Authoritative dedup under the footprint locks: a racing duplicate
-        // of this request may have been granted while we waited.
-        if let Some(resp) = self.dedup_hit(spec) {
-            return self.abort_then(txn, (resp, true));
+        txn: Txn,
+        tel: Option<&PmTel>,
+        t: Transition<'_>,
+        admit: impl FnOnce(&PromiseState, u64) -> Result<(), Halt>,
+    ) -> Result<Committed, Halt> {
+        let wait_started = Instant::now();
+        let locked = self.lock_ops(&txn, t.footprint);
+        t.lat.lock_wait.record_duration(wait_started.elapsed());
+        if let Err(e) = locked {
+            return Err(self.halted(txn, Halt::Failed(e.into())));
         }
         let now = self.clock.now_ms();
 
-        // Validate and capture exchanged promises (now serialised against
-        // releases/prunes over their pools).
-        let mut exchanged: Vec<PromiseRecord> = Vec::new();
-        {
-            let tbl = self.table.lock();
-            for ex in &spec.exchange {
-                match tbl.get(*ex) {
-                    Some(r) if r.is_live(now) => exchanged.push(r.clone()),
-                    _ => {
-                        drop(tbl);
-                        return self.abort_then(
-                            txn,
-                            (
-                                PromiseResponse {
-                                    correlation: spec.request.clone(),
-                                    decision: PromiseDecision::Rejected {
-                                        reason: RejectReason::UnknownExchange(*ex),
-                                    },
-                                },
-                                false,
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Crate-wide lock order: catalog → table.
+        // Crate-wide lock order: catalog → state.
         let catalog = self.catalog.read();
-        let (id, inputs) = {
-            let mut tbl = self.table.lock();
-            let inputs = self.check_inputs(
-                &tbl,
-                &catalog,
-                now,
-                &footprint,
-                &exchanged,
-                &local_predicates,
-            );
-            (tbl.next_id(), inputs)
+        let mut st = self.state.lock();
+        if let Err(halt) = admit(&st, now) {
+            drop(st);
+            return Err(self.halted(txn, halt));
+        }
+        let leaving: Vec<PromiseRecord> = t
+            .leaving
+            .iter()
+            .filter_map(|id| st.table().get(*id).cloned())
+            .collect();
+        let post_check = matches!(t.check, Check::Action);
+        let (inputs, mut candidate) = match t.check {
+            Check::Nothing => (CheckInputs::default(), None),
+            Check::Action => {
+                let inputs = self.check_inputs(&st, &catalog, now, t.footprint, &leaving, &[]);
+                (inputs, None)
+            }
+            Check::Grant {
+                spec,
+                predicates,
+                duration_ms,
+                prepared,
+            } => {
+                let inputs =
+                    self.check_inputs(&st, &catalog, now, t.footprint, &leaving, &predicates);
+                let record = PromiseRecord {
+                    id: st.next_id(),
+                    client: spec.client.clone(),
+                    request: spec.request.clone(),
+                    predicates,
+                    granted_at: now,
+                    expires_at: now.saturating_add(duration_ms.min(self.max_duration_ms)),
+                    allocations: Vec::new(),
+                };
+                (inputs, Some((record, prepared)))
+            }
         };
-        let mut existing = inputs.snapshot;
-        let mut candidate = PromiseRecord {
-            id,
-            client: spec.client.clone(),
-            request: spec.request.clone(),
-            predicates: local_predicates,
-            granted_at: now,
-            expires_at: now.saturating_add(duration_ms.min(self.max_duration_ms)),
-            allocations: Vec::new(),
-        };
+        drop(st);
+        let mut snapshot = inputs.snapshot;
 
-        // Free exchanged tag allocations inside the txn: if the grant
-        // fails the txn aborts and the old promises keep their resources
-        // (§4: "the previous one should be retained").
-        let check_started = Instant::now();
-        let (grant_result, check_stats) = {
-            let checker = Checker::new(&self.rm, &txn, &catalog)
-                .with_qty_demand(inputs.qty_demand)
-                .with_pinned(inputs.pinned);
-            let mut r = Ok(Vec::new());
-            for rec in &exchanged {
-                if let Err(e) = checker.release_tags(rec) {
-                    r = Err(CheckError::Rm(e));
-                    break;
-                }
-            }
-            if r.is_ok() {
-                r = checker.grant(&mut existing, &mut candidate);
-            }
-            (r, checker.stats())
-        };
-        let check_dur = self.metrics.grant_lat.add_check(check_started);
-        self.record_check(
-            check_started,
-            check_dur,
-            match &grant_result {
-                Ok(_) => SpanOutcome::Ok,
-                Err(CheckError::Reject(_)) => SpanOutcome::Rejected,
-                Err(_) => SpanOutcome::Error,
-            },
-        );
-        drop(catalog);
-        *self.last_check_stats.lock() = check_stats;
-
-        match grant_result {
-            Ok(changed) => {
-                let expires_at = candidate.expires_at;
-                let mut removed: Vec<PromiseRecord> = Vec::new();
-                {
-                    let mut tbl = self.table.lock();
-                    // A promise pinned *at snapshot time* is never in
-                    // `changed` (its slots were held in place), so any
-                    // pinned id here means an observation raced in while
-                    // this grant was matching: abort and recompute against
-                    // the pinned state (table → pinned lock order matches
-                    // the pin-on-observe path, so this is race-free).
-                    if !changed.is_empty() {
-                        let pins = self.pinned.lock();
-                        if changed.iter().any(|id| pins.contains(id)) {
-                            drop(pins);
-                            drop(tbl);
-                            return Err(self.abort_with(txn, PromiseError::ObservationConflict));
-                        }
-                    }
-                    for ex in &spec.exchange {
-                        if let Some(old) = tbl.remove(*ex) {
-                            self.journal_append(JournalOp::Release(old.id));
-                            removed.push(old);
-                        }
-                    }
-                    for cid in changed {
-                        if let Some(new_rec) = existing.iter().find(|p| p.id == cid) {
-                            if let Some(slot) = tbl.get_mut(cid) {
-                                slot.allocations = new_rec.allocations.clone();
-                                self.journal_append(JournalOp::Allocations {
-                                    id: cid,
-                                    allocations: new_rec.allocations.clone(),
-                                });
-                            }
-                        }
-                    }
-                    if prepared {
-                        // One atomic record: the grant and its prepared
-                        // mark are a single journal entry, so recovery can
-                        // never see the hold without knowing it is in
-                        // doubt (table → prepared lock order).
-                        self.journal_append(JournalOp::Prepared(candidate.clone()));
-                        self.prepared.lock().insert(id);
-                    } else {
-                        self.journal_append(JournalOp::Grant(candidate.clone()));
-                    }
-                    tbl.insert(candidate);
-                }
-                self.unindex_requests(&removed);
-                self.request_index
-                    .lock()
-                    .insert((spec.client.clone(), spec.request.clone()), id);
-                self.rm
-                    .commit(txn)
-                    .expect("grant commit cannot fail after lock acquisition");
-                // Per-pool attribution and exchanged-promise lifecycle
-                // terminals are recorded here, on the fresh-grant branch
-                // only — deduped/rejected requests never pay for them.
-                if let Some(tel) = self.telemetry.read().as_deref() {
-                    let mut pools: Vec<&PoolId> =
-                        spec.predicates.iter().map(|p| p.pool()).collect();
-                    pools.sort();
-                    pools.dedup();
-                    for pool in pools {
-                        tel.bump_pool(pool, true);
-                    }
-                    // Exchanged promises were released atomically with the
-                    // fresh grant (§4); record their lifecycle terminal.
-                    for ex in &spec.exchange {
-                        tel.event(SpanKind::PmRelease, ex.0);
-                    }
-                }
-                for ex in &spec.exchange {
-                    self.cascade_release(*ex);
-                }
-                Ok((
-                    PromiseResponse {
-                        correlation: spec.request.clone(),
-                        decision: PromiseDecision::Granted {
-                            promise: id,
-                            expires_at,
-                        },
-                    },
-                    false,
-                ))
-            }
-            Err(CheckError::Reject(reason)) => self.abort_then(
-                txn,
-                (
-                    PromiseResponse {
-                        correlation: spec.request.clone(),
-                        decision: PromiseDecision::Rejected { reason },
-                    },
-                    false,
-                ),
-            ),
-            Err(CheckError::Rm(e)) => Err(self.abort_with(txn, e.into())),
-            Err(CheckError::Violation { promise, detail }) => Err(self.abort_with(
-                txn,
-                PromiseError::ViolationRolledBack {
-                    violated: promise,
-                    detail,
-                },
-            )),
-        }
-    }
-
-    fn try_release(&self, id: PromiseId) -> Result<(), PromiseError> {
-        let txn = self.rm.begin();
-        // Footprint: the released promise's pools (immutable once granted,
-        // so the pre-lock read stays exact while we wait for the locks).
-        let footprint: Vec<PoolId> = match self.table.lock().get(id) {
-            Some(r) => r.pools().into_iter().cloned().collect(),
-            None => return Err(self.abort_with(txn, PromiseError::UnknownPromise(id))),
-        };
-        if let Err(e) = self.lock_ops(&txn, &footprint, &self.metrics.release_lat) {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        // Re-read under the lock: a concurrent prune may have reaped it.
-        let rec = match self.table.lock().get(id) {
-            Some(r) => r.clone(),
-            None => return Err(self.abort_with(txn, PromiseError::UnknownPromise(id))),
-        };
-        let catalog = self.catalog.read();
-        let check_started = Instant::now();
-        let release_result = Checker::new(&self.rm, &txn, &catalog).release_tags(&rec);
-        let check_dur = self.metrics.release_lat.add_check(check_started);
-        self.record_check(
-            check_started,
-            check_dur,
-            if release_result.is_ok() {
-                SpanOutcome::Ok
-            } else {
-                SpanOutcome::Error
-            },
-        );
-        drop(catalog);
-        if let Err(e) = release_result {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        {
-            let mut tbl = self.table.lock();
-            if tbl.remove(id).is_some() {
-                self.journal_append(JournalOp::Release(id));
-            }
-        }
-        self.unindex_requests(std::slice::from_ref(&rec));
-        self.rm
-            .commit(txn)
-            .expect("release commit cannot fail after lock acquisition");
-        Ok(())
-    }
-
-    fn try_prune(&self) -> Result<Vec<PromiseRecord>, PromiseError> {
-        let now = self.clock.now_ms();
-        // The expired ids come off the table's expiry index: a first-key
-        // probe when nothing expired (the common case), otherwise a read
-        // of exactly the expired entries — never a pass over the table.
-        // Footprint: the union of the expired promises' pools. The set is
-        // re-read under the lock but only ever *shrinks* (concurrent
-        // releases); `now` is fixed above so nothing new expires, and a
-        // concurrent grant can only insert records live past `now`.
-        let (expired_ids, footprint) = {
-            let tbl = self.table.lock();
-            let ids = tbl.expired_ids(now);
-            if ids.is_empty() {
-                return Ok(Vec::new());
-            }
-            let mut pools: Vec<PoolId> = ids
-                .iter()
-                .filter_map(|id| tbl.get(*id))
-                .flat_map(|rec| rec.pools().into_iter().cloned())
-                .collect();
-            pools.sort();
-            pools.dedup();
-            (ids, pools)
-        };
-        let txn = self.rm.begin();
-        if let Err(e) = self.lock_ops(&txn, &footprint, &self.metrics.prune_lat) {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        let expired: Vec<PromiseRecord> = {
-            let tbl = self.table.lock();
-            expired_ids
-                .iter()
-                .filter_map(|id| tbl.get(*id))
-                .cloned()
-                .collect()
-        };
-        if expired.is_empty() {
-            return self.abort_then(txn, Vec::new());
-        }
-        *self.last_check_stats.lock() = CheckerStats {
-            promises_considered: expired.len(),
-            ..CheckerStats::default()
-        };
-        let catalog = self.catalog.read();
-        let check_started = Instant::now();
-        let release_result = {
-            let checker = Checker::new(&self.rm, &txn, &catalog);
-            expired.iter().try_for_each(|rec| checker.release_tags(rec))
-        };
-        let check_dur = self.metrics.prune_lat.add_check(check_started);
-        self.record_check(
-            check_started,
-            check_dur,
-            if release_result.is_ok() {
-                SpanOutcome::Ok
-            } else {
-                SpanOutcome::Error
-            },
-        );
-        drop(catalog);
-        if let Err(e) = release_result {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        {
-            let mut tbl = self.table.lock();
-            for rec in &expired {
-                if tbl.remove(rec.id).is_some() {
-                    self.journal_append(JournalOp::Expire(rec.id));
-                }
-            }
-        }
-        self.unindex_requests(&expired);
-        self.rm
-            .commit(txn)
-            .expect("prune commit cannot fail after lock acquisition");
-        Ok(expired)
-    }
-
-    fn try_execute<R>(
-        &self,
-        env: &Environment,
-        action: &mut impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
-        enforce_scope: bool,
-    ) -> Result<R, PromiseError> {
-        let txn = self.rm.begin();
-        // Pre-validate the environment (cheap fail-fast; re-checked after
-        // the action because time passes while it runs).
-        if let Err(e) = self.validate_env(env, self.clock.now_ms()) {
-            return Err(self.abort_with(txn, e));
-        }
-
-        // The application action itself.
-        let out = match action(&self.rm, &txn) {
-            Ok(v) => v,
-            Err(ActionError::App(msg)) => {
-                self.metrics.action_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(self.abort_with(txn, PromiseError::ActionFailed(msg)));
-            }
-            Err(ActionError::Rm(e)) => {
-                // Storage failures (deadlock victims in particular) are not
-                // business failures; bubble them so with_retries re-runs the
-                // whole transactional attempt.
-                return Err(self.abort_with(txn, PromiseError::Rm(e)));
-            }
-        };
-
-        // Promise phase: derive the footprint (the pools the action wrote
-        // plus the pools of promises being released), serialise on it,
-        // re-validate, release tags, post-check.
-        let releases = env.releases();
-        let written = match self.written_pools(&txn) {
-            Ok(pools) => pools,
-            Err(e) => return Err(self.abort_with(txn, e)),
-        };
-        let footprint: Vec<PoolId> = {
-            let tbl = self.table.lock();
-            let mut pools = written.clone();
-            pools.extend(
-                releases
-                    .iter()
-                    .filter_map(|id| tbl.get(*id))
-                    .flat_map(|rec| rec.pools().into_iter().cloned()),
-            );
-            pools.sort();
-            pools.dedup();
-            pools
-        };
-        if let Err(e) = self.lock_ops(&txn, &footprint, &self.metrics.execute_lat) {
-            return Err(self.abort_with(txn, e.into()));
-        }
-        let now = self.clock.now_ms();
-        if let Err(e) = self.validate_env(env, now) {
-            return Err(self.abort_with(txn, e));
-        }
-        if enforce_scope {
-            if let Err(e) = self.check_scope(env, &written) {
-                self.metrics
-                    .violations_rolled_back
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(self.abort_with(txn, e));
-            }
-        }
-        // Crate-wide lock order: catalog → table.
-        let catalog = self.catalog.read();
-        let (release_recs, inputs) = {
-            let tbl = self.table.lock();
-            let recs: Vec<PromiseRecord> = releases
-                .iter()
-                .filter_map(|id| tbl.get(*id).cloned())
-                .collect();
-            let inputs = self.check_inputs(&tbl, &catalog, now, &footprint, &recs, &[]);
-            (recs, inputs)
-        };
-        let mut live = inputs.snapshot;
-        // Only the written pools can have been invalidated by the action;
-        // released promises never constrain others tighter. Under global
-        // locking keep the prototype's full re-check of every live pool.
-        let scope = match self.locking {
-            LockingMode::Global => None,
-            LockingMode::Footprint => Some(footprint.as_slice()),
-        };
         // A failed check of a pool whose records were not snapshotted
         // names its victim from the pool index, on that path only.
-        let victim_of = |pool: &PoolId| self.table.lock().first_live_in_pool(pool, now, &releases);
+        let victim_of = |pool: &PoolId| {
+            let st = self.state.lock();
+            st.table().first_live_in_pool(pool, now, t.leaving)
+        };
         let check_started = Instant::now();
-        let (check_result, check_stats) = {
+        let (result, stats) = {
             let checker = Checker::new(&self.rm, &txn, &catalog)
                 .with_qty_demand(inputs.qty_demand)
                 .with_pinned(inputs.pinned)
                 .with_victim_lookup(&victim_of);
-            let mut r = Ok(Vec::new());
-            for rec in &release_recs {
-                if let Err(e) = checker.release_tags(rec) {
-                    r = Err(CheckError::Rm(e));
-                    break;
+            // Tags are freed inside the transaction: if it rolls back the
+            // leaving promises keep their resources (§4: "the previous one
+            // should be retained").
+            let freed = leaving.iter().try_for_each(|rec| checker.release_tags(rec));
+            let result = freed.map_err(CheckError::Rm).and_then(|()| {
+                if let Some((record, _)) = &mut candidate {
+                    checker.grant(&mut snapshot, record)
+                } else if post_check {
+                    // Only the footprint's pools can have been invalidated
+                    // by the action; released promises never constrain
+                    // others tighter. Under global locking keep the
+                    // prototype's full re-check of every live pool.
+                    let scope = match self.locking {
+                        LockingMode::Global => None,
+                        LockingMode::Footprint => Some(t.footprint),
+                    };
+                    checker.post_check(&mut snapshot, scope)
+                } else {
+                    Ok(Vec::new())
                 }
+            });
+            let mut stats = checker.stats();
+            if candidate.is_none() && !post_check {
+                stats.promises_considered = leaving.len();
             }
-            if r.is_ok() {
-                r = checker.post_check(&mut live, scope);
-            }
-            (r, checker.stats())
+            (result, stats)
         };
-        let check_dur = self.metrics.execute_lat.add_check(check_started);
-        self.record_check(
-            check_started,
-            check_dur,
-            match &check_result {
+        let check_dur = t.lat.add_check(check_started);
+        if let Some(tel) = tel {
+            let outcome = match &result {
                 Ok(_) => SpanOutcome::Ok,
                 Err(CheckError::Rm(_)) => SpanOutcome::Error,
+                Err(CheckError::Reject(_)) if candidate.is_some() => SpanOutcome::Rejected,
                 Err(_) => SpanOutcome::RolledBack,
-            },
-        );
+            };
+            tel.note_check(check_started, check_dur, outcome);
+        }
         drop(catalog);
-        *self.last_check_stats.lock() = check_stats;
+        *self.last_check_stats.lock() = stats;
 
-        match check_result {
-            Ok(changed) => {
-                let mut removed: Vec<PromiseRecord> = Vec::new();
-                {
-                    let mut tbl = self.table.lock();
-                    // Same pin-race guard as the grant write-back: a pinned
-                    // id in `changed` means a client observed its
-                    // allocations while this post-check was re-arranging;
-                    // recompute against the pinned state.
-                    if !changed.is_empty() {
-                        let pins = self.pinned.lock();
-                        if changed.iter().any(|id| pins.contains(id)) {
-                            drop(pins);
-                            drop(tbl);
-                            return Err(self.abort_with(txn, PromiseError::ObservationConflict));
-                        }
+        let changed = match result {
+            Ok(changed) => changed,
+            Err(e) => {
+                let halt = match e {
+                    CheckError::Reject(reason) => Halt::Rejected(reason),
+                    CheckError::Rm(e) => Halt::Failed(e.into()),
+                    CheckError::Violation { promise, detail } => {
+                        Halt::Failed(PromiseError::ViolationRolledBack {
+                            violated: promise,
+                            detail,
+                        })
                     }
-                    for id in &releases {
-                        if let Some(old) = tbl.remove(*id) {
-                            self.journal_append(JournalOp::Release(old.id));
-                            removed.push(old);
-                        }
-                    }
-                    for cid in changed {
-                        if let Some(new_rec) = live.iter().find(|p| p.id == cid) {
-                            if let Some(slot) = tbl.get_mut(cid) {
-                                slot.allocations = new_rec.allocations.clone();
-                                self.journal_append(JournalOp::Allocations {
-                                    id: cid,
-                                    allocations: new_rec.allocations.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-                self.unindex_requests(&removed);
-                self.rm
-                    .commit(txn)
-                    .expect("execute commit cannot fail after post-check");
-                Ok(out)
+                };
+                return Err(self.halted(txn, halt));
             }
-            Err(CheckError::Violation { promise, detail }) => {
-                self.metrics
-                    .violations_rolled_back
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(self.abort_with(
-                    txn,
-                    PromiseError::ViolationRolledBack {
-                        violated: promise,
-                        detail,
-                    },
-                ))
-            }
-            Err(CheckError::Rm(e)) => Err(self.abort_with(txn, e.into())),
-            Err(CheckError::Reject(reason)) => {
-                // Post-checks normally surface as violations; a reject here
-                // means a pool vanished mid-flight — treat as violation.
-                self.metrics
-                    .violations_rolled_back
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(self.abort_with(
-                    txn,
-                    PromiseError::ViolationRolledBack {
-                        violated: PromiseId(0),
-                        detail: reason.to_string(),
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Scope enforcement: every pool-backed write (`written`, from
-    /// [`PromiseManager::written_pools`]) must be covered by one of the
-    /// environment's promises.
-    fn check_scope(&self, env: &Environment, written: &[PoolId]) -> Result<(), PromiseError> {
-        let covered: HashSet<PoolId> = {
-            let tbl = self.table.lock();
-            env.promise_ids()
-                .into_iter()
-                .filter_map(|id| tbl.get(id).cloned())
-                .flat_map(|rec| rec.pools().into_iter().cloned().collect::<Vec<_>>())
-                .collect()
         };
-        for pool in written {
-            if !covered.contains(pool) {
-                return Err(PromiseError::ScopeViolation { pool: pool.clone() });
+
+        let mut st = self.state.lock();
+        // A promise pinned *at snapshot time* is never in `changed` (its
+        // slots were held in place), so a pinned id here means a client
+        // observed its allocations while this check was re-arranging them:
+        // roll back and recompute against the pinned state.
+        if changed.iter().any(|id| st.pinned().contains(id)) {
+            drop(st);
+            return Err(self.halted(txn, PromiseError::ObservationConflict.into()));
+        }
+        let mut left = Vec::with_capacity(t.leaving.len());
+        for id in t.leaving {
+            if st.take(*id).is_some() {
+                self.journal_append(
+                    tel,
+                    match t.leave {
+                        Leave::Release => JournalOp::Release(*id),
+                        Leave::Expire => JournalOp::Expire(*id),
+                    },
+                );
+                left.push(*id);
             }
         }
-        Ok(())
+        if let Leave::Expire = t.leave {
+            let evict_at = now.saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
+            for id in &left {
+                st.tombstones.insert(*id, evict_at);
+            }
+            st.tombstones.evict_due(now);
+        }
+        for id in changed {
+            let Some(rec) = snapshot.iter().find(|p| p.id == id) else {
+                continue;
+            };
+            if st.set_allocations(id, rec.allocations.clone()) {
+                let allocations = rec.allocations.clone();
+                self.journal_append(tel, JournalOp::Allocations { id, allocations });
+            }
+        }
+        let granted = candidate.map(|(record, prepared)| {
+            // One atomic record: a prepared grant and its mark are a
+            // single journal entry, so recovery can never see the hold
+            // without knowing it is in doubt.
+            let held = granted(&record);
+            self.journal_append(
+                tel,
+                if prepared {
+                    JournalOp::Prepared(record.clone())
+                } else {
+                    JournalOp::Grant(record.clone())
+                },
+            );
+            st.insert(record, prepared);
+            held
+        });
+        drop(st);
+        self.rm
+            .commit(txn)
+            .expect("a promise transaction commits once its locks are held");
+        Ok(Committed { left, granted })
     }
 
-    fn validate_env(&self, env: &Environment, now: u64) -> Result<(), PromiseError> {
-        let tbl = self.table.lock();
-        for id in env.promise_ids() {
-            match tbl.get(id) {
-                None if self.expired_tombstones.lock().contains(id) => {
-                    self.metrics.expired_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(PromiseError::PromiseExpired(id));
-                }
-                None => return Err(PromiseError::UnknownPromise(id)),
-                Some(r) if !r.is_live(now) => {
-                    self.metrics.expired_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(PromiseError::PromiseExpired(id));
-                }
-                Some(_) => {}
-            }
+    /// Rolls back a transition's transaction and passes `halt` on — or the
+    /// rollback's own failure, which outranks it (see
+    /// [`PromiseManager::abort_with`]).
+    fn halted(&self, txn: Txn, halt: Halt) -> Halt {
+        match self.rm.abort(txn) {
+            Ok(()) => halt,
+            Err(abort_err) => Halt::Failed(abort_err.into()),
         }
-        Ok(())
+    }
+
+    /// Every promise in `env` must be in the table and live at `now`.
+    fn validate_env(
+        &self,
+        st: &PromiseState,
+        env: &Environment,
+        now: u64,
+    ) -> Result<(), PromiseError> {
+        let verdict = env
+            .promise_ids()
+            .into_iter()
+            .try_for_each(|id| match st.table().get(id) {
+                None => Err(st.absent(id)),
+                Some(r) if !r.is_live(now) => Err(PromiseError::PromiseExpired(id)),
+                Some(_) => Ok(()),
+            });
+        if let Err(PromiseError::PromiseExpired(_)) = verdict {
+            self.metrics.expired_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        verdict
     }
 
     fn release_refs(&self, refs: &[(Arc<PromiseManager>, PromiseId)]) {
@@ -2584,5 +2264,20 @@ impl PromiseManager {
         if let Some(refs) = refs {
             self.release_refs(&refs);
         }
+    }
+}
+
+/// Scope enforcement: every pool-backed write (`written`, from
+/// [`PromiseManager::written_pools`]) must be covered by one of the
+/// environment's promises.
+fn check_scope(
+    st: &PromiseState,
+    env: &Environment,
+    written: &[PoolId],
+) -> Result<(), PromiseError> {
+    let covered = st.footprint(Vec::new(), &env.promise_ids());
+    match written.iter().find(|pool| !covered.contains(pool)) {
+        Some(pool) => Err(PromiseError::ScopeViolation { pool: pool.clone() }),
+        None => Ok(()),
     }
 }

@@ -77,7 +77,7 @@ pub(crate) fn qty_demand_on(predicates: &[Predicate], pool: &PoolId) -> u64 {
 }
 
 /// In-memory index of live promises. Thread-safety is provided by the
-/// manager (this structure is always accessed under its table mutex).
+/// manager (this structure is always accessed under its state mutex).
 ///
 /// Besides the primary id map, the table maintains three derived indexes
 /// so no manager operation scans the whole table:
@@ -245,7 +245,7 @@ impl PromiseTable {
     }
 
     /// Snapshot of promises live at `now`, excluding `except`, for
-    /// checking outside the table lock.
+    /// checking outside the state lock.
     pub fn snapshot(&self, now: u64, except: &[PromiseId]) -> Vec<PromiseRecord> {
         self.live_at(now, except).cloned().collect()
     }

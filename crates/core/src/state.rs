@@ -1,0 +1,214 @@
+//! Everything the manager knows about its promises, as one value behind
+//! one lock.
+//!
+//! The promise table is the paper's (§8); around it sit the marks a
+//! promise carries while it is live — its `(client, request)` key, its
+//! prepared (in-doubt) mark, its observation pin — plus what outlives it
+//! (the tombstone of an expired promise) and the escrow leases that bound
+//! what may be promised. The marks are private to this module and
+//! [`PromiseState::take`] is the only way a record leaves the table, so a
+//! mark cannot outlive its record.
+
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+use crate::error::PromiseError;
+use crate::ids::{ClientId, PoolId, PromiseId, RequestId};
+use crate::promise::{Allocation, PromiseRecord, PromiseTable};
+use crate::tombstones::Tombstones;
+
+/// The promise table and every per-promise mark (see the module doc).
+#[derive(Debug, Default)]
+pub(crate) struct PromiseState {
+    table: PromiseTable,
+    /// `(client, request)` → the promise granted for it, so a *retried*
+    /// grant request (duplicate delivery, reply lost) is answered with the
+    /// original promise instead of being granted — and charged — twice.
+    by_request: HashMap<(ClientId, RequestId), PromiseId>,
+    /// Prepared holds awaiting their cross-shard coordinator's decision.
+    /// Durable: journalled as `P`/`C` records, rebuilt by recovery, part
+    /// of the digest.
+    prepared: HashSet<PromiseId>,
+    /// Promises whose allocations a client has observed and may be acting
+    /// on; re-arrangement never moves them. Volatile: not journalled, not
+    /// in the digest, gone after recovery.
+    pinned: HashSet<PromiseId>,
+    /// Promises reaped by expiry, so operations under them get the paper's
+    /// distinct "promise-expired" error (§2) for a grace period — bounded
+    /// by eviction, not all of history.
+    pub(crate) tombstones: Tombstones,
+    /// Per-pool escrow leases: the slice of a cluster-wide quantity this
+    /// manager may grant locally. Empty for a standalone manager. Durable:
+    /// journalled as absolute-value `L` records, checkpointed, part of the
+    /// digest.
+    pub(crate) leases: BTreeMap<PoolId, u64>,
+}
+
+impl PromiseState {
+    /// The promise table, read-only: records enter through
+    /// [`PromiseState::insert`] and leave through [`PromiseState::take`].
+    pub(crate) fn table(&self) -> &PromiseTable {
+        &self.table
+    }
+
+    /// Allocates the next promise id.
+    pub(crate) fn next_id(&mut self) -> PromiseId {
+        self.table.next_id()
+    }
+
+    /// See [`PromiseTable::bump_next_to`].
+    pub(crate) fn bump_next_to(&mut self, floor: u64) {
+        self.table.bump_next_to(floor);
+    }
+
+    /// Puts a granted promise into the table under its request key, as a
+    /// prepared hold if `prepared`; a record with the same id (a replayed
+    /// journal may repeat one) is taken out first, marks and all.
+    pub(crate) fn insert(&mut self, rec: PromiseRecord, prepared: bool) {
+        self.take(rec.id);
+        if prepared {
+            self.prepared.insert(rec.id);
+        }
+        self.by_request
+            .insert((rec.client.clone(), rec.request.clone()), rec.id);
+        self.table.insert(rec);
+    }
+
+    /// Takes a promise out of the table — released, exchanged or expired —
+    /// and with it its prepared mark, its pin and its request key (unless
+    /// a newer grant has since reused the key).
+    pub(crate) fn take(&mut self, id: PromiseId) -> Option<PromiseRecord> {
+        let rec = self.table.remove(id)?;
+        self.prepared.remove(&id);
+        self.pinned.remove(&id);
+        let key = (rec.client.clone(), rec.request.clone());
+        if self.by_request.get(&key) == Some(&id) {
+            self.by_request.remove(&key);
+        }
+        Some(rec)
+    }
+
+    /// Rewrites a promise's allocations after a re-arrangement; false if
+    /// it is no longer in the table.
+    pub(crate) fn set_allocations(&mut self, id: PromiseId, allocations: Vec<Allocation>) -> bool {
+        match self.table.get_mut(id) {
+            Some(rec) => {
+                rec.allocations = allocations;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A copy of a promise's record, pinning its allocations (if it has
+    /// any) against later re-arrangement — atomically with the read.
+    pub(crate) fn observe(&mut self, id: PromiseId) -> Option<PromiseRecord> {
+        let rec = self.table.get(id)?.clone();
+        if !rec.allocations.is_empty() {
+            self.pinned.insert(id);
+        }
+        Some(rec)
+    }
+
+    /// The observation pins.
+    pub(crate) fn pinned(&self) -> &HashSet<PromiseId> {
+        &self.pinned
+    }
+
+    /// The prepared holds still in doubt.
+    pub(crate) fn prepared(&self) -> &HashSet<PromiseId> {
+        &self.prepared
+    }
+
+    /// Clears a prepared mark (the coordinator committed); false if the
+    /// promise was not prepared.
+    pub(crate) fn commit_prepared(&mut self, id: PromiseId) -> bool {
+        self.prepared.remove(&id)
+    }
+
+    /// The promise held by `(client, request)`, if it is live at `now`.
+    pub(crate) fn for_request(
+        &self,
+        client: &ClientId,
+        request: &RequestId,
+        now: u64,
+    ) -> Option<&PromiseRecord> {
+        let id = self.by_request.get(&(client.clone(), request.clone()))?;
+        self.table.get(*id).filter(|rec| rec.is_live(now))
+    }
+
+    /// The error for operating under a promise that is not in the table:
+    /// expiry has its own (§2, §6) for as long as the tombstone lasts.
+    pub(crate) fn absent(&self, id: PromiseId) -> PromiseError {
+        if self.tombstones.contains(id) {
+            PromiseError::PromiseExpired(id)
+        } else {
+            PromiseError::UnknownPromise(id)
+        }
+    }
+
+    /// The pools constrained by any of `ids`' records, sorted and
+    /// deduplicated, after `also`: an operation's footprint.
+    pub(crate) fn footprint(&self, mut also: Vec<PoolId>, ids: &[PromiseId]) -> Vec<PoolId> {
+        let recs = ids.iter().filter_map(|id| self.table.get(*id));
+        also.extend(recs.flat_map(|rec| rec.pools().into_iter().cloned()));
+        also.sort();
+        also.dedup();
+        also
+    }
+
+    /// The lease on `pool` (0 when none is installed).
+    pub(crate) fn lease(&self, pool: &PoolId) -> u64 {
+        self.leases.get(pool).copied().unwrap_or(0)
+    }
+
+    /// Every record with its prepared mark, sorted by id (table iteration
+    /// order is not deterministic): what a checkpoint captures.
+    pub(crate) fn records(&self) -> Vec<(bool, &PromiseRecord)> {
+        let mut live: Vec<(bool, &PromiseRecord)> = self
+            .table
+            .records()
+            .map(|record| (self.prepared.contains(&record.id), record))
+            .collect();
+        live.sort_by_key(|(_, record)| record.id);
+        live
+    }
+
+    /// The leases, sorted by pool.
+    pub(crate) fn lease_list(&self) -> Vec<(PoolId, u64)> {
+        self.leases.iter().map(|(p, q)| (p.clone(), *q)).collect()
+    }
+
+    /// A canonical string over the durable state: every record (sorted by
+    /// id, predicates in `Display` form, allocations in slot order), the
+    /// per-pool promised-quantity aggregates, the expiry histogram, the
+    /// prepared marks and the leases. Pins are volatile and left out.
+    pub(crate) fn digest(&self) -> String {
+        let live = self.records();
+        let mut out = String::new();
+        for (_, rec) in &live {
+            out.push_str(&format!(
+                "promise {} client={} request={} granted={} expires={}\n",
+                rec.id, rec.client, rec.request, rec.granted_at, rec.expires_at
+            ));
+            for pred in &rec.predicates {
+                out.push_str(&format!("  pred {pred}\n"));
+            }
+            for alloc in &rec.allocations {
+                out.push_str(&format!("  alloc {}:{}\n", alloc.pred_idx, alloc.instance));
+            }
+        }
+        for (pool, qty) in self.table.qty_aggregates() {
+            out.push_str(&format!("qty {pool}={qty}\n"));
+        }
+        for (at, n) in self.table.expiry_histogram() {
+            out.push_str(&format!("expiry {at}={n}\n"));
+        }
+        for (_, rec) in live.iter().filter(|(prepared, _)| *prepared) {
+            out.push_str(&format!("prepared {}\n", rec.id));
+        }
+        for (pool, qty) in &self.leases {
+            out.push_str(&format!("lease {pool}={qty}\n"));
+        }
+        out
+    }
+}

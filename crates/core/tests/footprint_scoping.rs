@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use promises_core::{
     status, ActionError, Catalog, CheckStrategy, ClientId, Clock, Environment, LockingMode, PoolId,
-    PoolSchema, Predicate, PromiseError, PromiseId, PromiseManager, PromiseRequestSpec, PropExpr,
-    PropertyDef, RequestId, SystemClock,
+    PoolSchema, Predicate, PromiseError, PromiseId, PromiseJournal, PromiseManager, PromiseRecord,
+    PromiseRequestSpec, PropExpr, PropertyDef, RequestId, SystemClock,
 };
 use promises_rm::{Record, ResourceManager};
 
@@ -251,12 +251,13 @@ fn modes_agree_on_sequential_decisions() {
 /// re-sums a pool's live demand instead of trusting the aggregate.
 struct SteppingClock {
     now: AtomicU64,
-    step: u64,
+    step: AtomicU64,
 }
 
 impl Clock for SteppingClock {
     fn now_ms(&self) -> u64 {
-        self.now.fetch_add(self.step, Ordering::SeqCst)
+        self.now
+            .fetch_add(self.step.load(Ordering::SeqCst), Ordering::SeqCst)
     }
 }
 
@@ -270,55 +271,159 @@ struct Held {
     suite: bool,
 }
 
-/// One manager in one locking mode, with its own clock and storage.
+/// One manager in one locking mode, with its own clock, storage and
+/// journal. The storage and the journal's lines outlive a crash.
 struct World {
     pm: PromiseManager,
+    mode: LockingMode,
+    rm: Arc<ResourceManager>,
+    journal: Arc<PromiseJournal>,
     clock: Arc<SteppingClock>,
     held: Vec<Held>,
+    /// Every request sent so far, for resending.
+    sent: Vec<(PromiseRequestSpec, Held)>,
+    /// Every promise id ever granted.
+    granted: Vec<PromiseId>,
 }
 
 const QTY_POOLS: [&str; 2] = ["w", "x"];
 
 impl World {
-    fn new(mode: LockingMode, step: u64) -> Self {
-        let clock = Arc::new(SteppingClock {
-            now: AtomicU64::new(0),
-            step,
-        });
-        let pm = PromiseManager::new(Arc::new(ResourceManager::new()), clock.clone())
+    /// A manager over `rm` with the four pools registered (not seeded).
+    fn manager(
+        mode: LockingMode,
+        rm: &Arc<ResourceManager>,
+        clock: &Arc<SteppingClock>,
+    ) -> PromiseManager {
+        let pm = PromiseManager::new(rm.clone(), clock.clone())
             .with_locking_mode(mode)
             .with_tombstone_grace_ms(60);
         pm.register_pool(PoolSchema::quantity("w"));
-        pm.seed_quantity("w", 12).unwrap();
         pm.register_pool(PoolSchema::quantity("x"));
-        pm.seed_quantity("x", 8).unwrap();
         // Distinguishable rooms, checked by satisfiability alone.
         pm.register_pool(
             PoolSchema::instances("rooms", vec![PropertyDef::plain("view")])
                 .with_strategy(CheckStrategy::Satisfiability),
         );
+        // Interchangeable suites, tentatively allocated and re-arranged.
+        pm.register_pool(PoolSchema::instances("suites", vec![]));
+        pm
+    }
+
+    fn new(mode: LockingMode, step: u64) -> Self {
+        let clock = Arc::new(SteppingClock {
+            now: AtomicU64::new(0),
+            step: AtomicU64::new(step),
+        });
+        let rm = Arc::new(ResourceManager::new());
+        let journal = Arc::new(PromiseJournal::new());
+        let pm = Self::manager(mode, &rm, &clock).with_journal(journal.clone());
+        pm.seed_quantity("w", 12).unwrap();
+        pm.seed_quantity("x", 8).unwrap();
         for (room, view) in [("r0", true), ("r1", true), ("r2", false), ("r3", false)] {
             pm.seed_instance("rooms", room, Record::new().with("view", view))
                 .unwrap();
         }
-        // Interchangeable suites, tentatively allocated and re-arranged.
-        pm.register_pool(PoolSchema::instances("suites", vec![]));
         for suite in ["s0", "s1", "s2"] {
             pm.seed_instance("suites", suite, Record::new()).unwrap();
         }
         Self {
             pm,
+            mode,
+            rm,
+            journal,
             clock,
             held: Vec::new(),
+            sent: Vec::new(),
+            granted: Vec::new(),
         }
     }
 
     fn request(&mut self, spec: PromiseRequestSpec, holds: Held) -> String {
-        let decision = self.pm.request(spec).unwrap().decision;
+        self.submit(spec, holds, false)
+    }
+
+    /// A first sending of `spec`, remembered for resending.
+    fn submit(&mut self, spec: PromiseRequestSpec, holds: Held, prepared: bool) -> String {
+        self.sent.push((spec.clone(), holds));
+        self.send(spec, holds, prepared)
+    }
+
+    /// Sends `spec` (as a prepared hold if `prepared`); a grant — fresh or
+    /// answered from the request index — is held once.
+    fn send(&mut self, spec: PromiseRequestSpec, holds: Held, prepared: bool) -> String {
+        let response = if prepared {
+            self.pm.request_prepared(spec)
+        } else {
+            self.pm.request(spec)
+        };
+        let decision = response.unwrap().decision;
         if let Some(id) = decision.granted_id() {
-            self.held.push(Held { id, ..holds });
+            if !self.granted.contains(&id) {
+                self.granted.push(id);
+            }
+            if !self.held.iter().any(|held| held.id == id) {
+                self.held.push(Held { id, ..holds });
+            }
         }
         format!("{decision:?}")
+    }
+
+    /// Kills the manager and recovers a fresh one over the same storage
+    /// from the journal's lines. The clock stands still meanwhile, so
+    /// nothing expires between the two digests, which must be byte-equal.
+    fn crash_and_recover(&mut self) -> String {
+        let step = self.clock.step.swap(0, Ordering::SeqCst);
+        self.pm.prune_expired().unwrap();
+        let before = self.pm.state_digest();
+        let lines = self.journal.lines();
+        self.journal = Arc::new(PromiseJournal::from_lines(&lines).unwrap());
+        self.pm = Self::manager(self.mode, &self.rm, &self.clock);
+        let report = self.pm.recover(self.journal.clone()).unwrap();
+        assert_eq!(self.pm.state_digest(), before, "recovered state");
+        self.clock.step.store(step, Ordering::SeqCst);
+        format!(
+            "recovered {} in doubt {}",
+            report.recovered, report.in_doubt
+        )
+    }
+
+    /// Every record in the table, found through the ids ever granted.
+    fn records(&self) -> Vec<PromiseRecord> {
+        let records: Vec<PromiseRecord> = self
+            .granted
+            .iter()
+            .filter_map(|id| self.pm.peek_promise(*id))
+            .collect();
+        let listed = self.pm.state_digest();
+        let listed = listed.lines().filter(|l| l.starts_with("promise "));
+        assert_eq!(records.len(), listed.count(), "a record nobody was granted");
+        records
+    }
+
+    /// No mark outlives its record: every prepared mark is on a record in
+    /// the table, and a request key resolves to a promise exactly when a
+    /// live record carries it.
+    fn assert_marks_follow_records(&self) {
+        let records = self.records();
+        for id in self.pm.prepared_ids() {
+            assert!(
+                records.iter().any(|rec| rec.id == id),
+                "prepared mark on absent {id}"
+            );
+        }
+        for (spec, _) in &self.sent {
+            // The reading the manager is about to take.
+            let now = self.clock.now.load(Ordering::SeqCst);
+            let found = self.pm.promise_for_request(&spec.client, &spec.request);
+            let live: Vec<PromiseId> = records
+                .iter()
+                .filter(|rec| rec.request == spec.request && rec.is_live(now))
+                .map(|rec| rec.id)
+                .collect();
+            assert!(live.len() <= 1, "{} granted twice: {live:?}", spec.request);
+            assert_eq!(found, live.first().copied(), "key {}", spec.request);
+        }
     }
 
     /// Takes whatever `held` stands for inside one action that also
@@ -381,8 +486,9 @@ impl World {
     }
 
     /// Runs op `i` — `(kind, pick, amount, duration, advance)` — and says
-    /// what came of it. Release, purchase and exchange need something
-    /// held; with nothing held they fall through to a clock advance.
+    /// what came of it. Release, purchase, exchange, commit, abort and
+    /// observe need something held, a resend something sent; without it
+    /// they fall through to a clock advance.
     fn step(&mut self, i: usize, op: (u8, usize, u64, u64, u64)) -> String {
         let (kind, pick, amount, duration, advance) = op;
         let spec = PromiseRequestSpec::new(RequestId(format!("r{i}")), ClientId::from("c"))
@@ -435,6 +541,31 @@ impl World {
                 )
             }
             (7, _) => self.rogue_drain(2 * amount),
+            (9, _) => {
+                let spec = spec.predicate(Predicate::qty_at_least(pool, amount));
+                self.submit(spec, qty, true)
+            }
+            (10, Some(at)) => format!("{:?}", self.pm.commit_prepared(self.held[at].id)),
+            (11, Some(at)) => {
+                let held = self.held.remove(at);
+                format!("{:?}", self.pm.abort_prepared(held.id))
+            }
+            (12, _) if !self.sent.is_empty() => {
+                let (spec, holds) = self.sent[pick % self.sent.len()].clone();
+                self.send(spec, holds, false)
+            }
+            (13, Some(at)) => {
+                // Observe (and so pin) a held promise's allocations, then
+                // ask for a suite: the matcher must work around the pin.
+                let seen = self.pm.promise(self.held[at].id).is_some();
+                let suite = spec.predicate(Predicate::property("suites", PropExpr::True, 1));
+                let holds = Held {
+                    suite: true,
+                    ..room
+                };
+                format!("seen {seen} {}", self.request(suite, holds))
+            }
+            (14, _) => self.crash_and_recover(),
             _ => {
                 self.clock.now.fetch_add(advance, Ordering::SeqCst);
                 format!("{:?}", self.pm.prune_expired())
@@ -471,14 +602,16 @@ proptest! {
     /// The footprint path (aggregate-only quantity checks, instance-pool
     /// snapshots, index-driven prune) and the global path (whole-table
     /// snapshot, kept as the oracle) make the same decision on every step
-    /// of any sequence of requests, releases, purchases, exchanges, rogue
-    /// actions and clock advances over quantity and instance pools, and
-    /// hold the same promise state after it.
+    /// of any sequence of requests (plain, prepared, resent), releases,
+    /// purchases, exchanges, commits and aborts, observations, rogue
+    /// actions, crashes and clock advances over quantity and instance
+    /// pools, and hold the same promise state after it; in both, no mark
+    /// outlives its record and recovery rebuilds the digest byte for byte.
     #[test]
     fn modes_agree_on_random_sequences(
         step in 0u64..2,
         ops in proptest::collection::vec(
-            (0u8..9, 0usize..8, 1u64..6, 5u64..120, 0u64..40),
+            (0u8..15, 0usize..8, 1u64..6, 5u64..120, 0u64..40),
             1..40,
         ),
     ) {
@@ -491,6 +624,9 @@ proptest! {
             prop_assert_eq!(&said[0], &said[1], "step {} {:?}", i, op);
             prop_assert_eq!(worlds[0].digest(), worlds[1].digest(), "after step {}", i);
             prop_assert_eq!(worlds[0].pm.tombstone_count(), worlds[1].pm.tombstone_count());
+            for world in &worlds {
+                world.assert_marks_follow_records();
+            }
         }
     }
 }

@@ -586,6 +586,39 @@ fn expired_promise_gives_promise_expired_error() {
     assert!(pm.metrics().expired_errors >= 1);
 }
 
+/// One reaped id, one answer: while its tombstone lasts, `release` says
+/// "expired" like `execute` and `commit_prepared` do (it used to say
+/// "unknown"); once the grace has passed all three say "unknown".
+#[test]
+fn release_of_a_reaped_promise_gives_promise_expired_until_the_grace_passes() {
+    let rm = Arc::new(ResourceManager::new());
+    let clock = Arc::new(ManualClock::new());
+    let pm = PromiseManager::new(rm, clock.clone()).with_tombstone_grace_ms(500);
+    pm.register_pool(PoolSchema::quantity("widgets"));
+    pm.seed_quantity("widgets", 10).unwrap();
+    let resp = pm
+        .request(spec("a", vec![Predicate::qty_at_least("widgets", 5)]).duration_ms(1_000))
+        .unwrap();
+    let p = resp.decision.granted_id().unwrap();
+    clock.advance(1_000);
+    assert_eq!(pm.prune_expired().unwrap(), 1);
+
+    let under = Environment::none().under(p);
+    let expired = |e: PromiseError| matches!(e, PromiseError::PromiseExpired(id) if id == p);
+    assert!(expired(pm.release(p).unwrap_err()));
+    assert!(expired(pm.commit_prepared(p).unwrap_err()));
+    assert!(expired(pm.execute(&under, |_, _| Ok(())).unwrap_err()));
+    assert_eq!(pm.abort_prepared(p), Ok(false));
+
+    clock.advance(500);
+    pm.prune_expired().unwrap();
+    let unknown = |e: PromiseError| matches!(e, PromiseError::UnknownPromise(id) if id == p);
+    assert!(unknown(pm.release(p).unwrap_err()));
+    assert!(unknown(pm.commit_prepared(p).unwrap_err()));
+    assert!(unknown(pm.execute(&under, |_, _| Ok(())).unwrap_err()));
+    assert_eq!(pm.abort_prepared(p), Ok(false));
+}
+
 #[test]
 fn expiry_frees_capacity_and_tags() {
     let (pm, clock) = new_pm();

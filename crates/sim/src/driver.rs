@@ -28,23 +28,34 @@ pub fn seed_pools(rm: &ResourceManager, pools: usize, qty: u64) {
     rm.commit(tx).expect("seeding commit");
 }
 
-/// The reserve–think–consume loop every closed-loop workload shares:
-/// `cfg.clients` threads each walk their generated op stream — `reserve`
-/// (given the client, the op's index and the op), hold through the think
-/// time (the "long-running operation" of the paper), then `consume` or,
-/// for abandoned ops, `cancel` — and the failure taxonomy is tallied
-/// into one [`RunReport`].
-pub(crate) fn run_workload<T>(
-    cfg: &WorkloadConfig,
-    reserve: impl Fn(usize, usize, &Op) -> Result<T, ReserveFailure> + Sync,
-    cancel: impl Fn(T) + Sync,
-    consume: impl Fn(T) -> Result<(), ReserveFailure> + Sync,
-) -> RunReport {
+/// Runs the reserve–think–consume workload over any [`QtyReserver`] with
+/// `cfg.clients` concurrent threads and returns the aggregated report.
+///
+/// Each client walks its generated op stream. Per operation: reserve each
+/// pool in the op (the first via [`QtyReserver::reserve`], the rest via
+/// [`QtyReserver::extend`], a failed extension cancelling what is held),
+/// hold through the think time (the "long-running operation" of the
+/// paper), then consume or — for abandoned ops — cancel. The failure
+/// taxonomy is tallied into one [`RunReport`].
+pub fn run_qty_workload<R>(reserver: Arc<R>, cfg: &WorkloadConfig) -> RunReport
+where
+    R: QtyReserver + Send + Sync + 'static,
+{
+    let reserve = |op: &Op| {
+        let mut token = reserver.reserve(&pool_name(op.pools[0]), op.amount)?;
+        for &pool in &op.pools[1..] {
+            if let Err(e) = reserver.extend(&mut token, &pool_name(pool), op.amount) {
+                reserver.cancel(token);
+                return Err(e);
+            }
+        }
+        Ok(token)
+    };
     let counters = Counters::default();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..cfg.clients {
-            let (counters, reserve, cancel, consume) = (&counters, &reserve, &cancel, &consume);
+            let (counters, reserver, reserve) = (&counters, &reserver, &reserve);
             let ops = cfg.ops_for_client(client);
             let think = cfg.think;
             let real_think = cfg.real_time_think;
@@ -53,10 +64,10 @@ pub(crate) fn run_workload<T>(
             // window, so reported latency keeps its meaning.
             let vthink = if real_think { Duration::ZERO } else { think };
             scope.spawn(move || {
-                for (i, op) in ops.iter().enumerate() {
+                for op in &ops {
                     counters.attempts.fetch_add(1, Ordering::Relaxed);
                     let op_start = Instant::now();
-                    let token = match reserve(client, i, op) {
+                    let token = match reserve(op) {
                         Ok(token) => token,
                         Err(e) => {
                             count_failure(counters, &e, op_start.elapsed());
@@ -67,11 +78,11 @@ pub(crate) fn run_workload<T>(
                         std::thread::sleep(think);
                     }
                     if op.abandon {
-                        cancel(token);
+                        reserver.cancel(token);
                         counters.abandoned.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    match consume(token) {
+                    match reserver.consume(token) {
                         Ok(()) => counters.succeeded(op_start.elapsed() + vthink),
                         Err(e) => count_failure(counters, &e, op_start.elapsed() + vthink),
                     }
@@ -80,35 +91,6 @@ pub(crate) fn run_workload<T>(
         }
     });
     counters.report(start.elapsed())
-}
-
-/// Runs the reserve–think–consume workload over any [`QtyReserver`] with
-/// `cfg.clients` concurrent threads and returns the aggregated report.
-///
-/// Per operation: reserve each pool in the op (the first via
-/// [`QtyReserver::reserve`], the rest via [`QtyReserver::extend`], a
-/// failed extension cancelling what is held), think, then consume or
-/// abandon.
-pub fn run_qty_workload<R>(reserver: Arc<R>, cfg: &WorkloadConfig) -> RunReport
-where
-    R: QtyReserver + Send + Sync + 'static,
-{
-    let reserve = |_, _, op: &Op| {
-        let mut token = reserver.reserve(&pool_name(op.pools[0]), op.amount)?;
-        for &pool in &op.pools[1..] {
-            if let Err(e) = reserver.extend(&mut token, &pool_name(pool), op.amount) {
-                reserver.cancel(token);
-                return Err(e);
-            }
-        }
-        Ok(token)
-    };
-    run_workload(
-        cfg,
-        reserve,
-        |token| reserver.cancel(token),
-        |token| reserver.consume(token),
-    )
 }
 
 fn count_failure(counters: &Counters, e: &ReserveFailure, elapsed: Duration) {

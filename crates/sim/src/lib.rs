@@ -24,7 +24,6 @@ mod cluster;
 mod doctor;
 mod driver;
 mod faults;
-mod instances;
 mod metrics;
 mod obs;
 mod workload;
@@ -44,10 +43,6 @@ pub use faults::{
     fault_harness, fault_harness_with, run_compaction_crash_restart, run_crash_restart,
     run_fault_sweep, run_fault_sweep_with, CompactionCrashReport, CrashRestartReport, FaultHarness,
     FaultRunReport, FaultSweepConfig, PM_ENDPOINT,
-};
-pub use instances::{
-    instance_name, promise_instance_reserver, run_instance_workload, seed_instances,
-    PromiseInstanceReserver, INSTANCE_POOL,
 };
 pub use metrics::RunReport;
 pub use obs::{journal_facts, run_obs_sweep, ObsReport};

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use promises_faults::{FaultInjector, MessageFate};
 use promises_telemetry::{
@@ -89,29 +89,12 @@ impl From<CodecError> for BusError {
     }
 }
 
-/// Network fault/latency model.
+/// Network latency model. Faults (drops, duplicates, delays) come from a
+/// [`FaultInjector`], not from here.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetworkProfile {
     /// Sleep applied to each direction of a round trip.
     pub latency: Duration,
-    /// Probability in [0, 1] that a request is dropped.
-    pub drop_probability: f64,
-}
-
-/// Simple deterministic PRNG (xorshift*) so fault injection is
-/// reproducible without pulling `rand` into the wire layer.
-#[derive(Debug)]
-struct XorShift(u64);
-
-impl XorShift {
-    fn next_f64(&mut self) -> f64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// Bus traffic counters.
@@ -129,9 +112,8 @@ pub struct BusStats {
 pub struct InMemoryBus {
     endpoints: RwLock<HashMap<String, Arc<dyn Service>>>,
     profile: RwLock<NetworkProfile>,
-    rng: Mutex<XorShift>,
-    /// Richer, scenario-driven fault injection (drop/duplicate/delay on
-    /// each direction); composes with the legacy [`NetworkProfile`].
+    /// Scenario-driven fault injection (drop/duplicate/delay on each
+    /// direction); composes with the [`NetworkProfile`] latency.
     injector: RwLock<Option<Arc<FaultInjector>>>,
     telemetry: RwLock<Option<Arc<Telemetry>>>,
     delivered: AtomicU64,
@@ -169,7 +151,6 @@ impl InMemoryBus {
         Self {
             endpoints: RwLock::new(HashMap::new()),
             profile: RwLock::new(NetworkProfile::default()),
-            rng: Mutex::new(XorShift(0x9E3779B97F4A7C15)),
             injector: RwLock::new(None),
             telemetry: RwLock::new(None),
             delivered: AtomicU64::new(0),
@@ -188,11 +169,6 @@ impl InMemoryBus {
     /// twice, the reply can be dropped, and each direction can be delayed.
     pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
         *self.injector.write() = injector;
-    }
-
-    /// Reseeds the fault-injection PRNG (for reproducible experiments).
-    pub fn reseed(&self, seed: u64) {
-        self.rng.lock().0 = seed.max(1);
     }
 
     /// Installs (or clears) the telemetry registry. When present, every
@@ -273,11 +249,6 @@ impl InMemoryBus {
             .cloned()
             .ok_or_else(|| BusError::UnknownEndpoint(to.to_owned()))?;
         let profile = *self.profile.read();
-        if profile.drop_probability > 0.0 && self.rng.lock().next_f64() < profile.drop_probability {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            upgrade_tag(fault, FaultTag::DropRequest);
-            return Err(BusError::DroppedRequest);
-        }
         let injector = self.injector.read().clone();
         let request_fate = match &injector {
             Some(inj) => {
@@ -373,35 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_injection_is_deterministic() {
-        let bus = InMemoryBus::new();
-        bus.register("echo", echo_service());
-        bus.set_profile(NetworkProfile {
-            latency: Duration::ZERO,
-            drop_probability: 0.5,
-        });
-        bus.reseed(42);
-        let outcomes: Vec<bool> = (0..32)
-            .map(|_| bus.send("echo", &Envelope::new()).is_ok())
-            .collect();
-        assert!(outcomes.iter().any(|o| *o), "some delivered");
-        assert!(outcomes.iter().any(|o| !*o), "some dropped");
-        // Re-run with the same seed: identical outcome sequence.
-        bus.reseed(42);
-        let outcomes2: Vec<bool> = (0..32)
-            .map(|_| bus.send("echo", &Envelope::new()).is_ok())
-            .collect();
-        assert_eq!(outcomes, outcomes2);
-        assert!(bus.stats().dropped > 0);
-    }
-
-    #[test]
     fn latency_is_applied() {
         let bus = InMemoryBus::new();
         bus.register("echo", echo_service());
         bus.set_profile(NetworkProfile {
             latency: Duration::from_millis(10),
-            drop_probability: 0.0,
         });
         let start = std::time::Instant::now();
         bus.send("echo", &Envelope::new()).unwrap();

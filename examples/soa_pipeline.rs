@@ -49,7 +49,6 @@ fn main() {
     let bus = InMemoryBus::new();
     bus.set_profile(NetworkProfile {
         latency: Duration::from_millis(2),
-        drop_probability: 0.0,
     });
     bus.register("merchant-gateway", gateway.clone());
 

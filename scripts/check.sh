@@ -14,9 +14,18 @@ echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 # The benchmark is a package of its own with path dependencies on
-# crates/*: build it (only) so an API change that breaks it fails here.
+# crates/*: build it so an API change that breaks it fails here, then run
+# its two audit-heaviest workloads for two seconds each. Every run audits
+# itself (promised <= stock, no double grant per (client, rid), digest
+# pre-kill == post-restart, acked grants survive kills, live count drains)
+# and exits non-zero on `"correct": false`, so nothing is parsed here.
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+for workload in pm_table failover; do
+    echo "==> benchmark --workload $workload --seed 1 --seconds 2"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2
+done
 
 # The nine experiment gates, each under its built-in default seeds (the
 # mode table in crates/bench/src/bin/experiments.rs documents what each
