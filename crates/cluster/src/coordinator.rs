@@ -5,8 +5,10 @@
 //! shards:
 //!
 //! 1. **Begin** is logged, then per-shard *prepare* requests fan out —
-//!    each a normal grant on its shard (resources reserved immediately)
-//!    journalled as an in-doubt hold. Any shard that cannot hold rejects
+//!    posted in shard order, collected in shard order, all on the calling
+//!    thread (the shards' own workers do the overlapping) — each a normal
+//!    grant on its shard (resources reserved immediately) journalled as
+//!    an in-doubt hold. Any shard that cannot hold rejects
 //!    immediately; nothing ever blocks, so there is no distributed
 //!    deadlock to detect.
 //! 2. If every shard held, **Commit** is logged — the commit point — and
@@ -31,7 +33,7 @@ use parking_lot::{Mutex, RwLock};
 
 use promises_core::{parse_predicate, weaken_predicates, Clock, Predicate};
 use promises_telemetry::{
-    current_trace, push_trace, FlightRecorder, SpanKind, SpanOutcome, Telemetry, TraceContext,
+    push_trace, FlightRecorder, SpanKind, SpanOutcome, Telemetry, TraceContext,
 };
 use promises_wire::{
     BusError, Envelope, PromiseRequestHeader, PromiseResult, ResolutionOp, ResolveRef,
@@ -541,56 +543,40 @@ impl Coordinator {
         self.record_event("2pc.begin", format!("{} shards={shards:?}", txn.request));
 
         let prepare_started = Instant::now();
-        // Pipelined prepare: one concurrent send per shard — replies are
-        // matched by the `rid@sN` sub-request id, never by arrival order,
-        // so the fan-out needs no serialization. The ambient trace is
-        // re-pushed inside each worker so every shard hop still joins the
-        // grant's trace (the lifecycle auditor replays it).
-        let trace = current_trace();
-        let outcomes: Vec<(usize, String, Result<Envelope, BusError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|(&shard, preds)| {
-                        let sub = txn.sub_request(shard);
-                        let envelope = Envelope::new().with_promise_request(PromiseRequestHeader {
-                            request_id: sub.clone(),
-                            client: client.to_owned(),
-                            predicates: preds.clone(),
-                            duration_ms,
-                            exchange: vec![],
-                            negotiate: false,
-                            prepare: true,
-                        });
-                        scope.spawn(move || {
-                            let _guard = trace.map(push_trace);
-                            let result = self.client.send(&self.map.endpoint_of(shard), &envelope);
-                            (shard, sub, result)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("prepare fan-out worker"))
-                    .collect()
-            });
+        // Pipelined prepare: every shard's leg is posted before any reply
+        // is awaited. Replies are matched by the `rid@sN` sub-request id
+        // and by leg position, never by arrival order. Every hop joins the
+        // grant's trace through the ambient context of this one thread
+        // (the lifecycle auditor replays it).
+        let outcomes = self.send_to_shards(groups.iter().map(|(&shard, preds)| {
+            let prepare = PromiseRequestHeader {
+                request_id: txn.sub_request(shard),
+                client: client.to_owned(),
+                predicates: preds.clone(),
+                duration_ms,
+                exchange: vec![],
+                negotiate: false,
+                prepare: true,
+            };
+            (shard, Envelope::new().with_promise_request(prepare))
+        }));
 
         let mut parts: Vec<GrantPart> = Vec::with_capacity(groups.len());
         let mut reject: Option<String> = None;
         // Shards that may hold something we must abort: everything that
         // prepared, plus any shard whose outcome we could not learn (lost
         // reply — abort by request key). Outcomes are judged in ascending
-        // shard order (the fan-out preserved `groups`' order), so the
-        // recorded reject reason is deterministic however the concurrent
-        // sends interleaved.
+        // shard order (`send_all` preserved `groups`' order), so the
+        // recorded reject reason is deterministic.
         let mut to_abort: Vec<(usize, ResolveRef)> = Vec::new();
-        for (shard, sub, result) in outcomes {
+        for (&shard, result) in shards.iter().zip(outcomes) {
+            let sub = txn.sub_request(shard);
             match result {
                 Ok(reply) => match reply.response_for(&sub) {
                     Some(resp) => match (&resp.result, resp.promise_id) {
                         (PromiseResult::Rejected(reason), _) => {
                             // Immediate, non-blocking rejection (paper §4).
-                            // Sibling shards were contacted concurrently —
+                            // Sibling shards were posted to as well —
                             // whatever they prepared is aborted below.
                             reject.get_or_insert_with(|| reason.clone());
                         }
@@ -678,36 +664,14 @@ impl Coordinator {
         }
 
         let commit_started = Instant::now();
-        // Commit resolutions fan out concurrently too. Idempotent
+        // Commit resolutions are posted the same way. Idempotent
         // shard-side; a lost resolution leaves the hold in doubt for
-        // recover() to resend, never half-committed. A reply that names
-        // the resolution is the shard's acknowledgement — the resolution
-        // was processed (applied, idempotent repeat, or definitively
-        // unresolvable), so a resend could never change the outcome.
-        let acked = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| {
-                    let reference = ResolveRef::Id(part.promise_id);
-                    scope.spawn(move || {
-                        let _guard = trace.map(push_trace);
-                        match self.client.send(
-                            &self.map.endpoint_of(part.shard),
-                            &Envelope::new()
-                                .with_resolution(reference.clone(), ResolutionOp::Commit),
-                        ) {
-                            Ok(reply) => reply.resolution_for(&reference).is_some(),
-                            Err(_) => false,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("commit fan-out worker"))
-                .filter(|acked| *acked)
-                .count()
-        });
+        // recover() to resend, never half-committed.
+        let holds: Vec<(usize, ResolveRef)> = parts
+            .iter()
+            .map(|part| (part.shard, ResolveRef::Id(part.promise_id)))
+            .collect();
+        let (acked, _) = self.resolve_all(&holds, ResolutionOp::Commit);
         if acked == parts.len() {
             // Every shard acknowledged: the transaction is fully resolved
             // and its log records are compaction fodder.
@@ -741,22 +705,50 @@ impl Coordinator {
         Ok(report)
     }
 
-    /// Aborts every hold in `refs` (concurrently — abort resolutions are
-    /// as independent as prepares) and logs the Abort decision.
+    /// One envelope per shard through the retrying client: every leg posted
+    /// in the order given, then every reply collected in that order, all on
+    /// this thread.
+    fn send_to_shards(
+        &self,
+        legs: impl Iterator<Item = (usize, Envelope)>,
+    ) -> Vec<Result<Envelope, BusError>> {
+        let legs: Vec<(String, Envelope)> = legs
+            .map(|(shard, envelope)| (self.map.endpoint_of(shard), envelope))
+            .collect();
+        self.client.send_all(&legs)
+    }
+
+    /// Sends `op` for every `(shard, hold)` in `refs` — posted in order,
+    /// collected in order — and returns `(acked, applied)`. A reply that
+    /// names the resolution is the shard's acknowledgement: the resolution
+    /// was processed (applied, idempotent repeat, or definitively
+    /// unresolvable), so a resend could never change the outcome. `applied`
+    /// counts the acknowledgements that changed state.
+    fn resolve_all(&self, refs: &[(usize, ResolveRef)], op: ResolutionOp) -> (usize, usize) {
+        let replies = self.send_to_shards(refs.iter().map(|(shard, reference)| {
+            (
+                *shard,
+                Envelope::new().with_resolution(reference.clone(), op),
+            )
+        }));
+        let (mut acked, mut applied) = (0, 0);
+        for ((_, reference), result) in refs.iter().zip(replies) {
+            if let Some(resolution) = result
+                .as_ref()
+                .ok()
+                .and_then(|reply| reply.resolution_for(reference))
+            {
+                acked += 1;
+                applied += usize::from(resolution.applied);
+            }
+        }
+        (acked, applied)
+    }
+
+    /// Aborts every hold in `refs` and logs the Abort decision.
     fn abort_txn(&self, txn: &TxnId, refs: &[(usize, ResolveRef)]) {
         let started = Instant::now();
-        let trace = current_trace();
-        std::thread::scope(|scope| {
-            for (shard, reference) in refs {
-                scope.spawn(move || {
-                    let _guard = trace.map(push_trace);
-                    let _ = self.client.send(
-                        &self.map.endpoint_of(*shard),
-                        &Envelope::new().with_resolution(reference.clone(), ResolutionOp::Abort),
-                    );
-                });
-            }
-        });
+        self.resolve_all(refs, ResolutionOp::Abort);
         self.log.append(CoordRecord::Abort { txn: txn.clone() });
         self.record_event("2pc.abort", format!("{} holds={}", txn.request, refs.len()));
         if let Some(tel) = &self.telemetry {
@@ -766,13 +758,23 @@ impl Coordinator {
         }
     }
 
-    /// Releases every part of a granted cross-shard promise.
+    /// Releases every part of a granted cross-shard promise. A release
+    /// carries no reply element, so the reply envelope itself is the
+    /// acknowledgement; a part whose release got none (transport failed
+    /// beyond the retry budget, or the shard is gone) stays held until it
+    /// expires and is counted in `coord.release.unacked`.
     pub fn release(&self, parts: &[GrantPart]) {
-        for part in parts {
-            let _ = self.client.send(
-                &self.map.endpoint_of(part.shard),
-                &Envelope::new().with_release(part.promise_id),
-            );
+        let unacked = self
+            .send_to_shards(
+                parts
+                    .iter()
+                    .map(|part| (part.shard, Envelope::new().with_release(part.promise_id))),
+            )
+            .iter()
+            .filter(|result| result.is_err())
+            .count();
+        if let Some(tel) = self.telemetry.as_ref().filter(|_| unacked > 0) {
+            tel.add("coord.release.unacked", unacked as u64);
         }
     }
 
@@ -812,23 +814,23 @@ impl Coordinator {
                 }
             }
         }
+        // Recovery names holds by the prepare's request key: the ids died
+        // with the coordinator, and a lost prepare reply never had one.
+        let by_request_key = |txn: &TxnId, shards: &[usize]| -> Vec<(usize, ResolveRef)> {
+            shards
+                .iter()
+                .map(|&shard| {
+                    let reference = ResolveRef::Request {
+                        client: txn.client.clone(),
+                        request: txn.sub_request(shard),
+                    };
+                    (shard, reference)
+                })
+                .collect()
+        };
         for (txn, shards) in &summary.undecided {
             let started = Instant::now();
-            let mut freed = 0usize;
-            for &shard in shards {
-                let reference = ResolveRef::Request {
-                    client: txn.client.clone(),
-                    request: txn.sub_request(shard),
-                };
-                if let Ok(reply) = self.client.send(
-                    &self.map.endpoint_of(shard),
-                    &Envelope::new().with_resolution(reference.clone(), ResolutionOp::Abort),
-                ) {
-                    if reply.resolution_for(&reference).is_some_and(|r| r.applied) {
-                        freed += 1;
-                    }
-                }
-            }
+            let (_, freed) = self.resolve_all(&by_request_key(txn, shards), ResolutionOp::Abort);
             self.log.append(CoordRecord::Abort { txn: txn.clone() });
             report.presumed_aborted += 1;
             report.holds_freed += freed;
@@ -840,21 +842,7 @@ impl Coordinator {
         }
         for (txn, shards) in &summary.committed {
             let started = Instant::now();
-            let mut acked = 0usize;
-            for &shard in shards {
-                let reference = ResolveRef::Request {
-                    client: txn.client.clone(),
-                    request: txn.sub_request(shard),
-                };
-                if let Ok(reply) = self.client.send(
-                    &self.map.endpoint_of(shard),
-                    &Envelope::new().with_resolution(reference.clone(), ResolutionOp::Commit),
-                ) {
-                    if reply.resolution_for(&reference).is_some() {
-                        acked += 1;
-                    }
-                }
-            }
+            let (acked, _) = self.resolve_all(&by_request_key(txn, shards), ResolutionOp::Commit);
             if acked == shards.len() {
                 self.resolved.lock().insert(txn.clone());
             }

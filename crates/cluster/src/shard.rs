@@ -15,7 +15,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use promises_core::{Catalog, Clock, PoolSchema, PromiseJournal, PromiseManager, RecoveryReport};
 use promises_rm::ResourceManager;
 use promises_telemetry::{FlightRecorder, JournalFacts, ShardEvidence, Telemetry};
-use promises_wire::{Envelope, InMemoryBus, PromiseGateway, Service};
+use promises_wire::{Envelope, Fulfiller, InMemoryBus, Pending, PromiseGateway, Service};
 
 use crate::commit::{CommitStats, GroupCommitter};
 use crate::replica::{ReplicationLink, ShardFollower};
@@ -30,26 +30,14 @@ struct NodeState {
     journal: Arc<PromiseJournal>,
 }
 
-/// Where a blocked caller waits for its reply. `panicked` re-raises a
-/// worker-side panic in the caller's thread, so a failing assertion in a
-/// handler still fails the test that sent the message instead of
-/// deadlocking it.
-#[derive(Default)]
-struct ReplyState {
-    reply: Option<Envelope>,
-    panicked: bool,
-}
-
-#[derive(Default)]
-struct ReplySlot {
-    state: Mutex<ReplyState>,
-    ready: Condvar,
-}
-
-/// One queued request: the envelope plus the slot its caller blocks on.
+/// One queued request: the envelope plus the reply its caller holds a
+/// [`Pending`] for. The worker that pops the job owns the reply: it fulfils
+/// it, or — if the handler panics — drops it, which re-raises the panic in
+/// the waiter, so a failing assertion in a handler still fails the test
+/// that sent the message instead of deadlocking it.
 struct Job {
     envelope: Envelope,
-    slot: Arc<ReplySlot>,
+    reply: Fulfiller,
 }
 
 /// State shared between the server facade and its worker threads. Workers
@@ -125,22 +113,17 @@ impl ServerInner {
                     self.arrived.wait(&mut queue);
                 }
             };
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.process(job.envelope)));
-            let mut state = job.slot.state.lock();
-            match outcome {
-                Ok(reply) => state.reply = Some(reply),
-                Err(_) => state.panicked = true,
+            if let Ok(reply) = catch_unwind(AssertUnwindSafe(|| self.process(job.envelope))) {
+                job.reply.fulfil(reply);
             }
-            drop(state);
-            job.slot.ready.notify_one();
         }
     }
 }
 
-/// The bus-facing front of a shard: a real executor. The bus delivers
-/// each envelope synchronously in the caller's thread; `handle` enqueues
-/// it on the shard's inbound queue and blocks until a shard worker has
-/// processed it. Each shard runs one dedicated worker thread by default —
+/// The bus-facing front of a shard: a real executor. The bus posts each
+/// envelope from the caller's thread; `submit` enqueues it on the shard's
+/// inbound queue and the caller blocks on the returned [`Pending`] until a
+/// shard worker has processed it. Each shard runs one dedicated worker thread by default —
 /// the thread-per-shard model, preserving the one-core-per-node service
 /// discipline E13 assumes — and can grow a small pool
 /// ([`ShardServer::set_workers`]) where intra-shard concurrency is wanted;
@@ -264,22 +247,17 @@ impl Drop for ShardServer {
 
 impl Service for ShardServer {
     fn handle(&self, envelope: Envelope) -> Envelope {
-        let slot = Arc::new(ReplySlot::default());
-        self.inner.queue.lock().push_back(Job {
-            envelope,
-            slot: Arc::clone(&slot),
-        });
+        self.submit(envelope).wait()
+    }
+
+    /// Enqueues the message for a shard worker and returns at once, so a
+    /// caller with legs for several shards has them all working before it
+    /// waits on the first.
+    fn submit(&self, envelope: Envelope) -> Pending {
+        let (reply, pending) = Pending::slot();
+        self.inner.queue.lock().push_back(Job { envelope, reply });
         self.inner.arrived.notify_one();
-        let mut state = slot.state.lock();
-        loop {
-            if state.panicked {
-                panic!("shard worker panicked while handling a request");
-            }
-            if let Some(reply) = state.reply.take() {
-                return reply;
-            }
-            slot.ready.wait(&mut state);
-        }
+        pending
     }
 }
 

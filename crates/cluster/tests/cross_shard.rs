@@ -2,8 +2,18 @@
 //! prepare/commit protocol, cluster-wide dedup, and coordinator crash
 //! recovery.
 
-use promises_cluster::{ClusterDecision, CoordError, CrashPoint, PromiseCluster};
-use promises_core::{ClientId, PromiseId, RequestId};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+
+use promises_cluster::{
+    ClusterDecision, CoordError, CoordRecord, Coordinator, CoordinatorLog, CrashPoint,
+    PromiseCluster, ShardServer,
+};
+use promises_core::{ClientId, Clock, PromiseId, RequestId};
+use promises_faults::{FaultInjector, FaultScenario};
+use promises_wire::{
+    BusStats, Envelope, Pending, RetryPolicy, RetryStats, RetryingClient, Service,
+};
 
 const HOUR_MS: u64 = 3_600_000;
 
@@ -287,6 +297,170 @@ fn release_frees_all_parts() {
     };
     cluster.coordinator.release(&parts);
     assert_eq!(cluster.live_count(), 0);
+    let unacked = |cluster: &PromiseCluster| {
+        cluster
+            .telemetry
+            .snapshot()
+            .counter("coord.release.unacked")
+    };
+    assert_eq!(
+        unacked(&cluster),
+        0,
+        "a quiet bus acknowledges every release"
+    );
+
+    // A part whose shard is gone is counted, not silently skipped — and
+    // the other part is still released.
+    let decision = cluster
+        .coordinator
+        .grant("alice", "r2", &span_both(1, 1), HOUR_MS)
+        .unwrap();
+    let ClusterDecision::Granted { parts } = decision else {
+        panic!()
+    };
+    assert!(cluster.bus.unregister(&cluster.nodes[1].endpoint));
+    cluster.coordinator.release(&parts);
+    assert_eq!(unacked(&cluster), 1);
+    assert_eq!(cluster.nodes[0].pm.live_count(), 0);
+    assert_eq!(cluster.nodes[1].pm.live_count(), 1);
+}
+
+#[test]
+fn a_dead_leg_during_prepare_leaves_no_hold_on_the_live_shards() {
+    let cluster = two_shard_cluster(10);
+    assert!(cluster.bus.unregister(&cluster.nodes[1].endpoint));
+    let decision = cluster
+        .coordinator
+        .grant("alice", "r1", &span_both(5, 3), HOUR_MS)
+        .unwrap();
+    let ClusterDecision::Rejected { reason } = decision else {
+        panic!("a grant cannot commit without shard 1: {decision:?}");
+    };
+    assert!(reason.contains("shard 1 failed"), "{reason}");
+    // Shard 0's leg was posted alongside the dead one and did prepare;
+    // the abort round must have freed it.
+    assert_eq!(cluster.live_count(), 0, "no partial grant may survive");
+    assert!(cluster.nodes[0].pm.prepared_ids().is_empty());
+    let log = cluster.coordinator.log().entries().unwrap();
+    assert!(matches!(log.last(), Some(CoordRecord::Abort { .. })));
+    assert_eq!(log.len(), 2, "Begin + Abort");
+}
+
+/// Stands in front of a shard on the bus and notes which thread posts to
+/// it. Forwards `submit`, so the shard still only enqueues.
+struct Recording {
+    shard: Arc<ShardServer>,
+    posted_from: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Service for Recording {
+    fn handle(&self, envelope: Envelope) -> Envelope {
+        self.submit(envelope).wait()
+    }
+
+    fn submit(&self, envelope: Envelope) -> Pending {
+        self.posted_from
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        self.shard.submit(envelope)
+    }
+}
+
+#[test]
+fn every_leg_of_a_cross_shard_grant_is_posted_from_the_calling_thread() {
+    let cluster = two_shard_cluster(10);
+    let posted_from: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    for node in &cluster.nodes {
+        cluster.bus.register(
+            &node.endpoint,
+            Arc::new(Recording {
+                shard: Arc::clone(&node.server),
+                posted_from: Arc::clone(&posted_from),
+            }),
+        );
+    }
+    let granted = cluster
+        .coordinator
+        .grant("alice", "r1", &span_both(5, 3), HOUR_MS)
+        .unwrap();
+    let ClusterDecision::Granted { parts } = granted else {
+        panic!("{granted:?}")
+    };
+    let rejected = cluster
+        .coordinator
+        .grant("alice", "r2", &span_both(1, 20), HOUR_MS)
+        .unwrap();
+    assert!(!rejected.is_granted());
+    cluster.coordinator.release(&parts);
+    assert_eq!(cluster.live_count(), 0);
+
+    let posted_from = posted_from.lock().unwrap();
+    // 2 prepares + 2 commits, then 2 prepares + 1 abort, then 2 releases.
+    assert_eq!(posted_from.len(), 9);
+    let me = std::thread::current().id();
+    assert!(
+        posted_from.iter().all(|id| *id == me),
+        "the coordinator posts every leg itself: {posted_from:?} vs {me:?}"
+    );
+}
+
+/// What one seeded faulted run leaves behind.
+#[derive(Debug, PartialEq)]
+struct FaultedRun {
+    decisions: Vec<Result<ClusterDecision, CoordError>>,
+    bus: BusStats,
+    retries: RetryStats,
+    log_len: usize,
+}
+
+fn faulted_run() -> FaultedRun {
+    let cluster = two_shard_cluster(120);
+    cluster
+        .bus
+        .set_fault_injector(Some(Arc::new(FaultInjector::new(FaultScenario::uniform(
+            11, 0.15,
+        )))));
+    // A coordinator of our own, so the one client's counters can be read.
+    let client = Arc::new(RetryingClient::new(
+        Arc::clone(&cluster.bus),
+        RetryPolicy::new(23),
+    ));
+    let coordinator = Coordinator::new(
+        Arc::clone(&cluster.map),
+        Arc::clone(&client),
+        Arc::new(CoordinatorLog::new()),
+        Arc::clone(&cluster.clock) as Arc<dyn Clock>,
+    );
+    let decisions = (0..200)
+        .map(|i| {
+            cluster.clock.advance(10);
+            coordinator.grant("seeded", &format!("r{i}"), &span_both(1, 1), HOUR_MS)
+        })
+        .collect();
+    FaultedRun {
+        decisions,
+        bus: cluster.bus.stats(),
+        retries: client.stats(),
+        log_len: coordinator.log().len(),
+    }
+}
+
+#[test]
+fn a_seeded_faulted_run_repeats_exactly() {
+    let first = faulted_run();
+    assert!(first.retries.retries > 0, "the scenario must bite");
+    assert!(first
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Ok(d) if d.is_granted())));
+    assert!(first
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Ok(d) if !d.is_granted())));
+    // Fates and jitter are drawn in leg order on the one calling thread,
+    // so nothing about the run depends on how the OS scheduled it.
+    assert_eq!(first, faulted_run());
 }
 
 mod interleavings {

@@ -101,6 +101,68 @@ fn workers_overlap_modeled_service_time_inside_one_shard() {
 }
 
 #[test]
+fn cross_shard_legs_overlap_modeled_service_time_across_shards() {
+    let cluster = PromiseCluster::build(3, 5);
+    for (shard, pool) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
+        assert_eq!(cluster.register_quantity_pool(pool, 10), shard);
+    }
+    cluster.set_service_time_us(5_000);
+    let predicates: Vec<String> = ["alpha", "beta", "gamma"]
+        .map(|pool| format!("qty('{pool}') >= 1"))
+        .into();
+    let start = Instant::now();
+    let decision = cluster
+        .coordinator
+        .grant("alice", "r1", &predicates, HOUR_MS)
+        .expect("quiet bus cannot fail");
+    let elapsed = start.elapsed();
+    let ClusterDecision::Granted { parts } = decision else {
+        panic!("all three shards can hold: {decision:?}");
+    };
+    assert_eq!(parts.len(), 3);
+    // A prepare round and a commit round of three 5ms legs each: posted
+    // together they take two sleeps, one after another they take six
+    // (>= 30ms). The coordinator spawns nothing, so the only way to land
+    // under the bound is for every shard's `submit` to return before its
+    // worker is done.
+    assert!(
+        elapsed < Duration::from_millis(18),
+        "2 rounds x 3 x 5ms legs took {elapsed:?} — the legs are not overlapping"
+    );
+}
+
+#[test]
+fn worker_panic_surfaces_in_the_waiter_and_spares_the_other_legs() {
+    use promises_wire::{ActionRequest, Envelope};
+    let cluster = PromiseCluster::build(2, 9);
+    assert_eq!(cluster.register_quantity_pool("alpha", 10), 0);
+    assert_eq!(cluster.register_quantity_pool("beta", 10), 1);
+    cluster.nodes[0].gateway.register_handler(
+        "test",
+        "boom",
+        Arc::new(|_, _, _| panic!("handler assertion")),
+    );
+    let boom = Envelope::new().with_action(ActionRequest::new("test", "boom"));
+    let fine = Envelope::new().with_release(404);
+    let legs = [
+        (cluster.nodes[0].endpoint.clone(), boom),
+        (cluster.nodes[1].endpoint.clone(), fine.clone()),
+    ];
+    // Shard 0's worker drops the reply it owes; the waiter re-raises on
+    // this thread, and shard 1's `Pending` is dropped unwaited on the way
+    // out — which must neither hang nor poison shard 1.
+    let sent =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.bus.send_all(&legs)));
+    assert!(sent.is_err(), "a handler panic must fail the sender");
+    for node in &cluster.nodes {
+        cluster
+            .bus
+            .send(&node.endpoint, &fine)
+            .expect("both workers survive and keep serving");
+    }
+}
+
+#[test]
 fn group_commit_covers_every_acknowledged_record() {
     let cluster = PromiseCluster::build(1, 7);
     assert_eq!(cluster.register_quantity_pool("alpha", 1_000_000), 0);

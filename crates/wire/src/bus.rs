@@ -6,25 +6,125 @@
 //! Latency and message-loss injection model the loosely-coupled transport
 //! the paper assumes without changing the isolation semantics under study.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use promises_faults::{FaultInjector, MessageFate};
 use promises_telemetry::{
-    push_trace, FaultTag, SpanId, SpanKind, SpanOutcome, Telemetry, TraceContext, TraceId,
+    push_trace, FaultTag, SpanId, SpanKind, SpanOutcome, Telemetry, TraceContext, TraceGuard,
+    TraceId,
 };
 
 use crate::codec::{decode, encode, CodecError};
-use crate::envelope::Envelope;
+use crate::envelope::{Envelope, TraceHeader};
 
 /// A wire-level service endpoint.
 pub trait Service: Send + Sync {
     /// Handles one message, producing the reply envelope.
     fn handle(&self, envelope: Envelope) -> Envelope;
+
+    /// Accepts one message and returns a handle to its reply, so a caller
+    /// with several messages for several services can post them all before
+    /// waiting on any. The provided body handles inline: the reply is
+    /// ready when `submit` returns. A service with a thread of its own
+    /// overrides it to enqueue the message and return a [`Pending`] its
+    /// worker fulfils. A `Service` that wraps another and implements only
+    /// `handle` therefore gets the in-order behaviour even over a queueing
+    /// inner service; to keep the overlap it must forward `submit` too.
+    fn submit(&self, envelope: Envelope) -> Pending {
+        Pending::ready(self.handle(envelope))
+    }
+}
+
+/// A reply that may not have been produced yet: what [`Service::submit`]
+/// hands back. It owns nothing but the right to wait — dropping it unwaited
+/// is fine, the service still runs the message and the reply is discarded.
+pub struct Pending(PendingState);
+
+// A ready reply is held by value so the provided `submit` allocates nothing.
+#[allow(clippy::large_enum_variant)]
+enum PendingState {
+    Ready(Envelope),
+    Slot(Arc<ReplySlot>),
+}
+
+/// The producing side of a [`Pending`]: exactly one party owns it and is
+/// obliged either to [`Fulfiller::fulfil`] it or to drop it, which tells
+/// the waiter no reply will come (the ownership rule of Voss & Sarkar's
+/// promises — a waiter can never be left blocked by a forgotten owner).
+pub struct Fulfiller(Option<Arc<ReplySlot>>);
+
+#[derive(Default)]
+struct ReplyState {
+    reply: Option<Envelope>,
+    abandoned: bool,
+}
+
+#[derive(Default)]
+struct ReplySlot {
+    state: Mutex<ReplyState>,
+    ready: Condvar,
+}
+
+impl Pending {
+    /// A reply that is already there.
+    pub fn ready(reply: Envelope) -> Self {
+        Pending(PendingState::Ready(reply))
+    }
+
+    /// A reply still owed: the [`Fulfiller`] goes to whoever will produce
+    /// it, the `Pending` to whoever waits for it.
+    pub fn slot() -> (Fulfiller, Pending) {
+        let slot = Arc::new(ReplySlot::default());
+        (
+            Fulfiller(Some(Arc::clone(&slot))),
+            Pending(PendingState::Slot(slot)),
+        )
+    }
+
+    /// Blocks until the reply is there. Panics if its owner dropped the
+    /// [`Fulfiller`] unfulfilled — for a queueing service that means the
+    /// worker panicked in the handler, and re-raising here fails the test
+    /// that sent the message instead of deadlocking it.
+    pub fn wait(self) -> Envelope {
+        let slot = match self.0 {
+            PendingState::Ready(reply) => return reply,
+            PendingState::Slot(slot) => slot,
+        };
+        let mut state = slot.state.lock();
+        loop {
+            if let Some(reply) = state.reply.take() {
+                return reply;
+            }
+            if state.abandoned {
+                panic!("service abandoned a pending reply (its worker panicked in the handler)");
+            }
+            slot.ready.wait(&mut state);
+        }
+    }
+}
+
+impl Fulfiller {
+    /// Hands the reply to the waiter.
+    pub fn fulfil(mut self, reply: Envelope) {
+        let slot = self.0.take().expect("a fulfiller is consumed once");
+        slot.state.lock().reply = Some(reply);
+        slot.ready.notify_one();
+    }
+}
+
+impl Drop for Fulfiller {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.state.lock().abandoned = true;
+            slot.ready.notify_one();
+        }
+    }
 }
 
 impl<F> Service for F
@@ -139,6 +239,36 @@ fn upgrade_tag(slot: &mut Option<FaultTag>, tag: FaultTag) {
     }
 }
 
+/// The envelope's trace as an ambient context, if it carries one.
+fn join_trace(trace: Option<TraceHeader>) -> Option<TraceGuard> {
+    trace.map(|t| {
+        push_trace(TraceContext {
+            trace: TraceId(t.trace),
+            parent: SpanId(t.span),
+        })
+    })
+}
+
+/// One leg between the two passes of [`InMemoryBus::send_all`]: posted,
+/// not yet collected. `timing` is set when telemetry is installed.
+pub(crate) struct Posted {
+    timing: Option<(Arc<Telemetry>, Instant)>,
+    trace: Option<TraceHeader>,
+    /// Highest-priority injected fault observed so far.
+    fault: Option<FaultTag>,
+    flight: Result<InFlight, BusError>,
+}
+
+/// A request the service has accepted, with the latency and injector it
+/// was sent under so the reply direction sees the same ones.
+struct InFlight {
+    reply: Pending,
+    duplicate: Option<Pending>,
+    bytes_out: usize,
+    latency: Duration,
+    injector: Option<Arc<FaultInjector>>,
+}
+
 impl Default for InMemoryBus {
     fn default() -> Self {
         Self::new()
@@ -192,63 +322,73 @@ impl InMemoryBus {
         self.endpoints.write().remove(name).is_some()
     }
 
-    /// Sends `envelope` to endpoint `to`, returning the reply. The message
-    /// is encoded and decoded in both directions.
-    ///
-    /// Dispatch under the threaded runtime: delivery is synchronous *in
-    /// the caller's thread* — the bus resolves the endpoint (read lock,
-    /// no lock held across `handle`) and invokes the service, and it is
-    /// the shard server's `handle` that bridges threads by enqueueing the
-    /// message on its per-shard inbound queue and blocking this caller
-    /// until a shard worker fulfils the reply slot. So N concurrent
-    /// senders (pipelined 2PC fan-outs, parallel clients) get N concurrent
-    /// deliveries with no bus-global serialization; the bus's own traffic
-    /// counters are `Relaxed` atomics, statistics with no happens-before
-    /// to carry.
+    /// Sends `envelope` to endpoint `to`, returning the reply: the
+    /// one-element case of [`InMemoryBus::send_all`], with no list built.
     pub fn send(&self, to: &str, envelope: &Envelope) -> Result<Envelope, BusError> {
-        let Some(tel) = self.telemetry.read().clone() else {
-            return self.deliver(to, envelope, &mut None);
-        };
-        // Join the sender's trace so the bus span — and everything the
-        // service records while handling the message — shares the
-        // envelope's context.
-        let _guard = envelope.trace.map(|t| {
-            push_trace(TraceContext {
-                trace: TraceId(t.trace),
-                parent: SpanId(t.span),
-            })
-        });
-        let started = Instant::now();
-        let mut fault = None;
-        let result = self.deliver(to, envelope, &mut fault);
-        tel.record_duration("bus.deliver", started.elapsed());
-        let mut draft = tel.span_since(SpanKind::BusDeliver, started);
-        if let Some(tag) = fault {
-            tel.incr(&format!("bus.fault.{}", tag.as_str()));
-            draft = draft.fault(tag);
-        }
-        if let Err(e) = &result {
-            draft = draft.outcome(SpanOutcome::Error).note(e.to_string());
-        }
-        draft.finish();
-        result
+        self.collect(self.post(to, envelope))
     }
 
-    /// The untimed delivery path; reports the highest-priority injected
-    /// fault it observed through `fault`.
-    fn deliver(
+    /// Sends each `(endpoint, envelope)` leg and returns the replies in leg
+    /// order. Every message is encoded and decoded in both directions.
+    ///
+    /// Two passes, both on the caller's thread. Pass one posts every leg
+    /// in order — resolve the endpoint (read lock, not held across the
+    /// service), draw the request fate and delay, encode → decode, hand
+    /// the message to [`Service::submit`]. Pass two collects every leg in
+    /// order — wait for the reply, encode, draw the reply fate and delay,
+    /// decode, count. So legs are posted in order and collected in order,
+    /// and what runs concurrently is decided by the services: a shard
+    /// server's `submit` only enqueues, so N shards work on N legs while
+    /// the caller waits on the first; a service with the provided `submit`
+    /// answers inside pass one, one leg after the other. Fault draws and
+    /// sleeps happen in leg order on this one thread, so a seeded run
+    /// repeats. A leg that fails (unknown endpoint, drop, codec) fails
+    /// alone; the others are delivered. The bus's own traffic counters are
+    /// `Relaxed` atomics, statistics with no happens-before to carry.
+    pub fn send_all<S: AsRef<str>, E: Borrow<Envelope>>(
+        &self,
+        legs: &[(S, E)],
+    ) -> Vec<Result<Envelope, BusError>> {
+        let posted: Vec<Posted> = legs
+            .iter()
+            .map(|(to, envelope)| self.post(to.as_ref(), envelope.borrow()))
+            .collect();
+        posted.into_iter().map(|leg| self.collect(leg)).collect()
+    }
+
+    /// Pass one for one leg: everything up to and including `submit`.
+    pub(crate) fn post(&self, to: &str, envelope: &Envelope) -> Posted {
+        let timing = self
+            .telemetry
+            .read()
+            .clone()
+            .map(|tel| (tel, Instant::now()));
+        // Join the sender's trace so everything a service records while
+        // handling the message inline shares the envelope's context.
+        let _guard = timing.as_ref().and_then(|_| join_trace(envelope.trace));
+        let mut fault = None;
+        let flight = self.post_request(to, envelope, &mut fault);
+        Posted {
+            timing,
+            trace: envelope.trace,
+            fault,
+            flight,
+        }
+    }
+
+    fn post_request(
         &self,
         to: &str,
         envelope: &Envelope,
         fault: &mut Option<FaultTag>,
-    ) -> Result<Envelope, BusError> {
+    ) -> Result<InFlight, BusError> {
         let service = self
             .endpoints
             .read()
             .get(to)
             .cloned()
             .ok_or_else(|| BusError::UnknownEndpoint(to.to_owned()))?;
-        let profile = *self.profile.read();
+        let latency = self.profile.read().latency;
         let injector = self.injector.read().clone();
         let request_fate = match &injector {
             Some(inj) => {
@@ -266,24 +406,70 @@ impl InMemoryBus {
             return Err(BusError::DroppedRequest);
         }
         let wire_out = encode(envelope);
-        if !profile.latency.is_zero() {
-            std::thread::sleep(profile.latency);
+        if !latency.is_zero() {
+            std::thread::sleep(latency);
         }
-        let received = decode(&wire_out)?;
-        let reply = service.handle(received);
-        if request_fate == MessageFate::Duplicate {
+        let reply = service.submit(decode(&wire_out)?);
+        let duplicate = if request_fate == MessageFate::Duplicate {
             // The network delivered the request twice: the service handles
             // both copies (exercising server-side request-id dedup); the
             // caller consumes the first reply.
             upgrade_tag(fault, FaultTag::Duplicate);
-            let duplicate = decode(&wire_out)?;
-            let _ = service.handle(duplicate);
+            Some(service.submit(decode(&wire_out)?))
+        } else {
+            None
+        };
+        Ok(InFlight {
+            reply,
+            duplicate,
+            bytes_out: wire_out.len(),
+            latency,
+            injector,
+        })
+    }
+
+    /// Pass two for one leg: wait for the reply and bring it back, then
+    /// record the leg's `bus.deliver` sample and span.
+    pub(crate) fn collect(&self, leg: Posted) -> Result<Envelope, BusError> {
+        let Posted {
+            timing,
+            trace,
+            mut fault,
+            flight,
+        } = leg;
+        let result = flight.and_then(|flight| self.collect_reply(flight, &mut fault));
+        if let Some((tel, started)) = timing {
+            let _guard = join_trace(trace);
+            tel.record_duration("bus.deliver", started.elapsed());
+            let mut draft = tel.span_since(SpanKind::BusDeliver, started);
+            if let Some(tag) = fault {
+                tel.incr(&format!("bus.fault.{}", tag.as_str()));
+                draft = draft.fault(tag);
+            }
+            if let Err(e) = &result {
+                draft = draft.outcome(SpanOutcome::Error).note(e.to_string());
+            }
+            draft.finish();
+        }
+        result
+    }
+
+    fn collect_reply(
+        &self,
+        flight: InFlight,
+        fault: &mut Option<FaultTag>,
+    ) -> Result<Envelope, BusError> {
+        let reply = flight.reply.wait();
+        if let Some(duplicate) = flight.duplicate {
+            // The copy is handled before this leg returns, as it was when
+            // delivery ran the service inline.
+            let _ = duplicate.wait();
         }
         let wire_back = encode(&reply);
-        if !profile.latency.is_zero() {
-            std::thread::sleep(profile.latency);
+        if !flight.latency.is_zero() {
+            std::thread::sleep(flight.latency);
         }
-        if let Some(inj) = &injector {
+        if let Some(inj) = &flight.injector {
             if let Some(d) = inj.delay() {
                 upgrade_tag(fault, FaultTag::Delay);
                 std::thread::sleep(d);
@@ -298,8 +484,10 @@ impl InMemoryBus {
         }
         let decoded = decode(&wire_back)?;
         self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add((wire_out.len() + wire_back.len()) as u64, Ordering::Relaxed);
+        self.bytes.fetch_add(
+            (flight.bytes_out + wire_back.len()) as u64,
+            Ordering::Relaxed,
+        );
         Ok(decoded)
     }
 
@@ -341,6 +529,67 @@ mod tests {
             bus.send("ghost", &Envelope::new()).unwrap_err(),
             BusError::UnknownEndpoint("ghost".into())
         );
+    }
+
+    #[test]
+    fn send_all_fails_an_unknown_endpoint_alone() {
+        let bus = InMemoryBus::new();
+        bus.register("echo", echo_service());
+        let env = Envelope::new().with_release(7);
+        let results = bus.send_all(&[("echo", &env), ("ghost", &env), ("echo", &env)]);
+        assert_eq!(results[0].as_ref().unwrap(), &env);
+        assert_eq!(
+            results[1].as_ref().unwrap_err(),
+            &BusError::UnknownEndpoint("ghost".into())
+        );
+        assert_eq!(results[2].as_ref().unwrap(), &env);
+        assert_eq!(bus.stats().delivered, 2);
+    }
+
+    #[test]
+    fn duplicate_fate_reaches_the_service_twice_before_send_all_returns() {
+        use promises_faults::FaultScenario;
+        let seen = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&seen);
+        let bus = InMemoryBus::new();
+        // A closure implements only `handle`: the provided `submit` runs it.
+        bus.register(
+            "count",
+            Arc::new(move |env: Envelope| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                env
+            }),
+        );
+        bus.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultScenario {
+            duplicate: 1.0,
+            ..FaultScenario::quiet(5)
+        }))));
+        let env = Envelope::new().with_release(1);
+        let results = bus.send_all(&[("count", &env), ("count", &env)]);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(seen.load(Ordering::Relaxed), 4, "two legs, two copies each");
+        assert_eq!(
+            bus.stats().delivered,
+            2,
+            "the caller consumes one reply a leg"
+        );
+    }
+
+    #[test]
+    fn a_dropped_fulfiller_panics_the_waiter_and_a_dropped_pending_is_harmless() {
+        let (owner, pending) = Pending::slot();
+        drop(owner);
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pending.wait()));
+        assert!(waited.is_err(), "an abandoned reply must not block forever");
+
+        let (owner, pending) = Pending::slot();
+        drop(pending);
+        owner.fulfil(Envelope::new());
+
+        let (owner, pending) = Pending::slot();
+        let worker = std::thread::spawn(move || owner.fulfil(Envelope::new().with_release(3)));
+        assert_eq!(pending.wait().releases, vec![3]);
+        worker.join().unwrap();
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! so a fault run is reproducible end to end from the scenario seed plus
 //! the client seed.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,9 +21,9 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use promises_telemetry::{push_trace, FaultTag, SpanKind, SpanOutcome, Telemetry};
+use promises_telemetry::{push_trace, FaultTag, SpanDraft, SpanKind, SpanOutcome, Telemetry};
 
-use crate::bus::{BusError, InMemoryBus};
+use crate::bus::{BusError, InMemoryBus, Posted};
 use crate::envelope::Envelope;
 
 /// Retry/backoff configuration.
@@ -92,6 +93,116 @@ pub struct RetryStats {
     pub exhausted: u64,
 }
 
+/// One leg of a [`RetryingClient::send_all`]: where it goes and how far
+/// it has got.
+struct Leg<'a> {
+    to: &'a str,
+    envelope: &'a Envelope,
+    started: Instant,
+    /// When telemetry is attached: the registry and the leg's send span,
+    /// which joins the caller's trace (or roots one) and parents the
+    /// attempts. Taken when the leg settles.
+    traced: Option<(&'a Telemetry, SpanDraft<'a>)>,
+    state: LegState<'a>,
+}
+
+// A leg lives on the sender's stack (or in its one `Vec`) for the length of
+// a send; boxing the in-flight state would cost an allocation per attempt.
+#[allow(clippy::large_enum_variant)]
+enum LegState<'a> {
+    /// Not answered yet: to be posted in the next round.
+    Open,
+    /// One attempt in flight, with its span when telemetry is attached.
+    Posted(Posted, Option<SpanDraft<'a>>),
+    Settled(Result<Envelope, BusError>),
+}
+
+impl<'a> Leg<'a> {
+    fn new(to: &'a str, envelope: &'a Envelope, tel: Option<&'a Telemetry>) -> Self {
+        let started = Instant::now();
+        Self {
+            to,
+            envelope,
+            started,
+            traced: tel.map(|tel| (tel, tel.span_since(SpanKind::ClientSend, started))),
+            state: LegState::Open,
+        }
+    }
+
+    /// Posts one attempt if the leg is still open. With telemetry the
+    /// attempt gets a fresh span under the send span and the envelope
+    /// carries its id.
+    fn post(&mut self, bus: &InMemoryBus) {
+        if !matches!(self.state, LegState::Open) {
+            return;
+        }
+        self.state = match &self.traced {
+            Some((tel, send_span)) => {
+                let draft = {
+                    let _guard = push_trace(send_span.context());
+                    tel.span(SpanKind::ClientAttempt)
+                };
+                let ctx = draft.context();
+                let traced = self.envelope.clone().with_trace(ctx.trace.0, ctx.parent.0);
+                LegState::Posted(bus.post(self.to, &traced), Some(draft))
+            }
+            None => LegState::Posted(bus.post(self.to, self.envelope), None),
+        };
+    }
+
+    /// Collects the attempt in flight, if there is one, closing its span;
+    /// the leg is open again until the caller settles it.
+    fn collect(&mut self, bus: &InMemoryBus, attempt: u32) -> Option<Result<Envelope, BusError>> {
+        let (posted, span) = match std::mem::replace(&mut self.state, LegState::Open) {
+            LegState::Posted(posted, span) => (posted, span),
+            other => {
+                self.state = other;
+                return None;
+            }
+        };
+        let result = bus.collect(posted);
+        if let Some(draft) = span {
+            match &result {
+                Ok(_) => draft.note(format!("attempt={attempt}")).finish(),
+                Err(e) => {
+                    let mut d = draft
+                        .outcome(SpanOutcome::Error)
+                        .note(format!("attempt={attempt}: {e}"));
+                    d = match e {
+                        BusError::DroppedRequest => d.fault(FaultTag::DropRequest),
+                        BusError::DroppedReply => d.fault(FaultTag::DropReply),
+                        _ => d,
+                    };
+                    d.finish();
+                }
+            }
+        }
+        Some(result)
+    }
+
+    /// Records the leg's final outcome and closes its send span.
+    fn settle(&mut self, result: Result<Envelope, BusError>) {
+        if let Some((tel, send_span)) = self.traced.take() {
+            tel.record_duration("client.send", self.started.elapsed());
+            match &result {
+                Ok(_) => send_span.finish(),
+                Err(e) => send_span
+                    .outcome(SpanOutcome::Error)
+                    .note(e.to_string())
+                    .finish(),
+            }
+        }
+        self.state = LegState::Settled(result);
+    }
+
+    fn into_outcome(self) -> Result<Envelope, BusError> {
+        match self.state {
+            LegState::Settled(result) => result,
+            _ => unreachable!("drive returns only once every leg is settled"),
+        }
+    }
+}
+
 /// A bus client that retries transport faults with seeded backoff.
 pub struct RetryingClient {
     bus: Arc<InMemoryBus>,
@@ -138,88 +249,86 @@ impl RetryingClient {
     }
 
     /// Sends `envelope` to `to`, retrying retryable transport faults with
-    /// capped exponential backoff. The envelope is resent verbatim — same
-    /// request ids — so server-side dedup keeps retried grants single.
+    /// capped exponential backoff: the one-element case of
+    /// [`RetryingClient::send_all`], its one leg kept on the stack so the
+    /// single-shard path allocates nothing for being a fan-out of one.
     pub fn send(&self, to: &str, envelope: &Envelope) -> Result<Envelope, BusError> {
-        self.sends.fetch_add(1, Ordering::Relaxed);
-        let Some(tel) = self.telemetry.read().clone() else {
-            return self.send_inner(to, envelope, None);
-        };
-        let started = Instant::now();
-        // The send span roots the trace; attempts parent on it through the
-        // ambient context for the duration of the retry loop.
-        let send_span = tel.span_since(SpanKind::ClientSend, started);
-        let result = {
-            let _guard = push_trace(send_span.context());
-            self.send_inner(to, envelope, Some(&tel))
-        };
-        tel.record_duration("client.send", started.elapsed());
-        match &result {
-            Ok(_) => send_span.finish(),
-            Err(e) => send_span
-                .outcome(SpanOutcome::Error)
-                .note(e.to_string())
-                .finish(),
-        }
-        result
+        let tel = self.telemetry.read().clone();
+        let mut leg = [Leg::new(to, envelope, tel.as_deref())];
+        self.drive(&mut leg, tel.as_deref());
+        let [leg] = leg;
+        leg.into_outcome()
     }
 
-    /// The retry loop. When telemetry is attached, every attempt gets its
-    /// own span and the envelope is re-stamped with that attempt's span id.
-    fn send_inner(
+    /// Sends each `(endpoint, envelope)` leg, retrying retryable transport
+    /// faults, and returns the outcomes in leg order. Envelopes are resent
+    /// verbatim — same request ids — so server-side dedup keeps retried
+    /// grants single.
+    ///
+    /// Each round posts every open leg through the bus in order, then
+    /// collects them in order (see [`InMemoryBus::send_all`]); legs that
+    /// failed retryably sit out one seeded back-off together and are
+    /// re-posted in the next round, until every leg has an answer, a
+    /// non-retryable error, or has spent its `max_retries`. All of it runs
+    /// on the caller's thread, so for one client the jitter draws follow
+    /// send order.
+    ///
+    /// When telemetry is attached, every leg gets its own
+    /// [`SpanKind::ClientSend`] span and `client.send` sample, every
+    /// attempt its own [`SpanKind::ClientAttempt`] span, and the envelope
+    /// is re-stamped with that attempt's span id.
+    pub fn send_all<S: AsRef<str>, E: Borrow<Envelope>>(
         &self,
-        to: &str,
-        envelope: &Envelope,
-        tel: Option<&Telemetry>,
-    ) -> Result<Envelope, BusError> {
+        legs: &[(S, E)],
+    ) -> Vec<Result<Envelope, BusError>> {
+        let tel = self.telemetry.read().clone();
+        let mut legs: Vec<Leg<'_>> = legs
+            .iter()
+            .map(|(to, envelope)| Leg::new(to.as_ref(), envelope.borrow(), tel.as_deref()))
+            .collect();
+        self.drive(&mut legs, tel.as_deref());
+        legs.into_iter().map(Leg::into_outcome).collect()
+    }
+
+    /// The retry rounds: returns once every leg is settled.
+    fn drive<'a>(&self, legs: &mut [Leg<'a>], tel: Option<&'a Telemetry>) {
+        self.sends.fetch_add(legs.len() as u64, Ordering::Relaxed);
         let mut attempt: u32 = 0;
         loop {
-            let outcome = match tel {
-                None => self.bus.send(to, envelope),
-                Some(tel) => {
-                    let draft = tel.span(SpanKind::ClientAttempt);
-                    let ctx = draft.context();
-                    let traced = envelope.clone().with_trace(ctx.trace.0, ctx.parent.0);
-                    let result = self.bus.send(to, &traced);
-                    match &result {
-                        Ok(_) => draft.note(format!("attempt={attempt}")).finish(),
-                        Err(e) => {
-                            let mut d = draft
-                                .outcome(SpanOutcome::Error)
-                                .note(format!("attempt={attempt}: {e}"));
-                            d = match e {
-                                BusError::DroppedRequest => d.fault(FaultTag::DropRequest),
-                                BusError::DroppedReply => d.fault(FaultTag::DropReply),
-                                _ => d,
-                            };
-                            d.finish();
-                        }
-                    }
-                    result
-                }
-            };
-            match outcome {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.retryable() && attempt < self.policy.max_retries => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = tel {
-                        tel.incr("client.retry");
-                    }
-                    let pause = self.policy.backoff(&mut self.rng.lock(), attempt);
-                    attempt += 1;
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-                Err(e) => {
-                    if e.retryable() {
-                        self.exhausted.fetch_add(1, Ordering::Relaxed);
+            for leg in legs.iter_mut() {
+                leg.post(&self.bus);
+            }
+            let mut retrying = false;
+            for leg in legs.iter_mut() {
+                let Some(result) = leg.collect(&self.bus, attempt) else {
+                    continue;
+                };
+                match result {
+                    Err(e) if e.retryable() && attempt < self.policy.max_retries => {
+                        self.retries.fetch_add(1, Ordering::Relaxed);
                         if let Some(tel) = tel {
-                            tel.incr("client.exhausted");
+                            tel.incr("client.retry");
                         }
+                        retrying = true;
                     }
-                    return Err(e);
+                    result => {
+                        if result.as_ref().is_err_and(BusError::retryable) {
+                            self.exhausted.fetch_add(1, Ordering::Relaxed);
+                            if let Some(tel) = tel {
+                                tel.incr("client.exhausted");
+                            }
+                        }
+                        leg.settle(result);
+                    }
                 }
+            }
+            if !retrying {
+                return;
+            }
+            let pause = self.policy.backoff(&mut self.rng.lock(), attempt);
+            attempt += 1;
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
             }
         }
     }
@@ -294,6 +403,86 @@ mod tests {
             BusError::DroppedRequest
         );
         assert_eq!(client.stats().exhausted, 1);
+    }
+
+    #[test]
+    fn send_all_reposts_a_lost_reply_under_the_same_request_id() {
+        use crate::envelope::PromiseRequestHeader;
+        use parking_lot::Mutex;
+        use std::collections::HashMap;
+
+        // A service with request-id dedup, as a shard has: a repeated id
+        // is answered with the number it was given the first time.
+        let granted: Arc<Mutex<HashMap<String, u64>>> = Arc::default();
+        let handled = Arc::new(AtomicU64::new(0));
+        let (index, calls) = (Arc::clone(&granted), Arc::clone(&handled));
+        let bus = Arc::new(InMemoryBus::new());
+        bus.register(
+            "dedup",
+            Arc::new(move |env: Envelope| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                let mut index = index.lock();
+                let next = index.len() as u64;
+                let id = *index
+                    .entry(env.promise_requests[0].request_id.clone())
+                    .or_insert(next);
+                Envelope::new().with_release(id)
+            }) as Arc<dyn Service>,
+        );
+        bus.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultScenario {
+            drop_reply: 0.5,
+            ..FaultScenario::quiet(2)
+        }))));
+        let client = RetryingClient::new(Arc::clone(&bus), RetryPolicy::new(3));
+        let leg = |rid: &str| {
+            let request = PromiseRequestHeader {
+                request_id: rid.into(),
+                client: "c".into(),
+                predicates: vec![],
+                duration_ms: 1,
+                exchange: vec![],
+                negotiate: false,
+                prepare: false,
+            };
+            ("dedup", Envelope::new().with_promise_request(request))
+        };
+        let legs: Vec<_> = ["a", "b", "c", "d", "e", "f"].map(leg).into();
+        let results = client.send_all(&legs);
+        let ids: Vec<u64> = results
+            .into_iter()
+            .map(|r| r.expect("the budget outlasts a 50% reply drop").releases[0])
+            .collect();
+        let stats = client.stats();
+        assert_eq!(stats.sends, 6);
+        assert!(stats.retries > 0, "seed 2 drops at least one reply");
+        assert_eq!(
+            handled.load(Ordering::Relaxed),
+            6 + stats.retries,
+            "a lost reply means the service ran: every re-post reaches it again"
+        );
+        assert_eq!(granted.lock().len(), 6, "re-posts carried the same ids");
+        let mut distinct = ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 6, "each leg got its own answer: {ids:?}");
+    }
+
+    #[test]
+    fn send_all_settles_each_leg_on_its_own() {
+        let bus = echo_bus();
+        let client = RetryingClient::new(Arc::clone(&bus), RetryPolicy::new(1));
+        let env = Envelope::new().with_release(9);
+        let results = client.send_all(&[("echo", &env), ("ghost", &env)]);
+        assert_eq!(results[0].as_ref().unwrap(), &env);
+        assert!(!results[1].as_ref().unwrap_err().retryable());
+        assert_eq!(
+            client.stats(),
+            RetryStats {
+                sends: 2,
+                retries: 0,
+                exhausted: 0
+            }
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod envelope;
 mod gateway;
 pub mod xml;
 
-pub use bus::{BusError, BusStats, InMemoryBus, NetworkProfile, Service};
+pub use bus::{BusError, BusStats, Fulfiller, InMemoryBus, NetworkProfile, Pending, Service};
 pub use client::{RetryPolicy, RetryStats, RetryingClient};
 pub use codec::{decode, encode, CodecError};
 pub use envelope::{

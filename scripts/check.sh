@@ -15,13 +15,15 @@ cargo test -q --workspace
 
 # The benchmark is a package of its own with path dependencies on
 # crates/*: build it so an API change that breaks it fails here, then run
-# its two audit-heaviest workloads for two seconds each. Every run audits
+# its three audit-heaviest workloads for two seconds each. Every run audits
 # itself (promised <= stock, no double grant per (client, rid), digest
-# pre-kill == post-restart, acked grants survive kills, live count drains)
-# and exits non-zero on `"correct": false`, so nothing is parsed here.
+# pre-kill == post-restart, acked grants survive kills, live count drains;
+# booking_cross, the one workload that runs 2PC: a refused booking left no
+# hold, a granted one holds on 3 of 3 shards) and exits non-zero on
+# `"correct": false`, so nothing is parsed here.
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-for workload in pm_table failover; do
+for workload in pm_table failover booking_cross; do
     echo "==> benchmark --workload $workload --seed 1 --seconds 2"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2
