@@ -142,19 +142,18 @@ impl Catalog {
         Ok(rm.get(txn, &Self::instance_table(pool), &id.0)?)
     }
 
-    /// Scans all instances of a pool as `(id, record)` pairs.
-    pub fn instances(
+    /// Lends every instance of a pool to `f` as `(id, record)`, in id
+    /// order, under the rules of [`ResourceManager::scan_with`]: `f` must
+    /// not call the resource manager.
+    pub fn scan_instances(
         &self,
         rm: &ResourceManager,
         txn: &Txn,
         pool: &PoolId,
-    ) -> Result<Vec<(InstanceId, Record)>, PromiseError> {
+        f: impl FnMut(&str, &Record),
+    ) -> Result<(), PromiseError> {
         self.get(pool)?;
-        Ok(rm
-            .scan(txn, &Self::instance_table(pool))?
-            .into_iter()
-            .map(|(k, r)| (InstanceId(k), r))
-            .collect())
+        Ok(rm.scan_with(txn, &Self::instance_table(pool), f)?)
     }
 
     /// Updates the status field of one instance.
@@ -217,7 +216,10 @@ mod tests {
             .unwrap();
         let rec = cat.instance(&rm, &tx, &pool, &id).unwrap().unwrap();
         assert_eq!(rec.str(Catalog::STATUS), Some(status::PROMISED));
-        assert_eq!(cat.instances(&rm, &tx, &pool).unwrap().len(), 1);
+        let mut seen = Vec::new();
+        cat.scan_instances(&rm, &tx, &pool, |id, _| seen.push(id.to_owned()))
+            .unwrap();
+        assert_eq!(seen, vec!["512"]);
         rm.commit(tx).unwrap();
     }
 

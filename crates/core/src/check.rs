@@ -19,21 +19,27 @@
 //! never double-counted toward an anonymous/economy-class promise on the
 //! same flight.
 //!
+//! An instance-pool check reads its pool in place, in one pass
+//! ([`ResourceManager::scan_with`]): no instance record is copied out,
+//! each *distinct* expression asked of the pool is evaluated once per
+//! instance, and slots that ask the same thing share one accepted list.
+//!
 //! Under the tag strategies ([`CheckStrategy::AllocatedTags`] and
 //! [`CheckStrategy::TentativeAllocation`]) the checker also reads/writes
 //! the `_status` field on instance records inside the caller's transaction,
 //! implementing §5's "allocated tags" / "tentative allocation" techniques.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use promises_matching::assign_slots_seeded;
-use promises_rm::{Record, ResourceManager, RmError, Txn};
+use promises_rm::{ResourceManager, RmError, Txn};
 
 use crate::catalog::{status, Catalog};
-use crate::error::RejectReason;
+use crate::error::{PromiseError, RejectReason};
 use crate::ids::{InstanceId, PoolId, PromiseId};
-use crate::predicate::Predicate;
+use crate::predicate::{Predicate, PropExpr};
 use crate::promise::{qty_demand_on, Allocation, PromiseRecord};
 use crate::schema::{CheckStrategy, PoolKind};
 
@@ -69,6 +75,13 @@ pub struct CheckerStats {
     /// handed to [`Checker::grant`] or [`Checker::post_check`]. A pool
     /// checked from its cached demand alone contributes none.
     pub promises_considered: usize,
+    /// Passes made over an instance pool's table: one per instance pool
+    /// per grant, and per post-check under the matching strategies.
+    pub instance_passes: usize,
+    /// Property expressions evaluated against an instance during those
+    /// passes: distinct expressions × matchable instances, however many
+    /// promises ask the same thing.
+    pub predicate_evals: usize,
 }
 
 /// A checking context bound to one transaction.
@@ -97,18 +110,122 @@ pub struct Checker<'a> {
     stats: RefCell<CheckerStats>,
 }
 
-/// One slot to be matched to a distinct instance.
-struct Slot {
-    owner: PromiseId,
-    pred_idx: usize,
-    /// Instances (by position in the scanned instance list) this slot accepts.
-    allowed: Vec<usize>,
-    /// The instance (by the same position) this slot currently holds, if
-    /// any — the matcher keeps it unless an augmenting path must move it.
-    seed: Option<usize>,
+/// What one predicate asks of an instance pool.
+#[derive(Clone, Copy)]
+enum Ask<'e> {
+    /// This instance.
+    Named(&'e InstanceId),
+    /// That many distinct instances the expression accepts. An anonymous
+    /// quantity bound over an *instance* pool asks for any instances at
+    /// all.
+    Matching(&'e PropExpr, u64),
 }
 
-type SlotKey = (PromiseId, usize, u32);
+impl<'e> Ask<'e> {
+    fn of(pred: &'e Predicate, pool: &PoolId) -> Option<Self> {
+        static ANY: PropExpr = PropExpr::True;
+        match pred {
+            Predicate::Named { pool: pp, instance } if pp == pool => Some(Ask::Named(instance)),
+            Predicate::Property {
+                pool: pp,
+                expr,
+                count,
+            } if pp == pool => Some(Ask::Matching(expr, u64::from(*count))),
+            Predicate::QtyAtLeast { pool: pp, amount } if pp == pool => {
+                Some(Ask::Matching(&ANY, *amount))
+            }
+            _ => None,
+        }
+    }
+
+    /// Slots the ask expands to, each needing an instance of its own.
+    fn count(self) -> u64 {
+        match self {
+            Ask::Named(_) => 1,
+            Ask::Matching(_, count) => count,
+        }
+    }
+}
+
+/// What each predicate of `p` over `pool` asks of it, by predicate index.
+fn asks_of<'e>(
+    p: &'e PromiseRecord,
+    pool: &'e PoolId,
+) -> impl Iterator<Item = (usize, Ask<'e>)> + 'e {
+    (p.predicates.iter().enumerate())
+        .filter_map(move |(pred_idx, pred)| Some((pred_idx, Ask::of(pred, pool)?)))
+}
+
+/// The expressions among `asks`, each once.
+fn distinct_exprs<'e>(asks: impl Iterator<Item = Ask<'e>>) -> Vec<&'e PropExpr> {
+    let mut exprs: Vec<&PropExpr> = Vec::new();
+    for ask in asks {
+        if let Ask::Matching(expr, _) = ask {
+            if !exprs.contains(&expr) {
+                exprs.push(expr);
+            }
+        }
+    }
+    exprs
+}
+
+/// What [`Checker::read_pool`] found. Instances are known by position in
+/// id order, the order the table lends them in.
+struct PoolPass<'e> {
+    ids: Vec<InstanceId>,
+    matchable: Vec<bool>,
+    promised: Vec<bool>,
+    /// The distinct expressions asked of the pool and, for each, the
+    /// matchable positions it accepts, ascending.
+    exprs: Vec<&'e PropExpr>,
+    accepted: Vec<Vec<usize>>,
+}
+
+impl PoolPass<'_> {
+    /// `ids` is sorted: the table lends in key order and an id orders as
+    /// its key does.
+    fn position(&self, id: &InstanceId) -> Option<usize> {
+        self.ids.binary_search(id).ok()
+    }
+
+    fn accepted_by(&self, expr: &PropExpr) -> &[usize] {
+        let asked = self.exprs.iter().position(|e| *e == expr);
+        &self.accepted[asked.expect("every expression asked of the pool was collected")]
+    }
+}
+
+/// One slot to be matched to a distinct instance.
+struct Slot<'v> {
+    owner: PromiseId,
+    pred_idx: usize,
+    /// Positions this slot accepts: its expression's list, lent by the
+    /// pass; only a named or pinned slot owns its (at most one) position.
+    allowed: Cow<'v, [usize]>,
+}
+
+impl AsRef<[usize]> for Slot<'_> {
+    fn as_ref(&self) -> &[usize] {
+        &self.allowed
+    }
+}
+
+/// A perfect matching over one pool, with what applying it needs from
+/// the pass it was computed on.
+struct Matched {
+    /// `(owner, predicate, position)` per slot; a promise's slots are
+    /// adjacent, promises in snapshot order, the candidate last.
+    placed: Vec<(PromiseId, usize, usize)>,
+    ids: Vec<InstanceId>,
+    /// Whether each instance was tagged `promised` when the pass read it.
+    promised: Vec<bool>,
+}
+
+fn lookup_failed(pool: &PoolId, e: PromiseError) -> CheckError {
+    match e {
+        PromiseError::Rm(rm) => CheckError::Rm(rm),
+        _ => CheckError::Reject(RejectReason::UnknownPool(pool.clone())),
+    }
+}
 
 type VictimLookup<'a> = &'a dyn Fn(&PoolId) -> Option<PromiseId>;
 
@@ -177,7 +294,7 @@ impl<'a> Checker<'a> {
                 PoolKind::Quantity => self.check_quantity(&pool, existing, Some(candidate))?,
                 PoolKind::Instances => match schema.strategy {
                     CheckStrategy::Satisfiability => {
-                        self.match_or_err(&pool, existing, Some(&*candidate), true)
+                        self.match_or_err(&pool, existing, Some(&*candidate))
                             .map_err(|e| self.as_reject(e, &pool, candidate))?;
                     }
                     CheckStrategy::AllocatedTags => {
@@ -185,7 +302,7 @@ impl<'a> Checker<'a> {
                     }
                     CheckStrategy::TentativeAllocation => {
                         let assignment = self
-                            .match_or_err(&pool, existing, Some(&*candidate), true)
+                            .match_or_err(&pool, existing, Some(&*candidate))
                             .map_err(|e| self.as_reject(e, &pool, candidate))?;
                         changed.extend(self.apply_assignment(
                             &pool,
@@ -241,7 +358,7 @@ impl<'a> Checker<'a> {
                 }
                 PoolKind::Instances => match schema.strategy {
                     CheckStrategy::Satisfiability => {
-                        self.match_or_err(&pool, live, None, true)
+                        self.match_or_err(&pool, live, None)
                             .map_err(|e| self.as_violation(e, &pool, live))?;
                     }
                     CheckStrategy::AllocatedTags => {
@@ -249,7 +366,7 @@ impl<'a> Checker<'a> {
                     }
                     CheckStrategy::TentativeAllocation => {
                         let assignment = self
-                            .match_or_err(&pool, live, None, true)
+                            .match_or_err(&pool, live, None)
                             .map_err(|e| self.as_violation(e, &pool, live))?;
                         changed.extend(self.apply_assignment(&pool, live, None, &assignment)?);
                     }
@@ -299,10 +416,7 @@ impl<'a> Checker<'a> {
         let on_hand = self
             .catalog
             .quantity(self.rm, self.txn, pool)
-            .map_err(|e| match e {
-                crate::error::PromiseError::Rm(rm) => CheckError::Rm(rm),
-                _ => CheckError::Reject(RejectReason::UnknownPool(pool.clone())),
-            })?;
+            .map_err(|e| lookup_failed(pool, e))?;
         let demand: u64 = match self.qty_demand_hint.get(pool) {
             Some(&exact) => exact,
             None => existing
@@ -326,210 +440,185 @@ impl<'a> Checker<'a> {
     // Instance pools: matching machinery
     // ------------------------------------------------------------------
 
-    /// Scans the pool and computes a full slot assignment for every
+    /// The one pass a check makes over `pool`'s instance table. Records
+    /// are read where they lie ([`Catalog::scan_instances`]); what leaves
+    /// is, per instance, its id, whether a slot may hold it — `available`,
+    /// or `promised` when `include_promised` (the strategies that
+    /// re-arrange) — and whether it is tagged `promised`; and per
+    /// expression in `exprs`, the matchable instances it accepts.
+    fn read_pool<'e>(
+        &self,
+        pool: &PoolId,
+        exprs: Vec<&'e PropExpr>,
+        include_promised: bool,
+    ) -> Result<PoolPass<'e>, CheckError> {
+        let failed = |e| lookup_failed(pool, e);
+        let schema = self.catalog.get(pool).map_err(failed)?;
+        let mut pass = PoolPass {
+            ids: Vec::new(),
+            matchable: Vec::new(),
+            promised: Vec::new(),
+            accepted: vec![Vec::new(); exprs.len()],
+            exprs,
+        };
+        let mut evals = 0;
+        self.catalog
+            .scan_instances(self.rm, self.txn, pool, |id, rec| {
+                let status = rec.str(Catalog::STATUS);
+                let promised = status == Some(status::PROMISED);
+                let matchable = status == Some(status::AVAILABLE) || (promised && include_promised);
+                if matchable {
+                    evals += pass.exprs.len();
+                    for (expr, accepted) in pass.exprs.iter().zip(&mut pass.accepted) {
+                        if expr.eval(rec, schema) {
+                            accepted.push(pass.ids.len());
+                        }
+                    }
+                }
+                pass.ids.push(InstanceId(id.to_owned()));
+                pass.matchable.push(matchable);
+                pass.promised.push(promised);
+            })
+            .map_err(failed)?;
+        let mut stats = self.stats.borrow_mut();
+        stats.instance_passes += 1;
+        stats.predicate_evals += evals;
+        Ok(pass)
+    }
+
+    /// Reads the pool once and computes a full slot assignment for every
     /// promise in `existing` (plus `candidate`), or an error naming the
-    /// failure. `include_promised` controls whether `promised`-status
-    /// instances count as matchable (true for strategies that re-arrange).
+    /// failure. `promised` instances count as matchable: both callers'
+    /// strategies re-arrange.
     fn match_or_err(
         &self,
         pool: &PoolId,
         existing: &[PromiseRecord],
         candidate: Option<&PromiseRecord>,
-        include_promised: bool,
-    ) -> Result<HashMap<SlotKey, InstanceId>, CheckError> {
-        let instances = self.scan_pool(pool)?;
-        let matchable: Vec<bool> = instances
-            .iter()
-            .map(|(_, rec)| match rec.str(Catalog::STATUS) {
-                Some(status::AVAILABLE) => true,
-                Some(status::PROMISED) => include_promised,
-                _ => false,
-            })
-            .collect();
-        let slots = self.build_slots(pool, existing, candidate, &instances, &matchable)?;
+    ) -> Result<Matched, CheckError> {
+        let unsatisfiable =
+            || CheckError::Reject(RejectReason::Unsatisfiable { pool: pool.clone() });
+        let promises = || existing.iter().chain(candidate);
+        let asks = || {
+            promises()
+                .flat_map(|p| asks_of(p, pool))
+                .map(|(_, ask)| ask)
+        };
+        let pass = self.read_pool(pool, distinct_exprs(asks()), true)?;
 
-        // Hand the pre-filtered per-slot allowed lists to the matching
-        // crate. Current holdings seed the matching, so an assignment only
-        // moves when an augmenting path genuinely needs the instance;
-        // the rest is placed most-constrained-first and re-arranged via
-        // augmenting paths.
-        let allowed: Vec<Vec<usize>> = slots.iter().map(|s| s.allowed.clone()).collect();
-        let seeds: Vec<Option<usize>> = slots.iter().map(|s| s.seed).collect();
-        let rights = matchable
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, ok)| ok.then_some(idx));
-        let assigned = assign_slots_seeded(rights, &allowed, &seeds).ok_or_else(|| {
-            CheckError::Reject(RejectReason::Unsatisfiable { pool: pool.clone() })
-        })?;
-
-        // Expand slots back into per-slot instance assignments.
-        let mut out = HashMap::new();
-        let mut slot_counter: HashMap<(PromiseId, usize), u32> = HashMap::new();
-        for (i, slot) in slots.iter().enumerate() {
-            let k = slot_counter.entry((slot.owner, slot.pred_idx)).or_insert(0);
-            out.insert(
-                (slot.owner, slot.pred_idx, *k),
-                instances[assigned[i]].0.clone(),
-            );
-            *k += 1;
+        // Every slot needs an instance of its own, so an ask for more than
+        // the pool can hold is refused before a single slot is built (§2:
+        // "reject immediately") — `count` and `amount` come off the wire.
+        let rights = || (0..pass.ids.len()).filter(|&i| pass.matchable[i]);
+        let wanted = asks().fold(0u64, |n, ask| n.saturating_add(ask.count()));
+        if wanted > rights().count() as u64 {
+            return Err(unsatisfiable());
         }
-        Ok(out)
-    }
 
-    fn scan_pool(&self, pool: &PoolId) -> Result<Vec<(InstanceId, Record)>, CheckError> {
-        self.catalog
-            .instances(self.rm, self.txn, pool)
-            .map_err(|e| match e {
-                crate::error::PromiseError::Rm(rm) => CheckError::Rm(rm),
-                _ => CheckError::Reject(RejectReason::UnknownPool(pool.clone())),
-            })
-    }
-
-    /// Expands the predicates of all promises into matchable slots.
-    fn build_slots(
-        &self,
-        pool: &PoolId,
-        existing: &[PromiseRecord],
-        candidate: Option<&PromiseRecord>,
-        instances: &[(InstanceId, Record)],
-        matchable: &[bool],
-    ) -> Result<Vec<Slot>, CheckError> {
-        let schema = self
-            .catalog
-            .get(pool)
-            .map_err(|_| CheckError::Reject(RejectReason::UnknownPool(pool.clone())))?;
-        let index_of: HashMap<&InstanceId, usize> = instances
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (id, i))
-            .collect();
-        let mut slots = Vec::new();
-        for p in existing.iter().chain(candidate) {
-            // Current holdings per predicate, as positions in the scanned
-            // instance list: the k-th slot of a predicate is seeded with
-            // the k-th allocation (allocation order is canonical — sorted
-            // by instance within a predicate). Allocations that are gone
-            // or no longer matchable yield unseeded slots.
-            let mut held: HashMap<usize, Vec<usize>> = HashMap::new();
-            for a in &p.allocations {
-                if p.predicates.get(a.pred_idx).map(Predicate::pool) != Some(pool) {
-                    continue;
-                }
-                if let Some(&i) = index_of.get(&a.instance) {
-                    if matchable[i] {
-                        held.entry(a.pred_idx).or_default().push(i);
-                    }
-                }
-            }
+        let mut slots: Vec<Slot<'_>> = Vec::new();
+        let mut seeds: Vec<Option<usize>> = Vec::new();
+        let mut held: Vec<(usize, usize)> = Vec::new();
+        for p in promises() {
+            // Current holdings as (predicate, position): the k-th slot of a
+            // predicate is seeded with its k-th holding (allocation order
+            // is canonical — sorted by instance within a predicate), so
+            // the matcher moves it only when an augmenting path must.
+            // Allocations that are gone or no longer matchable seed nothing.
+            held.clear();
+            held.extend(p.allocations.iter().filter_map(|a| {
+                let here = p.predicates.get(a.pred_idx).map(Predicate::pool) == Some(pool);
+                let i = pass.position(&a.instance).filter(|_| here)?;
+                pass.matchable[i].then_some((a.pred_idx, i))
+            }));
             let pinned = self.pinned.contains(&p.id);
-            // A pinned slot accepts only the instance it currently holds:
-            // the client has read the allocation and may already be acting
-            // on it, so the matcher must not move it. A pinned slot whose
-            // held instance is gone — or no longer satisfies the predicate
-            // — accepts nothing (a genuine conflict).
-            let push = |slots: &mut Vec<Slot>, pred_idx: usize, k: usize, allowed: Vec<usize>| {
-                let seed = held.get(&pred_idx).and_then(|v| v.get(k)).copied();
-                let allowed = if pinned {
-                    seed.filter(|s| allowed.contains(s))
-                        .map(|s| vec![s])
-                        .unwrap_or_default()
-                } else {
-                    allowed
+            for (pred_idx, ask) in asks_of(p, pool) {
+                let open: Cow<'_, [usize]> = match ask {
+                    Ask::Named(instance) => {
+                        let at = pass.position(instance).filter(|&i| pass.matchable[i]);
+                        Cow::Owned(at.into_iter().collect())
+                    }
+                    Ask::Matching(expr, _) => Cow::Borrowed(pass.accepted_by(expr)),
                 };
-                slots.push(Slot {
-                    owner: p.id,
-                    pred_idx,
-                    allowed,
-                    seed,
-                });
-            };
-            for (pred_idx, pred) in p.predicates.iter().enumerate() {
-                match pred {
-                    Predicate::Named { pool: pp, instance } if pp == pool => {
-                        let allowed = match index_of.get(instance) {
-                            Some(&i) if matchable[i] => vec![i],
-                            _ => Vec::new(),
-                        };
-                        push(&mut slots, pred_idx, 0, allowed);
-                    }
-                    Predicate::Property {
-                        pool: pp,
-                        expr,
-                        count,
-                    } if pp == pool => {
-                        let allowed: Vec<usize> = instances
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, (_, rec))| matchable[*i] && expr.eval(rec, schema))
-                            .map(|(i, _)| i)
-                            .collect();
-                        for k in 0..*count {
-                            push(&mut slots, pred_idx, k as usize, allowed.clone());
-                        }
-                    }
-                    // An anonymous quantity bound over an *instance* pool
-                    // desugars to `count` unconstrained slots.
-                    Predicate::QtyAtLeast { pool: pp, amount } if pp == pool => {
-                        let allowed: Vec<usize> =
-                            (0..instances.len()).filter(|i| matchable[*i]).collect();
-                        for k in 0..*amount {
-                            push(&mut slots, pred_idx, k as usize, allowed.clone());
-                        }
-                    }
-                    _ => {}
+                let mut holdings = held.iter().filter(|(at, _)| *at == pred_idx);
+                for _ in 0..ask.count() {
+                    let seed = holdings.next().map(|&(_, i)| i);
+                    // A pinned slot accepts only the instance it currently
+                    // holds: the client has read the allocation and may
+                    // already be acting on it, so the matcher must not
+                    // move it. A pinned slot whose held instance is gone —
+                    // or no longer satisfies the predicate — accepts
+                    // nothing (a genuine conflict).
+                    let allowed = if pinned {
+                        Cow::Owned(seed.filter(|s| open.contains(s)).into_iter().collect())
+                    } else {
+                        open.clone()
+                    };
+                    slots.push(Slot {
+                        owner: p.id,
+                        pred_idx,
+                        allowed,
+                    });
+                    seeds.push(seed);
                 }
             }
         }
-        Ok(slots)
+
+        // Augmenting paths re-arrange the unseeded rest, placed
+        // most-constrained-first.
+        let assigned = assign_slots_seeded(rights(), &slots, &seeds).ok_or_else(unsatisfiable)?;
+        let placed = (slots.iter().zip(assigned))
+            .map(|(slot, i)| (slot.owner, slot.pred_idx, i))
+            .collect();
+        Ok(Matched {
+            placed,
+            ids: pass.ids,
+            promised: pass.promised,
+        })
     }
 
-    /// Writes statuses and allocation lists so they agree with
-    /// `assignment`. Returns ids of *existing* promises whose allocations
-    /// changed (the candidate's allocations are always filled in place).
+    /// Writes statuses and allocation lists so they agree with `matched`
+    /// — the assignment [`Checker::match_or_err`] just computed over the
+    /// same `existing` and `candidate`. Returns ids of *existing* promises
+    /// whose allocations changed (the candidate's allocations are always
+    /// filled in place).
     fn apply_assignment(
         &self,
         pool: &PoolId,
         existing: &mut [PromiseRecord],
         candidate: Option<&mut PromiseRecord>,
-        assignment: &HashMap<SlotKey, InstanceId>,
+        matched: &Matched,
     ) -> Result<Vec<PromiseId>, CheckError> {
         let table = Catalog::instance_table(pool);
-        // Previous PROMISED set for this pool.
-        let before: HashSet<InstanceId> = self
-            .scan_pool(pool)?
-            .into_iter()
-            .filter(|(_, r)| r.str(Catalog::STATUS) == Some(status::PROMISED))
-            .map(|(id, _)| id)
-            .collect();
-        let after: HashSet<InstanceId> = assignment.values().cloned().collect();
-
-        for id in after.difference(&before) {
-            self.rm.update(self.txn, &table, &id.0, |r| {
-                r.set(Catalog::STATUS, status::PROMISED);
-            })?;
+        let mut assigned = vec![false; matched.ids.len()];
+        for &(_, _, i) in &matched.placed {
+            assigned[i] = true;
         }
-        for id in before.difference(&after) {
+        for (i, id) in matched.ids.iter().enumerate() {
+            let tag = match (matched.promised[i], assigned[i]) {
+                (false, true) => status::PROMISED,
+                (true, false) => status::AVAILABLE,
+                _ => continue,
+            };
             self.rm.update(self.txn, &table, &id.0, |r| {
-                r.set(Catalog::STATUS, status::AVAILABLE);
+                r.set(Catalog::STATUS, tag);
             })?;
         }
 
-        let mut changed = Vec::new();
-        let rebuild = |p: &mut PromiseRecord| {
+        // Slots were built promise by promise in this same order, so each
+        // promise's placements are the next run with its id.
+        let mut placed = matched.placed.iter().peekable();
+        let mut rebuild = |p: &mut PromiseRecord| {
             let mut new_allocs: Vec<Allocation> = p
                 .allocations
                 .iter()
                 .filter(|a| p.predicates.get(a.pred_idx).map(Predicate::pool) != Some(pool))
                 .cloned()
                 .collect();
-            for ((owner, pred_idx, _k), inst) in assignment {
-                if *owner == p.id {
-                    new_allocs.push(Allocation {
-                        pred_idx: *pred_idx,
-                        instance: inst.clone(),
-                    });
-                }
+            while let Some(&(_, pred_idx, i)) = placed.next_if(|(owner, ..)| *owner == p.id) {
+                new_allocs.push(Allocation {
+                    pred_idx,
+                    instance: matched.ids[i].clone(),
+                });
             }
             new_allocs.sort_by(|a, b| (a.pred_idx, &a.instance).cmp(&(b.pred_idx, &b.instance)));
             if new_allocs != p.allocations {
@@ -539,6 +628,7 @@ impl<'a> Checker<'a> {
                 false
             }
         };
+        let mut changed = Vec::new();
         for p in existing.iter_mut() {
             if rebuild(p) {
                 changed.push(p.id);
@@ -547,88 +637,49 @@ impl<'a> Checker<'a> {
         if let Some(c) = candidate {
             rebuild(c);
         }
+        debug_assert!(placed.next().is_none(), "every placement has an owner");
         Ok(changed)
     }
 
     /// Strict allocated-tags grant: pick free instances for the candidate
-    /// without disturbing existing allocations.
+    /// without disturbing existing allocations — per predicate, the first
+    /// `available` ones in id order that it accepts.
     fn grant_tags_strict(
         &self,
         pool: &PoolId,
         candidate: &mut PromiseRecord,
     ) -> Result<(), CheckError> {
-        let schema = self
-            .catalog
-            .get(pool)
-            .map_err(|_| CheckError::Reject(RejectReason::UnknownPool(pool.clone())))?;
-        let instances = self.scan_pool(pool)?;
-        let mut free: Vec<(InstanceId, Record)> = instances
-            .into_iter()
-            .filter(|(_, r)| r.str(Catalog::STATUS) == Some(status::AVAILABLE))
-            .collect();
-        let table = Catalog::instance_table(pool);
+        let exprs = distinct_exprs(asks_of(candidate, pool).map(|(_, ask)| ask));
+        let pass = self.read_pool(pool, exprs, false)?;
+        let mut free = pass.matchable.clone();
         let mut picks: Vec<Allocation> = Vec::new();
-
-        for (pred_idx, pred) in candidate.predicates.iter().enumerate() {
-            match pred {
-                Predicate::Named { pool: pp, instance } if pp == pool => {
-                    let pos = free.iter().position(|(id, _)| id == instance);
-                    match pos {
-                        Some(i) => {
-                            let (id, _) = free.remove(i);
-                            picks.push(Allocation {
-                                pred_idx,
-                                instance: id,
-                            });
-                        }
-                        None => {
-                            return Err(CheckError::Reject(RejectReason::InstanceUnavailable {
-                                pool: pool.clone(),
-                                instance: instance.clone(),
-                            }))
-                        }
-                    }
+        for (pred_idx, ask) in asks_of(candidate, pool) {
+            let named;
+            let mut accepted = match ask {
+                Ask::Named(instance) => {
+                    named = pass.position(instance);
+                    named.as_slice().iter()
                 }
-                Predicate::Property {
-                    pool: pp,
-                    expr,
-                    count,
-                } if pp == pool => {
-                    for _ in 0..*count {
-                        let pos = free.iter().position(|(_, r)| expr.eval(r, schema));
-                        match pos {
-                            Some(i) => {
-                                let (id, _) = free.remove(i);
-                                picks.push(Allocation {
-                                    pred_idx,
-                                    instance: id,
-                                });
-                            }
-                            None => {
-                                return Err(CheckError::Reject(RejectReason::Unsatisfiable {
-                                    pool: pool.clone(),
-                                }))
-                            }
-                        }
-                    }
-                }
-                Predicate::QtyAtLeast { pool: pp, amount } if pp == pool => {
-                    for _ in 0..*amount {
-                        if free.is_empty() {
-                            return Err(CheckError::Reject(RejectReason::Unsatisfiable {
-                                pool: pool.clone(),
-                            }));
-                        }
-                        let (id, _) = free.remove(0);
-                        picks.push(Allocation {
-                            pred_idx,
-                            instance: id,
-                        });
-                    }
-                }
-                _ => {}
+                Ask::Matching(expr, _) => pass.accepted_by(expr).iter(),
+            };
+            for _ in 0..ask.count() {
+                let Some(&i) = accepted.find(|&&i| free[i]) else {
+                    return Err(CheckError::Reject(match ask {
+                        Ask::Named(instance) => RejectReason::InstanceUnavailable {
+                            pool: pool.clone(),
+                            instance: instance.clone(),
+                        },
+                        Ask::Matching(..) => RejectReason::Unsatisfiable { pool: pool.clone() },
+                    }));
+                };
+                free[i] = false;
+                picks.push(Allocation {
+                    pred_idx,
+                    instance: pass.ids[i].clone(),
+                });
             }
         }
+        let table = Catalog::instance_table(pool);
         for a in &picks {
             self.rm.update(self.txn, &table, &a.instance.0, |r| {
                 r.set(Catalog::STATUS, status::PROMISED);

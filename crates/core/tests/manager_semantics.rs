@@ -331,6 +331,68 @@ fn multi_instance_property_promise_needs_distinct_rooms() {
     assert!(matches!(reason, RejectReason::Unsatisfiable { .. }));
 }
 
+/// §2 "reject immediately": `amount` and `count` come straight off the
+/// wire, so an ask for more instances than the pool holds must cost a
+/// refusal, not a slot per unit asked.
+#[test]
+fn an_over_ask_on_an_instance_pool_is_refused_at_once() {
+    let over_asks = || {
+        [
+            Predicate::qty_at_least("rooms", u64::MAX),
+            Predicate::property("rooms", PropExpr::eq("view", true), u32::MAX),
+        ]
+    };
+    let refused_at_once = |pm: &PromiseManager, when: &str| {
+        for pred in over_asks() {
+            // Refusals leave nothing behind, so the fastest of three is a
+            // fair reading on a busy machine.
+            let fastest = (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let reason = reject_reason(pm, "over", vec![pred.clone()]);
+                    assert_eq!(
+                        reason,
+                        RejectReason::Unsatisfiable {
+                            pool: "rooms".into()
+                        },
+                        "{pred} {when}"
+                    );
+                    started.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(
+                fastest < std::time::Duration::from_millis(10),
+                "{pred} {when} took {fastest:?} to refuse"
+            );
+        }
+    };
+    for strategy in [
+        CheckStrategy::Satisfiability,
+        CheckStrategy::AllocatedTags,
+        CheckStrategy::TentativeAllocation,
+    ] {
+        let pm = hotel_pm(strategy);
+        refused_at_once(&pm, "alone");
+        let held = grant(
+            &pm,
+            "held",
+            vec![Predicate::property("rooms", PropExpr::True, 2)],
+        );
+        refused_at_once(&pm, "beside a live promise");
+        assert_eq!(pm.live_count(), 1);
+        // One more than fits is the same refusal; what fits is granted.
+        assert_eq!(
+            reject_reason(&pm, "two", vec![Predicate::qty_at_least("rooms", 2)]),
+            RejectReason::Unsatisfiable {
+                pool: "rooms".into()
+            }
+        );
+        grant(&pm, "one", vec![Predicate::qty_at_least("rooms", 1)]);
+        pm.release(held).unwrap();
+    }
+}
+
 #[test]
 fn ordered_or_better_promise() {
     let pm = hotel_pm(CheckStrategy::TentativeAllocation);

@@ -7,11 +7,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use promises_core::{
-    ActionError, Catalog, ClientId, Environment, ManualClock, PoolId, PoolSchema, Predicate,
-    PromiseId, PromiseManager, PromiseRecord, PromiseRequestSpec, PromiseTable, PropExpr,
-    RequestId,
+    status, ActionError, Allocation, Catalog, ClientId, Environment, InstanceId, JournalOp,
+    ManualClock, PoolId, PoolSchema, Predicate, PromiseId, PromiseJournal, PromiseManager,
+    PromiseRecord, PromiseRequestSpec, PromiseTable, PropExpr, PropertyDef, RequestId,
 };
-use promises_rm::ResourceManager;
+use promises_rm::{Record, ResourceManager};
 
 const POOLS: [&str; 3] = ["a", "b", "c"];
 
@@ -224,5 +224,77 @@ fn work_per_operation_does_not_grow_with_the_table() {
         clock.advance(1);
         pm.prune_expired().unwrap();
         assert_eq!(pm.tombstone_count(), 0, "evicted once the grace has passed");
+    }
+}
+
+/// One instance pool holding 10, 100 and 1 000 resident property promises
+/// that between them ask four distinct things: a grant reads the pool's
+/// table once and evaluates each distinct expression once per instance —
+/// not once per resident slot per instance, which grows with the table.
+/// The residents are what a restart finds (journalled grants, tagged
+/// instances), so building a rung costs one replay, not a thousand checks.
+#[test]
+fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
+    const KINDS: usize = 4;
+    let room = |i: usize| InstanceId(format!("{i:05}"));
+    let wants = |kind: usize| {
+        let kind = (kind % KINDS) as i64;
+        vec![Predicate::property("rooms", PropExpr::eq("kind", kind), 1)]
+    };
+    for residents in [10usize, 100, 1_000] {
+        let instances = residents + 2 * KINDS;
+        let rm = Arc::new(ResourceManager::new());
+        let pm = PromiseManager::new(rm.clone(), Arc::new(ManualClock::new()));
+        pm.register_pool(PoolSchema::instances(
+            "rooms",
+            vec![PropertyDef::plain("kind")],
+        ));
+        let journal = Arc::new(PromiseJournal::new());
+        for i in 0..instances {
+            let kind = Record::new().with("kind", (i % KINDS) as i64);
+            pm.seed_instance("rooms", room(i), kind).unwrap();
+        }
+        rm.transact(0, |txn| {
+            (0..residents).try_for_each(|i| {
+                rm.update(txn, "inst:rooms", &room(i).0, |r| {
+                    r.set(Catalog::STATUS, status::PROMISED);
+                })
+            })
+        })
+        .unwrap();
+        for i in 0..residents {
+            journal.append(JournalOp::Grant(PromiseRecord {
+                id: PromiseId(i as u64 + 1),
+                client: ClientId::from("t"),
+                request: RequestId(format!("r{i}")),
+                predicates: wants(i),
+                granted_at: 0,
+                expires_at: LONG_MS,
+                allocations: vec![Allocation {
+                    pred_idx: 0,
+                    instance: room(i),
+                }],
+            }));
+        }
+        assert_eq!(pm.recover(journal).unwrap().recovered, residents);
+
+        let mut fresh = PromiseRequestSpec::new(RequestId("fresh".into()), ClientId::from("t"))
+            .duration_ms(LONG_MS);
+        fresh.predicates = wants(0);
+        let granted = pm.request(fresh).unwrap().decision.granted_id();
+        let held = pm.promise(granted.expect("two rooms of every kind are free"));
+        let first_free = (residents..instances).find(|i| i % KINDS == 0).unwrap();
+        assert_eq!(held.unwrap().allocations[0].instance, room(first_free));
+        let stats = pm.last_check_stats();
+        assert_eq!(stats.promises_considered, residents);
+        assert_eq!(
+            stats.instance_passes, 1,
+            "one pass over the pool at {residents} residents"
+        );
+        assert!(
+            stats.predicate_evals <= 5 * instances,
+            "{} evaluations over {instances} instances at {residents} residents",
+            stats.predicate_evals
+        );
     }
 }

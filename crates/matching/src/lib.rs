@@ -34,13 +34,14 @@ pub use hopcroft_karp::{hopcroft_karp, MatchingResult};
 /// list, or returns `None` if no complete assignment exists.
 ///
 /// `rights` enumerates the matchable right vertices; `allowed[i]` lists
-/// the rights slot `i` accepts (each must appear in `rights`). Slots are
+/// the rights slot `i` accepts (each must appear in `rights`) — lent, so
+/// slots that ask the same thing can share one list. Slots are
 /// seeded most-constrained-first — a good heuristic for speed, while
 /// feasibility itself is order-independent thanks to augmenting-path
 /// re-arrangement. On success, `out[i]` is the right assigned to slot `i`.
 pub fn assign_slots(
     rights: impl IntoIterator<Item = usize>,
-    allowed: &[Vec<usize>],
+    allowed: &[impl AsRef<[usize]>],
 ) -> Option<Vec<usize>> {
     assign_slots_seeded(rights, allowed, &[])
 }
@@ -58,7 +59,7 @@ pub fn assign_slots(
 /// or claimed by an earlier seed) is ignored rather than an error.
 pub fn assign_slots_seeded(
     rights: impl IntoIterator<Item = usize>,
-    allowed: &[Vec<usize>],
+    allowed: &[impl AsRef<[usize]>],
     seeds: &[Option<usize>],
 ) -> Option<Vec<usize>> {
     let mut matching: DynamicMatching<usize, usize> = DynamicMatching::new();
@@ -71,7 +72,7 @@ pub fn assign_slots_seeded(
     let mut remaining: Vec<usize> = Vec::new();
     for (i, options) in allowed.iter().enumerate() {
         let seeded = match seeds.get(i).copied().flatten() {
-            Some(s) => matching.seed_pair(i, options.clone(), s),
+            Some(s) => matching.seed_pair(i, options.as_ref().to_vec(), s),
             None => false,
         };
         if !seeded {
@@ -81,9 +82,9 @@ pub fn assign_slots_seeded(
 
     // Pass 2: place the rest most-constrained-first; augmenting paths move
     // seeded holdings only when no completion exists without doing so.
-    remaining.sort_by_key(|&i| allowed[i].len());
+    remaining.sort_by_key(|&i| allowed[i].as_ref().len());
     for &i in &remaining {
-        if !matching.try_add_left(i, allowed[i].clone()) {
+        if !matching.try_add_left(i, allowed[i].as_ref().to_vec()) {
             return None;
         }
     }
@@ -180,12 +181,12 @@ mod tests {
     fn assign_slots_reports_infeasibility() {
         let allowed = vec![vec![0], vec![0]];
         assert_eq!(assign_slots(0..2, &allowed), None);
-        assert_eq!(assign_slots(std::iter::empty(), &[vec![]]), None);
+        assert_eq!(assign_slots(std::iter::empty(), &[Vec::new()]), None);
     }
 
     #[test]
     fn assign_slots_empty_slot_set_is_trivially_satisfied() {
-        assert_eq!(assign_slots(0..3, &[]), Some(vec![]));
+        assert_eq!(assign_slots(0..3, &[] as &[Vec<usize>]), Some(vec![]));
     }
 
     #[test]

@@ -61,12 +61,10 @@ impl Store {
         Ok(self.table_mut(table)?.remove(key))
     }
 
-    pub fn scan(&self, table: &str) -> Result<Vec<(String, Record)>, RmError> {
-        Ok(self
-            .table(table)?
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
+    /// Lends every record of `table` to `f`, in key order.
+    pub fn scan_with(&self, table: &str, mut f: impl FnMut(&str, &Record)) -> Result<(), RmError> {
+        self.table(table)?.iter().for_each(|(k, v)| f(k, v));
+        Ok(())
     }
 
     pub fn stats(&self) -> Vec<TableStats> {
@@ -143,7 +141,8 @@ mod tests {
         s.create_table("t").unwrap();
         s.insert("t", "b", Record::new()).unwrap();
         s.insert("t", "a", Record::new()).unwrap();
-        let keys: Vec<_> = s.scan("t").unwrap().into_iter().map(|(k, _)| k).collect();
+        let mut keys = Vec::new();
+        s.scan_with("t", |k, _| keys.push(k.to_owned())).unwrap();
         assert_eq!(keys, vec!["a", "b"]);
     }
 

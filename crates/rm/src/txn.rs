@@ -459,12 +459,30 @@ impl ResourceManager {
         Ok(Some(true))
     }
 
-    /// Scans a whole table under a table-level `S` lock (phantom-safe).
+    /// Scans a whole table under a table-level `S` lock (phantom-safe),
+    /// copying every record out.
     pub fn scan(&self, txn: &Txn, table: &str) -> Result<Vec<(String, Record)>, RmError> {
+        let mut rows = Vec::new();
+        self.scan_with(txn, table, |key, rec| {
+            rows.push((key.to_owned(), rec.clone()));
+        })?;
+        Ok(rows)
+    }
+
+    /// [`ResourceManager::scan`] without the copies: the same table-level
+    /// `S` lock and `"scan"` fault point, every record lent to `f` in key
+    /// order. `f` runs under the store latch and must not call back into
+    /// the resource manager.
+    pub fn scan_with(
+        &self,
+        txn: &Txn,
+        table: &str,
+        f: impl FnMut(&str, &Record),
+    ) -> Result<(), RmError> {
         self.ensure_active(txn)?;
         self.lock(txn, &Granule::Table(table.to_owned()), LockMode::Shared)?;
         self.faultable("scan", table)?;
-        self.store.lock().scan(table)
+        self.store.lock().scan_with(table, f)
     }
 
     /// Runs `f` in a transaction, committing on `Ok` and aborting on `Err`;
@@ -723,6 +741,53 @@ mod tests {
         let tx = rm.begin();
         let rows = rm.scan(&tx, "t").unwrap();
         assert_eq!(rows.len(), 5);
+        rm.commit(tx).unwrap();
+    }
+
+    #[test]
+    fn scan_with_lends_every_record_in_key_order() {
+        let rm = rm_with_table();
+        let tx = rm.begin();
+        for (key, v) in [("b", 2i64), ("c", 3), ("a", 1)] {
+            rm.insert(&tx, "t", key, Record::new().with("v", v))
+                .unwrap();
+        }
+        let mut lent = Vec::new();
+        rm.scan_with(&tx, "t", |key, rec| {
+            lent.push((key.to_owned(), rec.clone()));
+        })
+        .unwrap();
+        assert_eq!(
+            lent.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            ["a", "b", "c"]
+        );
+        assert_eq!(lent, rm.scan(&tx, "t").unwrap(), "what scan copies out");
+        assert_eq!(
+            rm.scan_with(&tx, "nope", |_, _| unreachable!()),
+            Err(RmError::NoSuchTable("nope".into()))
+        );
+        rm.commit(tx).unwrap();
+    }
+
+    #[test]
+    fn an_injected_scan_fault_surfaces_from_scan_with() {
+        let rm = rm_with_table();
+        let fault = RmError::StorageFault {
+            op: "scan".into(),
+            table: "t".into(),
+        };
+        let injected = fault.clone();
+        rm.set_storage_fault_hook(Some(Arc::new(move |op, table| {
+            (op == "scan" && table == "t").then(|| injected.clone())
+        })));
+        let tx = rm.begin();
+        assert_eq!(
+            rm.scan_with(&tx, "t", |_, _| unreachable!("nothing is lent")),
+            Err(fault.clone())
+        );
+        assert_eq!(rm.scan(&tx, "t"), Err(fault));
+        rm.set_storage_fault_hook(None);
+        rm.scan_with(&tx, "t", |_, _| {}).unwrap();
         rm.commit(tx).unwrap();
     }
 

@@ -76,28 +76,40 @@ fn bank_transfer_invariant_under_heavy_contention() {
 #[test]
 fn scan_blocks_concurrent_insert_no_phantoms() {
     // A scanner holding the table S lock must not see phantom inserts:
-    // the insert blocks until the scanner commits.
-    let rm = Arc::new(ResourceManager::new());
-    rm.create_table("t");
-    let tx = rm.begin();
-    rm.insert(&tx, "t", "k1", Record::new()).unwrap();
-    rm.commit(tx).unwrap();
+    // the insert blocks until the scanner commits — behind the borrowing
+    // `scan_with` exactly as behind the copying `scan`.
+    type CountRows = fn(&ResourceManager, &promises_rm::Txn) -> usize;
+    let scans: [CountRows; 2] = [
+        |rm, txn| rm.scan(txn, "t").unwrap().len(),
+        |rm, txn| {
+            let mut rows = 0;
+            rm.scan_with(txn, "t", |_, _| rows += 1).unwrap();
+            rows
+        },
+    ];
+    for scan in scans {
+        let rm = Arc::new(ResourceManager::new());
+        rm.create_table("t");
+        let tx = rm.begin();
+        rm.insert(&tx, "t", "k1", Record::new()).unwrap();
+        rm.commit(tx).unwrap();
 
-    let scanner = rm.begin();
-    let first = rm.scan(&scanner, "t").unwrap().len();
+        let scanner = rm.begin();
+        let first = scan(&rm, &scanner);
 
-    let rm2 = Arc::clone(&rm);
-    let writer = std::thread::spawn(move || {
-        rm2.transact(10, |txn| rm2.insert(txn, "t", "k2", Record::new()))
-            .unwrap();
-    });
-    std::thread::sleep(std::time::Duration::from_millis(40));
-    assert!(!writer.is_finished(), "insert must wait for the table lock");
-    // Repeatable: the second scan in the same txn sees the same rows.
-    let second = rm.scan(&scanner, "t").unwrap().len();
-    assert_eq!(first, second);
-    rm.commit(scanner).unwrap();
-    writer.join().unwrap();
+        let rm2 = Arc::clone(&rm);
+        let writer = std::thread::spawn(move || {
+            rm2.transact(10, |txn| rm2.insert(txn, "t", "k2", Record::new()))
+                .unwrap();
+        });
+        std::thread::sleep(std::time::Duration::from_millis(40));
+        assert!(!writer.is_finished(), "insert must wait for the table lock");
+        // Repeatable: the second scan in the same txn sees the same rows.
+        let second = scan(&rm, &scanner);
+        assert_eq!(first, second);
+        rm.commit(scanner).unwrap();
+        writer.join().unwrap();
+    }
 }
 
 #[test]

@@ -636,6 +636,38 @@ mod negotiate_tests {
     }
 
     #[test]
+    fn over_ask_on_an_instance_pool_is_refused_at_once() {
+        let gw = hotel_gateway();
+        for (id, predicate) in [
+            ("q", "qty('rooms') >= 9223372036854775807"),
+            ("p", "prop('rooms', 4294967295): beds == 2"),
+        ] {
+            let mut header = negotiable(id, predicate);
+            header.negotiate = false;
+            // A refusal leaves nothing behind: the fastest of three is a
+            // fair reading on a busy machine.
+            let fastest = (0..3)
+                .map(|_| {
+                    let envelope = Envelope::new().with_promise_request(header.clone());
+                    let started = std::time::Instant::now();
+                    let reply = gw.handle(envelope);
+                    let took = started.elapsed();
+                    assert!(
+                        matches!(
+                            &reply.response_for(id).unwrap().result,
+                            PromiseResult::Rejected(why) if why.contains("rooms")
+                        ),
+                        "{predicate}: {reply:?}"
+                    );
+                    took
+                })
+                .min()
+                .unwrap();
+            assert!(fastest.as_millis() < 10, "{predicate} took {fastest:?}");
+        }
+    }
+
+    #[test]
     fn negotiated_response_roundtrips_the_codec() {
         let gw = hotel_gateway();
         let reply = gw.handle(Envelope::new().with_promise_request(negotiable(
