@@ -1,7 +1,7 @@
 //! Regenerates every experiment table in EXPERIMENTS.md and runs the CI
 //! gates.
 //!
-//! * `experiments [e1 … e11]` prints the chosen tables (no ids = all).
+//! * `experiments [e1 e2 e4 … e9]` prints the chosen tables (no ids = all).
 //! * `experiments --<mode> [seeds…]` runs one gate from [`MODES`] — each
 //!   owns its checks and its one `BENCH_*` output — and exits non-zero if
 //!   any check fails; without seeds the mode's defaults apply.
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::env;
 use std::time::Duration;
 
-use promises_bench::exp::{self, ScalingRow, System, View};
+use promises_bench::exp::{self, ScalingRow, System};
 use promises_bench::table::{f, list, map, print_rows, print_table, q, strings, us, Fields};
 use promises_core::CheckStrategy;
 use promises_faults::FaultScenario;
@@ -234,8 +234,10 @@ fn fault_fields(r: &FaultRunReport) -> Fields {
     ])
 }
 
-/// `--faults`: a small wire fault sweep plus crash–restart per seed.
+/// `--faults`: a small wire fault sweep plus crash–restart per seed, then
+/// the sweeps as one seed × rate table.
 fn faults_mode(seeds: &[u64], mut gate: Gate) {
+    let mut rows = Vec::new();
     for &seed in seeds {
         for rate in [0.05, 0.15] {
             let cfg = promises_sim::FaultSweepConfig {
@@ -247,8 +249,10 @@ fn faults_mode(seeds: &[u64], mut gate: Gate) {
             let scenario = FaultScenario::uniform(seed, rate).with_storage_errors(rate);
             let r = promises_sim::run_fault_sweep(scenario, &cfg);
             let ok = r.violations == 0 && r.double_grants == 0 && r.live_after_reap == 0;
-            let fields = fault_fields(&r).log();
-            gate.check(&format!("sweep seed={seed} rate={rate:.2} {fields}"), ok);
+            let mut row = Fields(vec![("seed", seed.to_string()), ("fault_rate", f(rate, 2))]);
+            row.0.extend(fault_fields(&r).0);
+            gate.check(&format!("sweep {}", row.log()), ok);
+            rows.push(row);
         }
         let crash = promises_sim::run_crash_restart(seed, 12, 3_700_000);
         let what = format!(
@@ -257,6 +261,11 @@ fn faults_mode(seeds: &[u64], mut gate: Gate) {
         );
         gate.check(&what, crash.state_matches() && crash.pruned_while_down > 0);
     }
+    print_rows(
+        "E11 — wire fault sweep: message and storage faults at each rate \
+         (violations, double_grants and leaked must be 0)",
+        &rows,
+    );
     gate.finish(&[]);
 }
 
@@ -707,7 +716,7 @@ const REQUIRED_STAGES: &[&str] = &[
 
 /// `--obs`: one instrumented fault sweep per seed (stage latency and
 /// rejection-cause tables, lifecycle audit), then the telemetry-overhead
-/// probe on the E4b footprint workload.
+/// probe on the disjoint-pool workload.
 fn obs_mode(seeds: &[u64], mut gate: Gate) {
     const RATE: f64 = 0.15;
     let mut runs = Vec::new();
@@ -817,7 +826,7 @@ fn obs_mode(seeds: &[u64], mut gate: Gate) {
         ("overhead_pct", f(o.overhead_pct(), 2)),
     ]);
     print_rows(
-        "E12b — telemetry overhead on the E4b footprint workload (median of 9 paired \
+        "E12b — telemetry overhead on the disjoint-pool workload (median of 9 paired \
          off/on rounds after warmup)",
         std::slice::from_ref(&overhead),
     );
@@ -1063,21 +1072,6 @@ fn e2() {
     );
 }
 
-fn e3() {
-    let mut rows = Vec::new();
-    for live in [10usize, 100, 500, 1000] {
-        let a = exp::e3_check_cost(View::Anonymous, live, 200);
-        let n = exp::e3_check_cost(View::Named, live, 50);
-        let p = exp::e3_check_cost(View::Property, live.min(500), 20);
-        rows.push(vec![live.to_string(), us(a), us(n), us(p)]);
-    }
-    print_table(
-        "E3 — grant+release cost vs live promises, by resource view",
-        &["live promises", "anonymous", "named", "property"],
-        &rows,
-    );
-}
-
 fn e4() {
     let mut rows = Vec::new();
     for clients in [4usize, 16, 48] {
@@ -1226,52 +1220,16 @@ fn e9() {
     );
 }
 
-fn e10() {
-    let mut rows = Vec::new();
-    for depth in [0usize, 1, 2, 4, 8] {
-        let mean = exp::e10_delegation(depth, 300);
-        rows.push(vec![depth.to_string(), us(mean)]);
-    }
-    print_table(
-        "E10 — delegation chain depth vs grant+release latency",
-        &["chain depth", "mean grant+release"],
-        &rows,
-    );
-}
-
-fn e11() {
-    let rows: Vec<Fields> = exp::e11_fault_sweep(&[0.0, 0.05, 0.10, 0.20], 4, 50)
-        .iter()
-        .map(|row| {
-            let mut fields = Fields(vec![
-                ("fault_rate", f(row.rate, 2)),
-                ("goodput_ops_s", f(row.goodput, 0)),
-            ]);
-            fields.0.extend(fault_fields(&row.report).0);
-            let dedup_pct = row.dedup_ratio.map_or("n/a".into(), |d| f(d * 100.0, 1));
-            fields.0.push(("dedup_pct", dedup_pct));
-            fields
-        })
-        .collect();
-    print_rows(
-        "E11 — fault sweep: goodput and guarantee audits vs fault rate (violations and double_grants must be 0)",
-        &rows,
-    );
-}
-
 /// The experiment tables, by id.
-const TABLES: [(&str, fn()); 11] = [
+const TABLES: [(&str, fn()); 8] = [
     ("e1", e1),
     ("e2", e2),
-    ("e3", e3),
     ("e4", e4),
     ("e5", e5),
     ("e6", e6),
     ("e7", e7),
     ("e8", e8),
     ("e9", e9),
-    ("e10", e10),
-    ("e11", e11),
 ];
 
 fn main() {
@@ -1333,9 +1291,12 @@ mod tests {
 
     #[test]
     fn unknown_arguments_are_refused_not_ignored() {
-        let bad: [&[&str]; 5] = [
+        let bad: [&[&str]; 8] = [
             &["--leasse"],
             &["e99"],
+            &["e3"],
+            &["e10"],
+            &["e11"],
             &["e4", "--leasse"],
             &["--cluster", "--threads"],
             &["--cluster", "not-a-seed"],
@@ -1345,6 +1306,6 @@ mod tests {
         }
         assert!(usage().contains("--workloads") && usage().contains("BENCH_threads.json"));
         assert!(matches!(plan(&[]), Ok(Plan::Tables(ids)) if ids.is_empty()));
-        assert!(matches!(plan(&["E4", "e11"]), Ok(Plan::Tables(ids)) if ids == ["e4", "e11"]));
+        assert!(matches!(plan(&["E4", "e9"]), Ok(Plan::Tables(ids)) if ids == ["e4", "e9"]));
     }
 }

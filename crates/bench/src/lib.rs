@@ -1,13 +1,13 @@
 //! `promises-bench` — experiment implementations for the evaluation in
 //! DESIGN.md / EXPERIMENTS.md.
 //!
-//! Each experiment is a plain function returning result rows so that the
-//! Criterion benches (`benches/`) and the table generator
-//! (`src/bin/experiments.rs`) share one implementation. See DESIGN.md §4
-//! for the experiment index (E1/Figure 1 … E10).
+//! Each experiment is a plain function returning result rows; the one
+//! binary, `src/bin/experiments.rs`, prints them as tables (E1/Figure 1 …
+//! E9) and runs the nine CI gates. Per-layer timing is not measured here:
+//! that is `benchmark/`'s job. See DESIGN.md §4 for the experiment index.
 
 #![warn(missing_docs)]
 
 pub mod exp;
-pub mod setup;
+mod setup;
 pub mod table;

@@ -62,16 +62,3 @@ pub fn pm_with_rooms(pool: &str, rooms: usize, strategy: CheckStrategy) -> Arc<P
     }
     pm
 }
-
-/// A chain of `depth` delegating managers over one quantity pool; the
-/// manager at the end of the chain holds the actual stock. Returns the
-/// front manager.
-pub fn delegation_chain(pool: &str, depth: usize, qty: u64) -> Arc<PromiseManager> {
-    let mut current = pm_with_qty_pool(pool, qty);
-    for _ in 0..depth {
-        let front = fresh_pm();
-        front.delegate_pool(pool, Arc::clone(&current));
-        current = front;
-    }
-    current
-}

@@ -787,6 +787,50 @@ fn upstream_rejection_rejects_whole_request_and_compensates() {
     assert_eq!(merchant.live_count(), 0);
 }
 
+/// front → mid → back, the stock at back: two hops of delegation, so
+/// every grant and release has to cascade through a manager that holds
+/// nothing itself.
+fn delegation_chain() -> [Arc<PromiseManager>; 3] {
+    let back = widgets_pm(5);
+    let (mid, _) = new_pm();
+    mid.delegate_pool("widgets", Arc::clone(&back));
+    let (front, _) = new_pm();
+    front.delegate_pool("widgets", Arc::clone(&mid));
+    [front, mid, back]
+}
+
+fn live_counts(chain: &[Arc<PromiseManager>; 3]) -> [usize; 3] {
+    chain.each_ref().map(|pm| pm.live_count())
+}
+
+#[test]
+fn delegation_cascades_through_a_two_hop_chain() {
+    let chain = delegation_chain();
+    let p = grant(
+        &chain[0],
+        "order",
+        vec![Predicate::qty_at_least("widgets", 3)],
+    );
+    assert_eq!(live_counts(&chain), [1, 1, 1], "one promise at each level");
+    chain[0].release(p).unwrap();
+    assert_eq!(live_counts(&chain), [0, 0, 0], "release cascades to back");
+}
+
+#[test]
+fn rejection_at_the_end_of_a_chain_reaches_the_front() {
+    let chain = delegation_chain();
+    let reason = reject_reason(
+        &chain[0],
+        "too-many",
+        vec![Predicate::qty_at_least("widgets", 6)],
+    );
+    assert!(
+        matches!(reason, RejectReason::UpstreamRejected { .. }),
+        "{reason:?}"
+    );
+    assert_eq!(live_counts(&chain), [0, 0, 0], "nothing left live anywhere");
+}
+
 #[test]
 fn local_rejection_releases_upstream_promises() {
     let (merchant, distributor) = delegated_pair();

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use promises_baselines::{QtyReserver, ReserveFailure, QTY_TABLE};
 use promises_core::{
-    Environment, LockingMode, PoolSchema, Predicate, PromiseDecision, PromiseError, PromiseId,
-    PromiseManager, PromiseRequestSpec, SystemClock,
+    Environment, PoolSchema, Predicate, PromiseDecision, PromiseError, PromiseId, PromiseManager,
+    PromiseRequestSpec, SystemClock,
 };
 use promises_rm::{ResourceManager, RmError};
 
@@ -115,17 +115,10 @@ impl QtyReserver for PromiseQtyReserver {
 }
 
 /// Builds a promise manager with `pools` quantity pools of `qty` each and
-/// returns the reserver over it (default locking mode).
+/// returns the reserver over it.
 pub fn promise_reserver(pools: usize, qty: u64) -> PromiseQtyReserver {
-    promise_reserver_with_mode(pools, qty, LockingMode::default())
-}
-
-/// [`promise_reserver`] with an explicit [`LockingMode`], for comparing
-/// footprint-scoped locking against the global-sync-point baseline.
-pub fn promise_reserver_with_mode(pools: usize, qty: u64, mode: LockingMode) -> PromiseQtyReserver {
     let rm = Arc::new(ResourceManager::new());
-    let pm =
-        Arc::new(PromiseManager::new(rm, Arc::new(SystemClock::new())).with_locking_mode(mode));
+    let pm = Arc::new(PromiseManager::new(rm, Arc::new(SystemClock::new())));
     for i in 0..pools {
         let name = crate::workload::pool_name(i);
         pm.register_pool(PoolSchema::quantity(name.as_str()));

@@ -28,7 +28,7 @@ mod metrics;
 mod obs;
 mod workload;
 
-pub use adapter::{promise_reserver, promise_reserver_with_mode, PromiseQtyReserver};
+pub use adapter::{promise_reserver, PromiseQtyReserver};
 pub use clients::{drive_clients, ClientOp, ClientRun, ClientTally, Release};
 pub use cluster::{
     cluster_harness, run_cluster_crash_restart, run_cluster_fault_sweep, run_failover_sweep,

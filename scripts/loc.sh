@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: every *.rs outside tests/ directories
 # (src, benches, examples; in-file unit-test modules count with their
-# file), vendored shims (rand, proptest, criterion, parking_lot) left out.
+# file), vendored shims (rand, proptest, parking_lot) left out.
 # This is the figure ROADMAP item 3 tracks (33.4k at the PR 11 re-anchor,
 # before benchmark/ existed).
 # Usage: scripts/loc.sh
@@ -16,7 +16,7 @@ count() {
 total=0
 for crate in crates/*/ benchmark/; do
     case "$(basename "$crate")" in
-    rand | proptest | criterion | parking_lot) continue ;;
+    rand | proptest | parking_lot) continue ;;
     esac
     lines=$(count "$crate")
     printf '%8d  %s\n' "$lines" "${crate%/}"
