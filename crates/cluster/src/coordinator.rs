@@ -25,13 +25,13 @@
 //! sub-request ids (`rid@sN`) make the shards' own dedup indexes back the
 //! coordinator up even across a coordinator restart.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use promises_core::{parse_predicate, weaken_predicates, Clock, Predicate};
+use promises_core::{parse_predicate, weaken_predicates, Clock, DeadlineMap, Predicate};
 use promises_telemetry::{
     push_trace, FlightRecorder, SpanKind, SpanOutcome, Telemetry, TraceContext,
 };
@@ -49,6 +49,12 @@ use crate::router::ShardMap;
 /// treated as a fresh request — the same bound the per-shard grant index
 /// uses, so coordinator and shard dedup stay in step.
 const DEDUP_GRACE_MS: u64 = 300_000;
+
+/// The dedup index key: `(client, request)` packed into one string, the
+/// client length-prefixed so that no two pairs share a key.
+fn dedup_key(client: &str, request_id: &str) -> Arc<str> {
+    format!("{}:{client}{request_id}", client.len()).into()
+}
 
 /// Where an injected coordinator crash fires, for crash–restart tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,12 +159,6 @@ pub struct CoordRecovery {
     pub orphan_aborts: usize,
 }
 
-/// A dedup entry: the remembered decision plus when it may be evicted.
-struct DedupEntry {
-    decision: ClusterDecision,
-    evict_at: u64,
-}
-
 /// The cross-shard grant coordinator. Cheap to rebuild: all durable state
 /// lives in the [`CoordinatorLog`] and the shards' journals.
 pub struct Coordinator {
@@ -170,7 +170,8 @@ pub struct Coordinator {
     /// Flight recorder for 2PC phase-change events (DESIGN §17); state
     /// transitions only, never per-message work.
     recorder: RwLock<Option<Arc<FlightRecorder>>>,
-    dedup: Mutex<HashMap<(String, String), DedupEntry>>,
+    /// Decisions by [`dedup_key`], each until its retry window closes.
+    dedup: Mutex<DeadlineMap<Arc<str>, ClusterDecision>>,
     /// Committed transactions every shard acknowledged resolving — the
     /// only commits log compaction may drop. Rebuilt empty after a crash;
     /// the next [`Coordinator::recover`] repopulates it from resend acks.
@@ -200,7 +201,7 @@ impl Coordinator {
             clock,
             telemetry: None,
             recorder: RwLock::new(None),
-            dedup: Mutex::new(HashMap::new()),
+            dedup: Mutex::default(),
             resolved: Mutex::new(HashSet::new()),
             crash_point: Mutex::new(None),
             leases: RwLock::new(None),
@@ -265,9 +266,9 @@ impl Coordinator {
         predicates: &[String],
         duration_ms: u64,
     ) -> Result<ClusterDecision, CoordError> {
-        let key = (client.to_owned(), request_id.to_owned());
-        if let Some(entry) = self.dedup.lock().get(&key) {
-            return Ok(entry.decision.clone());
+        let key = dedup_key(client, request_id);
+        if let Some(decision) = self.dedup.lock().get(&key) {
+            return Ok(decision.clone());
         }
         if predicates.is_empty() {
             return Err(CoordError::EmptyRequest);
@@ -379,21 +380,14 @@ impl Coordinator {
 
         // The dedup index is bounded: entries are only useful while a
         // retry of the same request could still arrive, so they carry an
-        // eviction deadline (promise duration + grace) and each insert
-        // sweeps the expired ones out.
+        // eviction deadline (promise duration + grace).
         let now = self.clock.now_ms();
         let evict_at = now
             .saturating_add(duration_ms)
             .saturating_add(DEDUP_GRACE_MS);
         let mut dedup = self.dedup.lock();
-        dedup.retain(|_, e| e.evict_at > now);
-        dedup.insert(
-            key,
-            DedupEntry {
-                decision: decision.clone(),
-                evict_at,
-            },
-        );
+        dedup.evict_due(now);
+        dedup.insert(key, evict_at, decision.clone());
         let len = dedup.len();
         drop(dedup);
         if let Some(tel) = &self.telemetry {
@@ -470,13 +464,13 @@ impl Coordinator {
         self.dedup.lock().len()
     }
 
-    /// Evicts dedup entries whose retry window has passed. Inserts do this
-    /// opportunistically; an idle coordinator can call it from the same
+    /// Evicts dedup entries whose retry window has passed. Every grant
+    /// does this too; an idle coordinator can call it from the same
     /// cadence that drives shard pruning.
     pub fn sweep_dedup(&self) {
         let now = self.clock.now_ms();
         let mut dedup = self.dedup.lock();
-        dedup.retain(|_, e| e.evict_at > now);
+        dedup.evict_due(now);
         let len = dedup.len();
         drop(dedup);
         if let Some(tel) = &self.telemetry {

@@ -286,6 +286,75 @@ fn dedup_index_is_bounded_by_duration_plus_grace() {
 }
 
 #[test]
+fn dedup_index_evicts_in_deadline_order_not_insertion_order() {
+    let cluster = two_shard_cluster(100);
+    let grant = |rid: &str, duration_ms: u64| {
+        cluster
+            .coordinator
+            .grant("alice", rid, &span_both(1, 1), duration_ms)
+            .unwrap()
+    };
+    let long = grant("long", HOUR_MS);
+    let short = grant("short", 10_000);
+    assert!(long.is_granted() && short.is_granted());
+    // The short one's duration + grace has passed, the long one's has not.
+    // A FIFO queue would stop at the long entry in front and keep both.
+    cluster.clock.advance(10_000 + 300_000);
+    cluster.coordinator.sweep_dedup();
+    assert_eq!(cluster.coordinator.dedup_len(), 1);
+
+    let delivered = cluster.bus.stats().delivered;
+    assert_eq!(grant("long", HOUR_MS), long, "the original decision");
+    assert_eq!(
+        cluster.bus.stats().delivered,
+        delivered,
+        "answered from the index without asking a shard"
+    );
+    let fresh = grant("short", 10_000);
+    assert!(
+        cluster.bus.stats().delivered > delivered,
+        "the shards were asked"
+    );
+    assert!(fresh.is_granted());
+    assert_ne!(fresh, short, "served as a fresh request");
+}
+
+#[test]
+fn dedup_keys_do_not_collide_across_the_client_request_boundary() {
+    let cluster = two_shard_cluster(10);
+    let ask = ["qty('alpha') >= 1".to_string()];
+    let ab_c = cluster.coordinator.grant("ab", "c", &ask, HOUR_MS).unwrap();
+    let a_bc = cluster.coordinator.grant("a", "bc", &ask, HOUR_MS).unwrap();
+    assert!(ab_c.is_granted() && a_bc.is_granted());
+    assert_ne!(ab_c, a_bc, "two requests, two promises");
+    assert_eq!(cluster.coordinator.dedup_len(), 2);
+    assert_eq!(cluster.live_count(), 2);
+}
+
+#[test]
+fn a_resend_after_release_is_answered_by_the_coordinator_index() {
+    let cluster = two_shard_cluster(10);
+    let ask = ["qty('alpha') >= 4".to_string()];
+    let first = cluster
+        .coordinator
+        .grant("alice", "r1", &ask, HOUR_MS)
+        .unwrap();
+    let ClusterDecision::Granted { parts } = &first else {
+        panic!("single-shard grant should succeed: {first:?}");
+    };
+    cluster.coordinator.release(parts);
+    // The shard dropped `alice/r1` with the released record, so only the
+    // coordinator's index still knows the request was answered.
+    let resend = cluster
+        .coordinator
+        .grant("alice", "r1", &ask, HOUR_MS)
+        .unwrap();
+    assert_eq!(resend, first, "the same promise id, not a second grant");
+    assert_eq!(cluster.nodes[0].journal_facts().granted.len(), 1);
+    assert_eq!(cluster.nodes[0].pm.live_count(), 0);
+}
+
+#[test]
 fn release_frees_all_parts() {
     let cluster = two_shard_cluster(10);
     let decision = cluster

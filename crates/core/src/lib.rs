@@ -68,6 +68,7 @@
 mod catalog;
 mod check;
 mod clock;
+mod deadline_map;
 mod environment;
 mod error;
 mod ids;
@@ -80,11 +81,11 @@ mod promise;
 mod reaper;
 mod schema;
 mod state;
-mod tombstones;
 
 pub use catalog::{status, Catalog};
 pub use check::{CheckError, Checker, CheckerStats};
 pub use clock::{Clock, ManualClock, SystemClock};
+pub use deadline_map::DeadlineMap;
 pub use environment::{Environment, ReleaseOption};
 pub use error::{ActionError, PromiseError, RejectReason};
 pub use ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};

@@ -311,17 +311,6 @@ pub struct PmMetricsSnapshot {
     pub prune_lat: OpLatency,
 }
 
-impl PmMetricsSnapshot {
-    /// Deduplicated grant answers as a fraction of all successful grant
-    /// answers (fresh grants + dedup hits): how much retry traffic the
-    /// request-id index absorbed. `None` when nothing was granted at all —
-    /// never a fabricated zero.
-    pub fn dedup_ratio(&self) -> Option<f64> {
-        let total = self.granted + self.grants_deduped;
-        (total > 0).then(|| self.grants_deduped as f64 / total as f64)
-    }
-}
-
 /// Short machine-readable cause slug, and the pool when the cause names
 /// one, for a grant rejection — used as telemetry counter keys
 /// (`pm.reject.<cause>`, `pm.pool.<pool>.rejected`).
@@ -1637,7 +1626,7 @@ impl PromiseManager {
             .now_ms()
             .saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
         for id in reaped {
-            state.tombstones.insert(id, evict_at);
+            state.tombstones.insert(id, evict_at, ());
         }
         *self.state.lock() = state;
         *self.journal.write() = Some(journal);
@@ -2186,7 +2175,7 @@ impl PromiseManager {
         if let Leave::Expire = t.leave {
             let evict_at = now.saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
             for id in &left {
-                st.tombstones.insert(*id, evict_at);
+                st.tombstones.insert(*id, evict_at, ());
             }
             st.tombstones.evict_due(now);
         }

@@ -11,10 +11,10 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use crate::deadline_map::DeadlineMap;
 use crate::error::PromiseError;
 use crate::ids::{ClientId, PoolId, PromiseId, RequestId};
 use crate::promise::{Allocation, PromiseRecord, PromiseTable};
-use crate::tombstones::Tombstones;
 
 /// The promise table and every per-promise mark (see the module doc).
 #[derive(Debug, Default)]
@@ -34,8 +34,8 @@ pub(crate) struct PromiseState {
     pinned: HashSet<PromiseId>,
     /// Promises reaped by expiry, so operations under them get the paper's
     /// distinct "promise-expired" error (§2) for a grace period — bounded
-    /// by eviction, not all of history.
-    pub(crate) tombstones: Tombstones,
+    /// by eviction in deadline order, not all of history.
+    pub(crate) tombstones: DeadlineMap<PromiseId, ()>,
     /// Per-pool escrow leases: the slice of a cluster-wide quantity this
     /// manager may grant locally. Empty for a standalone manager. Durable:
     /// journalled as absolute-value `L` records, checkpointed, part of the
@@ -139,7 +139,7 @@ impl PromiseState {
     /// The error for operating under a promise that is not in the table:
     /// expiry has its own (§2, §6) for as long as the tombstone lasts.
     pub(crate) fn absent(&self, id: PromiseId) -> PromiseError {
-        if self.tombstones.contains(id) {
+        if self.tombstones.contains(&id) {
             PromiseError::PromiseExpired(id)
         } else {
             PromiseError::UnknownPromise(id)

@@ -183,6 +183,9 @@ impl CellAudit {
 /// invariant counters.
 fn audit_cluster(cluster: &PromiseCluster, audit: &mut CellAudit) {
     for node in &cluster.nodes {
+        // The audit judges the end state: an injected fault on its own
+        // reads would count a failed `quantity_on_hand` as an oversell.
+        node.rm.set_storage_fault_hook(None);
         let mut grant_counts: std::collections::BTreeMap<(String, String), u32> =
             std::collections::BTreeMap::new();
         if let Ok(entries) = node.journal.entries() {

@@ -43,6 +43,19 @@ if [ -z "$bytes" ] || [ "$bytes" -gt 230000 ]; then
     echo "booking_cross alloc.bytes_per_op = ${bytes:-missing} B, limit 230000"
     exit 1
 fi
+# order_local runs traced for the coordinator's dedup index size, also a
+# count: 14 898 entries at steady state, the requests still inside their
+# duration + grace. An index that stops evicting grows past the limit
+# within the two seconds.
+echo "==> benchmark --workload order_local --seed 1 --seconds 2 --trace 1"
+traced=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload order_local --seed 1 --seconds 2 --trace 1)
+echo "$traced"
+entries=$(sed -n 's/.*"coord.dedup_len": {"value": \([0-9]*\).*/\1/p' <<<"$traced")
+if [ -z "$entries" ] || [ "$entries" -gt 15000 ]; then
+    echo "order_local coord.dedup_len = ${entries:-missing}, limit 15000"
+    exit 1
+fi
 
 # The nine experiment gates, each under its built-in default seeds (the
 # mode table in crates/bench/src/bin/experiments.rs documents what each
