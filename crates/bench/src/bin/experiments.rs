@@ -421,7 +421,7 @@ fn threads_mode(seeds: &[u64], mut gate: Gate) {
     let what = format!("scaling ratio 8 shards vs 1: {ratio:.2}x (gate: >= {MIN_RATIO_8V1}x)");
     gate.check(&what, ratio >= MIN_RATIO_8V1);
 
-    let (writes, records) = exp::e19_group_commit_amortization(4, 8, 150);
+    let (writes, records) = exp::e19_group_commit_amortization(8, 150);
     let group_commit = Fields(vec![
         ("flush_writes", writes.to_string()),
         ("flushed_records", records.to_string()),
@@ -431,7 +431,7 @@ fn threads_mode(seeds: &[u64], mut gate: Gate) {
         ),
     ]);
     println!(
-        "group-commit amortization (1 shard, 4 workers, 8 clients): {}",
+        "group-commit amortization (1 shard, 1 worker, 8 clients): {}",
         group_commit.log()
     );
 

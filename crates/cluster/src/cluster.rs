@@ -138,10 +138,11 @@ impl PromiseCluster {
 
     /// Attaches a warm follower to every shard: each leader gets a standby
     /// journal fed by semi-synchronous segment shipping (the shard server
-    /// syncs after every handled message, before replying; cluster-driven
-    /// appends — pruning, compaction, lease rebalancing — sync at the end
-    /// of their cycles). Call any time; the first sync ships the journal
-    /// as it stands. Idempotent per shard: existing followers are kept.
+    /// syncs once per batch of handled messages, before replying;
+    /// cluster-driven appends — pruning, compaction, lease rebalancing —
+    /// sync at the end of their cycles). Call any time; the first sync
+    /// ships the journal as it stands. Idempotent per shard: existing
+    /// followers are kept.
     pub fn enable_replication(&mut self) {
         for index in 0..self.nodes.len() {
             if self.nodes[index].follower.is_none() {
@@ -164,10 +165,7 @@ impl PromiseCluster {
             index,
         ));
         link.set_injector(self.repl_injector.lock().clone());
-        link.sync();
-        self.nodes[index]
-            .server
-            .set_replication(Some(Arc::clone(&link)));
+        self.nodes[index].server.set_replication(Arc::clone(&link));
         self.nodes[index].follower = Some(follower);
         self.nodes[index].replication = Some(link);
     }

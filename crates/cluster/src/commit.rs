@@ -1,204 +1,79 @@
 //! Group commit: the per-shard durability barrier between "handler
 //! finished" and "reply leaves the node".
 //!
-//! Every handled message may append journal records. Under the threaded
-//! executor many handlers finish concurrently, and writing each record
-//! down individually would put one fsync-shaped write on every reply
-//! path. Instead, appends accumulate in the journal's sequence-ordered
-//! buffer and a [`GroupCommitter`] elects one *leader* per batch: the
-//! leader performs a single [`PromiseJournal::flush_all`] (one swap-safe
-//! write covering every buffered record, amortized exactly like the
-//! checkpoint swap) and one replication sync, then wakes everyone whose
-//! records the batch covered. Concurrent callers whose records rode the
-//! batch never write at all — that is the amortization E19b measures.
+//! Handled messages append to the journal's sequence-ordered buffer, and
+//! the shard's one worker commits once per drained batch: one
+//! [`PromiseJournal::flush_all`] for every buffered record and one
+//! replication sync, then the batch's replies are released. Whenever
+//! messages queue while the worker is busy, their records ride one write —
+//! the amortization E19b measures.
 //!
-//! The barrier also *is* the revised semi-synchronous replication
-//! invariant (DESIGN §19): a reply may not leave the node until the batch
-//! containing its records is both flushed and shipped to the follower.
-//! The old per-message `sync_replication` ran after the reply was
-//! computed but held no ordering against concurrent handlers — a reply
-//! could leave while an earlier message's records were still unshipped.
-//! Routing every reply through [`GroupCommitter::commit_through`] closes
-//! that window: the caller returns only once `flushed_seq >= seq` and the
-//! follower watermark covers `seq`, or once it has led (or waited out)
-//! one full flush+ship round that still could not advance the follower.
-//!
-//! That second clause makes the discipline *bounded* semi-synchronous:
-//! with a saturated replication-drop rate (the health plane's
-//! wedged-follower scenario arms 100% drop on purpose) a strict barrier
-//! would wedge every reply behind an unreachable standby. After one
-//! failed round the caller gives up, the `stalled` counter records the
+//! The barrier *is* the semi-synchronous replication invariant (DESIGN
+//! §19): no reply leaves before its records are flushed and shipped. It is
+//! *bounded*: with the follower unreachable (the health plane's
+//! wedged-follower scenario arms 100% drop on purpose) the batch is
+//! released after one failed round, the `stalled` counter records the
 //! freshness debt, and the watchdogs — not the data path — own the
 //! incident. At the fault sweep's worst 20% drop rate a round failing at
-//! all is a 0.2^64 event (see `MAX_SHIP_ATTEMPTS`), so in practice the
-//! bound only triggers when a scenario wedges the link deliberately.
+//! all is a 0.2^64 event (see `MAX_SHIP_ATTEMPTS`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use promises_core::PromiseJournal;
 
 use crate::replica::ReplicationLink;
 
-/// Leadership state: `flushing` is true while some caller is performing
-/// the batch write + ship outside the lock.
-#[derive(Default)]
-struct CommitState {
-    flushing: bool,
-}
-
-/// Counters for one committer's lifetime (reset never; readers diff).
+/// Counters for one shard's lifetime (reset never; readers diff).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
-    /// Batches this committer led (flush rounds, whether or not the
-    /// journal had pending lines — a round may exist only to re-ship).
+    /// Flush+ship rounds the shard led: one per batch that left anything
+    /// not yet durable.
     pub batches: u64,
-    /// Callers that returned with the follower still behind their seq
-    /// after a full round — the bounded semi-sync give-ups.
+    /// Replies released with the follower still behind their batch after
+    /// a full round — the bounded semi-sync give-ups.
     pub stalled: u64,
 }
 
-/// The per-shard group-commit coordinator. Holds no journal or link of
-/// its own: both are passed per call, so a crash–restart or promotion
-/// that swaps the node's journal never leaves the committer pointing at
-/// a dead incarnation's state.
-pub struct GroupCommitter {
-    state: Mutex<CommitState>,
-    done: Condvar,
+/// The counters behind [`CommitStats`], bumped by the shard worker.
+#[derive(Default)]
+pub(crate) struct CommitCounters {
     batches: AtomicU64,
     stalled: AtomicU64,
 }
 
-impl Default for GroupCommitter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GroupCommitter {
-    /// A fresh committer: no leader, zero counters.
-    pub fn new() -> Self {
-        Self {
-            state: Mutex::new(CommitState::default()),
-            done: Condvar::new(),
-            batches: AtomicU64::new(0),
-            stalled: AtomicU64::new(0),
-        }
-    }
-
-    /// True once `seq` is durable under the current link topology:
-    /// flushed locally, and — when a follower is attached — shipped.
-    fn durable(seq: u64, journal: &PromiseJournal, link: Option<&Arc<ReplicationLink>>) -> bool {
-        journal.flushed_seq() >= seq && link.is_none_or(|l| l.follower().watermark() >= seq)
-    }
-
-    /// Blocks until the batch containing `seq` is flushed and shipped,
-    /// leading at most one flush+ship round itself. Returns `true` when
-    /// `seq` ended up durable, `false` on a bounded-semi-sync give-up
-    /// (follower unreachable for a full round — counted in `stalled`).
-    ///
-    /// `seq == 0` (the message appended nothing and the journal has never
-    /// been written) returns immediately.
-    pub fn commit_through(
+impl CommitCounters {
+    /// Makes everything the journal holds durable before `replies` replies
+    /// leave: flushed, and shipped when a follower is attached. Leads at
+    /// most one round, and counts the replies as stalled when that round
+    /// could not advance the follower.
+    pub(crate) fn commit(
         &self,
-        seq: u64,
         journal: &PromiseJournal,
-        link: Option<&Arc<ReplicationLink>>,
-    ) -> bool {
-        if seq == 0 {
-            return true;
+        link: Option<&ReplicationLink>,
+        replies: usize,
+    ) {
+        let tip = journal.tip_seq();
+        let shipped = |link: &ReplicationLink| link.follower().watermark() >= tip;
+        if journal.flushed_seq() >= tip && link.is_none_or(shipped) {
+            return;
         }
-        let mut led = false;
-        let mut guard = self.state.lock();
-        loop {
-            if Self::durable(seq, journal, link) {
-                return true;
+        // Flush before shipping: the follower never holds a record the
+        // leader has not written down.
+        journal.flush_all();
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        if let Some(link) = link {
+            link.sync();
+            if !shipped(link) {
+                self.stalled.fetch_add(replies as u64, Ordering::Relaxed);
             }
-            if !guard.flushing {
-                if led {
-                    // We already led a full round and the follower still
-                    // has not covered `seq`: the link is wedged, not slow.
-                    // Give up bounded rather than spinning the data path.
-                    self.stalled.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                guard.flushing = true;
-                drop(guard);
-                // Lead one group commit outside the lock: one batched
-                // write for everything buffered (ours included), then one
-                // ship. `sync` flushes the leader journal itself before
-                // reading the segment, so the follower never receives a
-                // record the leader has not written down.
-                journal.flush_all();
-                if let Some(l) = link {
-                    l.sync();
-                }
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                led = true;
-                guard = self.state.lock();
-                guard.flushing = false;
-                self.done.notify_all();
-                continue;
-            }
-            if led {
-                // Our own round failed and someone else is already
-                // leading the next one; their outcome cannot cover a
-                // wedged follower any better than ours did.
-                self.stalled.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            self.done.wait(&mut guard);
         }
     }
 
-    /// Lifetime counters (batches led, bounded give-ups).
-    pub fn stats(&self) -> CommitStats {
+    /// Lifetime counters (rounds led, replies released behind the follower).
+    pub(crate) fn stats(&self) -> CommitStats {
         CommitStats {
             batches: self.batches.load(Ordering::Relaxed),
             stalled: self.stalled.load(Ordering::Relaxed),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use promises_core::{JournalOp, PromiseId};
-
-    #[test]
-    fn commit_through_flushes_pending_records() {
-        let journal = PromiseJournal::new();
-        let committer = GroupCommitter::new();
-        let seq = journal.append(JournalOp::Release(PromiseId(1)));
-        assert!(committer.commit_through(seq, &journal, None));
-        assert_eq!(journal.flushed_seq(), seq);
-        assert_eq!(committer.stats().batches, 1);
-        assert_eq!(committer.stats().stalled, 0);
-    }
-
-    #[test]
-    fn concurrent_callers_share_one_batch() {
-        let journal = Arc::new(PromiseJournal::new());
-        let committer = Arc::new(GroupCommitter::new());
-        let threads = 8;
-        let seqs: Vec<u64> = (0..threads)
-            .map(|i| journal.append(JournalOp::Release(PromiseId(i))))
-            .collect();
-        std::thread::scope(|s| {
-            for &seq in &seqs {
-                let journal = Arc::clone(&journal);
-                let committer = Arc::clone(&committer);
-                s.spawn(move || assert!(committer.commit_through(seq, &journal, None)));
-            }
-        });
-        assert_eq!(journal.flushed_seq(), journal.tip_seq());
-        let (writes, records) = journal.flush_stats();
-        assert_eq!(records, threads);
-        assert!(
-            writes <= threads,
-            "group commit must never write more than once per record"
-        );
-        assert_eq!(committer.stats().stalled, 0);
     }
 }

@@ -42,7 +42,7 @@ mod router;
 mod shard;
 
 pub use cluster::{FailoverReport, LeaseRebalance, PromiseCluster};
-pub use commit::{CommitStats, GroupCommitter};
+pub use commit::CommitStats;
 pub use coordinator::{
     ClusterDecision, CoordError, CoordRecovery, Coordinator, CrashPoint, GrantPart,
     NegotiatedClusterGrant,

@@ -4,9 +4,9 @@
 //! continuously applies shipped segments (the checkpoint-plus-tail stream
 //! that compaction already produces, see `PromiseJournal::segment_after`)
 //! and acks a replication watermark. Shipping is *semi-synchronous*: the
-//! shard server syncs the link after handling every message and before
-//! replying, so anything a client (or the 2PC coordinator) has seen
-//! acknowledged is already on the follower. That discipline is what turns
+//! shard server syncs the link once per batch of handled messages, before
+//! any of their replies leaves, so anything a client (or the 2PC
+//! coordinator) has seen acknowledged is already on the follower. That discipline is what turns
 //! "restartable from its own disk" into "available": when fault injection
 //! kills the leader, the follower's journal is byte-for-byte the leader's
 //! journal, and promotion is just the PR 2/5 recovery path run over the
@@ -51,9 +51,9 @@ impl ShardFollower {
 
     /// Highest journal sequence number this follower has acked.
     ///
-    /// Acquire pairs with `ack`'s AcqRel `fetch_max`: under the threaded
-    /// executor the group-commit barrier reads this watermark from worker
-    /// threads to decide whether a reply may leave, and the edge
+    /// Acquire pairs with `ack`'s AcqRel `fetch_max`: the group-commit
+    /// barrier reads this watermark on the shard worker to decide whether
+    /// a batch's replies may leave, and the edge
     /// guarantees that a thread observing watermark `>= seq` also
     /// observes every `apply_segment` write that shipped seq — the
     /// load-bearing happens-before of the semi-sync discipline. (Relaxed
@@ -137,16 +137,15 @@ impl ReplicationLink {
     /// Drives the follower to the leader's current tip: ships the segment
     /// past the acked watermark, retrying dropped shipments and re-shipping
     /// after lagged acks, until caught up (or `MAX_SHIP_ATTEMPTS`). Called
-    /// by the shard server after every handled message — before the reply
-    /// leaves the node — and by the cluster after journal appends that
-    /// bypass the bus (expiry pruning, compaction, lease rebalancing).
+    /// by the shard server's group commit and by the cluster after journal
+    /// appends that bypass the bus (expiry pruning, compaction, lease
+    /// rebalancing).
     pub fn sync(&self) -> SyncReport {
         let mut report = SyncReport::default();
         // Durability before shipping: the follower must never hold a
         // record the leader has not written down, or a promotion could
         // surface state a leader crash would have erased. One batched
-        // flush covers everything buffered (group commit — see
-        // `GroupCommitter`).
+        // flush covers everything buffered.
         self.leader.flush_all();
         let injector = self.injector.lock().clone();
         for _ in 0..MAX_SHIP_ATTEMPTS {

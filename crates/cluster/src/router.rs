@@ -40,7 +40,7 @@ pub struct ShardMap {
 /// versions under the same lock acquisition, so the pairing can never
 /// tear and no Acquire/Release choreography is needed. Keep it that way:
 /// hoisting either epoch into a lock-free atomic would reintroduce the
-/// torn-pair race the shard server's incarnation slot was built to kill.
+/// torn-pair race the shard worker's single-owner incarnation rules out.
 #[derive(Debug, Default)]
 struct MapState {
     epoch: u64,

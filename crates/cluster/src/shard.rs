@@ -5,184 +5,188 @@
 //! shared state.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use promises_core::{Catalog, Clock, PoolSchema, PromiseJournal, PromiseManager, RecoveryReport};
 use promises_rm::ResourceManager;
 use promises_telemetry::{FlightRecorder, JournalFacts, ShardEvidence, Telemetry};
 use promises_wire::{Envelope, Fulfiller, InMemoryBus, Pending, PromiseGateway, Service};
 
-use crate::commit::{CommitStats, GroupCommitter};
+use crate::commit::{CommitCounters, CommitStats};
 use crate::replica::{ReplicationLink, ShardFollower};
 use crate::router::shard_endpoint;
 
 /// The live incarnation of a shard node: the gateway (wrapping the
-/// promise manager) and the journal it appends to. Both live in one
-/// swap slot so a reader can never observe a torn pairing — a new
-/// gateway with the old incarnation's journal or vice versa.
+/// promise manager), the journal it appends to, and the link shipping that
+/// journal to the follower. The shard's worker owns it and lends it out
+/// only through a [`Job::Control`]: a restart, a promotion or a new link
+/// borrows it between messages, so no message ever sees a torn pairing
+/// or a dead incarnation.
 struct NodeState {
     gateway: Arc<PromiseGateway>,
     journal: Arc<PromiseJournal>,
+    link: Option<Arc<ReplicationLink>>,
 }
 
-/// One queued request: the envelope plus the reply its caller holds a
-/// [`Pending`] for. The worker that pops the job owns the reply: it fulfils
-/// it, or — if the handler panics — drops it, which re-raises the panic in
-/// the waiter, so a failing assertion in a handler still fails the test
-/// that sent the message instead of deadlocking it.
-struct Job {
-    envelope: Envelope,
-    reply: Fulfiller,
+/// One unit of work on the shard's queue, run in arrival order.
+// A message is held by value so a submit allocates nothing but its reply
+// slot.
+#[allow(clippy::large_enum_variant)]
+enum Job {
+    /// An envelope plus the reply its caller holds a [`Pending`] for. The
+    /// worker owns the reply: it fulfils it once the batch has committed,
+    /// or — if the handler panics — drops it, which re-raises the panic in
+    /// the waiter, so a failing assertion in a handler still fails the
+    /// test that sent the message instead of deadlocking it.
+    Message {
+        envelope: Envelope,
+        reply: Fulfiller,
+    },
+    /// A control call borrowing the incarnation: the worker sends it on
+    /// `lend` once every message queued ahead has been handled and
+    /// committed — FIFO order is the quiesce a swap needs — and waits for
+    /// it on `back`.
+    Control {
+        lend: SyncSender<NodeState>,
+        back: Receiver<NodeState>,
+    },
 }
 
-/// State shared between the server facade and its worker threads. Workers
-/// hold `Arc<ServerInner>` — never `Arc<ShardServer>` — so the facade's
-/// `Drop` (which joins the workers) is actually reachable.
+/// State shared between the server facade and its worker. The worker
+/// holds `Arc<ServerInner>` — never `Arc<ShardServer>` — so the facade's
+/// `Drop` (which joins the worker) is actually reachable.
 struct ServerInner {
     queue: Mutex<VecDeque<Job>>,
     arrived: Condvar,
-    /// Release-stored by `Drop`, Acquire-loaded by workers: the store
-    /// must happen-before a woken worker's decision to exit, or a worker
-    /// could miss jobs queued before shutdown.
+    /// Written and read under the `queue` lock, so the lock orders it; the
+    /// worker drains the queue before it exits.
     shutdown: AtomicBool,
-    state: RwLock<NodeState>,
-    /// Incarnation counter, bumped under the `state` write lock on every
-    /// swap. Release/Acquire so an observer that reads epoch N is
-    /// guaranteed to see incarnation N's state if it then takes the read
-    /// lock — the epoch-checked access the restart-under-load test pins.
+    /// Incarnation counter, bumped by every swap. Relaxed: it publishes
+    /// nothing, and a swap's caller reads it on its own thread.
     epoch: AtomicU64,
     /// Modeled per-message service time. Relaxed is deliberate: this is a
     /// standalone configuration value — no other data is published
     /// through it, so no happens-before edge is load-bearing.
     service_us: AtomicU64,
-    replication: Mutex<Option<Arc<ReplicationLink>>>,
-    committer: GroupCommitter,
+    commits: CommitCounters,
 }
 
 impl ServerInner {
-    /// One worker iteration's request lifecycle: modeled service time,
-    /// then the handler under the incarnation read lock, then the
-    /// group-commit barrier before the reply is released.
-    fn process(&self, envelope: Envelope) -> Envelope {
-        let us = self.service_us.load(Ordering::Relaxed);
-        if us > 0 {
-            // The sleep models the node's service time on its own thread
-            // (not under any lock): sleeps overlap across shard threads,
-            // which is what makes cluster throughput scale with shard
-            // count in wall-clock time even on a small test box.
-            std::thread::sleep(Duration::from_micros(us));
-        }
-        // Hold the incarnation read lock across the whole handler: a
-        // crash–restart's swap (write lock) now *waits for in-flight
-        // requests to drain* before recovery replays the journal, so a
-        // request can never run — or journal — against a dead
-        // incarnation after its replacement was built. (This closes the
-        // race where the old code cloned the gateway and dropped the
-        // lock before handling.)
-        let (reply, seq, journal) = {
-            let state = self.state.read();
-            let reply = state.gateway.handle(envelope);
-            // Everything this message appended is covered by the tip.
-            (reply, state.journal.tip_seq(), Arc::clone(&state.journal))
-        };
-        // Group-commit barrier, outside the incarnation lock so a pending
-        // swap only waits for handling, never for replication: the reply
-        // may not leave until the batch containing this message's records
-        // is flushed and shipped (DESIGN §19).
-        let link = self.replication.lock().clone();
-        self.committer.commit_through(seq, &journal, link.as_ref());
-        reply
-    }
-
-    fn worker_loop(&self) {
+    /// The worker. Each wake swaps the whole queue into a buffer it owns
+    /// (so the drain allocates nothing), handles every message in it,
+    /// commits once for the batch and then releases the batch's replies.
+    /// A control job first commits and releases what is ahead of it, then
+    /// lends the incarnation out until the control call hands it back.
+    fn run(&self, mut state: NodeState) {
+        let mut batch = VecDeque::new();
+        let mut replies = Vec::new();
         loop {
-            let job = {
+            {
                 let mut queue = self.queue.lock();
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    if self.shutdown.load(Ordering::Acquire) {
+                while queue.is_empty() {
+                    if self.shutdown.load(Ordering::Relaxed) {
                         return;
                     }
                     self.arrived.wait(&mut queue);
                 }
-            };
-            if let Ok(reply) = catch_unwind(AssertUnwindSafe(|| self.process(job.envelope))) {
-                job.reply.fulfil(reply);
+                std::mem::swap(&mut *queue, &mut batch);
             }
+            for job in batch.drain(..) {
+                match job {
+                    Job::Message { envelope, reply } => {
+                        let handled =
+                            catch_unwind(AssertUnwindSafe(|| self.handle(&state, envelope)));
+                        if let Ok(answer) = handled {
+                            replies.push((reply, answer));
+                        }
+                    }
+                    Job::Control { lend, back } => {
+                        self.release(&state, &mut replies);
+                        lend.send(state).expect("the control call waits");
+                        state = back
+                            .recv()
+                            .expect("a control call hands the incarnation back");
+                    }
+                }
+            }
+            self.release(&state, &mut replies);
+        }
+    }
+
+    fn handle(&self, state: &NodeState, envelope: Envelope) -> Envelope {
+        let us = self.service_us.load(Ordering::Relaxed);
+        if us > 0 {
+            // The sleep models the node's service time on its own thread:
+            // sleeps overlap across shard threads, which is what makes
+            // cluster throughput scale with shard count in wall-clock time
+            // even on a small test box.
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        state.gateway.handle(envelope)
+    }
+
+    /// The group-commit barrier (DESIGN §19): no reply leaves until the
+    /// records its batch appended are flushed and shipped.
+    fn release(&self, state: &NodeState, replies: &mut Vec<(Fulfiller, Envelope)>) {
+        if replies.is_empty() {
+            return;
+        }
+        self.commits
+            .commit(&state.journal, state.link.as_deref(), replies.len());
+        for (reply, answer) in replies.drain(..) {
+            reply.fulfil(answer);
         }
     }
 }
 
 /// The bus-facing front of a shard: a real executor. The bus posts each
 /// envelope from the caller's thread; `submit` enqueues it on the shard's
-/// inbound queue and the caller blocks on the returned [`Pending`] until a
-/// shard worker has processed it. Each shard runs one dedicated worker thread by default —
-/// the thread-per-shard model, preserving the one-core-per-node service
-/// discipline E13 assumes — and can grow a small pool
-/// ([`ShardServer::set_workers`]) where intra-shard concurrency is wanted;
-/// the PR 1 footprint-scoped locks, not a node-wide loop mutex, provide
-/// isolation inside the shard.
+/// inbound queue and the caller blocks on the returned [`Pending`] until
+/// the shard's one worker thread has handled and committed it — the
+/// thread-per-shard model, preserving the one-core-per-node service
+/// discipline E13 assumes.
 ///
-/// The gateway (and on promotion, the journal) behind the server is
-/// swappable, so a crash–restart replaces the shard's promise manager
-/// without re-registering the endpoint; the swap quiesces in-flight
-/// requests first (see [`ServerInner::process`]).
+/// The incarnation behind the server is swappable, so a crash–restart or
+/// a promotion replaces the shard's promise manager without
+/// re-registering the endpoint; the swap is a job on the same queue (see
+/// [`Job::Control`]).
 pub struct ShardServer {
     inner: Arc<ServerInner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    worker: Option<JoinHandle<()>>,
 }
 
 impl ShardServer {
     fn new(gateway: Arc<PromiseGateway>, journal: Arc<PromiseJournal>) -> Self {
-        let server = Self {
-            inner: Arc::new(ServerInner {
-                queue: Mutex::new(VecDeque::new()),
-                arrived: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                state: RwLock::new(NodeState { gateway, journal }),
-                epoch: AtomicU64::new(0),
-                service_us: AtomicU64::new(0),
-                replication: Mutex::new(None),
-                committer: GroupCommitter::new(),
-            }),
-            workers: Mutex::new(Vec::new()),
+        let inner = Arc::new(ServerInner {
+            queue: Mutex::new(VecDeque::new()),
+            arrived: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            epoch: AtomicU64::new(0),
+            service_us: AtomicU64::new(0),
+            commits: CommitCounters::default(),
+        });
+        let state = NodeState {
+            gateway,
+            journal,
+            link: None,
         };
-        server.spawn_worker();
-        server
-    }
-
-    fn spawn_worker(&self) {
-        let inner = Arc::clone(&self.inner);
-        self.workers
-            .lock()
-            .push(std::thread::spawn(move || inner.worker_loop()));
-    }
-
-    /// Grows the worker pool to `n` threads (never shrinks — workers are
-    /// parked on the queue condvar and cost nothing idle). More than one
-    /// worker lets requests overlap *inside* a shard, isolated by the
-    /// footprint-scoped manager locks; the default of one preserves the
-    /// one-core-per-node model.
-    pub fn set_workers(&self, n: usize) {
-        let current = self.workers.lock().len();
-        for _ in current..n {
-            self.spawn_worker();
+        let worker = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || inner.run(state))
+        };
+        Self {
+            inner,
+            worker: Some(worker),
         }
     }
 
-    /// Current worker-pool size.
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().len()
-    }
-
-    /// Requests queued but not yet claimed by a worker.
+    /// Requests queued but not yet claimed by the worker.
     pub fn queue_depth(&self) -> usize {
         self.inner.queue.lock().len()
     }
@@ -192,55 +196,61 @@ impl ShardServer {
         self.inner.service_us.store(us, Ordering::Relaxed);
     }
 
-    /// The incarnation epoch: how many times the gateway/journal slot has
-    /// been swapped (crash–restarts plus promotions).
+    /// The incarnation epoch: how many times the incarnation has been
+    /// swapped (crash–restarts plus promotions).
     pub fn incarnation_epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Acquire)
+        self.inner.epoch.load(Ordering::Relaxed)
     }
 
-    /// Group-commit counters for this shard (batches led, bounded
-    /// semi-sync give-ups).
+    /// Group-commit counters for this shard (rounds led, replies released
+    /// behind the follower).
     pub fn commit_stats(&self) -> CommitStats {
-        self.inner.committer.stats()
+        self.inner.commits.stats()
     }
 
-    /// Quiesces the shard (write-locking the incarnation slot, which
-    /// drains in-flight handlers), runs `build` to construct the next
-    /// incarnation — journal recovery happens *inside* the quiesced
-    /// window, so no request can append between replay and install —
-    /// then installs it and bumps the epoch.
-    fn swap_state<R>(
-        &self,
-        build: impl FnOnce() -> (Arc<PromiseGateway>, Arc<PromiseJournal>, R),
-    ) -> R {
-        let mut slot = self.inner.state.write();
-        let (gateway, journal, result) = build();
-        slot.gateway = gateway;
-        slot.journal = journal;
-        // Bumped while still exclusive: any reader that subsequently
-        // acquires the slot sees the new epoch with the new incarnation.
-        self.inner.epoch.fetch_add(1, Ordering::Release);
-        drop(slot);
-        result
+    /// Installs the replication link enforced by the group-commit
+    /// barrier: no reply leaves the node until the batch containing its
+    /// records is flushed and shipped (DESIGN §19). The link is synced
+    /// inside its control call, before it is kept.
+    pub fn set_replication(&self, link: Arc<ReplicationLink>) {
+        self.control(move |state| {
+            link.sync();
+            state.link = Some(link);
+        });
     }
 
-    /// Installs (or clears) the replication link enforced by the
-    /// group-commit barrier: no reply leaves the node until the batch
-    /// containing its records is flushed and shipped (DESIGN §19).
-    pub fn set_replication(&self, link: Option<Arc<ReplicationLink>>) {
-        *self.inner.replication.lock() = link;
+    /// Runs `job` on the calling thread against the incarnation, borrowed
+    /// from the worker after every job queued ahead of it has been handled
+    /// and committed; messages queued behind it wait until it returns. A
+    /// panic in `job` hands the incarnation back before it is re-raised.
+    fn control<R>(&self, job: impl FnOnce(&mut NodeState) -> R) -> R {
+        let (lend, lent) = sync_channel(1);
+        let (give_back, back) = sync_channel(1);
+        self.push(Job::Control { lend, back });
+        let mut state = lent.recv().expect("the worker runs every queued job");
+        let result = catch_unwind(AssertUnwindSafe(|| job(&mut state)));
+        give_back
+            .send(state)
+            .expect("the worker waits for the incarnation");
+        result.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    fn push(&self, job: Job) {
+        self.inner.queue.lock().push_back(job);
+        self.inner.arrived.notify_one();
     }
 }
 
 impl Drop for ShardServer {
     fn drop(&mut self) {
-        // Release pairs with the workers' Acquire load: a worker woken by
-        // the notify below must observe the flag (and it drains the queue
-        // before exiting, so nothing queued is abandoned).
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.arrived.notify_all();
-        for handle in self.workers.lock().drain(..) {
-            let _ = handle.join();
+        // Set under the queue lock, so the worker cannot read the flag
+        // and then sleep through the notify below.
+        let queue = self.inner.queue.lock();
+        self.inner.shutdown.store(true, Ordering::Relaxed);
+        drop(queue);
+        self.inner.arrived.notify_one();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
@@ -250,21 +260,20 @@ impl Service for ShardServer {
         self.submit(envelope).wait()
     }
 
-    /// Enqueues the message for a shard worker and returns at once, so a
-    /// caller with legs for several shards has them all working before it
-    /// waits on the first.
+    /// Enqueues the message for the shard worker and returns at once, so
+    /// a caller with legs for several shards has them all working before
+    /// it waits on the first.
     fn submit(&self, envelope: Envelope) -> Pending {
         let (reply, pending) = Pending::slot();
-        self.inner.queue.lock().push_back(Job { envelope, reply });
-        self.inner.arrived.notify_one();
+        self.push(Job::Message { envelope, reply });
         pending
     }
 }
 
 /// Registers the shard's quantity-purchase action handler (the same
 /// merchant/purchase contract the single-node harnesses expose). A free
-/// function so it can run inside [`ShardServer::swap_state`]'s quiesced
-/// window when a restart or promotion builds a fresh gateway.
+/// function so it can run inside the control call in which a restart or
+/// promotion builds a fresh gateway.
 fn register_handlers(gateway: &PromiseGateway) {
     gateway.register_handler(
         "merchant",
@@ -372,32 +381,14 @@ impl ShardNode {
     /// (schema registration is not journalled, matching the single-node
     /// crash–restart harness).
     ///
-    /// The rebuild runs inside the server's quiesced swap window:
-    /// in-flight requests drain *before* recovery replays the journal,
-    /// and requests arriving during the restart queue until the new
-    /// incarnation is installed — so nothing can race into the dead
-    /// manager or journal a record the replay has already passed.
+    /// The rebuild is a job on the server's queue: messages ahead of it
+    /// are handled and committed *before* recovery replays the journal,
+    /// and messages behind it wait for the new incarnation — so nothing
+    /// can race into the dead manager or journal a record the replay has
+    /// already passed.
     pub fn crash_restart(&mut self, bus: &InMemoryBus, pools: &[String]) -> RecoveryReport {
-        let (pm, gateway, report) = self.server.swap_state(|| {
-            let pm = Arc::new(PromiseManager::new(
-                Arc::clone(&self.rm),
-                Arc::clone(&self.clock),
-            ));
-            pm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-            for pool in pools {
-                pm.register_pool(PoolSchema::quantity(pool.as_str()));
-            }
-            let report = pm
-                .recover(Arc::clone(&self.journal))
-                .expect("shard recovery succeeds");
-            let gateway = Arc::new(PromiseGateway::new(Arc::clone(&pm)));
-            register_handlers(&gateway);
-            (
-                Arc::clone(&gateway),
-                Arc::clone(&self.journal),
-                (pm, gateway, report),
-            )
-        });
+        let (pm, gateway, report) =
+            self.reincarnate(Arc::clone(&self.rm), Arc::clone(&self.journal), pools, &[]);
         self.recorder.record(
             "node.restart",
             format!(
@@ -419,8 +410,10 @@ impl ShardNode {
     /// pools re-sync on-hand from their journalled `L` records during
     /// recovery), the standard recovery path replays the replica, and the
     /// reused server loop answers on `new_endpoint` (the epoch-fenced
-    /// address minted by the router). The caller attaches a fresh
-    /// follower afterwards so the promoted leader is itself protected.
+    /// address minted by the router). The old link is dropped only after
+    /// every message queued ahead of the promotion has committed through
+    /// it. The caller attaches a fresh follower afterwards so the promoted
+    /// leader is itself protected.
     pub fn promote(
         &mut self,
         bus: &InMemoryBus,
@@ -433,36 +426,11 @@ impl ShardNode {
             .take()
             .expect("promotion requires replication to be enabled");
         self.replication = None;
-        self.server.set_replication(None);
-
+        let rm = Arc::new(ResourceManager::new());
+        rm.set_telemetry(Some(Arc::clone(&self.telemetry)));
         let journal = Arc::clone(&follower.journal);
-        let (rm, pm, gateway, report) = self.server.swap_state(|| {
-            let rm = Arc::new(ResourceManager::new());
-            rm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-            let pm = Arc::new(PromiseManager::new(
-                Arc::clone(&rm),
-                Arc::clone(&self.clock),
-            ));
-            pm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-            for pool in schemas {
-                pm.register_pool(PoolSchema::quantity(pool.as_str()));
-            }
-            for (pool, qty) in seeds {
-                pm.seed_quantity(pool.as_str(), *qty)
-                    .expect("re-seed promoted pool");
-            }
-            let report = pm
-                .recover(Arc::clone(&journal))
-                .expect("follower journal replays cleanly");
-            let gateway = Arc::new(PromiseGateway::new(Arc::clone(&pm)));
-            register_handlers(&gateway);
-            (
-                Arc::clone(&gateway),
-                Arc::clone(&journal),
-                (rm, pm, gateway, report),
-            )
-        });
-
+        let (pm, gateway, report) =
+            self.reincarnate(Arc::clone(&rm), Arc::clone(&journal), schemas, seeds);
         self.rm = rm;
         self.journal = journal;
         self.pm = pm;
@@ -477,6 +445,44 @@ impl ShardNode {
             ),
         );
         report
+    }
+
+    /// Swaps in a fresh incarnation over `rm` and bumps the epoch: a
+    /// promise manager with `pools` registered and `seeds` restored,
+    /// recovered from `journal` behind a new gateway. It all runs as one
+    /// control call, so no message can append between replay and install.
+    /// A link ships the journal it was built over, so a new journal (a
+    /// promotion) drops it.
+    fn reincarnate(
+        &self,
+        rm: Arc<ResourceManager>,
+        journal: Arc<PromiseJournal>,
+        pools: &[String],
+        seeds: &[(String, u64)],
+    ) -> (Arc<PromiseManager>, Arc<PromiseGateway>, RecoveryReport) {
+        self.server.control(|state| {
+            let pm = Arc::new(PromiseManager::new(rm, Arc::clone(&self.clock)));
+            pm.set_telemetry(Some(Arc::clone(&self.telemetry)));
+            for pool in pools {
+                pm.register_pool(PoolSchema::quantity(pool.as_str()));
+            }
+            for (pool, qty) in seeds {
+                pm.seed_quantity(pool.as_str(), *qty)
+                    .expect("re-seed promoted pool");
+            }
+            let report = pm
+                .recover(Arc::clone(&journal))
+                .expect("shard journal replays cleanly");
+            let gateway = Arc::new(PromiseGateway::new(Arc::clone(&pm)));
+            register_handlers(&gateway);
+            if !Arc::ptr_eq(&journal, &state.journal) {
+                state.link = None;
+            }
+            state.gateway = Arc::clone(&gateway);
+            state.journal = journal;
+            self.server.inner.epoch.fetch_add(1, Ordering::Relaxed);
+            (pm, gateway, report)
+        })
     }
 
     /// Ground truth for the lifecycle auditor, digested from the journal.

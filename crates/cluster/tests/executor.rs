@@ -1,4 +1,4 @@
-//! Threaded-executor tests: the races this PR pins.
+//! Threaded-executor tests: the races the executor must not reopen.
 //!
 //! Three bugs rode the old modeled-time server and each gets a regression
 //! test here against the real thread-per-shard executor:
@@ -6,16 +6,19 @@
 //! 1. `handle` cloned the gateway *outside* any lock, so a concurrent
 //!    crash–restart could leave a request running against the dead
 //!    incarnation's gateway while recovery replayed the same journal —
-//!    acknowledged grants could vanish. The incarnation slot (gateway +
-//!    journal behind one `RwLock`, epoch bumped while exclusive) closes
-//!    it; `crash_restart_under_load_never_drops_an_acknowledged_grant`
-//!    pins it.
+//!    acknowledged grants could vanish. An incarnation `RwLock` closed it
+//!    first; today the shard's one worker owns the incarnation and a
+//!    restart is a job on its queue, run after every message ahead of it.
+//!    `crash_restart_under_load_never_drops_an_acknowledged_grant` pins it.
 //! 2. `sync_replication` ran *after* the reply with no ordering against
 //!    concurrent handlers, so an acknowledged grant could die with the
 //!    leader before shipping. The group-commit barrier ("no reply leaves
 //!    until its batch is flushed and shipped") closes it;
 //!    `abrupt_kill_preserves_every_acknowledged_grant_on_the_follower`
-//!    pins it with a kill that takes no courtesy sync.
+//!    pins it with a kill that takes no courtesy sync, and
+//!    `a_grant_acked_while_promotion_waits_survives_on_the_promoted_node`
+//!    pins the promotion side: the old link may only go once the messages
+//!    ahead of the promotion have committed through it.
 //! 3. The barrier must be *bounded*: a wedged follower (100% drop) must
 //!    cost a `stalled` counter, never a hung data path —
 //!    `wedged_follower_stalls_the_counter_not_the_data_path` pins it.
@@ -51,53 +54,6 @@ fn assert_all_live(cluster: &PromiseCluster, shard: usize, acked: &[(String, Str
             "acknowledged grant {client}/{rid} missing on shard {shard} ({ctx})"
         );
     }
-}
-
-#[test]
-fn worker_pool_grows_and_never_shrinks() {
-    let cluster = PromiseCluster::build(1, 3);
-    assert_eq!(cluster.nodes[0].server.worker_count(), 1);
-    cluster.nodes[0].server.set_workers(4);
-    assert_eq!(cluster.nodes[0].server.worker_count(), 4);
-    cluster.nodes[0].server.set_workers(2);
-    assert_eq!(
-        cluster.nodes[0].server.worker_count(),
-        4,
-        "parked workers cost nothing; the pool only grows"
-    );
-}
-
-#[test]
-fn workers_overlap_modeled_service_time_inside_one_shard() {
-    let cluster = PromiseCluster::build(1, 5);
-    assert_eq!(cluster.register_quantity_pool("alpha", 1_000_000), 0);
-    cluster.nodes[0].server.set_workers(4);
-    cluster.set_service_time_us(5_000);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for c in 0..4 {
-            let coordinator = Arc::clone(&cluster.coordinator);
-            s.spawn(move || {
-                let decision = coordinator
-                    .grant(
-                        &format!("c{c}"),
-                        &format!("r{c}"),
-                        &["qty('alpha') >= 1".to_string()],
-                        HOUR_MS,
-                    )
-                    .expect("quiet bus cannot fail");
-                assert!(matches!(decision, ClusterDecision::Granted { .. }));
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    // Four 5ms service sleeps one after another would take >= 20ms; four
-    // workers sleeping them concurrently must land well under that.
-    assert!(
-        elapsed < Duration::from_millis(18),
-        "4 x 5ms ops took {elapsed:?} — workers are not overlapping"
-    );
-    assert_eq!(cluster.nodes[0].server.queue_depth(), 0);
 }
 
 #[test]
@@ -162,11 +118,15 @@ fn worker_panic_surfaces_in_the_waiter_and_spares_the_other_legs() {
     }
 }
 
+/// Group commit at one worker: with a modeled service time, six clients'
+/// messages queue while the worker is busy, each wake drains them as one
+/// batch, and one write covers the batch's records. A drain that commits
+/// once per message fails the amortization assertion.
 #[test]
 fn group_commit_covers_every_acknowledged_record() {
     let cluster = PromiseCluster::build(1, 7);
     assert_eq!(cluster.register_quantity_pool("alpha", 1_000_000), 0);
-    cluster.nodes[0].server.set_workers(4);
+    cluster.set_service_time_us(1_000);
     std::thread::scope(|s| {
         for c in 0..6 {
             let coordinator = Arc::clone(&cluster.coordinator);
@@ -197,7 +157,10 @@ fn group_commit_covers_every_acknowledged_record() {
         "no follower attached, nothing to stall on"
     );
     let (writes, records) = journal.flush_stats();
-    assert!(writes <= records, "never more than one write per record");
+    assert!(
+        writes < records,
+        "queued messages must share a write: {writes} writes, {records} records"
+    );
 }
 
 /// S3 pin: the incarnation epoch advances exactly once per slot swap —
@@ -336,6 +299,60 @@ fn abrupt_kill_preserves_every_acknowledged_grant_on_the_follower() {
             &format!("promoted follower, repl fault rate {rate}"),
         );
     }
+}
+
+/// Promotion pin: a grant acknowledged while a promotion waits must be on
+/// the promoted node. The envelope's grant appends its record, then its
+/// action signals that it runs and sleeps 50 ms; meanwhile the leader is
+/// killed and its follower promoted. The promotion queues behind the
+/// in-flight message, so that message still commits through the old link
+/// before its reply leaves and before the follower's journal is replayed.
+/// A promotion that drops the link before the in-flight message commits
+/// releases the reply unshipped, and the promoted node has never heard of
+/// the grant.
+#[test]
+fn a_grant_acked_while_promotion_waits_survives_on_the_promoted_node() {
+    use promises_wire::{ActionRequest, Envelope, PromiseRequestHeader, Service};
+    let mut cluster = PromiseCluster::build(1, 31);
+    assert_eq!(cluster.register_quantity_pool("alpha", 100), 0);
+    cluster.enable_replication();
+    let (started, running) = std::sync::mpsc::channel();
+    cluster.nodes[0].gateway.register_handler(
+        "test",
+        "nap",
+        Arc::new(move |_, _, _| {
+            let _ = started.send(());
+            std::thread::sleep(Duration::from_millis(50));
+            Ok(vec![])
+        }),
+    );
+    let envelope = Envelope::new()
+        .with_promise_request(PromiseRequestHeader {
+            request_id: "r1".into(),
+            client: "c1".into(),
+            predicates: vec!["qty('alpha') >= 1".into()],
+            duration_ms: HOUR_MS,
+            ..PromiseRequestHeader::default()
+        })
+        .with_action(ActionRequest::new("test", "nap"));
+    let server = Arc::clone(&cluster.nodes[0].server);
+    let pending = server.submit(envelope);
+    running.recv().expect("the worker runs the action");
+    cluster.kill_shard_abrupt(0);
+    cluster.promote_follower(0);
+    let reply = pending.wait();
+    assert_eq!(
+        reply.response_for("r1").and_then(|r| r.promise_id),
+        Some(1),
+        "the grant was acknowledged"
+    );
+    assert!(
+        cluster.nodes[0]
+            .pm
+            .promise_for_request(&ClientId("c1".into()), &RequestId("r1".into()))
+            .is_some(),
+        "an acknowledged grant is missing on the promoted node"
+    );
 }
 
 /// S2/S3 pin, the bounded side: a *wedged* follower (100% replication
