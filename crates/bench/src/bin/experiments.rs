@@ -18,7 +18,7 @@ use promises_bench::exp::{self, ScalingRow, System};
 use promises_bench::table::{f, list, map, print_rows, print_table, q, strings, us, Fields};
 use promises_core::CheckStrategy;
 use promises_faults::FaultScenario;
-use promises_sim::{ClusterSweepConfig, FaultRunReport};
+use promises_sim::{ClusterAudit, ClusterSweepConfig, FaultRunReport};
 use promises_telemetry::export::{to_json, to_prometheus, validate_json};
 
 /// Formats an optional mean latency; runs with zero successes have none.
@@ -60,15 +60,16 @@ const SEEDS: &[u64] = &[2007, 31337, 90210];
 /// * `--recovery` — E14 compacted recovery under 5x faster than history
 ///   replay, or any digest mismatch, compaction crashes included (§14);
 /// * `--leases` — under 90% of hot-pool grants lease-local or under 1.2x
-///   uplift at 8 shards; in the lease sweep an oversell, Σ leases > Q, an
-///   unhealed mid-rebalance crash, a leak, or under 50% local (§15);
+///   uplift at 8 shards; in the lease sweep an unclean audit (Σ leases > Q
+///   included), an unhealed mid-rebalance crash, or under 50% local (§15);
 /// * `--failover` — leaders killed mid-2PC and mid-rebalance at 0/10/20%
 ///   replication faults: an unequal digest triple, a non-zero audit, an
 ///   unrestored lease sum, or promotion MTTR over 500 ms (§16);
-/// * `--doctor` — a missed watchdog, a false positive at rate 0, or an
-///   incident report that is not valid JSON (§17);
-/// * `--workloads` — the flash-sale p99 SLO or degraded-mode arc, travel
-///   completion under 95% or an unclean audit, a failing matrix cell (§18).
+/// * `--doctor` — a missed watchdog, a false positive at rate 0, an
+///   unclean audit, or an incident report that is not valid JSON (§17);
+/// * `--workloads` — the flash-sale p99 SLO, degraded-mode arc or audit,
+///   travel completion under 95% or an unclean audit, a failing matrix
+///   cell (§18).
 const MODES: [Mode; 9] = [
     Mode {
         flag: "--faults",
@@ -269,6 +270,19 @@ fn faults_mode(seeds: &[u64], mut gate: Gate) {
     gate.finish(&[]);
 }
 
+/// The always-zero audit columns every cluster scenario reports.
+fn audit_fields(a: &ClusterAudit) -> Fields {
+    Fields(vec![
+        ("partial_grants", a.partial_grants.to_string()),
+        ("double_grants", a.double_grants.to_string()),
+        ("oversells", a.oversells.to_string()),
+        ("lease_oversells", a.lease_oversells.to_string()),
+        ("lease_sum_violations", a.lease_sum_violations.to_string()),
+        ("leaked", a.live_after_reap.to_string()),
+        ("state_after_reap", a.state_after_reap.to_string()),
+    ])
+}
+
 /// One scaling-table row; E13 and E19 name the throughput column
 /// differently in their output files.
 fn scaling_fields(row: &ScalingRow, throughput_key: &'static str) -> Fields {
@@ -306,24 +320,22 @@ fn cluster_sweep(gate: &mut Gate, label: &str, rate: f64, cfg: &ClusterSweepConf
     for v in life.all_violations() {
         eprintln!("  LIFECYCLE VIOLATION: {v}");
     }
-    let fields = Fields(vec![
+    let mut fields = Fields(vec![
         ("seed", cfg.seed.to_string()),
         ("fault_rate", f(rate, 1)),
-        ("granted", r.granted.to_string()),
-        ("cross_shard_granted", r.cross_shard_granted.to_string()),
-        ("rejected", r.rejected.to_string()),
-        ("coordinator_crashes", r.crashed.to_string()),
+        ("granted", r.tally.granted.to_string()),
+        (
+            "cross_shard_granted",
+            r.tally.cross_shard_granted.to_string(),
+        ),
+        ("rejected", r.tally.rejected.to_string()),
+        ("coordinator_crashes", r.tally.crashed.to_string()),
         ("presumed_aborted", r.presumed_aborted.to_string()),
         ("commits_resent", r.commits_resent.to_string()),
-        ("partial_grants", r.partial_grants.to_string()),
-        ("double_grants", r.double_grants.to_string()),
-        ("oversells", r.oversells.to_string()),
-        ("leaked", r.live_after_reap.to_string()),
-        (
-            "lifecycle_violations",
-            life.all_violations().len().to_string(),
-        ),
     ]);
+    fields.0.extend(audit_fields(&r.audit).0);
+    let lifecycle = life.all_violations().len().to_string();
+    fields.0.push(("lifecycle_violations", lifecycle));
     gate.check(&format!("{label} {}", fields.log()), r.clean() && life.ok());
     fields
 }
@@ -534,23 +546,21 @@ fn leases_mode(seeds: &[u64], mut gate: Gate) {
             ..ClusterSweepConfig::default()
         };
         let (r, _cluster) = promises_sim::run_lease_sweep(&cfg);
-        let sweep = Fields(vec![
+        let mut sweep = Fields(vec![
             ("seed", seed.to_string()),
-            ("granted", r.granted.to_string()),
-            ("rejected", r.rejected.to_string()),
+            ("granted", r.tally.granted.to_string()),
+            ("rejected", r.tally.rejected.to_string()),
             ("local_grants", r.local_grants.to_string()),
             ("coordinator_fallbacks", r.coordinator_fallbacks.to_string()),
             ("coord_log_skips", r.coord_log_skips.to_string()),
             ("rebalance_moved", r.rebalance_moved.to_string()),
-            ("lease_oversells", r.lease_oversells.to_string()),
-            ("lease_sum_violations", r.lease_sum_violations.to_string()),
             ("crash_fired", r.crash_fired.to_string()),
             ("healed_after_crash", r.healed_after_crash.to_string()),
             ("digests_match", r.digests_match().to_string()),
             ("lease_sum_restored", r.lease_sum_restored.to_string()),
-            ("leaked", r.live_after_reap.to_string()),
             ("local_ratio", f(r.local_ratio(), 4)),
         ]);
+        sweep.0.extend(audit_fields(&r.audit).0);
         let ok = r.clean() && r.crash_fired && r.local_ratio() >= MIN_SWEEP_LOCAL_RATIO;
         gate.check(&format!("sweep {}", sweep.log()), ok);
         sweeps.push(sweep);
@@ -583,7 +593,7 @@ fn failover_mode(seeds: &[u64], mut gate: Gate) {
     for &seed in seeds {
         for rate in FAULT_RATES {
             let r = promises_sim::run_failover_sweep(seed, rate);
-            let sweep = Fields(vec![
+            let mut sweep = Fields(vec![
                 ("seed", seed.to_string()),
                 ("repl_fault_rate", f(rate, 2)),
                 ("granted", r.granted.to_string()),
@@ -601,17 +611,12 @@ fn failover_mode(seeds: &[u64], mut gate: Gate) {
                     "repl_dropped_shipments",
                     r.repl_dropped_shipments.to_string(),
                 ),
-                ("partial_grants", r.partial_grants.to_string()),
-                ("double_grants", r.double_grants.to_string()),
-                ("oversells", r.oversells.to_string()),
-                ("lease_oversells", r.lease_oversells.to_string()),
-                ("lease_sum_violations", r.lease_sum_violations.to_string()),
-                ("leaked", r.live_after_reap.to_string()),
                 ("digests_match", r.digests_match().to_string()),
                 ("lease_sums_restored", r.lease_sums_restored.to_string()),
                 ("mttr_mean_us", f(r.mttr_mean.as_micros() as f64, 1)),
                 ("mttr_max_us", f(r.mttr_max.as_micros() as f64, 1)),
             ]);
+            sweep.0.extend(audit_fields(&r.audit).0);
             let mttr_ok = r.mttr_max.as_micros() as u64 <= MAX_MTTR_US;
             let what = format!("sweep {} (gate: mttr_max <= {MAX_MTTR_US}us)", sweep.log());
             gate.check(&what, r.clean() && mttr_ok);
@@ -878,7 +883,7 @@ fn doctor_mode(seeds: &[u64], mut gate: Gate) {
                     ("engaged", r.fail_fast_engaged.to_string()),
                     ("cleared", r.fail_fast_cleared.to_string()),
                 ]);
-                let cell = Fields(vec![
+                let mut cell = Fields(vec![
                     ("sweep", q(r.sweep)),
                     ("seed", seed.to_string()),
                     ("fault_rate", f(rate, 1)),
@@ -890,6 +895,7 @@ fn doctor_mode(seeds: &[u64], mut gate: Gate) {
                     ("unexpected", r.unexpected().len().to_string()),
                     ("fail_fast", fail_fast.json()),
                 ]);
+                cell.0.extend(audit_fields(&r.audit).0);
                 let what = format!("{} invalid_incidents={invalid}", cell.log());
                 gate.check(&what, r.clean() && invalid == 0);
                 cells.push(cell);
@@ -914,7 +920,7 @@ fn doctor_mode(seeds: &[u64], mut gate: Gate) {
 /// `--workloads`: per seed the E18 flash sale, travel booking at each
 /// wire-fault rate, and the error-path matrix.
 fn workloads_mode(seeds: &[u64], mut gate: Gate) {
-    use promises_workloads::{
+    use promises_sim::{
         run_error_path_matrix, run_flash_sale, run_travel_booking, CellStatus, FlashSaleConfig,
         TravelConfig,
     };
@@ -930,7 +936,7 @@ fn workloads_mode(seeds: &[u64], mut gate: Gate) {
             ..FlashSaleConfig::default()
         });
         let causes = r.reject_causes.iter().map(|(k, v)| (k, v.to_string()));
-        let sale = Fields(vec![
+        let mut sale = Fields(vec![
             ("seed", seed.to_string()),
             ("p99_ns", r.verdict.p99_ns.to_string()),
             ("p99_ns_max", r.verdict.p99_ns_max.to_string()),
@@ -940,8 +946,9 @@ fn workloads_mode(seeds: &[u64], mut gate: Gate) {
             ("degraded_cleared", r.degraded_cleared.to_string()),
             ("shed_rejections", r.shed_rejections.to_string()),
             ("reject_causes", map(causes)),
-            ("passed", r.passed().to_string()),
         ]);
+        sale.0.extend(audit_fields(&r.audit).0);
+        sale.0.push(("passed", r.passed().to_string()));
         println!("flash-sale seed={seed}: {}", r.verdict.summary());
         gate.check(&format!("flash-sale {}", sale.log()), r.passed());
         tel.set_gauge("workload.flash_sale.p99_ns", r.verdict.p99_ns);
@@ -965,8 +972,8 @@ fn workloads_mode(seeds: &[u64], mut gate: Gate) {
                 fault_rate: rate,
                 ..TravelConfig::default()
             });
-            let ok = r.completion_ratio() >= MIN_TRAVEL_COMPLETION && r.audits_clean();
-            let trip = Fields(vec![
+            let ok = r.completion_ratio() >= MIN_TRAVEL_COMPLETION && r.audit.clean();
+            let mut trip = Fields(vec![
                 ("seed", seed.to_string()),
                 ("fault_rate", f(rate, 2)),
                 ("completed", r.completed().to_string()),
@@ -976,13 +983,9 @@ fn workloads_mode(seeds: &[u64], mut gate: Gate) {
                 ("desk_completed", r.desk_completed.to_string()),
                 ("rejected", r.rejected.to_string()),
                 ("transport_failures", r.transport_failures.to_string()),
-                ("partial_grants", r.partial_grants.to_string()),
-                ("double_grants", r.double_grants.to_string()),
-                ("oversells", r.oversells.to_string()),
-                ("leaked", r.live_after_reap.to_string()),
-                ("state_after_reap", r.state_after_reap.to_string()),
-                ("passed", ok.to_string()),
             ]);
+            trip.0.extend(audit_fields(&r.audit).0);
+            trip.0.push(("passed", ok.to_string()));
             gate.check(&format!("travel {}", trip.log()), ok);
             tel.set_gauge(
                 "workload.travel.completion_ppm",
@@ -1016,7 +1019,7 @@ fn workloads_mode(seeds: &[u64], mut gate: Gate) {
                 ("failure", q(c.failure.name())),
                 ("scenario", q(c.scenario.name())),
                 ("status", q(status)),
-                ("detail", q(&c.detail.replace('"', "'"))),
+                ("detail", q(&c.detail().replace('"', "'"))),
             ]));
         }
         print_rows(&format!("E18c — error-path matrix (seed {seed})"), &cells);

@@ -711,7 +711,7 @@ fn cluster_scaling(
         },
     );
     let wall = start.elapsed().as_secs_f64().max(1e-9);
-    run.assert_quiet(tag);
+    run.assert_quiet(tag, 0);
     let total = (clients * ops_per_client) as f64;
     let (flush_writes, flushed_records) = cluster
         .nodes
@@ -937,7 +937,7 @@ pub fn e15_lease_locality(
                 }
             },
         );
-        run.assert_quiet("e15");
+        run.assert_quiet("e15", 0);
         run.tally
     };
 

@@ -1,16 +1,19 @@
-//! The one cluster client driver. Every cluster sweep and scaling
-//! experiment has the same inner loop: a client asks the coordinator for
-//! a grant, maybe releases it, and the harness tallies what it saw.
+//! The one cluster client loop. Every cluster scenario has the same
+//! inner loop: a client asks the coordinator for a grant, maybe releases
+//! it, and the harness records what it saw for the audit.
 //! [`ClientRun::step`] is that loop body — the only grant → tally →
 //! release `match` in the harness — and [`drive_clients`] the only place
-//! client threads are spawned around it. Sweeps differ in *which* op a
-//! client sends, so they pass a per-(client, op) closure; single-threaded
-//! sweeps that interleave scenario steps (kills, armed crashes) between
-//! ops call `step` directly with their own RNG.
+//! client threads are spawned around it. Scenarios differ in *which* op a
+//! client sends, so threaded sweeps pass a per-(client, op) closure;
+//! single-threaded scenarios that interleave their own steps (kills, armed
+//! crashes, health ticks, an open-loop clock) call `step` directly.
 
 use std::ops::{AddAssign, Range};
 
-use promises_cluster::{ClusterDecision, CoordError, GrantPart, PromiseCluster};
+use promises_cluster::{
+    ClusterDecision, CoordError, GrantPart, NegotiatedClusterGrant, PromiseCluster,
+};
+use promises_core::{parse_predicate, Predicate};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Duration of every driven grant: nothing expires mid-run, and the leak
@@ -27,6 +30,9 @@ pub enum Release {
     /// Release with this probability — one draw from the client's RNG,
     /// taken *after* the grant returned and only when it was granted.
     Chance(f64),
+    /// Keep with this probability — the same one draw as `Chance`,
+    /// releasing when it comes up false.
+    Keep(f64),
 }
 
 /// One grant attempt, as a sweep's per-(client, op) closure describes it.
@@ -60,73 +66,133 @@ pub struct ClientTally {
 /// What one op observed, recorded for the post-run audit.
 #[derive(Debug)]
 pub(crate) enum OpOutcome {
-    /// Unit grant; `released` if the client then released the parts.
+    /// Granted on the op's last rung; `released` if the client then
+    /// released the parts.
     Granted {
         parts: Vec<GrantPart>,
         released: bool,
     },
-    /// Unit rejection, or a transport failure the coordinator aborted.
-    RejectedOrAborted,
-    /// The coordinator crashed mid-transaction; the coordinator log
-    /// decides the expected outcome.
+    /// A unit rejection on every rung — a 2PC round the coordinator
+    /// aborted for an unreachable shard included.
+    Rejected,
+    /// The coordinator crashed mid-transaction; its log decides the
+    /// expected outcome.
     Crashed,
+    /// A single-shard grant whose every reply was lost: the shard may hold
+    /// it, so only the leak audit judges it.
+    Unanswered,
 }
 
-/// A tally plus the per-op `(client, request id, outcome)` record the
-/// partial-grant audit replays.
+/// One op as the audit replays it.
+#[derive(Debug)]
+pub(crate) struct OpRecord {
+    pub(crate) client: String,
+    pub(crate) rid: String,
+    /// §3.3 ladder rungs the op may have tried, named by [`rung_id`]: up to
+    /// the granted or final one, or every rung its predicates allow when
+    /// the coordinator answered with an error.
+    pub(crate) rungs: usize,
+    pub(crate) outcome: OpOutcome,
+}
+
+/// The request id of ladder rung `dropped` (desirable clauses dropped),
+/// as [`promises_cluster::Coordinator::grant_negotiated`] names it.
+pub(crate) fn rung_id(rid: &str, dropped: usize) -> String {
+    match dropped {
+        0 => rid.to_owned(),
+        d => format!("{rid}~d{d}"),
+    }
+}
+
+/// Rungs the ladder can walk for `predicates`: the request as asked, then
+/// one more per desirable clause.
+fn ladder_len(predicates: &[String]) -> usize {
+    let desirables = |text: &String| match parse_predicate(text) {
+        Ok(Predicate::Property { expr, .. }) => expr.desirable_count(),
+        _ => 0,
+    };
+    1 + predicates.iter().map(desirables).sum::<usize>()
+}
+
+/// A tally plus the per-op record the audit replays.
 #[derive(Debug, Default)]
 pub struct ClientRun {
-    /// The summed observations.
+    /// The summed observations, one per [`step`](ClientRun::step).
     pub tally: ClientTally,
-    pub(crate) outcomes: Vec<(String, String, OpOutcome)>,
+    pub(crate) outcomes: Vec<OpRecord>,
 }
 
 impl ClientRun {
-    /// Sends one grant as `client` and folds the result in. Injected
-    /// crashes and transport failures are legitimate on a faulty bus and
-    /// are tallied; any other coordinator error is a harness bug.
-    pub fn step(&mut self, cluster: &PromiseCluster, rng: &mut StdRng, client: &str, op: ClientOp) {
+    /// Sends one request as `client` down the §3.3 ladder — a request
+    /// with no desirable clause is one rung under its own id — and folds
+    /// the result in. A resend under the same `(client, rid)` replaces the
+    /// op's earlier record. Injected crashes and transport failures are
+    /// legitimate on a faulty bus and are tallied; any other coordinator
+    /// error is a harness bug. Returns what the op saw.
+    pub fn step(
+        &mut self,
+        cluster: &PromiseCluster,
+        rng: &mut StdRng,
+        client: &str,
+        op: ClientOp,
+    ) -> Result<NegotiatedClusterGrant, CoordError> {
         let (tally, coordinator) = (&mut self.tally, &cluster.coordinator);
         tally.attempts += 1;
-        let decision = coordinator.grant(client, &op.rid, &op.predicates, GRANT_DURATION_MS);
-        let outcome = match decision {
-            Ok(ClusterDecision::Granted { parts }) => {
-                tally.granted += 1;
-                if parts.len() > 1 {
-                    tally.cross_shard_granted += 1;
+        let seen = coordinator.grant_negotiated(client, &op.rid, &op.predicates, GRANT_DURATION_MS);
+        let (outcome, rungs) = match &seen {
+            Ok(grant) => match &grant.decision {
+                ClusterDecision::Granted { parts } => {
+                    tally.granted += 1;
+                    if parts.len() > 1 {
+                        tally.cross_shard_granted += 1;
+                    }
+                    let released = match op.release {
+                        Release::Always => true,
+                        Release::Never => false,
+                        Release::Chance(p) => rng.random_bool(p),
+                        Release::Keep(p) => !rng.random_bool(p),
+                    };
+                    if released {
+                        coordinator.release(parts);
+                    }
+                    let parts = parts.clone();
+                    (OpOutcome::Granted { parts, released }, grant.dropped + 1)
                 }
-                let released = match op.release {
-                    Release::Always => true,
-                    Release::Never => false,
-                    Release::Chance(p) => rng.random_bool(p),
-                };
-                if released {
-                    coordinator.release(&parts);
+                ClusterDecision::Rejected { .. } => {
+                    tally.rejected += 1;
+                    (OpOutcome::Rejected, grant.dropped + 1)
                 }
-                OpOutcome::Granted { parts, released }
-            }
-            Ok(ClusterDecision::Rejected { .. }) => {
-                tally.rejected += 1;
-                OpOutcome::RejectedOrAborted
-            }
+            },
             Err(CoordError::Crashed(_)) => {
                 tally.crashed += 1;
-                OpOutcome::Crashed
+                (OpOutcome::Crashed, ladder_len(&op.predicates))
             }
             Err(CoordError::Transport(_)) => {
                 tally.transport_failures += 1;
-                OpOutcome::RejectedOrAborted
+                (OpOutcome::Unanswered, ladder_len(&op.predicates))
             }
             Err(e) => panic!("unexpected coordinator error: {e}"),
         };
-        self.outcomes.push((client.to_owned(), op.rid, outcome));
+        let record = OpRecord {
+            client: client.to_owned(),
+            rid: op.rid,
+            rungs,
+            outcome,
+        };
+        let same = |r: &OpRecord| r.client == record.client && r.rid == record.rid;
+        match self.outcomes.iter().rposition(same) {
+            Some(earlier) => self.outcomes[earlier] = record,
+            None => self.outcomes.push(record),
+        }
+        seen
     }
 
-    /// Panics unless every op was answered granted-or-rejected: on a
-    /// quiet bus with no crash armed, nothing else can happen.
-    pub fn assert_quiet(&self, sweep: &str) {
-        let errors = self.tally.crashed + self.tally.transport_failures;
-        assert_eq!(errors, 0, "quiet-bus {sweep} errored: {:?}", self.tally);
+    /// Panics unless every op was answered granted-or-rejected, bar the
+    /// `crashes` the scenario armed: on a quiet bus nothing else can happen.
+    pub fn assert_quiet(&self, sweep: &str, crashes: u64) {
+        let t = &self.tally;
+        let quiet = (t.crashed, t.transport_failures) == (crashes, 0);
+        assert!(quiet, "quiet-bus {sweep} errored: {t:?}");
     }
 }
 
@@ -169,7 +235,7 @@ where
                     let mut run = ClientRun::default();
                     for op in ops {
                         let op = next_op(c, op, &mut rng);
-                        run.step(cluster, &mut rng, &client, op);
+                        let _ = run.step(cluster, &mut rng, &client, op);
                     }
                     run
                 })

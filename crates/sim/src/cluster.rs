@@ -1,46 +1,31 @@
 //! Cluster failure workloads: fault sweeps over the cross-shard
-//! coordinator and shard crash–restart.
+//! coordinator, shard crash–restart, escrow leases and fail-over.
 //!
 //! These drive a [`PromiseCluster`] — N autonomous shard nodes behind one
-//! faulty bus, coordinated by the prepare/commit protocol — and audit the
-//! §4 unit guarantee *as extended across shards* after the dust settles:
+//! faulty bus, coordinated by the prepare/commit protocol — through
+//! [`ClientRun::step`], and judge the §4 unit guarantee *as extended
+//! across shards* with the one [`audit_cluster`] after the dust settles:
+//! no partial, double or oversold grant, no leak, bounded state, and on
+//! leased clusters no lease oversell and no minted lease unit.
 //!
-//! * **no partial grants** — every transaction's observable outcome is
-//!   all-or-nothing: a confirmed grant's parts are all live and committed;
-//!   a rejected or aborted transaction never leaves a *committed* hold on
-//!   any shard (an unresolved *prepared* hold is in doubt, unusable, and
-//!   reclaimed by expiry — the leak audit covers it);
-//! * **no double grants** — per shard, every `(client, request)` pair has
-//!   at most one grant-like journal record, however many times the
-//!   retrying client resent it;
-//! * **no oversells** — per shard, quantity promised to live promises
-//!   never exceeds quantity on hand;
-//! * **no leaks** — after every duration passes, expiry reclaims every
-//!   hold the sweep abandoned (crashed coordinators included, once
-//!   recovery has run).
-//!
-//! With [`ClusterSweepConfig::leases`] the same sweep runs over per-shard
-//! escrow leases and adds two lease audits: per shard, promised quantity
-//! never exceeds the shard's lease slice (**no lease oversells**); per
-//! pool, the cluster-wide lease sum never exceeds the registered quantity
-//! (**no minting**). [`run_lease_sweep`] is the dedicated lease scenario:
-//! a Zipf-skewed workload interleaved with rebalance cycles, an armed
-//! mid-rebalance crash, per-shard crash–restart with digest comparison,
-//! and a heal check that the lease sum returns to the pool total.
+//! [`run_lease_sweep`] is the dedicated lease scenario: a Zipf-skewed
+//! workload interleaved with rebalance cycles, an armed mid-rebalance
+//! crash, per-shard crash–restart with digest comparison, and a heal check
+//! that the lease sum returns to the pool total. [`run_failover_sweep`]
+//! kills every leader mid-2PC and mid-rebalance and promotes its follower.
 
-use std::ops::{AddAssign, Deref};
+use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use promises_cluster::{CoordError, CrashPoint, PromiseCluster};
-use promises_core::{
-    ClientId, Clock, JournalOp, PoolSchema, PromiseId, PromiseJournal, PromiseManager, RequestId,
-};
+use promises_core::{Clock, PoolSchema, PromiseJournal, PromiseManager};
 use promises_faults::{FaultInjector, FaultScenario};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::clients::{drive_clients, ClientOp, ClientRun, OpOutcome, Release};
+use crate::audit::{audit_cluster, audit_leases, lease_sum, ClusterAudit};
+use crate::clients::{drive_clients, ClientOp, ClientRun, ClientTally, Release};
 use crate::workload::pool_name;
 
 /// Shape of a cluster fault-sweep workload.
@@ -92,71 +77,12 @@ impl Default for ClusterSweepConfig {
     }
 }
 
-/// The always-zero columns every cluster sweep audits after the dust
-/// settles (see the module docs for each guarantee). Audits of several
-/// clusters add up with `+=`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterAudit {
-    /// Transactions whose observable outcome was not all-or-nothing.
-    /// The §4 unit guarantee says **always zero**.
-    pub partial_grants: u64,
-    /// Per-shard `(client, request)` pairs with more than one grant-like
-    /// journal record. **Always zero.**
-    pub double_grants: u64,
-    /// Shards whose promised quantity exceeded on-hand. **Always zero.**
-    pub oversells: u64,
-    /// Promises still live after recovery + full expiry. **Always zero.**
-    pub live_after_reap: usize,
-    /// Coordinator dedup entries surviving past every retry window.
-    /// Bounded state says **always zero** once duration + grace pass.
-    pub dedup_after_reap: usize,
-    /// Shard grant-index tombstones surviving past the eviction grace.
-    /// **Always zero.**
-    pub tombstones_after_reap: usize,
-    /// Shards whose promised quantity exceeded their lease slice (leases
-    /// only). **Always zero.**
-    pub lease_oversells: u64,
-    /// Pools whose cluster-wide lease sum exceeded the registered quantity
-    /// (leases only — lease units must never be minted). **Always zero.**
-    pub lease_sum_violations: u64,
-}
-
-impl ClusterAudit {
-    /// True when every audited guarantee held.
-    pub fn clean(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
-impl AddAssign for ClusterAudit {
-    fn add_assign(&mut self, o: Self) {
-        self.partial_grants += o.partial_grants;
-        self.double_grants += o.double_grants;
-        self.oversells += o.oversells;
-        self.live_after_reap += o.live_after_reap;
-        self.dedup_after_reap += o.dedup_after_reap;
-        self.tombstones_after_reap += o.tombstones_after_reap;
-        self.lease_oversells += o.lease_oversells;
-        self.lease_sum_violations += o.lease_sum_violations;
-    }
-}
-
 /// Outcome of one cluster sweep, including the post-run audits (read
 /// through `Deref`: `report.partial_grants`, `report.clean()`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterRunReport {
-    /// Grant attempts.
-    pub attempts: u64,
-    /// Unit grants confirmed (single- and cross-shard).
-    pub granted: u64,
-    /// Cross-shard grants among `granted`.
-    pub cross_shard_granted: u64,
-    /// Unit rejections.
-    pub rejected: u64,
-    /// Coordinator crashes injected (transactions left for recovery).
-    pub crashed: u64,
-    /// Transport-level failures surfaced by the coordinator.
-    pub transport_failures: u64,
+    /// What the clients saw.
+    pub tally: ClientTally,
     /// Undecided transactions recovery presumed aborted.
     pub presumed_aborted: u64,
     /// Committed transactions whose resolutions recovery resent.
@@ -258,14 +184,8 @@ pub fn run_cluster_fault_sweep(
         .recover()
         .expect("coordinator recovery succeeds");
 
-    let t = run.tally;
     let report = ClusterRunReport {
-        attempts: t.attempts,
-        granted: t.granted,
-        cross_shard_granted: t.cross_shard_granted,
-        rejected: t.rejected,
-        crashed: t.crashed,
-        transport_failures: t.transport_failures,
+        tally: run.tally,
         presumed_aborted: recovery.presumed_aborted as u64,
         commits_resent: recovery.commits_resent as u64,
         audit: audit_cluster(&cluster, &run),
@@ -275,171 +195,13 @@ pub fn run_cluster_fault_sweep(
     (report, cluster)
 }
 
-/// The live *committed* hold for one sub-request: `Some` only when the
-/// shard holds it and it is no longer in doubt.
-fn committed_hold(
-    cluster: &PromiseCluster,
-    shard: usize,
-    client: &str,
-    rid: &str,
-) -> Option<PromiseId> {
-    let pm = &cluster.nodes[shard].pm;
-    let id = pm.promise_for_request(&ClientId(client.to_owned()), &RequestId(rid.to_owned()))?;
-    (!pm.is_prepared(id)).then_some(id)
-}
-
-/// The post-run audits. See the module docs for each guarantee.
-///
-/// Partial grants are judged on *observable* state after recovery: a
-/// confirmed grant's parts must all be live committed holds (unless the
-/// client released them); a rejected/aborted transaction must not expose
-/// a committed hold on any shard; a crashed transaction follows the
-/// coordinator log — logged-committed means every part lives, anything
-/// else means no committed hold survives. Unresolved *prepared* holds are
-/// in doubt, not grants, and fall to the leak audit.
-fn audit_cluster(cluster: &PromiseCluster, run: &ClientRun) -> ClusterAudit {
-    let mut report = ClusterAudit::default();
-    let summary = cluster
-        .coordinator
-        .log()
-        .replay()
-        .expect("coordinator log replays");
-    let committed_txns: std::collections::HashMap<(String, String), Vec<usize>> = summary
-        .committed
-        .iter()
-        .map(|(txn, shards)| ((txn.client.clone(), txn.request.clone()), shards.clone()))
-        .collect();
-
-    for (client, rid, outcome) in &run.outcomes {
-        let partial = match outcome {
-            OpOutcome::Granted { released: true, .. } => false, // leak audit covers
-            OpOutcome::Granted {
-                parts,
-                released: false,
-            } => !parts.iter().all(|part| {
-                let key = if parts.len() > 1 {
-                    format!("{rid}@s{}", part.shard)
-                } else {
-                    rid.clone()
-                };
-                committed_hold(cluster, part.shard, client, &key)
-                    == Some(PromiseId(part.promise_id))
-            }),
-            OpOutcome::RejectedOrAborted => (0..cluster.shard_count()).any(|shard| {
-                committed_hold(cluster, shard, client, &format!("{rid}@s{shard}")).is_some()
-            }),
-            OpOutcome::Crashed => {
-                match committed_txns.get(&(client.clone(), rid.clone())) {
-                    // Logged commit: recovery must have landed every part.
-                    Some(shards) => !shards.iter().all(|&shard| {
-                        committed_hold(cluster, shard, client, &format!("{rid}@s{shard}")).is_some()
-                    }),
-                    // Presumed abort: no committed hold may survive.
-                    None => (0..cluster.shard_count()).any(|shard| {
-                        committed_hold(cluster, shard, client, &format!("{rid}@s{shard}")).is_some()
-                    }),
-                }
-            }
-        };
-        if partial {
-            report.partial_grants += 1;
-        }
-    }
-
-    // Double-grant audit from the shard journals: at most one grant-like
-    // record per (client, full request id), however noisy the transport.
-    for node in &cluster.nodes {
-        let mut grant_counts: std::collections::HashMap<(String, String), u32> =
-            std::collections::HashMap::new();
-        if let Ok(entries) = node.journal.entries() {
-            for entry in entries {
-                if let JournalOp::Grant(rec) | JournalOp::Prepared(rec) = entry.op {
-                    *grant_counts
-                        .entry((rec.client.0.clone(), rec.request.0.clone()))
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        report.double_grants += grant_counts.values().filter(|&&n| n > 1).count() as u64;
-
-        // Oversell audit, per shard.
-        for (pool, demanded) in node.pm.promised_quantities() {
-            let on_hand = node.pm.quantity_on_hand(pool.clone()).unwrap_or(0);
-            if demanded > on_hand {
-                report.oversells += 1;
-            }
-        }
-    }
-
-    // Lease audits (leased clusters only): promised ≤ lease per shard,
-    // Σ leases ≤ registered quantity per pool. Run while holds are still
-    // outstanding, before the leak advance expires them.
-    if cluster.lease_directory().is_some() {
-        let (oversells, sum_violations) = audit_leases(cluster);
-        report.lease_oversells += oversells;
-        report.lease_sum_violations += sum_violations;
-    }
-
-    // Leak audit: advance past every duration; expiry must reclaim
-    // whatever the sweep abandoned (dropped releases, in-doubt holds of
-    // decided-abort transactions whose abort message was lost, …).
-    cluster.advance_and_prune(4_000_000);
-    report.live_after_reap = cluster.live_count();
-
-    // Bounded-state audit: one more tick past every eviction grace and
-    // both dedup disciplines must have drained — the coordinator's
-    // outcome index and the shards' expiry tombstones alike. Anything
-    // left would grow without bound in a long-lived cluster.
-    cluster.advance_and_prune(400_000);
-    report.dedup_after_reap = cluster.coordinator.dedup_len();
-    report.tombstones_after_reap = cluster.nodes.iter().map(|n| n.pm.tombstone_count()).sum();
-    report
-}
-
-/// Cluster-wide lease sum for one pool, read from the authoritative
-/// per-shard managers (not the advisory directory).
-fn lease_sum(cluster: &PromiseCluster, pool: &str) -> u64 {
-    cluster
-        .nodes
-        .iter()
-        .map(|n| n.pm.lease_of(pool).unwrap_or(0))
-        .sum()
-}
-
-/// The two lease invariants, audited from authoritative shard state:
-/// per shard, promised quantity never exceeds the lease slice (escrow
-/// never oversells); per pool, Σ leases never exceeds the registered
-/// quantity (rebalancing never mints units — a crash between a withdraw
-/// and its deposit may only *lose* headroom, which the heal pass
-/// re-credits). Returns `(oversells, sum_violations)`.
-fn audit_leases(cluster: &PromiseCluster) -> (u64, u64) {
-    let mut oversells = 0;
-    let mut sum_violations = 0;
-    for (pool, total, _) in cluster.registered_pools() {
-        for node in &cluster.nodes {
-            let lease = node.pm.lease_of(pool.as_str()).unwrap_or(0);
-            if node.pm.promised_qty(pool.as_str()) > lease {
-                oversells += 1;
-            }
-        }
-        if lease_sum(cluster, &pool) > total {
-            sum_violations += 1;
-        }
-    }
-    (oversells, sum_violations)
-}
-
 /// Outcome of one [`run_lease_sweep`]: a Zipf-skewed grant/release
 /// workload over a leased cluster with rebalance cycles, an armed
-/// mid-rebalance crash, per-shard crash–restart, and the lease audits.
+/// mid-rebalance crash, per-shard crash–restart, and the cluster audit.
 #[derive(Debug, Clone)]
 pub struct LeaseSweepReport {
-    /// Grant attempts.
-    pub attempts: u64,
-    /// Unit grants confirmed.
-    pub granted: u64,
-    /// Unit rejections.
-    pub rejected: u64,
+    /// What the clients saw.
+    pub tally: ClientTally,
     /// Grants served by the client's home-shard lease — no coordinator.
     pub local_grants: u64,
     /// Grants that fell back to the ownership/2PC path.
@@ -462,12 +224,9 @@ pub struct LeaseSweepReport {
     /// Σ leases == pool total on every pool after the heal cycle.
     /// **Always true.**
     pub lease_sum_restored: bool,
-    /// Shards caught with promised > lease. **Always zero.**
-    pub lease_oversells: u64,
-    /// Pools caught with Σ leases > total. **Always zero.**
-    pub lease_sum_violations: u64,
-    /// Promises still live after full expiry. **Always zero.**
-    pub live_after_reap: usize,
+    /// The always-zero guarantee audits: the lease columns with holds
+    /// still outstanding, then the full audit on the healed cluster.
+    pub audit: ClusterAudit,
     /// Wall-clock duration of the workload phase.
     pub elapsed: Duration,
 }
@@ -489,14 +248,12 @@ impl LeaseSweepReport {
         self.local_grants as f64 / routed as f64
     }
 
-    /// True when every audited lease guarantee held.
+    /// True when every audited guarantee held.
     pub fn clean(&self) -> bool {
-        self.lease_oversells == 0
-            && self.lease_sum_violations == 0
+        self.audit.clean()
             && self.lease_sum_ok_after_crash
             && self.lease_sum_restored
             && self.digests_match()
-            && self.live_after_reap == 0
     }
 }
 
@@ -513,7 +270,7 @@ impl LeaseSweepReport {
 ///    the lease split must survive byte-for-byte;
 /// 4. runs the next rebalance cycle and checks the heal pass re-credits
 ///    the stranded headroom (Σ leases returns to the pool total);
-/// 5. advances past every duration for the leak audit.
+/// 5. runs the cluster audit.
 pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCluster) {
     let leased_cfg = ClusterSweepConfig {
         leases: true,
@@ -561,10 +318,10 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
         }
     }
     let elapsed = start.elapsed();
-    run.assert_quiet("lease sweep");
+    run.assert_quiet("lease sweep", 0);
 
     // Audit with holds still outstanding (the interesting instant).
-    let (mut lease_oversells, mut lease_sum_violations) = audit_leases(&cluster);
+    let mut audit = audit_leases(&cluster);
 
     // The mid-rebalance crash: final-round demand is still pending, so
     // the cycle withdraws surpluses and dies before any deposit.
@@ -591,17 +348,11 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
         .iter()
         .all(|(pool, total, _)| lease_sum(&cluster, pool) == *total);
 
-    // Leak audit + a second lease audit on the quiesced cluster.
-    cluster.advance_and_prune(4_000_000);
-    let (quiet_oversells, quiet_sum_violations) = audit_leases(&cluster);
-    lease_oversells += quiet_oversells;
-    lease_sum_violations += quiet_sum_violations;
+    audit += audit_cluster(&cluster, &run);
 
     let counter = |name: &str| cluster.telemetry.counter(name).load(Ordering::Relaxed);
     let report = LeaseSweepReport {
-        attempts: run.tally.attempts,
-        granted: run.tally.granted,
-        rejected: run.tally.rejected,
+        tally: run.tally,
         local_grants: counter("cluster.lease.local_grants"),
         coordinator_fallbacks: counter("cluster.lease.coordinator_fallbacks"),
         coord_log_skips: counter("cluster.lease.coord_log_skips"),
@@ -611,9 +362,7 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
         digests,
         lease_sum_ok_after_crash,
         lease_sum_restored,
-        lease_oversells,
-        lease_sum_violations,
-        live_after_reap: cluster.live_count(),
+        audit,
         elapsed,
     };
     (report, cluster)
@@ -846,13 +595,6 @@ impl FailoverSweepReport {
     }
 }
 
-impl Deref for FailoverSweepReport {
-    type Target = ClusterAudit;
-    fn deref(&self) -> &ClusterAudit {
-        &self.audit
-    }
-}
-
 /// One audited grant on the fail-over sweep's quiet bus, released with
 /// probability one half.
 fn sweep_op(rid: String, predicates: Vec<String>) -> ClientOp {
@@ -924,7 +666,6 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
 
     let mut digests: Vec<FailoverDigests> = Vec::new();
     let mut mttrs: Vec<Duration> = Vec::new();
-    let mut doomed_crashes = 0u64;
     let mut in_doubt_recovered = 0u64;
     let mut presumed_aborted = 0u64;
     let mut commits_resent = 0u64;
@@ -955,14 +696,14 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
             let amount = rng.random_range(1..=3);
             let single = vec![format!("qty('{pool}') >= {amount}")];
             let op = sweep_op(format!("f{k}-c{c}-single"), single);
-            run_a.step(&cluster, &mut rng, &client, op);
+            let _ = run_a.step(&cluster, &mut rng, &client, op);
             let amount_b = rng.random_range(1..=3);
             let cross = vec![
                 format!("qty('{pool}') >= {amount}"),
                 format!("qty('{next}') >= {amount_b}"),
             ];
             let op = sweep_op(format!("f{k}-c{c}-cross"), cross);
-            run_a.step(&cluster, &mut rng, &client, op);
+            let _ = run_a.step(&cluster, &mut rng, &client, op);
         }
         // The doomed grant: crash the coordinator mid-2PC with shard k's
         // prepared hold outstanding, then kill shard k itself.
@@ -972,22 +713,13 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
             CrashPoint::AfterCommitLogged
         };
         cluster.coordinator.set_crash_point(Some(point));
-        run_a.tally.attempts += 1;
-        doomed_crashes += 1;
-        let rid = format!("kill{k}");
-        let err = cluster
-            .coordinator
-            .grant(
-                "doomed",
-                &rid,
-                &[format!("qty('{pool}') >= 5"), format!("qty('{next}') >= 5")],
-                3_600_000,
-            )
-            .expect_err("armed coordinator crash fires");
-        assert!(matches!(err, CoordError::Crashed(_)), "{err:?}");
-        run_a
-            .outcomes
-            .push(("doomed".to_owned(), rid, OpOutcome::Crashed));
+        let doomed = ClientOp {
+            rid: format!("kill{k}"),
+            predicates: vec![format!("qty('{pool}') >= 5"), format!("qty('{next}') >= 5")],
+            release: Release::Never,
+        };
+        let seen = run_a.step(&cluster, &mut rng, "doomed", doomed);
+        assert!(matches!(seen, Err(CoordError::Crashed(_))), "{seen:?}");
 
         let recovery = fail_over(
             &mut cluster,
@@ -1014,7 +746,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
                 format!("p{k}-c{c}"),
                 vec![format!("qty('{pool}') >= {amount}")],
             );
-            run_a.step(&cluster, &mut rng, &format!("client-{c}"), op);
+            let _ = run_a.step(&cluster, &mut rng, &format!("client-{c}"), op);
         }
     }
     let mut audit = audit_cluster(&cluster, &run_a);
@@ -1051,7 +783,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
                     format!("L{j}-c{c}-o{op}"),
                     vec![format!("qty('{pool}') >= {amount}")],
                 );
-                run_b.step(&leased, &mut rng, &client, op);
+                let _ = run_b.step(&leased, &mut rng, &client, op);
             }
         }
         // The rebalance cycle dies between its withdraws and deposits —
@@ -1079,10 +811,9 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
     repl_shipped += counter_b("cluster.repl.shipped_lines");
     repl_dropped += counter_b("cluster.repl.dropped_shipments");
 
-    // The doomed grants went to the coordinator directly, so on this
-    // quiet bus `step` itself must have seen no crash and no transport error.
+    // On this quiet bus the doomed grants are the only errors.
     run_a += run_b;
-    run_a.assert_quiet("failover sweep");
+    run_a.assert_quiet("failover sweep", SHARDS as u64);
     let failovers = mttrs.len() as u64;
     let mttr_max = mttrs.iter().copied().max().unwrap_or_default();
     let mttr_mean = if mttrs.is_empty() {
@@ -1094,7 +825,7 @@ pub fn run_failover_sweep(seed: u64, repl_fault_rate: f64) -> FailoverSweepRepor
         attempts: run_a.tally.attempts,
         granted: run_a.tally.granted,
         rejected: run_a.tally.rejected,
-        doomed_crashes,
+        doomed_crashes: run_a.tally.crashed,
         failovers,
         in_doubt_recovered,
         presumed_aborted,
@@ -1126,9 +857,12 @@ mod tests {
         };
         let (report, _) = run_cluster_fault_sweep(FaultScenario::quiet(1), &cfg);
         assert!(report.clean(), "{report:?}");
-        assert!(report.granted > 0);
-        assert!(report.cross_shard_granted > 0, "workload must cross shards");
-        assert_eq!(report.crashed, 0);
+        assert!(report.tally.granted > 0);
+        assert!(
+            report.tally.cross_shard_granted > 0,
+            "workload must cross shards"
+        );
+        assert_eq!(report.tally.crashed, 0);
     }
 
     #[test]
@@ -1145,7 +879,7 @@ mod tests {
         assert_eq!(report.double_grants, 0, "retries must dedup per shard");
         assert_eq!(report.oversells, 0, "no shard may oversell");
         assert_eq!(report.live_after_reap, 0, "expiry + recovery reclaim all");
-        assert!(report.granted > 0, "goodput survives faults");
+        assert!(report.tally.granted > 0, "goodput survives faults");
     }
 
     #[test]
@@ -1160,7 +894,7 @@ mod tests {
         };
         let (report, cluster) = run_cluster_fault_sweep(FaultScenario::quiet(3), &cfg);
         assert!(report.clean(), "{report:?}");
-        assert!(report.granted > 0);
+        assert!(report.tally.granted > 0);
         let local = cluster
             .telemetry
             .counter("cluster.lease.local_grants")
@@ -1185,7 +919,7 @@ mod tests {
         assert_eq!(report.lease_oversells, 0, "promised must stay ≤ lease");
         assert_eq!(report.lease_sum_violations, 0, "leases must not mint");
         assert_eq!(report.live_after_reap, 0, "expiry + recovery reclaim all");
-        assert!(report.granted > 0, "goodput survives faults");
+        assert!(report.tally.granted > 0, "goodput survives faults");
     }
 
     #[test]
@@ -1201,7 +935,7 @@ mod tests {
         let (report, _) = run_lease_sweep(&cfg);
         assert!(report.clean(), "{report:?}");
         assert!(report.crash_fired, "armed rebalance crash must fire");
-        assert!(report.granted > 0);
+        assert!(report.tally.granted > 0);
         assert!(
             report.rebalance_moved > 0,
             "rebalancer must chase the Zipf head: {report:?}"

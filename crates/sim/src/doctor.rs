@@ -20,7 +20,8 @@
 //! At `fault_rate == 0` every sweep runs the same workload with no fault
 //! armed, and **no** watchdog may trip — the false-positive half of the
 //! confusion matrix. Every trip cuts a flight-recorder incident report;
-//! the `--doctor` experiments gate re-validates each one as JSON.
+//! the `--doctor` experiments gate re-validates each one as JSON. Every
+//! sweep ends in the one audit, and a cell is clean only when it is.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,6 +34,7 @@ use promises_telemetry::{
 use promises_wire::{Envelope, PromiseResult, RetryPolicy, RetryingClient};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::audit::{audit_cluster, audit_manager, ClusterAudit};
 use crate::clients::{ClientOp, ClientRun, Release};
 use crate::cluster::{cluster_harness, ClusterSweepConfig};
 use crate::faults::{fault_harness_with, grant_request, PM_ENDPOINT};
@@ -40,7 +42,7 @@ use crate::workload::{pool_name, sample_zipf, zipf_cdf};
 
 /// Outcome of one doctor sweep: the confusion-matrix row for one
 /// `(scenario, fault_rate)` cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DoctorReport {
     /// Which sweep ran (`"fault"`, `"lease"`, `"failover"`).
     pub sweep: &'static str,
@@ -61,6 +63,9 @@ pub struct DoctorReport {
     pub fail_fast_engaged: bool,
     /// Whether degraded mode was lifted after the burn recovered.
     pub fail_fast_cleared: bool,
+    /// The end-of-sweep audit (the fault sweep's one manager judged by its
+    /// per-manager half plus the leak reap).
+    pub audit: ClusterAudit,
 }
 
 impl DoctorReport {
@@ -71,12 +76,8 @@ impl DoctorReport {
             sweep,
             seed,
             fault_rate,
-            ticks: 0,
             expected: armed.iter().map(|w| w.name()).collect(),
-            tripped: Vec::new(),
-            incidents: Vec::new(),
-            fail_fast_engaged: false,
-            fail_fast_cleared: false,
+            ..Self::default()
         }
     }
 
@@ -110,10 +111,10 @@ impl DoctorReport {
             .collect()
     }
 
-    /// True when the confusion-matrix cell is perfect: every expected
-    /// watchdog tripped and nothing else did.
+    /// True when the confusion-matrix cell is perfect — every expected
+    /// watchdog tripped and nothing else did — and the audit is clean.
     pub fn clean(&self) -> bool {
-        self.missed().is_empty() && self.unexpected().is_empty()
+        self.missed().is_empty() && self.unexpected().is_empty() && self.audit.clean()
     }
 }
 
@@ -221,10 +222,10 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
         }
     }
 
-    // Reap so the harness ends leak-free, as every sweep in this crate
-    // leaves its system quiesced.
+    report.audit = audit_manager(&h.pm, &h.journal, &h.rm);
     h.clock.advance(4_000_000);
     let _ = h.pm.prune_expired();
+    report.audit.live_after_reap = h.pm.live_count();
     report
 }
 
@@ -270,7 +271,7 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
                     predicates: vec![format!("qty('{pool}') >= {amount}")],
                     release: Release::Always,
                 };
-                run.step(&cluster, rng, &client, op);
+                let _ = run.step(&cluster, rng, &client, op);
             }
         }
     };
@@ -299,8 +300,8 @@ pub fn run_doctor_lease_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
         report.note(&cluster.health_tick(&mut state));
     }
 
-    run.assert_quiet("doctor lease sweep");
-    cluster.advance_and_prune(4_000_000);
+    run.assert_quiet("doctor lease sweep", 0);
+    report.audit = audit_cluster(&cluster, &run);
     report
 }
 
@@ -341,25 +342,25 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
     let mut state = HealthState::new(WatchdogConfig::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA11);
     let mut op = 0usize;
-
     let mut run = ClientRun::default();
-    let mut run_round = |cluster: &PromiseCluster, rng: &mut StdRng, op: &mut usize| {
-        for _ in 0..6 {
-            let pool = pool_name(rng.random_range(0..SHARDS));
-            let amount = rng.random_range(1..=3u64);
-            let next = ClientOp {
-                rid: format!("d-o{op}"),
-                predicates: vec![format!("qty('{pool}') >= {amount}")],
-                release: Release::Always,
-            };
-            *op += 1;
-            run.step(cluster, rng, "doctor", next);
-        }
-    };
+    let run_round =
+        |run: &mut ClientRun, cluster: &PromiseCluster, rng: &mut StdRng, op: &mut usize| {
+            for _ in 0..6 {
+                let pool = pool_name(rng.random_range(0..SHARDS));
+                let amount = rng.random_range(1..=3u64);
+                let next = ClientOp {
+                    rid: format!("d-o{op}"),
+                    predicates: vec![format!("qty('{pool}') >= {amount}")],
+                    release: Release::Always,
+                };
+                *op += 1;
+                let _ = run.step(cluster, rng, "doctor", next);
+            }
+        };
 
     // Steady traffic, replication healthy: ticks must be silent.
     for _ in 0..2 {
-        run_round(&cluster, &mut rng, &mut op);
+        run_round(&mut run, &cluster, &mut rng, &mut op);
         cluster.sync_replication();
         report.note(&cluster.health_tick(&mut state));
     }
@@ -372,7 +373,7 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
             FaultScenario::quiet(seed ^ 0xD20).with_replication_faults(1.0, 0.0),
         ))));
         for _ in 0..3 {
-            run_round(&cluster, &mut rng, &mut op);
+            run_round(&mut run, &cluster, &mut rng, &mut op);
             cluster.sync_replication();
             report.note(&cluster.health_tick(&mut state));
         }
@@ -392,19 +393,15 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
         cluster
             .coordinator
             .set_crash_point(Some(CrashPoint::AfterPrepare));
-        let err = cluster
-            .coordinator
-            .grant(
-                "doomed",
-                "dx",
-                &[
-                    format!("qty('{}') >= 2", pool_name(0)),
-                    format!("qty('{}') >= 2", pool_name(1)),
-                ],
-                3_600_000,
-            )
-            .expect_err("armed coordinator crash fires");
-        assert!(matches!(err, CoordError::Crashed(_)), "{err:?}");
+        let doomed = ClientOp {
+            rid: "dx".into(),
+            predicates: (0..SHARDS)
+                .map(|s| format!("qty('{}') >= 2", pool_name(s)))
+                .collect(),
+            release: Release::Never,
+        };
+        let seen = run.step(&cluster, &mut rng, "doomed", doomed);
+        assert!(matches!(seen, Err(CoordError::Crashed(_))), "{seen:?}");
         // The prepared holds age past the watchdog's limit.
         cluster.clock.advance(6_000);
         report.note(&cluster.health_tick(&mut state));
@@ -420,13 +417,13 @@ pub fn run_doctor_failover_sweep(seed: u64, fault_rate: f64) -> DoctorReport {
         // ---- Fail-over is not an anomaly. ----
         cluster.kill_shard(0);
         cluster.promote_follower(0);
-        run_round(&cluster, &mut rng, &mut op);
+        run_round(&mut run, &cluster, &mut rng, &mut op);
         cluster.sync_replication();
         report.note(&cluster.health_tick(&mut state));
     }
 
-    run.assert_quiet("doctor failover sweep");
-    cluster.advance_and_prune(4_000_000);
+    run.assert_quiet("doctor failover sweep", u64::from(fault_rate > 0.0));
+    report.audit = audit_cluster(&cluster, &run);
     report
 }
 

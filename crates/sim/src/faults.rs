@@ -3,7 +3,8 @@
 //! These drive the full wire pipeline — retrying client → faulty bus →
 //! gateway → promise manager over a journalled table and a fault-hooked
 //! resource manager — under a seeded [`FaultScenario`], and then *audit*
-//! the paper's guarantees after the dust settles:
+//! the paper's guarantees after the dust settles, with the per-manager
+//! half of the one cluster audit:
 //!
 //! * **no violations** — per pool, quantity promised to live promises
 //!   never exceeds quantity on hand;
@@ -31,6 +32,7 @@ use promises_wire::{
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::audit::audit_manager;
 use crate::workload::pool_name;
 
 /// Bus endpoint name of the promise gateway.
@@ -414,35 +416,15 @@ pub fn run_fault_sweep_with(
         report.killed += t.killed;
     }
 
-    // Violation audit: promised quantity must never exceed on-hand.
-    let promised = h.pm.promised_quantities();
-    for (pool, demanded) in &promised {
-        let on_hand = h.pm.quantity_on_hand(pool.clone()).unwrap_or(0);
-        if *demanded > on_hand {
-            report.violations += 1;
-        }
-    }
+    // The per-manager half of the one audit: oversells (violations) and
+    // double grants, straight from the books and the journal.
+    let books = audit_manager(&h.pm, &h.journal, &h.rm);
+    report.violations = books.oversells;
+    report.double_grants = books.double_grants;
     // Server-side truth of units taken.
-    let mut final_total = 0u64;
-    for i in 0..cfg.pools {
-        final_total += h.pm.quantity_on_hand(pool_name(i)).unwrap_or(0);
-    }
+    let on_hand = |i| h.pm.quantity_on_hand(pool_name(i)).unwrap_or(0);
+    let final_total: u64 = (0..cfg.pools).map(on_hand).sum();
     report.units_taken = (cfg.pools as u64 * cfg.qty).saturating_sub(final_total);
-
-    // Double-grant audit straight from the journal: every (client,
-    // request) pair must have at most one Grant record.
-    let mut grant_counts: std::collections::HashMap<(String, String), u32> =
-        std::collections::HashMap::new();
-    if let Ok(entries) = h.journal.entries() {
-        for entry in entries {
-            if let promises_core::JournalOp::Grant(rec) = entry.op {
-                *grant_counts
-                    .entry((rec.client.0.clone(), rec.request.0.clone()))
-                    .or_insert(0) += 1;
-            }
-        }
-    }
-    report.double_grants = grant_counts.values().filter(|&&n| n > 1).count() as u64;
 
     // Leak audit: advance past every duration; expiry must reclaim the
     // killed clients' promises (and any grants whose replies were lost).

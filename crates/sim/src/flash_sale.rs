@@ -27,15 +27,20 @@
 //!
 //! The SLO gate judges the *normal* phase — the overload phase exists to
 //! prove the degraded mode engages, the recovery phase to prove it clears.
+//! Every shopper's grant goes through [`ClientRun::step`], and the run
+//! ends in the one cluster audit.
 
 use std::collections::BTreeMap;
 
-use promises_cluster::PromiseCluster;
-use promises_sim::{sample_zipf, zipf_cdf};
+use promises_cluster::{ClusterDecision, PromiseCluster};
 use promises_telemetry::{HealthState, Watchdog, WatchdogConfig};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
-use crate::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport, SloGate, SloVerdict};
+use crate::audit::{audit_cluster, ClusterAudit};
+use crate::clients::{ClientOp, ClientRun, Release};
+use crate::openloop::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
+use crate::slo::{SloGate, SloVerdict};
+use crate::workload::{sample_zipf, zipf_cdf};
 
 /// Shape of a flash-sale run.
 #[derive(Debug, Clone)]
@@ -122,13 +127,16 @@ pub struct FlashSaleReport {
     pub shed_rejections: u64,
     /// Rejection counts by cause substring, across all phases.
     pub reject_causes: BTreeMap<String, u64>,
+    /// The end-of-run audit, after expiry reclaimed every held unit.
+    pub audit: ClusterAudit,
 }
 
 impl FlashSaleReport {
     /// The run held its gates: normal-phase SLO passed, load shedding
-    /// engaged under overload, and the cluster came back.
+    /// engaged under overload, the cluster came back, and the audit is
+    /// clean.
     pub fn passed(&self) -> bool {
-        self.verdict.passed && self.degraded_engaged && self.degraded_cleared
+        self.verdict.passed && self.degraded_engaged && self.degraded_cleared && self.audit.clean()
     }
 }
 
@@ -158,39 +166,38 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
     let mut reject_causes: BTreeMap<String, u64> = BTreeMap::new();
     let mut shed_rejections = 0u64;
     let mut op_serial = 0usize;
+    let mut run = ClientRun::default();
 
     // One op: a shopper asks for one unit of a Zipf-sampled item through
     // the coordinator; a minority of grants release immediately, the rest
     // hold (and are reclaimed by expiry pruning at the end).
-    let shop = |rng: &mut StdRng,
-                serial: usize,
-                reject_causes: &mut BTreeMap<String, u64>,
-                shed: &mut u64|
-     -> OpStatus {
-        let pool = &pools[sample_zipf(&cdf, rng)];
-        let client = format!("shopper-{}", serial % 64);
-        let rid = format!("fs-{serial}");
+    let mut shop = || -> OpStatus {
+        op_serial += 1;
+        let pool = &pools[sample_zipf(&cdf, &mut rng)];
+        let client = format!("shopper-{}", op_serial % 64);
         let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        match cluster
-            .coordinator
-            .grant(&client, &rid, &[format!("qty('{pool}') >= 1")], 600_000)
-        {
-            Ok(decision) => match decision {
-                promises_cluster::ClusterDecision::Granted { parts } => {
-                    if unit < cfg.release_probability {
-                        cluster.coordinator.release(&parts);
-                    }
-                    OpStatus::Ok
-                }
-                promises_cluster::ClusterDecision::Rejected { reason } => {
-                    let cause = classify(&reason);
-                    if cause == "overloaded" {
-                        *shed += 1;
-                    }
-                    *reject_causes.entry(cause.to_owned()).or_insert(0) += 1;
-                    OpStatus::Rejected
-                }
+        let op = ClientOp {
+            rid: format!("fs-{op_serial}"),
+            predicates: vec![format!("qty('{pool}') >= 1")],
+            release: if unit < cfg.release_probability {
+                Release::Always
+            } else {
+                Release::Never
             },
+        };
+        match run
+            .step(&cluster, &mut rng, &client, op)
+            .map(|g| g.decision)
+        {
+            Ok(ClusterDecision::Granted { .. }) => OpStatus::Ok,
+            Ok(ClusterDecision::Rejected { reason }) => {
+                let cause = classify(&reason);
+                if cause == "overloaded" {
+                    shed_rejections += 1;
+                }
+                *reject_causes.entry(cause.to_owned()).or_insert(0) += 1;
+                OpStatus::Rejected
+            }
             Err(_) => OpStatus::Failed,
         }
     };
@@ -204,15 +211,7 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
 
     // Phase 1 — normal. Judge the SLO on this phase's client.send p99:
     // snapshot the histogram before overload pollutes it.
-    let normal = run_open_loop(&gen_cfg(1, cfg.ops_normal), |_| {
-        op_serial += 1;
-        shop(
-            &mut rng,
-            op_serial,
-            &mut reject_causes,
-            &mut shed_rejections,
-        )
-    });
+    let normal = run_open_loop(&gen_cfg(1, cfg.ops_normal), |_| shop());
     let send_p99 = cluster.snapshot();
     let gate = SloGate::new("client.send", cfg.slo_p99_ns, cfg.min_goodput_ratio);
     let verdict = gate.judge_parts(
@@ -229,13 +228,7 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
     let mut health = HealthState::new(WatchdogConfig::default());
     let mut degraded_engaged = false;
     let overload = run_open_loop(&gen_cfg(2, cfg.ops_overload), |i| {
-        op_serial += 1;
-        let status = shop(
-            &mut rng,
-            op_serial,
-            &mut reject_causes,
-            &mut shed_rejections,
-        );
+        let status = shop();
         if (i + 1) % cfg.tick_every == 0 {
             let trips = cluster.health_tick(&mut health);
             let slo_tripped = trips
@@ -257,13 +250,7 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
     let mut clean_ticks = 0u32;
     let mut degraded_cleared = false;
     let recovery = run_open_loop(&gen_cfg(3, cfg.ops_recovery), |i| {
-        op_serial += 1;
-        let status = shop(
-            &mut rng,
-            op_serial,
-            &mut reject_causes,
-            &mut shed_rejections,
-        );
+        let status = shop();
         if (i + 1) % cfg.tick_every == 0 && !degraded_cleared {
             let trips = cluster.health_tick(&mut health);
             let slo_tripped = trips
@@ -280,9 +267,8 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
         status
     });
 
-    // Expiry reclaims everything the shoppers held on to.
-    cluster.advance_and_prune(4_000_000);
-
+    // Expiry must reclaim everything the shoppers held on to.
+    let audit = audit_cluster(&cluster, &run);
     FlashSaleReport {
         normal,
         verdict,
@@ -292,6 +278,7 @@ pub fn run_flash_sale(cfg: &FlashSaleConfig) -> FlashSaleReport {
         degraded_cleared,
         shed_rejections,
         reject_causes,
+        audit,
     }
 }
 
@@ -332,6 +319,7 @@ mod tests {
             report.recovery.completed > 0,
             "recovery phase must complete grants after the clear"
         );
+        assert!(report.audit.clean(), "{:?}", report.audit);
     }
 
     #[test]

@@ -14,26 +14,40 @@
 //!   taxonomy;
 //! * [`PromiseQtyReserver`] — the adapter exposing a
 //!   [`promises_core::PromiseManager`] through the same reserve/consume
-//!   interface the baselines implement.
+//!   interface the baselines implement;
+//! * the cluster scenarios — the fault, lease and fail-over sweeps, the
+//!   doctor sweeps, [`run_flash_sale`], [`run_travel_booking`] and the
+//!   [`run_error_path_matrix`] cells — every one driving its ops through
+//!   [`ClientRun::step`] and judged by one audit ([`ClusterAudit`]);
+//! * [`run_open_loop`], a seeded open-loop generator in virtual time
+//!   (latency anchored at intended arrival, so no coordinated omission),
+//!   and [`SloGate`], an explicit pass/fail p99 + goodput objective.
 
 #![warn(missing_docs)]
 
 mod adapter;
+mod audit;
 mod clients;
 mod cluster;
 mod doctor;
 mod driver;
 mod faults;
+mod flash_sale;
+mod matrix;
 mod metrics;
 mod obs;
+mod openloop;
+mod slo;
+mod travel;
 mod workload;
 
 pub use adapter::{promise_reserver, PromiseQtyReserver};
+pub use audit::ClusterAudit;
 pub use clients::{drive_clients, ClientOp, ClientRun, ClientTally, Release};
 pub use cluster::{
     cluster_harness, run_cluster_crash_restart, run_cluster_fault_sweep, run_failover_sweep,
-    run_lease_sweep, ClusterAudit, ClusterCrashReport, ClusterRunReport, ClusterSweepConfig,
-    FailoverDigests, FailoverSweepReport, LeaseSweepReport, RestartTarget,
+    run_lease_sweep, ClusterCrashReport, ClusterRunReport, ClusterSweepConfig, FailoverDigests,
+    FailoverSweepReport, LeaseSweepReport, RestartTarget,
 };
 pub use doctor::{
     run_doctor_failover_sweep, run_doctor_fault_sweep, run_doctor_lease_sweep, DoctorReport,
@@ -44,6 +58,13 @@ pub use faults::{
     run_fault_sweep, run_fault_sweep_with, CompactionCrashReport, CrashRestartReport, FaultHarness,
     FaultRunReport, FaultSweepConfig, PM_ENDPOINT,
 };
+pub use flash_sale::{run_flash_sale, FlashSaleConfig, FlashSaleReport};
+pub use matrix::{
+    run_error_path_matrix, CellStatus, FailureClass, MatrixCell, MatrixReport, Scenario,
+};
 pub use metrics::RunReport;
 pub use obs::{journal_facts, run_obs_sweep, ObsReport};
+pub use openloop::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
+pub use slo::{SloGate, SloVerdict};
+pub use travel::{run_travel_booking, TravelConfig, TravelReport};
 pub use workload::{pool_name, sample_zipf, zipf_cdf, WorkloadConfig};

@@ -1,6 +1,6 @@
 //! The open-loop load generator.
 //!
-//! Every benchmark before this crate was *closed-loop*: N client threads
+//! Every benchmark before this generator was *closed-loop*: N client threads
 //! each issue an op, wait for it, think, repeat — so when the system slows
 //! down the clients slow down with it, the offered load collapses to
 //! whatever the system can absorb, and the latency a user would actually
@@ -88,14 +88,6 @@ pub struct OpenLoopReport {
 }
 
 impl OpenLoopReport {
-    /// Achieved goodput in ops per second of virtual time.
-    pub fn goodput_per_sec(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1e9 / self.makespan_ns as f64
-    }
-
     /// Completed fraction of the offered load.
     pub fn goodput_ratio(&self) -> f64 {
         if self.offered == 0 {

@@ -8,7 +8,7 @@
 
 use promises_telemetry::HistogramSnapshot;
 
-use crate::OpenLoopReport;
+use crate::openloop::OpenLoopReport;
 
 /// A pass/fail service-level objective for one workload stage.
 #[derive(Debug, Clone)]
@@ -95,7 +95,7 @@ impl SloGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_open_loop, OpStatus, OpenLoopConfig};
+    use crate::openloop::{run_open_loop, OpStatus, OpenLoopConfig};
 
     #[test]
     fn gate_passes_fast_runs_and_fails_slow_ones() {

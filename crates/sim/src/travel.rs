@@ -22,27 +22,53 @@
 //!   delegation chain (acquire upstream, compensate on failure, cascade
 //!   on release) runs under the same cluster load.
 //!
-//! After the run the scenario audits the invariants the paper stakes out:
-//! no partial grants (every granted part is a live committed hold, no
-//! rejected booking left one), no double grants (journal scan), no
-//! oversells (promised ≤ on-hand per shard), no leaks (expiry reclaims
-//! everything), and bounded state (dedup + tombstones drain).
+//! Route-A bookings go through [`ClientRun::step`], a transport retry
+//! replacing the failed attempt's record, and after the run the one
+//! cluster audit judges the invariants the paper stakes out: no partial
+//! grants (on the rung granted and every rung below it), no double grants,
+//! no oversells, no leaks, and bounded state.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use promises_cluster::{ClusterDecision, CoordError, GrantPart, PromiseCluster};
-use promises_core::{ClientId, JournalOp, PoolSchema, PromiseManager, PropertyDef, RequestId};
+use promises_cluster::{CoordError, PromiseCluster};
+use promises_core::{PoolSchema, PromiseManager, PropertyDef};
 use promises_faults::{FaultInjector, FaultScenario};
 use promises_rm::{Record, ResourceManager};
 use promises_services::BookingDesk;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 
-use crate::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
+use crate::audit::{audit_cluster, ClusterAudit};
+use crate::clients::{ClientOp, ClientRun, Release};
+use crate::openloop::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
 
 const FLIGHT_POOL: &str = "flight-seats";
 const CAR_POOL: &str = "rental-cars";
 const ROOM_POOL: &str = "travel-rooms";
+
+/// One booking: a flight seat, a car, and a twin-bed room — desirably
+/// with a view, the one clause the §3.3 ladder may drop.
+pub(crate) const BOOKING: [&str; 3] = [
+    "qty('flight-seats') >= 1",
+    "qty('rental-cars') >= 1",
+    "prop('travel-rooms'): beds == 2 && desirable(view == true)",
+];
+
+/// Hosts the twin-bed room instance pool on the cluster's next round-robin
+/// shard: `rooms` rooms, the first `view_rooms` with a view.
+pub(crate) fn host_rooms(cluster: &PromiseCluster, rooms: usize, view_rooms: usize) {
+    let shard = cluster.map.assign_round_robin(ROOM_POOL);
+    let pm = &cluster.nodes[shard].pm;
+    let props = vec![PropertyDef::plain("beds"), PropertyDef::plain("view")];
+    pm.register_pool(PoolSchema::instances(ROOM_POOL, props));
+    for i in 0..rooms {
+        let room = Record::new()
+            .with("beds", 2i64)
+            .with("view", i < view_rooms);
+        let name = format!("room-{i}");
+        pm.seed_instance(ROOM_POOL, name.as_str(), room)
+            .expect("seed room");
+    }
+}
 
 /// Shape of one travel-booking run (one fault rate).
 #[derive(Debug, Clone)]
@@ -104,16 +130,8 @@ pub struct TravelReport {
     pub rejected: u64,
     /// Bookings lost to transport failures after retries.
     pub transport_failures: u64,
-    /// Partial-grant audit violations (must be 0).
-    pub partial_grants: u64,
-    /// Double-grant audit violations (must be 0).
-    pub double_grants: u64,
-    /// Oversell audit violations (must be 0).
-    pub oversells: u64,
-    /// Live promises after the expiry reap (must be 0).
-    pub live_after_reap: usize,
-    /// Dedup entries + expiry tombstones after the grace reap (must be 0).
-    pub state_after_reap: usize,
+    /// The end-of-run audit.
+    pub audit: ClusterAudit,
 }
 
 impl TravelReport {
@@ -129,28 +147,6 @@ impl TravelReport {
         }
         self.completed() as f64 / self.open_loop.offered as f64
     }
-
-    /// Every isolation audit came back clean.
-    pub fn audits_clean(&self) -> bool {
-        self.partial_grants == 0
-            && self.double_grants == 0
-            && self.oversells == 0
-            && self.live_after_reap == 0
-            && self.state_after_reap == 0
-    }
-}
-
-/// What one direct booking left behind, for the post-run audit.
-enum BookingOutcome {
-    Granted {
-        rung_rid: String,
-        parts: Vec<GrantPart>,
-        released: bool,
-    },
-    Rejected {
-        /// Every rung id the ladder tried (all must be hold-free).
-        rungs: Vec<String>,
-    },
 }
 
 /// Runs one travel-booking workload at the configured fault rate and
@@ -163,23 +159,7 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
     // shard (2), giving every booking three cross-shard legs.
     let flight_shard = cluster.register_quantity_pool(FLIGHT_POOL, 100_000);
     let car_shard = cluster.register_quantity_pool(CAR_POOL, 100_000);
-    let room_shard = cluster.map.assign_round_robin(ROOM_POOL);
-    let room_pm = &cluster.nodes[room_shard].pm;
-    room_pm.register_pool(PoolSchema::instances(
-        ROOM_POOL,
-        vec![PropertyDef::plain("beds"), PropertyDef::plain("view")],
-    ));
-    for i in 0..cfg.rooms {
-        room_pm
-            .seed_instance(
-                ROOM_POOL,
-                format!("room-{i}").as_str(),
-                Record::new()
-                    .with("beds", 2i64)
-                    .with("view", i < cfg.view_rooms),
-            )
-            .expect("seed room");
-    }
+    host_rooms(&cluster, cfg.rooms, cfg.view_rooms);
 
     // Route B: an edge desk whose flight and car legs are §5 delegations
     // straight at the owning shard managers.
@@ -200,15 +180,10 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
             )))));
     }
 
-    let predicates = [
-        format!("qty('{FLIGHT_POOL}') >= 1"),
-        format!("qty('{CAR_POOL}') >= 1"),
-        format!("prop('{ROOM_POOL}'): beds == 2 && desirable(view == true)"),
-    ];
     let legs = vec![(FLIGHT_POOL.to_owned(), 1), (CAR_POOL.to_owned(), 1)];
 
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7AB1);
-    let mut outcomes: Vec<(String, BookingOutcome)> = Vec::new();
+    let mut run = ClientRun::default();
     let mut granted_full = 0u64;
     let mut negotiated_down = 0u64;
     let mut desk_completed = 0u64;
@@ -243,55 +218,24 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
         } else {
             // Route A: direct cross-shard booking over the faulty wire;
             // transport failures retry under the same request id.
-            let rid = format!("trip-{i}");
+            let op = ClientOp {
+                rid: format!("trip-{i}"),
+                predicates: BOOKING.map(String::from).to_vec(),
+                release: Release::Keep(cfg.keep_probability),
+            };
             let mut attempts = 0;
             loop {
-                match cluster
-                    .coordinator
-                    .grant_negotiated(&client, &rid, &predicates, 600_000)
-                {
-                    Ok(grant) => {
-                        let rung_rid = if grant.dropped == 0 {
-                            rid.clone()
-                        } else {
-                            format!("{rid}~d{}", grant.dropped)
-                        };
-                        match grant.decision {
-                            ClusterDecision::Granted { parts } => {
-                                let keep = unit(&mut rng) < cfg.keep_probability;
-                                if !keep {
-                                    cluster.coordinator.release(&parts);
-                                }
-                                if grant.dropped == 0 {
-                                    granted_full += 1;
-                                } else {
-                                    negotiated_down += 1;
-                                }
-                                outcomes.push((
-                                    client,
-                                    BookingOutcome::Granted {
-                                        rung_rid,
-                                        parts,
-                                        released: !keep,
-                                    },
-                                ));
-                                break OpStatus::Ok;
-                            }
-                            ClusterDecision::Rejected { .. } => {
-                                rejected += 1;
-                                let rungs = (0..=1usize)
-                                    .map(|d| {
-                                        if d == 0 {
-                                            rid.clone()
-                                        } else {
-                                            format!("{rid}~d{d}")
-                                        }
-                                    })
-                                    .collect();
-                                outcomes.push((client, BookingOutcome::Rejected { rungs }));
-                                break OpStatus::Rejected;
-                            }
+                match run.step(&cluster, &mut rng, &client, op.clone()) {
+                    Ok(grant) if grant.decision.is_granted() => {
+                        match grant.dropped {
+                            0 => granted_full += 1,
+                            _ => negotiated_down += 1,
                         }
+                        break OpStatus::Ok;
+                    }
+                    Ok(_) => {
+                        rejected += 1;
+                        break OpStatus::Rejected;
                     }
                     Err(CoordError::Transport(_)) if attempts < cfg.transport_retries => {
                         attempts += 1;
@@ -305,9 +249,6 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
         }
     });
 
-    let (partial_grants, double_grants, oversells, live_after_reap, state_after_reap) =
-        audit(&cluster, &outcomes);
-
     TravelReport {
         open_loop,
         granted_full,
@@ -315,97 +256,8 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
         desk_completed,
         rejected,
         transport_failures,
-        partial_grants,
-        double_grants,
-        oversells,
-        live_after_reap,
-        state_after_reap,
+        audit: audit_cluster(&cluster, &run),
     }
-}
-
-/// The live committed hold for one sub-request, if any.
-fn committed_hold(cluster: &PromiseCluster, shard: usize, client: &str, rid: &str) -> Option<u64> {
-    let pm = &cluster.nodes[shard].pm;
-    let id = pm.promise_for_request(&ClientId(client.to_owned()), &RequestId(rid.to_owned()))?;
-    (!pm.is_prepared(id)).then_some(id.0)
-}
-
-/// Post-run isolation audits, mirroring the sim crate's cluster sweep:
-/// partial grants judged on observable holds, double grants from the
-/// journals, oversells per shard, then the leak and bounded-state reaps.
-fn audit(
-    cluster: &PromiseCluster,
-    outcomes: &[(String, BookingOutcome)],
-) -> (u64, u64, u64, usize, usize) {
-    let mut partial = 0u64;
-    for (client, outcome) in outcomes {
-        let bad = match outcome {
-            BookingOutcome::Granted { released: true, .. } => false, // leak reap covers
-            BookingOutcome::Granted {
-                rung_rid,
-                parts,
-                released: false,
-            } => !parts.iter().all(|part| {
-                let key = if parts.len() > 1 {
-                    format!("{rung_rid}@s{}", part.shard)
-                } else {
-                    rung_rid.clone()
-                };
-                committed_hold(cluster, part.shard, client, &key) == Some(part.promise_id)
-            }),
-            BookingOutcome::Rejected { rungs } => rungs.iter().any(|rung| {
-                (0..cluster.shard_count()).any(|shard| {
-                    committed_hold(cluster, shard, client, &format!("{rung}@s{shard}")).is_some()
-                        || committed_hold(cluster, shard, client, rung).is_some()
-                })
-            }),
-        };
-        if bad {
-            partial += 1;
-        }
-    }
-
-    let mut double = 0u64;
-    let mut oversells = 0u64;
-    for node in &cluster.nodes {
-        let mut grant_counts: BTreeMap<(String, String), u32> = BTreeMap::new();
-        if let Ok(entries) = node.journal.entries() {
-            for entry in entries {
-                if let JournalOp::Grant(rec) | JournalOp::Prepared(rec) = entry.op {
-                    *grant_counts
-                        .entry((rec.client.0.clone(), rec.request.0.clone()))
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        double += grant_counts.values().filter(|&&n| n > 1).count() as u64;
-        for (pool, demanded) in node.pm.promised_quantities() {
-            let on_hand = node.pm.quantity_on_hand(pool.clone()).unwrap_or(0);
-            if demanded > on_hand {
-                oversells += 1;
-            }
-        }
-    }
-
-    // Leak reap: past every booking duration, expiry must reclaim every
-    // kept hold; then one grace tick drains dedup + tombstones.
-    cluster.advance_and_prune(4_000_000);
-    let live_after_reap = cluster.live_count();
-    cluster.advance_and_prune(400_000);
-    let state_after_reap = cluster.coordinator.dedup_len()
-        + cluster
-            .nodes
-            .iter()
-            .map(|n| n.pm.tombstone_count())
-            .sum::<usize>();
-
-    (
-        partial,
-        double,
-        oversells,
-        live_after_reap,
-        state_after_reap,
-    )
 }
 
 #[cfg(test)]
@@ -430,7 +282,7 @@ mod tests {
             "kept bookings must exhaust view rooms and force the ladder"
         );
         assert!(report.desk_completed > 0, "route B must carry traffic");
-        assert!(report.audits_clean(), "{report:?}");
+        assert!(report.audit.clean(), "{report:?}");
     }
 
     #[test]
@@ -445,7 +297,7 @@ mod tests {
                 "rate {rate}: completion {:.3} ({report:?})",
                 report.completion_ratio()
             );
-            assert!(report.audits_clean(), "rate {rate}: {report:?}");
+            assert!(report.audit.clean(), "rate {rate}: {report:?}");
         }
     }
 }

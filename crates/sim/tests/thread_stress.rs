@@ -42,7 +42,7 @@ fn fault_sweep_matrix_is_clean_across_rates_and_seeds() {
                 &cluster.evidence(),
             );
             assert_eq!(
-                report.attempts,
+                report.tally.attempts,
                 (cfg.clients * cfg.ops_per_client) as u64,
                 "seed {seed} rate {rate}: every op must be attempted"
             );

@@ -2,8 +2,8 @@
 # Non-test Rust lines per crate: every *.rs outside tests/ directories
 # (src, benches, examples; in-file unit-test modules count with their
 # file), vendored shims (rand, proptest, parking_lot) left out.
-# This is the figure ROADMAP item 3 tracks (33.4k at the PR 11 re-anchor,
-# before benchmark/ existed).
+# This is the figure ROADMAP item 7 tracks (33.4k before benchmark/
+# existed).
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
