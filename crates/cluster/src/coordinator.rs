@@ -31,7 +31,9 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use promises_core::{parse_predicate, weaken_predicates, Clock, DeadlineMap, Predicate};
+use promises_core::{
+    parse_predicate, request_key, weaken_predicates, Clock, DeadlineMap, Predicate,
+};
 use promises_telemetry::{
     push_trace, FlightRecorder, SpanKind, SpanOutcome, Telemetry, TraceContext,
 };
@@ -49,12 +51,6 @@ use crate::router::ShardMap;
 /// treated as a fresh request — the same bound the per-shard grant index
 /// uses, so coordinator and shard dedup stay in step.
 const DEDUP_GRACE_MS: u64 = 300_000;
-
-/// The dedup index key: `(client, request)` packed into one string, the
-/// client length-prefixed so that no two pairs share a key.
-fn dedup_key(client: &str, request_id: &str) -> Arc<str> {
-    format!("{}:{client}{request_id}", client.len()).into()
-}
 
 /// Where an injected coordinator crash fires, for crash–restart tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +166,7 @@ pub struct Coordinator {
     /// Flight recorder for 2PC phase-change events (DESIGN §17); state
     /// transitions only, never per-message work.
     recorder: RwLock<Option<Arc<FlightRecorder>>>,
-    /// Decisions by [`dedup_key`], each until its retry window closes.
+    /// Decisions by [`request_key`], each until its retry window closes.
     dedup: Mutex<DeadlineMap<Arc<str>, ClusterDecision>>,
     /// Committed transactions every shard acknowledged resolving — the
     /// only commits log compaction may drop. Rebuilt empty after a crash;
@@ -266,8 +262,8 @@ impl Coordinator {
         predicates: &[String],
         duration_ms: u64,
     ) -> Result<ClusterDecision, CoordError> {
-        let key = dedup_key(client, request_id);
-        if let Some(decision) = self.dedup.lock().get(&key) {
+        let key = request_key(client, request_id);
+        if let Some(decision) = self.dedup.lock().get(&*key) {
             return Ok(decision.clone());
         }
         if predicates.is_empty() {
@@ -387,7 +383,7 @@ impl Coordinator {
             .saturating_add(DEDUP_GRACE_MS);
         let mut dedup = self.dedup.lock();
         dedup.evict_due(now);
-        dedup.insert(key, evict_at, decision.clone());
+        dedup.insert(Arc::from(key), evict_at, decision.clone());
         let len = dedup.len();
         drop(dedup);
         if let Some(tel) = &self.telemetry {

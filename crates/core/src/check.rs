@@ -32,6 +32,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use promises_matching::assign_slots_seeded;
 use promises_rm::{ResourceManager, RmError, Txn};
@@ -71,10 +72,16 @@ impl From<RmError> for CheckError {
 pub struct CheckerStats {
     /// Pools visited by [`Checker::post_check`], in visit order.
     pub pools_visited: Vec<PoolId>,
-    /// Promise records cloned out of the table for the pass: the snapshot
-    /// handed to [`Checker::grant`] or [`Checker::post_check`]. A pool
-    /// checked from its cached demand alone contributes none.
+    /// Promise records the pass read: the snapshot handed to
+    /// [`Checker::grant`] or [`Checker::post_check`] — records the table
+    /// shares, not copies — or, for a release or a prune, the records
+    /// leaving. A pool checked from its cached demand alone contributes
+    /// none.
     pub promises_considered: usize,
+    /// Of those, records copied because the pass rewrote their
+    /// allocations (a re-arrangement moved them); every other record is
+    /// read where the table holds it.
+    pub records_copied: usize,
     /// Passes made over an instance pool's table: one per instance pool
     /// per grant, and per post-check under the matching strategies.
     pub instance_passes: usize,
@@ -280,7 +287,7 @@ impl<'a> Checker<'a> {
     /// existing promises whose allocations changed.
     pub fn grant(
         &self,
-        existing: &mut [PromiseRecord],
+        existing: &mut [Arc<PromiseRecord>],
         candidate: &mut PromiseRecord,
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
@@ -331,7 +338,7 @@ impl<'a> Checker<'a> {
     /// whole-table behaviour).
     pub fn post_check(
         &self,
-        live: &mut [PromiseRecord],
+        live: &mut [Arc<PromiseRecord>],
         scope: Option<&[PoolId]>,
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
@@ -410,7 +417,7 @@ impl<'a> Checker<'a> {
     fn check_quantity(
         &self,
         pool: &PoolId,
-        existing: &[PromiseRecord],
+        existing: &[Arc<PromiseRecord>],
         candidate: Option<&PromiseRecord>,
     ) -> Result<(), CheckError> {
         let on_hand = self
@@ -421,6 +428,7 @@ impl<'a> Checker<'a> {
             Some(&exact) => exact,
             None => existing
                 .iter()
+                .map(Arc::as_ref)
                 .chain(candidate)
                 .map(|p| qty_demand_on(&p.predicates, pool))
                 .sum(),
@@ -493,12 +501,12 @@ impl<'a> Checker<'a> {
     fn match_or_err(
         &self,
         pool: &PoolId,
-        existing: &[PromiseRecord],
+        existing: &[Arc<PromiseRecord>],
         candidate: Option<&PromiseRecord>,
     ) -> Result<Matched, CheckError> {
         let unsatisfiable =
             || CheckError::Reject(RejectReason::Unsatisfiable { pool: pool.clone() });
-        let promises = || existing.iter().chain(candidate);
+        let promises = || existing.iter().map(Arc::as_ref).chain(candidate);
         let asks = || {
             promises()
                 .flat_map(|p| asks_of(p, pool))
@@ -579,12 +587,13 @@ impl<'a> Checker<'a> {
     /// Writes statuses and allocation lists so they agree with `matched`
     /// — the assignment [`Checker::match_or_err`] just computed over the
     /// same `existing` and `candidate`. Returns ids of *existing* promises
-    /// whose allocations changed (the candidate's allocations are always
-    /// filled in place).
+    /// whose allocations changed; each of those is copied out of the
+    /// shared snapshot to take its new allocations ([`Arc::make_mut`]),
+    /// and only those. The candidate's allocations are filled in place.
     fn apply_assignment(
         &self,
         pool: &PoolId,
-        existing: &mut [PromiseRecord],
+        existing: &mut [Arc<PromiseRecord>],
         candidate: Option<&mut PromiseRecord>,
         matched: &Matched,
     ) -> Result<Vec<PromiseId>, CheckError> {
@@ -607,7 +616,9 @@ impl<'a> Checker<'a> {
         // Slots were built promise by promise in this same order, so each
         // promise's placements are the next run with its id.
         let mut placed = matched.placed.iter().peekable();
-        let mut rebuild = |p: &mut PromiseRecord| {
+        // The promise's allocations under `matched`, if they differ from
+        // what it holds.
+        let mut rebuild = |p: &PromiseRecord| {
             let mut new_allocs: Vec<Allocation> = p
                 .allocations
                 .iter()
@@ -621,21 +632,22 @@ impl<'a> Checker<'a> {
                 });
             }
             new_allocs.sort_by(|a, b| (a.pred_idx, &a.instance).cmp(&(b.pred_idx, &b.instance)));
-            if new_allocs != p.allocations {
-                p.allocations = new_allocs;
-                true
-            } else {
-                false
-            }
+            (new_allocs != p.allocations).then_some(new_allocs)
         };
         let mut changed = Vec::new();
         for p in existing.iter_mut() {
-            if rebuild(p) {
+            if let Some(allocations) = rebuild(p) {
+                if Arc::get_mut(p).is_none() {
+                    self.stats.borrow_mut().records_copied += 1;
+                }
+                Arc::make_mut(p).allocations = allocations;
                 changed.push(p.id);
             }
         }
         if let Some(c) = candidate {
-            rebuild(c);
+            if let Some(allocations) = rebuild(c) {
+                c.allocations = allocations;
+            }
         }
         debug_assert!(placed.next().is_none(), "every placement has an owner");
         Ok(changed)
@@ -691,7 +703,7 @@ impl<'a> Checker<'a> {
 
     /// Strict allocated-tags post-check: every stored allocation must
     /// still exist, be tagged `promised`, and satisfy its predicate.
-    fn validate_tags(&self, pool: &PoolId, live: &[PromiseRecord]) -> Result<(), CheckError> {
+    fn validate_tags(&self, pool: &PoolId, live: &[Arc<PromiseRecord>]) -> Result<(), CheckError> {
         let schema = self
             .catalog
             .get(pool)
@@ -753,7 +765,12 @@ impl<'a> Checker<'a> {
     }
 
     /// After an action, failures are violations of some live promise.
-    fn as_violation(&self, e: CheckError, pool: &PoolId, live: &[PromiseRecord]) -> CheckError {
+    fn as_violation(
+        &self,
+        e: CheckError,
+        pool: &PoolId,
+        live: &[Arc<PromiseRecord>],
+    ) -> CheckError {
         match e {
             CheckError::Reject(reason) => {
                 let victim = live

@@ -46,6 +46,21 @@ impl From<&str> for ClientId {
     }
 }
 
+/// The one key a `(client, request)` pair is deduplicated under, in a
+/// shard's request index and in the coordinator's: both strings packed
+/// into one allocation of exactly their size, the client length-prefixed
+/// so that no two pairs share a key (`("ab", "c")` is `2:abc`, `("a",
+/// "bc")` is `1:abc`).
+pub fn request_key(client: &str, request: &str) -> Box<str> {
+    use std::fmt::Write;
+    let digits = client.len().checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut key = String::with_capacity(digits + 1 + client.len() + request.len());
+    write!(key, "{}:", client.len()).expect("writing to a String cannot fail");
+    key.push_str(client);
+    key.push_str(request);
+    key.into_boxed_str()
+}
+
 /// Identifies a resource pool: either a pool of interchangeable quantity
 /// (anonymous view) or a collection of distinguishable instances
 /// (named / property views). See paper §3.

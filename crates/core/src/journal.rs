@@ -64,6 +64,7 @@
 //! a journal records how many incarnations of the manager produced it and
 //! which entries are recovery decisions rather than client operations.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -190,7 +191,10 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('%') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -214,7 +218,7 @@ fn unescape(s: &str) -> String {
             _ => out.push('%'),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 fn encode_allocs(out: &mut String, allocations: &[Allocation]) {
@@ -248,27 +252,32 @@ fn encode_record(out: &mut String, tag: char, rec: &PromiseRecord) {
 /// Encodes one entry as its journal line (no trailing newline).
 pub fn encode_entry(entry: &JournalEntry) -> String {
     let mut out = format!("{}\t{}", entry.seq, entry.generation);
-    match &entry.op {
-        JournalOp::Grant(rec) => encode_record(&mut out, 'G', rec),
-        JournalOp::Prepared(rec) => encode_record(&mut out, 'P', rec),
+    encode_op(&mut out, &entry.op);
+    out
+}
+
+/// Encodes what follows a line's `seq` and `gen` fields.
+fn encode_op(out: &mut String, op: &JournalOp) {
+    match op {
+        JournalOp::Grant(rec) => encode_record(out, 'G', rec),
+        JournalOp::Prepared(rec) => encode_record(out, 'P', rec),
         JournalOp::CommitPrepared(id) => out.push_str(&format!("\tC\t{}", id.0)),
         JournalOp::Release(id) => out.push_str(&format!("\tR\t{}", id.0)),
         JournalOp::Expire(id) => out.push_str(&format!("\tE\t{}", id.0)),
         JournalOp::Allocations { id, allocations } => {
             out.push_str(&format!("\tA\t{}", id.0));
-            encode_allocs(&mut out, allocations);
+            encode_allocs(out, allocations);
         }
         JournalOp::Lease { pool, qty } => {
             out.push_str(&format!("\tL\t{}\t{qty}", escape(&pool.0)));
         }
         JournalOp::Checkpoint(cp) => encode_checkpoint(
-            &mut out,
+            out,
             cp.next_id,
             cp.live.iter().map(|item| (item.prepared, &item.record)),
             &cp.leases,
         ),
     }
-    out
 }
 
 /// Encodes a `K` payload from borrowed records, so a compaction writes the
@@ -296,6 +305,9 @@ fn encode_checkpoint<'a>(
 struct FieldReader<'a> {
     fields: std::str::Split<'a, char>,
     line: usize,
+    /// The line's length: every counted item takes at least one byte of
+    /// it, so no count read from the line reserves more than this.
+    bound: usize,
 }
 
 impl<'a> FieldReader<'a> {
@@ -314,12 +326,18 @@ impl<'a> FieldReader<'a> {
         })
     }
 
+    /// A count read from the line, and the room to reserve for it.
+    fn count(&mut self, what: &str) -> Result<(u64, usize), JournalError> {
+        let n = self.next_u64(what)?;
+        Ok((n, n.min(self.bound as u64) as usize))
+    }
+
     fn allocs(&mut self) -> Result<Vec<Allocation>, JournalError> {
-        let n = self.next_u64("allocation count")? as usize;
-        let mut out = Vec::with_capacity(n);
+        let (n, room) = self.count("allocation count")?;
+        let mut out = Vec::with_capacity(room);
         for _ in 0..n {
             let pred_idx = self.next_u64("allocation predicate index")? as usize;
-            let instance = InstanceId(unescape(self.next("allocation instance")?));
+            let instance = InstanceId(unescape(self.next("allocation instance")?).into_owned());
             out.push(Allocation { pred_idx, instance });
         }
         Ok(out)
@@ -331,12 +349,12 @@ impl<'a> FieldReader<'a> {
 fn read_record(r: &mut FieldReader<'_>) -> Result<PromiseRecord, JournalError> {
     let line = r.line;
     let id = PromiseId(r.next_u64("promise id")?);
-    let client = ClientId(unescape(r.next("client")?));
-    let request = RequestId(unescape(r.next("request")?));
+    let client = ClientId(unescape(r.next("client")?).into_owned());
+    let request = RequestId(unescape(r.next("request")?).into_owned());
     let granted_at = r.next_u64("granted_at")?;
     let expires_at = r.next_u64("expires_at")?;
-    let np = r.next_u64("predicate count")? as usize;
-    let mut predicates = Vec::with_capacity(np);
+    let (np, room) = r.count("predicate count")?;
+    let mut predicates = Vec::with_capacity(room);
     for _ in 0..np {
         let text = unescape(r.next("predicate")?);
         predicates.push(parse_predicate(&text).map_err(|e| JournalError {
@@ -368,6 +386,7 @@ pub fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError
     let mut r = FieldReader {
         fields: raw.split('\t'),
         line,
+        bound: raw.len(),
     };
     let seq = r.next_u64("seq")?;
     let generation = r.next_u64("generation")?;
@@ -390,14 +409,14 @@ pub fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError
             JournalOp::Allocations { id, allocations }
         }
         "L" => {
-            let pool = PoolId(unescape(r.next("lease pool")?));
+            let pool = PoolId(unescape(r.next("lease pool")?).into_owned());
             let qty = r.next_u64("lease qty")?;
             JournalOp::Lease { pool, qty }
         }
         "K" => {
             let next_id = r.next_u64("checkpoint id high-water")?;
-            let n = r.next_u64("checkpoint record count")? as usize;
-            let mut live = Vec::with_capacity(n);
+            let (n, room) = r.count("checkpoint record count")?;
+            let mut live = Vec::with_capacity(room);
             for _ in 0..n {
                 let sub = r.next("checkpoint record tag")?;
                 let prepared = match sub {
@@ -423,9 +442,9 @@ pub fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError
                         line,
                         detail: format!("bad checkpoint lease count: {raw:?}"),
                     })?;
-                    let mut leases = Vec::with_capacity(m);
+                    let mut leases = Vec::with_capacity(m.min(r.bound));
                     for _ in 0..m {
-                        let pool = PoolId(unescape(r.next("checkpoint lease pool")?));
+                        let pool = PoolId(unescape(r.next("checkpoint lease pool")?).into_owned());
                         let qty = r.next_u64("checkpoint lease qty")?;
                         leases.push((pool, qty));
                     }
@@ -609,15 +628,25 @@ impl PromiseJournal {
     /// Appends one operation, assigning it the next sequence number and the
     /// current generation. Returns the assigned sequence number.
     pub fn append(&self, op: JournalOp) -> u64 {
+        self.append_with(|out| encode_op(out, &op))
+    }
+
+    /// Appends a grant — a `P` prepared hold when `prepared` — encoded
+    /// from the borrowed record: the line [`JournalOp::Grant`] or
+    /// [`JournalOp::Prepared`] would write, without a copy of the record
+    /// to put in one.
+    pub(crate) fn append_grant(&self, rec: &PromiseRecord, prepared: bool) -> u64 {
+        self.append_with(|out| encode_record(out, if prepared { 'P' } else { 'G' }, rec))
+    }
+
+    /// Appends the line `encode` writes after the next sequence number and
+    /// the current generation, returning that sequence number.
+    fn append_with(&self, encode: impl FnOnce(&mut String)) -> u64 {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let entry = JournalEntry {
-            seq,
-            generation: inner.generation,
-            op,
-        };
-        let line = encode_entry(&entry);
+        let mut line = format!("{seq}\t{}", inner.generation);
+        encode(&mut line);
         inner.lines.push(line);
         seq
     }
@@ -765,6 +794,18 @@ impl PromiseJournal {
         Ok(inner.next_seq - 1)
     }
 
+    /// Decodes every entry in append order and hands `fold` each
+    /// operation as its line is decoded, so the journal is never held
+    /// decoded all at once. Returns the number of entries. The journal
+    /// stays locked throughout, so `fold` must not call it.
+    pub(crate) fn replay(&self, mut fold: impl FnMut(JournalOp)) -> Result<usize, JournalError> {
+        let inner = self.inner.lock();
+        for (i, raw) in inner.lines.iter().enumerate() {
+            fold(decode_entry(raw, i)?.op);
+        }
+        Ok(inner.lines.len())
+    }
+
     /// All entries, decoded, in append order.
     pub fn entries(&self) -> Result<Vec<JournalEntry>, JournalError> {
         self.inner
@@ -845,6 +886,18 @@ mod tests {
             };
             assert_eq!(decode_entry(&encode_entry(&entry), 0).unwrap(), entry);
         }
+    }
+
+    #[test]
+    fn a_grant_appended_from_a_borrowed_record_writes_the_owned_line() {
+        let borrowed = PromiseJournal::new();
+        let owned = PromiseJournal::new();
+        for prepared in [false, true] {
+            borrowed.append_grant(&sample_record(), prepared);
+        }
+        owned.append(JournalOp::Grant(sample_record()));
+        owned.append(JournalOp::Prepared(sample_record()));
+        assert_eq!(borrowed.lines(), owned.lines());
     }
 
     #[test]

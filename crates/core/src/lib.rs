@@ -88,7 +88,7 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use deadline_map::DeadlineMap;
 pub use environment::{Environment, ReleaseOption};
 pub use error::{ActionError, PromiseError, RejectReason};
-pub use ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
+pub use ids::{request_key, ClientId, InstanceId, PoolId, PromiseId, RequestId};
 pub use journal::{
     decode_entry, encode_entry, CheckpointRecord, CheckpointState, CheckpointStats, JournalEntry,
     JournalError, JournalOp, PromiseJournal,

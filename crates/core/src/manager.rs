@@ -538,8 +538,8 @@ pub struct RecoveryReport {
 /// [`PromiseManager::check_inputs`]).
 #[derive(Default)]
 struct CheckInputs {
-    /// Clones of the records the checker may re-arrange.
-    snapshot: Vec<PromiseRecord>,
+    /// The records the checker may re-arrange, shared with the table.
+    snapshot: Vec<Arc<PromiseRecord>>,
     /// Exact demand for every pool checked without its records.
     qty_demand: HashMap<PoolId, u64>,
     /// Observation pins as of the snapshot.
@@ -919,7 +919,7 @@ impl PromiseManager {
                 let mut st = self.state.lock();
                 st.leases.insert(pool.clone(), qty);
                 let pool = pool.clone();
-                self.journal_append(tel, JournalOp::Lease { pool, qty });
+                self.journal_append(tel, |j| j.append(JournalOp::Lease { pool, qty }));
             }
             self.rm.commit(txn)?;
             Ok((lease, qty))
@@ -1278,7 +1278,7 @@ impl PromiseManager {
         if !st.commit_prepared(id) {
             return Ok(false);
         }
-        self.journal_append(tel.as_deref(), JournalOp::CommitPrepared(id));
+        self.journal_append(tel.as_deref(), |j| j.append(JournalOp::CommitPrepared(id)));
         Ok(true)
     }
 
@@ -1560,29 +1560,27 @@ impl PromiseManager {
     /// recovery over the extended journal never re-admits them.
     pub fn recover(&self, journal: Arc<PromiseJournal>) -> Result<RecoveryReport, PromiseError> {
         let generation = journal.bump_generation();
-        let entries = journal
-            .entries()
-            .map_err(|e| PromiseError::JournalCorrupt(e.to_string()))?;
-        let replayed = entries.len();
 
         // The fold goes through the same `insert`/`take` as live traffic,
         // so the rebuilt marks agree with the rebuilt table by
-        // construction. Observation pins are volatile — any pre-crash
-        // observer's session is gone — and start empty.
+        // construction. It takes each line as it is decoded, so at most
+        // one line is held decoded beside the table it rebuilds.
+        // Observation pins are volatile — any pre-crash observer's session
+        // is gone — and start empty.
         let mut state = PromiseState::default();
         let mut reaped: HashSet<PromiseId> = HashSet::new();
         let mut max_id = 0u64;
-        for entry in entries {
-            match entry.op {
+        let replayed = journal
+            .replay(|op| match op {
                 JournalOp::Grant(rec) => {
                     max_id = max_id.max(rec.id.0);
                     reaped.remove(&rec.id);
-                    state.insert(rec, false);
+                    state.insert(Arc::new(rec), false);
                 }
                 JournalOp::Prepared(rec) => {
                     max_id = max_id.max(rec.id.0);
                     reaped.remove(&rec.id);
-                    state.insert(rec, true);
+                    state.insert(Arc::new(rec), true);
                 }
                 JournalOp::CommitPrepared(id) => {
                     state.commit_prepared(id);
@@ -1604,19 +1602,20 @@ impl PromiseManager {
                 }
                 JournalOp::Checkpoint(cp) => {
                     // A checkpoint is a full snapshot of live state: reset
-                    // the fold and continue replay from it. Everything
-                    // before it is compacted-away history.
-                    state = PromiseState::default();
+                    // the fold, sized for its records, and continue replay
+                    // from it. Everything before it is compacted-away
+                    // history.
+                    state = PromiseState::with_capacity(cp.live.len());
                     reaped.clear();
                     state.leases = cp.leases.into_iter().collect();
                     max_id = max_id.max(cp.next_id);
                     for item in cp.live {
                         max_id = max_id.max(item.record.id.0);
-                        state.insert(item.record, item.prepared);
+                        state.insert(Arc::new(item.record), item.prepared);
                     }
                 }
-            }
-        }
+            })
+            .map_err(|e| PromiseError::JournalCorrupt(e.to_string()))?;
         state.bump_next_to(max_id);
         let recovered = state.table().len();
         // Replayed Expire records carry no wall-clock, so recovered
@@ -1769,7 +1768,8 @@ impl PromiseManager {
     /// for audits and introspection that will never act on the specific
     /// instances (re-arrangement stays free afterwards).
     pub fn peek_promise(&self, id: PromiseId) -> Option<PromiseRecord> {
-        self.state.lock().table().get(id).cloned()
+        let st = self.state.lock();
+        st.table().get(id).map(|rec| PromiseRecord::clone(rec))
     }
 
     /// Per-pool totals of quantity promised by live promises (sorted by
@@ -1813,8 +1813,9 @@ impl PromiseManager {
     }
 
     /// What the most recent checking pass looked at: the pools a
-    /// [`PromiseManager::execute`] post-check visited, and the promise
-    /// records a grant check, post-check or prune cloned out of the table.
+    /// [`PromiseManager::execute`] post-check visited, the promise records
+    /// a grant check, post-check, release or prune read from the table,
+    /// and how many of them it copied to rewrite their allocations.
     /// Test/experiment hook for verifying footprint scoping; racy under
     /// concurrent operations.
     pub fn last_check_stats(&self) -> CheckerStats {
@@ -1887,11 +1888,12 @@ impl PromiseManager {
         Ok(value)
     }
 
-    /// Appends to the journal if one is attached. Called while holding the
-    /// state lock, so journal order matches table-mutation order.
-    fn journal_append(&self, tel: Option<&PmTel>, op: JournalOp) {
+    /// Appends to the journal, through `append`, if one is attached.
+    /// Called while holding the state lock, so journal order matches
+    /// table-mutation order.
+    fn journal_append(&self, tel: Option<&PmTel>, append: impl FnOnce(&PromiseJournal) -> u64) {
         if let Some(j) = self.journal.read().as_ref() {
-            j.append(op);
+            append(j);
             // Keep the `pm.journal.records` gauge live on every append so
             // health monitors see journal growth between compaction and
             // reaper ticks, not just the post-compaction plateau.
@@ -1929,20 +1931,21 @@ impl PromiseManager {
     /// live demand: the cached aggregate less `excluded` when nothing is
     /// expired-but-unpruned, otherwise a re-sum over the pool's own
     /// records, borrowed in place. Only the *instance* pools' promises are
-    /// cloned — matching rewrites their allocations — and only then is
-    /// the observation-pin set copied. So a quantity-only operation clones
-    /// no record at all, however many promises its pools hold.
+    /// snapshotted — shared with the table, copied by the checker only if
+    /// matching moves them — and only then is the observation-pin set
+    /// copied. So a quantity-only operation reads no record at all,
+    /// however many promises its pools hold.
     ///
-    /// Under global locking every live record and every pin is copied and
-    /// no demand is supplied, so the checker re-sums the snapshot: the
-    /// prototype's whole-table check, kept as the baseline.
+    /// Under global locking every live record is snapshotted, every pin
+    /// copied and no demand supplied, so the checker re-sums the
+    /// snapshot: the prototype's whole-table check, kept as the baseline.
     fn check_inputs(
         &self,
         st: &PromiseState,
         catalog: &Catalog,
         now: u64,
         footprint: &[PoolId],
-        excluded: &[PromiseRecord],
+        excluded: &[Arc<PromiseRecord>],
         candidate: &[Predicate],
     ) -> CheckInputs {
         let tbl = st.table();
@@ -2046,7 +2049,7 @@ impl PromiseManager {
             drop(st);
             return Err(self.halted(txn, halt));
         }
-        let leaving: Vec<PromiseRecord> = t
+        let leaving: Vec<Arc<PromiseRecord>> = t
             .leaving
             .iter()
             .filter_map(|id| st.table().get(*id).cloned())
@@ -2162,13 +2165,11 @@ impl PromiseManager {
         let mut left = Vec::with_capacity(t.leaving.len());
         for id in t.leaving {
             if st.take(*id).is_some() {
-                self.journal_append(
-                    tel,
-                    match t.leave {
-                        Leave::Release => JournalOp::Release(*id),
-                        Leave::Expire => JournalOp::Expire(*id),
-                    },
-                );
+                let op = match t.leave {
+                    Leave::Release => JournalOp::Release(*id),
+                    Leave::Expire => JournalOp::Expire(*id),
+                };
+                self.journal_append(tel, |j| j.append(op));
                 left.push(*id);
             }
         }
@@ -2185,7 +2186,9 @@ impl PromiseManager {
             };
             if st.set_allocations(id, rec.allocations.clone()) {
                 let allocations = rec.allocations.clone();
-                self.journal_append(tel, JournalOp::Allocations { id, allocations });
+                self.journal_append(tel, |j| {
+                    j.append(JournalOp::Allocations { id, allocations })
+                });
             }
         }
         let granted = candidate.map(|(record, prepared)| {
@@ -2193,15 +2196,8 @@ impl PromiseManager {
             // single journal entry, so recovery can never see the hold
             // without knowing it is in doubt.
             let held = granted(&record);
-            self.journal_append(
-                tel,
-                if prepared {
-                    JournalOp::Prepared(record.clone())
-                } else {
-                    JournalOp::Grant(record.clone())
-                },
-            );
-            st.insert(record, prepared);
+            self.journal_append(tel, |j| j.append_grant(&record, prepared));
+            st.insert(Arc::new(record), prepared);
             held
         });
         drop(st);

@@ -128,11 +128,7 @@ pub fn weaken_predicates(
             let avail = expr.desirable_count();
             let take = avail.min(total_drop);
             if take > 0 {
-                out[i] = Predicate::Property {
-                    pool: pool.clone(),
-                    expr: expr.weakened(take),
-                    count: *count,
-                };
+                out[i] = Predicate::property(pool.clone(), expr.weakened(take), *count);
                 dropped[i] = take;
                 total_drop -= take;
             }

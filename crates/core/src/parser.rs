@@ -224,11 +224,7 @@ impl<'a> Parser<'a> {
             self.expect(")")?;
             self.expect(":")?;
             let expr = self.expr()?;
-            return Ok(Predicate::Property {
-                pool: PoolId(pool),
-                expr,
-                count: count as u32,
-            });
+            return Ok(Predicate::property(pool, expr, count as u32));
         }
         Err(self.err("expected qty(...), named(...) or prop(...)"))
     }

@@ -264,8 +264,10 @@ pub enum Predicate {
     Property {
         /// Instance pool.
         pool: PoolId,
-        /// Condition each instance must satisfy.
-        expr: PropExpr,
+        /// Condition each instance must satisfy. Boxed: the expression tree
+        /// is the enum's largest payload, and every `Vec<Predicate>` slot
+        /// is the enum's full size.
+        expr: Box<PropExpr>,
         /// Number of distinct instances required.
         count: u32,
     },
@@ -301,7 +303,7 @@ impl Predicate {
     pub fn property(pool: impl Into<PoolId>, expr: PropExpr, count: u32) -> Self {
         Predicate::Property {
             pool: pool.into(),
-            expr,
+            expr: Box::new(expr),
             count,
         }
     }
@@ -432,6 +434,11 @@ mod tests {
         assert_eq!(p.to_string(), "named('rooms', '512')");
         let p = Predicate::property("rooms", PropExpr::eq("view", true), 2);
         assert_eq!(p.to_string(), "prop('rooms', 2): view == true");
+    }
+
+    #[test]
+    fn a_predicate_is_no_larger_than_its_named_view() {
+        assert_eq!(std::mem::size_of::<Predicate>(), 48);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
 use crate::predicate::Predicate;
@@ -93,11 +94,16 @@ pub(crate) fn qty_demand_on(predicates: &[Predicate], pool: &PoolId) -> u64 {
 ///   anything expired?" is a first-key probe.
 ///
 /// All three key off fields that are immutable once granted (predicates,
-/// `expires_at`); [`PromiseTable::get_mut`] exists only so the manager can
-/// rewrite `allocations`, which no index depends on.
+/// `expires_at`); only `allocations`, which no index depends on, is ever
+/// rewritten in place.
+///
+/// Each record is held once, behind an `Arc`: a snapshot hands out shared
+/// references, never copies, and a record is copied only to rewrite its
+/// allocations while a snapshot still shares it (copy-on-write). A
+/// snapshot taken before a rewrite keeps reading what it took.
 #[derive(Debug, Default)]
 pub struct PromiseTable {
-    live: HashMap<PromiseId, PromiseRecord>,
+    live: HashMap<PromiseId, Arc<PromiseRecord>>,
     by_pool: HashMap<PoolId, HashSet<PromiseId>>,
     qty_agg: HashMap<PoolId, u64>,
     /// One bucket of ids per distinct `expires_at` (promises granted in the
@@ -111,6 +117,14 @@ impl PromiseTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty table with room for `records` without regrowing.
+    pub fn with_capacity(records: usize) -> Self {
+        Self {
+            live: HashMap::with_capacity(records),
+            ..Self::default()
+        }
     }
 
     /// Allocates the next promise id.
@@ -136,7 +150,7 @@ impl PromiseTable {
     }
 
     /// Inserts a granted promise, replacing any record with the same id.
-    pub fn insert(&mut self, rec: PromiseRecord) {
+    pub fn insert(&mut self, rec: Arc<PromiseRecord>) {
         // Unindex the displaced record *before* indexing the new one: the
         // two share an id, so the other order would strip the new record's
         // id from `by_pool` and `expiry`.
@@ -149,7 +163,7 @@ impl PromiseTable {
     }
 
     /// Removes (releases) a promise, returning its record.
-    pub fn remove(&mut self, id: PromiseId) -> Option<PromiseRecord> {
+    pub fn remove(&mut self, id: PromiseId) -> Option<Arc<PromiseRecord>> {
         let rec = self.live.remove(&id);
         if let Some(rec) = &rec {
             self.unindex(rec);
@@ -158,14 +172,23 @@ impl PromiseTable {
         rec
     }
 
-    /// Looks up a live-or-expired promise still in the table.
-    pub fn get(&self, id: PromiseId) -> Option<&PromiseRecord> {
+    /// Looks up a live-or-expired promise still in the table; clone the
+    /// `Arc` to keep it past the borrow.
+    pub fn get(&self, id: PromiseId) -> Option<&Arc<PromiseRecord>> {
         self.live.get(&id)
     }
 
-    /// Mutable lookup (used to update allocations after re-arrangement).
-    pub fn get_mut(&mut self, id: PromiseId) -> Option<&mut PromiseRecord> {
-        self.live.get_mut(&id)
+    /// Rewrites a promise's allocations in place, copying the record
+    /// first only if a snapshot still shares it; false if it is not in
+    /// the table.
+    pub fn set_allocations(&mut self, id: PromiseId, allocations: Vec<Allocation>) -> bool {
+        match self.live.get_mut(&id) {
+            Some(rec) => {
+                Arc::make_mut(rec).allocations = allocations;
+                true
+            }
+            None => false,
+        }
     }
 
     /// All promises live at `now`, excluding ids in `except`.
@@ -173,7 +196,7 @@ impl PromiseTable {
         &'a self,
         now: u64,
         except: &'a [PromiseId],
-    ) -> impl Iterator<Item = &'a PromiseRecord> {
+    ) -> impl Iterator<Item = &'a Arc<PromiseRecord>> {
         self.live
             .values()
             .filter(move |p| p.is_live(now) && !except.contains(&p.id))
@@ -190,7 +213,7 @@ impl PromiseTable {
     }
 
     /// Removes and returns every promise expired at `now`.
-    pub fn take_expired(&mut self, now: u64) -> Vec<PromiseRecord> {
+    pub fn take_expired(&mut self, now: u64) -> Vec<Arc<PromiseRecord>> {
         self.expired_ids(now)
             .into_iter()
             .filter_map(|id| self.remove(id))
@@ -204,7 +227,7 @@ impl PromiseTable {
         pool: &PoolId,
         now: u64,
         except: &'a [PromiseId],
-    ) -> impl Iterator<Item = &'a PromiseRecord> {
+    ) -> impl Iterator<Item = &'a Arc<PromiseRecord>> {
         self.by_pool
             .get(pool)
             .into_iter()
@@ -245,27 +268,28 @@ impl PromiseTable {
     }
 
     /// Snapshot of promises live at `now`, excluding `except`, for
-    /// checking outside the state lock.
-    pub fn snapshot(&self, now: u64, except: &[PromiseId]) -> Vec<PromiseRecord> {
+    /// checking outside the state lock: the records shared, not copied.
+    pub fn snapshot(&self, now: u64, except: &[PromiseId]) -> Vec<Arc<PromiseRecord>> {
         self.live_at(now, except).cloned().collect()
     }
 
     /// Every promise in the table, live or expired, in no particular
     /// order.
     pub fn records(&self) -> impl Iterator<Item = &PromiseRecord> {
-        self.live.values()
+        self.live.values().map(Arc::as_ref)
     }
 
     /// Snapshot of promises live at `now` whose footprint intersects any
     /// of `pools`, excluding `except` — the footprint-scoped alternative
-    /// to [`PromiseTable::snapshot`]. Cost is proportional to the number
-    /// of intersecting promises, not the table size.
+    /// to [`PromiseTable::snapshot`], sharing the records the same way.
+    /// Cost is proportional to the number of intersecting promises, not
+    /// the table size.
     pub fn snapshot_pools(
         &self,
         now: u64,
         pools: &[PoolId],
         except: &[PromiseId],
-    ) -> Vec<PromiseRecord> {
+    ) -> Vec<Arc<PromiseRecord>> {
         let mut ids: Vec<PromiseId> = pools
             .iter()
             .filter_map(|pool| self.by_pool.get(pool))
@@ -421,7 +445,7 @@ mod tests {
 
     fn rec(table: &mut PromiseTable, pool: &str, amount: u64, expires_at: u64) -> PromiseId {
         let id = table.next_id();
-        table.insert(PromiseRecord {
+        table.insert(Arc::new(PromiseRecord {
             id,
             client: ClientId::from("c"),
             request: RequestId::from("r"),
@@ -429,7 +453,7 @@ mod tests {
             granted_at: 0,
             expires_at,
             allocations: Vec::new(),
-        });
+        }));
         id
     }
 
@@ -484,7 +508,7 @@ mod tests {
     fn pools_dedup() {
         let mut t = PromiseTable::new();
         let id = t.next_id();
-        t.insert(PromiseRecord {
+        t.insert(Arc::new(PromiseRecord {
             id,
             client: ClientId::from("c"),
             request: RequestId::from("r"),
@@ -496,7 +520,7 @@ mod tests {
             granted_at: 0,
             expires_at: 10,
             allocations: Vec::new(),
-        });
+        }));
         let pools = t.get(id).unwrap().pools();
         assert_eq!(pools.len(), 2);
     }
@@ -527,7 +551,7 @@ mod tests {
     fn snapshot_pools_dedups_multi_pool_promises() {
         let mut t = PromiseTable::new();
         let id = t.next_id();
-        t.insert(PromiseRecord {
+        t.insert(Arc::new(PromiseRecord {
             id,
             client: ClientId::from("c"),
             request: RequestId::from("r"),
@@ -538,7 +562,7 @@ mod tests {
             granted_at: 0,
             expires_at: 100,
             allocations: Vec::new(),
-        });
+        }));
         let snap = t.snapshot_pools(0, &[PoolId::from("w"), PoolId::from("x")], &[]);
         assert_eq!(snap.len(), 1, "promise spanning both pools appears once");
     }
@@ -609,8 +633,8 @@ mod tests {
         let mut t = PromiseTable::new();
         let w = PoolId::from("w");
         let id = rec(&mut t, "w", 5, 100);
-        let same = t.get(id).unwrap().clone();
-        t.insert(same);
+        let same = PromiseRecord::clone(t.get(id).unwrap());
+        t.insert(Arc::new(same));
         assert_eq!(t.len(), 1);
         let snap = t.snapshot_pools(0, std::slice::from_ref(&w), &[]);
         assert_eq!(snap.iter().map(|p| p.id).collect::<Vec<_>>(), vec![id]);
@@ -619,10 +643,10 @@ mod tests {
         assert_eq!(t.expired_ids(100), vec![id]);
 
         // Replacing it with a different pool and expiry moves every entry.
-        let mut moved = t.get(id).unwrap().clone();
+        let mut moved = PromiseRecord::clone(t.get(id).unwrap());
         moved.predicates = vec![Predicate::qty_at_least("x", 2)];
         moved.expires_at = 50;
-        t.insert(moved);
+        t.insert(Arc::new(moved));
         assert!(t
             .snapshot_pools(0, std::slice::from_ref(&w), &[])
             .is_empty());
@@ -660,6 +684,33 @@ mod tests {
         assert_eq!(t.first_live_in_pool(&w, 50, &[]), Some(a));
         assert_eq!(t.first_live_in_pool(&w, 50, &[a]), Some(b));
         assert_eq!(t.first_live_in_pool(&PoolId::from("zzz"), 50, &[]), None);
+    }
+
+    /// Copy-on-write: a snapshot shares the table's record, and
+    /// `set_allocations` while the snapshot lives copies the record
+    /// instead of changing what the snapshot reads.
+    #[test]
+    fn a_snapshot_keeps_the_allocations_it_took() {
+        let mut t = PromiseTable::new();
+        let w = PoolId::from("w");
+        let id = rec(&mut t, "w", 1, 100);
+        let snap = t.snapshot_pools(0, std::slice::from_ref(&w), &[]);
+        assert!(
+            Arc::ptr_eq(&snap[0], t.get(id).unwrap()),
+            "shared, not copied"
+        );
+
+        let moved = vec![Allocation {
+            pred_idx: 0,
+            instance: InstanceId::from("i1"),
+        }];
+        assert!(t.set_allocations(id, moved.clone()));
+        assert!(
+            snap[0].allocations.is_empty(),
+            "the snapshot still reads the old allocations"
+        );
+        assert_eq!(t.get(id).unwrap().allocations, moved);
+        assert!(!Arc::ptr_eq(&snap[0], t.get(id).unwrap()));
     }
 
     #[test]

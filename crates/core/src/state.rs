@@ -10,20 +10,22 @@
 //! mark cannot outlive its record.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::deadline_map::DeadlineMap;
 use crate::error::PromiseError;
-use crate::ids::{ClientId, PoolId, PromiseId, RequestId};
+use crate::ids::{request_key, ClientId, PoolId, PromiseId, RequestId};
 use crate::promise::{Allocation, PromiseRecord, PromiseTable};
 
 /// The promise table and every per-promise mark (see the module doc).
 #[derive(Debug, Default)]
 pub(crate) struct PromiseState {
     table: PromiseTable,
-    /// `(client, request)` → the promise granted for it, so a *retried*
-    /// grant request (duplicate delivery, reply lost) is answered with the
-    /// original promise instead of being granted — and charged — twice.
-    by_request: HashMap<(ClientId, RequestId), PromiseId>,
+    /// [`request_key`]`(client, request)` → the promise granted for it, so
+    /// a *retried* grant request (duplicate delivery, reply lost) is
+    /// answered with the original promise instead of being granted — and
+    /// charged — twice.
+    by_request: HashMap<Box<str>, PromiseId>,
     /// Prepared holds awaiting their cross-shard coordinator's decision.
     /// Durable: journalled as `P`/`C` records, rebuilt by recovery, part
     /// of the digest.
@@ -44,6 +46,15 @@ pub(crate) struct PromiseState {
 }
 
 impl PromiseState {
+    /// An empty state with room for `records` promises without regrowing.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        Self {
+            table: PromiseTable::with_capacity(records),
+            by_request: HashMap::with_capacity(records),
+            ..Self::default()
+        }
+    }
+
     /// The promise table, read-only: records enter through
     /// [`PromiseState::insert`] and leave through [`PromiseState::take`].
     pub(crate) fn table(&self) -> &PromiseTable {
@@ -63,46 +74,39 @@ impl PromiseState {
     /// Puts a granted promise into the table under its request key, as a
     /// prepared hold if `prepared`; a record with the same id (a replayed
     /// journal may repeat one) is taken out first, marks and all.
-    pub(crate) fn insert(&mut self, rec: PromiseRecord, prepared: bool) {
+    pub(crate) fn insert(&mut self, rec: Arc<PromiseRecord>, prepared: bool) {
         self.take(rec.id);
         if prepared {
             self.prepared.insert(rec.id);
         }
         self.by_request
-            .insert((rec.client.clone(), rec.request.clone()), rec.id);
+            .insert(request_key(&rec.client.0, &rec.request.0), rec.id);
         self.table.insert(rec);
     }
 
     /// Takes a promise out of the table — released, exchanged or expired —
     /// and with it its prepared mark, its pin and its request key (unless
     /// a newer grant has since reused the key).
-    pub(crate) fn take(&mut self, id: PromiseId) -> Option<PromiseRecord> {
+    pub(crate) fn take(&mut self, id: PromiseId) -> Option<Arc<PromiseRecord>> {
         let rec = self.table.remove(id)?;
         self.prepared.remove(&id);
         self.pinned.remove(&id);
-        let key = (rec.client.clone(), rec.request.clone());
+        let key = request_key(&rec.client.0, &rec.request.0);
         if self.by_request.get(&key) == Some(&id) {
             self.by_request.remove(&key);
         }
         Some(rec)
     }
 
-    /// Rewrites a promise's allocations after a re-arrangement; false if
-    /// it is no longer in the table.
+    /// See [`PromiseTable::set_allocations`].
     pub(crate) fn set_allocations(&mut self, id: PromiseId, allocations: Vec<Allocation>) -> bool {
-        match self.table.get_mut(id) {
-            Some(rec) => {
-                rec.allocations = allocations;
-                true
-            }
-            None => false,
-        }
+        self.table.set_allocations(id, allocations)
     }
 
     /// A copy of a promise's record, pinning its allocations (if it has
     /// any) against later re-arrangement — atomically with the read.
     pub(crate) fn observe(&mut self, id: PromiseId) -> Option<PromiseRecord> {
-        let rec = self.table.get(id)?.clone();
+        let rec = PromiseRecord::clone(self.table.get(id)?);
         if !rec.allocations.is_empty() {
             self.pinned.insert(id);
         }
@@ -132,8 +136,11 @@ impl PromiseState {
         request: &RequestId,
         now: u64,
     ) -> Option<&PromiseRecord> {
-        let id = self.by_request.get(&(client.clone(), request.clone()))?;
-        self.table.get(*id).filter(|rec| rec.is_live(now))
+        let id = self.by_request.get(&request_key(&client.0, &request.0))?;
+        self.table
+            .get(*id)
+            .map(Arc::as_ref)
+            .filter(|rec| rec.is_live(now))
     }
 
     /// The error for operating under a promise that is not in the table:

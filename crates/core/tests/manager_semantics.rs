@@ -898,6 +898,25 @@ fn client_identity_recorded() {
     assert_eq!(rec.request.0, "a");
 }
 
+/// The request index packs `(client, request)` into one key: two pairs
+/// that concatenate to the same text are still two requests, and a retry
+/// of either is answered with its own promise.
+#[test]
+fn requests_that_concatenate_alike_are_not_retries_of_each_other() {
+    let pm = widgets_pm(5);
+    let ask = |client: &str, request: &str| {
+        let spec = PromiseRequestSpec::new(request, client)
+            .predicate(Predicate::qty_at_least("widgets", 1));
+        pm.request(spec).unwrap().decision.granted_id().unwrap()
+    };
+    let first = ask("ab", "c");
+    let second = ask("a", "bc");
+    assert_ne!(first, second);
+    assert_eq!(pm.live_count(), 2);
+    assert_eq!((ask("ab", "c"), ask("a", "bc")), (first, second));
+    assert_eq!(pm.metrics().grants_deduped, 2);
+}
+
 // ---------------------------------------------------------------------
 // Negotiation (§3.3)
 // ---------------------------------------------------------------------

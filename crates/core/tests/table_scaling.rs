@@ -123,10 +123,10 @@ proptest! {
                 (1, Some(id)) => {
                     let rec = record(id, pool, amount, at, with_view);
                     model.insert(id, rec.clone());
-                    table.insert(rec);
+                    table.insert(Arc::new(rec));
                 }
                 (2, Some(id)) => {
-                    prop_assert_eq!(table.remove(id), model.remove(&id));
+                    prop_assert_eq!(table.remove(id), model.remove(&id).map(Arc::new));
                 }
                 (3, _) => {
                     let mut taken: Vec<PromiseId> =
@@ -143,7 +143,7 @@ proptest! {
                 _ => {
                     let rec = record(table.next_id(), pool, amount, at, with_view);
                     model.insert(rec.id, rec.clone());
-                    table.insert(rec);
+                    table.insert(Arc::new(rec));
                 }
             }
             assert_matches_model(&table, &model)?;
@@ -231,8 +231,11 @@ fn work_per_operation_does_not_grow_with_the_table() {
 /// that between them ask four distinct things: a grant reads the pool's
 /// table once and evaluates each distinct expression once per instance —
 /// not once per resident slot per instance, which grows with the table.
-/// The residents are what a restart finds (journalled grants, tagged
-/// instances), so building a rung costs one replay, not a thousand checks.
+/// It reads the residents where the table holds them: a grant that moves
+/// no allocation copies no record, and one that forces a re-arrangement
+/// copies exactly the promises it moves. The residents are what a restart
+/// finds (journalled grants, tagged instances), so building a rung costs
+/// one replay, not a thousand checks.
 #[test]
 fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
     const KINDS: usize = 4;
@@ -288,6 +291,10 @@ fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
         let stats = pm.last_check_stats();
         assert_eq!(stats.promises_considered, residents);
         assert_eq!(
+            stats.records_copied, 0,
+            "no allocation moved, no record copied at {residents} residents"
+        );
+        assert_eq!(
             stats.instance_passes, 1,
             "one pass over the pool at {residents} residents"
         );
@@ -295,6 +302,32 @@ fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
             stats.predicate_evals <= 5 * instances,
             "{} evaluations over {instances} instances at {residents} residents",
             stats.predicate_evals
+        );
+
+        // Naming the rooms the first resident of each kind holds moves
+        // those residents, each to a free room of its kind, and no other.
+        let holdings = |pm: &PromiseManager| -> Vec<Vec<Allocation>> {
+            (1..=residents as u64)
+                .map(|id| pm.peek_promise(PromiseId(id)).unwrap().allocations)
+                .collect()
+        };
+        let before = holdings(&pm);
+        let mut named = PromiseRequestSpec::new(RequestId("named".into()), ClientId::from("t"))
+            .duration_ms(LONG_MS);
+        named.predicates = (0..KINDS)
+            .map(|i| Predicate::named("rooms", room(i)))
+            .collect();
+        assert!(pm.request(named).unwrap().decision.is_granted());
+        let moved = before
+            .iter()
+            .zip(holdings(&pm))
+            .filter(|(was, now)| **was != *now)
+            .count();
+        assert_eq!(moved, KINDS);
+        assert_eq!(
+            pm.last_check_stats().records_copied,
+            moved,
+            "a re-arrangement copies exactly the moved promises at {residents} residents"
         );
     }
 }
