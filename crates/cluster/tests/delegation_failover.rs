@@ -52,7 +52,8 @@ fn delegated_promise_survives_leader_kill_and_rebinds_to_the_promoted_follower()
         Arc::new(ResourceManager::new()),
         Arc::clone(&cluster.clock) as Arc<dyn Clock>,
     ));
-    edge.delegate_pool(POOL, Arc::clone(&cluster.nodes[0].pm));
+    edge.delegate_pool(POOL, Arc::clone(&cluster.nodes[0].pm))
+        .unwrap();
 
     let booking = delegated_grant(&edge, "book-1", 5);
     let backing = backing_id(&cluster.nodes[0].pm, "book-1").expect("backing promise on shard 0");
@@ -77,7 +78,7 @@ fn delegated_promise_survives_leader_kill_and_rebinds_to_the_promoted_follower()
 
     // Re-point the delegation at the promoted manager. New bookings
     // delegate to it...
-    edge.rebind_upstream(POOL, Arc::clone(&promoted));
+    edge.rebind_upstream(POOL, Arc::clone(&promoted)).unwrap();
     let booking2 = delegated_grant(&edge, "book-2", 3);
     assert_eq!(promoted.live_count(), 2);
     assert!(backing_id(&promoted, "book-2").is_some());

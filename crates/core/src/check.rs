@@ -41,7 +41,7 @@ use crate::catalog::{status, Catalog};
 use crate::error::{PromiseError, RejectReason};
 use crate::ids::{InstanceId, PoolId, PromiseId};
 use crate::predicate::{Predicate, PropExpr};
-use crate::promise::{qty_demand_on, Allocation, PromiseRecord};
+use crate::promise::{Allocation, PromiseRecord};
 use crate::schema::{CheckStrategy, PoolKind};
 
 /// Failure modes of a check.
@@ -99,12 +99,12 @@ pub struct Checker<'a> {
     pub txn: &'a Txn,
     /// Pool schemas.
     pub catalog: &'a Catalog,
-    /// Exact total `QtyAtLeast` demand per pool (including any
-    /// candidate), computed by the manager from the promise table. A pool
-    /// present here is checked against this figure alone — its records
-    /// need not be in the snapshot at all; a pool absent from it is
-    /// re-summed over the snapshot.
-    qty_demand_hint: HashMap<PoolId, u64>,
+    /// Exact total `QtyAtLeast` demand per quantity pool (including any
+    /// candidate), computed by the manager from the promise table: the
+    /// only thing a quantity pool is checked against, so its records need
+    /// not be in the snapshot at all. It holds every quantity pool the
+    /// check visits.
+    qty_demand: HashMap<PoolId, u64>,
     /// Names the promise a failed post-check blames for a pool none of
     /// whose records are in the snapshot.
     victim_of: Option<VictimLookup<'a>>,
@@ -243,18 +243,17 @@ impl<'a> Checker<'a> {
             rm,
             txn,
             catalog,
-            qty_demand_hint: HashMap::new(),
+            qty_demand: HashMap::new(),
             victim_of: None,
             pinned: HashSet::new(),
             stats: RefCell::new(CheckerStats::default()),
         }
     }
 
-    /// Supplies exact per-pool quantity demand (see
-    /// [`Checker::qty_demand_hint`]); pools absent from the map fall back
-    /// to summing over the snapshot.
+    /// Supplies the exact live demand of every quantity pool the check
+    /// visits (see [`Checker::qty_demand`]).
     pub fn with_qty_demand(mut self, demand: HashMap<PoolId, u64>) -> Self {
-        self.qty_demand_hint = demand;
+        self.qty_demand = demand;
         self
     }
 
@@ -298,7 +297,7 @@ impl<'a> Checker<'a> {
                 .get(&pool)
                 .map_err(|_| CheckError::Reject(RejectReason::UnknownPool(pool.clone())))?;
             match schema.kind {
-                PoolKind::Quantity => self.check_quantity(&pool, existing, Some(candidate))?,
+                PoolKind::Quantity => self.check_quantity(&pool)?,
                 PoolKind::Instances => match schema.strategy {
                     CheckStrategy::Satisfiability => {
                         self.match_or_err(&pool, existing, Some(&*candidate))
@@ -330,25 +329,17 @@ impl<'a> Checker<'a> {
     /// changed. Errors with [`CheckError::Violation`] if some promise can
     /// no longer be honoured.
     ///
-    /// When `scope` is `Some`, only those pools are re-checked — the
-    /// caller asserts the action wrote nothing outside them, so promises
-    /// over other pools cannot have been invalidated (`live` should then
-    /// be a snapshot of just the intersecting promises). With `None`,
-    /// every pool constrained by `live` is checked (the paper's original
-    /// whole-table behaviour).
+    /// Only the `scope` pools are re-checked: the caller asserts the
+    /// action wrote nothing outside them, so promises over other pools
+    /// cannot have been invalidated, and `live` holds just the promises
+    /// that intersect the scope's instance pools.
     pub fn post_check(
         &self,
         live: &mut [Arc<PromiseRecord>],
-        scope: Option<&[PoolId]>,
+        scope: &[PoolId],
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
-        let mut pools: Vec<PoolId> = match scope {
-            Some(pools) => pools.to_vec(),
-            None => live
-                .iter()
-                .flat_map(|p| p.pools().into_iter().cloned())
-                .collect(),
-        };
+        let mut pools = scope.to_vec();
         pools.sort();
         pools.dedup();
         self.stats.borrow_mut().promises_considered += live.len();
@@ -360,7 +351,7 @@ impl<'a> Checker<'a> {
             };
             match schema.kind {
                 PoolKind::Quantity => {
-                    self.check_quantity(&pool, live, None)
+                    self.check_quantity(&pool)
                         .map_err(|e| self.as_violation(e, &pool, live))?;
                 }
                 PoolKind::Instances => match schema.strategy {
@@ -414,25 +405,18 @@ impl<'a> Checker<'a> {
     // Anonymous view
     // ------------------------------------------------------------------
 
-    fn check_quantity(
-        &self,
-        pool: &PoolId,
-        existing: &[Arc<PromiseRecord>],
-        candidate: Option<&PromiseRecord>,
-    ) -> Result<(), CheckError> {
+    /// The anonymous view: `pool`'s live demand, supplied by the caller,
+    /// against its quantity on hand. No promise record is read.
+    fn check_quantity(&self, pool: &PoolId) -> Result<(), CheckError> {
         let on_hand = self
             .catalog
             .quantity(self.rm, self.txn, pool)
             .map_err(|e| lookup_failed(pool, e))?;
-        let demand: u64 = match self.qty_demand_hint.get(pool) {
-            Some(&exact) => exact,
-            None => existing
-                .iter()
-                .map(Arc::as_ref)
-                .chain(candidate)
-                .map(|p| qty_demand_on(&p.predicates, pool))
-                .sum(),
-        };
+        debug_assert!(
+            self.qty_demand.contains_key(pool),
+            "quantity pool {pool} checked without its demand"
+        );
+        let demand = self.qty_demand.get(pool).copied().unwrap_or(0);
         if demand <= on_hand {
             Ok(())
         } else {

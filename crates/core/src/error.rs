@@ -173,6 +173,13 @@ pub enum PromiseError {
     /// surfaces only if the retry budget is exhausted, in which case a
     /// resend is safe (grants are deduplicated by request id).
     ObservationConflict,
+    /// A delegation was refused because the upstream's chain for the pool
+    /// leads back to the delegating manager (§5 delegation is a DAG; a
+    /// cycle would send a request round it forever).
+    DelegationCycle {
+        /// The pool whose delegation chain would close on itself.
+        pool: PoolId,
+    },
 }
 
 impl fmt::Display for PromiseError {
@@ -195,6 +202,9 @@ impl fmt::Display for PromiseError {
             }
             PromiseError::ObservationConflict => {
                 write!(f, "re-arrangement raced with an observed allocation; retry")
+            }
+            PromiseError::DelegationCycle { pool } => {
+                write!(f, "delegating pool {pool} there would close a cycle")
             }
         }
     }

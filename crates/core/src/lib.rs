@@ -94,7 +94,7 @@ pub use journal::{
     JournalError, JournalOp, PromiseJournal,
 };
 pub use manager::{
-    CompactionCrash, CompactionReport, LockingMode, OpLatency, PmMetricsSnapshot, PromiseDecision,
+    CompactionCrash, CompactionReport, OpLatency, PmMetricsSnapshot, PromiseDecision,
     PromiseManager, PromiseRequestSpec, PromiseResponse, RecoveryReport,
 };
 pub use negotiate::{weaken_predicates, NegotiatedResponse};

@@ -31,16 +31,17 @@
 //!
 //! The prototype serialised those transactions on a *single* exclusive
 //! synchronisation point, making every promise operation conflict with
-//! every other one. That behaviour is kept as [`LockingMode::Global`]
-//! (the benchmark baseline). The default, [`LockingMode::Footprint`],
-//! instead derives each operation's *footprint* — the pools its
-//! predicates constrain, its released promises cover, or its action
-//! actually wrote — and locks one synchronisation point per pool
+//! every other one. Here each operation instead derives its *footprint* —
+//! the pools its predicates constrain, its released promises cover, or its
+//! action actually wrote — and locks one synchronisation point per pool
 //! (`promise-ops/<pool>`), acquired in canonical sorted order so promise
 //! operations never deadlock against one another (§9). Operations over
 //! disjoint pools proceed fully in parallel; the checker then re-checks
-//! only the footprint's pools against the promises that intersect them
-//! (see [`crate::promise::PromiseTable`]'s per-pool indexes).
+//! only the footprint's pools: a quantity pool from its exact live demand,
+//! an instance pool against the promises that intersect it (see
+//! [`crate::promise::PromiseTable`]'s per-pool indexes). The decisions are
+//! the prototype's; `tests/support/model.rs` states them as a brute-force
+//! model that judges this manager step by step.
 //!
 //! Because the synchronisation points are RM locks, a cycle between a
 //! promise check and an in-flight application action is visible to the
@@ -74,9 +75,8 @@ use crate::promise::{qty_demand_on, PromiseRecord};
 use crate::schema::{PoolKind, PoolSchema};
 use crate::state::PromiseState;
 
-/// RM synchronisation point serialising promise operations: locked whole
-/// under [`LockingMode::Global`]; suffixed with `/<pool>` per footprint
-/// pool under [`LockingMode::Footprint`].
+/// Prefix of the RM synchronisation points serialising promise
+/// operations: one `promise-ops/<pool>` point per footprint pool.
 const PM_OPS: &str = "promise-ops";
 
 /// Default tombstone lifetime past the reap: long enough that any client
@@ -88,20 +88,6 @@ const DEFAULT_TOMBSTONE_GRACE_MS: u64 = 300_000;
 /// than this are cheap to replay wholesale, so compaction isn't worth a
 /// checkpoint write.
 const DEFAULT_COMPACTION_THRESHOLD: usize = 1_024;
-
-/// How promise operations serialise against one another.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LockingMode {
-    /// One global synchronisation point; every promise operation conflicts
-    /// with every other one (the paper prototype's design — kept as the
-    /// benchmark baseline).
-    Global,
-    /// One synchronisation point per pool, acquired in sorted order over
-    /// the operation's footprint; operations on disjoint pools run in
-    /// parallel and post-action checks cover only the written pools.
-    #[default]
-    Footprint,
-}
 
 /// Upstream promise references held by a delegated promise.
 type UpstreamRefs = Vec<(Arc<PromiseManager>, PromiseId)>;
@@ -455,7 +441,6 @@ pub struct PromiseManager {
     /// order. Taken after `catalog` when both are held.
     state: Mutex<PromiseState>,
     clock: Arc<dyn Clock>,
-    locking: LockingMode,
     max_duration_ms: u64,
     retry_limit: usize,
     /// What the most recent grant check, execute post-check or prune
@@ -654,7 +639,6 @@ impl PromiseManager {
             catalog: RwLock::new(Catalog::new()),
             state: Mutex::new(PromiseState::default()),
             clock,
-            locking: LockingMode::default(),
             max_duration_ms: u64::MAX,
             retry_limit: 64,
             last_check_stats: Mutex::new(CheckerStats::default()),
@@ -736,13 +720,6 @@ impl PromiseManager {
         self
     }
 
-    /// Selects how promise operations serialise (default
-    /// [`LockingMode::Footprint`]).
-    pub fn with_locking_mode(mut self, mode: LockingMode) -> Self {
-        self.locking = mode;
-        self
-    }
-
     /// The underlying resource manager.
     pub fn rm(&self) -> &Arc<ResourceManager> {
         &self.rm
@@ -781,9 +758,16 @@ impl PromiseManager {
 
     /// Routes promise requests for `pool` to an upstream manager — the
     /// §5 *delegation* technique ("promises are made that rely on the
-    /// promises of third parties").
-    pub fn delegate_pool(&self, pool: impl Into<PoolId>, upstream: Arc<PromiseManager>) {
-        self.upstreams.write().insert(pool.into(), upstream);
+    /// promises of third parties"). Refused with
+    /// [`PromiseError::DelegationCycle`] when `upstream`'s chain for
+    /// `pool` leads back to this manager: delegation is a DAG, and a
+    /// request on a cycle would recurse forever.
+    pub fn delegate_pool(
+        &self,
+        pool: impl Into<PoolId>,
+        upstream: Arc<PromiseManager>,
+    ) -> Result<(), PromiseError> {
+        self.set_upstream(pool.into(), upstream).map(drop)
     }
 
     /// Re-points an existing delegation at a replacement upstream manager
@@ -792,13 +776,17 @@ impl PromiseManager {
     /// promise ids survive journal replay unchanged, so live delegation
     /// chains stay valid: every stored upstream reference that pointed at
     /// the displaced manager is rewritten to the replacement, keeping its
-    /// promise id, and later releases cascade to the promoted node.
-    pub fn rebind_upstream(&self, pool: impl Into<PoolId>, upstream: Arc<PromiseManager>) {
-        let old = self
-            .upstreams
-            .write()
-            .insert(pool.into(), Arc::clone(&upstream));
-        let Some(old) = old else { return };
+    /// promise id, and later releases cascade to the promoted node. A
+    /// replacement that would close a cycle is refused as
+    /// [`PromiseManager::delegate_pool`] refuses it.
+    pub fn rebind_upstream(
+        &self,
+        pool: impl Into<PoolId>,
+        upstream: Arc<PromiseManager>,
+    ) -> Result<(), PromiseError> {
+        let Some(old) = self.set_upstream(pool.into(), Arc::clone(&upstream))? else {
+            return Ok(());
+        };
         let mut delegations = self.delegations.lock();
         for refs in delegations.values_mut() {
             for (manager, _) in refs.iter_mut() {
@@ -807,6 +795,28 @@ impl PromiseManager {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Installs `upstream` for `pool` unless its chain for `pool` leads
+    /// back here, returning the manager it displaced. One process-wide
+    /// lock serialises every delegation change, so two managers pointed
+    /// at each other concurrently cannot both pass the walk.
+    fn set_upstream(
+        &self,
+        pool: PoolId,
+        upstream: Arc<PromiseManager>,
+    ) -> Result<Option<Arc<PromiseManager>>, PromiseError> {
+        static DELEGATING: Mutex<()> = Mutex::new(());
+        let _serialised = DELEGATING.lock();
+        let mut hop = Some(Arc::clone(&upstream));
+        while let Some(manager) = hop {
+            if std::ptr::eq(Arc::as_ptr(&manager), self) {
+                return Err(PromiseError::DelegationCycle { pool });
+            }
+            hop = manager.upstreams.read().get(&pool).cloned();
+        }
+        Ok(self.upstreams.write().insert(pool, upstream))
     }
 
     /// Sets the quantity on hand of a quantity pool (setup/admin).
@@ -1903,42 +1913,31 @@ impl PromiseManager {
         }
     }
 
-    /// Acquires an operation's synchronisation point(s). In
-    /// [`LockingMode::Global`] this is the single whole-manager point; in
-    /// [`LockingMode::Footprint`] it is one point per footprint pool,
-    /// taken in canonical sorted order (handled by
+    /// Acquires an operation's synchronisation points: one per footprint
+    /// pool, taken in canonical sorted order (handled by
     /// [`ResourceManager::lock_exclusive_many`]) so two promise operations
     /// can never deadlock on sync points alone.
     fn lock_ops(&self, txn: &Txn, footprint: &[PoolId]) -> Result<(), RmError> {
-        match self.locking {
-            LockingMode::Global => self.rm.lock_exclusive(txn, PM_OPS),
-            LockingMode::Footprint => {
-                let names: Vec<String> = footprint
-                    .iter()
-                    .map(|pool| format!("{PM_OPS}/{pool}"))
-                    .collect();
-                self.rm.lock_exclusive_many(txn, &names)
-            }
-        }
+        let names: Vec<String> = footprint
+            .iter()
+            .map(|pool| format!("{PM_OPS}/{pool}"))
+            .collect();
+        self.rm.lock_exclusive_many(txn, &names)
     }
 
     /// Gathers, under the state lock, what the checker reads for an
     /// operation over `footprint` that takes `excluded` out of the table
     /// (exchanged or released promises) and adds `candidate` predicates.
     ///
-    /// Under footprint locking the table is read per pool kind. A pool
-    /// that is not an instance pool is checked from one number, its exact
-    /// live demand: the cached aggregate less `excluded` when nothing is
-    /// expired-but-unpruned, otherwise a re-sum over the pool's own
-    /// records, borrowed in place. Only the *instance* pools' promises are
-    /// snapshotted — shared with the table, copied by the checker only if
-    /// matching moves them — and only then is the observation-pin set
-    /// copied. So a quantity-only operation reads no record at all,
-    /// however many promises its pools hold.
-    ///
-    /// Under global locking every live record is snapshotted, every pin
-    /// copied and no demand supplied, so the checker re-sums the
-    /// snapshot: the prototype's whole-table check, kept as the baseline.
+    /// The table is read per pool kind. A pool that is not an instance
+    /// pool is checked from one number, its exact live demand: the cached
+    /// aggregate less `excluded` when nothing is expired-but-unpruned,
+    /// otherwise a re-sum over the pool's own records, borrowed in place.
+    /// Only the *instance* pools' promises are snapshotted — shared with
+    /// the table, copied by the checker only if matching moves them — and
+    /// only then is the observation-pin set copied. So a quantity-only
+    /// operation reads no record at all, however many promises its pools
+    /// hold.
     fn check_inputs(
         &self,
         st: &PromiseState,
@@ -1950,13 +1949,6 @@ impl PromiseManager {
     ) -> CheckInputs {
         let tbl = st.table();
         let except: Vec<PromiseId> = excluded.iter().map(|rec| rec.id).collect();
-        if self.locking == LockingMode::Global {
-            return CheckInputs {
-                snapshot: tbl.snapshot(now, &except),
-                qty_demand: HashMap::new(),
-                pinned: st.pinned().clone(),
-            };
-        }
         let (instance_pools, counted_pools): (Vec<PoolId>, Vec<PoolId>) =
             footprint.iter().cloned().partition(|pool| {
                 catalog
@@ -2106,13 +2098,8 @@ impl PromiseManager {
                 } else if post_check {
                     // Only the footprint's pools can have been invalidated
                     // by the action; released promises never constrain
-                    // others tighter. Under global locking keep the
-                    // prototype's full re-check of every live pool.
-                    let scope = match self.locking {
-                        LockingMode::Global => None,
-                        LockingMode::Footprint => Some(t.footprint),
-                    };
-                    checker.post_check(&mut snapshot, scope)
+                    // others tighter.
+                    checker.post_check(&mut snapshot, t.footprint)
                 } else {
                     Ok(Vec::new())
                 }

@@ -191,17 +191,6 @@ impl PromiseTable {
         }
     }
 
-    /// All promises live at `now`, excluding ids in `except`.
-    pub fn live_at<'a>(
-        &'a self,
-        now: u64,
-        except: &'a [PromiseId],
-    ) -> impl Iterator<Item = &'a Arc<PromiseRecord>> {
-        self.live
-            .values()
-            .filter(move |p| p.is_live(now) && !except.contains(&p.id))
-    }
-
     /// Ids of every promise expired at `now`, earliest expiry first —
     /// a range read of the expiry index, O(expired + log n).
     pub fn expired_ids(&self, now: u64) -> Vec<PromiseId> {
@@ -267,12 +256,6 @@ impl PromiseTable {
         self.live.is_empty()
     }
 
-    /// Snapshot of promises live at `now`, excluding `except`, for
-    /// checking outside the state lock: the records shared, not copied.
-    pub fn snapshot(&self, now: u64, except: &[PromiseId]) -> Vec<Arc<PromiseRecord>> {
-        self.live_at(now, except).cloned().collect()
-    }
-
     /// Every promise in the table, live or expired, in no particular
     /// order.
     pub fn records(&self) -> impl Iterator<Item = &PromiseRecord> {
@@ -280,10 +263,9 @@ impl PromiseTable {
     }
 
     /// Snapshot of promises live at `now` whose footprint intersects any
-    /// of `pools`, excluding `except` — the footprint-scoped alternative
-    /// to [`PromiseTable::snapshot`], sharing the records the same way.
-    /// Cost is proportional to the number of intersecting promises, not
-    /// the table size.
+    /// of `pools`, excluding `except`, for checking outside the state
+    /// lock: the records shared, not copied. Cost is proportional to the
+    /// number of intersecting promises, not the table size.
     pub fn snapshot_pools(
         &self,
         now: u64,
@@ -499,7 +481,7 @@ mod tests {
         let mut t = PromiseTable::new();
         let a = rec(&mut t, "w", 1, 100);
         let _b = rec(&mut t, "w", 1, 100);
-        let snap = t.snapshot(0, &[a]);
+        let snap = t.snapshot_pools(0, &[PoolId::from("w")], &[a]);
         assert_eq!(snap.len(), 1);
         assert_ne!(snap[0].id, a);
     }

@@ -1,27 +1,36 @@
-//! Footprint-scoped locking tests: disjoint-pool parallelism without
-//! deadlock retries, post-checks restricted to written pools, and the
-//! lock-wait / check latency counters.
+//! The promise manager judged step by step, and its footprint-scoped
+//! locking measured.
+//!
+//! `manager_agrees_with_the_model` runs random sequences of every §2–§6
+//! operation against a manager and against `support::model`, the paper's
+//! promise manager as a brute-force transition system that shares none of
+//! the manager's code, and asserts after every step that both answered
+//! alike and hold the same promises, marks, tombstones and stock. The
+//! other tests pin what footprint scoping buys: disjoint pools never
+//! retry, a post-check visits only the pools an action wrote, and the
+//! lock-wait and check counters accumulate.
 
+mod support;
+
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use promises_core::{
-    status, ActionError, Catalog, CheckStrategy, ClientId, Clock, Environment, LockingMode, PoolId,
-    PoolSchema, Predicate, PromiseError, PromiseId, PromiseJournal, PromiseManager, PromiseRecord,
-    PromiseRequestSpec, PropExpr, PropertyDef, RequestId, SystemClock,
+    status, ActionError, Catalog, CheckStrategy, ClientId, Clock, Environment, PoolId, PoolSchema,
+    Predicate, PromiseDecision, PromiseError, PromiseId, PromiseJournal, PromiseManager,
+    PromiseRecord, PromiseRequestSpec, PropExpr, PropertyDef, RejectReason, RequestId, SystemClock,
 };
 use promises_rm::{Record, ResourceManager};
+use support::model::{Ask, Buy, Label, Model, Outcome, Reason, Request, View, ROOMS, SUITES};
 
-fn pm_with(mode: LockingMode) -> Arc<PromiseManager> {
-    Arc::new(
-        PromiseManager::new(
-            Arc::new(ResourceManager::new()),
-            Arc::new(SystemClock::new()),
-        )
-        .with_locking_mode(mode),
-    )
+fn pm() -> Arc<PromiseManager> {
+    Arc::new(PromiseManager::new(
+        Arc::new(ResourceManager::new()),
+        Arc::new(SystemClock::new()),
+    ))
 }
 
 fn qty_request(n: &str, pool: &str, amount: u64) -> PromiseRequestSpec {
@@ -49,7 +58,7 @@ fn consume(pm: &PromiseManager, id: promises_core::PromiseId, pool: &str, amount
 fn disjoint_pools_run_without_deadlock_retries() {
     const THREADS: usize = 8;
     const OPS: u64 = 30;
-    let pm = pm_with(LockingMode::Footprint);
+    let pm = pm();
     for t in 0..THREADS {
         let pool = format!("pool{t}");
         pm.register_pool(PoolSchema::quantity(pool.as_str()));
@@ -102,7 +111,7 @@ fn disjoint_pools_run_without_deadlock_retries() {
 #[test]
 fn overlapping_pools_stay_correct_under_contention() {
     const THREADS: usize = 6;
-    let pm = pm_with(LockingMode::Footprint);
+    let pm = pm();
     pm.register_pool(PoolSchema::quantity("shared"));
     pm.seed_quantity("shared", 1_000).unwrap();
     pm.register_pool(PoolSchema::quantity("side"));
@@ -148,8 +157,8 @@ fn overlapping_pools_stay_correct_under_contention() {
     assert_eq!(rm.locked_granules(), 0, "no leaked locks");
 }
 
-fn seeded_four_pool_pm(mode: LockingMode) -> Arc<PromiseManager> {
-    let pm = pm_with(mode);
+fn seeded_four_pool_pm() -> Arc<PromiseManager> {
+    let pm = pm();
     for i in 0..4 {
         let pool = format!("p{i}");
         pm.register_pool(PoolSchema::quantity(pool.as_str()));
@@ -179,7 +188,7 @@ fn restock_p0(pm: &PromiseManager) {
 /// three pools were never scanned.
 #[test]
 fn post_check_visits_only_written_pools() {
-    let pm = seeded_four_pool_pm(LockingMode::Footprint);
+    let pm = seeded_four_pool_pm();
     restock_p0(&pm);
     let stats = pm.last_check_stats();
     assert_eq!(
@@ -193,22 +202,11 @@ fn post_check_visits_only_written_pools() {
     );
 }
 
-/// The global-locking baseline re-checks every pool with a live promise —
-/// the contrast that makes the previous test meaningful.
-#[test]
-fn global_mode_post_check_visits_every_live_pool() {
-    let pm = seeded_four_pool_pm(LockingMode::Global);
-    restock_p0(&pm);
-    let stats = pm.last_check_stats();
-    assert_eq!(stats.pools_visited.len(), 4, "whole-table re-check");
-    assert_eq!(stats.promises_considered, 4, "whole-table snapshot");
-}
-
 /// The latency counters actually accumulate: every grant/execute records
 /// one lock acquisition and one checking pass.
 #[test]
 fn latency_counters_accumulate_per_operation() {
-    let pm = seeded_four_pool_pm(LockingMode::Footprint);
+    let pm = seeded_four_pool_pm();
     restock_p0(&pm);
     let m = pm.metrics();
     assert_eq!(m.grant_lat.lock_wait_ops(), 4);
@@ -218,118 +216,96 @@ fn latency_counters_accumulate_per_operation() {
     assert_eq!(m.prune_lat.lock_wait_ops(), 0, "nothing expired, fast path");
 }
 
-/// Both locking modes make identical decisions on a sequential workload:
-/// footprint scoping changes parallelism, never admission semantics.
-#[test]
-fn modes_agree_on_sequential_decisions() {
-    let run = |mode: LockingMode| {
-        let pm = pm_with(mode);
-        pm.register_pool(PoolSchema::quantity("w"));
-        pm.seed_quantity("w", 10).unwrap();
-        let mut decisions = Vec::new();
-        let mut granted = Vec::new();
-        for i in 0..6 {
-            let resp = pm.request(qty_request(&format!("r{i}"), "w", 3)).unwrap();
-            decisions.push(resp.decision.is_granted());
-            if let Some(id) = resp.decision.granted_id() {
-                granted.push(id);
-            }
-        }
-        // Release one, then a grant that only now fits.
-        pm.release(granted[0]).unwrap();
-        let resp = pm.request(qty_request("again", "w", 3)).unwrap();
-        decisions.push(resp.decision.is_granted());
-        decisions
-    };
-    assert_eq!(run(LockingMode::Footprint), run(LockingMode::Global));
-}
-
-/// A clock that moves `step` ms at every reading (and on demand). At
-/// `step == 0` it is a manual clock; at `step == 1` time passes *inside*
-/// an operation, between its lazy prune and its check, so promises sit in
-/// the table expired-but-unpruned — the state in which the footprint path
-/// re-sums a pool's live demand instead of trusting the aggregate.
+/// A clock that moves `step` ms at every reading (and on demand), and
+/// keeps each reading for the model. At `step == 0` it is a manual clock;
+/// at `step == 1` time passes *inside* an operation, between its lazy
+/// prune and its check, so promises sit in the table expired-but-unpruned —
+/// the state in which the manager re-sums a pool's live demand instead of
+/// trusting the aggregate.
 struct SteppingClock {
     now: AtomicU64,
     step: AtomicU64,
+    readings: Mutex<Vec<u64>>,
 }
 
 impl Clock for SteppingClock {
     fn now_ms(&self) -> u64 {
-        self.now
-            .fetch_add(self.step.load(Ordering::SeqCst), Ordering::SeqCst)
+        let now = self
+            .now
+            .fetch_add(self.step.load(Ordering::SeqCst), Ordering::SeqCst);
+        self.readings.lock().unwrap().push(now);
+        now
     }
 }
 
-/// What a differential world's client holds.
+/// What a client holds: a promise, and what a purchase under it takes.
 #[derive(Debug, Clone, Copy)]
 struct Held {
-    id: PromiseId,
-    /// Quantity held, if any, for the purchase under it.
-    qty: Option<(&'static str, u64)>,
-    /// True if it holds a suite (tentatively allocated, so observable).
-    suite: bool,
+    id: u64,
+    buy: Buy,
 }
 
-/// One manager in one locking mode, with its own clock, storage and
-/// journal. The storage and the journal's lines outlive a crash.
+const STOCK: [(&str, u64); 2] = [("w", 12), ("x", 8)];
+const VIEWS: [bool; 4] = [true, true, false, false];
+const SUITE_COUNT: usize = 3;
+const GRACE_MS: u64 = 60;
+
+/// One manager with its own clock, storage and journal, and the model
+/// that judges it. The storage and the journal's lines outlive a crash.
 struct World {
     pm: PromiseManager,
-    mode: LockingMode,
+    model: Model,
     rm: Arc<ResourceManager>,
     journal: Arc<PromiseJournal>,
     clock: Arc<SteppingClock>,
     held: Vec<Held>,
     /// Every request sent so far, for resending.
-    sent: Vec<(PromiseRequestSpec, Held)>,
+    sent: Vec<Request>,
     /// Every promise id ever granted.
     granted: Vec<PromiseId>,
 }
 
-const QTY_POOLS: [&str; 2] = ["w", "x"];
-
 impl World {
     /// A manager over `rm` with the four pools registered (not seeded).
-    fn manager(
-        mode: LockingMode,
-        rm: &Arc<ResourceManager>,
-        clock: &Arc<SteppingClock>,
-    ) -> PromiseManager {
-        let pm = PromiseManager::new(rm.clone(), clock.clone())
-            .with_locking_mode(mode)
-            .with_tombstone_grace_ms(60);
-        pm.register_pool(PoolSchema::quantity("w"));
-        pm.register_pool(PoolSchema::quantity("x"));
+    fn manager(rm: &Arc<ResourceManager>, clock: &Arc<SteppingClock>) -> PromiseManager {
+        let pm = PromiseManager::new(rm.clone(), clock.clone()).with_tombstone_grace_ms(GRACE_MS);
+        for (pool, _) in STOCK {
+            pm.register_pool(PoolSchema::quantity(pool));
+        }
         // Distinguishable rooms, checked by satisfiability alone.
         pm.register_pool(
-            PoolSchema::instances("rooms", vec![PropertyDef::plain("view")])
+            PoolSchema::instances(ROOMS, vec![PropertyDef::plain("view")])
                 .with_strategy(CheckStrategy::Satisfiability),
         );
         // Interchangeable suites, tentatively allocated and re-arranged.
-        pm.register_pool(PoolSchema::instances("suites", vec![]));
+        pm.register_pool(PoolSchema::instances(SUITES, vec![]));
         pm
     }
 
-    fn new(mode: LockingMode, step: u64) -> Self {
+    fn new(step: u64) -> Self {
         let clock = Arc::new(SteppingClock {
             now: AtomicU64::new(0),
             step: AtomicU64::new(step),
+            readings: Mutex::new(Vec::new()),
         });
         let rm = Arc::new(ResourceManager::new());
         let journal = Arc::new(PromiseJournal::new());
-        let pm = Self::manager(mode, &rm, &clock).with_journal(journal.clone());
-        pm.seed_quantity("w", 12).unwrap();
-        pm.seed_quantity("x", 8).unwrap();
-        for (room, view) in [("r0", true), ("r1", true), ("r2", false), ("r3", false)] {
-            pm.seed_instance("rooms", room, Record::new().with("view", view))
+        let pm = Self::manager(&rm, &clock).with_journal(journal.clone());
+        for (pool, qty) in STOCK {
+            pm.seed_quantity(pool, qty).unwrap();
+        }
+        for (i, view) in VIEWS.into_iter().enumerate() {
+            let room = format!("r{i}");
+            pm.seed_instance(ROOMS, room.as_str(), Record::new().with("view", view))
                 .unwrap();
         }
-        for suite in ["s0", "s1", "s2"] {
-            pm.seed_instance("suites", suite, Record::new()).unwrap();
+        for i in 0..SUITE_COUNT {
+            pm.seed_instance(SUITES, format!("s{i}").as_str(), Record::new())
+                .unwrap();
         }
         Self {
             pm,
-            mode,
+            model: Model::new(&STOCK, &VIEWS, SUITE_COUNT, GRACE_MS),
             rm,
             journal,
             clock,
@@ -339,53 +315,171 @@ impl World {
         }
     }
 
-    fn request(&mut self, spec: PromiseRequestSpec, holds: Held) -> String {
-        self.submit(spec, holds, false)
+    /// Turns op `i` — `(kind, pick, amount, duration, advance)` — into a
+    /// label. Release, purchase, exchange, commit, abort and observe need
+    /// something held, a resend something sent; without it they fall
+    /// through to a clock advance.
+    fn label(&mut self, i: usize, op: (u8, usize, u64, u64, u64)) -> Label {
+        let (kind, pick, amount, duration, advance) = op;
+        let pool = STOCK[pick % STOCK.len()].0;
+        let fresh = |asks, exchange, prepared| Request {
+            request: format!("r{i}"),
+            asks,
+            duration,
+            exchange,
+            prepared,
+        };
+        let qty = Ask::Qty(pool, amount);
+        let picked = (!self.held.is_empty()).then(|| pick % self.held.len());
+        let label = match (kind, picked) {
+            (0, _) => Label::Request(fresh(vec![qty], None, false)),
+            (1, _) => {
+                let view = [None, Some(true), Some(false)][pick % 3];
+                Label::Request(fresh(vec![Ask::Room(view)], None, false))
+            }
+            (2, _) => Label::Request(fresh(vec![Ask::Suite], None, false)),
+            (3, _) => Label::Request(fresh(vec![qty, Ask::Room(None)], None, false)),
+            (4, Some(at)) => Label::Release(self.held.remove(at).id),
+            (5, Some(at)) => {
+                let held = self.held.remove(at);
+                Label::Purchase(held.id, held.buy)
+            }
+            (6, Some(at)) => {
+                let old = self.held.remove(at);
+                Label::Request(fresh(vec![qty], Some(old.id), false))
+            }
+            (7, _) => Label::RogueDrain(2 * amount),
+            (9, _) => Label::Request(fresh(vec![qty], None, true)),
+            (10, Some(at)) => Label::Commit(self.held[at].id),
+            (11, Some(at)) => Label::Abort(self.held.remove(at).id),
+            (12, _) if !self.sent.is_empty() => Label::Request(Request {
+                prepared: false,
+                ..self.sent[pick % self.sent.len()].clone()
+            }),
+            (13, Some(at)) => {
+                let id = self.held[at].id;
+                Label::ObserveThenRequest(id, fresh(vec![Ask::Suite], None, false))
+            }
+            (14, _) => Label::Crash,
+            _ => Label::Tick(advance),
+        };
+        // A first sending is remembered for resending; a resend is not.
+        if let Label::Request(req) | Label::ObserveThenRequest(_, req) = &label {
+            if req.request == format!("r{i}") {
+                self.sent.push(req.clone());
+            }
+        }
+        label
     }
 
-    /// A first sending of `spec`, remembered for resending.
-    fn submit(&mut self, spec: PromiseRequestSpec, holds: Held, prepared: bool) -> String {
-        self.sent.push((spec.clone(), holds));
-        self.send(spec, holds, prepared)
+    /// Runs `label` on the manager; what it answered, and the clock
+    /// readings it took.
+    fn act(&mut self, label: &Label) -> (Outcome, Vec<u64>) {
+        self.clock.readings.lock().unwrap().clear();
+        let said = match label {
+            Label::Request(req) => self.send(req),
+            Label::Release(id) => outcome(self.pm.release(PromiseId(*id))),
+            Label::Purchase(id, buy) => self.purchase(PromiseId(*id), *buy),
+            Label::RogueDrain(amount) => self.rogue_drain(*amount),
+            Label::Commit(id) => decided(self.pm.commit_prepared(PromiseId(*id))),
+            Label::Abort(id) => decided(self.pm.abort_prepared(PromiseId(*id))),
+            Label::ObserveThenRequest(id, req) => {
+                let seen = self.pm.promise(PromiseId(*id)).is_some();
+                Outcome::Seen(seen, Box::new(self.send(req)))
+            }
+            Label::Crash => self.crash_and_recover(),
+            Label::Tick(advance) => {
+                self.clock.now.fetch_add(*advance, Ordering::SeqCst);
+                match self.pm.prune_expired() {
+                    Ok(reaped) => Outcome::Reaped(reaped),
+                    Err(e) => error(e),
+                }
+            }
+        };
+        (
+            said,
+            std::mem::take(&mut *self.clock.readings.lock().unwrap()),
+        )
     }
 
-    /// Sends `spec` (as a prepared hold if `prepared`); a grant — fresh or
-    /// answered from the request index — is held once.
-    fn send(&mut self, spec: PromiseRequestSpec, holds: Held, prepared: bool) -> String {
-        let response = if prepared {
+    /// Sends `req`; a grant — fresh or answered from the request index —
+    /// is held once.
+    fn send(&mut self, req: &Request) -> Outcome {
+        let mut spec = PromiseRequestSpec::new(RequestId(req.request.clone()), ClientId::from("c"))
+            .duration_ms(req.duration);
+        for ask in &req.asks {
+            spec = spec.predicate(match *ask {
+                Ask::Qty(pool, amount) => Predicate::qty_at_least(pool, amount),
+                Ask::Room(None) => Predicate::property(ROOMS, PropExpr::True, 1),
+                Ask::Room(Some(view)) => Predicate::property(ROOMS, PropExpr::eq("view", view), 1),
+                Ask::Suite => Predicate::property(SUITES, PropExpr::True, 1),
+            });
+        }
+        if let Some(old) = req.exchange {
+            spec = spec.exchanging(PromiseId(old));
+        }
+        let response = if req.prepared {
             self.pm.request_prepared(spec)
         } else {
             self.pm.request(spec)
         };
-        let decision = response.unwrap().decision;
-        if let Some(id) = decision.granted_id() {
-            if !self.granted.contains(&id) {
-                self.granted.push(id);
+        let reason = match response.map(|r| r.decision) {
+            Err(e) => return error(e),
+            Ok(PromiseDecision::Rejected { reason }) => reason,
+            Ok(PromiseDecision::Granted {
+                promise,
+                expires_at,
+            }) => {
+                if !self.granted.contains(&promise) {
+                    self.granted.push(promise);
+                }
+                let buy = match req.asks[0] {
+                    Ask::Qty(pool, amount) => Buy::Qty(pool, amount),
+                    Ask::Room(_) => Buy::Room,
+                    Ask::Suite => Buy::Suite,
+                };
+                if !self.held.iter().any(|held| held.id == promise.0) {
+                    self.held.push(Held { id: promise.0, buy });
+                }
+                return Outcome::Granted {
+                    id: promise.0,
+                    expires_at,
+                };
             }
-            if !self.held.iter().any(|held| held.id == id) {
-                self.held.push(Held { id, ..holds });
-            }
-        }
-        format!("{decision:?}")
+        };
+        Outcome::Rejected(match reason {
+            RejectReason::InsufficientQuantity {
+                pool,
+                on_hand,
+                demanded,
+            } => Reason::InsufficientQuantity {
+                pool: pool.0,
+                on_hand,
+                demanded,
+            },
+            RejectReason::Unsatisfiable { pool } => Reason::Unsatisfiable { pool: pool.0 },
+            RejectReason::UnknownExchange(id) => Reason::UnknownExchange(id.0),
+            other => return Outcome::Other(other.to_string()),
+        })
     }
 
     /// Kills the manager and recovers a fresh one over the same storage
     /// from the journal's lines. The clock stands still meanwhile, so
     /// nothing expires between the two digests, which must be byte-equal.
-    fn crash_and_recover(&mut self) -> String {
+    fn crash_and_recover(&mut self) -> Outcome {
         let step = self.clock.step.swap(0, Ordering::SeqCst);
         self.pm.prune_expired().unwrap();
         let before = self.pm.state_digest();
         let lines = self.journal.lines();
         self.journal = Arc::new(PromiseJournal::from_lines(&lines).unwrap());
-        self.pm = Self::manager(self.mode, &self.rm, &self.clock);
+        self.pm = Self::manager(&self.rm, &self.clock);
         let report = self.pm.recover(self.journal.clone()).unwrap();
         assert_eq!(self.pm.state_digest(), before, "recovered state");
         self.clock.step.store(step, Ordering::SeqCst);
-        format!(
-            "recovered {} in doubt {}",
-            report.recovered, report.in_doubt
-        )
+        Outcome::Recovered {
+            recovered: report.recovered,
+            in_doubt: report.in_doubt,
+        }
     }
 
     /// Every record in the table, found through the ids ever granted.
@@ -401,6 +495,48 @@ impl World {
         records
     }
 
+    /// What the manager shows, in the model's terms.
+    fn view(&self) -> View {
+        let mut table: Vec<u64> = self.records().iter().map(|rec| rec.id.0).collect();
+        table.sort_unstable();
+        let rm = &self.rm;
+        let txn = rm.begin();
+        let mut taken = Vec::new();
+        for pool in [ROOMS, SUITES] {
+            let table = Catalog::instance_table(&PoolId::from(pool));
+            for (id, rec) in rm.scan(&txn, &table).unwrap() {
+                if rec.str(Catalog::STATUS) == Some(status::TAKEN) {
+                    taken.push(format!("{pool}/{id}"));
+                }
+            }
+        }
+        rm.commit(txn).unwrap();
+        taken.sort();
+        View {
+            table,
+            prepared: self.pm.prepared_ids().iter().map(|id| id.0).collect(),
+            tombstones: self.pm.tombstone_count(),
+            stock: STOCK
+                .map(|(pool, _)| (pool, self.pm.quantity_on_hand(pool).unwrap()))
+                .to_vec(),
+            taken,
+        }
+    }
+
+    /// The suite each promise in the table holds, by position.
+    fn suites_held(&self) -> BTreeMap<u64, Option<usize>> {
+        let suites = PoolId::from(SUITES);
+        (self.records().iter())
+            .map(|rec| {
+                let held = rec.allocated_in(&suites).first().map(|s| {
+                    let at = s.0.strip_prefix('s').and_then(|n| n.parse().ok());
+                    at.expect("a suite is named s<n>")
+                });
+                (rec.id.0, held)
+            })
+            .collect()
+    }
+
     /// No mark outlives its record: every prepared mark is on a record in
     /// the table, and a request key resolves to a promise exactly when a
     /// live record carries it.
@@ -412,56 +548,56 @@ impl World {
                 "prepared mark on absent {id}"
             );
         }
-        for (spec, _) in &self.sent {
+        for req in &self.sent {
+            let request = RequestId(req.request.clone());
             // The reading the manager is about to take.
             let now = self.clock.now.load(Ordering::SeqCst);
-            let found = self.pm.promise_for_request(&spec.client, &spec.request);
+            let found = self.pm.promise_for_request(&ClientId::from("c"), &request);
             let live: Vec<PromiseId> = records
                 .iter()
-                .filter(|rec| rec.request == spec.request && rec.is_live(now))
+                .filter(|rec| rec.request == request && rec.is_live(now))
                 .map(|rec| rec.id)
                 .collect();
-            assert!(live.len() <= 1, "{} granted twice: {live:?}", spec.request);
-            assert_eq!(found, live.first().copied(), "key {}", spec.request);
+            assert!(live.len() <= 1, "{} granted twice: {live:?}", req.request);
+            assert_eq!(found, live.first().copied(), "key {}", req.request);
         }
     }
 
-    /// Takes whatever `held` stands for inside one action that also
-    /// releases it: its quantity off the pool, the suite it was allocated,
-    /// or else the first free room.
-    fn purchase(&mut self, held: Held) -> String {
-        let suite = if held.suite {
-            match self.pm.promise(held.id) {
+    /// Takes what the promise stands for inside one action that also
+    /// releases it: its quantity off the pool, the suite it was allocated
+    /// (read, and so pinned, first), or else the first free room.
+    fn purchase(&mut self, id: PromiseId, buy: Buy) -> Outcome {
+        let suite = match buy {
+            Buy::Suite => match self.pm.promise(id) {
                 Some(rec) => rec
-                    .allocated_in(&PoolId::from("suites"))
+                    .allocated_in(&PoolId::from(SUITES))
                     .first()
-                    .map(|i| i.0.clone()),
-                None => return "gone".to_owned(),
-            }
-        } else {
-            None
+                    .map(|s| s.0.clone()),
+                None => return Outcome::Gone,
+            },
+            _ => None,
         };
         let result = self
             .pm
-            .execute(&Environment::none().releasing(held.id), |rm, txn| {
-                if let Some((pool, amount)) = held.qty {
-                    rm.update(txn, Catalog::QTY_TABLE, pool, |r| {
-                        let q = r.int("qty").unwrap();
-                        r.set("qty", q - amount as i64);
-                    })?;
-                    return Ok(());
-                }
-                let (pool, key) = match &suite {
-                    Some(key) => ("suites", key.clone()),
-                    None => {
-                        let table = Catalog::instance_table(&PoolId::from("rooms"));
+            .execute(&Environment::none().releasing(id), |rm, txn| {
+                let (pool, key) = match (buy, &suite) {
+                    (Buy::Qty(pool, amount), _) => {
+                        rm.update(txn, Catalog::QTY_TABLE, pool, |r| {
+                            let q = r.int("qty").unwrap();
+                            r.set("qty", q - amount as i64);
+                        })?;
+                        return Ok(());
+                    }
+                    (_, Some(suite)) => (SUITES, suite.clone()),
+                    _ => {
+                        let table = Catalog::instance_table(&PoolId::from(ROOMS));
                         let mut rooms = rm.scan(txn, &table)?;
                         rooms.sort_by(|a, b| a.0.cmp(&b.0));
                         let free = rooms
                             .into_iter()
                             .find(|(_, r)| r.str(Catalog::STATUS) == Some(status::AVAILABLE));
                         match free {
-                            Some((key, _)) => ("rooms", key),
+                            Some((key, _)) => (ROOMS, key),
                             None => return Err(ActionError::App("no free room".into())),
                         }
                     }
@@ -475,7 +611,7 @@ impl World {
 
     /// An action under no promise that drains `w`: rolled back whenever a
     /// live promise still needs the stock.
-    fn rogue_drain(&mut self, amount: u64) -> String {
+    fn rogue_drain(&mut self, amount: u64) -> Outcome {
         outcome(self.pm.execute(&Environment::none(), |rm, txn| {
             rm.update(txn, Catalog::QTY_TABLE, "w", |r| {
                 let q = r.int("qty").unwrap();
@@ -484,149 +620,64 @@ impl World {
             Ok(())
         }))
     }
+}
 
-    /// Runs op `i` — `(kind, pick, amount, duration, advance)` — and says
-    /// what came of it. Release, purchase, exchange, commit, abort and
-    /// observe need something held, a resend something sent; without it
-    /// they fall through to a clock advance.
-    fn step(&mut self, i: usize, op: (u8, usize, u64, u64, u64)) -> String {
-        let (kind, pick, amount, duration, advance) = op;
-        let spec = PromiseRequestSpec::new(RequestId(format!("r{i}")), ClientId::from("c"))
-            .duration_ms(duration);
-        let pool = QTY_POOLS[pick % QTY_POOLS.len()];
-        let qty = Held {
-            id: PromiseId(0),
-            qty: Some((pool, amount)),
-            suite: false,
-        };
-        let room = Held { qty: None, ..qty };
-        let picked = (!self.held.is_empty()).then(|| pick % self.held.len());
-        match (kind, picked) {
-            (0, _) => self.request(spec.predicate(Predicate::qty_at_least(pool, amount)), qty),
-            (1, _) => {
-                let wanted = [
-                    PropExpr::True,
-                    PropExpr::eq("view", true),
-                    PropExpr::eq("view", false),
-                ];
-                let expr = wanted[pick % wanted.len()].clone();
-                self.request(spec.predicate(Predicate::property("rooms", expr, 1)), room)
-            }
-            (2, _) => self.request(
-                spec.predicate(Predicate::property("suites", PropExpr::True, 1)),
-                Held {
-                    suite: true,
-                    ..room
-                },
-            ),
-            (3, _) => self.request(
-                spec.predicate(Predicate::qty_at_least(pool, amount))
-                    .predicate(Predicate::property("rooms", PropExpr::True, 1)),
-                qty,
-            ),
-            (4, Some(at)) => {
-                let held = self.held.remove(at);
-                format!("{:?}", self.pm.release(held.id))
-            }
-            (5, Some(at)) => {
-                let held = self.held.remove(at);
-                self.purchase(held)
-            }
-            (6, Some(at)) => {
-                let old = self.held.remove(at);
-                self.request(
-                    spec.predicate(Predicate::qty_at_least(pool, amount))
-                        .exchanging(old.id),
-                    qty,
-                )
-            }
-            (7, _) => self.rogue_drain(2 * amount),
-            (9, _) => {
-                let spec = spec.predicate(Predicate::qty_at_least(pool, amount));
-                self.submit(spec, qty, true)
-            }
-            (10, Some(at)) => format!("{:?}", self.pm.commit_prepared(self.held[at].id)),
-            (11, Some(at)) => {
-                let held = self.held.remove(at);
-                format!("{:?}", self.pm.abort_prepared(held.id))
-            }
-            (12, _) if !self.sent.is_empty() => {
-                let (spec, holds) = self.sent[pick % self.sent.len()].clone();
-                self.send(spec, holds, false)
-            }
-            (13, Some(at)) => {
-                // Observe (and so pin) a held promise's allocations, then
-                // ask for a suite: the matcher must work around the pin.
-                let seen = self.pm.promise(self.held[at].id).is_some();
-                let suite = spec.predicate(Predicate::property("suites", PropExpr::True, 1));
-                let holds = Held {
-                    suite: true,
-                    ..room
-                };
-                format!("seen {seen} {}", self.request(suite, holds))
-            }
-            (14, _) => self.crash_and_recover(),
-            _ => {
-                self.clock.now.fetch_add(advance, Ordering::SeqCst);
-                format!("{:?}", self.pm.prune_expired())
-            }
-        }
-    }
-
-    /// The digest without allocation lines: *which* of several
-    /// interchangeable suites the matcher picks depends on the order
-    /// records are handed to it, which the global snapshot does not fix.
-    fn digest(&self) -> String {
-        self.pm
-            .state_digest()
-            .lines()
-            .filter(|line| !line.starts_with("  alloc "))
-            .collect::<Vec<_>>()
-            .join("\n")
+/// An operation's result in the model's terms; a violation's victim is
+/// left out (the paper names none, and the model does not choose one).
+fn outcome(result: Result<(), PromiseError>) -> Outcome {
+    match result {
+        Ok(()) => Outcome::Ok,
+        Err(e) => error(e),
     }
 }
 
-/// An action's outcome with the victim of a violation left out: the
-/// global path names an arbitrary one of the violated promises.
-fn outcome(result: Result<(), PromiseError>) -> String {
+fn decided(result: Result<bool, PromiseError>) -> Outcome {
     match result {
-        Ok(()) => "ok".to_owned(),
-        Err(PromiseError::ViolationRolledBack { .. }) => "violation".to_owned(),
-        Err(e) => e.to_string(),
+        Ok(changed) => Outcome::Decided(changed),
+        Err(e) => error(e),
+    }
+}
+
+fn error(e: PromiseError) -> Outcome {
+    match e {
+        PromiseError::PromiseExpired(id) => Outcome::Expired(id.0),
+        PromiseError::UnknownPromise(id) => Outcome::Unknown(id.0),
+        PromiseError::ViolationRolledBack { .. } => Outcome::Violation,
+        PromiseError::ActionFailed(_) => Outcome::ActionFailed,
+        other => Outcome::Other(other.to_string()),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The footprint path (aggregate-only quantity checks, instance-pool
-    /// snapshots, index-driven prune) and the global path (whole-table
-    /// snapshot, kept as the oracle) make the same decision on every step
-    /// of any sequence of requests (plain, prepared, resent), releases,
-    /// purchases, exchanges, commits and aborts, observations, rogue
-    /// actions, crashes and clock advances over quantity and instance
-    /// pools, and hold the same promise state after it; in both, no mark
-    /// outlives its record and recovery rebuilds the digest byte for byte.
+    /// On every step of any sequence of requests (quantity, property,
+    /// suite, mixed, exchange, prepared, resent, after an observation),
+    /// releases, purchases, commits, aborts, rogue actions, crashes and
+    /// clock advances, the manager answers what the model answers — the
+    /// decision, its reason and its pool — and afterwards holds the same
+    /// promises, prepared marks, tombstones and stock, its suite
+    /// allocations are a legal choice, no mark outlives its record, and
+    /// recovery rebuilds the digest byte for byte.
     #[test]
-    fn modes_agree_on_random_sequences(
+    fn manager_agrees_with_the_model(
         step in 0u64..2,
         ops in proptest::collection::vec(
             (0u8..15, 0usize..8, 1u64..6, 5u64..120, 0u64..40),
             1..40,
         ),
     ) {
-        let mut worlds = [
-            World::new(LockingMode::Footprint, step),
-            World::new(LockingMode::Global, step),
-        ];
+        let mut world = World::new(step);
         for (i, op) in ops.into_iter().enumerate() {
-            let said = worlds.each_mut().map(|world| world.step(i, op));
-            prop_assert_eq!(&said[0], &said[1], "step {} {:?}", i, op);
-            prop_assert_eq!(worlds[0].digest(), worlds[1].digest(), "after step {}", i);
-            prop_assert_eq!(worlds[0].pm.tombstone_count(), worlds[1].pm.tombstone_count());
-            for world in &worlds {
-                world.assert_marks_follow_records();
-            }
+            let label = world.label(i, op);
+            let (said, readings) = world.act(&label);
+            let judged = world.model.step(&label, &readings);
+            prop_assert_eq!(Ok(said), judged, "step {} {:?} at {:?}", i, &label, &readings);
+            prop_assert_eq!(world.view(), world.model.view(), "after step {} {:?}", i, &label);
+            let held = world.suites_held();
+            let adopted = world.model.adopt(&held);
+            prop_assert!(adopted.is_ok(), "after step {} {:?}: {:?}", i, &label, adopted);
+            world.assert_marks_follow_records();
         }
     }
 }

@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use promises_core::{
-    status, Catalog, CheckStrategy, ClientId, Environment, ManualClock, PoolSchema, Predicate,
-    PromiseDecision, PromiseError, PromiseManager, PromiseRequestSpec, PropExpr, PropertyDef,
-    RejectReason,
+    status, Catalog, CheckStrategy, ClientId, Environment, ManualClock, PoolId, PoolSchema,
+    Predicate, PromiseDecision, PromiseError, PromiseManager, PromiseRequestSpec, PropExpr,
+    PropertyDef, RejectReason,
 };
 use promises_rm::{Record, ResourceManager};
 
@@ -751,7 +751,9 @@ fn delegated_pair() -> (Arc<PromiseManager>, Arc<PromiseManager>) {
     let (merchant, _) = new_pm();
     merchant.register_pool(PoolSchema::quantity("stock"));
     merchant.seed_quantity("stock", 2).unwrap();
-    merchant.delegate_pool("backorders", Arc::clone(&distributor));
+    merchant
+        .delegate_pool("backorders", Arc::clone(&distributor))
+        .unwrap();
     (merchant, distributor)
 }
 
@@ -793,9 +795,9 @@ fn upstream_rejection_rejects_whole_request_and_compensates() {
 fn delegation_chain() -> [Arc<PromiseManager>; 3] {
     let back = widgets_pm(5);
     let (mid, _) = new_pm();
-    mid.delegate_pool("widgets", Arc::clone(&back));
+    mid.delegate_pool("widgets", Arc::clone(&back)).unwrap();
     let (front, _) = new_pm();
-    front.delegate_pool("widgets", Arc::clone(&mid));
+    front.delegate_pool("widgets", Arc::clone(&mid)).unwrap();
     [front, mid, back]
 }
 
@@ -829,6 +831,44 @@ fn rejection_at_the_end_of_a_chain_reaches_the_front() {
         "{reason:?}"
     );
     assert_eq!(live_counts(&chain), [0, 0, 0], "nothing left live anywhere");
+}
+
+/// §5 delegation is a DAG: a delegation whose upstream chain leads back to
+/// the delegating manager is refused with a typed error and leaves the
+/// routing as it was, so a request still terminates. Before the check, A→B→A
+/// made `request` recurse through the chain until the stack overflowed.
+#[test]
+fn a_delegation_that_closes_a_cycle_is_refused() {
+    let cycle = |pm: &Arc<PromiseManager>, upstream: &Arc<PromiseManager>| {
+        pm.delegate_pool("widgets", Arc::clone(upstream))
+    };
+    let refused = |e| matches!(e, Err(PromiseError::DelegationCycle { pool }) if pool == PoolId::from("widgets"));
+
+    // Two hops: mid → back, then back → mid.
+    let [front, mid, back] = delegation_chain();
+    assert!(refused(cycle(&back, &mid)), "back → mid → back");
+    // Three hops: front → mid → back, then back → front.
+    assert!(refused(cycle(&back, &front)), "back → front → mid → back");
+    // A manager is its own shortest cycle, and rebinding is walked too.
+    assert!(refused(cycle(&mid, &mid)));
+    assert!(refused(mid.rebind_upstream("widgets", Arc::clone(&front))));
+
+    // The chain front → mid → back was accepted and still serves.
+    let chain = [front, mid, back];
+    let p = grant(
+        &chain[0],
+        "order",
+        vec![Predicate::qty_at_least("widgets", 2)],
+    );
+    assert_eq!(live_counts(&chain), [1, 1, 1]);
+    chain[0].release(p).unwrap();
+    // Another pool's delegation may point back: only `widgets`' chain is
+    // a cycle, and a legal edge onto the chain is accepted.
+    assert!(chain[2]
+        .delegate_pool("spares", Arc::clone(&chain[0]))
+        .is_ok());
+    let (side, _) = new_pm();
+    assert!(side.delegate_pool("widgets", Arc::clone(&chain[0])).is_ok());
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! A property grant is a perfect matching: the manager's decisions over a
-//! small instance pool against an exhaustive search written here, in the
-//! dumbest executable form (after Bergstra, Bethke & Burgess: say what a
-//! promise *means*, then hold the clever code to it).
+//! small instance pool against the exhaustive search of `support::model`,
+//! the dumbest executable form (after Bergstra, Bethke & Burgess: say what
+//! a promise *means*, then hold the clever code to it).
+
+mod support;
 
 use std::sync::Arc;
 
@@ -12,6 +14,7 @@ use promises_core::{
     Predicate, PromiseId, PromiseManager, PromiseRequestSpec, PropExpr, PropertyDef, RequestId,
 };
 use promises_rm::{Record, ResourceManager};
+use support::model::perfect_matching_exists;
 
 const TABLE: &str = "inst:rooms";
 const MAX_LIVE: usize = 6;
@@ -90,16 +93,6 @@ impl Asked {
 struct Live {
     id: PromiseId,
     asks: Vec<Asked>,
-}
-
-/// Can every slot have a room of its own? Tries them all.
-fn perfect_matching_exists(slots: &[Vec<usize>], used: u32) -> bool {
-    match slots.split_first() {
-        None => true,
-        Some((first, rest)) => first
-            .iter()
-            .any(|&i| used & (1 << i) == 0 && perfect_matching_exists(rest, used | (1 << i))),
-    }
 }
 
 /// What the paper says a set of promises over an instance pool means:

@@ -49,15 +49,24 @@ impl BookingDesk {
     }
 
     /// Routes bookings touching `pool` to the upstream manager that owns
-    /// it (§5 delegation).
-    pub fn delegate(&self, pool: impl Into<PoolId>, upstream: Arc<PromiseManager>) {
-        self.pm.delegate_pool(pool, upstream);
+    /// it (§5 delegation); refused if `upstream` delegates the pool back
+    /// to this desk.
+    pub fn delegate(
+        &self,
+        pool: impl Into<PoolId>,
+        upstream: Arc<PromiseManager>,
+    ) -> Result<(), PromiseError> {
+        self.pm.delegate_pool(pool, upstream)
     }
 
     /// Re-points an existing delegation after the upstream failed over to
     /// a promoted replacement manager, keeping live chains intact.
-    pub fn rebind(&self, pool: impl Into<PoolId>, upstream: Arc<PromiseManager>) {
-        self.pm.rebind_upstream(pool, upstream);
+    pub fn rebind(
+        &self,
+        pool: impl Into<PoolId>,
+        upstream: Arc<PromiseManager>,
+    ) -> Result<(), PromiseError> {
+        self.pm.rebind_upstream(pool, upstream)
     }
 
     /// The desk's promise manager.
@@ -134,8 +143,8 @@ mod tests {
         let flights = upstream("flights", 1);
         let cars = upstream("cars", 10);
         let desk = BookingDesk::new(pm(), 10).unwrap();
-        desk.delegate("flights", Arc::clone(&flights));
-        desk.delegate("cars", Arc::clone(&cars));
+        desk.delegate("flights", Arc::clone(&flights)).unwrap();
+        desk.delegate("cars", Arc::clone(&cars)).unwrap();
 
         let legs = vec![("flights".to_owned(), 1), ("cars".to_owned(), 1)];
         let b1 = desk.book("a", "r1", &legs, 60_000).unwrap().unwrap();
@@ -157,7 +166,7 @@ mod tests {
     fn retried_booking_is_deduplicated() {
         let flights = upstream("flights", 5);
         let desk = BookingDesk::new(pm(), 10).unwrap();
-        desk.delegate("flights", Arc::clone(&flights));
+        desk.delegate("flights", Arc::clone(&flights)).unwrap();
         let legs = vec![("flights".to_owned(), 1)];
         let b1 = desk.book("a", "r1", &legs, 60_000).unwrap().unwrap();
         let b2 = desk.book("a", "r1", &legs, 60_000).unwrap().unwrap();
@@ -169,7 +178,7 @@ mod tests {
     fn rebind_keeps_cancel_cascading_after_upstream_swap() {
         let flights = upstream("flights", 5);
         let desk = BookingDesk::new(pm(), 10).unwrap();
-        desk.delegate("flights", Arc::clone(&flights));
+        desk.delegate("flights", Arc::clone(&flights)).unwrap();
         let legs = vec![("flights".to_owned(), 1)];
         let booking = desk.book("a", "r1", &legs, 60_000).unwrap().unwrap();
 
@@ -184,7 +193,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(backing.decision, PromiseDecision::Granted { .. }));
-        desk.rebind("flights", Arc::clone(&replacement));
+        desk.rebind("flights", Arc::clone(&replacement)).unwrap();
 
         desk.cancel(booking).unwrap();
         assert_eq!(

@@ -51,11 +51,12 @@ impl Shipping {
 
     /// Routes one unit of carrier capacity per shipment to an upstream
     /// carrier's promise manager (delegation). The upstream manager must
-    /// have a quantity pool named [`CARRIER_POOL`].
-    pub fn with_carrier(mut self, carrier: Arc<PromiseManager>) -> Self {
-        self.pm.delegate_pool(CARRIER_POOL, carrier);
+    /// have a quantity pool named [`CARRIER_POOL`], and must not delegate
+    /// it back to this service.
+    pub fn with_carrier(mut self, carrier: Arc<PromiseManager>) -> Result<Self, PromiseError> {
+        self.pm.delegate_pool(CARRIER_POOL, carrier)?;
         self.uses_carrier = true;
-        self
+        Ok(self)
     }
 
     /// The promise manager this service uses.
@@ -159,7 +160,8 @@ mod tests {
         let carrier = standalone_carrier(1);
         let s = Shipping::new(pm(), 10)
             .unwrap()
-            .with_carrier(Arc::clone(&carrier));
+            .with_carrier(Arc::clone(&carrier))
+            .unwrap();
         let p1 = s.promise_next_day("a", 60_000).unwrap().unwrap();
         assert_eq!(carrier.live_count(), 1);
         // Plenty of local slots, but the carrier is exhausted.
@@ -175,12 +177,15 @@ mod tests {
         // merchant-shipping → regional carrier → national carrier.
         let national = standalone_carrier(1);
         let regional = standalone_carrier(100);
-        regional.delegate_pool("national-capacity", Arc::clone(&national));
+        regional
+            .delegate_pool("national-capacity", Arc::clone(&national))
+            .unwrap();
         // The regional's next-day promise needs national capacity too:
         // model by asking regional for both pools via a shipping facade.
         let s = Shipping::new(pm(), 10)
             .unwrap()
-            .with_carrier(Arc::clone(&regional));
+            .with_carrier(Arc::clone(&regional))
+            .unwrap();
         let _p = s.promise_next_day("a", 60_000).unwrap().unwrap();
         assert_eq!(regional.live_count(), 1);
     }

@@ -168,8 +168,10 @@ pub fn run_travel_booking(cfg: &TravelConfig) -> TravelReport {
         Arc::clone(&cluster.clock) as Arc<dyn promises_core::Clock>,
     ));
     let desk = BookingDesk::new(desk_pm, 1_000_000).expect("desk");
-    desk.delegate(FLIGHT_POOL, Arc::clone(&cluster.nodes[flight_shard].pm));
-    desk.delegate(CAR_POOL, Arc::clone(&cluster.nodes[car_shard].pm));
+    for (pool, shard) in [(FLIGHT_POOL, flight_shard), (CAR_POOL, car_shard)] {
+        desk.delegate(pool, Arc::clone(&cluster.nodes[shard].pm))
+            .expect("a shard manager delegates nothing");
+    }
 
     if cfg.fault_rate > 0.0 {
         cluster

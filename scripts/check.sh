@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every test TEST_INTENT.md names as a witness must exist: a rename or a
+# deletion that forgets the intent file fails here, before anything builds.
+echo "==> scripts/intent_names.sh (TEST_INTENT witnesses exist)"
+scripts/intent_names.sh
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -197,7 +197,8 @@ fn shipping_delegation_end_to_end() {
     let carrier = standalone_carrier(2);
     let shipping = Shipping::new(new_pm(), 10)
         .unwrap()
-        .with_carrier(Arc::clone(&carrier));
+        .with_carrier(Arc::clone(&carrier))
+        .unwrap();
 
     let p1 = shipping
         .promise_next_day("order-1", 60_000)
@@ -229,7 +230,9 @@ fn expiry_cascades_to_upstream_promises() {
         Arc::new(ResourceManager::new()),
         Arc::clone(&clock) as Arc<dyn promises::core::Clock>,
     ));
-    front.delegate_pool("carrier-capacity", Arc::clone(&carrier));
+    front
+        .delegate_pool("carrier-capacity", Arc::clone(&carrier))
+        .unwrap();
 
     let resp = front
         .request(

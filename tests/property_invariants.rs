@@ -383,9 +383,11 @@ proptest! {
 
     /// The single-pool invariants hold per pool when promises overlap two
     /// pools under footprint-scoped locking, and — in debug builds — the
-    /// table's cached quantity aggregate and the checker's demand hints
-    /// are re-derived and asserted against full recomputation inside
-    /// every operation, so any drift fails this property immediately.
+    /// table's cached quantity aggregate (with its pool and expiry
+    /// indexes) is re-derived from the records and asserted equal on every
+    /// table mutation, so any drift in it fails this property
+    /// immediately. The demand the checker is handed is not re-asserted;
+    /// `footprint_scoping.rs`' model judges the decisions made from it.
     #[test]
     fn overlapping_multi_pool_promises_never_oversubscribe(ops in arb_mp_ops()) {
         const INITIAL: u64 = 20;
