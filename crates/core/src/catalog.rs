@@ -7,8 +7,10 @@
 //!   "account balance" attribute of §3.1);
 //! * each instance pool gets its own table `inst:<pool>`, keyed by
 //!   instance id; every record carries the reserved status field
-//!   [`Catalog::STATUS`] with value `available`, `promised` (allocated-tag
-//!   strategies only) or `taken`, mirroring §5's allocated-tags technique.
+//!   [`Catalog::STATUS`] with value `available` or `taken`. That is
+//!   application state only: which live promise holds an instance is
+//!   what the promise records' allocations say (§5's allocated tags), and
+//!   nothing in the resource manager repeats it.
 
 use std::collections::HashMap;
 
@@ -20,10 +22,9 @@ use crate::schema::{PoolKind, PoolSchema};
 
 /// Instance availability states stored in the [`Catalog::STATUS`] field.
 pub mod status {
-    /// Free for promising and taking.
+    /// Not consumed: free for promising and taking, unless a live
+    /// promise's allocations hold it.
     pub const AVAILABLE: &str = "available";
-    /// Tentatively allocated to a live promise (tag strategies).
-    pub const PROMISED: &str = "promised";
     /// Consumed; permanently excluded from all checks.
     pub const TAKEN: &str = "taken";
 }
@@ -155,22 +156,6 @@ impl Catalog {
         self.get(pool)?;
         Ok(rm.scan_with(txn, &Self::instance_table(pool), f)?)
     }
-
-    /// Updates the status field of one instance.
-    pub fn set_status(
-        &self,
-        rm: &ResourceManager,
-        txn: &Txn,
-        pool: &PoolId,
-        id: &InstanceId,
-        new_status: &str,
-    ) -> Result<(), PromiseError> {
-        self.get(pool)?;
-        rm.update(txn, &Self::instance_table(pool), &id.0, |rec| {
-            rec.set(Self::STATUS, new_status);
-        })?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -212,10 +197,6 @@ mod tests {
         let rec = cat.instance(&rm, &tx, &pool, &id).unwrap().unwrap();
         assert_eq!(rec.str(Catalog::STATUS), Some(status::AVAILABLE));
         assert_eq!(rec.int("floor"), Some(5));
-        cat.set_status(&rm, &tx, &pool, &id, status::PROMISED)
-            .unwrap();
-        let rec = cat.instance(&rm, &tx, &pool, &id).unwrap().unwrap();
-        assert_eq!(rec.str(Catalog::STATUS), Some(status::PROMISED));
         let mut seen = Vec::new();
         cat.scan_instances(&rm, &tx, &pool, |id, _| seen.push(id.to_owned()))
             .unwrap();

@@ -25,9 +25,11 @@
 //! instance, and slots that ask the same thing share one accepted list.
 //!
 //! Under the tag strategies ([`CheckStrategy::AllocatedTags`] and
-//! [`CheckStrategy::TentativeAllocation`]) the checker also reads/writes
-//! the `_status` field on instance records inside the caller's transaction,
-//! implementing §5's "allocated tags" / "tentative allocation" techniques.
+//! [`CheckStrategy::TentativeAllocation`]) the checker also fills and
+//! re-arranges each promise's `allocations`, §5's "allocated tags" /
+//! "tentative allocation" techniques. Those records are the one account of
+//! who holds an instance: the checker writes nothing to the resource
+//! manager, whose `_status` field says only whether an instance is taken.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -95,7 +97,7 @@ pub struct CheckerStats {
 pub struct Checker<'a> {
     /// The resource manager.
     pub rm: &'a ResourceManager,
-    /// The transaction every read/write goes through.
+    /// The transaction every read goes through.
     pub txn: &'a Txn,
     /// Pool schemas.
     pub catalog: &'a Catalog,
@@ -181,7 +183,6 @@ fn distinct_exprs<'e>(asks: impl Iterator<Item = Ask<'e>>) -> Vec<&'e PropExpr> 
 struct PoolPass<'e> {
     ids: Vec<InstanceId>,
     matchable: Vec<bool>,
-    promised: Vec<bool>,
     /// The distinct expressions asked of the pool and, for each, the
     /// matchable positions it accepts, ascending.
     exprs: Vec<&'e PropExpr>,
@@ -223,8 +224,6 @@ struct Matched {
     /// adjacent, promises in snapshot order, the candidate last.
     placed: Vec<(PromiseId, usize, usize)>,
     ids: Vec<InstanceId>,
-    /// Whether each instance was tagged `promised` when the pass read it.
-    promised: Vec<bool>,
 }
 
 fn lookup_failed(pool: &PoolId, e: PromiseError) -> CheckError {
@@ -282,8 +281,8 @@ impl<'a> Checker<'a> {
     /// Grant-time check of `candidate` against the other live promises in
     /// `existing`. On success, fills `candidate.allocations` (tag
     /// strategies), possibly re-arranges existing allocations (tentative
-    /// strategy), writes instance statuses, and returns the ids of
-    /// existing promises whose allocations changed.
+    /// strategy), and returns the ids of existing promises whose
+    /// allocations changed.
     pub fn grant(
         &self,
         existing: &mut [Arc<PromiseRecord>],
@@ -304,7 +303,7 @@ impl<'a> Checker<'a> {
                             .map_err(|e| self.as_reject(e, &pool, candidate))?;
                     }
                     CheckStrategy::AllocatedTags => {
-                        self.grant_tags_strict(&pool, candidate)?;
+                        self.grant_tags_strict(&pool, existing, candidate)?;
                     }
                     CheckStrategy::TentativeAllocation => {
                         let assignment = self
@@ -315,7 +314,7 @@ impl<'a> Checker<'a> {
                             existing,
                             Some(&mut *candidate),
                             &assignment,
-                        )?);
+                        ));
                     }
                 },
             }
@@ -366,39 +365,12 @@ impl<'a> Checker<'a> {
                         let assignment = self
                             .match_or_err(&pool, live, None)
                             .map_err(|e| self.as_violation(e, &pool, live))?;
-                        changed.extend(self.apply_assignment(&pool, live, None, &assignment)?);
+                        changed.extend(self.apply_assignment(&pool, live, None, &assignment));
                     }
                 },
             }
         }
         Ok(changed)
-    }
-
-    /// Releases the tag allocations of a promise being released or
-    /// expired: every instance it held that is still `promised` goes back
-    /// to `available`. Instances the releasing action just `took` stay
-    /// taken.
-    pub fn release_tags(&self, rec: &PromiseRecord) -> Result<(), RmError> {
-        for alloc in &rec.allocations {
-            let Some(pred) = rec.predicates.get(alloc.pred_idx) else {
-                continue;
-            };
-            let pool = pred.pool();
-            let table = Catalog::instance_table(pool);
-            // Single conditional round-trip: read, test, and write under
-            // one X lock; a missing instance or non-promised status is a
-            // no-op (the releasing action may have just taken it).
-            self.rm
-                .update_if(self.txn, &table, &alloc.instance.0, |r| {
-                    if r.str(Catalog::STATUS) == Some(status::PROMISED) {
-                        r.set(Catalog::STATUS, status::AVAILABLE);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -434,31 +406,26 @@ impl<'a> Checker<'a> {
 
     /// The one pass a check makes over `pool`'s instance table. Records
     /// are read where they lie ([`Catalog::scan_instances`]); what leaves
-    /// is, per instance, its id, whether a slot may hold it — `available`,
-    /// or `promised` when `include_promised` (the strategies that
-    /// re-arrange) — and whether it is tagged `promised`; and per
-    /// expression in `exprs`, the matchable instances it accepts.
+    /// is, per instance, its id and whether a slot may hold it (it is
+    /// `available`, not taken); and per expression in `exprs`, the
+    /// matchable instances it accepts.
     fn read_pool<'e>(
         &self,
         pool: &PoolId,
         exprs: Vec<&'e PropExpr>,
-        include_promised: bool,
     ) -> Result<PoolPass<'e>, CheckError> {
         let failed = |e| lookup_failed(pool, e);
         let schema = self.catalog.get(pool).map_err(failed)?;
         let mut pass = PoolPass {
             ids: Vec::new(),
             matchable: Vec::new(),
-            promised: Vec::new(),
             accepted: vec![Vec::new(); exprs.len()],
             exprs,
         };
         let mut evals = 0;
         self.catalog
             .scan_instances(self.rm, self.txn, pool, |id, rec| {
-                let status = rec.str(Catalog::STATUS);
-                let promised = status == Some(status::PROMISED);
-                let matchable = status == Some(status::AVAILABLE) || (promised && include_promised);
+                let matchable = rec.str(Catalog::STATUS) == Some(status::AVAILABLE);
                 if matchable {
                     evals += pass.exprs.len();
                     for (expr, accepted) in pass.exprs.iter().zip(&mut pass.accepted) {
@@ -469,7 +436,6 @@ impl<'a> Checker<'a> {
                 }
                 pass.ids.push(InstanceId(id.to_owned()));
                 pass.matchable.push(matchable);
-                pass.promised.push(promised);
             })
             .map_err(failed)?;
         let mut stats = self.stats.borrow_mut();
@@ -480,8 +446,7 @@ impl<'a> Checker<'a> {
 
     /// Reads the pool once and computes a full slot assignment for every
     /// promise in `existing` (plus `candidate`), or an error naming the
-    /// failure. `promised` instances count as matchable: both callers'
-    /// strategies re-arrange.
+    /// failure.
     fn match_or_err(
         &self,
         pool: &PoolId,
@@ -496,7 +461,7 @@ impl<'a> Checker<'a> {
                 .flat_map(|p| asks_of(p, pool))
                 .map(|(_, ask)| ask)
         };
-        let pass = self.read_pool(pool, distinct_exprs(asks()), true)?;
+        let pass = self.read_pool(pool, distinct_exprs(asks()))?;
 
         // Every slot needs an instance of its own, so an ask for more than
         // the pool can hold is refused before a single slot is built (§2:
@@ -564,39 +529,22 @@ impl<'a> Checker<'a> {
         Ok(Matched {
             placed,
             ids: pass.ids,
-            promised: pass.promised,
         })
     }
 
-    /// Writes statuses and allocation lists so they agree with `matched`
-    /// — the assignment [`Checker::match_or_err`] just computed over the
-    /// same `existing` and `candidate`. Returns ids of *existing* promises
-    /// whose allocations changed; each of those is copied out of the
-    /// shared snapshot to take its new allocations ([`Arc::make_mut`]),
-    /// and only those. The candidate's allocations are filled in place.
+    /// Rewrites allocation lists so they agree with `matched` — the
+    /// assignment [`Checker::match_or_err`] just computed over the same
+    /// `existing` and `candidate`. Returns ids of *existing* promises whose
+    /// allocations changed; each of those is copied out of the shared
+    /// snapshot to take its new allocations ([`Arc::make_mut`]), and only
+    /// those. The candidate's allocations are filled in place.
     fn apply_assignment(
         &self,
         pool: &PoolId,
         existing: &mut [Arc<PromiseRecord>],
         candidate: Option<&mut PromiseRecord>,
         matched: &Matched,
-    ) -> Result<Vec<PromiseId>, CheckError> {
-        let table = Catalog::instance_table(pool);
-        let mut assigned = vec![false; matched.ids.len()];
-        for &(_, _, i) in &matched.placed {
-            assigned[i] = true;
-        }
-        for (i, id) in matched.ids.iter().enumerate() {
-            let tag = match (matched.promised[i], assigned[i]) {
-                (false, true) => status::PROMISED,
-                (true, false) => status::AVAILABLE,
-                _ => continue,
-            };
-            self.rm.update(self.txn, &table, &id.0, |r| {
-                r.set(Catalog::STATUS, tag);
-            })?;
-        }
-
+    ) -> Vec<PromiseId> {
         // Slots were built promise by promise in this same order, so each
         // promise's placements are the next run with its id.
         let mut placed = matched.placed.iter().peekable();
@@ -634,20 +582,27 @@ impl<'a> Checker<'a> {
             }
         }
         debug_assert!(placed.next().is_none(), "every placement has an owner");
-        Ok(changed)
+        changed
     }
 
     /// Strict allocated-tags grant: pick free instances for the candidate
     /// without disturbing existing allocations — per predicate, the first
-    /// `available` ones in id order that it accepts.
+    /// ones in id order that it accepts. Free means `available` and
+    /// allocated to no promise in `existing`, the live promises over the
+    /// pool.
     fn grant_tags_strict(
         &self,
         pool: &PoolId,
+        existing: &[Arc<PromiseRecord>],
         candidate: &mut PromiseRecord,
     ) -> Result<(), CheckError> {
         let exprs = distinct_exprs(asks_of(candidate, pool).map(|(_, ask)| ask));
-        let pass = self.read_pool(pool, exprs, false)?;
+        let pass = self.read_pool(pool, exprs)?;
         let mut free = pass.matchable.clone();
+        let held = existing.iter().flat_map(|p| p.allocated_in(pool));
+        for i in held.filter_map(|instance| pass.position(instance)) {
+            free[i] = false;
+        }
         let mut picks: Vec<Allocation> = Vec::new();
         for (pred_idx, ask) in asks_of(candidate, pool) {
             let named;
@@ -675,18 +630,12 @@ impl<'a> Checker<'a> {
                 });
             }
         }
-        let table = Catalog::instance_table(pool);
-        for a in &picks {
-            self.rm.update(self.txn, &table, &a.instance.0, |r| {
-                r.set(Catalog::STATUS, status::PROMISED);
-            })?;
-        }
         candidate.allocations.extend(picks);
         Ok(())
     }
 
     /// Strict allocated-tags post-check: every stored allocation must
-    /// still exist, be tagged `promised`, and satisfy its predicate.
+    /// still exist, not be taken, and satisfy its predicate.
     fn validate_tags(&self, pool: &PoolId, live: &[Arc<PromiseRecord>]) -> Result<(), CheckError> {
         let schema = self
             .catalog
@@ -705,7 +654,7 @@ impl<'a> Checker<'a> {
                 let ok = match &rec {
                     None => false,
                     Some(r) => {
-                        r.str(Catalog::STATUS) == Some(status::PROMISED)
+                        r.str(Catalog::STATUS) == Some(status::AVAILABLE)
                             && match pred {
                                 Predicate::Property { expr, .. } => expr.eval(r, schema),
                                 _ => true,

@@ -63,7 +63,7 @@ use promises_telemetry::{
     current_trace, Histogram, HistogramSnapshot, SpanKind, SpanOutcome, Telemetry,
 };
 
-use crate::catalog::Catalog;
+use crate::catalog::{status, Catalog};
 use crate::check::{CheckError, Checker, CheckerStats};
 use crate::clock::Clock;
 use crate::environment::Environment;
@@ -215,8 +215,8 @@ pub struct OpLatency {
     /// Time spent acquiring the operation's synchronisation point(s) —
     /// the contention cost footprint scoping attacks.
     pub lock_wait: HistogramSnapshot,
-    /// Time spent in promise checking (tag release, grant matching,
-    /// post-action re-check).
+    /// Time spent in promise checking (grant matching, post-action
+    /// re-check).
     pub check: HistogramSnapshot,
 }
 
@@ -540,7 +540,7 @@ enum Leave {
     Expire,
 }
 
-/// What a transaction checks once the leaving promises' tags are freed.
+/// What a transaction checks, the leaving promises set aside.
 enum Check<'a> {
     /// Nothing: a release or an expiry sweep only gives resources back.
     Nothing,
@@ -1500,7 +1500,7 @@ impl PromiseManager {
         Ok(out)
     }
 
-    /// Reaps expired promises, freeing their tag allocations. Called
+    /// Reaps expired promises, freeing what they held. Called
     /// lazily by every operation; callable explicitly (e.g. on a timer).
     /// Returns the number reaped.
     pub fn prune_expired(&self) -> Result<usize, PromiseError> {
@@ -1789,6 +1789,32 @@ impl PromiseManager {
         self.state.lock().table().qty_aggregates()
     }
 
+    /// The instances of `pool` a new promise could be allocated now, in id
+    /// order: not taken, and held by no live promise's allocations (§5's
+    /// free instances). What a service lists as on offer.
+    pub fn free_instances(&self, pool: impl Into<PoolId>) -> Result<Vec<InstanceId>, PromiseError> {
+        let pool = pool.into();
+        let now = self.clock.now_ms();
+        let catalog = self.catalog.read();
+        let live =
+            (self.state.lock().table()).snapshot_pools(now, std::slice::from_ref(&pool), &[]);
+        let held: HashSet<&str> = (live.iter())
+            .flat_map(|rec| rec.allocated_in(&pool))
+            .map(|instance| instance.0.as_str())
+            .collect();
+        let mut free = Vec::new();
+        let txn = self.rm.begin();
+        let scanned = catalog.scan_instances(&self.rm, &txn, &pool, |id, rec| {
+            if rec.str(Catalog::STATUS) == Some(status::AVAILABLE) && !held.contains(id) {
+                free.push(InstanceId(id.to_owned()));
+            }
+        });
+        match scanned {
+            Ok(()) => self.abort_then(txn, free),
+            Err(e) => Err(self.abort_with(txn, e)),
+        }
+    }
+
     /// The quantity on hand in a quantity pool (audit/introspection).
     pub fn quantity_on_hand(&self, pool: impl Into<PoolId>) -> Result<u64, PromiseError> {
         let pool = pool.into();
@@ -2013,9 +2039,9 @@ impl PromiseManager {
     /// The §8 transaction every promise operation is: inside `txn`, lock
     /// the footprint's synchronisation points; under the state lock, ask
     /// `admit` whether the operation may go ahead as of `now` and read
-    /// what the check needs; *outside* it — so operations over disjoint
-    /// pools check in parallel — free the leaving promises' tags and run
-    /// the check against that snapshot; then, under the state lock again,
+    /// what the check needs, the leaving promises left out; *outside* it —
+    /// so operations over disjoint pools check in parallel — run the check
+    /// against that snapshot; then, under the state lock again,
     /// take the leaving promises out, write re-arranged allocations back,
     /// put the candidate in, journal each step in that order, and commit.
     /// Any other ending rolls `txn` back, the table untouched.
@@ -2088,22 +2114,20 @@ impl PromiseManager {
                 .with_qty_demand(inputs.qty_demand)
                 .with_pinned(inputs.pinned)
                 .with_victim_lookup(&victim_of);
-            // Tags are freed inside the transaction: if it rolls back the
-            // leaving promises keep their resources (§4: "the previous one
-            // should be retained").
-            let freed = leaving.iter().try_for_each(|rec| checker.release_tags(rec));
-            let result = freed.map_err(CheckError::Rm).and_then(|()| {
-                if let Some((record, _)) = &mut candidate {
-                    checker.grant(&mut snapshot, record)
-                } else if post_check {
-                    // Only the footprint's pools can have been invalidated
-                    // by the action; released promises never constrain
-                    // others tighter.
-                    checker.post_check(&mut snapshot, t.footprint)
-                } else {
-                    Ok(Vec::new())
-                }
-            });
+            // The leaving promises are out of the snapshot, so the check
+            // already sees what they held as free; they leave the table
+            // only once it passes (§4: "the previous one should be
+            // retained" if it does not).
+            let result = if let Some((record, _)) = &mut candidate {
+                checker.grant(&mut snapshot, record)
+            } else if post_check {
+                // Only the footprint's pools can have been invalidated by
+                // the action; released promises never constrain others
+                // tighter.
+                checker.post_check(&mut snapshot, t.footprint)
+            } else {
+                Ok(Vec::new())
+            };
             let mut stats = checker.stats();
             if candidate.is_none() && !post_check {
                 stats.promises_considered = leaving.len();

@@ -1,8 +1,8 @@
 //! Background expiry reaper.
 //!
 //! Every promise operation already prunes expired promises lazily, but a
-//! manager that receives no traffic would hold expired promises' tag
-//! allocations forever. The reaper is the degraded-mode companion (§6:
+//! manager that receives no traffic would keep expired promises in its
+//! table forever. The reaper is the degraded-mode companion (§6:
 //! promises "can be discarded once the expiration time has passed"): a
 //! background thread that calls [`PromiseManager::prune_expired`] on a
 //! fixed interval so capacity is returned to the pools even when no

@@ -32,18 +32,20 @@ pub enum PoolKind {
 /// pool. Quantity pools always use the resource-pool counter technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckStrategy {
-    /// "Allocated tags": grant immediately marks chosen instances as
-    /// `promised`; a request is rejected if no *free* instance fits, even
-    /// when re-arranging existing tentative allocations would succeed.
+    /// "Allocated tags": grant immediately allocates chosen instances to
+    /// the promise (its record's `allocations`); a request is rejected if
+    /// no *free* instance — untaken and allocated to no live promise —
+    /// fits, even when re-arranging existing allocations would succeed.
     AllocatedTags,
     /// "Satisfiability check": nothing is marked at grant time; every
     /// check solves the full bipartite matching between live promises and
     /// untaken instances. Maximally permissive, most expensive per check.
     Satisfiability,
-    /// "Tentative allocation": instances are marked like `AllocatedTags`,
-    /// but a request that finds no free instance may *re-arrange* existing
-    /// tentative allocations (augmenting path) before giving up. Grants
-    /// exactly what `Satisfiability` grants at incremental cost.
+    /// "Tentative allocation": instances are allocated like
+    /// `AllocatedTags`, but a request that finds no free instance may
+    /// *re-arrange* existing tentative allocations (augmenting path) before
+    /// giving up. Grants exactly what `Satisfiability` grants at
+    /// incremental cost.
     #[default]
     TentativeAllocation,
 }

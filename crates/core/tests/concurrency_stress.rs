@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use promises_core::{
-    status, ActionError, Catalog, CheckStrategy, Environment, PoolId, PoolSchema, Predicate,
-    PromiseManager, PromiseRequestSpec, PropExpr, PropertyDef, SystemClock,
+    status, ActionError, Catalog, CheckStrategy, Environment, InstanceId, PoolId, PoolSchema,
+    Predicate, PromiseManager, PromiseRequestSpec, PropExpr, PropertyDef, SystemClock,
 };
 use promises_rm::{Record, ResourceManager};
 
@@ -285,8 +285,8 @@ fn observed_allocations_survive_rearrangement_pressure() {
 }
 
 /// Mixed grants, releases, violating rogue writes and expiries running
-/// together: the manager must end consistent (no stuck PROMISED tags, no
-/// negative stock, no live promises).
+/// together: the manager must end consistent (every untaken item free
+/// again, no negative stock, no live promises).
 #[test]
 fn mixed_chaos_ends_consistent() {
     let pm = new_pm();
@@ -385,14 +385,20 @@ fn mixed_chaos_ends_consistent() {
         .int("qty")
         .unwrap();
     assert!(stock >= 0, "stock never negative (got {stock})");
-    // No orphaned PROMISED tags after all promises were settled.
-    let stuck = rm
+    // Every item nobody took is free again once all promises settled.
+    let untaken: Vec<InstanceId> = rm
         .scan(&txn, &Catalog::instance_table(&PoolId::from("items")))
         .unwrap()
         .into_iter()
-        .filter(|(_, r)| r.str(Catalog::STATUS) == Some(status::PROMISED))
-        .count();
+        .filter(|(_, r)| r.str(Catalog::STATUS) != Some(status::TAKEN))
+        .map(|(id, _)| InstanceId(id))
+        .collect();
     rm.commit(txn).unwrap();
-    assert_eq!(stuck, 0, "no orphaned tentative allocations");
+    assert_eq!(untaken.len(), 12, "no item is ever taken");
+    assert_eq!(
+        pm.free_instances("items").unwrap(),
+        untaken,
+        "no orphaned tentative allocations"
+    );
     assert_eq!(rm.locked_granules(), 0, "no leaked locks");
 }

@@ -19,9 +19,10 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use promises_core::{
-    status, ActionError, Catalog, CheckStrategy, ClientId, Clock, Environment, PoolId, PoolSchema,
-    Predicate, PromiseDecision, PromiseError, PromiseId, PromiseJournal, PromiseManager,
-    PromiseRecord, PromiseRequestSpec, PropExpr, PropertyDef, RejectReason, RequestId, SystemClock,
+    status, ActionError, Catalog, CheckStrategy, ClientId, Clock, Environment, InstanceId, PoolId,
+    PoolSchema, Predicate, PromiseDecision, PromiseError, PromiseId, PromiseJournal,
+    PromiseManager, PromiseRecord, PromiseRequestSpec, PropExpr, PropertyDef, RejectReason,
+    RequestId, SystemClock,
 };
 use promises_rm::{Record, ResourceManager};
 use support::model::{Ask, Buy, Label, Model, Outcome, Reason, Request, View, ROOMS, SUITES};
@@ -528,13 +529,22 @@ impl World {
         let suites = PoolId::from(SUITES);
         (self.records().iter())
             .map(|rec| {
-                let held = rec.allocated_in(&suites).first().map(|s| {
-                    let at = s.0.strip_prefix('s').and_then(|n| n.parse().ok());
-                    at.expect("a suite is named s<n>")
-                });
+                let held = rec.allocated_in(&suites).first().map(|s| suite_at(s));
                 (rec.id.0, held)
             })
             .collect()
+    }
+
+    /// The suites the manager lists as free, by position, and the one
+    /// clock reading it listed them at.
+    fn free_suites(&self) -> (Vec<usize>, u64) {
+        self.clock.readings.lock().unwrap().clear();
+        let free = (self.pm.free_instances(SUITES).unwrap().iter())
+            .map(suite_at)
+            .collect();
+        let readings = std::mem::take(&mut *self.clock.readings.lock().unwrap());
+        assert_eq!(readings.len(), 1, "a listing reads the clock once");
+        (free, readings[0])
     }
 
     /// No mark outlives its record: every prepared mark is on a record in
@@ -622,6 +632,12 @@ impl World {
     }
 }
 
+/// A suite's position: `s<n>` is suite `n`.
+fn suite_at(suite: &InstanceId) -> usize {
+    let at = suite.0.strip_prefix('s').and_then(|n| n.parse().ok());
+    at.expect("a suite is named s<n>")
+}
+
 /// An operation's result in the model's terms; a violation's victim is
 /// left out (the paper names none, and the model does not choose one).
 fn outcome(result: Result<(), PromiseError>) -> Outcome {
@@ -657,8 +673,9 @@ proptest! {
     /// clock advances, the manager answers what the model answers — the
     /// decision, its reason and its pool — and afterwards holds the same
     /// promises, prepared marks, tombstones and stock, its suite
-    /// allocations are a legal choice, no mark outlives its record, and
-    /// recovery rebuilds the digest byte for byte.
+    /// allocations are a legal choice, the suites it lists as free are the
+    /// untaken ones no live promise holds, no mark outlives its record,
+    /// and recovery rebuilds the digest byte for byte.
     #[test]
     fn manager_agrees_with_the_model(
         step in 0u64..2,
@@ -677,6 +694,8 @@ proptest! {
             let held = world.suites_held();
             let adopted = world.model.adopt(&held);
             prop_assert!(adopted.is_ok(), "after step {} {:?}: {:?}", i, &label, adopted);
+            let (free, at) = world.free_suites();
+            prop_assert_eq!(free, world.model.free_suites(at), "free after step {} {:?}", i, &label);
             world.assert_marks_follow_records();
         }
     }

@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use promises_core::{
-    status, Catalog, CheckStrategy, ClientId, Environment, ManualClock, PoolId, PoolSchema,
-    Predicate, PromiseDecision, PromiseError, PromiseManager, PromiseRequestSpec, PropExpr,
-    PropertyDef, RejectReason,
+    status, Catalog, CheckStrategy, ClientId, Environment, InstanceId, ManualClock, PoolId,
+    PoolSchema, Predicate, PromiseDecision, PromiseError, PromiseJournal, PromiseManager,
+    PromiseRequestSpec, PropExpr, PropertyDef, RejectReason,
 };
 use promises_rm::{Record, ResourceManager};
 
@@ -46,7 +46,11 @@ fn widgets_pm(initial: u64) -> Arc<PromiseManager> {
 }
 
 fn hotel_pm(strategy: CheckStrategy) -> Arc<PromiseManager> {
-    let (pm, _) = new_pm();
+    hotel_on(new_pm().0, strategy)
+}
+
+/// Registers the rooms pool on `pm` under `strategy` and seeds three rooms.
+fn hotel_on(pm: Arc<PromiseManager>, strategy: CheckStrategy) -> Arc<PromiseManager> {
     pm.register_pool(
         PoolSchema::instances(
             "rooms",
@@ -449,15 +453,84 @@ fn taking_someone_elses_promised_room_rolls_back() {
         })
         .unwrap_err();
     assert!(matches!(err, PromiseError::ViolationRolledBack { violated, .. } if violated == p));
-    // The room is still promised (rollback restored it).
+    // The room is untaken again (rollback restored it) and still promised.
     let rm = pm.rm();
     let txn = rm.begin();
     let rec = rm
         .get(&txn, &Catalog::instance_table(&"rooms".into()), "512")
         .unwrap()
         .unwrap();
-    assert_eq!(rec.str(Catalog::STATUS), Some(status::PROMISED));
+    assert_eq!(rec.str(Catalog::STATUS), Some(status::AVAILABLE));
     rm.commit(txn).unwrap();
+    let free = pm.free_instances("rooms").unwrap();
+    assert!(!free.contains(&InstanceId::from("512")), "{free:?}");
+}
+
+/// Every instance record as stored, in id order.
+fn rooms_stored(pm: &PromiseManager) -> Vec<(String, Record)> {
+    let rm = pm.rm();
+    let txn = rm.begin();
+    let rooms = rm.scan(&txn, "inst:rooms").unwrap();
+    rm.commit(txn).unwrap();
+    rooms
+}
+
+/// Who holds a room lives in the promise records alone: a grant, a
+/// re-arrangement that moves an existing allocation, and releases leave
+/// every room record exactly as seeded.
+#[test]
+fn allocations_leave_the_room_records_as_seeded() {
+    let pm = hotel_pm(CheckStrategy::TentativeAllocation);
+    let seeded = rooms_stored(&pm);
+    let holds = |id| pm.peek_promise(id).unwrap().allocations[0].instance.clone();
+    let view = grant(
+        &pm,
+        "view",
+        vec![Predicate::property("rooms", PropExpr::eq("view", true), 1)],
+    );
+    assert_eq!(holds(view), InstanceId::from("512"));
+    assert_eq!(rooms_stored(&pm), seeded, "after a grant");
+    let named = grant(&pm, "named", vec![Predicate::named("rooms", "512")]);
+    assert_eq!(holds(view), InstanceId::from("610"), "re-arranged");
+    assert_eq!(rooms_stored(&pm), seeded, "after a re-arrangement");
+    pm.release(view).unwrap();
+    pm.release(named).unwrap();
+    assert_eq!(rooms_stored(&pm), seeded, "after the releases");
+}
+
+/// A manager recovered from the journal over fresh storage refuses a
+/// named ask for a room a recovered promise holds, under both strategies
+/// that allocate: the holder is read from the recovered records, not from
+/// a mark the old storage kept.
+#[test]
+fn a_recovered_holder_keeps_its_room_over_fresh_storage() {
+    for strategy in [
+        CheckStrategy::AllocatedTags,
+        CheckStrategy::TentativeAllocation,
+    ] {
+        let clock = Arc::new(ManualClock::new());
+        let fresh = || PromiseManager::new(Arc::new(ResourceManager::new()), clock.clone() as _);
+        let journal = Arc::new(PromiseJournal::new());
+        let pm1 = hotel_on(Arc::new(fresh().with_journal(journal.clone())), strategy);
+        let held = grant(&pm1, "first", vec![Predicate::named("rooms", "101")]);
+        let reason = reject_reason(&pm1, "second", vec![Predicate::named("rooms", "101")]);
+        assert!(
+            matches!(reason, RejectReason::InstanceUnavailable { .. }),
+            "{strategy:?}"
+        );
+
+        let pm2 = hotel_on(Arc::new(fresh()), strategy);
+        let lines = PromiseJournal::from_lines(&journal.lines()).unwrap();
+        assert_eq!(pm2.recover(Arc::new(lines)).unwrap().recovered, 1);
+        assert!(pm2.peek_promise(held).is_some());
+        let reason = reject_reason(&pm2, "second", vec![Predicate::named("rooms", "101")]);
+        assert!(
+            matches!(reason, RejectReason::InstanceUnavailable { .. }),
+            "{strategy:?}: {reason:?}"
+        );
+        let free = pm2.free_instances("rooms").unwrap();
+        assert_eq!(free, [InstanceId::from("512"), InstanceId::from("610")]);
+    }
 }
 
 #[test]

@@ -275,10 +275,11 @@ impl World {
         }
     }
 
-    /// What the tags say agrees with what the table says: every unit
-    /// asked holds a distinct untaken room its predicate accepts, and
-    /// `promised` marks exactly those rooms (no room at all under the
-    /// satisfiability strategy, which allocates nothing).
+    /// What the allocations say agrees with what the table says: every
+    /// unit asked holds a distinct untaken room its predicate accepts, and
+    /// the manager lists as free exactly the untaken rooms none of them
+    /// holds (every untaken room under the satisfiability strategy, which
+    /// allocates nothing).
     fn assert_allocations_are_a_matching(&self) -> Result<(), TestCaseError> {
         let rooms = self.rooms();
         let mut held: Vec<InstanceId> = Vec::new();
@@ -309,9 +310,11 @@ impl World {
                 }
             }
         }
+        let free = self.pm.free_instances("rooms").unwrap();
         for room in &rooms {
             let allocated = held.iter().any(|id| id.0 == room.id);
-            prop_assert_eq!(room.status == status::PROMISED, allocated, "{:?}", room);
+            let listed = free.iter().any(|id| id.0 == room.id);
+            prop_assert_eq!(listed, room.matchable() && !allocated, "{:?}", room);
         }
         Ok(())
     }

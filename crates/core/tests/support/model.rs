@@ -356,6 +356,15 @@ impl Model {
         Ok(())
     }
 
+    /// The suites a new promise could be allocated at `now`, in id order:
+    /// untaken, and held by no promise live then.
+    pub fn free_suites(&self, now: u64) -> Vec<usize> {
+        let held = |s| (self.table.values()).any(|p| p.live(now) && p.suite == Some(s));
+        (0..self.suites.len())
+            .filter(|&s| !self.suites[s] && !held(s))
+            .collect()
+    }
+
     fn request(&mut self, req: &Request, clock: &mut Readings) -> Outcome {
         self.reap(clock);
         let asked = clock.read();

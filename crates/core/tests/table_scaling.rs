@@ -7,9 +7,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use promises_core::{
-    status, ActionError, Allocation, Catalog, ClientId, Environment, InstanceId, JournalOp,
-    ManualClock, PoolId, PoolSchema, Predicate, PromiseId, PromiseJournal, PromiseManager,
-    PromiseRecord, PromiseRequestSpec, PromiseTable, PropExpr, PropertyDef, RequestId,
+    ActionError, Allocation, Catalog, ClientId, Environment, InstanceId, JournalOp, ManualClock,
+    PoolId, PoolSchema, Predicate, PromiseId, PromiseJournal, PromiseManager, PromiseRecord,
+    PromiseRequestSpec, PromiseTable, PropExpr, PropertyDef, RequestId,
 };
 use promises_rm::{Record, ResourceManager};
 
@@ -234,7 +234,7 @@ fn work_per_operation_does_not_grow_with_the_table() {
 /// It reads the residents where the table holds them: a grant that moves
 /// no allocation copies no record, and one that forces a re-arrangement
 /// copies exactly the promises it moves. The residents are what a restart
-/// finds (journalled grants, tagged instances), so building a rung costs
+/// finds (journalled grants with their allocations), so building a rung costs
 /// one replay, not a thousand checks.
 #[test]
 fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
@@ -247,7 +247,7 @@ fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
     for residents in [10usize, 100, 1_000] {
         let instances = residents + 2 * KINDS;
         let rm = Arc::new(ResourceManager::new());
-        let pm = PromiseManager::new(rm.clone(), Arc::new(ManualClock::new()));
+        let pm = PromiseManager::new(rm, Arc::new(ManualClock::new()));
         pm.register_pool(PoolSchema::instances(
             "rooms",
             vec![PropertyDef::plain("kind")],
@@ -257,14 +257,6 @@ fn an_instance_pool_grant_reads_its_pool_once_whatever_the_residents() {
             let kind = Record::new().with("kind", (i % KINDS) as i64);
             pm.seed_instance("rooms", room(i), kind).unwrap();
         }
-        rm.transact(0, |txn| {
-            (0..residents).try_for_each(|i| {
-                rm.update(txn, "inst:rooms", &room(i).0, |r| {
-                    r.set(Catalog::STATUS, status::PROMISED);
-                })
-            })
-        })
-        .unwrap();
         for i in 0..residents {
             journal.append(JournalOp::Grant(PromiseRecord {
                 id: PromiseId(i as u64 + 1),

@@ -432,33 +432,6 @@ impl ResourceManager {
         Ok(())
     }
 
-    /// Conditional read-modify-write of one record under an `X` lock, in a
-    /// single store round-trip. `f` mutates the record and returns whether
-    /// the mutation should be kept; when it returns `false` nothing is
-    /// written (and no undo entry is recorded). Returns `Ok(None)` if the
-    /// key is absent, otherwise `Ok(Some(updated))`.
-    pub fn update_if(
-        &self,
-        txn: &Txn,
-        table: &str,
-        key: &str,
-        f: impl FnOnce(&mut Record) -> bool,
-    ) -> Result<Option<bool>, RmError> {
-        self.write_locks(txn, table, key)?;
-        self.faultable("update", table)?;
-        let mut store = self.store.lock();
-        let Some(before) = store.get(table, key)? else {
-            return Ok(None);
-        };
-        let mut rec = before.clone();
-        if !f(&mut rec) {
-            return Ok(Some(false));
-        }
-        self.record_undo(txn, table, key, Some(before))?;
-        store.put(table, key, rec)?;
-        Ok(Some(true))
-    }
-
     /// Scans a whole table under a table-level `S` lock (phantom-safe),
     /// copying every record out.
     pub fn scan(&self, txn: &Txn, table: &str) -> Result<Vec<(String, Record)>, RmError> {
@@ -866,43 +839,6 @@ mod tests {
         );
         rm.commit(tx).unwrap();
         h.join().unwrap();
-    }
-
-    #[test]
-    fn update_if_writes_only_when_predicate_holds() {
-        let rm = rm_with_table();
-        let tx = rm.begin();
-        rm.insert(&tx, "t", "k", Record::new().with("v", 1i64))
-            .unwrap();
-        rm.commit(tx).unwrap();
-
-        let tx = rm.begin();
-        // Declined update: no write, no undo entry.
-        assert_eq!(rm.update_if(&tx, "t", "k", |_| false), Ok(Some(false)));
-        assert!(
-            rm.write_set(&tx).unwrap().is_empty(),
-            "declined update must not log"
-        );
-        // Missing key is not an error, just None.
-        assert_eq!(rm.update_if(&tx, "t", "nope", |_| true), Ok(None));
-        // Applied update goes through and is undone on abort.
-        assert_eq!(
-            rm.update_if(&tx, "t", "k", |r| {
-                r.set("v", 2i64);
-                true
-            }),
-            Ok(Some(true))
-        );
-        assert_eq!(rm.get(&tx, "t", "k").unwrap().unwrap().int("v"), Some(2));
-        rm.abort(tx).unwrap();
-
-        let tx = rm.begin();
-        assert_eq!(
-            rm.get(&tx, "t", "k").unwrap().unwrap().int("v"),
-            Some(1),
-            "abort reverts applied update_if"
-        );
-        rm.commit(tx).unwrap();
     }
 
     #[test]

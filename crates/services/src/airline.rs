@@ -151,18 +151,7 @@ impl Airline {
 
     /// Seats still available on a flight.
     pub fn available_seats(&self, flight: &str) -> Result<usize, PromiseError> {
-        let rm = self.pm.rm();
-        let txn = rm.begin();
-        let n = rm
-            .scan(
-                &txn,
-                &Catalog::instance_table(&PoolId::from(flight_pool(flight).as_str())),
-            )?
-            .into_iter()
-            .filter(|(_, r)| r.str(Catalog::STATUS) == Some(status::AVAILABLE))
-            .count();
-        rm.commit(txn)?;
-        Ok(n)
+        Ok(self.pm.free_instances(flight_pool(flight))?.len())
     }
 }
 

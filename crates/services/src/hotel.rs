@@ -301,16 +301,8 @@ impl Hotel {
 
     /// Rooms currently available (not promised, not taken).
     pub fn available_rooms(&self) -> Result<Vec<String>, PromiseError> {
-        let rm = self.pm.rm();
-        let txn = rm.begin();
-        let rooms = rm
-            .scan(&txn, &Catalog::instance_table(&PoolId::from(ROOM_POOL)))?
-            .into_iter()
-            .filter(|(_, r)| r.str(Catalog::STATUS) == Some(status::AVAILABLE))
-            .map(|(k, _)| k)
-            .collect();
-        rm.commit(txn)?;
-        Ok(rooms)
+        let rooms = self.pm.free_instances(ROOM_POOL)?;
+        Ok(rooms.into_iter().map(|room| room.0).collect())
     }
 }
 
@@ -325,13 +317,17 @@ pub fn allocated_room(pm: &PromiseManager, promise: PromiseId) -> Option<Instanc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promises_core::SystemClock;
+    use promises_core::{PromiseJournal, SystemClock};
     use promises_rm::ResourceManager;
 
     fn hotel() -> Hotel {
         let rm = Arc::new(ResourceManager::new());
-        let pm = Arc::new(PromiseManager::new(rm, Arc::new(SystemClock::new())));
-        let h = Hotel::new(pm);
+        hotel_over(PromiseManager::new(rm, Arc::new(SystemClock::new())))
+    }
+
+    /// The three-room hotel on `pm`.
+    fn hotel_over(pm: PromiseManager) -> Hotel {
+        let h = Hotel::new(Arc::new(pm));
         h.add_room(RoomSpec::new("101", 1, false, false, 1, "standard"))
             .unwrap();
         h.add_room(RoomSpec::new("512", 5, true, false, 2, "standard"))
@@ -400,6 +396,28 @@ mod tests {
         assert!(!h.available_rooms().unwrap().contains(&"512".to_owned()));
         h.cancel(p).unwrap();
         assert!(h.available_rooms().unwrap().contains(&"512".to_owned()));
+    }
+
+    /// A hotel restarted over fresh storage still does not offer a room a
+    /// recovered promise holds: who holds a room is what the promise
+    /// records say, and recovery rebuilds those.
+    #[test]
+    fn a_recovered_hold_is_not_listed() {
+        let journal = Arc::new(PromiseJournal::new());
+        let clock: Arc<SystemClock> = Arc::new(SystemClock::new());
+        let fresh = || PromiseManager::new(Arc::new(ResourceManager::new()), clock.clone());
+        let h = hotel_over(fresh().with_journal(journal.clone()));
+        let p = h
+            .promise_specific_room("alice", "512", 60_000)
+            .unwrap()
+            .unwrap();
+        assert_eq!(h.available_rooms().unwrap(), ["101", "610"]);
+
+        let restarted = hotel_over(fresh());
+        let lines = PromiseJournal::from_lines(&journal.lines()).unwrap();
+        restarted.manager().recover(Arc::new(lines)).unwrap();
+        assert!(restarted.manager().peek_promise(p).is_some());
+        assert_eq!(restarted.available_rooms().unwrap(), ["101", "610"]);
     }
 
     #[test]

@@ -158,16 +158,11 @@ impl<'a> XmlParser<'a> {
         &self.src[self.pos..]
     }
 
+    /// Skips whitespace, multi-byte characters included, so `pos` stays on
+    /// a character boundary.
     fn skip_ws(&mut self) {
-        while self
-            .rest()
-            .chars()
-            .next()
-            .map(char::is_whitespace)
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
+        let rest = self.rest();
+        self.pos += rest.len() - rest.trim_start().len();
     }
 
     fn eat(&mut self, tok: &str) -> bool {
@@ -360,5 +355,15 @@ mod tests {
         assert_eq!(p.name, "a");
         assert_eq!(p.children.len(), 1);
         assert_eq!(p.text, "");
+    }
+
+    /// Whitespace outside ASCII (a no-break space, a line separator) is
+    /// skipped whole, not one byte of it, which split the character.
+    #[test]
+    fn multibyte_whitespace_is_skipped_whole() {
+        for ws in ["\u{a0}", "\u{2028}"] {
+            let p = parse(&format!("{ws}<a>{ws}<b/>{ws}</a>{ws}")).unwrap();
+            assert_eq!((p.name.as_str(), p.children.len()), ("a", 1), "{ws:?}");
+        }
     }
 }

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> scripts/intent_names.sh (TEST_INTENT witnesses exist)"
 scripts/intent_names.sh
 
+# Every `path.rs:NN` ROADMAP.md, DESIGN.md and TEST_INTENT.md cite must
+# name a source file at least NN lines long.
+echo "==> scripts/cite_lines.sh (cited source lines exist)"
+scripts/cite_lines.sh
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
