@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use promises_core::{Clock, ManualClock, RecoveryReport};
+use promises_core::{Clock, ManualClock, PoolSchema, RecoveryReport};
 use promises_faults::FaultInjector;
 use promises_telemetry::{
     FlightRecorder, HealthState, IncidentReport, ShardEvidence, SpanKind, Telemetry,
@@ -20,7 +20,7 @@ use crate::lease::LeaseDirectory;
 use crate::log::CoordinatorLog;
 use crate::replica::{ReplicationLink, ShardFollower};
 use crate::router::{versioned_endpoint, ShardMap};
-use crate::shard::ShardNode;
+use crate::shard::{PoolSeed, ShardNode};
 
 /// What one [`PromiseCluster::rebalance_leases`] cycle did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,8 +71,9 @@ pub struct PromiseCluster {
     /// promotions. Shares an epoch with every shard recorder so incident
     /// timelines are comparable across nodes.
     pub recorder: Arc<FlightRecorder>,
-    /// Registered pools: `(name, seeded qty, owning shard)` — kept so a
-    /// crashed shard can re-register its schemas on restart.
+    /// Registered quantity pools: `(name, seeded qty, owning shard)` — the
+    /// cluster-wide totals lease accounting and the audits read. What a
+    /// shard hosts is the shard's own record ([`ShardNode::host`]).
     pools: Mutex<Vec<(String, u64, usize)>>,
     /// The advisory lease directory when [`PromiseCluster::enable_leases`]
     /// has been called; `None` keeps the pre-lease ownership routing.
@@ -246,21 +247,8 @@ impl PromiseCluster {
         let started = Instant::now();
         let node_epoch = self.map.bump_node_epoch(index);
         let endpoint = versioned_endpoint(index, node_epoch);
-        let schemas = self.pools_on(index);
-        let seeds: Vec<(String, u64)> = if self.leases.lock().is_some() {
-            // Leased pools re-sync their on-hand from journalled `L`
-            // records during recovery; seeding would double-count.
-            Vec::new()
-        } else {
-            self.pools
-                .lock()
-                .iter()
-                .filter(|(_, _, s)| *s == index)
-                .map(|(n, q, _)| (n.clone(), *q))
-                .collect()
-        };
         let bus = Arc::clone(&self.bus);
-        let recovery = self.nodes[index].promote(&bus, &schemas, &seeds, endpoint.clone());
+        let recovery = self.nodes[index].promote(&bus, endpoint.clone());
         self.attach_follower(index);
         let mttr = started.elapsed();
         self.telemetry.incr("cluster.failover.promotions");
@@ -322,11 +310,11 @@ impl PromiseCluster {
         if let Some(dir) = self.leases.lock().clone() {
             for node in &self.nodes {
                 let lease = if node.index == shard { qty } else { 0 };
-                node.host_leased_pool(name, lease);
+                node.host(PoolSchema::quantity(name), PoolSeed::Lease(lease));
                 dir.set_headroom(name, node.index, lease);
             }
         } else {
-            self.nodes[shard].host_pool(name, qty);
+            self.nodes[shard].host(PoolSchema::quantity(name), PoolSeed::Quantity(qty));
         }
         self.pools.lock().push((name.to_owned(), qty, shard));
         shard
@@ -345,29 +333,16 @@ impl PromiseCluster {
         }
     }
 
-    /// Pool names hosted by shard `index`: with leases every shard hosts
-    /// every pool; otherwise only the pools it owns.
-    pub fn pools_on(&self, index: usize) -> Vec<String> {
-        let leased = self.leases.lock().is_some();
-        self.pools
-            .lock()
-            .iter()
-            .filter(|(_, _, s)| leased || *s == index)
-            .map(|(n, _, _)| n.clone())
-            .collect()
-    }
-
-    /// Registered pools as `(name, seeded qty, owning shard)`.
+    /// Registered quantity pools as `(name, seeded qty, owning shard)`.
     pub fn registered_pools(&self) -> Vec<(String, u64, usize)> {
         self.pools.lock().clone()
     }
 
     /// Kills shard `index` (its in-memory promise table dies) and rebuilds
     /// it from its journal. Returns the shard's recovery report.
-    pub fn crash_restart_shard(&mut self, index: usize) -> promises_core::RecoveryReport {
-        let pools = self.pools_on(index);
+    pub fn crash_restart_shard(&mut self, index: usize) -> RecoveryReport {
         let bus = Arc::clone(&self.bus);
-        self.nodes[index].crash_restart(&bus, &pools)
+        self.nodes[index].crash_restart(&bus)
     }
 
     /// Total live promises across every shard.

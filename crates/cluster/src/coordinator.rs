@@ -31,9 +31,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use promises_core::{
-    parse_predicate, request_key, weaken_predicates, Clock, DeadlineMap, Predicate,
-};
+use promises_core::{ladder, parse_predicate, request_key, Clock, DeadlineMap, Predicate};
 use promises_telemetry::{
     push_trace, FlightRecorder, SpanKind, SpanOutcome, Telemetry, TraceContext,
 };
@@ -397,7 +395,7 @@ impl Coordinator {
     /// coordinator instead of a single gateway). The ladder is computed
     /// coordinator-side with the same weakening discipline as the local
     /// [`promises_core::PromiseManager::request_negotiated`] loop
-    /// ([`weaken_predicates`], last predicate's desirables first), so a
+    /// ([`ladder`], last predicate's desirables first), so a
     /// multi-predicate footprint that spans shards negotiates through full
     /// 2PC rounds: rung 0 is the request as asked under the original
     /// request id; rung `n > 0` retries under the deterministic sub-id
@@ -419,25 +417,16 @@ impl Coordinator {
                     .map_err(|e| CoordError::BadPredicate(format!("{text:?}: {e}")))?,
             );
         }
-        let max_drops: usize = parsed
-            .iter()
-            .map(|p| match p {
-                Predicate::Property { expr, .. } => expr.desirable_count(),
-                _ => 0,
-            })
-            .sum();
-
-        for total_drop in 0..=max_drops {
-            let (preds, dropped_per) = weaken_predicates(&parsed, total_drop);
-            let texts: Vec<String> = preds.iter().map(ToString::to_string).collect();
+        for rung in ladder(&parsed) {
+            let total_drop: usize = rung.dropped.iter().sum();
+            let texts: Vec<String> = rung.predicates.iter().map(ToString::to_string).collect();
             let rung_id = if total_drop == 0 {
                 request_id.to_owned()
             } else {
                 format!("{request_id}~d{total_drop}")
             };
             let decision = self.grant(client, &rung_id, &texts, duration_ms)?;
-            let is_last = total_drop == max_drops;
-            if matches!(decision, ClusterDecision::Granted { .. }) || is_last {
+            if matches!(decision, ClusterDecision::Granted { .. }) || rung.last {
                 if let Some(tel) = &self.telemetry {
                     if total_drop > 0 && decision.is_granted() {
                         tel.incr("coord.negotiate.weakened_grants");
@@ -446,12 +435,12 @@ impl Coordinator {
                 }
                 return Ok(NegotiatedClusterGrant {
                     decision,
-                    dropped: dropped_per.iter().sum(),
+                    dropped: total_drop,
                     granted_predicates: texts,
                 });
             }
         }
-        unreachable!("ladder always returns on the final rung")
+        unreachable!("the ladder always returns on its last rung")
     }
 
     /// Number of live entries in the grant dedup index (boundedness

@@ -51,4 +51,4 @@ pub use lease::LeaseDirectory;
 pub use log::{CoordLogError, CoordRecord, CoordinatorLog, LogCompaction, LogSummary, TxnId};
 pub use replica::{ReplicationLink, ShardFollower, SyncReport};
 pub use router::{shard_endpoint, versioned_endpoint, ShardMap};
-pub use shard::{ShardNode, ShardServer};
+pub use shard::{PoolSeed, ShardNode, ShardServer};

@@ -13,9 +13,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use promises_core::{Catalog, Clock, PoolSchema, PromiseJournal, PromiseManager, RecoveryReport};
-use promises_rm::ResourceManager;
-use promises_telemetry::{FlightRecorder, JournalFacts, ShardEvidence, Telemetry};
+use promises_core::{
+    Catalog, Clock, InstanceId, PoolSchema, PromiseJournal, PromiseManager, RecoveryReport,
+};
+use promises_rm::{Record, ResourceManager};
+use promises_telemetry::{FlightRecorder, ShardEvidence, Telemetry};
 use promises_wire::{Envelope, Fulfiller, InMemoryBus, Pending, PromiseGateway, Service};
 
 use crate::commit::{CommitCounters, CommitStats};
@@ -296,10 +298,41 @@ fn register_handlers(gateway: &PromiseGateway) {
     );
 }
 
+/// How a hosted pool was first filled: what a rebuild over fresh storage
+/// puts back.
+#[derive(Debug, Clone)]
+pub enum PoolSeed {
+    /// Units on hand.
+    Quantity(u64),
+    /// This shard's escrow slice of a cluster-wide pool. It is journalled
+    /// as an `L` record, so recovery, not the seed, restores it.
+    Lease(u64),
+    /// Instance records by id.
+    Instances(Vec<(InstanceId, Record)>),
+}
+
+impl PoolSeed {
+    /// Fills `schema`'s pool on `pm`. A lease is installed only the
+    /// `first` time; afterwards its journalled `L` records re-sync it.
+    fn apply(&self, pm: &PromiseManager, schema: &PoolSchema, first: bool) {
+        let pool = &schema.id;
+        match self {
+            Self::Quantity(qty) => pm.seed_quantity(pool.clone(), *qty),
+            Self::Lease(lease) if first => pm.install_lease(pool.clone(), *lease),
+            Self::Lease(_) => Ok(()),
+            Self::Instances(instances) => instances.iter().try_for_each(|(id, record)| {
+                pm.seed_instance(pool.clone(), id.clone(), record.clone())
+            }),
+        }
+        .expect("seed hosted pool");
+    }
+}
+
 /// One shard node. The promise manager (and with it the in-memory promise
 /// table) can be killed and rebuilt from the journal; the resource
 /// manager, journal, and telemetry registry survive a restart, exactly as
-/// durable storage would.
+/// durable storage would, and so does the node's record of the pools it
+/// hosts.
 pub struct ShardNode {
     /// Shard index within the cluster.
     pub index: usize,
@@ -324,12 +357,15 @@ pub struct ShardNode {
     /// Flight recorder for this node's state transitions (crash/restart,
     /// promotion, compaction swaps) — shares the cluster epoch.
     pub recorder: Arc<FlightRecorder>,
+    /// Every pool this node was given ([`ShardNode::host`]), in hosting
+    /// order: the one record a restart or promotion rebuilds from.
+    hosting: Mutex<Vec<(PoolSchema, PoolSeed)>>,
     clock: Arc<dyn Clock>,
 }
 
 impl ShardNode {
     /// Builds shard `index` on `bus` with fresh storage. Pools are
-    /// registered later by the cluster builder ([`ShardNode::host_pool`]).
+    /// hosted later ([`ShardNode::host`]).
     pub fn build(index: usize, bus: &InMemoryBus, clock: Arc<dyn Clock>) -> Self {
         let rm = Arc::new(ResourceManager::new());
         let journal = Arc::new(PromiseJournal::new());
@@ -354,73 +390,60 @@ impl ShardNode {
             follower: None,
             replication: None,
             recorder: FlightRecorder::new(shard_endpoint(index)),
+            hosting: Mutex::new(Vec::new()),
             clock,
         };
         bus.register(&node.endpoint, Arc::clone(&node.server) as _);
         node
     }
 
-    /// Registers and seeds a quantity pool on this shard.
-    pub fn host_pool(&self, pool: &str, qty: u64) {
-        self.pm.register_pool(PoolSchema::quantity(pool));
-        self.pm.seed_quantity(pool, qty).expect("seed shard pool");
+    /// Hosts a pool on this shard: registers `schema`, fills it from
+    /// `seed`, and keeps both in the node's hosting record, which
+    /// outlives the promise manager as the RM and journal do.
+    pub fn host(&self, schema: PoolSchema, seed: PoolSeed) {
+        self.pm.register_pool(schema.clone());
+        seed.apply(&self.pm, &schema, true);
+        self.hosting.lock().push((schema, seed));
     }
 
-    /// Registers a quantity pool on this shard with an escrow `lease` as
-    /// its on-hand quantity (the shard's slice of the cluster-wide pool;
-    /// journalled as an `L` record so the split survives crash/restart).
-    pub fn host_leased_pool(&self, pool: &str, lease: u64) {
-        self.pm.register_pool(PoolSchema::quantity(pool));
-        self.pm.install_lease(pool, lease).expect("install lease");
+    /// Registers every pool this node hosts on `pm`. Over `fresh` storage
+    /// it also seeds quantities and instances; leases re-sync from the
+    /// journal's `L` records when `pm` recovers.
+    pub fn rehost(&self, pm: &PromiseManager, fresh: bool) {
+        for (schema, seed) in self.hosting.lock().iter() {
+            pm.register_pool(schema.clone());
+            if fresh {
+                seed.apply(pm, schema, false);
+            }
+        }
     }
 
     /// Kills the shard's promise manager (the in-memory table dies) and
-    /// rebuilds it from the journal, re-registering on `bus`. Returns the
-    /// recovery report — `in_doubt` counts prepared holds awaiting the
-    /// coordinator. `pools` must list the pool names this shard hosts
-    /// (schema registration is not journalled, matching the single-node
-    /// crash–restart harness).
+    /// rebuilds it from the journal over the surviving RM, re-registering
+    /// on `bus`. Returns the recovery report — `in_doubt` counts prepared
+    /// holds awaiting the coordinator.
     ///
     /// The rebuild is a job on the server's queue: messages ahead of it
     /// are handled and committed *before* recovery replays the journal,
     /// and messages behind it wait for the new incarnation — so nothing
     /// can race into the dead manager or journal a record the replay has
     /// already passed.
-    pub fn crash_restart(&mut self, bus: &InMemoryBus, pools: &[String]) -> RecoveryReport {
-        let (pm, gateway, report) =
-            self.reincarnate(Arc::clone(&self.rm), Arc::clone(&self.journal), pools, &[]);
-        self.recorder.record(
-            "node.restart",
-            format!(
-                "{} replayed={} recovered={} in_doubt={}",
-                self.endpoint, report.replayed, report.recovered, report.in_doubt
-            ),
-        );
-        self.pm = pm;
-        self.gateway = gateway;
-        bus.register(&self.endpoint, Arc::clone(&self.server) as _);
-        report
+    pub fn crash_restart(&mut self, bus: &InMemoryBus) -> RecoveryReport {
+        let (rm, journal) = (Arc::clone(&self.rm), Arc::clone(&self.journal));
+        self.reincarnate(bus, rm, journal, "node.restart")
     }
 
     /// Promotes this shard's warm follower over a dead leader: the
     /// leader's RM, journal, and promise table are all treated as lost
     /// with the node. The follower's journal copy becomes the shard's
-    /// journal; a fresh RM is rebuilt (`schemas` re-registered, `seeds`
-    /// restoring the on-hand quantities of non-leased pools — leased
-    /// pools re-sync on-hand from their journalled `L` records during
-    /// recovery), the standard recovery path replays the replica, and the
-    /// reused server loop answers on `new_endpoint` (the epoch-fenced
-    /// address minted by the router). The old link is dropped only after
-    /// every message queued ahead of the promotion has committed through
-    /// it. The caller attaches a fresh follower afterwards so the promoted
-    /// leader is itself protected.
-    pub fn promote(
-        &mut self,
-        bus: &InMemoryBus,
-        schemas: &[String],
-        seeds: &[(String, u64)],
-        new_endpoint: String,
-    ) -> RecoveryReport {
+    /// journal; a fresh RM is refilled from the hosting record, the
+    /// standard recovery path replays the replica, and the reused server
+    /// loop answers on `new_endpoint` (the epoch-fenced address minted by
+    /// the router). The old link is dropped only after every message
+    /// queued ahead of the promotion has committed through it. The caller
+    /// attaches a fresh follower afterwards so the promoted leader is
+    /// itself protected.
+    pub fn promote(&mut self, bus: &InMemoryBus, new_endpoint: String) -> RecoveryReport {
         let follower = self
             .follower
             .take()
@@ -428,48 +451,32 @@ impl ShardNode {
         self.replication = None;
         let rm = Arc::new(ResourceManager::new());
         rm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-        let journal = Arc::clone(&follower.journal);
-        let (pm, gateway, report) =
-            self.reincarnate(Arc::clone(&rm), Arc::clone(&journal), schemas, seeds);
-        self.rm = rm;
-        self.journal = journal;
-        self.pm = pm;
-        self.gateway = gateway;
         self.endpoint = new_endpoint;
-        bus.register(&self.endpoint, Arc::clone(&self.server) as _);
-        self.recorder.record(
-            "failover.promote",
-            format!(
-                "{} replayed={} recovered={} in_doubt={}",
-                self.endpoint, report.replayed, report.recovered, report.in_doubt
-            ),
-        );
-        report
+        self.reincarnate(bus, rm, Arc::clone(&follower.journal), "failover.promote")
     }
 
-    /// Swaps in a fresh incarnation over `rm` and bumps the epoch: a
-    /// promise manager with `pools` registered and `seeds` restored,
-    /// recovered from `journal` behind a new gateway. It all runs as one
-    /// control call, so no message can append between replay and install.
-    /// A link ships the journal it was built over, so a new journal (a
-    /// promotion) drops it.
+    /// Swaps in a fresh incarnation over `rm` and `journal`, bumps the
+    /// epoch and answers on `bus` again: a promise manager rebuilt from
+    /// the hosting record (seeded too when `rm` is not the node's own,
+    /// surviving one), recovered from `journal` behind a new gateway. The
+    /// rebuild runs as one control call, so no message can append between
+    /// replay and install. A link ships the journal it was built over, so
+    /// a new journal (a promotion) drops it.
     fn reincarnate(
-        &self,
+        &mut self,
+        bus: &InMemoryBus,
         rm: Arc<ResourceManager>,
         journal: Arc<PromiseJournal>,
-        pools: &[String],
-        seeds: &[(String, u64)],
-    ) -> (Arc<PromiseManager>, Arc<PromiseGateway>, RecoveryReport) {
-        self.server.control(|state| {
-            let pm = Arc::new(PromiseManager::new(rm, Arc::clone(&self.clock)));
+        event: &'static str,
+    ) -> RecoveryReport {
+        let fresh = !Arc::ptr_eq(&rm, &self.rm);
+        let (pm, gateway, report) = self.server.control(|state| {
+            let pm = Arc::new(PromiseManager::new(
+                Arc::clone(&rm),
+                Arc::clone(&self.clock),
+            ));
             pm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-            for pool in pools {
-                pm.register_pool(PoolSchema::quantity(pool.as_str()));
-            }
-            for (pool, qty) in seeds {
-                pm.seed_quantity(pool.as_str(), *qty)
-                    .expect("re-seed promoted pool");
-            }
+            self.rehost(&pm, fresh);
             let report = pm
                 .recover(Arc::clone(&journal))
                 .expect("shard journal replays cleanly");
@@ -479,43 +486,20 @@ impl ShardNode {
                 state.link = None;
             }
             state.gateway = Arc::clone(&gateway);
-            state.journal = journal;
+            state.journal = Arc::clone(&journal);
             self.server.inner.epoch.fetch_add(1, Ordering::Relaxed);
             (pm, gateway, report)
-        })
-    }
-
-    /// Ground truth for the lifecycle auditor, digested from the journal.
-    pub fn journal_facts(&self) -> JournalFacts {
-        let mut facts = JournalFacts::default();
-        if let Ok(entries) = self.journal.entries() {
-            for entry in entries {
-                match entry.op {
-                    promises_core::JournalOp::Grant(rec) => {
-                        facts.granted.insert(rec.id.0);
-                    }
-                    promises_core::JournalOp::Prepared(rec) => {
-                        facts.granted.insert(rec.id.0);
-                    }
-                    promises_core::JournalOp::Release(id) => {
-                        facts.released.insert(id.0);
-                    }
-                    promises_core::JournalOp::Expire(id) => {
-                        facts.expired.insert(id.0);
-                    }
-                    promises_core::JournalOp::Checkpoint(cp) => {
-                        // A checkpoint *is* the journal prefix: every live
-                        // record it carries was granted (compaction already
-                        // folded released/expired history away).
-                        for item in cp.live {
-                            facts.granted.insert(item.record.id.0);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        facts
+        });
+        (self.rm, self.journal, self.pm, self.gateway) = (rm, journal, pm, gateway);
+        bus.register(&self.endpoint, Arc::clone(&self.server) as _);
+        self.recorder.record(
+            event,
+            format!(
+                "{} replayed={} recovered={} in_doubt={}",
+                self.endpoint, report.replayed, report.recovered, report.in_doubt
+            ),
+        );
+        report
     }
 
     /// This shard's spans + journal truth, packaged for
@@ -524,7 +508,7 @@ impl ShardNode {
         ShardEvidence {
             label: self.endpoint.clone(),
             spans: self.telemetry.spans(),
-            journal: self.journal_facts(),
+            journal: self.journal.facts(),
         }
     }
 }

@@ -105,7 +105,7 @@ fn dedup_is_cluster_wide_for_cross_shard_requests() {
     assert_eq!(cluster.live_count(), 2, "no shard granted twice");
     // Journal-level proof: one grant-like record per shard.
     for node in &cluster.nodes {
-        let facts = node.journal_facts();
+        let facts = node.journal.facts();
         assert_eq!(facts.granted.len(), 1);
     }
 }
@@ -350,7 +350,7 @@ fn a_resend_after_release_is_answered_by_the_coordinator_index() {
         .grant("alice", "r1", &ask, HOUR_MS)
         .unwrap();
     assert_eq!(resend, first, "the same promise id, not a second grant");
-    assert_eq!(cluster.nodes[0].journal_facts().granted.len(), 1);
+    assert_eq!(cluster.nodes[0].journal.facts().granted.len(), 1);
     assert_eq!(cluster.nodes[0].pm.live_count(), 0);
 }
 

@@ -7,8 +7,9 @@
 
 use std::collections::HashMap;
 
-use promises_cluster::{versioned_endpoint, ClusterDecision, PromiseCluster};
-use promises_core::JournalOp;
+use promises_cluster::{versioned_endpoint, ClusterDecision, PoolSeed, PromiseCluster};
+use promises_core::{InstanceId, JournalOp, PoolSchema, PropertyDef};
+use promises_rm::Record;
 
 const HOUR_MS: u64 = 3_600_000;
 
@@ -123,6 +124,57 @@ fn repeated_kills_keep_promoting_from_the_standby_chain() {
     }
     assert_eq!(cluster.nodes[1].pm.live_count(), 3);
     assert_eq!(double_grants(&cluster), 0);
+}
+
+/// A shard hosting an instance pool through [`ShardNode::host`] comes
+/// back from a same-node restart, and from a promotion over fresh storage,
+/// with the pool rebuilt from its hosting record: the digest is the
+/// pre-kill one, the held suite is still not free, and the pool grants
+/// again.
+///
+/// [`ShardNode::host`]: promises_cluster::ShardNode::host
+#[test]
+fn restart_and_promotion_rebuild_a_hosted_instance_pool() {
+    for promote in [false, true] {
+        let mut cluster = PromiseCluster::build(2, 7);
+        let suites = (0..3)
+            .map(|i| {
+                let suite = Record::new().with("floor", i64::from(i));
+                (InstanceId(format!("suite-{i}")), suite)
+            })
+            .collect();
+        cluster.map.assign("suites", 1);
+        cluster.nodes[1].host(
+            PoolSchema::instances("suites", vec![PropertyDef::plain("floor")]),
+            PoolSeed::Instances(suites),
+        );
+        cluster.enable_replication();
+        let grant = |cluster: &PromiseCluster, rid: &str| {
+            let floor = ["prop('suites'): floor >= 1".to_string()];
+            let decision = cluster.coordinator.grant("c", rid, &floor, HOUR_MS);
+            assert!(decision.unwrap().is_granted(), "{rid} promote={promote}");
+        };
+        let free = |cluster: &PromiseCluster| {
+            cluster.nodes[1]
+                .pm
+                .free_instances("suites")
+                .expect("the suites are hosted")
+        };
+        grant(&cluster, "r1");
+        let pre = cluster.nodes[1].pm.state_digest();
+        let held_one = free(&cluster);
+        assert_eq!(held_one.len(), 2);
+        if promote {
+            cluster.kill_shard(1);
+            cluster.promote_follower(1);
+        } else {
+            cluster.crash_restart_shard(1);
+        }
+        assert_eq!(cluster.nodes[1].pm.state_digest(), pre, "promote={promote}");
+        assert_eq!(free(&cluster), held_one, "promote={promote}");
+        grant(&cluster, "r2");
+        assert_eq!(free(&cluster).len(), 1, "promote={promote}");
+    }
 }
 
 mod interleavings {

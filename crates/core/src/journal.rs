@@ -69,6 +69,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
+use promises_telemetry::JournalFacts;
 
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
 use crate::parser::parse_predicate;
@@ -816,12 +817,47 @@ impl PromiseJournal {
             .map(|(i, l)| decode_entry(l, i))
             .collect()
     }
+
+    /// Digests the journal into the id sets the lifecycle auditor checks
+    /// spans against. A prepared hold counts as granted, and so does every
+    /// live record a checkpoint carries (compaction already folded the
+    /// released and expired history away). An undecodable journal yields
+    /// no facts.
+    pub fn facts(&self) -> JournalFacts {
+        let mut facts = JournalFacts::default();
+        for entry in self.entries().unwrap_or_default() {
+            match entry.op {
+                JournalOp::Grant(rec) | JournalOp::Prepared(rec) => {
+                    facts.granted.insert(rec.id.0);
+                }
+                JournalOp::Release(id) => {
+                    facts.released.insert(id.0);
+                }
+                JournalOp::Expire(id) => {
+                    facts.expired.insert(id.0);
+                }
+                JournalOp::Checkpoint(cp) => {
+                    facts
+                        .granted
+                        .extend(cp.live.iter().map(|item| item.record.id.0));
+                }
+                _ => {}
+            }
+        }
+        facts
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
     use super::*;
+    use crate::clock::ManualClock;
+    use crate::manager::{PromiseDecision, PromiseManager, PromiseRequestSpec};
     use crate::predicate::Predicate;
+    use crate::schema::PoolSchema;
 
     fn sample_record() -> PromiseRecord {
         PromiseRecord {
@@ -1209,5 +1245,38 @@ mod tests {
         let follower = PromiseJournal::new();
         follower.apply_segment(&leader.segment_after(0)).unwrap();
         assert_eq!(follower.flushed_seq(), follower.tip_seq());
+    }
+
+    /// The lifecycle ground truth counts a prepared hold, and every live
+    /// record a compaction checkpoint carries, as granted.
+    #[test]
+    fn facts_count_prepared_holds_and_checkpointed_grants() {
+        let journal = Arc::new(PromiseJournal::new());
+        let pm = PromiseManager::new(
+            Arc::new(promises_rm::ResourceManager::new()),
+            Arc::new(ManualClock::new()),
+        )
+        .with_journal(Arc::clone(&journal));
+        pm.register_pool(PoolSchema::quantity("w"));
+        pm.seed_quantity("w", 10).unwrap();
+        let grant = |rid: &str, prepared: bool| {
+            let spec = PromiseRequestSpec::new(rid, "c").predicate(Predicate::qty_at_least("w", 1));
+            let response = if prepared {
+                pm.request_prepared(spec)
+            } else {
+                pm.request(spec)
+            };
+            match response.expect("request").decision {
+                PromiseDecision::Granted { promise, .. } => promise.0,
+                other => panic!("{rid}: {other:?}"),
+            }
+        };
+        let folded = grant("r1", false);
+        let folded_hold = grant("r2", true);
+        pm.compact().expect("compaction");
+        let hold = grant("r3", true);
+        let facts = journal.facts();
+        assert_eq!(facts.granted, BTreeSet::from([folded, folded_hold, hold]));
+        assert!(facts.released.is_empty() && facts.expired.is_empty());
     }
 }

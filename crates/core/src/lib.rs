@@ -97,7 +97,7 @@ pub use manager::{
     CompactionCrash, CompactionReport, OpLatency, PmMetricsSnapshot, PromiseDecision,
     PromiseManager, PromiseRequestSpec, PromiseResponse, RecoveryReport,
 };
-pub use negotiate::{weaken_predicates, NegotiatedResponse};
+pub use negotiate::{ladder, NegotiatedResponse, Rung};
 pub use parser::{parse_expr, parse_predicate, ParseError};
 pub use predicate::{CmpOp, Predicate, PropExpr};
 pub use promise::{Allocation, PromiseRecord, PromiseTable};

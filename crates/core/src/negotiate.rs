@@ -71,31 +71,52 @@ impl PromiseManager {
             }
         }
 
-        let max_drops: usize = spec
-            .predicates
-            .iter()
-            .map(|p| match p {
-                Predicate::Property { expr, .. } => expr.desirable_count(),
-                _ => 0,
-            })
-            .sum();
-
-        for total_drop in 0..=max_drops {
-            let (preds, dropped) = weaken_predicates(&spec.predicates, total_drop);
+        for rung in ladder(&spec.predicates) {
             let mut attempt = spec.clone();
-            attempt.predicates = preds.clone();
+            attempt.predicates = rung.predicates.clone();
             let response = self.request(attempt)?;
-            let is_last = total_drop == max_drops;
-            if matches!(response.decision, PromiseDecision::Granted { .. }) || is_last {
+            if matches!(response.decision, PromiseDecision::Granted { .. }) || rung.last {
                 return Ok(NegotiatedResponse {
                     response,
-                    dropped_per_predicate: dropped,
-                    granted_predicates: preds,
+                    dropped_per_predicate: rung.dropped,
+                    granted_predicates: rung.predicates,
                 });
             }
         }
-        unreachable!("loop always returns on the final iteration")
+        unreachable!("the ladder always returns on its last rung")
     }
+}
+
+/// One rung of the §3.3 ladder.
+#[derive(Debug)]
+pub struct Rung {
+    /// The predicates as weakened on this rung.
+    pub predicates: Vec<Predicate>,
+    /// Desirable clauses dropped, per predicate.
+    pub dropped: Vec<usize>,
+    /// True on the essential-only rung, the last one to try.
+    pub last: bool,
+}
+
+/// The §3.3 ladder over `preds`: rung `n` drops `n` desirable clauses,
+/// the last predicate's first, until only essential clauses remain. The
+/// request as asked is rung 0, and a request with no desirable clause is
+/// one rung.
+///
+/// Public so remote negotiators (the cluster coordinator's cross-shard
+/// ladder) weaken requests with exactly the same discipline as the local
+/// [`PromiseManager::request_negotiated`] loop — rung `n` of any ladder is
+/// the same predicate list no matter where it is computed.
+pub fn ladder(preds: &[Predicate]) -> impl Iterator<Item = Rung> + '_ {
+    let max_drops: usize = preds.iter().map(desirables).sum();
+    (0..=max_drops).map(move |n| {
+        let (predicates, dropped) = weaken_predicates(preds, n);
+        Rung {
+            predicates,
+            dropped,
+            last: n == max_drops,
+        }
+    })
 }
 
 /// Desirable-clause count of one predicate (0 for non-property forms).
@@ -109,15 +130,7 @@ fn desirables(p: &Predicate) -> usize {
 /// Weakens the predicate list by dropping `total_drop` desirable clauses,
 /// taking from the *last* predicate's desirables first. Returns the new
 /// predicates and the per-predicate drop counts.
-///
-/// Public so remote negotiators (the cluster coordinator's cross-shard
-/// ladder) weaken requests with exactly the same discipline as the local
-/// [`PromiseManager::request_negotiated`] loop — rung `n` of any ladder is
-/// the same predicate list no matter where it is computed.
-pub fn weaken_predicates(
-    preds: &[Predicate],
-    mut total_drop: usize,
-) -> (Vec<Predicate>, Vec<usize>) {
+fn weaken_predicates(preds: &[Predicate], mut total_drop: usize) -> (Vec<Predicate>, Vec<usize>) {
     let mut out: Vec<Predicate> = preds.to_vec();
     let mut dropped = vec![0usize; preds.len()];
     for i in (0..out.len()).rev() {

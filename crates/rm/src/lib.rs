@@ -43,7 +43,6 @@ mod value;
 
 pub use error::RmError;
 pub use lock::{LockManager, LockMode};
-pub use store::TableStats;
 pub use txn::{ResourceManager, StorageFaultHook, Txn, TxnId};
 pub use value::{Record, Value};
 

@@ -10,15 +10,6 @@ use std::collections::HashMap;
 use crate::error::RmError;
 use crate::value::Record;
 
-/// Summary statistics for a table (diagnostics and workload sizing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableStats {
-    /// Table name.
-    pub name: String,
-    /// Number of records.
-    pub records: usize,
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct Store {
     tables: HashMap<String, BTreeMap<String, Record>>,
@@ -31,10 +22,6 @@ impl Store {
         }
         self.tables.insert(name.to_owned(), BTreeMap::new());
         Ok(())
-    }
-
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
     }
 
     pub fn get(&self, table: &str, key: &str) -> Result<Option<Record>, RmError> {
@@ -67,19 +54,6 @@ impl Store {
         Ok(())
     }
 
-    pub fn stats(&self) -> Vec<TableStats> {
-        let mut out: Vec<_> = self
-            .tables
-            .iter()
-            .map(|(name, t)| TableStats {
-                name: name.clone(),
-                records: t.len(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
     fn table(&self, name: &str) -> Result<&BTreeMap<String, Record>, RmError> {
         self.tables
             .get(name)
@@ -101,7 +75,7 @@ mod tests {
     fn create_and_duplicate_table() {
         let mut s = Store::default();
         s.create_table("t").unwrap();
-        assert!(s.has_table("t"));
+        assert_eq!(s.scan_with("t", |_, _| {}), Ok(()));
         assert_eq!(s.create_table("t"), Err(RmError::TableExists("t".into())));
     }
 
@@ -144,18 +118,5 @@ mod tests {
         let mut keys = Vec::new();
         s.scan_with("t", |k, _| keys.push(k.to_owned())).unwrap();
         assert_eq!(keys, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn stats_reports_sizes() {
-        let mut s = Store::default();
-        s.create_table("b").unwrap();
-        s.create_table("a").unwrap();
-        s.insert("a", "1", Record::new()).unwrap();
-        let st = s.stats();
-        assert_eq!(st.len(), 2);
-        assert_eq!(st[0].name, "a");
-        assert_eq!(st[0].records, 1);
-        assert_eq!(st[1].records, 0);
     }
 }

@@ -20,7 +20,7 @@ use promises_telemetry::{current_trace, FaultTag, Histogram, SpanKind, SpanOutco
 use crate::error::RmError;
 use crate::lock::{Granule, LockManager, LockMode};
 use crate::log::UndoLog;
-use crate::store::{Store, TableStats};
+use crate::store::Store;
 use crate::value::Record;
 
 /// Opaque transaction identifier.
@@ -174,11 +174,6 @@ impl ResourceManager {
     pub fn create_table(&self, name: &str) {
         // Ignore "already exists": setup code is allowed to be idempotent.
         let _ = self.store.lock().create_table(name);
-    }
-
-    /// True if the table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.store.lock().has_table(name)
     }
 
     /// Starts a new transaction.
@@ -491,11 +486,6 @@ impl ResourceManager {
                 }
             }
         }
-    }
-
-    /// Per-table record counts.
-    pub fn table_stats(&self) -> Vec<TableStats> {
-        self.store.lock().stats()
     }
 
     /// Counter snapshot (commits / aborts / deadlocks so far).

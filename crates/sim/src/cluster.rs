@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use promises_cluster::{CoordError, CrashPoint, PromiseCluster};
-use promises_core::{Clock, PoolSchema, PromiseJournal, PromiseManager};
+use promises_core::{Clock, PromiseJournal, PromiseManager};
 use promises_faults::{FaultInjector, FaultScenario};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -492,23 +492,12 @@ pub fn run_cluster_crash_restart(
 /// promotion path rebuilds one from the follower's copy. Byte-equality of
 /// this digest with the promoted follower's proves the replica carried
 /// every record the leader's disk held — nothing dropped, nothing
-/// invented. Seeds mirror [`PromiseCluster::promote_follower`]: non-leased
-/// owned pools get their registered quantity; leased pools re-sync their
-/// on-hand from journalled `L` records during recovery.
+/// invented. Its pools come from the node's own hosting record, filled
+/// as promotion fills fresh storage.
 fn clean_replay_digest(cluster: &PromiseCluster, index: usize, leader_lines: &[String]) -> String {
     let rm = Arc::new(promises_rm::ResourceManager::new());
     let pm = PromiseManager::new(rm, Arc::clone(&cluster.clock) as Arc<dyn Clock>);
-    for pool in cluster.pools_on(index) {
-        pm.register_pool(PoolSchema::quantity(pool.as_str()));
-    }
-    if cluster.lease_directory().is_none() {
-        for (name, qty, shard) in cluster.registered_pools() {
-            if shard == index {
-                pm.seed_quantity(name.as_str(), qty)
-                    .expect("re-seed replay reference");
-            }
-        }
-    }
+    cluster.nodes[index].rehost(&pm, true);
     let journal =
         Arc::new(PromiseJournal::from_lines(leader_lines).expect("leader journal intact"));
     pm.recover(journal).expect("clean replay succeeds");

@@ -63,7 +63,7 @@ pub use matrix::{
     run_error_path_matrix, CellStatus, FailureClass, MatrixCell, MatrixReport, Scenario,
 };
 pub use metrics::RunReport;
-pub use obs::{journal_facts, run_obs_sweep, ObsReport};
+pub use obs::{run_obs_sweep, ObsReport};
 pub use openloop::{run_open_loop, OpStatus, OpenLoopConfig, OpenLoopReport};
 pub use slo::{SloGate, SloVerdict};
 pub use travel::{run_travel_booking, TravelConfig, TravelReport};

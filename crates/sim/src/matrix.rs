@@ -118,8 +118,8 @@ struct ScenarioRow {
     /// Twin-bed rooms hosted on the next round-robin shard, two with a
     /// view (0 = none).
     rooms: usize,
-    /// The pool whose owner the leader-kill class kills — a quantity pool,
-    /// as promotion re-seeds only those.
+    /// The pool whose owner the leader-kill class kills. Promotion
+    /// rebuilds every pool the node hosts, instance pools included.
     kill: usize,
     /// What op `i` asks for.
     predicates: fn(usize) -> Vec<String>,

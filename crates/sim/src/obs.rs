@@ -15,36 +15,12 @@
 
 use std::sync::Arc;
 
-use promises_core::{JournalOp, PromiseJournal};
 use promises_faults::FaultScenario;
 use promises_telemetry::{
     audit_lifecycles, JournalFacts, LifecycleReport, Telemetry, TelemetrySnapshot,
 };
 
 use crate::faults::{run_fault_sweep_with, FaultRunReport, FaultSweepConfig};
-
-/// Digests `journal` into the id sets the lifecycle auditor checks spans
-/// against.
-pub fn journal_facts(journal: &PromiseJournal) -> JournalFacts {
-    let mut facts = JournalFacts::default();
-    if let Ok(entries) = journal.entries() {
-        for entry in entries {
-            match entry.op {
-                JournalOp::Grant(rec) => {
-                    facts.granted.insert(rec.id.0);
-                }
-                JournalOp::Release(id) => {
-                    facts.released.insert(id.0);
-                }
-                JournalOp::Expire(id) => {
-                    facts.expired.insert(id.0);
-                }
-                _ => {}
-            }
-        }
-    }
-    facts
-}
 
 /// Everything one instrumented sweep produces.
 #[derive(Debug)]
@@ -74,7 +50,7 @@ impl ObsReport {
 pub fn run_obs_sweep(scenario: FaultScenario, cfg: &FaultSweepConfig) -> ObsReport {
     let telemetry = Telemetry::shared();
     let (sweep, harness) = run_fault_sweep_with(scenario, cfg, Some(Arc::clone(&telemetry)));
-    let facts = journal_facts(&harness.journal);
+    let facts = harness.journal.facts();
     let lifecycle = audit_lifecycles(&telemetry.spans(), &facts);
     ObsReport {
         sweep,

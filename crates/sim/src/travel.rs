@@ -30,8 +30,8 @@
 
 use std::sync::Arc;
 
-use promises_cluster::{CoordError, PromiseCluster};
-use promises_core::{PoolSchema, PromiseManager, PropertyDef};
+use promises_cluster::{CoordError, PoolSeed, PromiseCluster};
+use promises_core::{InstanceId, PoolSchema, PromiseManager, PropertyDef};
 use promises_faults::{FaultInjector, FaultScenario};
 use promises_rm::{Record, ResourceManager};
 use promises_services::BookingDesk;
@@ -57,17 +57,19 @@ pub(crate) const BOOKING: [&str; 3] = [
 /// shard: `rooms` rooms, the first `view_rooms` with a view.
 pub(crate) fn host_rooms(cluster: &PromiseCluster, rooms: usize, view_rooms: usize) {
     let shard = cluster.map.assign_round_robin(ROOM_POOL);
-    let pm = &cluster.nodes[shard].pm;
     let props = vec![PropertyDef::plain("beds"), PropertyDef::plain("view")];
-    pm.register_pool(PoolSchema::instances(ROOM_POOL, props));
-    for i in 0..rooms {
-        let room = Record::new()
-            .with("beds", 2i64)
-            .with("view", i < view_rooms);
-        let name = format!("room-{i}");
-        pm.seed_instance(ROOM_POOL, name.as_str(), room)
-            .expect("seed room");
-    }
+    let records = (0..rooms)
+        .map(|i| {
+            let room = Record::new()
+                .with("beds", 2i64)
+                .with("view", i < view_rooms);
+            (InstanceId(format!("room-{i}")), room)
+        })
+        .collect();
+    cluster.nodes[shard].host(
+        PoolSchema::instances(ROOM_POOL, props),
+        PoolSeed::Instances(records),
+    );
 }
 
 /// Shape of one travel-booking run (one fault rate).
@@ -285,6 +287,55 @@ mod tests {
         );
         assert!(report.desk_completed > 0, "route B must carry traffic");
         assert!(report.audit.clean(), "{report:?}");
+    }
+
+    /// The rooms shard comes back from its own restart, and from a
+    /// promotion over fresh storage, hosting every room it was given: the
+    /// held room stays held, every other room is listed free, and the
+    /// next trip books.
+    #[test]
+    fn the_rooms_shard_survives_restart_and_promotion() {
+        for promote in [false, true] {
+            let mut cluster = PromiseCluster::build(3, 7);
+            cluster.register_quantity_pool(FLIGHT_POOL, 10);
+            cluster.register_quantity_pool(CAR_POOL, 10);
+            host_rooms(&cluster, 6, 2);
+            if promote {
+                cluster.enable_replication();
+            }
+            let shard = cluster.map.shard_for(ROOM_POOL);
+            let mut run = ClientRun::default();
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut book = |cluster: &PromiseCluster, rid: &str| {
+                let op = ClientOp {
+                    rid: rid.to_owned(),
+                    predicates: BOOKING.map(String::from).to_vec(),
+                    release: Release::Never,
+                };
+                let grant = (run.step(cluster, &mut rng, "traveller", op)).expect("answered");
+                assert!(grant.decision.is_granted(), "{rid}: {grant:?}");
+            };
+            let free = |cluster: &PromiseCluster| {
+                cluster.nodes[shard]
+                    .pm
+                    .free_instances(ROOM_POOL)
+                    .expect("the rooms are hosted")
+            };
+            book(&cluster, "trip-1");
+            let held_one = free(&cluster);
+            assert_eq!(held_one.len(), 5, "promote={promote}: {held_one:?}");
+            if promote {
+                cluster.kill_shard(shard);
+                cluster.promote_follower(shard);
+            } else {
+                cluster.crash_restart_shard(shard);
+            }
+            assert_eq!(free(&cluster), held_one, "promote={promote}");
+            book(&cluster, "trip-2");
+            assert_eq!(free(&cluster).len(), 4, "promote={promote}");
+            let audit = audit_cluster(&cluster, &run);
+            assert!(audit.clean(), "promote={promote}: {audit:?}");
+        }
     }
 
     #[test]

@@ -73,6 +73,13 @@ impl PromiseGateway {
         granted_by_correlation: &mut HashMap<String, PromiseId>,
     ) {
         for req in &envelope.promise_requests {
+            let rejected = |msg: String| PromiseResponseHeader {
+                promise_id: None,
+                result: PromiseResult::Rejected(msg),
+                expires_at: 0,
+                correlation: req.request_id.clone(),
+                granted_predicates: vec![],
+            };
             let mut predicates = Vec::new();
             let mut parse_failure = None;
             for text in &req.predicates {
@@ -85,13 +92,7 @@ impl PromiseGateway {
                 }
             }
             if let Some(msg) = parse_failure {
-                reply.promise_responses.push(PromiseResponseHeader {
-                    promise_id: None,
-                    result: PromiseResult::Rejected(msg),
-                    expires_at: 0,
-                    correlation: req.request_id.clone(),
-                    granted_predicates: vec![],
-                });
+                reply.promise_responses.push(rejected(msg));
                 continue;
             }
             let mut spec = PromiseRequestSpec::new(
@@ -102,14 +103,10 @@ impl PromiseGateway {
             spec.predicates = predicates;
             spec.exchange = req.exchange.iter().map(|id| PromiseId(*id)).collect();
 
-            let rejected = |msg: String| PromiseResponseHeader {
-                promise_id: None,
-                result: PromiseResult::Rejected(msg),
-                expires_at: 0,
-                correlation: req.request_id.clone(),
-                granted_predicates: vec![],
-            };
-            let header = if req.prepare {
+            // Each kind of request yields the manager's decision plus, for
+            // a negotiated grant, its condition and the predicates as
+            // actually granted; one mapping turns that into the header.
+            let answer = if req.prepare {
                 // Cross-shard prepare: grant as a prepared hold (journalled
                 // in doubt) awaiting the coordinator's <resolve>. Prepare
                 // and negotiate do not compose — a prepared hold must be
@@ -121,80 +118,45 @@ impl PromiseGateway {
                     ));
                     continue;
                 }
-                match self.pm.request_prepared(spec) {
-                    Ok(resp) => match resp.decision {
-                        PromiseDecision::Granted {
-                            promise,
-                            expires_at,
-                        } => {
-                            granted_by_correlation.insert(req.request_id.clone(), promise);
-                            PromiseResponseHeader {
-                                promise_id: Some(promise.0),
-                                result: PromiseResult::Accepted,
-                                expires_at,
-                                correlation: req.request_id.clone(),
-                                granted_predicates: vec![],
-                            }
-                        }
-                        PromiseDecision::Rejected { reason } => rejected(reason.to_string()),
-                    },
-                    Err(e) => rejected(e.to_string()),
-                }
+                (self.pm.request_prepared(spec)).map(|resp| (resp.decision, None, vec![]))
             } else if req.negotiate {
                 // The §6 "accepted with the condition XX" possibility:
                 // grant the best weakened form (desirable clauses dropped
                 // last-first), reporting the condition and the predicates
                 // as actually granted.
-                match self.pm.request_negotiated(spec) {
-                    Ok(out) => match out.response.decision {
-                        PromiseDecision::Granted {
-                            promise,
-                            expires_at,
-                        } => {
-                            granted_by_correlation.insert(req.request_id.clone(), promise);
-                            let dropped = out.total_dropped();
-                            PromiseResponseHeader {
-                                promise_id: Some(promise.0),
-                                result: if dropped == 0 {
-                                    PromiseResult::Accepted
-                                } else {
-                                    PromiseResult::AcceptedWithCondition(format!(
-                                        "dropped {dropped} desirable clause(s)"
-                                    ))
-                                },
-                                expires_at,
-                                correlation: req.request_id.clone(),
-                                granted_predicates: out
-                                    .granted_predicates
-                                    .iter()
-                                    .map(ToString::to_string)
-                                    .collect(),
-                            }
-                        }
-                        PromiseDecision::Rejected { reason } => rejected(reason.to_string()),
-                    },
-                    Err(e) => rejected(e.to_string()),
-                }
+                self.pm.request_negotiated(spec).map(|out| {
+                    let dropped = out.total_dropped();
+                    let condition =
+                        (dropped > 0).then(|| format!("dropped {dropped} desirable clause(s)"));
+                    let granted = out.granted_predicates.iter().map(ToString::to_string);
+                    (out.response.decision, condition, granted.collect())
+                })
             } else {
-                match self.pm.request(spec) {
-                    Ok(resp) => match resp.decision {
-                        PromiseDecision::Granted {
-                            promise,
-                            expires_at,
-                        } => {
-                            granted_by_correlation.insert(req.request_id.clone(), promise);
-                            PromiseResponseHeader {
-                                promise_id: Some(promise.0),
-                                result: PromiseResult::Accepted,
-                                expires_at,
-                                correlation: req.request_id.clone(),
-                                granted_predicates: vec![],
-                            }
-                        }
-                        PromiseDecision::Rejected { reason } => rejected(reason.to_string()),
+                (self.pm.request(spec)).map(|resp| (resp.decision, None, vec![]))
+            };
+            let header = match answer {
+                Ok((
+                    PromiseDecision::Granted {
+                        promise,
+                        expires_at,
                     },
-                    Err(e) => rejected(e.to_string()),
+                    condition,
+                    granted_predicates,
+                )) => {
+                    granted_by_correlation.insert(req.request_id.clone(), promise);
+                    PromiseResponseHeader {
+                        promise_id: Some(promise.0),
+                        result: condition.map_or(
+                            PromiseResult::Accepted,
+                            PromiseResult::AcceptedWithCondition,
+                        ),
+                        expires_at,
+                        correlation: req.request_id.clone(),
+                        granted_predicates,
+                    }
                 }
+                Ok((PromiseDecision::Rejected { reason }, ..)) => rejected(reason.to_string()),
+                Err(e) => rejected(e.to_string()),
             };
             reply.promise_responses.push(header);
         }
