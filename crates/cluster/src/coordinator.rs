@@ -153,6 +153,23 @@ pub struct CoordRecovery {
     pub orphan_aborts: usize,
 }
 
+/// How shard `shard` answered the grant or prepare `request_id`: the part
+/// it granted, or why it did not.
+fn grant_part(reply: &Envelope, request_id: &str, shard: usize) -> Result<GrantPart, String> {
+    let Some(resp) = reply.response_for(request_id) else {
+        return Err("shard reply carried no response".into());
+    };
+    match (&resp.result, resp.promise_id) {
+        (PromiseResult::Rejected(reason), _) => Err(reason.clone()),
+        (_, Some(promise_id)) => Ok(GrantPart {
+            shard,
+            promise_id,
+            expires_at: resp.expires_at,
+        }),
+        (_, None) => Err("malformed shard response".into()),
+    }
+}
+
 /// The cross-shard grant coordinator. Cheap to rebuild: all durable state
 /// lives in the [`CoordinatorLog`] and the shards' journals.
 pub struct Coordinator {
@@ -484,25 +501,9 @@ impl Coordinator {
             .client
             .send(&self.map.endpoint_of(shard), &envelope)
             .map_err(|e| CoordError::Transport(e.to_string()))?;
-        Ok(match reply.response_for(request_id) {
-            Some(resp) => match (&resp.result, resp.promise_id) {
-                (PromiseResult::Rejected(reason), _) => ClusterDecision::Rejected {
-                    reason: reason.clone(),
-                },
-                (_, Some(id)) => ClusterDecision::Granted {
-                    parts: vec![GrantPart {
-                        shard,
-                        promise_id: id,
-                        expires_at: resp.expires_at,
-                    }],
-                },
-                (_, None) => ClusterDecision::Rejected {
-                    reason: "malformed shard response".into(),
-                },
-            },
-            None => ClusterDecision::Rejected {
-                reason: "shard reply carried no response".into(),
-            },
+        Ok(match grant_part(&reply, request_id, shard) {
+            Ok(part) => ClusterDecision::Granted { parts: vec![part] },
+            Err(reason) => ClusterDecision::Rejected { reason },
         })
     }
 
@@ -551,28 +552,16 @@ impl Coordinator {
         for (&shard, result) in shards.iter().zip(outcomes) {
             let sub = txn.sub_request(shard);
             match result {
-                Ok(reply) => match reply.response_for(&sub) {
-                    Some(resp) => match (&resp.result, resp.promise_id) {
-                        (PromiseResult::Rejected(reason), _) => {
-                            // Immediate, non-blocking rejection (paper §4).
-                            // Sibling shards were posted to as well —
-                            // whatever they prepared is aborted below.
-                            reject.get_or_insert_with(|| reason.clone());
-                        }
-                        (_, Some(id)) => {
-                            to_abort.push((shard, ResolveRef::Id(id)));
-                            parts.push(GrantPart {
-                                shard,
-                                promise_id: id,
-                                expires_at: resp.expires_at,
-                            });
-                        }
-                        (_, None) => {
-                            reject.get_or_insert_with(|| "malformed shard response".into());
-                        }
-                    },
-                    None => {
-                        reject.get_or_insert_with(|| "shard reply carried no response".into());
+                Ok(reply) => match grant_part(&reply, &sub, shard) {
+                    Ok(part) => {
+                        to_abort.push((shard, ResolveRef::Id(part.promise_id)));
+                        parts.push(part);
+                    }
+                    // Immediate, non-blocking rejection (paper §4). Sibling
+                    // shards were posted to as well — whatever they
+                    // prepared is aborted below.
+                    Err(reason) => {
+                        reject.get_or_insert(reason);
                     }
                 },
                 Err(e @ (BusError::DroppedRequest | BusError::DroppedReply)) => {

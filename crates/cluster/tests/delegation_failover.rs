@@ -78,7 +78,7 @@ fn delegated_promise_survives_leader_kill_and_rebinds_to_the_promoted_follower()
 
     // Re-point the delegation at the promoted manager. New bookings
     // delegate to it...
-    edge.rebind_upstream(POOL, Arc::clone(&promoted)).unwrap();
+    edge.delegate_pool(POOL, Arc::clone(&promoted)).unwrap();
     let booking2 = delegated_grant(&edge, "book-2", 3);
     assert_eq!(promoted.live_count(), 2);
     assert!(backing_id(&promoted, "book-2").is_some());

@@ -89,9 +89,6 @@ const DEFAULT_TOMBSTONE_GRACE_MS: u64 = 300_000;
 /// checkpoint write.
 const DEFAULT_COMPACTION_THRESHOLD: usize = 1_024;
 
-/// Upstream promise references held by a delegated promise.
-type UpstreamRefs = Vec<(Arc<PromiseManager>, PromiseId)>;
-
 /// A promise request as specified in §6: identifier, predicates,
 /// duration, and optionally existing promises handed back in exchange.
 #[derive(Debug, Clone)]
@@ -447,10 +444,10 @@ pub struct PromiseManager {
     /// actually looked at; lets tests and experiments verify footprint
     /// scoping narrowed the work.
     last_check_stats: Mutex<CheckerStats>,
+    /// The upstream manager of each delegated pool. Which upstream promise
+    /// backs a delegated one is recorded only upstream, in its request
+    /// index (see [`delegated_request`]).
     upstreams: RwLock<HashMap<PoolId, Arc<PromiseManager>>>,
-    /// Upstream promises backing delegated ones. Kept outside `state`: its
-    /// values are foreign managers, called with no local lock held.
-    delegations: Mutex<HashMap<PromiseId, UpstreamRefs>>,
     /// Durable journal of promise-table transitions; `None` disables
     /// journalling (the pre-durability behaviour).
     journal: RwLock<Option<Arc<PromiseJournal>>>,
@@ -574,7 +571,7 @@ struct Transition<'a> {
 /// What a committed transition did to the table.
 struct Committed {
     /// The promises that left.
-    left: Vec<PromiseId>,
+    left: Vec<Arc<PromiseRecord>>,
     /// The grant of the candidate, if there was one.
     granted: Option<PromiseDecision>,
 }
@@ -643,7 +640,6 @@ impl PromiseManager {
             retry_limit: 64,
             last_check_stats: Mutex::new(CheckerStats::default()),
             upstreams: RwLock::new(HashMap::new()),
-            delegations: Mutex::new(HashMap::new()),
             journal: RwLock::new(None),
             degraded: AtomicBool::new(false),
             overload_limit: AtomicUsize::new(0),
@@ -762,51 +758,22 @@ impl PromiseManager {
     /// [`PromiseError::DelegationCycle`] when `upstream`'s chain for
     /// `pool` leads back to this manager: delegation is a DAG, and a
     /// request on a cycle would recurse forever.
+    ///
+    /// Delegating a pool again re-points it — the fail-over case, where
+    /// the upstream's leader died and a promoted replica serves behind a
+    /// new manager. The backing promises live in the upstream's request
+    /// index, which the replica recovered, and releases look their
+    /// upstream up here when they happen, so chains granted before the
+    /// fail-over cascade into the replica.
     pub fn delegate_pool(
         &self,
         pool: impl Into<PoolId>,
         upstream: Arc<PromiseManager>,
     ) -> Result<(), PromiseError> {
-        self.set_upstream(pool.into(), upstream).map(drop)
-    }
-
-    /// Re-points an existing delegation at a replacement upstream manager
-    /// — the fail-over case where the upstream's leader died and a warm
-    /// follower was promoted behind a new manager instance. Backing
-    /// promise ids survive journal replay unchanged, so live delegation
-    /// chains stay valid: every stored upstream reference that pointed at
-    /// the displaced manager is rewritten to the replacement, keeping its
-    /// promise id, and later releases cascade to the promoted node. A
-    /// replacement that would close a cycle is refused as
-    /// [`PromiseManager::delegate_pool`] refuses it.
-    pub fn rebind_upstream(
-        &self,
-        pool: impl Into<PoolId>,
-        upstream: Arc<PromiseManager>,
-    ) -> Result<(), PromiseError> {
-        let Some(old) = self.set_upstream(pool.into(), Arc::clone(&upstream))? else {
-            return Ok(());
-        };
-        let mut delegations = self.delegations.lock();
-        for refs in delegations.values_mut() {
-            for (manager, _) in refs.iter_mut() {
-                if Arc::ptr_eq(manager, &old) {
-                    *manager = Arc::clone(&upstream);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Installs `upstream` for `pool` unless its chain for `pool` leads
-    /// back here, returning the manager it displaced. One process-wide
-    /// lock serialises every delegation change, so two managers pointed
-    /// at each other concurrently cannot both pass the walk.
-    fn set_upstream(
-        &self,
-        pool: PoolId,
-        upstream: Arc<PromiseManager>,
-    ) -> Result<Option<Arc<PromiseManager>>, PromiseError> {
+        let pool = pool.into();
+        // One process-wide lock serialises every delegation change, so two
+        // managers pointed at each other concurrently cannot both pass the
+        // walk.
         static DELEGATING: Mutex<()> = Mutex::new(());
         let _serialised = DELEGATING.lock();
         let mut hop = Some(Arc::clone(&upstream));
@@ -816,7 +783,8 @@ impl PromiseManager {
             }
             hop = manager.upstreams.read().get(&pool).cloned();
         }
-        Ok(self.upstreams.write().insert(pool, upstream))
+        self.upstreams.write().insert(pool, upstream);
+        Ok(())
     }
 
     /// Sets the quantity on hand of a quantity pool (setup/admin).
@@ -1095,40 +1063,38 @@ impl PromiseManager {
             }
         }
 
-        // Acquire upstream promises first (delegation); compensate on any
-        // later failure so the whole request stays atomic to the caller.
-        let mut upstream_refs: UpstreamRefs = Vec::new();
+        // Acquire upstream promises first (delegation); give them back on
+        // any later failure so the whole request stays atomic to the
+        // caller.
+        let mut acquired = Vec::new();
         let mut upstream_duration = u64::MAX;
         let mut remote_pools: Vec<_> = remote.into_iter().collect();
         remote_pools.sort_by(|a, b| a.0.cmp(&b.0));
         for (pool, preds) in remote_pools {
             let upstream = upstream_map.get(&pool).expect("partitioned above");
             let mut up_spec = PromiseRequestSpec::new(
-                RequestId(format!("{}::delegated::{pool}", spec.request)),
+                delegated_request(&spec.request, &pool),
                 spec.client.clone(),
             )
             .duration_ms(spec.duration_ms);
             up_spec.predicates = preds;
             match upstream.request(up_spec) {
                 Ok(resp) => match resp.decision {
-                    PromiseDecision::Granted {
-                        promise,
-                        expires_at,
-                    } => {
+                    PromiseDecision::Granted { expires_at, .. } => {
                         // Upstream clocks are independent; bound our own
                         // expiry by the *duration* the upstream granted.
                         let up_dur = expires_at.saturating_sub(upstream.clock.now_ms());
                         upstream_duration = upstream_duration.min(up_dur);
-                        upstream_refs.push((Arc::clone(upstream), promise));
+                        acquired.push(pool);
                     }
                     PromiseDecision::Rejected { .. } => {
-                        self.release_refs(&upstream_refs);
+                        self.release_backing(&spec.client, &spec.request, &acquired);
                         let reason = RejectReason::UpstreamRejected { pool };
                         return Ok((rejection(&spec, reason), false));
                     }
                 },
                 Err(e) => {
-                    self.release_refs(&upstream_refs);
+                    self.release_backing(&spec.client, &spec.request, &acquired);
                     return Err(e);
                 }
             }
@@ -1138,19 +1104,14 @@ impl PromiseManager {
         let result = self.with_retries(tel, || {
             self.grant_local(tel, &spec, local.clone(), duration_ms, prepared)
         });
-        match result
-            .as_ref()
-            .map(|(resp, deduped)| (&resp.decision, deduped))
-        {
-            Ok((PromiseDecision::Granted { promise, .. }, false)) => {
-                if !upstream_refs.is_empty() {
-                    self.delegations.lock().insert(*promise, upstream_refs);
-                }
-            }
-            // Rejected, failed, or a deduplicated retry, whose original
-            // grant already owns its delegation refs: the ones acquired
-            // here are surplus.
-            _ => self.release_refs(&upstream_refs),
+        // A granted attempt keeps what it acquired, and so does a
+        // deduplicated one: the upstream answered it from the same keys,
+        // so its holds are its original's.
+        if !matches!(
+            result.as_ref().map(|(resp, _)| &resp.decision),
+            Ok(PromiseDecision::Granted { .. })
+        ) {
+            self.release_backing(&spec.client, &spec.request, &acquired);
         }
         result
     }
@@ -1197,8 +1158,8 @@ impl PromiseManager {
                 None => Ok(()),
             }
         });
-        let decision = match done {
-            Ok(done) => done.granted.expect("a grant transition has a candidate"),
+        let done = match done {
+            Ok(done) => done,
             Err(Halt::Deduped(decision)) => return Ok((answer(spec, decision), true)),
             Err(Halt::Rejected(reason)) => return Ok((rejection(spec, reason), false)),
             Err(Halt::Failed(e)) => return Err(e),
@@ -1217,9 +1178,8 @@ impl PromiseManager {
                 tel.event(SpanKind::PmRelease, ex.0);
             }
         }
-        for ex in &spec.exchange {
-            self.cascade_release(*ex);
-        }
+        self.cascade_release(&done.left);
+        let decision = done.granted.expect("a grant transition has a candidate");
         Ok((answer(spec, decision), false))
     }
 
@@ -1250,12 +1210,12 @@ impl PromiseManager {
             };
             // Re-read under the locks: a concurrent prune may have reaped it.
             self.transition(self.rm.begin(), tel, transition, |st, _| Ok(present(st)?))
-                .map(drop)
+                .map(|done| done.left)
                 .map_err(Halt::into_error)
         });
         if let Some(tel) = tel {
             let (outcome, note) = match &result {
-                Ok(()) => (SpanOutcome::Ok, None),
+                Ok(_) => (SpanOutcome::Ok, None),
                 Err(e) => (SpanOutcome::Error, Some(e.to_string())),
             };
             tel.note_op(
@@ -1267,8 +1227,7 @@ impl PromiseManager {
                 note,
             );
         }
-        result?;
-        self.cascade_release(id);
+        self.cascade_release(&result?);
         self.metrics.released.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1438,10 +1397,8 @@ impl PromiseManager {
                 note,
             );
         }
-        let out = result?;
-        for id in releases {
-            self.cascade_release(id);
-        }
+        let (out, left) = result?;
+        self.cascade_release(&left);
         self.metrics.executions.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
@@ -1455,7 +1412,7 @@ impl PromiseManager {
         releases: &[PromiseId],
         action: &mut impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
         enforce_scope: bool,
-    ) -> Result<R, PromiseError> {
+    ) -> Result<(R, Vec<Arc<PromiseRecord>>), PromiseError> {
         let txn = self.rm.begin();
         // Pre-validate the environment (cheap fail-fast; re-checked after
         // the action because time passes while it runs).
@@ -1489,15 +1446,16 @@ impl PromiseManager {
             leave: Leave::Release,
             check: Check::Action,
         };
-        self.transition(txn, tel, transition, |st, now| {
-            self.validate_env(st, env, now)?;
-            if enforce_scope {
-                check_scope(st, env, &written)?;
-            }
-            Ok(())
-        })
-        .map_err(Halt::into_error)?;
-        Ok(out)
+        let done = self
+            .transition(txn, tel, transition, |st, now| {
+                self.validate_env(st, env, now)?;
+                if enforce_scope {
+                    check_scope(st, env, &written)?;
+                }
+                Ok(())
+            })
+            .map_err(Halt::into_error)?;
+        Ok((out, done.left))
     }
 
     /// Reaps expired promises, freeing what they held. Called
@@ -1540,12 +1498,10 @@ impl PromiseManager {
                 .map(|done| done.left)
                 .map_err(Halt::into_error)
         })?;
-        for id in &reaped {
-            self.cascade_release(*id);
-        }
+        self.cascade_release(&reaped);
         if let Some(tel) = tel {
-            for id in &reaped {
-                tel.event(SpanKind::PmExpire, id.0);
+            for rec in &reaped {
+                tel.event(SpanKind::PmExpire, rec.id.0);
             }
             tel.expired
                 .fetch_add(reaped.len() as u64, Ordering::Relaxed);
@@ -2175,19 +2131,19 @@ impl PromiseManager {
         }
         let mut left = Vec::with_capacity(t.leaving.len());
         for id in t.leaving {
-            if st.take(*id).is_some() {
+            if let Some(rec) = st.take(*id) {
                 let op = match t.leave {
                     Leave::Release => JournalOp::Release(*id),
                     Leave::Expire => JournalOp::Expire(*id),
                 };
                 self.journal_append(tel, |j| j.append(op));
-                left.push(*id);
+                left.push(rec);
             }
         }
         if let Leave::Expire = t.leave {
             let evict_at = now.saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
-            for id in &left {
-                st.tombstones.insert(*id, evict_at, ());
+            for rec in &left {
+                st.tombstones.insert(rec.id, evict_at, ());
             }
             st.tombstones.evict_due(now);
         }
@@ -2249,18 +2205,53 @@ impl PromiseManager {
         verdict
     }
 
-    fn release_refs(&self, refs: &[(Arc<PromiseManager>, PromiseId)]) {
-        for (pm, id) in refs {
-            let _ = pm.release(*id);
+    /// Gives back, on each of `pools`' upstreams, the promise backing
+    /// `client`'s `request` there: the one under [`delegated_request`] in
+    /// the request index of the upstream delegated to now, even if it
+    /// expired and awaits its reap. A backing promise that already left
+    /// upstream has nothing to give back, so errors are discarded.
+    fn release_backing(&self, client: &ClientId, request: &RequestId, pools: &[PoolId]) {
+        for pool in pools {
+            let Some(upstream) = self.upstreams.read().get(pool).cloned() else {
+                continue;
+            };
+            let key = delegated_request(request, pool);
+            let backing = upstream
+                .state
+                .lock()
+                .indexed(client, &key)
+                .map(|rec| rec.id);
+            if let Some(id) = backing {
+                let _ = upstream.release(id);
+            }
         }
     }
 
-    fn cascade_release(&self, id: PromiseId) {
-        let refs = self.delegations.lock().remove(&id);
-        if let Some(refs) = refs {
-            self.release_refs(&refs);
+    /// Cascades the departure of `left` — released, expired, exchanged or
+    /// released by an action — to the upstream promises backing them.
+    fn cascade_release(&self, left: &[Arc<PromiseRecord>]) {
+        let pools: Vec<PoolId> = {
+            let upstreams = self.upstreams.read();
+            if upstreams.is_empty() || left.is_empty() {
+                return;
+            }
+            upstreams.keys().cloned().collect()
+        };
+        for rec in left {
+            self.release_backing(&rec.client, &rec.request, &pools);
         }
     }
+}
+
+/// The request under which the promise backing `request`'s predicates on
+/// the delegated `pool` is held upstream: `{request}::delegated::{pool}`.
+/// This key in the upstream's request index — journalled and replicated
+/// with the upstream's table — is the one record of which upstream promise
+/// backs a delegated one. A cascade looks the backing promise up by the
+/// leaving record's own client and this key, so it only ever releases
+/// promises of the same client.
+fn delegated_request(request: &RequestId, pool: &PoolId) -> RequestId {
+    RequestId(format!("{request}::delegated::{pool}"))
 }
 
 /// Scope enforcement: every pool-backed write (`written`, from

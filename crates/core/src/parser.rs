@@ -48,6 +48,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many `!`, `(` and `desirable(` operators may nest. No test or
+/// encoder in the workspace prints an expression nested deeper than 8 (the
+/// property tests' four-level trees, `!(` counting two); one nested deeper
+/// than this is refused, not recursed into until the stack overflows.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one predicate from the text syntax.
 pub fn parse_predicate(input: &str) -> Result<Predicate, ParseError> {
     let mut p = Parser::new(input);
@@ -62,7 +68,7 @@ pub fn parse_predicate(input: &str) -> Result<Predicate, ParseError> {
 /// Parses a property expression from the text syntax.
 pub fn parse_expr(input: &str) -> Result<PropExpr, ParseError> {
     let mut p = Parser::new(input);
-    let e = p.expr()?;
+    let e = p.expr(0)?;
     p.skip_ws();
     if !p.at_end() {
         return Err(p.err("trailing input after expression"));
@@ -223,16 +229,17 @@ impl<'a> Parser<'a> {
             }
             self.expect(")")?;
             self.expect(":")?;
-            let expr = self.expr()?;
+            let expr = self.expr(0)?;
             return Ok(Predicate::property(pool, expr, count as u32));
         }
         Err(self.err("expected qty(...), named(...) or prop(...)"))
     }
 
-    fn expr(&mut self) -> Result<PropExpr, ParseError> {
-        let mut terms = vec![self.and_expr()?];
+    /// Parses a disjunction `depth` operators deep (see [`MAX_DEPTH`]).
+    fn expr(&mut self, depth: usize) -> Result<PropExpr, ParseError> {
+        let mut terms = vec![self.and_expr(depth)?];
         while self.eat("||") {
-            terms.push(self.and_expr()?);
+            terms.push(self.and_expr(depth)?);
         }
         Ok(if terms.len() == 1 {
             terms.pop().expect("non-empty")
@@ -241,10 +248,10 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn and_expr(&mut self) -> Result<PropExpr, ParseError> {
-        let mut terms = vec![self.unary()?];
+    fn and_expr(&mut self, depth: usize) -> Result<PropExpr, ParseError> {
+        let mut terms = vec![self.unary(depth)?];
         while self.eat("&&") {
-            terms.push(self.unary()?);
+            terms.push(self.unary(depth)?);
         }
         Ok(if terms.len() == 1 {
             terms.pop().expect("non-empty")
@@ -253,18 +260,21 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn unary(&mut self) -> Result<PropExpr, ParseError> {
+    fn unary(&mut self, depth: usize) -> Result<PropExpr, ParseError> {
         self.skip_ws();
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("expression nested deeper than {MAX_DEPTH}")));
+        }
         if self.eat("!") {
-            return Ok(PropExpr::Not(Box::new(self.unary()?)));
+            return Ok(PropExpr::Not(Box::new(self.unary(depth + 1)?)));
         }
         if self.eat("(") {
-            let e = self.expr()?;
+            let e = self.expr(depth + 1)?;
             self.expect(")")?;
             return Ok(e);
         }
         if self.eat("desirable(") {
-            let e = self.expr()?;
+            let e = self.expr(depth + 1)?;
             self.expect(")")?;
             return Ok(PropExpr::Desirable(Box::new(e)));
         }

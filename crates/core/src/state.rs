@@ -136,11 +136,14 @@ impl PromiseState {
         request: &RequestId,
         now: u64,
     ) -> Option<&PromiseRecord> {
+        self.indexed(client, request).filter(|rec| rec.is_live(now))
+    }
+
+    /// The promise in the table under `(client, request)`, live or expired
+    /// and not yet reaped.
+    pub(crate) fn indexed(&self, client: &ClientId, request: &RequestId) -> Option<&PromiseRecord> {
         let id = self.by_request.get(&request_key(&client.0, &request.0))?;
-        self.table
-            .get(*id)
-            .map(Arc::as_ref)
-            .filter(|rec| rec.is_live(now))
+        self.table.get(*id).map(Arc::as_ref)
     }
 
     /// The error for operating under a promise that is not in the table:

@@ -924,7 +924,7 @@ fn a_delegation_that_closes_a_cycle_is_refused() {
     assert!(refused(cycle(&back, &front)), "back → front → mid → back");
     // A manager is its own shortest cycle, and rebinding is walked too.
     assert!(refused(cycle(&mid, &mid)));
-    assert!(refused(mid.rebind_upstream("widgets", Arc::clone(&front))));
+    assert!(refused(mid.delegate_pool("widgets", Arc::clone(&front))));
 
     // The chain front → mid → back was accepted and still serves.
     let chain = [front, mid, back];

@@ -12,10 +12,10 @@
 //! others.
 //!
 //! When an upstream shard fails over to a promoted warm follower, the
-//! desk re-points its delegation with [`BookingDesk::rebind`]
-//! ([`PromiseManager::rebind_upstream`]): backing promise ids survive
-//! journal replay unchanged, so live chains keep cascading releases to
-//! the promoted node.
+//! desk re-points its delegation by calling [`BookingDesk::delegate`]
+//! again. Which upstream promise backs a booking is recorded only in the
+//! upstream's request index, which the follower replays from the
+//! journal, so live chains keep cascading releases to the promoted node.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,24 +49,15 @@ impl BookingDesk {
     }
 
     /// Routes bookings touching `pool` to the upstream manager that owns
-    /// it (§5 delegation); refused if `upstream` delegates the pool back
-    /// to this desk.
+    /// it (§5 delegation), or re-points it after that upstream failed over
+    /// to a promoted replacement; refused if `upstream` delegates the pool
+    /// back to this desk.
     pub fn delegate(
         &self,
         pool: impl Into<PoolId>,
         upstream: Arc<PromiseManager>,
     ) -> Result<(), PromiseError> {
         self.pm.delegate_pool(pool, upstream)
-    }
-
-    /// Re-points an existing delegation after the upstream failed over to
-    /// a promoted replacement manager, keeping live chains intact.
-    pub fn rebind(
-        &self,
-        pool: impl Into<PoolId>,
-        upstream: Arc<PromiseManager>,
-    ) -> Result<(), PromiseError> {
-        self.pm.rebind_upstream(pool, upstream)
     }
 
     /// The desk's promise manager.
@@ -121,7 +112,7 @@ impl BookingDesk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promises_core::SystemClock;
+    use promises_core::{PromiseJournal, SystemClock};
     use promises_rm::ResourceManager;
 
     fn pm() -> Arc<PromiseManager> {
@@ -131,8 +122,16 @@ mod tests {
         ))
     }
 
+    /// An upstream owning `qty` units of `pool`, journalled so a
+    /// fail-over replacement can be recovered from it.
     fn upstream(pool: &str, qty: u64) -> Arc<PromiseManager> {
-        let m = pm();
+        let m = Arc::new(
+            PromiseManager::new(
+                Arc::new(ResourceManager::new()),
+                Arc::new(SystemClock::new()),
+            )
+            .with_journal(Arc::new(PromiseJournal::new())),
+        );
         m.register_pool(PoolSchema::quantity(pool));
         m.seed_quantity(pool, qty).unwrap();
         m
@@ -182,18 +181,14 @@ mod tests {
         let legs = vec![("flights".to_owned(), 1)];
         let booking = desk.book("a", "r1", &legs, 60_000).unwrap().unwrap();
 
-        // Model a fail-over: a replacement manager recovered to the same
-        // state (same backing promise id) takes over the pool.
+        // Model a fail-over: a replacement manager is rebuilt by `recover`
+        // from the original upstream's journal, as a promoted replica is,
+        // and takes over the pool.
         let replacement = upstream("flights", 5);
-        let backing = replacement
-            .request(
-                PromiseRequestSpec::new("a::delegated::flights", "a")
-                    .predicate(Predicate::qty_at_least("flights", 1))
-                    .duration_ms(60_000),
-            )
-            .unwrap();
-        assert!(matches!(backing.decision, PromiseDecision::Granted { .. }));
-        desk.rebind("flights", Arc::clone(&replacement)).unwrap();
+        let shipped = PromiseJournal::from_lines(&flights.journal().unwrap().lines()).unwrap();
+        replacement.recover(Arc::new(shipped)).unwrap();
+        assert_eq!(replacement.live_count(), 1, "the backing promise replayed");
+        desk.delegate("flights", Arc::clone(&replacement)).unwrap();
 
         desk.cancel(booking).unwrap();
         assert_eq!(

@@ -17,7 +17,8 @@
 //!   promise request;
 //! * [`BookingDesk`] — an edge booking service whose real resources all
 //!   live upstream: §5 delegation chains pointed at the per-shard
-//!   managers of a cluster, rebindable across fail-over;
+//!   managers of a cluster, re-pointed at a promoted replica after
+//!   fail-over;
 //! * [`OrderWorkflow`] — the long-running order process as an explicit
 //!   event-driven state machine, substituting for the authors' GAT
 //!   workflow engine \[5\].

@@ -129,11 +129,18 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// How deeply elements may nest, the document element counting as 1. The
+/// codec's envelopes nest 4 deep (`envelope` > `header` >
+/// `promise-request` > `predicate`), and no test builds a deeper tree; a
+/// document nested deeper than this is refused, not recursed into until
+/// the stack overflows.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one element (surrounding whitespace allowed).
 pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
     let mut p = XmlParser { src: input, pos: 0 };
     p.skip_ws();
-    let el = p.element()?;
+    let el = p.element(1)?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(p.err("trailing content after document element"));
@@ -190,7 +197,11 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn element(&mut self) -> Result<XmlElement, XmlError> {
+    /// Parses the element at `pos`, nested `depth` deep.
+    fn element(&mut self, depth: usize) -> Result<XmlElement, XmlError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+        }
         if !self.eat("<") {
             return Err(self.err("expected '<'"));
         }
@@ -240,7 +251,7 @@ impl<'a> XmlParser<'a> {
                 return Ok(el);
             }
             if self.rest().starts_with('<') {
-                el.children.push(self.element()?);
+                el.children.push(self.element(depth + 1)?);
                 continue;
             }
             if self.rest().is_empty() {
