@@ -351,8 +351,8 @@ impl PromiseCluster {
     }
 
     /// Advances the shared clock and prunes expiry on every shard. This is
-    /// the sim-side analogue of the background reaper cadence, so it also
-    /// gives each shard its journal-compaction opportunity, runs a lease
+    /// the cluster's housekeeping pass, so it also gives each shard its
+    /// journal-compaction opportunity, runs a lease
     /// rebalance cycle when leases are enabled, and sweeps the
     /// coordinator's dedup index (all bounded-state disciplines).
     pub fn advance_and_prune(&self, ms: u64) {

@@ -272,10 +272,10 @@ impl Service for ShardServer {
     }
 }
 
-/// Registers the shard's quantity-purchase action handler (the same
-/// merchant/purchase contract the single-node harnesses expose). A free
-/// function so it can run inside the control call in which a restart or
-/// promotion builds a fresh gateway.
+/// Registers the shard's quantity-purchase action handler (the
+/// merchant/purchase contract the fault sweeps' `<action>` bodies call).
+/// A free function so it can run inside the control call in which a
+/// restart or promotion builds a fresh gateway.
 fn register_handlers(gateway: &PromiseGateway) {
     gateway.register_handler(
         "merchant",
@@ -360,7 +360,8 @@ pub struct ShardNode {
     /// Every pool this node was given ([`ShardNode::host`]), in hosting
     /// order: the one record a restart or promotion rebuilds from.
     hosting: Mutex<Vec<(PoolSchema, PoolSeed)>>,
-    clock: Arc<dyn Clock>,
+    /// The clock every incarnation of the manager reads.
+    pub clock: Arc<dyn Clock>,
 }
 
 impl ShardNode {

@@ -530,26 +530,14 @@ impl PromiseJournal {
 
     /// Rebuilds a journal from previously dumped lines (e.g. read back
     /// from a file). Sequence and generation counters resume past the
-    /// highest values present.
+    /// highest values present. Every line must parse: this is
+    /// [`PromiseJournal::from_lines_tolerant`]'s scan with a torn tail
+    /// returned as the error.
     pub fn from_lines<S: AsRef<str>>(lines: &[S]) -> Result<Self, JournalError> {
-        let mut next_seq = 1;
-        let mut generation = 0;
-        for (i, raw) in lines.iter().enumerate() {
-            let entry = decode_entry(raw.as_ref(), i)?;
-            next_seq = next_seq.max(entry.seq + 1);
-            generation = generation.max(entry.generation);
+        match Self::from_lines_tolerant(lines)? {
+            (journal, None) => Ok(journal),
+            (_, Some(torn)) => Err(torn),
         }
-        Ok(Self {
-            inner: Mutex::new(JournalInner {
-                lines: lines.iter().map(|s| s.as_ref().to_owned()).collect(),
-                next_seq,
-                generation,
-                flushed_seq: next_seq - 1,
-                flush_writes: 0,
-                flushed_records: 0,
-            }),
-            flush_delay_us: AtomicU64::new(0),
-        })
     }
 
     /// Rebuilds a journal from dumped lines, tolerating a *torn trailing

@@ -78,7 +78,6 @@ mod negotiate;
 mod parser;
 mod predicate;
 mod promise;
-mod reaper;
 mod schema;
 mod state;
 
@@ -101,5 +100,4 @@ pub use negotiate::{ladder, NegotiatedResponse, Rung};
 pub use parser::{parse_expr, parse_predicate, ParseError};
 pub use predicate::{CmpOp, Predicate, PropExpr};
 pub use promise::{Allocation, PromiseRecord, PromiseTable};
-pub use reaper::ExpiryReaper;
 pub use schema::{CheckStrategy, PoolKind, PoolSchema, PropertyDef};

@@ -84,9 +84,9 @@ const PM_OPS: &str = "promise-ops";
 /// enough that the tombstone map stays proportional to *recent* expiries.
 const DEFAULT_TOMBSTONE_GRACE_MS: u64 = 300_000;
 
-/// Default [`PromiseManager::maybe_compact`] trigger: journals shorter
-/// than this are cheap to replay wholesale, so compaction isn't worth a
-/// checkpoint write.
+/// [`PromiseManager::maybe_compact`] trigger: journals shorter than this
+/// are cheap to replay wholesale, so compaction isn't worth a checkpoint
+/// write.
 const DEFAULT_COMPACTION_THRESHOLD: usize = 1_024;
 
 /// A promise request as specified in §6: identifier, predicates,
@@ -328,8 +328,8 @@ struct PmTel {
     expired: Arc<AtomicU64>,
     compact_runs: Arc<AtomicU64>,
     compact_dropped: Arc<AtomicU64>,
-    /// `pm.journal.records` gauge: journal length as of the latest
-    /// compaction or reaper tick.
+    /// `pm.journal.records` gauge: journal length as of the latest append
+    /// or [`PromiseManager::maybe_compact`] call.
     journal_records: Arc<AtomicU64>,
     /// `pm.pool.<pool>.granted` / `pm.pool.<pool>.rejected` handles.
     pool_counters: RwLock<HashMap<PoolId, PoolCounters>>,
@@ -463,9 +463,6 @@ pub struct PromiseManager {
     /// eviction — the window during which a stale client still gets the
     /// distinct "promise-expired" error.
     tombstone_grace_ms: AtomicU64,
-    /// [`PromiseManager::maybe_compact`] compacts only once the journal
-    /// holds at least this many records (0 = never auto-compact).
-    compaction_threshold: AtomicUsize,
     /// Armed fault-injection point inside [`PromiseManager::compact`];
     /// consumed by the next compaction.
     compaction_crash: Mutex<Option<CompactionCrash>>,
@@ -646,7 +643,6 @@ impl PromiseManager {
             metrics: PmMetrics::default(),
             telemetry: RwLock::new(None),
             tombstone_grace_ms: AtomicU64::new(DEFAULT_TOMBSTONE_GRACE_MS),
-            compaction_threshold: AtomicUsize::new(DEFAULT_COMPACTION_THRESHOLD),
             compaction_crash: Mutex::new(None),
         }
     }
@@ -686,13 +682,6 @@ impl PromiseManager {
     /// unknown and the map stays bounded.
     pub fn with_tombstone_grace_ms(self, ms: u64) -> Self {
         self.tombstone_grace_ms.store(ms, Ordering::Relaxed);
-        self
-    }
-
-    /// Sets the journal length at which [`PromiseManager::maybe_compact`]
-    /// triggers a compaction (0 disables auto-compaction).
-    pub fn with_compaction_threshold(self, records: usize) -> Self {
-        self.compaction_threshold.store(records, Ordering::Relaxed);
         self
     }
 
@@ -1683,11 +1672,11 @@ impl PromiseManager {
     }
 
     /// Compacts when the journal has outgrown its worth as raw history:
-    /// at least [`PromiseManager::with_compaction_threshold`] records long
-    /// *and* several times larger than the live table (a journal that is
-    /// mostly live promises would shrink little). Cheap when nothing is
-    /// due — the expiry reaper calls this on its cadence. Also refreshes
-    /// the `pm.journal.records` gauge.
+    /// at least 1 024 records long *and* at least four times the live
+    /// table (a journal that is mostly live promises would shrink little).
+    /// Cheap when nothing is due — the cluster's housekeeping pass
+    /// (`PromiseCluster::advance_and_prune`) calls it on every shard. Also
+    /// refreshes the `pm.journal.records` gauge.
     pub fn maybe_compact(&self) -> Result<Option<CompactionReport>, PromiseError> {
         let journal_len = match self.journal.read().as_ref() {
             Some(j) => j.len(),
@@ -1697,8 +1686,7 @@ impl PromiseManager {
             tel.journal_records
                 .store(journal_len as u64, Ordering::Relaxed);
         }
-        let threshold = self.compaction_threshold.load(Ordering::Relaxed);
-        if threshold == 0 || journal_len < threshold {
+        if journal_len < DEFAULT_COMPACTION_THRESHOLD {
             return Ok(None);
         }
         if journal_len < 4 * (self.live_count() + 1) {
@@ -1887,8 +1875,8 @@ impl PromiseManager {
         if let Some(j) = self.journal.read().as_ref() {
             append(j);
             // Keep the `pm.journal.records` gauge live on every append so
-            // health monitors see journal growth between compaction and
-            // reaper ticks, not just the post-compaction plateau.
+            // health monitors see journal growth between housekeeping
+            // passes, not just the post-compaction plateau.
             if let Some(tel) = tel {
                 tel.journal_records.store(j.len() as u64, Ordering::Relaxed);
             }

@@ -19,8 +19,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use promises_cluster::{CoordError, CrashPoint, PromiseCluster};
-use promises_core::{Clock, PromiseJournal, PromiseManager};
+use promises_cluster::{CoordError, CrashPoint, PromiseCluster, ShardNode};
+use promises_core::{PromiseJournal, PromiseManager};
 use promises_faults::{FaultInjector, FaultScenario};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -487,19 +487,19 @@ pub fn run_cluster_crash_restart(
     }
 }
 
-/// The E16 equivalence reference: a *fresh* promise manager recovered
-/// from a snapshot of the dead leader's journal lines, exactly as the
-/// promotion path rebuilds one from the follower's copy. Byte-equality of
-/// this digest with the promoted follower's proves the replica carried
+/// The restart and fail-over equivalence reference: a *fresh* promise
+/// manager recovered from a snapshot of `node`'s journal lines, exactly as
+/// the promotion path rebuilds one from the follower's copy. Byte-equality
+/// of this digest with a promoted follower's proves the replica carried
 /// every record the leader's disk held — nothing dropped, nothing
-/// invented. Its pools come from the node's own hosting record, filled
-/// as promotion fills fresh storage.
-fn clean_replay_digest(cluster: &PromiseCluster, index: usize, leader_lines: &[String]) -> String {
+/// invented; with a restarted node's, that replay is idempotent. Its pools
+/// come from the node's own hosting record, filled as promotion fills
+/// fresh storage.
+pub(crate) fn clean_replay_digest(node: &ShardNode, lines: &[String]) -> String {
     let rm = Arc::new(promises_rm::ResourceManager::new());
-    let pm = PromiseManager::new(rm, Arc::clone(&cluster.clock) as Arc<dyn Clock>);
-    cluster.nodes[index].rehost(&pm, true);
-    let journal =
-        Arc::new(PromiseJournal::from_lines(leader_lines).expect("leader journal intact"));
+    let pm = PromiseManager::new(rm, Arc::clone(&node.clock));
+    node.rehost(&pm, true);
+    let journal = Arc::new(PromiseJournal::from_lines(lines).expect("journal intact"));
     pm.recover(journal).expect("clean replay succeeds");
     pm.state_digest()
 }
@@ -607,7 +607,7 @@ fn fail_over(
     let leader_lines = cluster.nodes[index].journal.lines();
     let fo = cluster.promote_follower(index);
     let promoted = cluster.nodes[index].pm.state_digest();
-    let clean_replay = clean_replay_digest(cluster, index, &leader_lines);
+    let clean_replay = clean_replay_digest(&cluster.nodes[index], &leader_lines);
     digests.push(FailoverDigests {
         label,
         pre_kill,

@@ -37,7 +37,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::audit::{audit_cluster, audit_manager, ClusterAudit};
 use crate::clients::{ClientOp, ClientRun, Release};
 use crate::cluster::{cluster_harness, ClusterSweepConfig};
-use crate::faults::{fault_harness_with, grant_request, PM_ENDPOINT};
+use crate::faults::{fault_harness, grant_request};
 use crate::workload::{pool_name, sample_zipf, zipf_cdf};
 
 /// Outcome of one doctor sweep: the confusion-matrix row for one
@@ -141,10 +141,11 @@ fn tick(
     kinds
 }
 
-/// The E11-doctor scenario: a single journalled promise manager behind a
-/// bus that delays `fault_rate` of all messages by up to 24 ms — an order
-/// of magnitude over the ~2 ms latency SLO — while the two-window burn
-/// monitor watches `client.send`. At any non-zero rate the over-SLO
+/// The E11-doctor scenario: one promise node (the cluster's shard node,
+/// with its worker and group commit) behind a bus that delays
+/// `fault_rate` of all messages by up to 24 ms — an order of magnitude
+/// over the ~2 ms latency SLO — while the two-window burn monitor watches
+/// `client.send`. At any non-zero rate the over-SLO
 /// fraction dwarfs the 1% error budget, so **slo-burn-rate** must trip;
 /// at rate 0 every send is microseconds and nothing may.
 ///
@@ -163,8 +164,9 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
     let mut scenario = FaultScenario::quiet(seed);
     scenario.delay_probability = fault_rate;
     scenario.max_delay = Duration::from_millis(24);
-    let tel = Telemetry::shared();
-    let h = fault_harness_with(scenario, POOLS, 1_000_000, Some(Arc::clone(&tel)));
+    let h = fault_harness(scenario, POOLS, 1_000_000);
+    let tel = Arc::clone(&h.node.telemetry);
+    let to = h.node.endpoint.as_str();
     let client = Arc::new(
         RetryingClient::new(Arc::clone(&h.bus), RetryPolicy::new(seed ^ 0xD0C7))
             .with_telemetry(Arc::clone(&tel)),
@@ -180,7 +182,7 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
             let amount = rng.random_range(1..=3u64);
             let request_id = format!("d{round}-o{op}");
             let grant = grant_request(&request_id, "doctor", &pool, amount, 60_000);
-            let Ok(reply) = client.send(PM_ENDPOINT, &grant) else {
+            let Ok(reply) = client.send(to, &grant) else {
                 continue;
             };
             let promise_id = reply.response_for(&request_id).and_then(|resp| {
@@ -191,7 +193,7 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
                 }
             });
             if let Some(id) = promise_id {
-                let _ = client.send(PM_ENDPOINT, &Envelope::new().with_release(id));
+                let _ = client.send(to, &Envelope::new().with_release(id));
             }
         }
     };
@@ -199,8 +201,8 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
     for round in 0..ROUNDS {
         run_round(round, &mut rng);
         let kinds = tick(&mut report, &mut state, &recorder, &tel);
-        if fail_fast && kinds.contains(&Watchdog::SloBurnRate) && !h.pm.is_degraded() {
-            h.pm.set_degraded(true);
+        if fail_fast && kinds.contains(&Watchdog::SloBurnRate) && !h.node.pm.is_degraded() {
+            h.node.pm.set_degraded(true);
             report.fail_fast_engaged = true;
             recorder.record("overload.fail_fast", "burn trip: degraded mode on");
         }
@@ -210,22 +212,22 @@ pub fn run_doctor_fault_sweep(seed: u64, fault_rate: f64, fail_fast: bool) -> Do
     // a tick passes without the burn tripping, degraded mode comes off.
     h.quiesce();
     for round in ROUNDS..(ROUNDS * 3) {
-        if !h.pm.is_degraded() {
+        if !h.node.pm.is_degraded() {
             break;
         }
         run_round(round, &mut rng);
         let kinds = tick(&mut report, &mut state, &recorder, &tel);
         if !kinds.contains(&Watchdog::SloBurnRate) {
-            h.pm.set_degraded(false);
+            h.node.pm.set_degraded(false);
             report.fail_fast_cleared = true;
             recorder.record("overload.recover", "burn recovered: degraded mode off");
         }
     }
 
-    report.audit = audit_manager(&h.pm, &h.journal, &h.rm);
+    report.audit = audit_manager(&h.node.pm, &h.node.journal, &h.node.rm);
     h.clock.advance(4_000_000);
-    let _ = h.pm.prune_expired();
-    report.audit.live_after_reap = h.pm.live_count();
+    let _ = h.node.pm.prune_expired();
+    report.audit.live_after_reap = h.node.pm.live_count();
     report
 }
 

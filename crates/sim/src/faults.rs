@@ -1,10 +1,11 @@
 //! Failure workloads: fault sweeps, kill-the-client, and crash–restart.
 //!
 //! These drive the full wire pipeline — retrying client → faulty bus →
-//! gateway → promise manager over a journalled table and a fault-hooked
-//! resource manager — under a seeded [`FaultScenario`], and then *audit*
-//! the paper's guarantees after the dust settles, with the per-manager
-//! half of the one cluster audit:
+//! one promise node (the cluster's [`ShardNode`]: its worker, its
+//! per-batch group commit and its queued restart) over a journalled
+//! table and a fault-hooked resource manager — under a seeded
+//! [`FaultScenario`], and then *audit* the paper's guarantees after the
+//! dust settles, with the per-manager half of the one cluster audit:
 //!
 //! * **no violations** — per pool, quantity promised to live promises
 //!   never exceeds quantity on hand;
@@ -19,43 +20,31 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use promises_core::{
-    Catalog, CompactionCrash, ManualClock, PoolSchema, PromiseError, PromiseJournal,
-    PromiseManager, RecoveryReport,
-};
+use promises_cluster::{PoolSeed, ShardNode};
+use promises_core::{CompactionCrash, ManualClock, PoolSchema, PromiseError, RecoveryReport};
 use promises_faults::{FaultInjector, FaultScenario, FaultStats};
-use promises_rm::ResourceManager;
-use promises_telemetry::Telemetry;
 use promises_wire::{
-    ActionRequest, EnvEntry, EnvRef, Envelope, EnvironmentHeader, InMemoryBus, PromiseGateway,
+    ActionRequest, EnvEntry, EnvRef, Envelope, EnvironmentHeader, InMemoryBus,
     PromiseRequestHeader, PromiseResult, RetryPolicy, RetryingClient,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::audit::audit_manager;
+use crate::cluster::clean_replay_digest;
 use crate::workload::pool_name;
 
-/// Bus endpoint name of the promise gateway.
-pub const PM_ENDPOINT: &str = "pm";
-
-/// Everything a failure workload needs: the faulty bus, the injector, the
-/// journalled promise manager, and its manual clock.
+/// Everything a failure workload needs: one promise node on a faulty bus,
+/// the injector, and the node's manual clock.
 pub struct FaultHarness {
+    /// The promise node: manager, journal, RM and telemetry registry
+    /// behind its shard worker, answering on `node.endpoint`.
+    pub node: ShardNode,
     /// The bus carrying every message (faults installed).
     pub bus: Arc<InMemoryBus>,
     /// The shared injector (bus + RM storage hook draw from it).
     pub injector: Arc<FaultInjector>,
-    /// The promise manager behind the gateway.
-    pub pm: Arc<PromiseManager>,
-    /// The manager's clock (manual, so expiry is driven deterministically).
+    /// The node's clock (manual, so expiry is driven deterministically).
     pub clock: Arc<ManualClock>,
-    /// The manager's durable journal.
-    pub journal: Arc<PromiseJournal>,
-    /// The resource manager (for post-run audits).
-    pub rm: Arc<ResourceManager>,
-    /// Telemetry registry shared by PM, RM and bus, when the harness was
-    /// built instrumented.
-    pub telemetry: Option<Arc<Telemetry>>,
 }
 
 impl FaultHarness {
@@ -63,79 +52,30 @@ impl FaultHarness {
     /// and recovery run on a quiet system.
     pub fn quiesce(&self) {
         self.bus.set_fault_injector(None);
-        self.rm.set_storage_fault_hook(None);
+        self.node.rm.set_storage_fault_hook(None);
     }
 }
 
-/// Builds a journalled PM + gateway + faulty bus over `pools` quantity
-/// pools of `qty` units each. Seeding happens before the fault hooks are
+/// Builds one promise node on a faulty bus, hosting `pools` quantity
+/// pools of `qty` units each, with the bus recording into the node's
+/// telemetry registry. Hosting happens before the fault hooks are
 /// installed, so setup is always clean.
 pub fn fault_harness(scenario: FaultScenario, pools: usize, qty: u64) -> FaultHarness {
-    fault_harness_with(scenario, pools, qty, None)
-}
-
-/// [`fault_harness`] with an optional telemetry registry attached to the
-/// resource manager, the promise manager, and the bus — so every span the
-/// pipeline records (including injected-fault tags) lands in one ring.
-pub fn fault_harness_with(
-    scenario: FaultScenario,
-    pools: usize,
-    qty: u64,
-    telemetry: Option<Arc<Telemetry>>,
-) -> FaultHarness {
-    let rm = Arc::new(ResourceManager::new());
+    let bus = Arc::new(InMemoryBus::new());
     let clock = Arc::new(ManualClock::new());
-    let journal = Arc::new(PromiseJournal::new());
-    let pm = Arc::new(
-        PromiseManager::new(
-            Arc::clone(&rm),
-            Arc::clone(&clock) as Arc<dyn promises_core::Clock>,
-        )
-        .with_journal(Arc::clone(&journal)),
-    );
+    let node = ShardNode::build(0, &bus, Arc::clone(&clock) as _);
     for i in 0..pools {
-        pm.register_pool(PoolSchema::quantity(pool_name(i)));
-        pm.seed_quantity(pool_name(i), qty).expect("seed pool");
+        node.host(PoolSchema::quantity(pool_name(i)), PoolSeed::Quantity(qty));
     }
     let injector = Arc::new(FaultInjector::new(scenario));
-    rm.set_storage_fault_hook(Some(injector.rm_hook()));
-
-    let gateway = Arc::new(PromiseGateway::new(Arc::clone(&pm)));
-    gateway.register_handler(
-        "merchant",
-        "purchase",
-        Arc::new(|rm, txn, action| {
-            let pool = action
-                .get("pool")
-                .ok_or_else(|| promises_core::ActionError::App("missing pool".into()))?
-                .to_owned();
-            let qty: i64 = action
-                .get("qty")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| promises_core::ActionError::App("missing qty".into()))?;
-            rm.update(txn, Catalog::QTY_TABLE, &pool, |r| {
-                let q = r.int("qty").unwrap_or(0);
-                r.set("qty", q - qty);
-            })?;
-            Ok(vec![("taken".into(), qty.to_string())])
-        }),
-    );
-    let bus = Arc::new(InMemoryBus::new());
-    bus.register(PM_ENDPOINT, gateway);
+    node.rm.set_storage_fault_hook(Some(injector.rm_hook()));
     bus.set_fault_injector(Some(Arc::clone(&injector)));
-    if let Some(tel) = &telemetry {
-        rm.set_telemetry(Some(Arc::clone(tel)));
-        pm.set_telemetry(Some(Arc::clone(tel)));
-        bus.set_telemetry(Some(Arc::clone(tel)));
-    }
+    bus.set_telemetry(Some(Arc::clone(&node.telemetry)));
     FaultHarness {
+        node,
         bus,
         injector,
-        pm,
         clock,
-        journal,
-        rm,
-        telemetry,
     }
 }
 
@@ -156,21 +96,6 @@ pub(crate) fn grant_request(
         negotiate: false,
         prepare: false,
     })
-}
-
-/// What a restart builds: a fresh manager over the surviving RM and
-/// clock (the sweeps' two pools registered), recovered from `journal`.
-fn restarted(
-    rm: &Arc<ResourceManager>,
-    clock: &Arc<ManualClock>,
-    journal: Arc<PromiseJournal>,
-) -> (PromiseManager, RecoveryReport) {
-    let clock = Arc::clone(clock) as Arc<dyn promises_core::Clock>;
-    let pm = PromiseManager::new(Arc::clone(rm), clock);
-    pm.register_pool(PoolSchema::quantity(pool_name(0)));
-    pm.register_pool(PoolSchema::quantity(pool_name(1)));
-    let recovery = pm.recover(journal).expect("recovery succeeds");
-    (pm, recovery)
 }
 
 /// Shape of a fault-sweep workload.
@@ -261,12 +186,18 @@ pub struct FaultRunReport {
 /// wire pipeline under `scenario`, then audits violations, double grants
 /// and leaks. See the module docs for the guarantees checked.
 pub fn run_fault_sweep(scenario: FaultScenario, cfg: &FaultSweepConfig) -> FaultRunReport {
-    run_fault_sweep_with(scenario, cfg, None).0
+    run_fault_sweep_with(scenario, cfg).0
 }
 
-/// One sweep client's op stream; returns its share of the client-side
-/// tallies (the audit columns are filled in by the caller).
-fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize) -> FaultRunReport {
+/// One sweep client's op stream against the node at `to`; returns its
+/// share of the client-side tallies (the audit columns are filled in by
+/// the caller).
+fn fault_sweep_client(
+    client: &RetryingClient,
+    to: &str,
+    cfg: &FaultSweepConfig,
+    c: usize,
+) -> FaultRunReport {
     let mut t = FaultRunReport::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 7919));
     for op in 0..cfg.ops_per_client {
@@ -279,7 +210,7 @@ fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize)
         let duration_ms = if kill { 10 } else { 3_600_000 };
         let who = format!("client-{c}");
         let grant = grant_request(&request_id, &who, &pool, amount, duration_ms);
-        let reply = match client.send(PM_ENDPOINT, &grant) {
+        let reply = match client.send(to, &grant) {
             Ok(r) => r,
             Err(_) => {
                 t.gave_up += 1;
@@ -317,7 +248,7 @@ fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize)
             // promise standalone instead of purchasing, so the
             // pm.release histogram sees real wire traffic (the
             // action path's release_after flag bypasses it).
-            match client.send(PM_ENDPOINT, &Envelope::new().with_release(promise_id)) {
+            match client.send(to, &Envelope::new().with_release(promise_id)) {
                 Ok(_) => t.released += 1,
                 Err(_) => t.gave_up += 1,
             }
@@ -335,7 +266,7 @@ fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize)
                     .param("pool", &pool)
                     .param("qty", amount),
             );
-        match client.send(PM_ENDPOINT, &action) {
+        match client.send(to, &action) {
             Err(_) => t.gave_up += 1,
             Ok(reply) => match reply.action_response {
                 Some(resp) if resp.ok => {
@@ -364,28 +295,26 @@ fn fault_sweep_client(client: &RetryingClient, cfg: &FaultSweepConfig, c: usize)
     t
 }
 
-/// [`run_fault_sweep`] with an optional telemetry registry threaded
-/// through client, bus, PM and RM; returns the quiesced harness so
-/// callers can run further audits (journal, spans) after the sweep.
+/// [`run_fault_sweep`], returning the quiesced harness so callers can
+/// run further audits (journal, spans, commit counters) after the sweep.
+/// Client, bus, PM and RM all record into the node's telemetry registry.
 pub fn run_fault_sweep_with(
     scenario: FaultScenario,
     cfg: &FaultSweepConfig,
-    telemetry: Option<Arc<Telemetry>>,
 ) -> (FaultRunReport, FaultHarness) {
-    let h = fault_harness_with(scenario, cfg.pools, cfg.qty, telemetry);
-    let mut client =
-        RetryingClient::new(Arc::clone(&h.bus), RetryPolicy::new(cfg.seed ^ 0xC1_1E57));
-    if let Some(tel) = &h.telemetry {
-        client = client.with_telemetry(Arc::clone(tel));
-    }
-    let client = Arc::new(client);
+    let h = fault_harness(scenario, cfg.pools, cfg.qty);
+    let client = Arc::new(
+        RetryingClient::new(Arc::clone(&h.bus), RetryPolicy::new(cfg.seed ^ 0xC1_1E57))
+            .with_telemetry(Arc::clone(&h.node.telemetry)),
+    );
 
+    let to = h.node.endpoint.as_str();
     let start = Instant::now();
     let tallies: Vec<FaultRunReport> = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..cfg.clients)
             .map(|c| {
                 let (client, cfg) = (Arc::clone(&client), *cfg);
-                scope.spawn(move || fault_sweep_client(&client, &cfg, c))
+                scope.spawn(move || fault_sweep_client(&client, to, &cfg, c))
             })
             .collect();
         let joined = clients.into_iter().map(|h| h.join().expect("sweep client"));
@@ -397,7 +326,7 @@ pub fn run_fault_sweep_with(
     h.quiesce();
     let mut report = FaultRunReport {
         attempts: (cfg.clients * cfg.ops_per_client) as u64,
-        deduped: h.pm.metrics().grants_deduped,
+        deduped: h.node.pm.metrics().grants_deduped,
         retries: client.stats().retries,
         faults: h.injector.stats(),
         elapsed,
@@ -418,19 +347,19 @@ pub fn run_fault_sweep_with(
 
     // The per-manager half of the one audit: oversells (violations) and
     // double grants, straight from the books and the journal.
-    let books = audit_manager(&h.pm, &h.journal, &h.rm);
+    let books = audit_manager(&h.node.pm, &h.node.journal, &h.node.rm);
     report.violations = books.oversells;
     report.double_grants = books.double_grants;
     // Server-side truth of units taken.
-    let on_hand = |i| h.pm.quantity_on_hand(pool_name(i)).unwrap_or(0);
+    let on_hand = |i| h.node.pm.quantity_on_hand(pool_name(i)).unwrap_or(0);
     let final_total: u64 = (0..cfg.pools).map(on_hand).sum();
     report.units_taken = (cfg.pools as u64 * cfg.qty).saturating_sub(final_total);
 
     // Leak audit: advance past every duration; expiry must reclaim the
     // killed clients' promises (and any grants whose replies were lost).
     h.clock.advance(4_000_000);
-    let _ = h.pm.prune_expired();
-    report.live_after_reap = h.pm.live_count();
+    let _ = h.node.pm.prune_expired();
+    report.live_after_reap = h.node.pm.live_count();
     (report, h)
 }
 
@@ -439,7 +368,7 @@ pub fn run_fault_sweep_with(
 pub struct CrashRestartReport {
     /// Digest of the manager state immediately before the crash.
     pub pre_digest: String,
-    /// Digest after [`PromiseManager::recover`] on a fresh manager.
+    /// Digest after [`ShardNode::crash_restart`] rebuilt the manager.
     pub post_digest: String,
     /// What recovery did.
     pub recovery: RecoveryReport,
@@ -456,14 +385,14 @@ impl CrashRestartReport {
     }
 }
 
-/// Grants a mixed batch of promises across two pools under fault
-/// injection, crashes the manager (drops it, keeping only the journal and
-/// the RM), recovers a fresh manager from the journal, and compares state
+/// Grants a mixed batch of promises across two pools through the wire,
+/// crashes the node's manager and rebuilds it from the journal over the
+/// surviving RM ([`ShardNode::crash_restart`]), and compares state
 /// digests. With `down_ms > 0` the clock advances while the manager is
 /// down, so promises with short durations expire in the gap and must be
 /// pruned — not resurrected — by recovery.
 pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestartReport {
-    let h = fault_harness(FaultScenario::quiet(seed), 2, 10_000);
+    let mut h = fault_harness(FaultScenario::quiet(seed), 2, 10_000);
     let client = RetryingClient::new(Arc::clone(&h.bus), RetryPolicy::new(seed));
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..grants {
@@ -473,21 +402,15 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
         // them; the rest outlive any plausible down-time.
         let duration_ms = if i % 3 == 0 { 50 } else { 10_000_000 };
         let envelope = grant_request(&format!("r{i}"), "crash-client", &pool, amount, duration_ms);
-        let _ = client.send(PM_ENDPOINT, &envelope);
+        let _ = client.send(&h.node.endpoint, &envelope);
     }
 
     // "Crash": the manager's in-memory table dies with it. Only the
     // journal and the resource manager survive.
-    let journal = Arc::clone(&h.journal);
-    let rm = Arc::clone(&h.rm);
-    let clock = Arc::clone(&h.clock);
-    let pre_digest_at_crash = h.pm.state_digest();
-    drop(h);
-
-    clock.advance(down_ms);
-
-    let (pm2, recovery) = restarted(&rm, &clock, Arc::clone(&journal));
-    let post_digest = pm2.state_digest();
+    let pre_digest_at_crash = h.node.pm.state_digest();
+    h.clock.advance(down_ms);
+    let recovery = h.node.crash_restart(&h.bus);
+    let post_digest = h.node.pm.state_digest();
 
     // When nothing expired in the gap the recovered digest must equal the
     // pre-crash digest byte for byte. When down-time expired promises the
@@ -497,7 +420,7 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
     let pre_digest = if recovery.pruned == 0 {
         pre_digest_at_crash
     } else {
-        restarted(&rm, &clock, journal).0.state_digest()
+        clean_replay_digest(&h.node, &h.node.journal.lines())
     };
 
     CrashRestartReport {
@@ -547,7 +470,7 @@ pub fn run_compaction_crash_restart(
     grants: usize,
     crash: Option<CompactionCrash>,
 ) -> CompactionCrashReport {
-    let h = fault_harness(FaultScenario::quiet(seed), 2, 10_000);
+    let mut h = fault_harness(FaultScenario::quiet(seed), 2, 10_000);
     let client = RetryingClient::new(Arc::clone(&h.bus), RetryPolicy::new(seed));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut held = Vec::new();
@@ -556,7 +479,7 @@ pub fn run_compaction_crash_restart(
         let amount = rng.random_range(1..=4u64);
         let request_id = format!("r{i}");
         let envelope = grant_request(&request_id, "compact-client", &pool, amount, 10_000_000);
-        if let Ok(reply) = client.send(PM_ENDPOINT, &envelope) {
+        if let Ok(reply) = client.send(&h.node.endpoint, &envelope) {
             if let Some(id) = reply.response_for(&request_id).and_then(|r| r.promise_id) {
                 held.push(id);
             }
@@ -565,21 +488,17 @@ pub fn run_compaction_crash_restart(
     // Release roughly half the holds so the journal carries dead history
     // beyond the live set — the records compaction exists to drop.
     for id in held.iter().step_by(2) {
-        let _ = client.send(PM_ENDPOINT, &Envelope::new().with_release(*id));
+        let _ = client.send(&h.node.endpoint, &Envelope::new().with_release(*id));
     }
-    let journal_len_before = h.journal.len();
+    let journal_len_before = h.node.journal.len();
 
     // Ground truth: a recovery over the full uncompacted history.
-    let reference_journal =
-        Arc::new(PromiseJournal::from_lines(&h.journal.lines()).expect("journal parses"));
-    let reference_digest = restarted(&h.rm, &h.clock, reference_journal)
-        .0
-        .state_digest();
+    let reference_digest = clean_replay_digest(&h.node, &h.node.journal.lines());
 
     if let Some(point) = crash {
-        h.pm.arm_compaction_crash(point);
+        h.node.pm.arm_compaction_crash(point);
     }
-    let interrupted = match h.pm.compact() {
+    let interrupted = match h.node.pm.compact() {
         Ok(_) => false,
         Err(PromiseError::CompactionInterrupted) => true,
         Err(e) => panic!("unexpected compaction failure: {e}"),
@@ -587,19 +506,14 @@ pub fn run_compaction_crash_restart(
     assert_eq!(interrupted, crash.is_some(), "armed crashes must fire");
 
     // The real crash: only the journal, the RM, and the clock survive.
-    let journal = Arc::clone(&h.journal);
-    let rm = Arc::clone(&h.rm);
-    let clock = Arc::clone(&h.clock);
-    drop(h);
-
-    let (pm2, _) = restarted(&rm, &clock, Arc::clone(&journal));
+    h.node.crash_restart(&h.bus);
     CompactionCrashReport {
         reference_digest,
-        recovered_digest: pm2.state_digest(),
+        recovered_digest: h.node.pm.state_digest(),
         journal_len_before,
-        journal_len_after: journal.len(),
+        journal_len_after: h.node.journal.len(),
         interrupted,
-        live: pm2.live_count(),
+        live: h.node.pm.live_count(),
     }
 }
 
@@ -633,18 +547,23 @@ mod tests {
             ops_per_client: 20,
             ..FaultSweepConfig::default()
         };
-        let report = run_fault_sweep(
+        let (report, h) = run_fault_sweep_with(
             FaultScenario::uniform(7, 0.15).with_storage_errors(0.05),
             &cfg,
         );
         assert_eq!(report.violations, 0, "promises must never be violated");
         assert_eq!(report.double_grants, 0, "retried grants must dedup");
         assert_eq!(report.live_after_reap, 0, "expiry reclaims everything");
-        assert!(report.purchased_ops > 0, "goodput survives faults");
         assert!(
             report.units_taken >= report.confirmed_units,
             "server cannot have taken less than clients confirmed"
         );
+        // The `<action>` bodies ran through the node's shard worker: it led
+        // commit batches, and purchases committed while the RM was
+        // failing storage writes underneath them.
+        assert!(h.node.server.commit_stats().batches > 0, "worker committed");
+        assert!(report.faults.storage_faults > 0, "storage errors fired");
+        assert!(report.purchased_ops > 0, "purchases commit under faults");
     }
 
     #[test]

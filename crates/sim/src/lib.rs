@@ -54,9 +54,9 @@ pub use doctor::{
 };
 pub use driver::{run_qty_workload, seed_pools};
 pub use faults::{
-    fault_harness, fault_harness_with, run_compaction_crash_restart, run_crash_restart,
-    run_fault_sweep, run_fault_sweep_with, CompactionCrashReport, CrashRestartReport, FaultHarness,
-    FaultRunReport, FaultSweepConfig, PM_ENDPOINT,
+    fault_harness, run_compaction_crash_restart, run_crash_restart, run_fault_sweep,
+    run_fault_sweep_with, CompactionCrashReport, CrashRestartReport, FaultHarness, FaultRunReport,
+    FaultSweepConfig,
 };
 pub use flash_sale::{run_flash_sale, FlashSaleConfig, FlashSaleReport};
 pub use matrix::{

@@ -2,8 +2,8 @@
 //! trace-replay lifecycle audit.
 //!
 //! [`run_obs_sweep`] drives the full wire pipeline (retrying client →
-//! faulty bus → gateway → PM → RM) with one shared [`Telemetry`] registry
-//! attached at every layer, then:
+//! faulty bus → one promise node's worker → gateway → PM → RM) with the
+//! node's [`Telemetry`] registry attached at every layer, then:
 //!
 //! 1. digests the promise journal into [`JournalFacts`] (ground truth:
 //!    which ids were granted / released / expired);
@@ -48,9 +48,9 @@ impl ObsReport {
 /// Runs one fault sweep with telemetry attached at every layer and audits
 /// the recorded spans against the journal.
 pub fn run_obs_sweep(scenario: FaultScenario, cfg: &FaultSweepConfig) -> ObsReport {
-    let telemetry = Telemetry::shared();
-    let (sweep, harness) = run_fault_sweep_with(scenario, cfg, Some(Arc::clone(&telemetry)));
-    let facts = harness.journal.facts();
+    let (sweep, h) = run_fault_sweep_with(scenario, cfg);
+    let telemetry = Arc::clone(&h.node.telemetry);
+    let facts = h.node.journal.facts();
     let lifecycle = audit_lifecycles(&telemetry.spans(), &facts);
     ObsReport {
         sweep,

@@ -14,6 +14,15 @@ scripts/intent_names.sh
 echo "==> scripts/cite_lines.sh (cited source lines exist)"
 scripts/cite_lines.sh
 
+# The single-node harnesses (fault, obs, doctor and restart sweeps) run on
+# the cluster's ShardNode; a hand-built second promise node in the sim
+# crate — its own gateway and handler copy — must not come back.
+echo "==> crates/sim/src constructs no PromiseGateway"
+if grep -rn 'PromiseGateway::new' crates/sim/src; then
+    echo "crates/sim/src builds a PromiseGateway: host the pools on a ShardNode"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
