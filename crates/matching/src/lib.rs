@@ -7,27 +7,28 @@
 //! that they can satisfy". Section 8 notes the authors' prototype did not
 //! implement this; this crate does.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
-//! * [`hopcroft_karp`] — batch maximum matching in `O(E sqrt(V))`, used to
-//!   check a whole promise table from scratch;
-//! * [`DynamicMatching`] — an incremental structure that adds one left
-//!   vertex (one promised "slot") via a single augmenting-path search.
-//!   Successfully finding an augmenting path *is* the paper's "tentative
-//!   allocation with re-arrangement": already-promised resources are
-//!   shuffled to other promises that also accept them so the new promise
-//!   can be granted;
+//! * [`hopcroft_karp`] — batch maximum matching in `O(E sqrt(V))`, the
+//!   oracle the property tests hold the checker's matcher to;
 //! * [`assign_slots`] — the promise checker's entry point: given the
 //!   pre-filtered allowed-instance lists of a set of slots, produce a
 //!   full assignment of distinct instances (or report infeasibility).
-//!   [`assign_slots_seeded`] is the *stable* variant: slots keep their
-//!   current instances unless an augmenting path must move them, so
-//!   re-checking never permutes existing holdings gratuitously.
+//!   Each slot is placed by one augmenting-path search, which *is* the
+//!   paper's "tentative allocation with re-arrangement": already-promised
+//!   resources are shuffled to other slots that also accept them so the
+//!   new one can be placed. [`assign_slots_seeded`] is the *stable*
+//!   variant: slots keep their current instances unless an augmenting
+//!   path must move them, so re-checking never permutes existing holdings
+//!   gratuitously.
+//!
+//! Rights and slots are dense positions, so the matcher keeps its state
+//! in a few vectors indexed by them and never copies a slot's list: a
+//! check re-runs the whole matching, from its seeds, in about a
+//! microsecond.
 
-mod dynamic;
 mod hopcroft_karp;
 
-pub use dynamic::{DynamicMatching, RightRemoval};
 pub use hopcroft_karp::{hopcroft_karp, MatchingResult};
 
 /// Assigns every slot a distinct right vertex drawn from its allowed
@@ -56,27 +57,37 @@ pub fn assign_slots(
 ///
 /// `seeds` may be shorter than `allowed`; missing entries are unseeded.
 /// A seed that is stale (not in `rights`, not in the slot's allowed list,
-/// or claimed by an earlier seed) is ignored rather than an error.
+/// or claimed by an earlier seed) is ignored rather than an error. An
+/// allowed entry that is not in `rights` is skipped. Rights are positions:
+/// the matcher's tables are sized by the largest one.
 pub fn assign_slots_seeded(
     rights: impl IntoIterator<Item = usize>,
     allowed: &[impl AsRef<[usize]>],
     seeds: &[Option<usize>],
 ) -> Option<Vec<usize>> {
-    let mut matching: DynamicMatching<usize, usize> = DynamicMatching::new();
+    let mut is_right: Vec<bool> = Vec::new();
     for r in rights {
-        matching.add_right(r);
+        if r >= is_right.len() {
+            is_right.resize(r + 1, false);
+        }
+        is_right[r] = true;
     }
+    let mut m = Dense {
+        rights: &is_right,
+        allowed,
+        holder: vec![FREE; is_right.len()],
+        assigned: vec![FREE; allowed.len()],
+        visited: vec![0; is_right.len()],
+        stamp: 0,
+    };
 
     // Pass 1: keep current holdings. Direct pairing, no augmentation — a
     // seeded slot never displaces another seeded slot.
-    let mut remaining: Vec<usize> = Vec::new();
+    let mut remaining: Vec<usize> = Vec::with_capacity(allowed.len());
     for (i, options) in allowed.iter().enumerate() {
-        let seeded = match seeds.get(i).copied().flatten() {
-            Some(s) => matching.seed_pair(i, options.as_ref().to_vec(), s),
-            None => false,
-        };
-        if !seeded {
-            remaining.push(i);
+        match seeds.get(i).copied().flatten() {
+            Some(s) if m.is_free_right(s) && options.as_ref().contains(&s) => m.pair(i, s),
+            _ => remaining.push(i),
         }
     }
 
@@ -84,16 +95,73 @@ pub fn assign_slots_seeded(
     // seeded holdings only when no completion exists without doing so.
     remaining.sort_by_key(|&i| allowed[i].as_ref().len());
     for &i in &remaining {
-        if !matching.try_add_left(i, allowed[i].as_ref().to_vec()) {
+        m.stamp += 1;
+        if !m.augment(i) {
             return None;
         }
     }
+    Some(m.assigned)
+}
 
-    Some(
-        (0..allowed.len())
-            .map(|i| *matching.assignment(&i).expect("all slots matched above"))
-            .collect(),
-    )
+/// `holder` / `assigned` entry of an unmatched right / slot.
+const FREE: usize = usize::MAX;
+
+/// The matcher's state, every table indexed by a right's or a slot's
+/// position.
+struct Dense<'a, A> {
+    /// Position → whether it is a matchable right.
+    rights: &'a [bool],
+    allowed: &'a [A],
+    /// Right → the slot holding it, or [`FREE`].
+    holder: Vec<usize>,
+    /// Slot → the right it holds, or [`FREE`].
+    assigned: Vec<usize>,
+    /// A right is visited by the current top-level search when its entry
+    /// equals `stamp`.
+    visited: Vec<u32>,
+    stamp: u32,
+}
+
+impl<A: AsRef<[usize]>> Dense<'_, A> {
+    fn is_right(&self, r: usize) -> bool {
+        self.rights.get(r) == Some(&true)
+    }
+
+    fn is_free_right(&self, r: usize) -> bool {
+        self.is_right(r) && self.holder[r] == FREE
+    }
+
+    fn pair(&mut self, slot: usize, r: usize) {
+        self.assigned[slot] = r;
+        self.holder[r] = slot;
+    }
+
+    fn augment(&mut self, slot: usize) -> bool {
+        let allowed = self.allowed;
+        let options = allowed[slot].as_ref();
+        // Prefer a free resource before displacing a matched one: same
+        // augmenting-path correctness, but existing assignments move only
+        // when no free alternative exists (assignment *stability*).
+        for &r in options {
+            if self.is_free_right(r) && self.visited[r] != self.stamp {
+                self.visited[r] = self.stamp;
+                self.pair(slot, r);
+                return true;
+            }
+        }
+        for &r in options {
+            if !self.is_right(r) || self.visited[r] == self.stamp {
+                continue;
+            }
+            self.visited[r] = self.stamp;
+            let other = self.holder[r];
+            if other != FREE && self.augment(other) {
+                self.pair(slot, r);
+                return true;
+            }
+        }
+        false
+    }
 }
 
 /// A bipartite graph in adjacency-list form: `adj[l]` lists the right
@@ -175,6 +243,25 @@ mod tests {
         let allowed = vec![vec![0, 1], vec![0]];
         let got = assign_slots(0..2, &allowed).expect("feasible");
         assert_eq!(got, vec![1, 0]);
+    }
+
+    #[test]
+    fn chain_rearrangement_moves_every_holding_on_the_path() {
+        // Slot 2 accepts only right 0; placing it displaces slot 0 onto
+        // right 1, which displaces slot 1 onto right 2.
+        let allowed = vec![vec![0, 1], vec![1, 2], vec![0]];
+        let seeds = vec![Some(0), Some(1), None];
+        let got = assign_slots_seeded(0..3, &allowed, &seeds).expect("feasible");
+        assert_eq!(got, vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn allowed_entries_outside_rights_are_skipped() {
+        // 5 is past the rights, 1 is inside them but not a right: slot 0
+        // may only take 2, and slot 1 then has nothing left.
+        let allowed = vec![vec![5, 1, 2], vec![1, 2]];
+        assert_eq!(assign_slots([0, 2], &allowed[..1]), Some(vec![2]));
+        assert_eq!(assign_slots([0, 2], &allowed), None);
     }
 
     #[test]

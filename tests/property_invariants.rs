@@ -9,7 +9,7 @@ use promises::core::{
     parse_predicate, ActionError, Catalog, Clock, CmpOp, Environment, ManualClock, PoolSchema,
     Predicate, PromiseId, PromiseManager, PromiseRequestSpec, PropExpr,
 };
-use promises::matching::{hopcroft_karp, BipartiteGraph, DynamicMatching};
+use promises::matching::{assign_slots, hopcroft_karp, BipartiteGraph};
 use promises::rm::{Record, ResourceManager, Value};
 
 // ---------------------------------------------------------------------
@@ -19,9 +19,9 @@ use promises::rm::{Record, ResourceManager, Value};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The incremental augmenting-path structure accepts a left vertex
-    /// exactly when the batch maximum matching over the same graph is
-    /// left-perfect.
+    /// The checker's augmenting-path matcher places every slot exactly
+    /// when the batch maximum matching over the same graph is
+    /// left-perfect, and what it places is a matching of that graph.
     #[test]
     fn incremental_matching_equals_batch(
         n_left in 1usize..12,
@@ -39,25 +39,17 @@ proptest! {
             }
         }
 
-        let mut dynamic: DynamicMatching<usize, usize> = DynamicMatching::new();
-        for r in 0..n_right {
-            dynamic.add_right(r);
-        }
-        let mut accepted = 0usize;
-        let mut all_accepted = true;
-        for (l, neighbours) in adj.iter().enumerate() {
-            if dynamic.try_add_left(l, neighbours.clone()) {
-                accepted += 1;
-            } else {
-                all_accepted = false;
-            }
-            prop_assert!(dynamic.check_invariants());
-        }
-
+        let placed = assign_slots(0..n_right, &adj);
         let batch = hopcroft_karp(&graph);
-        // Greedy-with-augmentation achieves the maximum matching size.
-        prop_assert_eq!(accepted, batch.size);
-        prop_assert_eq!(all_accepted, batch.is_left_perfect());
+        prop_assert_eq!(placed.is_some(), batch.is_left_perfect());
+        if let Some(placed) = placed {
+            let mut used = vec![false; n_right];
+            for (l, &r) in placed.iter().enumerate() {
+                prop_assert!(r < n_right, "slot {} placed outside the rights: {}", l, r);
+                prop_assert!(adj[l].contains(&r), "slot {} placed outside its list: {}", l, r);
+                prop_assert!(!std::mem::replace(&mut used[r], true), "right {} placed twice", r);
+            }
+        }
     }
 }
 
