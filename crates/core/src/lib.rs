@@ -89,8 +89,8 @@ pub use environment::{Environment, ReleaseOption};
 pub use error::{ActionError, PromiseError, RejectReason};
 pub use ids::{request_key, ClientId, InstanceId, PoolId, PromiseId, RequestId};
 pub use journal::{
-    decode_entry, encode_entry, CheckpointRecord, CheckpointState, CheckpointStats, JournalEntry,
-    JournalError, JournalOp, PromiseJournal,
+    CheckpointRecord, CheckpointState, CheckpointStats, JournalEntry, JournalError, JournalOp,
+    PromiseJournal,
 };
 pub use manager::{
     CompactionCrash, CompactionReport, OpLatency, PmMetricsSnapshot, PromiseDecision,
