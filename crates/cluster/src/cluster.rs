@@ -338,8 +338,9 @@ impl PromiseCluster {
         self.pools.lock().clone()
     }
 
-    /// Kills shard `index` (its in-memory promise table dies) and rebuilds
-    /// it from its journal. Returns the shard's recovery report.
+    /// Kills shard `index` (its in-memory promise table and storage die)
+    /// and rebuilds it from its hosting record and journal. Returns the
+    /// shard's recovery report.
     pub fn crash_restart_shard(&mut self, index: usize) -> RecoveryReport {
         let bus = Arc::clone(&self.bus);
         self.nodes[index].crash_restart(&bus)

@@ -298,28 +298,29 @@ fn register_handlers(gateway: &PromiseGateway) {
     );
 }
 
-/// How a hosted pool was first filled: what a rebuild over fresh storage
-/// puts back.
+/// How a hosted pool was first filled: what every rebuild puts back
+/// before recovery replays the journal over it.
 #[derive(Debug, Clone)]
 pub enum PoolSeed {
     /// Units on hand.
     Quantity(u64),
     /// This shard's escrow slice of a cluster-wide pool. It is journalled
-    /// as an `L` record, so recovery, not the seed, restores it.
+    /// as an `L` record, so recovery, not the seed, restores its current
+    /// value.
     Lease(u64),
     /// Instance records by id.
     Instances(Vec<(InstanceId, Record)>),
 }
 
 impl PoolSeed {
-    /// Fills `schema`'s pool on `pm`. A lease is installed only the
-    /// `first` time; afterwards its journalled `L` records re-sync it.
-    fn apply(&self, pm: &PromiseManager, schema: &PoolSchema, first: bool) {
+    /// Fills `schema`'s pool on `pm`. Re-installing a lease on a rebuild
+    /// is harmless: the manager has no journal yet, and recovery's lease
+    /// records overwrite it.
+    fn apply(&self, pm: &PromiseManager, schema: &PoolSchema) {
         let pool = &schema.id;
         match self {
             Self::Quantity(qty) => pm.seed_quantity(pool.clone(), *qty),
-            Self::Lease(lease) if first => pm.install_lease(pool.clone(), *lease),
-            Self::Lease(_) => Ok(()),
+            Self::Lease(lease) => pm.install_lease(pool.clone(), *lease),
             Self::Instances(instances) => instances.iter().try_for_each(|(id, record)| {
                 pm.seed_instance(pool.clone(), id.clone(), record.clone())
             }),
@@ -328,11 +329,12 @@ impl PoolSeed {
     }
 }
 
-/// One shard node. The promise manager (and with it the in-memory promise
-/// table) can be killed and rebuilt from the journal; the resource
-/// manager, journal, and telemetry registry survive a restart, exactly as
-/// durable storage would, and so does the node's record of the pools it
-/// hosts.
+/// One shard node. The promise manager and the resource manager (and with
+/// them the in-memory promise table and rows) can be killed and rebuilt:
+/// the pools come back from the node's record of what it hosts, and
+/// everything since from the journal, which carries the promise
+/// operations and every action's writes. The journal and the telemetry
+/// registry survive a restart.
 pub struct ShardNode {
     /// Shard index within the cluster.
     pub index: usize,
@@ -400,29 +402,28 @@ impl ShardNode {
 
     /// Hosts a pool on this shard: registers `schema`, fills it from
     /// `seed`, and keeps both in the node's hosting record, which
-    /// outlives the promise manager as the RM and journal do.
+    /// outlives the promise and resource managers as the journal does.
     pub fn host(&self, schema: PoolSchema, seed: PoolSeed) {
         self.pm.register_pool(schema.clone());
-        seed.apply(&self.pm, &schema, true);
+        seed.apply(&self.pm, &schema);
         self.hosting.lock().push((schema, seed));
     }
 
-    /// Registers every pool this node hosts on `pm`. Over `fresh` storage
-    /// it also seeds quantities and instances; leases re-sync from the
-    /// journal's `L` records when `pm` recovers.
-    pub fn rehost(&self, pm: &PromiseManager, fresh: bool) {
+    /// Registers and seeds every pool this node hosts on `pm`, as it was
+    /// first filled; recovering `pm` from the journal then brings it up
+    /// to date.
+    pub fn rehost(&self, pm: &PromiseManager) {
         for (schema, seed) in self.hosting.lock().iter() {
             pm.register_pool(schema.clone());
-            if fresh {
-                seed.apply(pm, schema, false);
-            }
+            seed.apply(pm, schema);
         }
     }
 
-    /// Kills the shard's promise manager (the in-memory table dies) and
-    /// rebuilds it from the journal over the surviving RM, re-registering
-    /// on `bus`. Returns the recovery report — `in_doubt` counts prepared
-    /// holds awaiting the coordinator.
+    /// Kills the shard's promise and resource managers (the in-memory
+    /// table and rows die) and rebuilds both from the hosting record and
+    /// the node's own journal, re-registering on `bus`. Returns the
+    /// recovery report — `in_doubt` counts prepared holds awaiting the
+    /// coordinator.
     ///
     /// The rebuild is a job on the server's queue: messages ahead of it
     /// are handled and committed *before* recovery replays the journal,
@@ -430,54 +431,51 @@ impl ShardNode {
     /// can race into the dead manager or journal a record the replay has
     /// already passed.
     pub fn crash_restart(&mut self, bus: &InMemoryBus) -> RecoveryReport {
-        let (rm, journal) = (Arc::clone(&self.rm), Arc::clone(&self.journal));
-        self.reincarnate(bus, rm, journal, "node.restart")
+        let journal = Arc::clone(&self.journal);
+        self.reincarnate(bus, journal, "node.restart")
     }
 
     /// Promotes this shard's warm follower over a dead leader: the
     /// leader's RM, journal, and promise table are all treated as lost
     /// with the node. The follower's journal copy becomes the shard's
-    /// journal; a fresh RM is refilled from the hosting record, the
-    /// standard recovery path replays the replica, and the reused server
-    /// loop answers on `new_endpoint` (the epoch-fenced address minted by
-    /// the router). The old link is dropped only after every message
-    /// queued ahead of the promotion has committed through it. The caller
-    /// attaches a fresh follower afterwards so the promoted leader is
-    /// itself protected.
+    /// journal, the node is rebuilt from it as a restart rebuilds from its
+    /// own, and the reused server loop answers on `new_endpoint` (the
+    /// epoch-fenced address minted by the router). The old link is
+    /// dropped only after every message queued ahead of the promotion has
+    /// committed through it. The caller attaches a fresh follower
+    /// afterwards so the promoted leader is itself protected.
     pub fn promote(&mut self, bus: &InMemoryBus, new_endpoint: String) -> RecoveryReport {
         let follower = self
             .follower
             .take()
             .expect("promotion requires replication to be enabled");
         self.replication = None;
-        let rm = Arc::new(ResourceManager::new());
-        rm.set_telemetry(Some(Arc::clone(&self.telemetry)));
         self.endpoint = new_endpoint;
-        self.reincarnate(bus, rm, Arc::clone(&follower.journal), "failover.promote")
+        self.reincarnate(bus, Arc::clone(&follower.journal), "failover.promote")
     }
 
-    /// Swaps in a fresh incarnation over `rm` and `journal`, bumps the
-    /// epoch and answers on `bus` again: a promise manager rebuilt from
-    /// the hosting record (seeded too when `rm` is not the node's own,
-    /// surviving one), recovered from `journal` behind a new gateway. The
-    /// rebuild runs as one control call, so no message can append between
-    /// replay and install. A link ships the journal it was built over, so
-    /// a new journal (a promotion) drops it.
+    /// Swaps in a fresh incarnation recovered from `journal`, bumps the
+    /// epoch and answers on `bus` again: a fresh resource manager and
+    /// promise manager, filled from the hosting record, recovered from
+    /// `journal` behind a new gateway. The rebuild runs as one control
+    /// call, so no message can append between replay and install. A link
+    /// ships the journal it was built over, so a new journal (a
+    /// promotion) drops it.
     fn reincarnate(
         &mut self,
         bus: &InMemoryBus,
-        rm: Arc<ResourceManager>,
         journal: Arc<PromiseJournal>,
         event: &'static str,
     ) -> RecoveryReport {
-        let fresh = !Arc::ptr_eq(&rm, &self.rm);
-        let (pm, gateway, report) = self.server.control(|state| {
+        let (rm, pm, gateway, report) = self.server.control(|state| {
+            let rm = Arc::new(ResourceManager::new());
+            rm.set_telemetry(Some(Arc::clone(&self.telemetry)));
             let pm = Arc::new(PromiseManager::new(
                 Arc::clone(&rm),
                 Arc::clone(&self.clock),
             ));
             pm.set_telemetry(Some(Arc::clone(&self.telemetry)));
-            self.rehost(&pm, fresh);
+            self.rehost(&pm);
             let report = pm
                 .recover(Arc::clone(&journal))
                 .expect("shard journal replays cleanly");
@@ -489,7 +487,7 @@ impl ShardNode {
             state.gateway = Arc::clone(&gateway);
             state.journal = Arc::clone(&journal);
             self.server.inner.epoch.fetch_add(1, Ordering::Relaxed);
-            (pm, gateway, report)
+            (rm, pm, gateway, report)
         });
         (self.rm, self.journal, self.pm, self.gateway) = (rm, journal, pm, gateway);
         bus.register(&self.endpoint, Arc::clone(&self.server) as _);

@@ -8,7 +8,9 @@
 use std::collections::HashMap;
 
 use promises_cluster::{versioned_endpoint, ClusterDecision, PoolSeed, PromiseCluster};
-use promises_core::{InstanceId, JournalOp, PoolSchema, PropertyDef};
+use promises_core::{
+    status, Catalog, Environment, InstanceId, JournalOp, PoolSchema, PromiseId, PropertyDef,
+};
 use promises_rm::Record;
 
 const HOUR_MS: u64 = 3_600_000;
@@ -177,13 +179,105 @@ fn restart_and_promotion_rebuild_a_hosted_instance_pool() {
     }
 }
 
+/// The promise a single-part cluster grant made on its one shard.
+fn granted_id(decision: ClusterDecision) -> PromiseId {
+    match decision {
+        ClusterDecision::Granted { parts } => PromiseId(parts[0].promise_id),
+        other => panic!("not granted: {other:?}"),
+    }
+}
+
+/// Paper §8: an action and the release that rides with it commit as one
+/// transaction, so a rebuilt shard keeps both or neither. A purchase of 4
+/// out of 10 under `releasing` leaves 6 on hand, and taking the held
+/// suite leaves it out of the free list, after a same-node restart and
+/// after a promotion over fresh storage alike, replayed from the action's
+/// `W` record or from a checkpoint. Were the journal to carry
+/// the release without the sale, the promoted shard would read 10 on hand
+/// and grant 10 more.
+#[test]
+fn a_sale_survives_restart_and_promotion() {
+    for promote in [false, true] {
+        let mut cluster = PromiseCluster::build(2, 7);
+        assert_eq!(cluster.register_quantity_pool("alpha", 10), 0);
+        let suites = (0..3)
+            .map(|i| {
+                let suite = Record::new().with("floor", i64::from(i));
+                (InstanceId(format!("suite-{i}")), suite)
+            })
+            .collect();
+        cluster.map.assign("suites", 1);
+        cluster.nodes[1].host(
+            PoolSchema::instances("suites", vec![PropertyDef::plain("floor")]),
+            PoolSeed::Instances(suites),
+        );
+        cluster.enable_replication();
+        let grant = |cluster: &PromiseCluster, rid: &str, predicate: &str| {
+            let predicates = [predicate.to_string()];
+            (cluster.coordinator.grant("c", rid, &predicates, HOUR_MS)).unwrap()
+        };
+
+        let four = granted_id(grant(&cluster, "r1", "qty('alpha') >= 4"));
+        let sold = cluster.nodes[0]
+            .pm
+            .execute(&Environment::none().releasing(four), |rm, txn| {
+                rm.update(txn, Catalog::QTY_TABLE, "alpha", |r| {
+                    r.set("qty", r.int("qty").unwrap_or(0) - 4);
+                })?;
+                Ok(())
+            });
+        sold.expect("the sale commits");
+        let held = granted_id(grant(&cluster, "r2", "prop('suites'): floor >= 1"));
+        let pm = &cluster.nodes[1].pm;
+        let suite = pm.promise(held).expect("held").allocations[0]
+            .instance
+            .clone();
+        let taken = pm.execute(&Environment::none().releasing(held), |rm, txn| {
+            let table = Catalog::instance_table(&"suites".into());
+            rm.update(txn, &table, &suite.0, |r| {
+                r.set(Catalog::STATUS, status::TAKEN)
+            })?;
+            Ok(())
+        });
+        taken.expect("the suite is taken");
+        let free = |cluster: &PromiseCluster| {
+            cluster.nodes[1]
+                .pm
+                .free_instances("suites")
+                .expect("the suites are hosted")
+        };
+        let free_before = free(&cluster);
+        assert_eq!(free_before.len(), 2, "promote={promote}");
+        assert!(!free_before.contains(&suite), "promote={promote}");
+        // Shard 0 replays its sale from the `W` record, shard 1 its taken
+        // suite from the checkpoint that folded it.
+        cluster.nodes[1].pm.compact().expect("compaction");
+
+        for shard in 0..2 {
+            if promote {
+                cluster.kill_shard(shard);
+                cluster.promote_follower(shard);
+            } else {
+                cluster.crash_restart_shard(shard);
+            }
+        }
+        let on_hand = cluster.nodes[0].pm.quantity_on_hand("alpha").unwrap();
+        assert_eq!(on_hand, 6, "promote={promote}");
+        let ten = grant(&cluster, "r3", "qty('alpha') >= 10");
+        assert!(!ten.is_granted(), "promote={promote}: {ten:?}");
+        assert!(grant(&cluster, "r4", "qty('alpha') >= 6").is_granted());
+        assert_eq!(free(&cluster), free_before, "promote={promote}");
+    }
+}
+
 mod interleavings {
     //! The satellite proptest: leader kills + promotions interleaved with
-    //! grants, releases, expiries, lease rebalances, mid-rebalance
-    //! crashes, and compaction-triggering advances. Every step keeps
-    //! promised ≤ lease on every shard and Σ leases ≤ registered total;
-    //! every promotion yields a byte-identical replica; no double grant
-    //! survives any interleaving.
+    //! grants, releases, purchases, expiries, lease rebalances,
+    //! mid-rebalance crashes, and compaction-triggering advances. Every
+    //! step keeps promised ≤ lease on every shard and Σ leases ≤
+    //! registered total; every promotion yields a byte-identical replica
+    //! with the dead leader's stock on hand; no double grant survives any
+    //! interleaving.
 
     use super::*;
     use promises_cluster::GrantPart;
@@ -192,6 +286,9 @@ mod interleavings {
 
     const POOLS: [&str; 2] = ["alpha", "beta"];
     const TOTAL: u64 = 60;
+    /// The unleased pool purchases take from, hosted on one shard only.
+    const SOLD: &str = "gamma";
+    const SOLD_SHARD: usize = 0;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -203,6 +300,12 @@ mod interleavings {
         },
         Release {
             index: usize,
+        },
+        /// A grant on [`SOLD`], then an action taking what it promised,
+        /// releasing the promise with it or keeping it.
+        Purchase {
+            amount: u64,
+            release_after: bool,
         },
         Advance {
             ms: u64,
@@ -233,6 +336,10 @@ mod interleavings {
             arb_grant(),
             arb_grant(),
             (0usize..16).prop_map(|index| Op::Release { index }),
+            (1u64..8, any::<bool>()).prop_map(|(amount, release_after)| Op::Purchase {
+                amount,
+                release_after,
+            }),
             (1u64..120_000).prop_map(|ms| Op::Advance { ms }),
             (0usize..2).prop_map(|shard| Op::KillPromote { shard }),
             Just(Op::Rebalance),
@@ -268,6 +375,8 @@ mod interleavings {
             ops in proptest::collection::vec(arb_op(), 1..20)
         ) {
             let mut cluster = replicated_cluster(TOTAL);
+            cluster.map.assign(SOLD, SOLD_SHARD);
+            cluster.nodes[SOLD_SHARD].host(PoolSchema::quantity(SOLD), PoolSeed::Quantity(TOTAL));
             let mut held: Vec<Vec<GrantPart>> = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 match op {
@@ -294,6 +403,31 @@ mod interleavings {
                             cluster.coordinator.release(&parts);
                         }
                     }
+                    Op::Purchase { amount, release_after } => {
+                        let predicates = [format!("qty('{SOLD}') >= {amount}")];
+                        let decision = cluster
+                            .coordinator
+                            .grant("c0", &format!("g{i}"), &predicates, 50_000)
+                            .unwrap();
+                        if let ClusterDecision::Granted { parts } = decision {
+                            let id = PromiseId(parts[0].promise_id);
+                            let env = if *release_after {
+                                Environment::none().releasing(id)
+                            } else {
+                                Environment::none().under(id)
+                            };
+                            let take = *amount as i64;
+                            let sold = cluster.nodes[SOLD_SHARD].pm.execute(&env, |rm, txn| {
+                                rm.update(txn, Catalog::QTY_TABLE, SOLD, |r| {
+                                    r.set("qty", r.int("qty").unwrap_or(0) - take);
+                                })?;
+                                Ok(())
+                            });
+                            if sold.is_err() || !*release_after {
+                                held.push(parts);
+                            }
+                        }
+                    }
                     Op::Advance { ms } => {
                         // Drives expiry, compaction, and a rebalance cycle
                         // (which may fire a previously armed crash).
@@ -304,8 +438,16 @@ mod interleavings {
                     }
                     Op::KillPromote { shard } => {
                         let pre = cluster.nodes[*shard].pm.state_digest();
+                        let on_hand = cluster.nodes[*shard].pm.quantity_on_hand(SOLD).ok();
                         cluster.kill_shard(*shard);
                         let report = cluster.promote_follower(*shard);
+                        prop_assert_eq!(
+                            cluster.nodes[*shard].pm.quantity_on_hand(SOLD).ok(),
+                            on_hand,
+                            "step {}: promoted shard {} lost a sale",
+                            i,
+                            shard
+                        );
                         prop_assert_eq!(
                             cluster.nodes[*shard].pm.state_digest(),
                             pre,

@@ -7,7 +7,8 @@
 //! rewrite — is appended to a [`PromiseJournal`] as a generation-stamped
 //! [`JournalEntry`], and [`crate::PromiseManager::recover`] rebuilds the
 //! table (with its per-pool indexes and quantity aggregates) by replaying
-//! the journal idempotently.
+//! the journal idempotently. An action's RM writes ride the same journal
+//! (`W`), so §8's one transaction is durable as one unit.
 //!
 //! # Record format
 //!
@@ -25,8 +26,14 @@
 //! seq  gen  E  id                       — expiry
 //! seq  gen  A  id  na  (idx inst)…      — allocation rewrite
 //! seq  gen  L  pool  qty                — escrow-lease assignment (absolute)
-//! seq  gen  K  next  n  (G|P record…)…  m  (pool qty)…  — checkpoint snapshot
+//! seq  gen  W  n  (table key f (name value)…)…  — an action's row writes
+//! seq  gen  K  next  n  (G|P record…)…  m  (pool qty)…  r  (row…)…  — checkpoint snapshot
 //! ```
+//!
+//! `W` carries the after-image of every row one committed action wrote,
+//! sorted by `(table, key)`: `f` typed fields (`I` integer, `B` boolean,
+//! `S` escaped text), or `-` for a deleted row. It precedes the action's
+//! `R` records; recovery writes each row's last image back into the RM.
 //!
 //! `P` records a *prepared hold* — a cross-shard grant awaiting its
 //! coordinator's decision; it carries the same payload as `G`. `C` marks
@@ -46,15 +53,17 @@
 //! A `K` record is a full snapshot of live manager state at one instant:
 //! the promise-id high-water mark (`next`), then `n` embedded records each
 //! prefixed by a `G`/`P` sub-tag (the `P` sub-tag preserves the in-doubt
-//! prepared mark). [`PromiseJournal::install_checkpoint`] swaps the whole
-//! journal for a single checkpoint entry under the journal lock — the
-//! in-memory analogue of writing a checkpoint to a temp file and renaming
-//! it over the log. Entries appended afterwards form the post-checkpoint
-//! suffix; replay restarts its fold whenever it meets a `K` record, so
-//! recovery cost is O(live promises + suffix), not O(history). The id
-//! high-water mark is carried explicitly because compaction drops the
-//! `G`/`R` history of released high-id promises — without it a recovering
-//! manager would re-issue their ids.
+//! prepared mark). Two optional trailing groups follow, each omitted when
+//! it and all after it are empty: the `m` leases and the `r` rows every
+//! `W` left (a `W` payload). [`PromiseJournal::install_checkpoint`] swaps
+//! the whole journal for a single checkpoint entry under the journal
+//! lock — the in-memory analogue of writing a checkpoint to a temp file
+//! and renaming it over the log. Entries appended afterwards form the
+//! post-checkpoint suffix; replay restarts its fold whenever it meets a
+//! `K` record, so recovery cost is O(live promises + suffix), not
+//! O(history). The id high-water mark is carried explicitly because
+//! compaction drops the `G`/`R` history of released high-id promises —
+//! without it a recovering manager would re-issue their ids.
 //!
 //! # Generations
 //!
@@ -70,6 +79,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use promises_telemetry::JournalFacts;
+
+use promises_rm::{Record, RowImages, Value};
 
 use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
 use crate::parser::parse_predicate;
@@ -108,6 +119,9 @@ pub enum JournalOp {
         /// The new lease quantity (absolute, not a delta).
         qty: u64,
     },
+    /// An action committed these row writes (`None`: deleted). Appended
+    /// before the action's releases.
+    Write(RowImages),
     /// A compaction checkpoint: the full live state at one instant.
     /// Replay resets its fold here, so everything before the checkpoint
     /// is dead history.
@@ -139,6 +153,9 @@ pub struct CheckpointState {
     /// lease splits recoverable. Encoded as an optional trailing group so
     /// lease-free checkpoints stay byte-compatible with the PR 5 format.
     pub leases: Vec<(PoolId, u64)>,
+    /// The last image of every row a `W` named: the `W` history folded,
+    /// as a second optional trailing group.
+    pub rows: RowImages,
 }
 
 /// What [`PromiseJournal::install_checkpoint`] did.
@@ -312,12 +329,42 @@ fn encode_op(out: &mut String, op: &JournalOp) {
             push_text(out, &pool.0);
             push_num(out, *qty);
         }
+        JournalOp::Write(rows) => encode_write(out, rows),
         JournalOp::Checkpoint(cp) => encode_checkpoint(
             out,
             cp.next_id,
             cp.live.iter().map(|item| (item.prepared, &item.record)),
             &cp.leases,
+            &cp.rows,
         ),
+    }
+}
+
+fn encode_write(out: &mut String, rows: &RowImages) {
+    out.push_str("\tW");
+    encode_rows(out, rows);
+}
+
+/// Writes a row count, then each row's table, key, and `-` if it is gone
+/// or its field count and each field's name and typed value.
+fn encode_rows(out: &mut String, rows: &RowImages) {
+    push_num(out, rows.len() as u64);
+    for ((table, key), image) in rows {
+        push_text(out, table);
+        push_text(out, key);
+        let Some(record) = image else {
+            out.push_str("\t-");
+            continue;
+        };
+        push_num(out, record.len() as u64);
+        for (name, value) in record.iter() {
+            push_text(out, name);
+            let _ = match value {
+                Value::Int(i) => write!(out, "\tI{i}"),
+                Value::Bool(b) => write!(out, "\tB{b}"),
+                Value::Str(text) => write!(out, "\tS").map(|()| escape_into(out, text)),
+            };
+        }
     }
 }
 
@@ -334,6 +381,7 @@ fn encode_checkpoint<'a>(
     next_id: u64,
     live: impl ExactSizeIterator<Item = (bool, &'a PromiseRecord)>,
     leases: &[(PoolId, u64)],
+    rows: &RowImages,
 ) {
     out.push_str("\tK");
     push_num(out, next_id);
@@ -341,14 +389,17 @@ fn encode_checkpoint<'a>(
     for (prepared, record) in live {
         encode_record(out, if prepared { "\tP" } else { "\tG" }, record);
     }
-    // Trailing lease group, omitted when empty so lease-free
-    // checkpoints keep the pre-lease line format.
-    if !leases.is_empty() {
+    // Trailing lease and row groups, each omitted when it and the rest
+    // are empty, so lease-free checkpoints keep the pre-lease line format.
+    if !leases.is_empty() || !rows.is_empty() {
         push_num(out, leases.len() as u64);
         for (pool, qty) in leases {
             push_text(out, &pool.0);
             push_num(out, *qty);
         }
+    }
+    if !rows.is_empty() {
+        encode_rows(out, rows);
     }
 }
 
@@ -361,19 +412,28 @@ struct FieldReader<'a> {
 }
 
 impl<'a> FieldReader<'a> {
-    fn next(&mut self, what: &str) -> Result<&'a str, JournalError> {
-        self.fields.next().ok_or_else(|| JournalError {
+    /// An error naming this line.
+    fn error(&self, detail: String) -> JournalError {
+        JournalError {
             line: self.line,
-            detail: format!("missing field: {what}"),
-        })
+            detail,
+        }
+    }
+
+    fn next(&mut self, what: &str) -> Result<&'a str, JournalError> {
+        let field = self.fields.next();
+        field.ok_or_else(|| self.error(format!("missing field: {what}")))
     }
 
     fn next_u64(&mut self, what: &str) -> Result<u64, JournalError> {
         let raw = self.next(what)?;
-        raw.parse().map_err(|_| JournalError {
-            line: self.line,
-            detail: format!("bad {what}: {raw:?}"),
-        })
+        raw.parse()
+            .map_err(|_| self.error(format!("bad {what}: {raw:?}")))
+    }
+
+    /// The next field, left unread.
+    fn peek(&self) -> Option<&'a str> {
+        self.fields.clone().next()
     }
 
     /// A count read from the line, and the room to reserve for it.
@@ -392,12 +452,45 @@ impl<'a> FieldReader<'a> {
         }
         Ok(out)
     }
+
+    /// A row count and the rows [`encode_rows`] wrote.
+    fn rows(&mut self) -> Result<RowImages, JournalError> {
+        let mut rows = RowImages::new();
+        for _ in 0..self.next_u64("row count")? {
+            let table = unescape(self.next("row table")?).into_owned();
+            let key = unescape(self.next("row key")?).into_owned();
+            let image = if self.peek() == Some("-") {
+                self.fields.next();
+                None
+            } else {
+                let mut record = Record::new();
+                for _ in 0..self.next_u64("row field count")? {
+                    let name = unescape(self.next("field name")?);
+                    record.set(&name, self.value()?);
+                }
+                Some(record)
+            };
+            rows.insert((table, key), image);
+        }
+        Ok(rows)
+    }
+
+    /// One typed field value: `I` integer, `B` boolean, `S` text.
+    fn value(&mut self) -> Result<Value, JournalError> {
+        let raw = self.next("field value")?;
+        let value = match raw.split_at_checked(1) {
+            Some(("I", n)) => n.parse().ok().map(Value::Int),
+            Some(("B", b)) => b.parse().ok().map(Value::Bool),
+            Some(("S", text)) => Some(Value::Str(unescape(text).into_owned())),
+            _ => None,
+        };
+        value.ok_or_else(|| self.error(format!("bad field value: {raw:?}")))
+    }
 }
 
 /// Reads one full promise record (id through allocations) from `r` — the
 /// shared payload of `G`/`P` entries and checkpoint-embedded records.
 fn read_record(r: &mut FieldReader<'_>) -> Result<PromiseRecord, JournalError> {
-    let line = r.line;
     let id = PromiseId(r.next_u64("promise id")?);
     let client = ClientId(unescape(r.next("client")?).into_owned());
     let request = RequestId(unescape(r.next("request")?).into_owned());
@@ -407,10 +500,8 @@ fn read_record(r: &mut FieldReader<'_>) -> Result<PromiseRecord, JournalError> {
     let mut predicates = Vec::with_capacity(room);
     for _ in 0..np {
         let text = unescape(r.next("predicate")?);
-        predicates.push(parse_predicate(&text).map_err(|e| JournalError {
-            line,
-            detail: format!("bad predicate {text:?}: {e}"),
-        })?);
+        let parsed = parse_predicate(&text);
+        predicates.push(parsed.map_err(|e| r.error(format!("bad predicate {text:?}: {e}")))?);
     }
     let allocations = r.allocs()?;
     Ok(PromiseRecord {
@@ -440,16 +531,9 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
     };
     let seq = r.next_u64("seq")?;
     let generation = r.next_u64("generation")?;
-    let tag = r.next("op tag")?;
-    let op = match tag {
-        "G" | "P" => {
-            let rec = read_record(&mut r)?;
-            if tag == "G" {
-                JournalOp::Grant(rec)
-            } else {
-                JournalOp::Prepared(rec)
-            }
-        }
+    let op = match r.next("op tag")? {
+        "G" => JournalOp::Grant(read_record(&mut r)?),
+        "P" => JournalOp::Prepared(read_record(&mut r)?),
         "C" => JournalOp::CommitPrepared(PromiseId(r.next_u64("promise id")?)),
         "R" => JournalOp::Release(PromiseId(r.next_u64("promise id")?)),
         "E" => JournalOp::Expire(PromiseId(r.next_u64("promise id")?)),
@@ -463,56 +547,44 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
             let qty = r.next_u64("lease qty")?;
             JournalOp::Lease { pool, qty }
         }
+        "W" => JournalOp::Write(r.rows()?),
         "K" => {
             let next_id = r.next_u64("checkpoint id high-water")?;
             let (n, room) = r.count("checkpoint record count")?;
             let mut live = Vec::with_capacity(room);
             for _ in 0..n {
-                let sub = r.next("checkpoint record tag")?;
-                let prepared = match sub {
+                let prepared = match r.next("checkpoint record tag")? {
                     "G" => false,
                     "P" => true,
                     other => {
-                        return Err(JournalError {
-                            line,
-                            detail: format!("unknown checkpoint record tag {other:?}"),
-                        })
+                        return Err(r.error(format!("unknown checkpoint record tag {other:?}")))
                     }
                 };
-                live.push(CheckpointRecord {
-                    prepared,
-                    record: read_record(&mut r)?,
-                });
+                let record = read_record(&mut r)?;
+                live.push(CheckpointRecord { prepared, record });
             }
-            // Optional trailing lease group; absent on pre-lease lines.
-            let leases = match r.fields.next() {
-                None => Vec::new(),
-                Some(raw) => {
-                    let m: usize = raw.parse().map_err(|_| JournalError {
-                        line,
-                        detail: format!("bad checkpoint lease count: {raw:?}"),
-                    })?;
-                    let mut leases = Vec::with_capacity(m.min(r.bound));
-                    for _ in 0..m {
-                        let pool = PoolId(unescape(r.next("checkpoint lease pool")?).into_owned());
-                        let qty = r.next_u64("checkpoint lease qty")?;
-                        leases.push((pool, qty));
-                    }
-                    leases
+            // Optional trailing lease and row groups: absent on lines
+            // written before them, and when they are empty.
+            let mut leases = Vec::new();
+            if r.peek().is_some() {
+                for _ in 0..r.next_u64("checkpoint lease count")? {
+                    let pool = PoolId(unescape(r.next("checkpoint lease pool")?).into_owned());
+                    leases.push((pool, r.next_u64("checkpoint lease qty")?));
                 }
+            }
+            let rows = if r.peek().is_some() {
+                r.rows()?
+            } else {
+                RowImages::new()
             };
             JournalOp::Checkpoint(CheckpointState {
                 next_id,
                 live,
                 leases,
+                rows,
             })
         }
-        other => {
-            return Err(JournalError {
-                line,
-                detail: format!("unknown op tag {other:?}"),
-            })
-        }
+        other => return Err(r.error(format!("unknown op tag {other:?}"))),
     };
     Ok(JournalEntry {
         seq,
@@ -636,12 +708,12 @@ impl PromiseJournal {
 
     /// Atomically swaps the journal's contents for a single checkpoint
     /// entry — the [`CheckpointState`] made of `next_id`, `live` (each
-    /// record with its prepared mark, in the order given) and `leases`,
-    /// encoded straight from the borrowed records. The swap happens under
-    /// the journal lock — the in-memory analogue of writing the checkpoint
-    /// to a temp file and renaming it over the log, so a reader (or a
-    /// crash) sees either the full old journal or the checkpointed one,
-    /// never a mix. The checkpoint is assigned the next sequence number;
+    /// record with its prepared mark, in the order given), `leases` and
+    /// `rows`, encoded straight from the borrowed records. The swap happens
+    /// under the journal lock — the in-memory analogue of writing the
+    /// checkpoint to a temp file and renaming it over the log, so a reader
+    /// (or a crash) sees either the full old journal or the checkpointed
+    /// one, never a mix. The checkpoint is assigned the next sequence number;
     /// entries appended afterwards form the post-checkpoint suffix replay
     /// picks up after resetting at the `K` record.
     pub fn install_checkpoint(
@@ -649,6 +721,7 @@ impl PromiseJournal {
         next_id: u64,
         live: &[(bool, &PromiseRecord)],
         leases: &[(PoolId, u64)],
+        rows: &RowImages,
     ) -> CheckpointStats {
         let mut inner = self.inner.lock();
         let dropped = inner.lines.len();
@@ -658,7 +731,7 @@ impl PromiseJournal {
         // the append scratch keeps a checkpoint-sized slack.
         let mut line = String::new();
         encode_head(&mut line, seq, inner.generation);
-        encode_checkpoint(&mut line, next_id, live.iter().copied(), leases);
+        encode_checkpoint(&mut line, next_id, live.iter().copied(), leases, rows);
         line.shrink_to_fit();
         inner.lines = vec![line];
         // The swap is itself one durable write, and it covers every record
@@ -683,6 +756,12 @@ impl PromiseJournal {
     /// to put in one.
     pub(crate) fn append_grant(&self, rec: &PromiseRecord, prepared: bool) -> u64 {
         self.append_with(|out| encode_record(out, if prepared { "\tP" } else { "\tG" }, rec))
+    }
+
+    /// Appends an action's row writes from the borrowed images: the line
+    /// [`JournalOp::Write`] would write.
+    pub(crate) fn append_writes(&self, rows: &RowImages) -> u64 {
+        self.append_with(|out| encode_write(out, rows))
     }
 
     /// Appends the line `encode` writes after the next sequence number and
@@ -898,14 +977,8 @@ impl PromiseJournal {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
     use super::*;
-    use crate::clock::ManualClock;
-    use crate::manager::{PromiseDecision, PromiseManager, PromiseRequestSpec};
     use crate::predicate::{Predicate, PropExpr};
-    use crate::schema::PoolSchema;
 
     /// Encodes one owned entry as its journal line.
     fn encode_entry(entry: &JournalEntry) -> String {
@@ -1084,14 +1157,30 @@ mod tests {
             |j: &PromiseJournal| j.inner.lock().lines.iter().all(|l| l.capacity() == l.len());
         assert!(exact(&j));
         let mut lines = j.lines();
-        j.install_checkpoint(0, &[], &[]);
+        j.install_checkpoint(0, &[], &[], &RowImages::new());
         lines.extend(j.lines());
         let mut other = record.clone();
         other.id = PromiseId(12);
         other.allocations.clear();
         let live = [(false, &record), (true, &other)];
         let leases = [(PoolId::from("p%\t\r\nü"), 640), (PoolId::from("w"), 1)];
-        j.install_checkpoint(40, &live, &leases);
+        j.install_checkpoint(40, &live, &leases, &RowImages::new());
+        assert!(exact(&j));
+        lines.extend(j.lines());
+        // An action's row writes — Int, Bool and Str fields, and a row
+        // that is gone — then a checkpoint that folds them.
+        let suite = Record::new()
+            .with("_status", "taken")
+            .with("floor", -3i64)
+            .with("note", "n%\t\r\nü")
+            .with("view", true);
+        let rows = RowImages::from([
+            (("inst:p%\t\r\nü".into(), "i%\t\r\nü".into()), Some(suite)),
+            (("qty_pools".into(), "gone".into()), None),
+        ]);
+        j.append_writes(&rows);
+        lines.extend(j.lines().into_iter().skip(1));
+        j.install_checkpoint(41, &[], &[], &rows);
         assert!(exact(&j));
         lines.extend(j.lines());
         let want = [
@@ -1128,6 +1217,16 @@ mod tests {
                 "\tprop('p%25%09%0D%0Aü', 2): view == 'v%25%09%0D%0Aü'",
                 "\t0\t2\tp%25%09%0D%0Aü\t640\tw\t1",
             ),
+            concat!(
+                "10\t1\tW\t2\tinst:p%25%09%0D%0Aü\ti%25%09%0D%0Aü\t4",
+                "\t_status\tStaken\tfloor\tI-3\tnote\tSn%25%09%0D%0Aü\tview\tBtrue",
+                "\tqty_pools\tgone\t-",
+            ),
+            concat!(
+                "11\t1\tK\t41\t0\t0\t2\tinst:p%25%09%0D%0Aü\ti%25%09%0D%0Aü\t4",
+                "\t_status\tStaken\tfloor\tI-3\tnote\tSn%25%09%0D%0Aü\tview\tBtrue",
+                "\tqty_pools\tgone\t-",
+            ),
         ];
         assert_eq!(lines, want);
         // The owned-entry encoder writes the same bytes back.
@@ -1157,6 +1256,7 @@ mod tests {
                     },
                 ],
                 leases: vec![(PoolId::from("widgets"), 640), (PoolId::from("x%y"), 0)],
+                rows: RowImages::new(),
             }),
         };
         let line = encode_entry(&entry);
@@ -1173,6 +1273,7 @@ mod tests {
                 next_id: 17,
                 live: vec![],
                 leases: vec![],
+                rows: RowImages::new(),
             }),
         };
         assert_eq!(decode_entry(&encode_entry(&entry), 0).unwrap(), entry);
@@ -1208,6 +1309,7 @@ mod tests {
                     record: sample_record(),
                 }],
                 leases: vec![],
+                rows: RowImages::new(),
             }),
         };
         let line = encode_entry(&old);
@@ -1221,7 +1323,7 @@ mod tests {
         j.append(JournalOp::Grant(sample_record()));
         j.append(JournalOp::Release(PromiseId(7)));
         j.bump_generation();
-        let stats = j.install_checkpoint(7, &[], &[]);
+        let stats = j.install_checkpoint(7, &[], &[], &RowImages::new());
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.seq, 3);
         assert_eq!(j.len(), 1);
@@ -1326,6 +1428,7 @@ mod tests {
             9,
             &[(false, &sample_record())],
             &[("pink-widgets".into(), 40)],
+            &RowImages::new(),
         );
         // Encoding from borrowed records writes the same bytes as encoding
         // the owned entry a decoder hands back.
@@ -1341,6 +1444,7 @@ mod tests {
                         record: sample_record(),
                     }],
                     leases: vec![("pink-widgets".into(), 40)],
+                    rows: RowImages::new(),
                 }),
             })]
         );
@@ -1386,7 +1490,7 @@ mod tests {
         let journal = PromiseJournal::new();
         journal.append(JournalOp::Release(PromiseId(1)));
         journal.append(JournalOp::Release(PromiseId(2)));
-        let stats = journal.install_checkpoint(3, &[], &[]);
+        let stats = journal.install_checkpoint(3, &[], &[], &RowImages::new());
         assert_eq!(journal.flushed_seq(), stats.seq);
         let (writes, records) = journal.flush_stats();
         assert_eq!(writes, 1);
@@ -1403,38 +1507,5 @@ mod tests {
         let follower = PromiseJournal::new();
         follower.apply_segment(&leader.segment_after(0)).unwrap();
         assert_eq!(follower.flushed_seq(), follower.tip_seq());
-    }
-
-    /// The lifecycle ground truth counts a prepared hold, and every live
-    /// record a compaction checkpoint carries, as granted.
-    #[test]
-    fn facts_count_prepared_holds_and_checkpointed_grants() {
-        let journal = Arc::new(PromiseJournal::new());
-        let pm = PromiseManager::new(
-            Arc::new(promises_rm::ResourceManager::new()),
-            Arc::new(ManualClock::new()),
-        )
-        .with_journal(Arc::clone(&journal));
-        pm.register_pool(PoolSchema::quantity("w"));
-        pm.seed_quantity("w", 10).unwrap();
-        let grant = |rid: &str, prepared: bool| {
-            let spec = PromiseRequestSpec::new(rid, "c").predicate(Predicate::qty_at_least("w", 1));
-            let response = if prepared {
-                pm.request_prepared(spec)
-            } else {
-                pm.request(spec)
-            };
-            match response.expect("request").decision {
-                PromiseDecision::Granted { promise, .. } => promise.0,
-                other => panic!("{rid}: {other:?}"),
-            }
-        };
-        let folded = grant("r1", false);
-        let folded_hold = grant("r2", true);
-        pm.compact().expect("compaction");
-        let hold = grant("r3", true);
-        let facts = journal.facts();
-        assert_eq!(facts.granted, BTreeSet::from([folded, folded_hold, hold]));
-        assert!(facts.released.is_empty() && facts.expired.is_empty());
     }
 }

@@ -58,7 +58,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use promises_rm::{Record, ResourceManager, RmError, Txn};
+use promises_rm::{Record, ResourceManager, RmError, RowImages, Txn};
 use promises_telemetry::{
     current_trace, Histogram, HistogramSnapshot, SpanKind, SpanOutcome, Telemetry,
 };
@@ -547,8 +547,8 @@ enum Check<'a> {
         prepared: bool,
     },
     /// The live promises against what an action wrote in the transaction
-    /// (§8 "Executing Actions").
-    Action,
+    /// (§8 "Executing Actions"), the rows it wrote journalled with it.
+    Action { writes: RowImages },
 }
 
 /// One §8 transaction over the promise table; see
@@ -779,15 +779,7 @@ impl PromiseManager {
     /// Sets the quantity on hand of a quantity pool (setup/admin).
     pub fn seed_quantity(&self, pool: impl Into<PoolId>, qty: u64) -> Result<(), PromiseError> {
         let pool = pool.into();
-        let catalog = self.catalog.read();
-        let txn = self.rm.begin();
-        match catalog.set_quantity(&self.rm, &txn, &pool, qty) {
-            Ok(()) => {
-                self.rm.commit(txn)?;
-                Ok(())
-            }
-            Err(e) => Err(self.abort_with(txn, e)),
-        }
+        self.write_txn(|catalog, txn| catalog.set_quantity(&self.rm, txn, &pool, qty))
     }
 
     /// Adds an available instance to an instance pool (setup/admin).
@@ -797,17 +789,8 @@ impl PromiseManager {
         id: impl Into<InstanceId>,
         properties: Record,
     ) -> Result<(), PromiseError> {
-        let pool = pool.into();
-        let id = id.into();
-        let catalog = self.catalog.read();
-        let txn = self.rm.begin();
-        match catalog.add_instance(&self.rm, &txn, &pool, &id, properties) {
-            Ok(()) => {
-                self.rm.commit(txn)?;
-                Ok(())
-            }
-            Err(e) => Err(self.abort_with(txn, e)),
-        }
+        let (pool, id) = (pool.into(), id.into());
+        self.write_txn(|catalog, txn| catalog.add_instance(&self.rm, txn, &pool, &id, properties))
     }
 
     // ==================================================================
@@ -1421,19 +1404,20 @@ impl PromiseManager {
             // whole transactional attempt.
             Err(ActionError::Rm(e)) => return Err(self.abort_with(txn, PromiseError::Rm(e))),
         };
-        // The pools the action wrote plus the pools of the promises being
-        // released.
-        let written = match self.written_pools(&txn) {
-            Ok(pools) => pools,
-            Err(e) => return Err(self.abort_with(txn, e)),
+        // What the action wrote, as it will commit; the pools among it
+        // plus the pools of the promises being released.
+        let writes = match self.rm.write_set(&txn) {
+            Ok(writes) => writes,
+            Err(e) => return Err(self.abort_with(txn, e.into())),
         };
+        let written = self.written_pools(&writes);
         let footprint = self.state.lock().footprint(written.clone(), releases);
         let transition = Transition {
             footprint: &footprint,
             lat: &self.metrics.execute_lat,
             leaving: releases,
             leave: Leave::Release,
-            check: Check::Action,
+            check: Check::Action { writes },
         };
         let done = self
             .transition(txn, tel, transition, |st, now| {
@@ -1503,8 +1487,10 @@ impl PromiseManager {
 
     /// Rebuilds the promise state — table, per-pool indexes, quantity
     /// aggregates, request-id index, prepared marks, tombstones, leases —
-    /// from `journal` after a (simulated) crash, installs it with one
-    /// store, then installs the journal for continued appends.
+    /// from `journal` after a (simulated) crash, writes every row an
+    /// action wrote back into the RM (over the pools the caller registered
+    /// and seeded), installs the state with one store, then installs the
+    /// journal for continued appends.
     ///
     /// Replay is *idempotent*: `Grant` inserts (replacing any stale copy),
     /// `Release`/`Expire` of an absent id is a no-op, and `Allocations`
@@ -1555,6 +1541,7 @@ impl PromiseManager {
                     // the pre-crash manager last made durable.
                     state.leases.insert(pool, qty);
                 }
+                JournalOp::Write(rows) => state.rows.extend(rows),
                 JournalOp::Checkpoint(cp) => {
                     // A checkpoint is a full snapshot of live state: reset
                     // the fold, sized for its records, and continue replay
@@ -1563,6 +1550,7 @@ impl PromiseManager {
                     state = PromiseState::with_capacity(cp.live.len());
                     reaped.clear();
                     state.leases = cp.leases.into_iter().collect();
+                    state.rows = cp.rows;
                     max_id = max_id.max(cp.next_id);
                     for item in cp.live {
                         max_id = max_id.max(item.record.id.0);
@@ -1582,24 +1570,30 @@ impl PromiseManager {
         for id in reaped {
             state.tombstones.insert(id, evict_at, ());
         }
+        // The journal is the durable truth for the RM's application state,
+        // written back in one transaction over what the caller seeded (a
+        // no-op over an RM that already holds it): each row's last image
+        // (creating any table the RM lacks; a gone row is deleted), then
+        // each leased pool's on-hand quantity as its lease, which also
+        // mends a crash between the RM write and the `L` append. Pools
+        // whose schema the caller has not re-registered are skipped
+        // (schema registration is not journalled).
+        self.write_txn(|catalog, txn| {
+            for ((table, key), image) in &state.rows {
+                self.rm.create_table(table);
+                match image {
+                    Some(record) => drop(self.rm.put(txn, table, key, record.clone())?),
+                    None => match self.rm.delete(txn, table, key) {
+                        Ok(()) | Err(RmError::NoSuchKey { .. }) => {}
+                        Err(e) => return Err(e.into()),
+                    },
+                }
+            }
+            let mut leased = (state.leases.iter()).filter(|(pool, _)| catalog.contains(pool));
+            leased.try_for_each(|(pool, qty)| catalog.set_quantity(&self.rm, txn, pool, *qty))
+        })?;
         *self.state.lock() = state;
         *self.journal.write() = Some(journal);
-
-        // The journal is the durable truth for escrow leases: force each
-        // leased pool's on-hand quantity back to its lease slice, healing
-        // any divergence from a crash between the RM write and the `L`
-        // append. Pools whose schema the caller has not re-registered are
-        // skipped (schema registration is not journalled).
-        let leases = self.leases();
-        let catalog = self.catalog.read();
-        for (pool, qty) in leases.iter().filter(|(pool, _)| catalog.contains(pool)) {
-            let txn = self.rm.begin();
-            match catalog.set_quantity(&self.rm, &txn, pool, *qty) {
-                Ok(()) => self.rm.commit(txn)?,
-                Err(e) => return Err(self.abort_with(txn, e)),
-            }
-        }
-        drop(catalog);
 
         // Reap promises that expired while the manager was down; their
         // Expire entries are appended under the new generation and their
@@ -1646,7 +1640,8 @@ impl PromiseManager {
             // real journal was never touched.
             return Err(PromiseError::CompactionInterrupted);
         }
-        let stats = journal.install_checkpoint(st.table().id_high_water(), &live, &leases);
+        let stats =
+            journal.install_checkpoint(st.table().id_high_water(), &live, &leases, &st.rows);
         let report = CompactionReport {
             dropped: stats.dropped,
             live: live.len(),
@@ -1861,6 +1856,20 @@ impl PromiseManager {
         }
     }
 
+    /// Runs `write` in a transaction of its own, under the catalog: commits
+    /// it if `write` succeeds, rolls it back if not.
+    fn write_txn(
+        &self,
+        write: impl FnOnce(&Catalog, &Txn) -> Result<(), PromiseError>,
+    ) -> Result<(), PromiseError> {
+        let catalog = self.catalog.read();
+        let txn = self.rm.begin();
+        match write(&catalog, &txn) {
+            Ok(()) => Ok(self.rm.commit(txn)?),
+            Err(e) => Err(self.abort_with(txn, e)),
+        }
+    }
+
     /// Aborts a transaction whose outcome is a normal (non-error) value;
     /// a failed rollback converts the outcome into an error.
     fn abort_then<T>(&self, txn: Txn, value: T) -> Result<T, PromiseError> {
@@ -1868,11 +1877,16 @@ impl PromiseManager {
         Ok(value)
     }
 
-    /// Appends to the journal, through `append`, if one is attached.
-    /// Called while holding the state lock, so journal order matches
-    /// table-mutation order.
-    fn journal_append(&self, tel: Option<&PmTel>, append: impl FnOnce(&PromiseJournal) -> u64) {
-        if let Some(j) = self.journal.read().as_ref() {
+    /// Appends to the journal, through `append`, if one is attached, and
+    /// says whether it was. Called while holding the state lock, so
+    /// journal order matches table-mutation order.
+    fn journal_append(
+        &self,
+        tel: Option<&PmTel>,
+        append: impl FnOnce(&PromiseJournal) -> u64,
+    ) -> bool {
+        let journal = self.journal.read();
+        if let Some(j) = journal.as_ref() {
             append(j);
             // Keep the `pm.journal.records` gauge live on every append so
             // health monitors see journal growth between housekeeping
@@ -1881,6 +1895,7 @@ impl PromiseManager {
                 tel.journal_records.store(j.len() as u64, Ordering::Relaxed);
             }
         }
+        journal.is_some()
     }
 
     /// Acquires an operation's synchronisation points: one per footprint
@@ -1957,15 +1972,15 @@ impl PromiseManager {
         }
     }
 
-    /// Pools this manager protects that `txn` has written so far — the
+    /// Pools this manager protects among the rows an action wrote — the
     /// action's write footprint, mapped from the RM write-set the same way
     /// scope enforcement maps it.
-    fn written_pools(&self, txn: &Txn) -> Result<Vec<PoolId>, PromiseError> {
+    fn written_pools(&self, writes: &RowImages) -> Vec<PoolId> {
         let catalog = self.catalog.read();
         let mut pools = Vec::new();
-        for (table, key) in self.rm.write_set(txn)? {
+        for (table, key) in writes.keys() {
             let touched: Option<PoolId> = if table == Catalog::QTY_TABLE {
-                Some(PoolId(key))
+                Some(PoolId(key.clone()))
             } else {
                 table.strip_prefix("inst:").map(|p| PoolId(p.to_owned()))
             };
@@ -1977,7 +1992,7 @@ impl PromiseManager {
         }
         pools.sort();
         pools.dedup();
-        Ok(pools)
+        pools
     }
 
     /// The §8 transaction every promise operation is: inside `txn`, lock
@@ -2016,12 +2031,12 @@ impl PromiseManager {
             .iter()
             .filter_map(|id| st.table().get(*id).cloned())
             .collect();
-        let post_check = matches!(t.check, Check::Action);
-        let (inputs, mut candidate) = match t.check {
-            Check::Nothing => (CheckInputs::default(), None),
-            Check::Action => {
+        let post_check = matches!(t.check, Check::Action { .. });
+        let (inputs, mut candidate, writes) = match t.check {
+            Check::Nothing => (CheckInputs::default(), None, RowImages::new()),
+            Check::Action { writes } => {
                 let inputs = self.check_inputs(&st, &catalog, now, t.footprint, &leaving, &[]);
-                (inputs, None)
+                (inputs, None, writes)
             }
             Check::Grant {
                 spec,
@@ -2040,7 +2055,7 @@ impl PromiseManager {
                     expires_at: now.saturating_add(duration_ms.min(self.max_duration_ms)),
                     allocations: Vec::new(),
                 };
-                (inputs, Some((record, prepared)))
+                (inputs, Some((record, prepared)), RowImages::new())
             }
         };
         drop(st);
@@ -2116,6 +2131,11 @@ impl PromiseManager {
         if changed.iter().any(|id| st.pinned().contains(id)) {
             drop(st);
             return Err(self.halted(txn, PromiseError::ObservationConflict.into()));
+        }
+        // The action's writes go first, in the same batch as the releases
+        // that ride with them (§8: one transaction).
+        if !writes.is_empty() && self.journal_append(tel, |j| j.append_writes(&writes)) {
+            st.rows.extend(writes);
         }
         let mut left = Vec::with_capacity(t.leaving.len());
         for id in t.leaving {

@@ -4,13 +4,16 @@
 //! The promise table is the paper's (§8); around it sit the marks a
 //! promise carries while it is live — its `(client, request)` key, its
 //! prepared (in-doubt) mark, its observation pin — plus what outlives it
-//! (the tombstone of an expired promise) and the escrow leases that bound
-//! what may be promised. The marks are private to this module and
-//! [`PromiseState::take`] is the only way a record leaves the table, so a
-//! mark cannot outlive its record.
+//! (the tombstone of an expired promise), the escrow leases that bound
+//! what may be promised, and the last image of each row an action wrote.
+//! The marks are private to this module and [`PromiseState::take`] is the
+//! only way a record leaves the table, so a mark cannot outlive its
+//! record.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
+
+use promises_rm::RowImages;
 
 use crate::deadline_map::DeadlineMap;
 use crate::error::PromiseError;
@@ -43,6 +46,11 @@ pub(crate) struct PromiseState {
     /// journalled as absolute-value `L` records, checkpointed, part of the
     /// digest.
     pub(crate) leases: BTreeMap<PoolId, u64>,
+    /// The last image of every RM row an executed action wrote, kept only
+    /// while a journal is attached. Durable: journalled as `W` records,
+    /// checkpointed, written back into the RM by recovery. Not promise
+    /// state, so not part of the digest.
+    pub(crate) rows: RowImages,
 }
 
 impl PromiseState {

@@ -4,15 +4,16 @@
 //! byte-equivalent to the pre-crash state — including per-pool quantity
 //! aggregates, the expiry histogram, and the request-dedup index.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use promises_core::{
-    ManualClock, PoolSchema, Predicate, PromiseId, PromiseJournal, PromiseManager,
-    PromiseRequestSpec,
+    JournalOp, ManualClock, PoolSchema, Predicate, PromiseDecision, PromiseId, PromiseJournal,
+    PromiseManager, PromiseRequestSpec,
 };
-use promises_rm::ResourceManager;
+use promises_rm::{Record, ResourceManager, RowImages};
 
 const LONG_MS: u64 = 10_000_000;
 
@@ -214,6 +215,43 @@ fn compaction_preserves_recovery_byte_for_byte() {
     assert!(fresh.0 > ids.iter().map(|i| i.0).max().unwrap());
 }
 
+/// A `W` line — an action's row writes — cut short anywhere, or holding
+/// a value with an unknown tag, is a `JournalError`, never a panic and
+/// never a shorter row.
+#[test]
+fn malformed_write_lines_are_errors_not_panics() {
+    let suite = Record::new()
+        .with("_status", "taken")
+        .with("floor", -3i64)
+        .with("view", true);
+    let rows = RowImages::from([
+        (("inst:suites".into(), "suite-1".into()), Some(suite)),
+        (("qty_pools".into(), "gone".into()), None),
+    ]);
+    let journal = PromiseJournal::new();
+    journal.append(JournalOp::Write(rows));
+    let line = journal.lines().remove(0);
+    assert!(PromiseJournal::from_lines(&[&line]).is_ok());
+    for cut in (0..line.len()).filter(|&at| line.is_char_boundary(at)) {
+        let torn = PromiseJournal::from_lines(&[&line[..cut]]);
+        assert!(torn.is_err(), "{:?} decoded", &line[..cut]);
+    }
+    for (good, bad) in [
+        ("\tI-3", "\tX-3"),
+        ("\tI-3", "\tI3x"),
+        ("\tBtrue", "\tByes"),
+        ("\tStaken", "\tütaken"),
+        ("\tStaken", "\t"),
+        ("\t3\t", "\tthree\t"),
+    ] {
+        let broken = line.replacen(good, bad, 1);
+        assert!(
+            PromiseJournal::from_lines(&[broken]).is_err(),
+            "{bad:?} decoded"
+        );
+    }
+}
+
 #[test]
 fn torn_trailing_record_recovers_from_the_prefix() {
     let clock = Arc::new(ManualClock::new());
@@ -344,4 +382,37 @@ proptest! {
         prop_assert_eq!(pm_b.live_count(), pm_a.live_count());
         prop_assert_eq!(pm_b.promised_quantities(), pm_a.promised_quantities());
     }
+}
+
+/// The lifecycle ground truth counts a prepared hold, and every live
+/// record a compaction checkpoint carries, as granted.
+#[test]
+fn facts_count_prepared_holds_and_checkpointed_grants() {
+    let journal = Arc::new(PromiseJournal::new());
+    let pm = PromiseManager::new(
+        Arc::new(ResourceManager::new()),
+        Arc::new(ManualClock::new()),
+    )
+    .with_journal(Arc::clone(&journal));
+    pm.register_pool(PoolSchema::quantity("w"));
+    pm.seed_quantity("w", 10).unwrap();
+    let grant = |rid: &str, prepared: bool| {
+        let spec = PromiseRequestSpec::new(rid, "c").predicate(Predicate::qty_at_least("w", 1));
+        let response = if prepared {
+            pm.request_prepared(spec)
+        } else {
+            pm.request(spec)
+        };
+        match response.expect("request").decision {
+            PromiseDecision::Granted { promise, .. } => promise.0,
+            other => panic!("{rid}: {other:?}"),
+        }
+    };
+    let folded = grant("r1", false);
+    let folded_hold = grant("r2", true);
+    pm.compact().expect("compaction");
+    let hold = grant("r3", true);
+    let facts = journal.facts();
+    assert_eq!(facts.granted, BTreeSet::from([folded, folded_hold, hold]));
+    assert!(facts.released.is_empty() && facts.expired.is_empty());
 }

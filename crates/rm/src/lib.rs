@@ -43,7 +43,7 @@ mod value;
 
 pub use error::RmError;
 pub use lock::{LockManager, LockMode};
-pub use txn::{ResourceManager, StorageFaultHook, Txn, TxnId};
+pub use txn::{ResourceManager, RowImages, StorageFaultHook, Txn, TxnId};
 pub use value::{Record, Value};
 
 /// Convenient `Result` alias for resource-manager operations.

@@ -7,7 +7,7 @@
 //! to continue or abort — while a [`RmError::Deadlock`] means the
 //! transaction has been victimised and *must* be aborted by the caller.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,6 +22,10 @@ use crate::lock::{Granule, LockManager, LockMode};
 use crate::log::UndoLog;
 use crate::store::Store;
 use crate::value::Record;
+
+/// Row images by `(table, key)`: a row's whole record, or `None` where
+/// the row is gone. What [`ResourceManager::write_set`] reads.
+pub type RowImages = BTreeMap<(String, String), Option<Record>>;
 
 /// Opaque transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -360,23 +364,35 @@ impl ResourceManager {
         store.put(table, key, rec).map(|_| ())
     }
 
-    /// Returns the `(table, key)` pairs this transaction has modified so
-    /// far (its write set), in first-touch order.
+    /// The `(table, key)` rows this transaction has modified so far (its
+    /// write set), each with the image it will commit with: `None` for a
+    /// row it deleted.
     ///
     /// The promise manager uses this to *enforce* promise scoping (paper
     /// §2: a client "should not use the promise for pink widgets to ask
     /// the order service to deliver some un-promised blue widgets ... the
     /// restrictions could be enforced to some degree by promise and
-    /// resource managers").
-    pub fn write_set(&self, txn: &Txn) -> Result<Vec<(String, String)>, RmError> {
-        let undo = self.undo.lock();
-        let log = undo.get(&txn.id).ok_or(RmError::TxnNotActive(txn.id))?;
-        let mut out: Vec<(String, String)> = log
-            .entries_reversed()
-            .map(|e| (e.table.clone(), e.key.clone()))
-            .collect();
-        out.reverse();
-        Ok(out)
+    /// resource managers"), and journals the images. They are read straight
+    /// from the store, through no fault point and taking no lock: the
+    /// transaction holds every such row's `X` lock, so no other writer can
+    /// move them before it ends.
+    pub fn write_set(&self, txn: &Txn) -> Result<RowImages, RmError> {
+        // Let go of the undo log first: a write takes the store latch and
+        // then the undo log.
+        let written: Vec<(String, String)> = {
+            let undo = self.undo.lock();
+            let log = undo.get(&txn.id).ok_or(RmError::TxnNotActive(txn.id))?;
+            let entries = log.entries_reversed();
+            entries.map(|e| (e.table.clone(), e.key.clone())).collect()
+        };
+        let store = self.store.lock();
+        written
+            .into_iter()
+            .map(|(table, key)| {
+                let image = store.get(&table, &key)?;
+                Ok(((table, key), image))
+            })
+            .collect()
     }
 
     /// Acquires an exclusive transactional lock on a named synchronisation

@@ -188,19 +188,28 @@ fn write_set_reports_touched_records_in_order() {
     rm.update(&tx, "a", "k1", |r| r.set("x", 1i64)).unwrap(); // no new entry
     let ws = rm.write_set(&tx).unwrap();
     assert_eq!(
-        ws,
+        ws.keys().cloned().collect::<Vec<_>>(),
         vec![
             ("a".to_owned(), "k1".to_owned()),
             ("b".to_owned(), "k2".to_owned())
         ]
     );
+    // Each row comes with the image the transaction will commit.
+    let written = &ws[&("a".to_owned(), "k1".to_owned())];
+    assert_eq!(written.as_ref().and_then(|r| r.int("x")), Some(1));
     rm.commit(tx).unwrap();
     // write_set on finished transactions errors rather than lying.
     let dead = rm.begin();
     let id = dead.id();
     rm.abort(dead).unwrap();
     let _ = id;
+    // A deleted row's image is `None`.
     let tx2 = rm.begin();
+    rm.delete(&tx2, "b", "k2").unwrap();
+    assert_eq!(
+        rm.write_set(&tx2).unwrap()[&("b".into(), "k2".into())],
+        None
+    );
     rm.commit(tx2).unwrap();
 }
 

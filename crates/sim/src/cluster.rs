@@ -493,12 +493,12 @@ pub fn run_cluster_crash_restart(
 /// of this digest with a promoted follower's proves the replica carried
 /// every record the leader's disk held — nothing dropped, nothing
 /// invented; with a restarted node's, that replay is idempotent. Its pools
-/// come from the node's own hosting record, filled as promotion fills
+/// come from the node's own hosting record, filled as every rebuild fills
 /// fresh storage.
 pub(crate) fn clean_replay_digest(node: &ShardNode, lines: &[String]) -> String {
     let rm = Arc::new(promises_rm::ResourceManager::new());
     let pm = PromiseManager::new(rm, Arc::clone(&node.clock));
-    node.rehost(&pm, true);
+    node.rehost(&pm);
     let journal = Arc::new(PromiseJournal::from_lines(lines).expect("journal intact"));
     pm.recover(journal).expect("clean replay succeeds");
     pm.state_digest()

@@ -98,6 +98,23 @@ pub(crate) fn grant_request(
     })
 }
 
+/// A `merchant/purchase` `<action>` taking `amount` from `pool` under
+/// `promise`, released with it.
+fn purchase_request(promise: u64, pool: &str, amount: u64) -> Envelope {
+    Envelope::new()
+        .with_environment(EnvironmentHeader {
+            entries: vec![EnvEntry {
+                reference: EnvRef::Id(promise),
+                release_after: true,
+            }],
+        })
+        .with_action(
+            ActionRequest::new("merchant", "purchase")
+                .param("pool", pool)
+                .param("qty", amount),
+        )
+}
+
 /// Shape of a fault-sweep workload.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSweepConfig {
@@ -254,19 +271,7 @@ fn fault_sweep_client(
             }
             continue;
         }
-        let action = Envelope::new()
-            .with_environment(EnvironmentHeader {
-                entries: vec![EnvEntry {
-                    reference: EnvRef::Id(promise_id),
-                    release_after: true,
-                }],
-            })
-            .with_action(
-                ActionRequest::new("merchant", "purchase")
-                    .param("pool", &pool)
-                    .param("qty", amount),
-            );
-        match client.send(to, &action) {
+        match client.send(to, &purchase_request(promise_id, &pool, amount)) {
             Err(_) => t.gave_up += 1,
             Ok(reply) => match reply.action_response {
                 Some(resp) if resp.ok => {
@@ -375,20 +380,25 @@ pub struct CrashRestartReport {
     /// Promises that expired *while the manager was down* and were pruned
     /// during recovery.
     pub pruned_while_down: usize,
+    /// Each pool's quantity on hand `(before the crash, after recovery)`.
+    pub on_hand: Vec<(u64, u64)>,
 }
 
 impl CrashRestartReport {
     /// True if the recovered state is byte-equivalent to the pre-crash
-    /// state (after accounting for down-time expiry).
+    /// state (after accounting for down-time expiry) and every pool holds
+    /// what it held before: no sale was lost.
     pub fn state_matches(&self) -> bool {
         self.pre_digest == self.post_digest
+            && self.on_hand.iter().all(|(before, after)| before == after)
     }
 }
 
 /// Grants a mixed batch of promises across two pools through the wire,
-/// crashes the node's manager and rebuilds it from the journal over the
-/// surviving RM ([`ShardNode::crash_restart`]), and compares state
-/// digests. With `down_ms > 0` the clock advances while the manager is
+/// every second one followed by a purchase released with it, crashes the
+/// node and rebuilds it from its hosting record and journal alone
+/// ([`ShardNode::crash_restart`]), and compares state digests and stock
+/// on hand. With `down_ms > 0` the clock advances while the manager is
 /// down, so promises with short durations expire in the gap and must be
 /// pruned — not resurrected — by recovery.
 pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestartReport {
@@ -401,12 +411,20 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
         // A third of the grants are short-lived so down-time can expire
         // them; the rest outlive any plausible down-time.
         let duration_ms = if i % 3 == 0 { 50 } else { 10_000_000 };
-        let envelope = grant_request(&format!("r{i}"), "crash-client", &pool, amount, duration_ms);
-        let _ = client.send(&h.node.endpoint, &envelope);
+        let request_id = format!("r{i}");
+        let envelope = grant_request(&request_id, "crash-client", &pool, amount, duration_ms);
+        let granted = (client.send(&h.node.endpoint, &envelope).ok())
+            .and_then(|reply| reply.response_for(&request_id)?.promise_id);
+        if let Some(promise) = granted.filter(|_| i % 2 == 1) {
+            let _ = client.send(&h.node.endpoint, &purchase_request(promise, &pool, amount));
+        }
     }
 
-    // "Crash": the manager's in-memory table dies with it. Only the
-    // journal and the resource manager survive.
+    // "Crash": the node's manager and storage die with it. Only the
+    // journal and the hosting record survive.
+    let on_hand =
+        |h: &FaultHarness| [0, 1].map(|i| h.node.pm.quantity_on_hand(pool_name(i)).unwrap_or(0));
+    let before = on_hand(&h);
     let pre_digest_at_crash = h.node.pm.state_digest();
     h.clock.advance(down_ms);
     let recovery = h.node.crash_restart(&h.bus);
@@ -428,6 +446,7 @@ pub fn run_crash_restart(seed: u64, grants: usize, down_ms: u64) -> CrashRestart
         post_digest,
         recovery,
         pruned_while_down: recovery.pruned,
+        on_hand: before.into_iter().zip(on_hand(&h)).collect(),
     }
 }
 
@@ -505,7 +524,8 @@ pub fn run_compaction_crash_restart(
     };
     assert_eq!(interrupted, crash.is_some(), "armed crashes must fire");
 
-    // The real crash: only the journal, the RM, and the clock survive.
+    // The real crash: only the journal, the hosting record and the clock
+    // survive.
     h.node.crash_restart(&h.bus);
     CompactionCrashReport {
         reference_digest,
@@ -587,11 +607,14 @@ mod tests {
         let report = run_crash_restart(5, 12, 0);
         assert_eq!(report.pruned_while_down, 0);
         assert!(report.recovery.recovered > 0);
+        let sold = report.on_hand.iter().any(|(before, _)| *before < 10_000);
+        assert!(sold, "purchases ran: {:?}", report.on_hand);
         assert!(
             report.state_matches(),
-            "pre:\n{}\npost:\n{}",
+            "pre:\n{}\npost:\n{}\non hand (before, after): {:?}",
             report.pre_digest,
-            report.post_digest
+            report.post_digest,
+            report.on_hand
         );
     }
 
