@@ -323,15 +323,28 @@ impl PromiseTable {
             .collect()
     }
 
+    /// Adds `rec` to every index. A pool is cloned only when it enters an
+    /// index for the first time.
     fn index(&mut self, rec: &PromiseRecord) {
         self.expiry.entry(rec.expires_at).or_default().push(rec.id);
-        for pool in rec.pools() {
-            self.by_pool.entry(pool.clone()).or_default().insert(rec.id);
-        }
         for pred in &rec.predicates {
-            if let Predicate::QtyAtLeast { pool, amount } = pred {
+            let pool = pred.pool();
+            match self.by_pool.get_mut(pool) {
+                Some(ids) => {
+                    ids.insert(rec.id);
+                }
+                None => {
+                    self.by_pool.insert(pool.clone(), HashSet::from([rec.id]));
+                }
+            }
+            if let Predicate::QtyAtLeast { amount, .. } = pred {
                 if *amount > 0 {
-                    *self.qty_agg.entry(pool.clone()).or_default() += amount;
+                    match self.qty_agg.get_mut(pool) {
+                        Some(total) => *total += amount,
+                        None => {
+                            self.qty_agg.insert(pool.clone(), *amount);
+                        }
+                    }
                 }
             }
         }
@@ -347,15 +360,14 @@ impl PromiseTable {
                 bucket.remove();
             }
         }
-        for pool in rec.pools() {
+        for pred in &rec.predicates {
+            let pool = pred.pool();
             if let Some(set) = self.by_pool.get_mut(pool) {
                 set.remove(&rec.id);
                 if set.is_empty() {
                     self.by_pool.remove(pool);
                 }
             }
-        }
-        for pred in &rec.predicates {
             if let Predicate::QtyAtLeast { pool, amount } = pred {
                 if *amount > 0 {
                     if let Some(total) = self.qty_agg.get_mut(pool) {

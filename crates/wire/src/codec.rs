@@ -26,12 +26,14 @@
 //! </envelope>
 //! ```
 
+use std::borrow::Cow;
+
 use crate::envelope::{
     ActionRequest, ActionResponse, EnvEntry, EnvRef, Envelope, EnvironmentHeader,
     PromiseRequestHeader, PromiseResponseHeader, PromiseResult, ResolutionHeader, ResolutionOp,
     ResolutionResponse, ResolveRef, TraceHeader,
 };
-use crate::xml::{parse, XmlElement, XmlError};
+use crate::xml::{escape_into, escaped_len, Item, Reader, Tag, XmlError};
 
 /// Codec error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,401 +61,535 @@ impl From<XmlError> for CodecError {
     }
 }
 
-/// Serialises an envelope to its XML wire form.
-pub fn encode(env: &Envelope) -> String {
-    let mut header = XmlElement::new("header");
+/// Where the encoder writes: a `usize` that only counts the bytes, then a
+/// `String` allocated at exactly that size.
+trait Sink {
+    fn raw(&mut self, s: &str);
+    fn escaped(&mut self, s: &str);
+    fn len(&self) -> usize;
+    fn truncate(&mut self, len: usize);
+
+    /// Writes `n` in decimal, digit by digit: no `String`, no formatter.
+    fn num(&mut self, mut n: u64) {
+        let mut digits = [b'0'; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] += (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.raw(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    }
+}
+
+impl Sink for usize {
+    fn raw(&mut self, s: &str) {
+        *self += s.len();
+    }
+
+    fn escaped(&mut self, s: &str) {
+        *self += escaped_len(s);
+    }
+
+    fn num(&mut self, n: u64) {
+        *self += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+
+    fn len(&self) -> usize {
+        *self
+    }
+
+    fn truncate(&mut self, len: usize) {
+        *self = len;
+    }
+}
+
+impl Sink for String {
+    fn raw(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn escaped(&mut self, s: &str) {
+        escape_into(s, self);
+    }
+
+    fn len(&self) -> usize {
+        String::len(self)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        String::truncate(self, len);
+    }
+}
+
+/// An attribute's value; an `Absent` attribute is not written.
+enum Value<'v> {
+    Text(&'v str),
+    Num(u64),
+    Absent,
+}
+
+use Value::{Absent, Num, Text};
+
+fn boolean(b: bool) -> Value<'static> {
+    Text(if b { "true" } else { "false" })
+}
+
+fn text(v: Option<&String>) -> Value<'_> {
+    v.map_or(Absent, |v| Text(v))
+}
+
+/// Writes `<name attrs>`, leaving out the absent attributes.
+fn start_tag<S: Sink>(out: &mut S, name: &str, attrs: &[(&str, Value)]) {
+    out.raw("<");
+    out.raw(name);
+    for (key, value) in attrs {
+        if matches!(value, Absent) {
+            continue;
+        }
+        out.raw(" ");
+        out.raw(key);
+        out.raw("='");
+        match value {
+            Text(t) => out.escaped(t),
+            Num(n) => out.num(*n),
+            Absent => {}
+        }
+        out.raw("'");
+    }
+    out.raw(">");
+}
+
+/// Writes `<name attrs>content</name>`, or `<name attrs/>` when `content`
+/// writes nothing: no children and no text.
+fn element<S: Sink>(
+    out: &mut S,
+    name: &str,
+    attrs: &[(&str, Value)],
+    content: impl FnOnce(&mut S),
+) {
+    start_tag(out, name, attrs);
+    let start = out.len();
+    content(out);
+    if out.len() == start {
+        out.truncate(start - 1);
+        out.raw("/>");
+    } else {
+        out.raw("</");
+        out.raw(name);
+        out.raw(">");
+    }
+}
+
+fn reference(r: &ResolveRef) -> [(&str, Value<'_>); 2] {
+    match r {
+        ResolveRef::Id(id) => [("promise", Num(*id)), ("", Absent)],
+        ResolveRef::Request { client, request } => {
+            [("client", Text(client)), ("request", Text(request))]
+        }
+    }
+}
+
+fn pairs<S: Sink>(out: &mut S, name: &str, pairs: &[(String, String)]) {
+    for (k, v) in pairs {
+        element(out, name, &[("name", Text(k))], |out| out.escaped(v));
+    }
+}
+
+fn write_envelope<S: Sink>(env: &Envelope, out: &mut S) {
+    let (trace, span) = env
+        .trace
+        .map_or((Absent, Absent), |t| (Num(t.trace), Num(t.span)));
+    element(
+        out,
+        "envelope",
+        &[("trace", trace), ("span", span)],
+        |out| {
+            element(out, "header", &[], |out| write_header(env, out));
+            element(out, "body", &[], |out| {
+                if let Some(a) = &env.action {
+                    let attrs = [
+                        ("service", Text(&a.service)),
+                        ("operation", Text(&a.operation)),
+                    ];
+                    element(out, "action", &attrs, |out| pairs(out, "param", &a.params));
+                }
+                if let Some(r) = &env.action_response {
+                    let attrs = [("ok", boolean(r.ok)), ("error", text(r.error.as_ref()))];
+                    element(out, "action-response", &attrs, |out| {
+                        pairs(out, "field", &r.fields)
+                    });
+                }
+            });
+        },
+    );
+}
+
+fn write_header<S: Sink>(env: &Envelope, out: &mut S) {
+    let flag = |on: bool| if on { Text("true") } else { Absent };
     for pr in &env.promise_requests {
-        let mut el = XmlElement::new("promise-request")
-            .attr("request-id", &pr.request_id)
-            .attr("client", &pr.client)
-            .attr("duration", pr.duration_ms);
-        if pr.negotiate {
-            el = el.attr("negotiate", "true");
-        }
-        if pr.prepare {
-            el = el.attr("prepare", "true");
-        }
-        for p in &pr.predicates {
-            el = el.child(XmlElement::new("predicate").with_text(p));
-        }
-        for x in &pr.exchange {
-            el = el.child(XmlElement::new("exchange").attr("promise", x));
-        }
-        header = header.child(el);
+        let attrs = [
+            ("request-id", Text(&pr.request_id)),
+            ("client", Text(&pr.client)),
+            ("duration", Num(pr.duration_ms)),
+            ("negotiate", flag(pr.negotiate)),
+            ("prepare", flag(pr.prepare)),
+        ];
+        element(out, "promise-request", &attrs, |out| {
+            for p in &pr.predicates {
+                element(out, "predicate", &[], |out| out.escaped(p));
+            }
+            for x in &pr.exchange {
+                element(out, "exchange", &[("promise", Num(*x))], |_| {});
+            }
+        });
     }
     for resp in &env.promise_responses {
-        let mut el = XmlElement::new("promise-response")
-            .attr("expires", resp.expires_at)
-            .attr("correlation", &resp.correlation);
-        if let Some(id) = resp.promise_id {
-            el = el.attr("promise", id);
-        }
-        el = match &resp.result {
-            PromiseResult::Accepted => el.attr("result", "accepted"),
-            PromiseResult::AcceptedWithCondition(cond) => el
-                .attr("result", "accepted-with-condition")
-                .attr("condition", cond),
-            PromiseResult::Rejected(reason) => el.attr("result", "rejected").attr("reason", reason),
+        let (result, why) = match &resp.result {
+            PromiseResult::Accepted => ("accepted", ("", Absent)),
+            PromiseResult::AcceptedWithCondition(c) => {
+                ("accepted-with-condition", ("condition", Text(c)))
+            }
+            PromiseResult::Rejected(r) => ("rejected", ("reason", Text(r))),
         };
-        for g in &resp.granted_predicates {
-            el = el.child(XmlElement::new("granted-predicate").with_text(g));
-        }
-        header = header.child(el);
+        let attrs = [
+            ("expires", Num(resp.expires_at)),
+            ("correlation", Text(&resp.correlation)),
+            ("promise", resp.promise_id.map_or(Absent, Num)),
+            ("result", Text(result)),
+            why,
+        ];
+        element(out, "promise-response", &attrs, |out| {
+            for g in &resp.granted_predicates {
+                element(out, "granted-predicate", &[], |out| out.escaped(g));
+            }
+        });
     }
     for id in &env.releases {
-        header = header.child(XmlElement::new("release").attr("promise", id));
+        element(out, "release", &[("promise", Num(*id))], |_| {});
     }
     for r in &env.resolutions {
-        header = header.child(
-            resolve_ref_el(XmlElement::new("resolve"), &r.reference).attr("op", r.op.as_str()),
-        );
+        let [a, b] = reference(&r.reference);
+        element(out, "resolve", &[a, b, ("op", Text(r.op.as_str()))], |_| {});
     }
     for r in &env.resolution_responses {
-        let mut el = resolve_ref_el(XmlElement::new("resolution"), &r.reference)
-            .attr("op", r.op.as_str())
-            .attr("applied", r.applied);
-        if let Some(e) = &r.error {
-            el = el.attr("error", e);
-        }
-        header = header.child(el);
+        let [a, b] = reference(&r.reference);
+        let attrs = [
+            a,
+            b,
+            ("op", Text(r.op.as_str())),
+            ("applied", boolean(r.applied)),
+            ("error", text(r.error.as_ref())),
+        ];
+        element(out, "resolution", &attrs, |_| {});
     }
     if let Some(e) = &env.environment {
-        let mut el = XmlElement::new("environment");
-        for entry in &e.entries {
-            let mut u = XmlElement::new("under").attr("release", entry.release_after);
-            u = match &entry.reference {
-                EnvRef::Id(id) => u.attr("promise", id),
-                EnvRef::Correlation(c) => u.attr("correlation", c),
-            };
-            el = el.child(u);
-        }
-        header = header.child(el);
-    }
-
-    let mut body = XmlElement::new("body");
-    if let Some(a) = &env.action {
-        let mut el = XmlElement::new("action")
-            .attr("service", &a.service)
-            .attr("operation", &a.operation);
-        for (k, v) in &a.params {
-            el = el.child(XmlElement::new("param").attr("name", k).with_text(v));
-        }
-        body = body.child(el);
-    }
-    if let Some(r) = &env.action_response {
-        let mut el = XmlElement::new("action-response").attr("ok", r.ok);
-        if let Some(e) = &r.error {
-            el = el.attr("error", e);
-        }
-        for (k, v) in &r.fields {
-            el = el.child(XmlElement::new("field").attr("name", k).with_text(v));
-        }
-        body = body.child(el);
-    }
-
-    let mut root = XmlElement::new("envelope");
-    if let Some(t) = &env.trace {
-        root = root.attr("trace", t.trace).attr("span", t.span);
-    }
-    root.child(header).child(body).to_xml()
-}
-
-fn resolve_ref_el(el: XmlElement, reference: &ResolveRef) -> XmlElement {
-    match reference {
-        ResolveRef::Id(id) => el.attr("promise", id),
-        ResolveRef::Request { client, request } => {
-            el.attr("client", client).attr("request", request)
-        }
+        element(out, "environment", &[], |out| {
+            for entry in &e.entries {
+                let reference = match &entry.reference {
+                    EnvRef::Id(id) => ("promise", Num(*id)),
+                    EnvRef::Correlation(c) => ("correlation", Text(c)),
+                };
+                let attrs = [("release", boolean(entry.release_after)), reference];
+                element(out, "under", &attrs, |_| {});
+            }
+        });
     }
 }
 
-fn decode_resolve_ref(el: &XmlElement) -> Result<ResolveRef, CodecError> {
-    if let Some(id) = el.get_attr("promise") {
-        return Ok(ResolveRef::Id(
-            id.parse()
-                .map_err(|_| CodecError::Shape("bad promise id".into()))?,
-        ));
+/// Serialises an envelope to its XML wire form, in one allocation: a
+/// counting pass sizes the string, and the writing pass fills it.
+pub fn encode(env: &Envelope) -> String {
+    let mut len = 0;
+    write_envelope(env, &mut len);
+    let mut out = String::with_capacity(len);
+    write_envelope(env, &mut out);
+    debug_assert_eq!(out.len(), len, "the counting pass sized the string");
+    out
+}
+
+/// Parses an envelope from its XML wire form in one pass over the input:
+/// no element tree, names and values borrowed from `xml`, a copy made only
+/// for the envelope's own strings (and for a value that holds an entity).
+///
+/// Elements and attributes the envelope does not know are skipped, but
+/// must be well-formed. The first `<header>`, `<body>`, `<environment>`,
+/// `<action>` and `<action-response>` count, and so does the first copy of
+/// an attribute. Malformed XML anywhere is a [`CodecError::Xml`], even
+/// after a [`CodecError::Shape`] error earlier in the document.
+pub fn decode(xml: &str) -> Result<Envelope, CodecError> {
+    read_envelope(xml).map_err(|e| match e {
+        CodecError::Shape(_) => well_formed(xml).err().map_or(e, CodecError::Xml),
+        xml => xml,
+    })
+}
+
+/// Reads the whole document, checking only that it is well-formed.
+fn well_formed(xml: &str) -> Result<(), XmlError> {
+    let mut r = Reader::new(xml)?;
+    let root = r.root()?;
+    r.skip(&root)?;
+    r.finish()
+}
+
+fn shape(message: String) -> CodecError {
+    CodecError::Shape(message)
+}
+
+/// An attribute's unescaped value, if the element has it.
+type Attr<'a> = Option<Cow<'a, str>>;
+
+/// `value`, the attribute `name` of `el`, which must be there.
+fn need<'a>(el: &Tag, name: &str, value: Attr<'a>) -> Result<Cow<'a, str>, CodecError> {
+    value.ok_or_else(|| shape(format!("<{}> missing attribute {name:?}", el.name)))
+}
+
+/// `value`, the attribute `name` of `el`, which must be a `u64`.
+fn number(el: &Tag, name: &str, value: Attr) -> Result<u64, CodecError> {
+    need(el, name, value)?
+        .parse()
+        .map_err(|_| shape(format!("<{}> attribute {name:?} not a u64", el.name)))
+}
+
+fn promise_id(value: &str) -> Result<u64, CodecError> {
+    value.parse().map_err(|_| shape("bad promise id".into()))
+}
+
+/// Reads `parent`'s children to its end tag, handing each to `each`;
+/// whatever of a child `each` leaves unread is skipped.
+fn children<'a>(
+    r: &mut Reader<'a>,
+    parent: &Tag<'a>,
+    mut each: impl FnMut(&mut Reader<'a>, &Tag<'a>) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    loop {
+        match r.next(parent)? {
+            Item::Start(child) => {
+                each(r, &child)?;
+                r.skip(&child)?;
+            }
+            Item::Text(_) => {}
+            Item::End => return Ok(()),
+        }
     }
-    match (el.get_attr("client"), el.get_attr("request")) {
-        (Some(c), Some(r)) => Ok(ResolveRef::Request {
-            client: c.to_owned(),
-            request: r.to_owned(),
+}
+
+fn read_envelope(xml: &str) -> Result<Envelope, CodecError> {
+    let mut r = Reader::new(xml)?;
+    let root = r.root()?;
+    if root.name != "envelope" {
+        let name = root.name;
+        return Err(shape(format!(
+            "document element is <{name}>, expected <envelope>"
+        )));
+    }
+    let mut env = Envelope::new();
+    // Trace context is optional (absent from uninstrumented senders); a
+    // malformed pair is a shape error, not silently dropped.
+    let [trace, span] = root.attrs(["trace", "span"]);
+    if trace.is_some() || span.is_some() {
+        env.trace = Some(TraceHeader {
+            trace: number(&root, "trace", trace)?,
+            span: number(&root, "span", span)?,
+        });
+    }
+    let (mut header, mut body) = (false, false);
+    children(&mut r, &root, |r, el| match el.name {
+        "header" if !header => {
+            header = true;
+            read_header(r, el, &mut env)
+        }
+        "body" if !body => {
+            body = true;
+            read_body(r, el, &mut env)
+        }
+        _ => Ok(()),
+    })?;
+    r.finish()?;
+    Ok(env)
+}
+
+fn read_header<'a>(r: &mut Reader<'a>, el: &Tag<'a>, env: &mut Envelope) -> Result<(), CodecError> {
+    children(r, el, |r, el| {
+        match el.name {
+            "promise-request" => env.promise_requests.push(read_request(r, el)?),
+            "promise-response" => env.promise_responses.push(read_response(r, el)?),
+            "release" => env
+                .releases
+                .push(number(el, "promise", el.attr("promise"))?),
+            "resolve" => {
+                let [promise, client, request, op] =
+                    el.attrs(["promise", "client", "request", "op"]);
+                env.resolutions.push(ResolutionHeader {
+                    reference: resolve_ref(el, promise, client, request)?,
+                    op: resolution_op(el, op)?,
+                });
+            }
+            "resolution" => {
+                let [promise, client, request, op, applied, error] =
+                    el.attrs(["promise", "client", "request", "op", "applied", "error"]);
+                env.resolution_responses.push(ResolutionResponse {
+                    reference: resolve_ref(el, promise, client, request)?,
+                    op: resolution_op(el, op)?,
+                    applied: need(el, "applied", applied)? == "true",
+                    error: error.map(Cow::into_owned),
+                });
+            }
+            "environment" if env.environment.is_none() => {
+                let mut entries = Vec::new();
+                children(r, el, |_, under| {
+                    if under.name == "under" {
+                        entries.push(env_entry(under)?);
+                    }
+                    Ok(())
+                })?;
+                env.environment = Some(EnvironmentHeader { entries });
+            }
+            _ => {}
+        }
+        Ok(())
+    })
+}
+
+fn read_request<'a>(r: &mut Reader<'a>, el: &Tag<'a>) -> Result<PromiseRequestHeader, CodecError> {
+    let [request_id, client, duration, negotiate, prepare] =
+        el.attrs(["request-id", "client", "duration", "negotiate", "prepare"]);
+    let mut pr = PromiseRequestHeader {
+        request_id: need(el, "request-id", request_id)?.into_owned(),
+        client: need(el, "client", client)?.into_owned(),
+        duration_ms: number(el, "duration", duration)?,
+        negotiate: negotiate.is_some_and(|v| v == "true"),
+        prepare: prepare.is_some_and(|v| v == "true"),
+        ..PromiseRequestHeader::default()
+    };
+    children(r, el, |r, el| {
+        match el.name {
+            "predicate" => pr.predicates.push(r.text(el)?),
+            "exchange" => pr.exchange.push(number(el, "promise", el.attr("promise"))?),
+            _ => {}
+        }
+        Ok(())
+    })?;
+    Ok(pr)
+}
+
+fn read_response<'a>(
+    r: &mut Reader<'a>,
+    el: &Tag<'a>,
+) -> Result<PromiseResponseHeader, CodecError> {
+    let [result, condition, reason, promise, expires, correlation] = el.attrs([
+        "result",
+        "condition",
+        "reason",
+        "promise",
+        "expires",
+        "correlation",
+    ]);
+    let owned = |v: Option<Cow<str>>| v.map_or_else(String::new, Cow::into_owned);
+    let result = match &*need(el, "result", result)? {
+        "accepted" => PromiseResult::Accepted,
+        "accepted-with-condition" => PromiseResult::AcceptedWithCondition(owned(condition)),
+        "rejected" => PromiseResult::Rejected(owned(reason)),
+        other => return Err(shape(format!("unknown result {other:?}"))),
+    };
+    let mut resp = PromiseResponseHeader {
+        promise_id: promise.map(|v| promise_id(&v)).transpose()?,
+        result,
+        expires_at: number(el, "expires", expires)?,
+        correlation: need(el, "correlation", correlation)?.into_owned(),
+        granted_predicates: Vec::new(),
+    };
+    children(r, el, |r, el| {
+        if el.name == "granted-predicate" {
+            resp.granted_predicates.push(r.text(el)?);
+        }
+        Ok(())
+    })?;
+    Ok(resp)
+}
+
+fn resolve_ref(
+    el: &Tag,
+    promise: Attr,
+    client: Attr,
+    request: Attr,
+) -> Result<ResolveRef, CodecError> {
+    match (promise, client, request) {
+        (Some(id), ..) => Ok(ResolveRef::Id(promise_id(&id)?)),
+        (None, Some(c), Some(r)) => Ok(ResolveRef::Request {
+            client: c.into_owned(),
+            request: r.into_owned(),
         }),
-        _ => Err(CodecError::Shape(format!(
+        _ => Err(shape(format!(
             "<{}> needs promise or client+request",
             el.name
         ))),
     }
 }
 
-fn decode_resolution_op(el: &XmlElement) -> Result<ResolutionOp, CodecError> {
-    match req_attr(el, "op")? {
+fn resolution_op(el: &Tag, op: Attr) -> Result<ResolutionOp, CodecError> {
+    match &*need(el, "op", op)? {
         "commit" => Ok(ResolutionOp::Commit),
         "abort" => Ok(ResolutionOp::Abort),
-        other => Err(CodecError::Shape(format!(
-            "unknown resolution op {other:?}"
-        ))),
+        other => Err(shape(format!("unknown resolution op {other:?}"))),
     }
 }
 
-fn req_attr<'x>(el: &'x XmlElement, name: &str) -> Result<&'x str, CodecError> {
-    el.get_attr(name)
-        .ok_or_else(|| CodecError::Shape(format!("<{}> missing attribute {name:?}", el.name)))
+fn env_entry(under: &Tag) -> Result<EnvEntry, CodecError> {
+    let [release, promise, correlation] = under.attrs(["release", "promise", "correlation"]);
+    let release_after = need(under, "release", release)? == "true";
+    let reference = match (promise, correlation) {
+        (Some(id), _) => EnvRef::Id(promise_id(&id)?),
+        (None, Some(c)) => EnvRef::Correlation(c.into_owned()),
+        (None, None) => return Err(shape("<under> needs promise or correlation".into())),
+    };
+    Ok(EnvEntry {
+        reference,
+        release_after,
+    })
 }
 
-fn u64_attr(el: &XmlElement, name: &str) -> Result<u64, CodecError> {
-    req_attr(el, name)?
-        .parse()
-        .map_err(|_| CodecError::Shape(format!("<{}> attribute {name:?} not a u64", el.name)))
+/// `(name, text)` of every `<child name='..'>text</child>` of `el`.
+fn read_pairs<'a>(
+    r: &mut Reader<'a>,
+    el: &Tag<'a>,
+    child: &str,
+) -> Result<Vec<(String, String)>, CodecError> {
+    let mut pairs = Vec::new();
+    children(r, el, |r, el| {
+        if el.name == child {
+            let name = need(el, "name", el.attr("name"))?.into_owned();
+            pairs.push((name, r.text(el)?));
+        }
+        Ok(())
+    })?;
+    Ok(pairs)
 }
 
-/// Parses an envelope from its XML wire form.
-pub fn decode(xml: &str) -> Result<Envelope, CodecError> {
-    let doc = parse(xml)?;
-    if doc.name != "envelope" {
-        return Err(CodecError::Shape(format!(
-            "document element is <{}>, expected <envelope>",
-            doc.name
-        )));
-    }
-    let mut env = Envelope::new();
-    // Trace context is optional (absent from uninstrumented senders); a
-    // malformed pair is a shape error, not silently dropped.
-    if doc.get_attr("trace").is_some() || doc.get_attr("span").is_some() {
-        env.trace = Some(TraceHeader {
-            trace: u64_attr(&doc, "trace")?,
-            span: u64_attr(&doc, "span")?,
-        });
-    }
-    if let Some(header) = doc.find("header") {
-        for el in header.find_all("promise-request") {
-            env.promise_requests.push(PromiseRequestHeader {
-                request_id: req_attr(el, "request-id")?.to_owned(),
-                client: req_attr(el, "client")?.to_owned(),
-                predicates: el.find_all("predicate").map(|p| p.text.clone()).collect(),
-                duration_ms: u64_attr(el, "duration")?,
-                negotiate: el.get_attr("negotiate") == Some("true"),
-                prepare: el.get_attr("prepare") == Some("true"),
-                exchange: el
-                    .find_all("exchange")
-                    .map(|x| u64_attr(x, "promise"))
-                    .collect::<Result<_, _>>()?,
-            });
-        }
-        for el in header.find_all("promise-response") {
-            let result = match req_attr(el, "result")? {
-                "accepted" => PromiseResult::Accepted,
-                "accepted-with-condition" => PromiseResult::AcceptedWithCondition(
-                    el.get_attr("condition").unwrap_or("").to_owned(),
-                ),
-                "rejected" => {
-                    PromiseResult::Rejected(el.get_attr("reason").unwrap_or("").to_owned())
-                }
-                other => {
-                    return Err(CodecError::Shape(format!("unknown result {other:?}")));
-                }
-            };
-            env.promise_responses.push(PromiseResponseHeader {
-                promise_id: el
-                    .get_attr("promise")
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| CodecError::Shape("bad promise id".into()))
-                    })
-                    .transpose()?,
-                result,
-                expires_at: u64_attr(el, "expires")?,
-                correlation: req_attr(el, "correlation")?.to_owned(),
-                granted_predicates: el
-                    .find_all("granted-predicate")
-                    .map(|p| p.text.clone())
-                    .collect(),
-            });
-        }
-        for el in header.find_all("release") {
-            env.releases.push(u64_attr(el, "promise")?);
-        }
-        for el in header.find_all("resolve") {
-            env.resolutions.push(ResolutionHeader {
-                reference: decode_resolve_ref(el)?,
-                op: decode_resolution_op(el)?,
-            });
-        }
-        for el in header.find_all("resolution") {
-            env.resolution_responses.push(ResolutionResponse {
-                reference: decode_resolve_ref(el)?,
-                op: decode_resolution_op(el)?,
-                applied: req_attr(el, "applied")? == "true",
-                error: el.get_attr("error").map(str::to_owned),
-            });
-        }
-        if let Some(el) = header.find("environment") {
-            let mut entries = Vec::new();
-            for u in el.find_all("under") {
-                let release_after = req_attr(u, "release")? == "true";
-                let reference = if let Some(id) = u.get_attr("promise") {
-                    EnvRef::Id(
-                        id.parse()
-                            .map_err(|_| CodecError::Shape("bad promise id".into()))?,
-                    )
-                } else if let Some(c) = u.get_attr("correlation") {
-                    EnvRef::Correlation(c.to_owned())
-                } else {
-                    return Err(CodecError::Shape(
-                        "<under> needs promise or correlation".into(),
-                    ));
-                };
-                entries.push(EnvEntry {
-                    reference,
-                    release_after,
+fn read_body<'a>(r: &mut Reader<'a>, el: &Tag<'a>, env: &mut Envelope) -> Result<(), CodecError> {
+    children(r, el, |r, el| {
+        match el.name {
+            "action" if env.action.is_none() => {
+                let [service, operation] = el.attrs(["service", "operation"]);
+                env.action = Some(ActionRequest {
+                    service: need(el, "service", service)?.into_owned(),
+                    operation: need(el, "operation", operation)?.into_owned(),
+                    params: read_pairs(r, el, "param")?,
                 });
             }
-            env.environment = Some(EnvironmentHeader { entries });
+            "action-response" if env.action_response.is_none() => {
+                let [ok, error] = el.attrs(["ok", "error"]);
+                env.action_response = Some(ActionResponse {
+                    ok: need(el, "ok", ok)? == "true",
+                    error: error.map(Cow::into_owned),
+                    fields: read_pairs(r, el, "field")?,
+                });
+            }
+            _ => {}
         }
-    }
-    if let Some(body) = doc.find("body") {
-        if let Some(el) = body.find("action") {
-            env.action = Some(ActionRequest {
-                service: req_attr(el, "service")?.to_owned(),
-                operation: req_attr(el, "operation")?.to_owned(),
-                params: el
-                    .find_all("param")
-                    .map(|p| Ok((req_attr(p, "name")?.to_owned(), p.text.clone())))
-                    .collect::<Result<_, CodecError>>()?,
-            });
-        }
-        if let Some(el) = body.find("action-response") {
-            env.action_response = Some(ActionResponse {
-                ok: req_attr(el, "ok")? == "true",
-                error: el.get_attr("error").map(str::to_owned),
-                fields: el
-                    .find_all("field")
-                    .map(|p| Ok((req_attr(p, "name")?.to_owned(), p.text.clone())))
-                    .collect::<Result<_, CodecError>>()?,
-            });
-        }
-    }
-    Ok(env)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn full_envelope() -> Envelope {
-        Envelope {
-            promise_requests: vec![PromiseRequestHeader {
-                request_id: "r1".into(),
-                client: "order-process".into(),
-                predicates: vec![
-                    "qty('pink widgets') >= 5".into(),
-                    "prop('rooms', 2): floor == 5 && view == true".into(),
-                ],
-                duration_ms: 60_000,
-                exchange: vec![3, 4],
-                negotiate: false,
-                prepare: false,
-            }],
-            promise_responses: vec![
-                PromiseResponseHeader {
-                    promise_id: Some(7),
-                    result: PromiseResult::Accepted,
-                    expires_at: 60_500,
-                    correlation: "r0".into(),
-                    granted_predicates: vec![],
-                },
-                PromiseResponseHeader {
-                    promise_id: None,
-                    result: PromiseResult::Rejected("insufficient".into()),
-                    expires_at: 0,
-                    correlation: "r-old".into(),
-                    granted_predicates: vec![],
-                },
-            ],
-            releases: vec![9],
-            resolutions: vec![
-                ResolutionHeader {
-                    reference: ResolveRef::Id(12),
-                    op: ResolutionOp::Commit,
-                },
-                ResolutionHeader {
-                    reference: ResolveRef::Request {
-                        client: "coord".into(),
-                        request: "r9@s2".into(),
-                    },
-                    op: ResolutionOp::Abort,
-                },
-            ],
-            resolution_responses: vec![ResolutionResponse {
-                reference: ResolveRef::Id(12),
-                op: ResolutionOp::Commit,
-                applied: true,
-                error: None,
-            }],
-            environment: Some(EnvironmentHeader {
-                entries: vec![
-                    EnvEntry {
-                        reference: EnvRef::Id(7),
-                        release_after: true,
-                    },
-                    EnvEntry {
-                        reference: EnvRef::Correlation("r1".into()),
-                        release_after: false,
-                    },
-                ],
-            }),
-            action: Some(
-                ActionRequest::new("merchant", "purchase")
-                    .param("pool", "pink widgets")
-                    .param("qty", 5),
-            ),
-            action_response: Some(ActionResponse::success().field("order", "o-1")),
-            trace: Some(TraceHeader { trace: 5, span: 6 }),
-        }
-    }
-
-    #[test]
-    fn full_roundtrip() {
-        let env = full_envelope();
-        let xml = encode(&env);
-        let back = decode(&xml).unwrap();
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        let env = Envelope::new();
-        assert_eq!(decode(&encode(&env)).unwrap(), env);
-    }
-
-    #[test]
-    fn predicates_with_xml_specials_survive() {
-        let mut env = Envelope::new();
-        env.promise_requests.push(PromiseRequestHeader {
-            request_id: "r".into(),
-            client: "c".into(),
-            predicates: vec!["qty('a&b') >= 5".into(), "prop('x'): a < 3 && b > 1".into()],
-            duration_ms: 1,
-            exchange: vec![],
-            negotiate: false,
-            prepare: false,
-        });
-        let back = decode(&encode(&env)).unwrap();
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn shape_errors() {
-        assert!(decode("<nope/>").is_err());
-        assert!(decode("<envelope><header><promise-request/></header></envelope>").is_err());
-        assert!(decode(
-            "<envelope><header><promise-response result='weird' expires='1' correlation='c'/></header></envelope>"
-        )
-        .is_err());
-        assert!(decode(
-            "<envelope><header><environment><under release='true'/></environment></header></envelope>"
-        )
-        .is_err());
-        assert!(decode("not xml").is_err());
-    }
+        Ok(())
+    })
 }

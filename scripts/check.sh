@@ -82,17 +82,19 @@ fi
 # repeats to within a few hundred bytes (325 KB while every property check
 # copied its pool out of the RM, 160 KB while it cloned the pool's promise
 # records, 141 KB while the matcher copied every slot's list into hashed
-# tables, ≈ 115 KB since it matches positions in vectors; two seconds are
-# enough for the row to be reported), so a copy of the pool, its records
-# or the slots' lists creeping back into the check path fails here without
-# a stopwatch.
+# tables, ≈ 115 KB while the codec built an element tree of owned strings
+# for every envelope, ≈ 69 KB since it writes each envelope into one
+# string and reads it in place; two seconds are enough for the row to be
+# reported), so a copy of the pool, its records, the slots' lists or a
+# per-element string in the codec creeping back fails here without a
+# stopwatch.
 echo "==> benchmark --workload booking_cross --seed 1 --seconds 2 --trace 1"
 traced=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload booking_cross --seed 1 --seconds 2 --trace 1)
 echo "$traced"
 bytes=$(sed -n 's/.*"alloc.bytes_per_op": {"value": \([0-9]*\).*/\1/p' <<<"$traced")
-if [ -z "$bytes" ] || [ "$bytes" -gt 128000 ]; then
-    echo "booking_cross alloc.bytes_per_op = ${bytes:-missing} B, limit 128000"
+if [ -z "$bytes" ] || [ "$bytes" -gt 76000 ]; then
+    echo "booking_cross alloc.bytes_per_op = ${bytes:-missing} B, limit 76000"
     exit 1
 fi
 # order_local runs traced for the coordinator's dedup index size, also a
