@@ -61,7 +61,8 @@ const SEEDS: &[u64] = &[2007, 31337, 90210];
 ///   replay, or any digest mismatch, compaction crashes included (§14);
 /// * `--leases` — under 90% of hot-pool grants lease-local or under 1.2x
 ///   uplift at 8 shards; in the lease sweep an unclean audit (Σ leases > Q
-///   included), an unhealed mid-rebalance crash, or under 50% local (§15);
+///   included), an unhealed mid-rebalance crash, or under 50% local; over
+///   every seed, a pool whose healed Σ on hand + sold is not Q (§15);
 /// * `--failover` — leaders killed mid-2PC and mid-rebalance at 0/10/20%
 ///   replication faults: an unequal digest triple, a non-zero audit, an
 ///   unrestored lease sum, or promotion MTTR over 500 ms (§16);
@@ -535,6 +536,7 @@ fn leases_mode(seeds: &[u64], mut gate: Gate) {
     gate.check(&what, uplift >= MIN_UPLIFT_8);
 
     let mut sweeps = Vec::new();
+    let (mut sold, mut conserved) = (0, true);
     for &seed in seeds {
         let cfg = ClusterSweepConfig {
             shards: 4,
@@ -558,13 +560,19 @@ fn leases_mode(seeds: &[u64], mut gate: Gate) {
             ("healed_after_crash", r.healed_after_crash.to_string()),
             ("digests_match", r.digests_match().to_string()),
             ("lease_sum_restored", r.lease_sum_restored.to_string()),
+            ("sold", r.sold.to_string()),
+            ("conserved", r.conserved.to_string()),
             ("local_ratio", f(r.local_ratio(), 4)),
         ]);
         sweep.0.extend(audit_fields(&r.audit).0);
         let ok = r.clean() && r.crash_fired && r.local_ratio() >= MIN_SWEEP_LOCAL_RATIO;
         gate.check(&format!("sweep {}", sweep.log()), ok);
         sweeps.push(sweep);
+        sold += r.sold;
+        conserved &= r.conserved;
     }
+    let what = format!("healed Σ on hand + sold = Q per pool, {sold} units sold");
+    gate.check(&what, sold > 0 && conserved);
 
     let gates = Fields(vec![
         ("min_hot_local_ratio", f(MIN_HOT_LOCAL_RATIO, 1)),

@@ -514,7 +514,7 @@ impl PromiseCluster {
             self.telemetry
                 .add("cluster.lease.rebalance_moved", report.moved);
         }
-        // Withdraw/deposit `L` records bypass the bus; ship them before
+        // Withdraw/deposit `W` records bypass the bus; ship them before
         // the cycle is considered complete.
         self.sync_replication();
         Some(report)

@@ -318,7 +318,7 @@ impl Coordinator {
         // headroom for the whole footprint, the grant is one ordinary
         // local grant there — regardless of which shards *own* the pools,
         // and with no coordinator log record. The directory is advisory;
-        // the home shard's own escrow check (promised ≤ lease) is the
+        // the home shard's own escrow check (promised ≤ on hand) is the
         // authority, so a stale estimate costs a round trip, never an
         // oversell.
         let mut decision: Option<ClusterDecision> = None;

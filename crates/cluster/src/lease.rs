@@ -1,15 +1,15 @@
 //! Advisory lease directory: routes grants to the shard whose escrow
 //! lease covers them.
 //!
-//! The durable truth about leases lives in each shard's
-//! `PromiseManager` (journalled `L` records, see `promises-core`). The
-//! directory is the coordinator's *advisory* cache of per-shard lease
+//! The durable truth about leases lives in each shard's pool row (`qty`
+//! beside `lease`, moved by journalled `W` records; see `promises-core`).
+//! The directory is the coordinator's *advisory* cache of per-shard lease
 //! headroom: it decides where to send a grant, while the receiving
-//! shard's own escrow check (promised ≤ on-hand = lease) stays the
-//! authority — a stale directory entry costs one extra round trip, never
-//! an oversell. The directory also accumulates per-`(pool, shard)`
-//! demand counters that the cluster rebalancer drains each cycle to
-//! migrate lease headroom toward observed demand.
+//! shard's own escrow check (promised ≤ on hand) stays the authority — a
+//! stale directory entry costs one extra round trip, never an oversell.
+//! The directory also accumulates per-`(pool, shard)` demand counters
+//! that the cluster rebalancer drains each cycle to migrate lease
+//! headroom toward observed demand.
 
 use std::collections::HashMap;
 

@@ -17,12 +17,12 @@
 //!   immediate and non-blocking, so there is no distributed deadlock;
 //! * crash recovery is presumed-abort over the [`CoordinatorLog`] plus
 //!   each shard's journal replay of in-doubt `P` records;
-//! * with [`PromiseCluster::enable_leases`], a quantity pool's on-hand
-//!   total is partitioned into per-shard *escrow leases* (O'Neil-style
-//!   escrow at the cluster layer): a grant covered by the requesting
-//!   client's home-shard lease is one purely local escrow decrement — no
-//!   coordinator, no 2PC — and a rebalancer migrates lease headroom
-//!   toward observed demand on the prune cadence;
+//! * with [`PromiseCluster::enable_leases`], a quantity pool's total is
+//!   split into per-shard *escrow leases* (O'Neil-style escrow at the
+//!   cluster layer), each a pool row with `qty` on hand beside `lease`: a
+//!   grant covered by the client's home shard is one local escrow check
+//!   there — no coordinator, no 2PC — and a rebalancer migrates lease
+//!   headroom toward observed demand on the prune cadence;
 //! * with [`PromiseCluster::enable_replication`], every shard leader
 //!   ships its journal (checkpoint + tail segments) to a warm
 //!   [`ShardFollower`] semi-synchronously — acked before any reply

@@ -304,8 +304,9 @@ fn register_handlers(gateway: &PromiseGateway) {
 pub enum PoolSeed {
     /// Units on hand.
     Quantity(u64),
-    /// This shard's escrow slice of a cluster-wide pool. It is journalled
-    /// as an `L` record, so recovery, not the seed, restores its current
+    /// This shard's escrow slice of a cluster-wide pool: a row with this
+    /// many units on hand, all of them leased. Lease moves and sales are
+    /// `W` records, so recovery, not the seed, restores the row's current
     /// value.
     Lease(u64),
     /// Instance records by id.
@@ -313,14 +314,12 @@ pub enum PoolSeed {
 }
 
 impl PoolSeed {
-    /// Fills `schema`'s pool on `pm`. Re-installing a lease on a rebuild
-    /// is harmless: the manager has no journal yet, and recovery's lease
-    /// records overwrite it.
+    /// Fills `schema`'s pool on `pm`, journalling nothing.
     fn apply(&self, pm: &PromiseManager, schema: &PoolSchema) {
         let pool = &schema.id;
         match self {
             Self::Quantity(qty) => pm.seed_quantity(pool.clone(), *qty),
-            Self::Lease(lease) => pm.install_lease(pool.clone(), *lease),
+            Self::Lease(lease) => pm.seed_lease(pool.clone(), *lease),
             Self::Instances(instances) => instances.iter().try_for_each(|(id, record)| {
                 pm.seed_instance(pool.clone(), id.clone(), record.clone())
             }),

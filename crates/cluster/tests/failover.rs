@@ -2,8 +2,9 @@
 //! releases, expiries, lease rebalances, mid-rebalance crashes, and
 //! journal compactions. Killing a leader at *any* point must leave the
 //! promoted follower byte-identical to the dead leader, keep every shard
-//! at promised ≤ lease, never mint lease units (Σ leases ≤ registered
-//! total), and never let a double grant survive promotion.
+//! at promised ≤ on hand, never mint lease units (Σ leases ≤ registered
+//! total), never give a sold unit back, and never let a double grant
+//! survive promotion.
 
 use std::collections::HashMap;
 
@@ -273,22 +274,22 @@ fn a_sale_survives_restart_and_promotion() {
 mod interleavings {
     //! The satellite proptest: leader kills + promotions interleaved with
     //! grants, releases, purchases, expiries, lease rebalances,
-    //! mid-rebalance crashes, and compaction-triggering advances. Every
-    //! step keeps promised ≤ lease on every shard and Σ leases ≤
-    //! registered total; every promotion yields a byte-identical replica
-    //! with the dead leader's stock on hand; no double grant survives any
-    //! interleaving.
+    //! mid-rebalance crashes, and compaction-triggering advances. The
+    //! purchases sell from the leased `alpha`. Every step keeps promised ≤
+    //! on hand on every shard, Σ leases ≤ registered total and Σ on hand +
+    //! sold ≤ registered total; every promotion yields a byte-identical
+    //! replica with the dead leader's stock on hand; no double grant
+    //! survives any interleaving.
 
     use super::*;
-    use promises_cluster::GrantPart;
+    use promises_cluster::{GrantPart, ShardNode};
     use promises_core::Clock;
     use proptest::prelude::*;
 
     const POOLS: [&str; 2] = ["alpha", "beta"];
     const TOTAL: u64 = 60;
-    /// The unleased pool purchases take from, hosted on one shard only.
-    const SOLD: &str = "gamma";
-    const SOLD_SHARD: usize = 0;
+    /// The leased pool purchases take from.
+    const SOLD: &str = "alpha";
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -301,9 +302,11 @@ mod interleavings {
         Release {
             index: usize,
         },
-        /// A grant on [`SOLD`], then an action taking what it promised,
-        /// releasing the promise with it or keeping it.
+        /// A grant on [`SOLD`] to `client`, then an action on the granting
+        /// shard taking what it promised, releasing the promise with it
+        /// or keeping it.
         Purchase {
+            client: usize,
             amount: u64,
             release_after: bool,
         },
@@ -336,9 +339,12 @@ mod interleavings {
             arb_grant(),
             arb_grant(),
             (0usize..16).prop_map(|index| Op::Release { index }),
-            (1u64..8, any::<bool>()).prop_map(|(amount, release_after)| Op::Purchase {
-                amount,
-                release_after,
+            (0usize..2, 1u64..8, any::<bool>()).prop_map(|(client, amount, release_after)| {
+                Op::Purchase {
+                    client,
+                    amount,
+                    release_after,
+                }
             }),
             (1u64..120_000).prop_map(|ms| Op::Advance { ms }),
             (0usize..2).prop_map(|shard| Op::KillPromote { shard }),
@@ -347,7 +353,17 @@ mod interleavings {
         ]
     }
 
-    fn assert_lease_invariants(cluster: &PromiseCluster, step: usize) -> Result<(), TestCaseError> {
+    /// Units of `pool` on hand over the shards.
+    fn on_hand_sum(cluster: &PromiseCluster, pool: &str) -> u64 {
+        let on_hand = |n: &ShardNode| n.pm.quantity_on_hand(pool).unwrap();
+        cluster.nodes.iter().map(on_hand).sum()
+    }
+
+    fn assert_lease_invariants(
+        cluster: &PromiseCluster,
+        step: usize,
+        sold: u64,
+    ) -> Result<(), TestCaseError> {
         for pool in POOLS {
             let sum = lease_sum(cluster, pool);
             prop_assert!(
@@ -355,29 +371,33 @@ mod interleavings {
                 "step {step}: lease sum for {pool} minted units: {sum} > {TOTAL}"
             );
             for node in &cluster.nodes {
-                let lease = node.pm.lease_of(pool).unwrap_or(0);
+                let on_hand = node.pm.quantity_on_hand(pool).unwrap();
                 let promised = node.pm.promised_qty(pool);
                 prop_assert!(
-                    promised <= lease,
-                    "step {step}: shard {} oversold {pool}: {promised} > {lease}",
+                    promised <= on_hand,
+                    "step {step}: shard {} oversold {pool}: {promised} > {on_hand}",
                     node.index
                 );
             }
         }
+        let stock = on_hand_sum(cluster, SOLD) + sold;
+        prop_assert!(
+            stock <= TOTAL,
+            "step {step}: a sold unit of {SOLD} came back: {stock} > {TOTAL}"
+        );
         Ok(())
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(1000))]
 
         #[test]
         fn promotion_preserves_every_invariant_under_any_interleaving(
             ops in proptest::collection::vec(arb_op(), 1..20)
         ) {
             let mut cluster = replicated_cluster(TOTAL);
-            cluster.map.assign(SOLD, SOLD_SHARD);
-            cluster.nodes[SOLD_SHARD].host(PoolSchema::quantity(SOLD), PoolSeed::Quantity(TOTAL));
             let mut held: Vec<Vec<GrantPart>> = Vec::new();
+            let mut sold = 0u64;
             for (i, op) in ops.iter().enumerate() {
                 match op {
                     Op::Grant { client, pool, amount, span_both } => {
@@ -403,27 +423,30 @@ mod interleavings {
                             cluster.coordinator.release(&parts);
                         }
                     }
-                    Op::Purchase { amount, release_after } => {
+                    Op::Purchase { client, amount, release_after } => {
                         let predicates = [format!("qty('{SOLD}') >= {amount}")];
                         let decision = cluster
                             .coordinator
-                            .grant("c0", &format!("g{i}"), &predicates, 50_000)
+                            .grant(&format!("c{client}"), &format!("g{i}"), &predicates, 50_000)
                             .unwrap();
                         if let ClusterDecision::Granted { parts } = decision {
-                            let id = PromiseId(parts[0].promise_id);
+                            let (shard, id) = (parts[0].shard, PromiseId(parts[0].promise_id));
                             let env = if *release_after {
                                 Environment::none().releasing(id)
                             } else {
                                 Environment::none().under(id)
                             };
                             let take = *amount as i64;
-                            let sold = cluster.nodes[SOLD_SHARD].pm.execute(&env, |rm, txn| {
+                            let sale = cluster.nodes[shard].pm.execute(&env, |rm, txn| {
                                 rm.update(txn, Catalog::QTY_TABLE, SOLD, |r| {
                                     r.set("qty", r.int("qty").unwrap_or(0) - take);
                                 })?;
                                 Ok(())
                             });
-                            if sold.is_err() || !*release_after {
+                            if sale.is_ok() {
+                                sold += *amount;
+                            }
+                            if sale.is_err() || !*release_after {
                                 held.push(parts);
                             }
                         }
@@ -467,7 +490,7 @@ mod interleavings {
                     }
                     Op::ArmRebalanceCrash => cluster.arm_rebalance_crash(),
                 }
-                assert_lease_invariants(&cluster, i)?;
+                assert_lease_invariants(&cluster, i, sold)?;
                 prop_assert_eq!(
                     double_grants(&cluster), 0,
                     "step {}: a double grant appeared", i
@@ -487,6 +510,7 @@ mod interleavings {
                     pool
                 );
             }
+            prop_assert_eq!(on_hand_sum(&cluster, SOLD) + sold, TOTAL);
             prop_assert_eq!(double_grants(&cluster), 0);
         }
     }

@@ -5,6 +5,7 @@
 use std::sync::atomic::Ordering;
 
 use promises_cluster::{ClusterDecision, PromiseCluster};
+use promises_core::{Catalog, Environment, PromiseId};
 
 const HOUR_MS: u64 = 3_600_000;
 
@@ -31,6 +32,13 @@ fn lease_sum(cluster: &PromiseCluster, pool: &str) -> u64 {
         .iter()
         .map(|n| n.pm.lease_of(pool).unwrap_or(0))
         .sum()
+}
+
+/// Shard `index`'s `(lease_of, quantity_on_hand)` per pool.
+fn slices(cluster: &PromiseCluster, index: usize) -> Vec<(Option<u64>, u64)> {
+    let pm = &cluster.nodes[index].pm;
+    let slice = |pool| (pm.lease_of(pool), pm.quantity_on_hand(pool).unwrap());
+    ["alpha", "beta"].map(slice).to_vec()
 }
 
 #[test]
@@ -176,16 +184,115 @@ fn crash_restart_reconstructs_the_lease_split() {
 
     for index in 0..cluster.shard_count() {
         let pre = cluster.nodes[index].pm.state_digest();
-        let leases_pre: Vec<_> = cluster.nodes[index].pm.leases();
+        let slices_pre = slices(&cluster, index);
         cluster.crash_restart_shard(index);
         assert_eq!(
             cluster.nodes[index].pm.state_digest(),
             pre,
-            "shard {index} state (lease lines included) must survive"
+            "shard {index} state must survive"
         );
-        assert_eq!(cluster.nodes[index].pm.leases(), leases_pre);
+        assert_eq!(slices(&cluster, index), slices_pre);
     }
     assert_eq!(lease_sum(&cluster, "alpha"), 100);
+}
+
+/// Runs an action on `shard` that adds `delta` to `alpha`'s `qty`,
+/// releasing `releasing` with it.
+fn change_alpha(cluster: &PromiseCluster, shard: usize, releasing: Option<PromiseId>, delta: i64) {
+    let env = match releasing {
+        Some(id) => Environment::none().releasing(id),
+        None => Environment::none(),
+    };
+    let done = cluster.nodes[shard].pm.execute(&env, |rm, txn| {
+        rm.update(txn, Catalog::QTY_TABLE, "alpha", |r| {
+            r.set("qty", r.int("qty").unwrap_or(0) + delta);
+        })?;
+        Ok(())
+    });
+    done.expect("the action commits");
+}
+
+/// Client `c0` is granted 4 units of `alpha` from shard 0's lease of 10
+/// and buys them, the promise released with the sale.
+fn sell_four(cluster: &PromiseCluster) {
+    let four = ["qty('alpha') >= 4".to_string()];
+    let decision = cluster.coordinator.grant("c0", "sale", &four, HOUR_MS);
+    let ClusterDecision::Granted { parts } = decision.unwrap() else {
+        panic!("the lease covers 4 units");
+    };
+    assert_eq!(parts[0].shard, 0, "a lease-local grant");
+    change_alpha(cluster, 0, Some(PromiseId(parts[0].promise_id)), -4);
+}
+
+/// Escrow consumes: a sale spends the leased shard's stock and nothing
+/// gives it back. Shard 0 holds a lease of 10 and sells 4; then with no
+/// lease move, after a zero-unit deposit, after a same-node restart and
+/// after a promotion alike it reads 6 on hand, 6 headroom and a lease of
+/// 10, and refuses a grant of 10.
+#[test]
+fn a_sale_on_a_leased_pool_stays_sold() {
+    for path in ["no move", "zero deposit", "restart", "promotion"] {
+        let mut cluster = leased_cluster(10);
+        if path == "promotion" {
+            cluster.enable_replication();
+        }
+        sell_four(&cluster);
+        match path {
+            "zero deposit" => cluster.nodes[0].pm.lease_deposit("alpha", 0).unwrap(),
+            "restart" => drop(cluster.crash_restart_shard(0)),
+            "promotion" => {
+                cluster.kill_shard(0);
+                cluster.promote_follower(0);
+            }
+            _ => {}
+        }
+        let pm = &cluster.nodes[0].pm;
+        assert_eq!(pm.quantity_on_hand("alpha").unwrap(), 6, "{path}");
+        assert_eq!(pm.lease_headroom("alpha"), 6, "{path}");
+        assert_eq!(pm.lease_of("alpha"), Some(10), "{path}");
+        let ten = ["qty('alpha') >= 10".to_string()];
+        let decision = cluster
+            .coordinator
+            .grant("c0", "ten", &ten, HOUR_MS)
+            .unwrap();
+        assert!(!decision.is_granted(), "{path}: {decision:?}");
+    }
+}
+
+/// A rebalance after a sale moves only unsold units: shard 0 sells 4 of
+/// its 10, more demand appears at shard 1, and the cycle moves some of
+/// the 6 left there. Over the shards 6 units are on hand and the leases
+/// still sum to 10.
+#[test]
+fn a_rebalance_after_a_sale_moves_only_unsold_units() {
+    let cluster = leased_cluster(10);
+    sell_four(&cluster);
+    let dir = cluster.lease_directory().expect("leases enabled");
+    dir.note_demand(1, &[("alpha".to_string(), 5)]);
+    let report = cluster.rebalance_leases().expect("leases enabled");
+    assert!(report.moved > 0, "headroom moves toward shard 1");
+    let on_hand: u64 = (cluster.nodes.iter())
+        .map(|n| n.pm.quantity_on_hand("alpha").unwrap())
+        .sum();
+    assert_eq!(on_hand, 6, "a sold unit came back");
+    assert_eq!(lease_sum(&cluster, "alpha"), 10);
+}
+
+/// A restock raises a leased shard's stock above its lease. A withdraw
+/// then moves at most the lease, so the restocked units stay where they
+/// were added and the leases never sum past the pool total.
+#[test]
+fn a_withdraw_after_a_restock_moves_at_most_the_lease() {
+    let cluster = leased_cluster(10);
+    change_alpha(&cluster, 0, None, 5);
+    let pm = &cluster.nodes[0].pm;
+    assert_eq!(pm.lease_headroom("alpha"), 15);
+    assert_eq!(pm.lease_withdraw("alpha", 15).unwrap(), 10);
+    assert_eq!(pm.quantity_on_hand("alpha").unwrap(), 5);
+    assert_eq!(pm.lease_of("alpha"), Some(0));
+    cluster.nodes[1].pm.lease_deposit("alpha", 10).unwrap();
+    assert_eq!(lease_sum(&cluster, "alpha"), 10);
+    assert_eq!(cluster.rebalance_leases().unwrap().healed, 0);
 }
 
 #[test]

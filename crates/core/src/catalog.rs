@@ -4,7 +4,9 @@
 //!
 //! * quantity pools live in one table, [`Catalog::QTY_TABLE`], keyed by
 //!   pool name, with an integer `qty` field (the "quantity on hand" /
-//!   "account balance" attribute of §3.1);
+//!   "account balance" attribute of §3.1); a pool leased to a cluster
+//!   shard carries a second integer field, [`Catalog::LEASE`], the units
+//!   of the cluster-wide total moved to this shard, net of moves;
 //! * each instance pool gets its own table `inst:<pool>`, keyed by
 //!   instance id; every record carries the reserved status field
 //!   [`Catalog::STATUS`] with value `available` or `taken`. That is
@@ -40,6 +42,10 @@ impl Catalog {
     pub const QTY_TABLE: &'static str = "qty_pools";
     /// Reserved status field on instance records.
     pub const STATUS: &'static str = "_status";
+    /// A leased quantity pool's lease field: the units moved to this
+    /// shard, net of moves. Sales change only `qty`, so what the shard
+    /// has consumed is `lease − qty`.
+    pub const LEASE: &'static str = "lease";
 
     /// Creates an empty catalog.
     pub fn new() -> Self {
@@ -106,12 +112,21 @@ impl Catalog {
         txn: &Txn,
         pool: &PoolId,
     ) -> Result<u64, PromiseError> {
+        Ok(self.qty_field(rm, txn, pool, "qty")?.unwrap_or(0))
+    }
+
+    /// Reads field `name` of a quantity pool's row (`None` if unset):
+    /// `qty`, or [`Catalog::LEASE`].
+    pub fn qty_field(
+        &self,
+        rm: &ResourceManager,
+        txn: &Txn,
+        pool: &PoolId,
+        name: &str,
+    ) -> Result<Option<u64>, PromiseError> {
         self.get(pool)?;
         let rec = rm.get(txn, Self::QTY_TABLE, &pool.0)?;
-        Ok(rec
-            .and_then(|r| r.int("qty"))
-            .map(|v| v.max(0) as u64)
-            .unwrap_or(0))
+        Ok(rec.and_then(|r| r.int(name)).map(|v| v.max(0) as u64))
     }
 
     /// Adds an instance to an instance pool with the given properties and

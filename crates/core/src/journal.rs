@@ -25,15 +25,17 @@
 //! seq  gen  R  id                       — release
 //! seq  gen  E  id                       — expiry
 //! seq  gen  A  id  na  (idx inst)…      — allocation rewrite
-//! seq  gen  L  pool  qty                — escrow-lease assignment (absolute)
-//! seq  gen  W  n  (table key f (name value)…)…  — an action's row writes
-//! seq  gen  K  next  n  (G|P record…)…  m  (pool qty)…  r  (row…)…  — checkpoint snapshot
+//! seq  gen  W  n  (table key f (name value)…)…  — an action's or a lease move's row writes
+//! seq  gen  K  next  n  (G|P record…)…  r  (row…)…  — checkpoint snapshot
 //! ```
 //!
 //! `W` carries the after-image of every row one committed action wrote,
 //! sorted by `(table, key)`: `f` typed fields (`I` integer, `B` boolean,
 //! `S` escaped text), or `-` for a deleted row. It precedes the action's
 //! `R` records; recovery writes each row's last image back into the RM.
+//! A lease move — units of a leased pool's escrow slice moved to or from
+//! this shard — is a `W` of the pool's one `qty_pools` row, whose `qty`
+//! and `lease` fields it changes by the same amount.
 //!
 //! `P` records a *prepared hold* — a cross-shard grant awaiting its
 //! coordinator's decision; it carries the same payload as `G`. `C` marks
@@ -41,29 +43,22 @@
 //! recovery keeps it (resources stay reserved, so no other client can be
 //! oversold) until the coordinator resolves it or its expiry reaps it.
 //!
-//! `L` records the manager's *escrow lease* for a pool — the slice of a
-//! cluster-wide quantity this shard may grant locally. The value is
-//! absolute (last write wins on replay), so a rebalance that crashes
-//! between the donor's and the receiver's `L` appends can only *lose*
-//! headroom, never mint it: the cluster-wide invariant
-//! `Σ leases(pool) ≤ on_hand(pool)` survives any crash point.
-//!
 //! # Checkpoints and compaction
 //!
 //! A `K` record is a full snapshot of live manager state at one instant:
 //! the promise-id high-water mark (`next`), then `n` embedded records each
 //! prefixed by a `G`/`P` sub-tag (the `P` sub-tag preserves the in-doubt
-//! prepared mark). Two optional trailing groups follow, each omitted when
-//! it and all after it are empty: the `m` leases and the `r` rows every
-//! `W` left (a `W` payload). [`PromiseJournal::install_checkpoint`] swaps
-//! the whole journal for a single checkpoint entry under the journal
-//! lock — the in-memory analogue of writing a checkpoint to a temp file
-//! and renaming it over the log. Entries appended afterwards form the
-//! post-checkpoint suffix; replay restarts its fold whenever it meets a
-//! `K` record, so recovery cost is O(live promises + suffix), not
-//! O(history). The id high-water mark is carried explicitly because
-//! compaction drops the `G`/`R` history of released high-id promises —
-//! without it a recovering manager would re-issue their ids.
+//! prepared mark). One optional trailing group follows, omitted when it
+//! is empty: the `r` rows every `W` left (a `W` payload).
+//! [`PromiseJournal::install_checkpoint`] swaps the whole journal for a
+//! single checkpoint entry under the journal lock — the in-memory
+//! analogue of writing a checkpoint to a temp file and renaming it over
+//! the log. Entries appended afterwards form the post-checkpoint suffix;
+//! replay restarts its fold whenever it meets a `K` record, so recovery
+//! cost is O(live promises + suffix), not O(history). The id high-water
+//! mark is carried explicitly because compaction drops the `G`/`R`
+//! history of released high-id promises — without it a recovering
+//! manager would re-issue their ids.
 //!
 //! # Generations
 //!
@@ -82,7 +77,7 @@ use promises_telemetry::JournalFacts;
 
 use promises_rm::{Record, RowImages, Value};
 
-use crate::ids::{ClientId, InstanceId, PoolId, PromiseId, RequestId};
+use crate::ids::{ClientId, InstanceId, PromiseId, RequestId};
 use crate::parser::parse_predicate;
 use crate::promise::{Allocation, PromiseRecord};
 
@@ -111,16 +106,8 @@ pub enum JournalOp {
         /// The new allocation set (replaces the old one wholesale).
         allocations: Vec<Allocation>,
     },
-    /// The manager's escrow lease for a pool was set to an absolute
-    /// quantity (install, rebalance withdraw, or rebalance deposit).
-    Lease {
-        /// The leased pool.
-        pool: PoolId,
-        /// The new lease quantity (absolute, not a delta).
-        qty: u64,
-    },
-    /// An action committed these row writes (`None`: deleted). Appended
-    /// before the action's releases.
+    /// An action or a lease move committed these row writes (`None`:
+    /// deleted). Appended before the action's releases.
     Write(RowImages),
     /// A compaction checkpoint: the full live state at one instant.
     /// Replay resets its fold here, so everything before the checkpoint
@@ -148,13 +135,8 @@ pub struct CheckpointState {
     pub next_id: u64,
     /// Every live promise (granted or prepared) at checkpoint time.
     pub live: Vec<CheckpointRecord>,
-    /// Escrow leases held at checkpoint time, sorted by pool. Folding
-    /// them into `K` lets compaction drop the `L` history while keeping
-    /// lease splits recoverable. Encoded as an optional trailing group so
-    /// lease-free checkpoints stay byte-compatible with the PR 5 format.
-    pub leases: Vec<(PoolId, u64)>,
     /// The last image of every row a `W` named: the `W` history folded,
-    /// as a second optional trailing group.
+    /// as an optional trailing group.
     pub rows: RowImages,
 }
 
@@ -324,17 +306,11 @@ fn encode_op(out: &mut String, op: &JournalOp) {
             encode_id(out, "\tA", *id);
             encode_allocs(out, allocations);
         }
-        JournalOp::Lease { pool, qty } => {
-            out.push_str("\tL");
-            push_text(out, &pool.0);
-            push_num(out, *qty);
-        }
         JournalOp::Write(rows) => encode_write(out, rows),
         JournalOp::Checkpoint(cp) => encode_checkpoint(
             out,
             cp.next_id,
             cp.live.iter().map(|item| (item.prepared, &item.record)),
-            &cp.leases,
             &cp.rows,
         ),
     }
@@ -380,7 +356,6 @@ fn encode_checkpoint<'a>(
     out: &mut String,
     next_id: u64,
     live: impl ExactSizeIterator<Item = (bool, &'a PromiseRecord)>,
-    leases: &[(PoolId, u64)],
     rows: &RowImages,
 ) {
     out.push_str("\tK");
@@ -389,15 +364,7 @@ fn encode_checkpoint<'a>(
     for (prepared, record) in live {
         encode_record(out, if prepared { "\tP" } else { "\tG" }, record);
     }
-    // Trailing lease and row groups, each omitted when it and the rest
-    // are empty, so lease-free checkpoints keep the pre-lease line format.
-    if !leases.is_empty() || !rows.is_empty() {
-        push_num(out, leases.len() as u64);
-        for (pool, qty) in leases {
-            push_text(out, &pool.0);
-            push_num(out, *qty);
-        }
-    }
+    // The trailing row group, omitted when empty.
     if !rows.is_empty() {
         encode_rows(out, rows);
     }
@@ -542,11 +509,6 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
             let allocations = r.allocs()?;
             JournalOp::Allocations { id, allocations }
         }
-        "L" => {
-            let pool = PoolId(unescape(r.next("lease pool")?).into_owned());
-            let qty = r.next_u64("lease qty")?;
-            JournalOp::Lease { pool, qty }
-        }
         "W" => JournalOp::Write(r.rows()?),
         "K" => {
             let next_id = r.next_u64("checkpoint id high-water")?;
@@ -563,15 +525,7 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
                 let record = read_record(&mut r)?;
                 live.push(CheckpointRecord { prepared, record });
             }
-            // Optional trailing lease and row groups: absent on lines
-            // written before them, and when they are empty.
-            let mut leases = Vec::new();
-            if r.peek().is_some() {
-                for _ in 0..r.next_u64("checkpoint lease count")? {
-                    let pool = PoolId(unescape(r.next("checkpoint lease pool")?).into_owned());
-                    leases.push((pool, r.next_u64("checkpoint lease qty")?));
-                }
-            }
+            // The optional trailing row group: absent when it is empty.
             let rows = if r.peek().is_some() {
                 r.rows()?
             } else {
@@ -580,7 +534,6 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
             JournalOp::Checkpoint(CheckpointState {
                 next_id,
                 live,
-                leases,
                 rows,
             })
         }
@@ -708,9 +661,9 @@ impl PromiseJournal {
 
     /// Atomically swaps the journal's contents for a single checkpoint
     /// entry — the [`CheckpointState`] made of `next_id`, `live` (each
-    /// record with its prepared mark, in the order given), `leases` and
-    /// `rows`, encoded straight from the borrowed records. The swap happens
-    /// under the journal lock — the in-memory analogue of writing the
+    /// record with its prepared mark, in the order given) and `rows`,
+    /// encoded straight from the borrowed records. The swap happens under
+    /// the journal lock — the in-memory analogue of writing the
     /// checkpoint to a temp file and renaming it over the log, so a reader
     /// (or a crash) sees either the full old journal or the checkpointed
     /// one, never a mix. The checkpoint is assigned the next sequence number;
@@ -720,7 +673,6 @@ impl PromiseJournal {
         &self,
         next_id: u64,
         live: &[(bool, &PromiseRecord)],
-        leases: &[(PoolId, u64)],
         rows: &RowImages,
     ) -> CheckpointStats {
         let mut inner = self.inner.lock();
@@ -731,7 +683,7 @@ impl PromiseJournal {
         // the append scratch keeps a checkpoint-sized slack.
         let mut line = String::new();
         encode_head(&mut line, seq, inner.generation);
-        encode_checkpoint(&mut line, next_id, live.iter().copied(), leases, rows);
+        encode_checkpoint(&mut line, next_id, live.iter().copied(), rows);
         line.shrink_to_fit();
         inner.lines = vec![line];
         // The swap is itself one durable write, and it covers every record
@@ -1096,6 +1048,8 @@ mod tests {
         assert!(decode_entry("not-a-number\t0\tR\t1", 5).is_err());
         assert!(decode_entry("1\t0\tZ\t1", 0).is_err());
         assert!(decode_entry("1\t0\tG\t1\tc", 0).is_err());
+        // The escrow-lease record this format once had.
+        assert!(decode_entry("7\t1\tL\tp%25%09%0D%0Aü\t0", 0).is_err());
         let err = decode_entry("1\t0", 9).unwrap_err();
         assert_eq!(err.line, 9);
     }
@@ -1148,23 +1102,20 @@ mod tests {
             id: PromiseId(9),
             allocations: record.allocations.clone(),
         });
-        j.append(JournalOp::Lease {
-            pool: PoolId::from("p%\t\r\nü"),
-            qty: 0,
-        });
         // Every line is stored at its exact size, the `K` lines too.
         let exact =
             |j: &PromiseJournal| j.inner.lock().lines.iter().all(|l| l.capacity() == l.len());
         assert!(exact(&j));
         let mut lines = j.lines();
-        j.install_checkpoint(0, &[], &[], &RowImages::new());
+        // Seq 7 is a checkpoint the next one replaces whole.
+        j.install_checkpoint(0, &[], &RowImages::new());
+        j.install_checkpoint(0, &[], &RowImages::new());
         lines.extend(j.lines());
         let mut other = record.clone();
         other.id = PromiseId(12);
         other.allocations.clear();
         let live = [(false, &record), (true, &other)];
-        let leases = [(PoolId::from("p%\t\r\nü"), 640), (PoolId::from("w"), 1)];
-        j.install_checkpoint(40, &live, &leases, &RowImages::new());
+        j.install_checkpoint(40, &live, &RowImages::new());
         assert!(exact(&j));
         lines.extend(j.lines());
         // An action's row writes — Int, Bool and Str fields, and a row
@@ -1180,7 +1131,7 @@ mod tests {
         ]);
         j.append_writes(&rows);
         lines.extend(j.lines().into_iter().skip(1));
-        j.install_checkpoint(41, &[], &[], &rows);
+        j.install_checkpoint(41, &[], &rows);
         assert!(exact(&j));
         lines.extend(j.lines());
         let want = [
@@ -1202,7 +1153,6 @@ mod tests {
             "4\t1\tR\t8",
             "5\t1\tE\t18446744073709551615",
             "6\t1\tA\t9\t2\t1\ti%25%09%0D%0Aü\t2\t512",
-            "7\t1\tL\tp%25%09%0D%0Aü\t0",
             "8\t1\tK\t0\t0",
             concat!(
                 "9\t1\tK\t40\t2",
@@ -1215,7 +1165,7 @@ mod tests {
                 "\tqty('p%25%09%0D%0Aü') >= 5",
                 "\tnamed('p%25%09%0D%0Aü', 'i%25%09%0D%0Aü')",
                 "\tprop('p%25%09%0D%0Aü', 2): view == 'v%25%09%0D%0Aü'",
-                "\t0\t2\tp%25%09%0D%0Aü\t640\tw\t1",
+                "\t0",
             ),
             concat!(
                 "10\t1\tW\t2\tinst:p%25%09%0D%0Aü\ti%25%09%0D%0Aü\t4",
@@ -1223,7 +1173,7 @@ mod tests {
                 "\tqty_pools\tgone\t-",
             ),
             concat!(
-                "11\t1\tK\t41\t0\t0\t2\tinst:p%25%09%0D%0Aü\ti%25%09%0D%0Aü\t4",
+                "11\t1\tK\t41\t0\t2\tinst:p%25%09%0D%0Aü\ti%25%09%0D%0Aü\t4",
                 "\t_status\tStaken\tfloor\tI-3\tnote\tSn%25%09%0D%0Aü\tview\tBtrue",
                 "\tqty_pools\tgone\t-",
             ),
@@ -1255,7 +1205,6 @@ mod tests {
                         record: other,
                     },
                 ],
-                leases: vec![(PoolId::from("widgets"), 640), (PoolId::from("x%y"), 0)],
                 rows: RowImages::new(),
             }),
         };
@@ -1272,7 +1221,6 @@ mod tests {
             op: JournalOp::Checkpoint(CheckpointState {
                 next_id: 17,
                 live: vec![],
-                leases: vec![],
                 rows: RowImages::new(),
             }),
         };
@@ -1280,25 +1228,9 @@ mod tests {
     }
 
     #[test]
-    fn lease_line_roundtrips() {
-        let entry = JournalEntry {
-            seq: 8,
-            generation: 2,
-            op: JournalOp::Lease {
-                pool: PoolId::from("hot\tpool"),
-                qty: 12_500,
-            },
-        };
-        let line = encode_entry(&entry);
-        assert_eq!(line.split('\t').nth(2), Some("L"));
-        assert_eq!(decode_entry(&line, 0).unwrap(), entry);
-    }
-
-    #[test]
     fn pre_lease_checkpoint_lines_still_decode() {
-        // A PR 5 checkpoint (no trailing lease group) must decode to an
-        // empty lease set, and a lease-free checkpoint must re-encode to
-        // the identical pre-lease line.
+        // A checkpoint with no rows ends at its last record, as the
+        // checkpoints written before `W` existed did, and decodes back.
         let old = JournalEntry {
             seq: 2,
             generation: 1,
@@ -1308,12 +1240,11 @@ mod tests {
                     prepared: false,
                     record: sample_record(),
                 }],
-                leases: vec![],
                 rows: RowImages::new(),
             }),
         };
         let line = encode_entry(&old);
-        assert!(!line.ends_with("\t0"), "empty lease group must be omitted");
+        assert!(!line.ends_with("\t0"), "an empty row group must be omitted");
         assert_eq!(decode_entry(&line, 0).unwrap(), old);
     }
 
@@ -1323,7 +1254,7 @@ mod tests {
         j.append(JournalOp::Grant(sample_record()));
         j.append(JournalOp::Release(PromiseId(7)));
         j.bump_generation();
-        let stats = j.install_checkpoint(7, &[], &[], &RowImages::new());
+        let stats = j.install_checkpoint(7, &[], &RowImages::new());
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.seq, 3);
         assert_eq!(j.len(), 1);
@@ -1424,12 +1355,7 @@ mod tests {
         // exists leader-side — the segment is the checkpoint plus tail.
         leader.append(JournalOp::Release(PromiseId(7)));
         leader.append(JournalOp::Grant(sample_record()));
-        leader.install_checkpoint(
-            9,
-            &[(false, &sample_record())],
-            &[("pink-widgets".into(), 40)],
-            &RowImages::new(),
-        );
+        leader.install_checkpoint(9, &[(false, &sample_record())], &RowImages::new());
         // Encoding from borrowed records writes the same bytes as encoding
         // the owned entry a decoder hands back.
         assert_eq!(
@@ -1443,7 +1369,6 @@ mod tests {
                         prepared: false,
                         record: sample_record(),
                     }],
-                    leases: vec![("pink-widgets".into(), 40)],
                     rows: RowImages::new(),
                 }),
             })]
@@ -1490,7 +1415,7 @@ mod tests {
         let journal = PromiseJournal::new();
         journal.append(JournalOp::Release(PromiseId(1)));
         journal.append(JournalOp::Release(PromiseId(2)));
-        let stats = journal.install_checkpoint(3, &[], &[], &RowImages::new());
+        let stats = journal.install_checkpoint(3, &[], &RowImages::new());
         assert_eq!(journal.flushed_seq(), stats.seq);
         let (writes, records) = journal.flush_stats();
         assert_eq!(writes, 1);

@@ -22,7 +22,7 @@
 //! action + release).
 //!
 //! Everything the manager records per promise — the table, the request-id
-//! index, prepared marks, observation pins, tombstones, leases — is one
+//! index, prepared marks, observation pins, tombstones — is one
 //! value behind one mutex (`crate::state`), so every reader sees one
 //! consistent cut and the journal, appended under that mutex, is in
 //! table-mutation order. The check itself runs on a snapshot *outside*
@@ -433,9 +433,10 @@ pub struct PromiseManager {
     rm: Arc<ResourceManager>,
     catalog: RwLock<Catalog>,
     /// The promise table with every per-promise mark, the tombstones and
-    /// the leases: one value behind one lock (see [`PromiseState`]). Every
-    /// journal append happens under it, so journal order is table-mutation
-    /// order. Taken after `catalog` when both are held.
+    /// the journalled rows: one value behind one lock (see
+    /// [`PromiseState`]). Every journal append happens under it, so
+    /// journal order is table-mutation order. Taken after `catalog` when
+    /// both are held.
     state: Mutex<PromiseState>,
     clock: Arc<dyn Clock>,
     max_duration_ms: u64,
@@ -797,54 +798,59 @@ impl PromiseManager {
     // Escrow leases
     // ==================================================================
 
-    /// Installs this manager's escrow lease for `pool` at an absolute
-    /// quantity, setting the pool's on-hand quantity to the lease slice
-    /// (setup/admin: a cluster partitions a pool's total across shards).
-    /// The pool's schema must already be registered. Journalled as an `L`
-    /// record so the split survives crash/restart.
-    pub fn install_lease(&self, pool: impl Into<PoolId>, qty: u64) -> Result<(), PromiseError> {
-        self.set_lease(&pool.into(), |_, _| Some(qty)).map(drop)
+    /// Seeds `pool` as this manager's escrow slice of a cluster-wide
+    /// quantity: `qty` on hand, all of it leased (setup/admin: a cluster
+    /// partitions a pool's total across shards). Like
+    /// [`seed_quantity`](Self::seed_quantity) it writes no journal line.
+    /// The pool's schema must already be registered.
+    pub fn seed_lease(&self, pool: impl Into<PoolId>, qty: u64) -> Result<(), PromiseError> {
+        let pool = pool.into();
+        self.write_txn(|catalog, txn| {
+            catalog.set_quantity(&self.rm, txn, &pool, qty)?;
+            let lease = |row: &mut Record| row.set(Catalog::LEASE, qty as i64);
+            Ok(self.rm.update(txn, Catalog::QTY_TABLE, &pool.0, lease)?)
+        })
     }
 
-    /// Withdraws up to `want` units of lease *headroom* (lease minus
-    /// quantity promised) from this manager, shrinking both the lease and
-    /// the pool's on-hand quantity. Returns how much was actually moved —
-    /// clamped to the available headroom, so a withdraw can never strand
-    /// already-promised units. Runs under the pool's promise-ops
-    /// synchronisation point, serialising against concurrent grants.
+    /// Withdraws up to `want` units of lease *headroom* from this manager:
+    /// at most `min(on hand − promised, lease)`, so a withdraw never
+    /// strands promised units and never moves units this shard was not
+    /// leased (a restock above the lease stays here). The pool row's
+    /// `qty` and `lease` both shrink by what moved, which is returned.
+    /// Runs under the pool's promise-ops synchronisation point,
+    /// serialising against concurrent grants.
     ///
-    /// A rebalance is withdraw-then-deposit: the donor's `L` record lands
+    /// A rebalance is withdraw-then-deposit: the donor's `W` record lands
     /// before the receiver's, so a crash between them loses headroom
     /// (recoverable by a later top-up) but never mints it.
     pub fn lease_withdraw(&self, pool: impl Into<PoolId>, want: u64) -> Result<u64, PromiseError> {
-        if want == 0 {
-            return Ok(0);
-        }
-        self.set_lease(&pool.into(), |lease, promised| {
-            let moved = want.min(lease.saturating_sub(promised));
-            (moved > 0).then(|| lease - moved)
+        self.move_lease(&pool.into(), |qty, lease, promised| {
+            let moved = want.min(qty.saturating_sub(promised)).min(lease);
+            -(moved as i64)
         })
-        .map(|(before, after)| before - after)
+        .map(i64::unsigned_abs)
     }
 
-    /// Deposits `delta` units of lease headroom into this manager, growing
-    /// both the lease and the pool's on-hand quantity. Returns the new
-    /// lease. The caller (the cluster rebalancer) is responsible for only
-    /// depositing units previously withdrawn from another shard.
-    pub fn lease_deposit(&self, pool: impl Into<PoolId>, delta: u64) -> Result<u64, PromiseError> {
-        self.set_lease(&pool.into(), |lease, _| Some(lease.saturating_add(delta)))
-            .map(|(_, after)| after)
+    /// Deposits `delta` units into this manager's lease: the pool row's
+    /// `qty` and `lease` both grow by it. The caller (the cluster
+    /// rebalancer) is responsible for only depositing units previously
+    /// withdrawn from another shard.
+    pub fn lease_deposit(&self, pool: impl Into<PoolId>, delta: u64) -> Result<(), PromiseError> {
+        self.move_lease(&pool.into(), |_, _, _| delta as i64)
+            .map(drop)
     }
 
     /// One lease move, under the same synchronisation point grants over
-    /// `pool` take: `decide(lease, promised)` names the new absolute lease
-    /// (`None` leaves it alone), which becomes the pool's on-hand quantity
-    /// and an `L` record. Returns the lease before and after.
-    fn set_lease(
+    /// `pool` take: `decide(qty, lease, promised)` names how many units
+    /// move in (negative: out), added to both the `qty` and the `lease` of
+    /// the pool's row in one read-modify-write and journalled as a `W`
+    /// record. A move of nothing is rolled back unjournalled. Returns what
+    /// moved.
+    fn move_lease(
         &self,
         pool: &PoolId,
-        decide: impl Fn(u64, u64) -> Option<u64>,
-    ) -> Result<(u64, u64), PromiseError> {
+        decide: impl Fn(u64, u64, u64) -> i64,
+    ) -> Result<i64, PromiseError> {
         let tel = self.tel();
         let tel = tel.as_deref();
         self.with_retries(tel, || {
@@ -852,47 +858,40 @@ impl PromiseManager {
             if let Err(e) = self.lock_ops(&txn, std::slice::from_ref(pool)) {
                 return Err(self.abort_with(txn, e.into()));
             }
-            // Nothing else moves this pool's lease or promised quantity
-            // while its synchronisation point is held, so the state lock
-            // is not kept across the RM write.
-            let (lease, promised) = {
-                let st = self.state.lock();
-                (st.lease(pool), st.table().promised_qty(pool))
+            // Nothing else moves this pool's promised quantity while its
+            // synchronisation point is held.
+            let promised = self.state.lock().table().promised_qty(pool);
+            let mut delta = 0;
+            let moved = self.rm.update(&txn, Catalog::QTY_TABLE, &pool.0, |row| {
+                let [qty, lease] = ["qty", Catalog::LEASE].map(|f| row.int(f).unwrap_or(0));
+                delta = decide(qty.max(0) as u64, lease.max(0) as u64, promised);
+                row.set("qty", qty + delta);
+                row.set(Catalog::LEASE, lease + delta);
+            });
+            let writes = match moved.and_then(|()| self.rm.write_set(&txn)) {
+                Ok(_) if delta == 0 => return self.abort_then(txn, 0),
+                Ok(writes) => writes,
+                Err(e) => return Err(self.abort_with(txn, e.into())),
             };
-            let Some(qty) = decide(lease, promised) else {
-                return self.abort_then(txn, (lease, lease));
-            };
-            if let Err(e) = self.catalog.read().set_quantity(&self.rm, &txn, pool, qty) {
-                return Err(self.abort_with(txn, e));
-            }
-            {
-                let mut st = self.state.lock();
-                st.leases.insert(pool.clone(), qty);
-                let pool = pool.clone();
-                self.journal_append(tel, |j| j.append(JournalOp::Lease { pool, qty }));
-            }
+            self.journal_writes(&mut self.state.lock(), tel, writes);
             self.rm.commit(txn)?;
-            Ok((lease, qty))
+            Ok(delta)
         })
     }
 
-    /// This manager's escrow lease for `pool`, if one is installed.
+    /// This manager's escrow lease for `pool`: the lease field of the
+    /// pool's row, `None` when the pool is not leased here (or its row
+    /// cannot be read).
     pub fn lease_of(&self, pool: impl Into<PoolId>) -> Option<u64> {
-        self.state.lock().leases.get(&pool.into()).copied()
+        self.qty_field(pool.into(), Catalog::LEASE).ok().flatten()
     }
 
-    /// All escrow leases held by this manager (sorted by pool).
-    pub fn leases(&self) -> Vec<(PoolId, u64)> {
-        self.state.lock().lease_list()
-    }
-
-    /// Unpromised lease headroom for `pool`: lease minus quantity promised
-    /// (0 when no lease is installed).
+    /// Unpromised headroom in `pool`: quantity on hand minus quantity
+    /// promised (0 when the pool cannot be read).
     pub fn lease_headroom(&self, pool: impl Into<PoolId>) -> u64 {
         let pool = pool.into();
-        let st = self.state.lock();
-        st.lease(&pool)
-            .saturating_sub(st.table().promised_qty(&pool))
+        let on_hand = self.quantity_on_hand(pool.clone()).unwrap_or(0);
+        on_hand.saturating_sub(self.promised_qty(pool))
     }
 
     /// Quantity promised against `pool` by live promises.
@@ -1486,11 +1485,11 @@ impl PromiseManager {
     }
 
     /// Rebuilds the promise state — table, per-pool indexes, quantity
-    /// aggregates, request-id index, prepared marks, tombstones, leases —
+    /// aggregates, request-id index, prepared marks, tombstones —
     /// from `journal` after a (simulated) crash, writes every row an
-    /// action wrote back into the RM (over the pools the caller registered
-    /// and seeded), installs the state with one store, then installs the
-    /// journal for continued appends.
+    /// action or a lease move wrote back into the RM (over the pools the
+    /// caller registered and seeded), installs the state with one store,
+    /// then installs the journal for continued appends.
     ///
     /// Replay is *idempotent*: `Grant` inserts (replacing any stale copy),
     /// `Release`/`Expire` of an absent id is a no-op, and `Allocations`
@@ -1536,11 +1535,6 @@ impl PromiseManager {
                 JournalOp::Allocations { id, allocations } => {
                     state.set_allocations(id, allocations);
                 }
-                JournalOp::Lease { pool, qty } => {
-                    // Absolute values: last write wins, exactly the state
-                    // the pre-crash manager last made durable.
-                    state.leases.insert(pool, qty);
-                }
                 JournalOp::Write(rows) => state.rows.extend(rows),
                 JournalOp::Checkpoint(cp) => {
                     // A checkpoint is a full snapshot of live state: reset
@@ -1549,7 +1543,6 @@ impl PromiseManager {
                     // history.
                     state = PromiseState::with_capacity(cp.live.len());
                     reaped.clear();
-                    state.leases = cp.leases.into_iter().collect();
                     state.rows = cp.rows;
                     max_id = max_id.max(cp.next_id);
                     for item in cp.live {
@@ -1572,13 +1565,10 @@ impl PromiseManager {
         }
         // The journal is the durable truth for the RM's application state,
         // written back in one transaction over what the caller seeded (a
-        // no-op over an RM that already holds it): each row's last image
-        // (creating any table the RM lacks; a gone row is deleted), then
-        // each leased pool's on-hand quantity as its lease, which also
-        // mends a crash between the RM write and the `L` append. Pools
-        // whose schema the caller has not re-registered are skipped
-        // (schema registration is not journalled).
-        self.write_txn(|catalog, txn| {
+        // no-op over an RM that already holds it): each row's last image,
+        // a leased pool's row with its lease (creating any table the RM
+        // lacks; a gone row is deleted).
+        self.write_txn(|_, txn| {
             for ((table, key), image) in &state.rows {
                 self.rm.create_table(table);
                 match image {
@@ -1589,8 +1579,7 @@ impl PromiseManager {
                     },
                 }
             }
-            let mut leased = (state.leases.iter()).filter(|(pool, _)| catalog.contains(pool));
-            leased.try_for_each(|(pool, qty)| catalog.set_quantity(&self.rm, txn, pool, *qty))
+            Ok(())
         })?;
         *self.state.lock() = state;
         *self.journal.write() = Some(journal);
@@ -1614,7 +1603,7 @@ impl PromiseManager {
     }
 
     /// Compacts the attached journal: captures the live table, prepared
-    /// marks, leases and id high-water into one checkpoint record and
+    /// marks, journalled rows and id high-water into one checkpoint record and
     /// atomically swaps it in for the accumulated history
     /// ([`PromiseJournal::install_checkpoint`]). The snapshot is built and
     /// swapped under the state lock — the same lock every journal append
@@ -1633,15 +1622,14 @@ impl PromiseManager {
         };
         let started = Instant::now();
         let st = self.state.lock();
-        let (live, leases) = (st.records(), st.lease_list());
+        let live = st.records();
         let crash = self.compaction_crash.lock().take();
         if crash == Some(CompactionCrash::BeforeSwap) {
             // Modeled crash while writing the checkpoint temp file: the
             // real journal was never touched.
             return Err(PromiseError::CompactionInterrupted);
         }
-        let stats =
-            journal.install_checkpoint(st.table().id_high_water(), &live, &leases, &st.rows);
+        let stats = journal.install_checkpoint(st.table().id_high_water(), &live, &st.rows);
         let report = CompactionReport {
             dropped: stats.dropped,
             live: live.len(),
@@ -1756,10 +1744,15 @@ impl PromiseManager {
 
     /// The quantity on hand in a quantity pool (audit/introspection).
     pub fn quantity_on_hand(&self, pool: impl Into<PoolId>) -> Result<u64, PromiseError> {
-        let pool = pool.into();
+        Ok(self.qty_field(pool.into(), "qty")?.unwrap_or(0))
+    }
+
+    /// Reads field `name` of a quantity pool's row in a transaction of
+    /// its own (`None` if unset).
+    fn qty_field(&self, pool: PoolId, name: &str) -> Result<Option<u64>, PromiseError> {
         let catalog = self.catalog.read();
         let txn = self.rm.begin();
-        match catalog.quantity(&self.rm, &txn, &pool) {
+        match catalog.qty_field(&self.rm, &txn, &pool, name) {
             Ok(q) => self.abort_then(txn, q),
             Err(e) => Err(self.abort_with(txn, e)),
         }
@@ -1800,8 +1793,8 @@ impl PromiseManager {
     /// A canonical string over the full promise-table state: every record
     /// (sorted by id, predicates in `Display` form, allocations in slot
     /// order), the per-pool promised-quantity aggregates, the expiry
-    /// histogram, the prepared marks and the escrow leases — one
-    /// consistent cut under the state lock. Two managers with byte-equal
+    /// histogram and the prepared marks — one consistent cut under the
+    /// state lock. Two managers with byte-equal
     /// digests hold equivalent promise state — the crash-recovery tests
     /// compare a pre-crash digest against the
     /// post-[`PromiseManager::recover`] digest.
@@ -1896,6 +1889,14 @@ impl PromiseManager {
             }
         }
         journal.is_some()
+    }
+
+    /// Journals `writes` as one `W` record and folds them into the state's
+    /// rows, when a journal is attached. Called under the state lock.
+    fn journal_writes(&self, st: &mut PromiseState, tel: Option<&PmTel>, writes: RowImages) {
+        if !writes.is_empty() && self.journal_append(tel, |j| j.append_writes(&writes)) {
+            st.rows.extend(writes);
+        }
     }
 
     /// Acquires an operation's synchronisation points: one per footprint
@@ -2134,9 +2135,7 @@ impl PromiseManager {
         }
         // The action's writes go first, in the same batch as the releases
         // that ride with them (§8: one transaction).
-        if !writes.is_empty() && self.journal_append(tel, |j| j.append_writes(&writes)) {
-            st.rows.extend(writes);
-        }
+        self.journal_writes(&mut st, tel, writes);
         let mut left = Vec::with_capacity(t.leaving.len());
         for id in t.leaving {
             if let Some(rec) = st.take(*id) {

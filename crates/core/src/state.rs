@@ -4,13 +4,13 @@
 //! The promise table is the paper's (§8); around it sit the marks a
 //! promise carries while it is live — its `(client, request)` key, its
 //! prepared (in-doubt) mark, its observation pin — plus what outlives it
-//! (the tombstone of an expired promise), the escrow leases that bound
-//! what may be promised, and the last image of each row an action wrote.
+//! (the tombstone of an expired promise), and the last image of each row
+//! an action or a lease move wrote.
 //! The marks are private to this module and [`PromiseState::take`] is the
 //! only way a record leaves the table, so a mark cannot outlive its
 //! record.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use promises_rm::RowImages;
@@ -41,15 +41,10 @@ pub(crate) struct PromiseState {
     /// distinct "promise-expired" error (§2) for a grace period — bounded
     /// by eviction in deadline order, not all of history.
     pub(crate) tombstones: DeadlineMap<PromiseId, ()>,
-    /// Per-pool escrow leases: the slice of a cluster-wide quantity this
-    /// manager may grant locally. Empty for a standalone manager. Durable:
-    /// journalled as absolute-value `L` records, checkpointed, part of the
-    /// digest.
-    pub(crate) leases: BTreeMap<PoolId, u64>,
-    /// The last image of every RM row an executed action wrote, kept only
-    /// while a journal is attached. Durable: journalled as `W` records,
-    /// checkpointed, written back into the RM by recovery. Not promise
-    /// state, so not part of the digest.
+    /// The last image of every RM row an executed action or a lease move
+    /// wrote, kept only while a journal is attached. Durable: journalled
+    /// as `W` records, checkpointed, written back into the RM by recovery.
+    /// Not promise state, so not part of the digest.
     pub(crate) rows: RowImages,
 }
 
@@ -174,11 +169,6 @@ impl PromiseState {
         also
     }
 
-    /// The lease on `pool` (0 when none is installed).
-    pub(crate) fn lease(&self, pool: &PoolId) -> u64 {
-        self.leases.get(pool).copied().unwrap_or(0)
-    }
-
     /// Every record with its prepared mark, sorted by id (table iteration
     /// order is not deterministic): what a checkpoint captures.
     pub(crate) fn records(&self) -> Vec<(bool, &PromiseRecord)> {
@@ -191,15 +181,10 @@ impl PromiseState {
         live
     }
 
-    /// The leases, sorted by pool.
-    pub(crate) fn lease_list(&self) -> Vec<(PoolId, u64)> {
-        self.leases.iter().map(|(p, q)| (p.clone(), *q)).collect()
-    }
-
     /// A canonical string over the durable state: every record (sorted by
     /// id, predicates in `Display` form, allocations in slot order), the
-    /// per-pool promised-quantity aggregates, the expiry histogram, the
-    /// prepared marks and the leases. Pins are volatile and left out.
+    /// per-pool promised-quantity aggregates, the expiry histogram and the
+    /// prepared marks. Pins are volatile and left out.
     pub(crate) fn digest(&self) -> String {
         let live = self.records();
         let mut out = String::new();
@@ -223,9 +208,6 @@ impl PromiseState {
         }
         for (_, rec) in live.iter().filter(|(prepared, _)| *prepared) {
             out.push_str(&format!("prepared {}\n", rec.id));
-        }
-        for (pool, qty) in &self.leases {
-            out.push_str(&format!("lease {pool}={qty}\n"));
         }
         out
     }

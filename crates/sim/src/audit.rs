@@ -19,9 +19,9 @@
 //! * **no oversells** — per manager, quantity promised to live promises
 //!   never exceeds quantity on hand;
 //! * **no lease oversells** and **no minting** (leased clusters only) —
-//!   per shard, promised quantity never exceeds the shard's lease slice;
-//!   per pool, the cluster-wide lease sum never exceeds the registered
-//!   quantity;
+//!   per shard, promised quantity never exceeds the shard's stock on
+//!   hand, what is left of its lease slice after its sales; per pool, the
+//!   cluster-wide lease sum never exceeds the registered quantity;
 //! * **no leaks** — after every duration passes, expiry reclaims every
 //!   hold the run abandoned (crashed coordinators included, once recovery
 //!   has run);
@@ -55,7 +55,8 @@ pub struct ClusterAudit {
     /// Coordinator dedup entries plus shard tombstones surviving past
     /// every retry window and eviction grace.
     pub state_after_reap: usize,
-    /// Shards whose promised quantity exceeded their lease slice.
+    /// Shards whose promised quantity exceeded their stock on hand of a
+    /// leased pool.
     pub lease_oversells: u64,
     /// Pools whose cluster-wide lease sum exceeded the registered quantity.
     pub lease_sum_violations: u64,
@@ -193,16 +194,17 @@ pub(crate) fn lease_sum(cluster: &PromiseCluster, pool: &str) -> u64 {
 }
 
 /// The two lease invariants, audited from authoritative shard state: per
-/// shard, promised quantity never exceeds the lease slice (escrow never
-/// oversells); per pool, Σ leases never exceeds the registered quantity
-/// (rebalancing never mints units — a crash between a withdraw and its
-/// deposit may only *lose* headroom, which the heal pass re-credits).
+/// shard, promised quantity never exceeds the stock on hand (escrow never
+/// oversells, sales included); per pool, Σ leases never exceeds the
+/// registered quantity (rebalancing never mints units — a crash between a
+/// withdraw and its deposit may only *lose* headroom, which the heal pass
+/// re-credits).
 pub(crate) fn audit_leases(cluster: &PromiseCluster) -> ClusterAudit {
     let mut audit = ClusterAudit::default();
     for (pool, total, _) in cluster.registered_pools() {
         for node in &cluster.nodes {
-            let lease = node.pm.lease_of(pool.as_str()).unwrap_or(0);
-            audit.lease_oversells += u64::from(node.pm.promised_qty(pool.as_str()) > lease);
+            let on_hand = node.pm.quantity_on_hand(pool.as_str()).unwrap_or(0);
+            audit.lease_oversells += u64::from(node.pm.promised_qty(pool.as_str()) > on_hand);
         }
         audit.lease_sum_violations += u64::from(lease_sum(cluster, &pool) > total);
     }

@@ -1,6 +1,7 @@
 //! The one cluster client loop. Every cluster scenario has the same
 //! inner loop: a client asks the coordinator for a grant, maybe releases
-//! it, and the harness records what it saw for the audit.
+//! it or buys under it, and the harness records what it saw for the
+//! audit.
 //! [`ClientRun::step`] is that loop body — the only grant → tally →
 //! release `match` in the harness — and [`drive_clients`] the only place
 //! client threads are spawned around it. Scenarios differ in *which* op a
@@ -8,12 +9,14 @@
 //! single-threaded scenarios that interleave their own steps (kills, armed
 //! crashes, health ticks, an open-loop clock) call `step` directly.
 
+use std::collections::BTreeMap;
 use std::ops::{AddAssign, Range};
 
 use promises_cluster::{
     ClusterDecision, CoordError, GrantPart, NegotiatedClusterGrant, PromiseCluster,
 };
 use promises_core::{parse_predicate, Predicate};
+use promises_wire::{ActionRequest, EnvEntry, EnvRef, Envelope, EnvironmentHeader};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Duration of every driven grant: nothing expires mid-run, and the leak
@@ -33,6 +36,51 @@ pub enum Release {
     /// Keep with this probability — the same one draw as `Chance`,
     /// releasing when it comes up false.
     Keep(f64),
+    /// Buy the first predicate's units under a grant one shard holds: one
+    /// `merchant/purchase` to that shard, the promise released with it (no
+    /// RNG draw). A grant of several parts, or a refused sale, is kept.
+    Sell,
+}
+
+/// A `merchant/purchase` `<action>` taking `amount` from `pool` under
+/// `promise`, released with it.
+pub(crate) fn purchase_request(promise: u64, pool: &str, amount: u64) -> Envelope {
+    Envelope::new()
+        .with_environment(EnvironmentHeader {
+            entries: vec![EnvEntry {
+                reference: EnvRef::Id(promise),
+                release_after: true,
+            }],
+        })
+        .with_action(
+            ActionRequest::new("merchant", "purchase")
+                .param("pool", pool)
+                .param("qty", amount),
+        )
+}
+
+/// Buys `predicate`'s units under the one-part grant `parts` on the shard
+/// that holds it, adding them to `sold`. False when the grant has several
+/// parts, the predicate is not a quantity, or the shard did not sell.
+fn sell(
+    cluster: &PromiseCluster,
+    parts: &[GrantPart],
+    predicate: &str,
+    sold: &mut BTreeMap<String, u64>,
+) -> bool {
+    let ([part], Ok(Predicate::QtyAtLeast { pool, amount })) = (parts, parse_predicate(predicate))
+    else {
+        return false;
+    };
+    let envelope = purchase_request(part.promise_id, &pool.0, amount);
+    let reply = cluster
+        .bus
+        .send(&cluster.nodes[part.shard].endpoint, &envelope);
+    let ok = reply.is_ok_and(|reply| reply.action_response.is_some_and(|resp| resp.ok));
+    if ok {
+        *sold.entry(pool.0).or_default() += amount;
+    }
+    ok
 }
 
 /// One grant attempt, as a sweep's per-(client, op) closure describes it.
@@ -119,6 +167,8 @@ fn ladder_len(predicates: &[String]) -> usize {
 pub struct ClientRun {
     /// The summed observations, one per [`step`](ClientRun::step).
     pub tally: ClientTally,
+    /// Units sold under [`Release::Sell`], per pool.
+    pub sold: BTreeMap<String, u64>,
     pub(crate) outcomes: Vec<OpRecord>,
 }
 
@@ -148,13 +198,17 @@ impl ClientRun {
                     }
                     let released = match op.release {
                         Release::Always => true,
-                        Release::Never => false,
+                        Release::Never | Release::Sell => false,
                         Release::Chance(p) => rng.random_bool(p),
                         Release::Keep(p) => !rng.random_bool(p),
                     };
                     if released {
                         coordinator.release(parts);
                     }
+                    // A sale releases the promise with it.
+                    let released = released
+                        || (op.release == Release::Sell
+                            && sell(cluster, parts, &op.predicates[0], &mut self.sold));
                     let parts = parts.clone();
                     (OpOutcome::Granted { parts, released }, grant.dropped + 1)
                 }
@@ -205,6 +259,9 @@ impl AddAssign for ClientRun {
         t.rejected += o.rejected;
         t.crashed += o.crashed;
         t.transport_failures += o.transport_failures;
+        for (pool, units) in other.sold {
+            *self.sold.entry(pool).or_default() += units;
+        }
         self.outcomes.append(&mut other.outcomes);
     }
 }

@@ -9,9 +9,10 @@
 //! leased clusters no lease oversell and no minted lease unit.
 //!
 //! [`run_lease_sweep`] is the dedicated lease scenario: a Zipf-skewed
-//! workload interleaved with rebalance cycles, an armed mid-rebalance
-//! crash, per-shard crash–restart with digest comparison, and a heal check
-//! that the lease sum returns to the pool total. [`run_failover_sweep`]
+//! workload that buys under half its grants, interleaved with rebalance
+//! cycles, an armed mid-rebalance crash, per-shard crash–restart with
+//! digest comparison, and a heal check that the lease sum returns to the
+//! pool total and no sold unit came back. [`run_failover_sweep`]
 //! kills every leader mid-2PC and mid-rebalance and promotes its follower.
 
 use std::ops::Deref;
@@ -195,7 +196,7 @@ pub fn run_cluster_fault_sweep(
     (report, cluster)
 }
 
-/// Outcome of one [`run_lease_sweep`]: a Zipf-skewed grant/release
+/// Outcome of one [`run_lease_sweep`]: a Zipf-skewed grant/release/sale
 /// workload over a leased cluster with rebalance cycles, an armed
 /// mid-rebalance crash, per-shard crash–restart, and the cluster audit.
 #[derive(Debug, Clone)]
@@ -216,7 +217,8 @@ pub struct LeaseSweepReport {
     pub crash_fired: bool,
     /// Stranded units the post-crash heal cycle re-credited.
     pub healed_after_crash: u64,
-    /// Per-shard `(pre-kill, post-recovery)` state digests.
+    /// Per-shard `(pre-kill, post-recovery)` state: the state digest, then
+    /// each pool's `(lease_of, quantity_on_hand)`, the lease split.
     pub digests: Vec<(String, String)>,
     /// Σ leases ≤ pool total on every pool right after the crashed cycle
     /// (the sum may shrink, never grow). **Always true.**
@@ -224,6 +226,11 @@ pub struct LeaseSweepReport {
     /// Σ leases == pool total on every pool after the heal cycle.
     /// **Always true.**
     pub lease_sum_restored: bool,
+    /// Units the clients bought under their grants.
+    pub sold: u64,
+    /// Σ on hand over the shards + units sold == pool total on every pool
+    /// after the heal cycle: no sale was undone. **Always true.**
+    pub conserved: bool,
     /// The always-zero guarantee audits: the lease columns with holds
     /// still outstanding, then the full audit on the healed cluster.
     pub audit: ClusterAudit,
@@ -232,8 +239,7 @@ pub struct LeaseSweepReport {
 }
 
 impl LeaseSweepReport {
-    /// True when every shard's recovered state is byte-equivalent to its
-    /// pre-kill state (lease lines included).
+    /// True when every shard's recovered state equals its pre-kill state.
     pub fn digests_match(&self) -> bool {
         self.digests.iter().all(|(pre, post)| pre == post)
     }
@@ -261,15 +267,18 @@ impl LeaseSweepReport {
 /// Zipf-skewed grants (pool rank drawn ∝ 1/(i+1)^1.1; a
 /// `cross_shard_probability` fraction add a second pool to the footprint)
 /// against a leased cluster in rounds interleaved with
-/// [`PromiseCluster::advance_and_prune`] rebalance cycles, then:
+/// [`PromiseCluster::advance_and_prune`] rebalance cycles. Every
+/// odd-numbered op buys its first pool's units under its grant when one
+/// shard holds it ([`Release::Sell`]); the rest release by chance. Then:
 ///
 /// 1. audits the lease invariants with holds still outstanding;
 /// 2. arms a mid-rebalance crash (withdraws land, deposits don't) and
 ///    checks the lease sum only ever *shrinks*;
-/// 3. kills and journal-restarts every shard, comparing state digests —
-///    the lease split must survive byte-for-byte;
+/// 3. kills and journal-restarts every shard, comparing state digests
+///    and each pool's lease and stock on hand;
 /// 4. runs the next rebalance cycle and checks the heal pass re-credits
-///    the stranded headroom (Σ leases returns to the pool total);
+///    the stranded headroom (Σ leases returns to the pool total) and that
+///    Σ on hand + sold is the pool total;
 /// 5. runs the cluster audit.
 pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCluster) {
     let leased_cfg = ClusterSweepConfig {
@@ -305,10 +314,14 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
                         rng.random_range(1..=cfg.amount_max)
                     ));
                 }
+                let release = match op % 2 {
+                    1 => Release::Sell,
+                    _ => Release::Chance(cfg.release_probability),
+                };
                 ClientOp {
                     rid: format!("r{round}-c{c}-o{op}"),
                     predicates,
-                    release: Release::Chance(cfg.release_probability),
+                    release,
                 }
             },
         );
@@ -332,21 +345,33 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
         .iter()
         .all(|(pool, total, _)| lease_sum(&cluster, pool) <= *total);
 
-    // Kill and journal-rebuild every shard: the (possibly shrunken) lease
-    // split must be reconstructed byte-for-byte.
+    // Kill and journal-rebuild every shard: its promise state and the
+    // (possibly shrunken) lease split must come back as they were.
+    let shard_state = |node: &ShardNode| {
+        let (pm, pools) = (&node.pm, totals.iter().map(|(pool, _, _)| pool.as_str()));
+        let slices: Vec<_> = pools
+            .map(|p| (pm.lease_of(p), pm.quantity_on_hand(p)))
+            .collect();
+        format!("{}{slices:?}", pm.state_digest())
+    };
     let mut digests = Vec::new();
     for index in 0..cluster.shard_count() {
-        let pre = cluster.nodes[index].pm.state_digest();
+        let pre = shard_state(&cluster.nodes[index]);
         cluster.crash_restart_shard(index);
-        let post = cluster.nodes[index].pm.state_digest();
-        digests.push((pre, post));
+        digests.push((pre, shard_state(&cluster.nodes[index])));
     }
 
-    // The next cycle's heal pass re-credits whatever the crash stranded.
+    // The next cycle's heal pass re-credits whatever the crash stranded;
+    // what was sold stays sold.
     let heal = cluster.rebalance_leases().expect("leases are enabled");
     let lease_sum_restored = totals
         .iter()
         .all(|(pool, total, _)| lease_sum(&cluster, pool) == *total);
+    let conserved = totals.iter().all(|(pool, total, _)| {
+        let on_hand = |n: &ShardNode| n.pm.quantity_on_hand(pool.as_str()).unwrap_or(0);
+        let sold = run.sold.get(pool).copied().unwrap_or(0);
+        cluster.nodes.iter().map(on_hand).sum::<u64>() + sold == *total
+    });
 
     audit += audit_cluster(&cluster, &run);
 
@@ -362,6 +387,8 @@ pub fn run_lease_sweep(cfg: &ClusterSweepConfig) -> (LeaseSweepReport, PromiseCl
         digests,
         lease_sum_ok_after_crash,
         lease_sum_restored,
+        sold: run.sold.values().sum(),
+        conserved,
         audit,
         elapsed,
     };
@@ -905,7 +932,7 @@ mod tests {
         assert_eq!(report.partial_grants, 0, "§4 must hold across shards");
         assert_eq!(report.double_grants, 0, "retries must dedup per shard");
         assert_eq!(report.oversells, 0, "no shard may oversell");
-        assert_eq!(report.lease_oversells, 0, "promised must stay ≤ lease");
+        assert_eq!(report.lease_oversells, 0, "promised must stay ≤ on hand");
         assert_eq!(report.lease_sum_violations, 0, "leases must not mint");
         assert_eq!(report.live_after_reap, 0, "expiry + recovery reclaim all");
         assert!(report.tally.granted > 0, "goodput survives faults");
@@ -923,6 +950,7 @@ mod tests {
         };
         let (report, _) = run_lease_sweep(&cfg);
         assert!(report.clean(), "{report:?}");
+        assert!(report.sold > 0 && report.conserved, "{report:?}");
         assert!(report.crash_fired, "armed rebalance crash must fire");
         assert!(report.tally.granted > 0);
         assert!(

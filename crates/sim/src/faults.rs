@@ -24,12 +24,12 @@ use promises_cluster::{PoolSeed, ShardNode};
 use promises_core::{CompactionCrash, ManualClock, PoolSchema, PromiseError, RecoveryReport};
 use promises_faults::{FaultInjector, FaultScenario, FaultStats};
 use promises_wire::{
-    ActionRequest, EnvEntry, EnvRef, Envelope, EnvironmentHeader, InMemoryBus,
-    PromiseRequestHeader, PromiseResult, RetryPolicy, RetryingClient,
+    Envelope, InMemoryBus, PromiseRequestHeader, PromiseResult, RetryPolicy, RetryingClient,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::audit::audit_manager;
+use crate::clients::purchase_request;
 use crate::cluster::clean_replay_digest;
 use crate::workload::pool_name;
 
@@ -96,23 +96,6 @@ pub(crate) fn grant_request(
         negotiate: false,
         prepare: false,
     })
-}
-
-/// A `merchant/purchase` `<action>` taking `amount` from `pool` under
-/// `promise`, released with it.
-fn purchase_request(promise: u64, pool: &str, amount: u64) -> Envelope {
-    Envelope::new()
-        .with_environment(EnvironmentHeader {
-            entries: vec![EnvEntry {
-                reference: EnvRef::Id(promise),
-                release_after: true,
-            }],
-        })
-        .with_action(
-            ActionRequest::new("merchant", "purchase")
-                .param("pool", pool)
-                .param("qty", amount),
-        )
 }
 
 /// Shape of a fault-sweep workload.
