@@ -277,7 +277,6 @@ fn audit_fields(a: &ClusterAudit) -> Fields {
         ("partial_grants", a.partial_grants.to_string()),
         ("double_grants", a.double_grants.to_string()),
         ("oversells", a.oversells.to_string()),
-        ("lease_oversells", a.lease_oversells.to_string()),
         ("lease_sum_violations", a.lease_sum_violations.to_string()),
         ("leaked", a.live_after_reap.to_string()),
         ("state_after_reap", a.state_after_reap.to_string()),

@@ -152,11 +152,6 @@ impl PromiseCluster {
         }
     }
 
-    /// True when every shard has a warm follower attached.
-    pub fn replication_enabled(&self) -> bool {
-        self.nodes.iter().all(|n| n.follower.is_some())
-    }
-
     fn attach_follower(&mut self, index: usize) {
         let follower = Arc::new(ShardFollower::new());
         let link = Arc::new(ReplicationLink::new(

@@ -118,17 +118,6 @@ impl LeaseDirectory {
         per[shard] = value;
     }
 
-    /// Current headroom estimate for `(pool, shard)` (0 when unknown).
-    pub fn headroom_of(&self, pool: &str, shard: usize) -> u64 {
-        self.state
-            .lock()
-            .headroom
-            .get(pool)
-            .and_then(|per| per.get(shard))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Drains the per-shard demand counters for `pool` (resets to zero),
     /// returning one entry per shard. Called once per rebalance cycle.
     pub fn take_demand(&self, pool: &str) -> Vec<u64> {
@@ -174,7 +163,8 @@ mod tests {
         let d = vec![("a".to_owned(), 3)];
         assert!(dir.covers(0, &d));
         dir.consume(0, &d);
-        assert_eq!(dir.headroom_of("a", 0), 1);
+        assert!(dir.covers(0, &[("a".to_owned(), 1)]), "one unit is left");
+        assert!(!dir.covers(0, &[("a".to_owned(), 2)]));
         assert!(!dir.covers(0, &d));
     }
 

@@ -109,11 +109,6 @@ impl ShardMap {
         (fnv1a(pool.as_bytes()) as usize) % self.shards
     }
 
-    /// The bus endpoint of the shard owning `pool`.
-    pub fn endpoint_for(&self, pool: &str) -> String {
-        self.endpoint_of(self.shard_for(pool))
-    }
-
     /// The leadership incarnation of `shard` (0 until its first fail-over).
     pub fn node_epoch(&self, shard: usize) -> u64 {
         self.state.read().node_epochs[shard]
@@ -219,12 +214,12 @@ mod tests {
         assert_eq!(map.node_epoch(1), 0);
         assert_eq!(map.endpoint_of(1), "shard1");
         map.assign("widgets", 1);
-        assert_eq!(map.endpoint_for("widgets"), "shard1");
+        assert_eq!(map.endpoint_of(map.shard_for("widgets")), "shard1");
         let before = map.epoch();
         assert_eq!(map.bump_node_epoch(1), 1);
         assert!(map.epoch() > before, "promotion must bump the map epoch");
         assert_eq!(map.endpoint_of(1), "shard1.e1");
-        assert_eq!(map.endpoint_for("widgets"), "shard1.e1");
+        assert_eq!(map.endpoint_of(map.shard_for("widgets")), "shard1.e1");
         // Other shards keep their original addresses.
         assert_eq!(map.endpoint_of(0), "shard0");
         assert_eq!(map.bump_node_epoch(1), 2);

@@ -86,15 +86,15 @@ impl fmt::Display for RejectReason {
 /// Failure of an application action executed under promise protection.
 ///
 /// Distinguishing application failures from storage failures lets the
-/// promise manager retry transparently when an action's transaction is a
-/// deadlock victim, while surfacing business failures to the caller (with
-/// any scheduled promise releases cancelled, per §4).
+/// promise manager re-run an action whose storage access faulted, while
+/// surfacing business failures to the caller (with any scheduled promise
+/// releases cancelled, per §4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionError {
     /// Application-level failure ("no shipper available today").
     App(String),
-    /// Resource-manager failure inside the action; deadlock victims are
-    /// retried by the manager.
+    /// Resource-manager failure inside the action; storage faults are
+    /// re-run by the manager.
     Rm(RmError),
 }
 
@@ -146,8 +146,8 @@ pub enum PromiseError {
         /// Human-readable explanation.
         detail: String,
     },
-    /// An underlying resource-manager error (deadlock victims surface here
-    /// after the manager's internal retries are exhausted).
+    /// An underlying resource-manager error: a deadlock victim, or a
+    /// storage fault that outlasted the manager's re-runs.
     Rm(RmError),
     /// The pool is not registered with this manager.
     UnknownPool(PoolId),

@@ -43,13 +43,15 @@
 //! the prototype's; `tests/support/model.rs` states them as a brute-force
 //! model that judges this manager step by step.
 //!
-//! Because the synchronisation points are RM locks, a cycle between a
-//! promise check and an in-flight application action is visible to the
-//! RM's wait-for graph and broken by victimising one transaction; the
-//! manager transparently retries deadlock victims a bounded number of
-//! times. The promise layer itself **never blocks a client on promise
-//! availability**: unfulfillable requests are rejected immediately (§9),
-//! which is why the promise layer introduces no deadlocks of its own.
+//! One lock order holds on the promise path: **sync points before rows**.
+//! Grants, releases, prunes and lease moves lock before they read a row;
+//! [`PromiseManager::execute`] locks its environment's *scope* (the pools
+//! of the promises it names) before the action runs, and an action that
+//! wrote outside it is undone and re-run with those pools locked first.
+//! Two paths stay outside the order (DESIGN.md §10), their deadlock victim
+//! reaching the caller unretried. The promise layer itself **never blocks
+//! a client on promise availability**: unfulfillable requests are
+//! rejected immediately (§9), so it introduces no deadlocks of its own.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -249,7 +251,6 @@ struct PmMetrics {
     action_failures: AtomicU64,
     violations_rolled_back: AtomicU64,
     expired_errors: AtomicU64,
-    deadlock_retries: AtomicU64,
     grants_deduped: AtomicU64,
     overload_rejections: AtomicU64,
     grant_lat: OpLatencyMetrics,
@@ -277,8 +278,6 @@ pub struct PmMetricsSnapshot {
     pub violations_rolled_back: u64,
     /// Operations refused because a promise had expired.
     pub expired_errors: u64,
-    /// Internal deadlock-victim retries.
-    pub deadlock_retries: u64,
     /// Retried grant requests answered from the request-id index instead
     /// of being granted a second time.
     pub grants_deduped: u64,
@@ -324,7 +323,6 @@ struct PmTel {
     granted: Arc<AtomicU64>,
     deduped: Arc<AtomicU64>,
     grant_error: Arc<AtomicU64>,
-    retry_deadlock: Arc<AtomicU64>,
     expired: Arc<AtomicU64>,
     compact_runs: Arc<AtomicU64>,
     compact_dropped: Arc<AtomicU64>,
@@ -348,7 +346,6 @@ impl PmTel {
             granted: tel.counter("pm.grant.granted"),
             deduped: tel.counter("pm.grant.deduped"),
             grant_error: tel.counter("pm.grant.error"),
-            retry_deadlock: tel.counter("pm.retry.deadlock"),
             expired: tel.counter("pm.expired"),
             compact_runs: tel.counter("pm.compact.runs"),
             compact_dropped: tel.counter("pm.compact.dropped"),
@@ -582,7 +579,7 @@ enum Halt {
     /// The candidate cannot be granted.
     Rejected(RejectReason),
     /// The operation failed; [`PromiseManager::with_retries`] re-runs the
-    /// retryable ones.
+    /// transient ones.
     Failed(PromiseError),
 }
 
@@ -853,7 +850,7 @@ impl PromiseManager {
     ) -> Result<i64, PromiseError> {
         let tel = self.tel();
         let tel = tel.as_deref();
-        self.with_retries(tel, || {
+        self.with_retries(|| {
             let txn = self.rm.begin();
             if let Err(e) = self.lock_ops(&txn, std::slice::from_ref(pool)) {
                 return Err(self.abort_with(txn, e.into()));
@@ -1072,9 +1069,8 @@ impl PromiseManager {
         }
 
         let duration_ms = spec.duration_ms.min(upstream_duration);
-        let result = self.with_retries(tel, || {
-            self.grant_local(tel, &spec, local.clone(), duration_ms, prepared)
-        });
+        let result = self
+            .with_retries(|| self.grant_local(tel, &spec, local.clone(), duration_ms, prepared));
         // A granted attempt keeps what it acquired, and so does a
         // deduplicated one: the upstream answered it from the same keys,
         // so its holds are its original's.
@@ -1164,7 +1160,7 @@ impl PromiseManager {
             Some(_) => Ok(()),
             None => Err(st.absent(id)),
         };
-        let result = self.with_retries(tel, || {
+        let result = self.with_retries(|| {
             // The released promise's pools (immutable once granted, so the
             // pre-lock read stays exact while we wait for the locks).
             let footprint = {
@@ -1293,9 +1289,9 @@ impl PromiseManager {
     /// [`crate::ReleaseOption::ReleaseAfter`] are released atomically with
     /// a successful action (§4's release+action atomic unit).
     ///
-    /// The closure may be re-run if its transaction is chosen as a
-    /// deadlock victim; all its effects are transactional, so retries are
-    /// invisible to the application.
+    /// The closure runs again, its first run undone, if it wrote a pool
+    /// outside the environment's scope; all its effects are transactional,
+    /// so re-runs are invisible to the application.
     pub fn execute<R>(
         &self,
         env: &Environment,
@@ -1329,8 +1325,15 @@ impl PromiseManager {
         self.prune(tel)?;
         let started = Instant::now();
         let releases = env.releases();
-        let result = self.with_retries(tel, || {
-            self.try_action(tel, env, &releases, &mut action, enforce_scope)
+        // Pools earlier attempts wrote; each re-run adds one, so there are
+        // at most as many as the catalog has pools.
+        let mut wrote = Vec::new();
+        let result = self.with_retries(|| loop {
+            let attempt =
+                self.try_action(tel, env, &releases, &mut action, enforce_scope, &mut wrote);
+            if let Some(done) = attempt? {
+                return Ok(done);
+            }
         });
         if let Err(PromiseError::ViolationRolledBack { .. } | PromiseError::ScopeViolation { .. }) =
             &result
@@ -1368,14 +1371,17 @@ impl PromiseManager {
                 note,
             );
         }
-        let (out, left) = result?;
-        self.cascade_release(&left);
+        let (out, done) = result?;
+        self.cascade_release(&done.left);
         self.metrics.executions.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
     /// One attempt at an action and the promise transition that follows it
     /// in the same transaction (§4: action + release is one atomic unit).
+    /// The sync points of the scope and of `wrote` are taken before the
+    /// action runs. `None`: it wrote a pool outside them, so the attempt
+    /// was undone and `wrote` grew (a scoped execute refuses it instead).
     fn try_action<R>(
         &self,
         tel: Option<&PmTel>,
@@ -1383,24 +1389,34 @@ impl PromiseManager {
         releases: &[PromiseId],
         action: &mut impl FnMut(&ResourceManager, &Txn) -> Result<R, ActionError>,
         enforce_scope: bool,
-    ) -> Result<(R, Vec<Arc<PromiseRecord>>), PromiseError> {
+        wrote: &mut Vec<PoolId>,
+    ) -> Result<Option<(R, Committed)>, PromiseError> {
         let txn = self.rm.begin();
         // Pre-validate the environment (cheap fail-fast; re-checked after
-        // the action because time passes while it runs).
+        // the action because time passes while it runs) and read its scope
+        // — promises' pools are immutable, so the read stays exact while
+        // the points are awaited, outside the state lock.
         let now = self.clock.now_ms();
-        let valid = self.validate_env(&self.state.lock(), env, now);
-        if let Err(e) = valid {
-            return Err(self.abort_with(txn, e));
-        }
+        let scope = {
+            let st = self.state.lock();
+            let valid = self.validate_env(&st, env, now);
+            valid.map(|()| st.footprint(wrote.clone(), &env.promise_ids()))
+        };
+        let wait_started = Instant::now();
+        let locked = scope.and_then(|locks| Ok(self.lock_ops(&txn, &locks).map(|()| locks)?));
+        let lock_wait = wait_started.elapsed();
+        let locks = match locked {
+            Ok(locks) => locks,
+            Err(e) => return Err(self.abort_with(txn, e)),
+        };
         let out = match action(&self.rm, &txn) {
             Ok(v) => v,
             Err(ActionError::App(msg)) => {
                 self.metrics.action_failures.fetch_add(1, Ordering::Relaxed);
                 return Err(self.abort_with(txn, PromiseError::ActionFailed(msg)));
             }
-            // Storage failures (deadlock victims in particular) are not
-            // business failures; bubble them so with_retries re-runs the
-            // whole transactional attempt.
+            // Storage failures are not business failures; bubble them so
+            // with_retries re-runs the whole transactional attempt.
             Err(ActionError::Rm(e)) => return Err(self.abort_with(txn, PromiseError::Rm(e))),
         };
         // What the action wrote, as it will commit; the pools among it
@@ -1410,24 +1426,30 @@ impl PromiseManager {
             Err(e) => return Err(self.abort_with(txn, e.into())),
         };
         let written = self.written_pools(&writes);
-        let footprint = self.state.lock().footprint(written.clone(), releases);
+        if let Some(pool) = written.iter().find(|p| locks.binary_search(p).is_err()) {
+            if enforce_scope {
+                let pool = pool.clone();
+                return Err(self.abort_with(txn, PromiseError::ScopeViolation { pool }));
+            }
+            wrote.extend(written);
+            return self.abort_then(txn, None);
+        }
+        let lat = &self.metrics.execute_lat;
+        lat.lock_wait.record_duration(lock_wait);
+        let footprint = self.state.lock().footprint(written, releases);
         let transition = Transition {
             footprint: &footprint,
-            lat: &self.metrics.execute_lat,
+            lat,
             leaving: releases,
             leave: Leave::Release,
             check: Check::Action { writes },
         };
         let done = self
             .transition(txn, tel, transition, |st, now| {
-                self.validate_env(st, env, now)?;
-                if enforce_scope {
-                    check_scope(st, env, &written)?;
-                }
-                Ok(())
+                Ok(self.validate_env(st, env, now)?)
             })
             .map_err(Halt::into_error)?;
-        Ok((out, done.left))
+        Ok(Some((out, done)))
     }
 
     /// Reaps expired promises, freeing what they held. Called
@@ -1438,7 +1460,7 @@ impl PromiseManager {
     }
 
     fn prune(&self, tel: Option<&PmTel>) -> Result<usize, PromiseError> {
-        let reaped = self.with_retries(tel, || {
+        let reaped = self.with_retries(|| {
             let now = self.clock.now_ms();
             // The expired ids come off the table's expiry index: a
             // first-key probe when nothing expired (the common case),
@@ -1770,7 +1792,6 @@ impl PromiseManager {
             action_failures: m.action_failures.load(Ordering::Relaxed),
             violations_rolled_back: m.violations_rolled_back.load(Ordering::Relaxed),
             expired_errors: m.expired_errors.load(Ordering::Relaxed),
-            deadlock_retries: m.deadlock_retries.load(Ordering::Relaxed),
             grants_deduped: m.grants_deduped.load(Ordering::Relaxed),
             overload_rejections: m.overload_rejections.load(Ordering::Relaxed),
             grant_lat: m.grant_lat.snapshot(),
@@ -1812,30 +1833,21 @@ impl PromiseManager {
         self.telemetry.read().clone()
     }
 
+    /// Runs `body`, again at once (up to the retry limit) on the transient
+    /// outcomes no lock order removes: a storage fault, and an observation
+    /// pinning allocations mid-check. A deadlock reaches the caller.
     fn with_retries<R>(
         &self,
-        tel: Option<&PmTel>,
         mut body: impl FnMut() -> Result<R, PromiseError>,
     ) -> Result<R, PromiseError> {
-        let mut attempt: u32 = 0;
-        loop {
+        for _ in 0..self.retry_limit {
             match body() {
-                Err(ref e) if e.retryable() && (attempt as usize) < self.retry_limit => {
-                    attempt += 1;
-                    self.metrics
-                        .deadlock_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = tel {
-                        tel.retry_deadlock.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Short bounded backoff breaks retry lockstep between
-                    // symmetric victims (exponential, capped at ~3ms).
-                    let exp = attempt.min(5);
-                    std::thread::sleep(std::time::Duration::from_micros(100u64 << exp));
-                }
-                other => return other,
+                Err(PromiseError::Rm(RmError::StorageFault { .. }))
+                | Err(PromiseError::ObservationConflict) => {}
+                done => return done,
             }
         }
+        body()
     }
 
     /// Aborts `txn` on an error path, folding a failed rollback into the
@@ -1997,7 +2009,8 @@ impl PromiseManager {
     }
 
     /// The §8 transaction every promise operation is: inside `txn`, lock
-    /// the footprint's synchronisation points; under the state lock, ask
+    /// the footprint's synchronisation points (an action's transaction
+    /// holds them already, see `try_action`); under the state lock, ask
     /// `admit` whether the operation may go ahead as of `now` and read
     /// what the check needs, the leaving promises left out; *outside* it —
     /// so operations over disjoint pools check in parallel — run the check
@@ -2012,11 +2025,14 @@ impl PromiseManager {
         t: Transition<'_>,
         admit: impl FnOnce(&PromiseState, u64) -> Result<(), Halt>,
     ) -> Result<Committed, Halt> {
-        let wait_started = Instant::now();
-        let locked = self.lock_ops(&txn, t.footprint);
-        t.lat.lock_wait.record_duration(wait_started.elapsed());
-        if let Err(e) = locked {
-            return Err(self.halted(txn, Halt::Failed(e.into())));
+        // An action's transaction took its points before the action ran.
+        if !matches!(t.check, Check::Action { .. }) {
+            let wait_started = Instant::now();
+            let locked = self.lock_ops(&txn, t.footprint);
+            t.lat.lock_wait.record_duration(wait_started.elapsed());
+            if let Err(e) = locked {
+                return Err(self.halted(txn, Halt::Failed(e.into())));
+            }
         }
         let now = self.clock.now_ms();
 
@@ -2259,19 +2275,4 @@ impl PromiseManager {
 /// promises of the same client.
 fn delegated_request(request: &RequestId, pool: &PoolId) -> RequestId {
     RequestId(format!("{request}::delegated::{pool}"))
-}
-
-/// Scope enforcement: every pool-backed write (`written`, from
-/// [`PromiseManager::written_pools`]) must be covered by one of the
-/// environment's promises.
-fn check_scope(
-    st: &PromiseState,
-    env: &Environment,
-    written: &[PoolId],
-) -> Result<(), PromiseError> {
-    let covered = st.footprint(Vec::new(), &env.promise_ids());
-    match written.iter().find(|pool| !covered.contains(pool)) {
-        Some(pool) => Err(PromiseError::ScopeViolation { pool: pool.clone() }),
-        None => Ok(()),
-    }
 }

@@ -1,8 +1,9 @@
 //! Concurrency stress tests: many threads hammering one promise manager,
 //! verifying the §8 safety guarantees hold under real interleavings.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use promises_core::{
     status, ActionError, Catalog, CheckStrategy, Environment, InstanceId, PoolId, PoolSchema,
@@ -85,6 +86,7 @@ fn named_rooms_booked_exactly_once_under_contention() {
         .count();
     rm.commit(txn).unwrap();
     assert_eq!(taken, ROOMS);
+    assert_eq!(rm.stats().deadlocks, 0);
 }
 
 /// Property-view promises under concurrency: total booked never exceeds
@@ -151,6 +153,7 @@ fn property_promises_never_oversell_under_contention() {
         "exactly the view rooms get booked, never more"
     );
     assert_eq!(pm.metrics().violations_rolled_back, 0);
+    assert_eq!(pm.rm().stats().deadlocks, 0);
 }
 
 /// Tightened regression for the observe-then-book race behind the old
@@ -282,6 +285,55 @@ fn observed_allocations_survive_rearrangement_pressure() {
         .count();
     assert_eq!(taken_view, FLOORS, "all view rooms taken");
     assert_eq!(taken_plain, 0, "no non-view room ever taken");
+    assert_eq!(rm.stats().deadlocks, 0);
+}
+
+/// Sync points before rows: an action that has written its promise's pool
+/// row holds that pool's sync point already, so a grant on the pool waits
+/// for the point and reads the row only after the action commits. Were the
+/// point taken after the action ran, the grant would hold the point and
+/// wait for the row while the action waited for the point: a deadlock.
+#[test]
+fn an_action_holds_its_scope_before_a_grant_reads_its_rows() {
+    let pm = new_pm();
+    pm.register_pool(PoolSchema::quantity("stock"));
+    pm.seed_quantity("stock", 10).unwrap();
+    let held = pm
+        .request(
+            PromiseRequestSpec::new("hold", "a").predicate(Predicate::qty_at_least("stock", 3)),
+        )
+        .unwrap()
+        .decision
+        .granted_id()
+        .expect("stock covers the hold");
+    let barrier = Barrier::new(2);
+    let first_run = AtomicBool::new(true);
+    let (sold, answer) = std::thread::scope(|scope| {
+        let seller = scope.spawn(|| {
+            pm.execute(&Environment::none().releasing(held), |rm, txn| {
+                rm.update(txn, Catalog::QTY_TABLE, "stock", |r| {
+                    let q = r.int("qty").unwrap();
+                    r.set("qty", q - 3);
+                })?;
+                // Only the first run waits, so a re-run cannot hang.
+                if first_run.swap(false, Ordering::SeqCst) {
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                Ok(())
+            })
+        });
+        let buyer = scope.spawn(|| {
+            barrier.wait();
+            pm.request(
+                PromiseRequestSpec::new("grab", "b").predicate(Predicate::qty_at_least("stock", 2)),
+            )
+        });
+        (seller.join().unwrap(), buyer.join().unwrap())
+    });
+    assert_eq!(pm.rm().stats().deadlocks, 0, "no lock-order inversion");
+    sold.expect("the sale commits");
+    assert!(answer.expect("the grant is answered").decision.is_granted());
 }
 
 /// Mixed grants, releases, violating rogue writes and expiries running

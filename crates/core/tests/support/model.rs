@@ -26,7 +26,9 @@
 //!   every promise expired at their first reading (one more reading when
 //!   something was reaped, which dates the tombstones); a request then asks
 //!   its request index, then decides its grant; an action validates its
-//!   environment, runs, validates again and re-checks. A release reads once
+//!   environment, runs, validates again and re-checks. An action that
+//!   writes a pool outside its environment's scope validates and runs
+//!   twice, the first run undone. A release reads once
 //!   if the promise is there; a commit and an observation never read.
 //! - **Lazy reaping.** An expired promise stays in the table, unusable,
 //!   until the next request, action or tick reaps it; a release or an abort
@@ -467,7 +469,10 @@ impl Model {
 
     fn rogue_drain(&mut self, amount: u64, clock: &mut Readings) -> Outcome {
         self.reap(clock);
-        // The empty environment's validation, before the action runs.
+        // The empty environment's validation, before each run: the first
+        // writes `w` outside the empty scope and is undone, the second
+        // runs with `w`'s point taken first.
+        clock.read();
         clock.read();
         let now = clock.read();
         let before = self.stock["w"];

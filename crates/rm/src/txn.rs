@@ -395,24 +395,6 @@ impl ResourceManager {
             .collect()
     }
 
-    /// Acquires an exclusive transactional lock on a named synchronisation
-    /// point (not a table). Held until commit/abort like any other lock and
-    /// participates in deadlock detection.
-    ///
-    /// The promise manager uses this to serialise promise operations the
-    /// way the paper's prototype does (§8: "wrap each promise operation in
-    /// a transaction ... this gives us the required level of isolation
-    /// between concurrent activities") while still letting the wait-for
-    /// graph break cycles between a promise check and an in-flight action.
-    pub fn lock_exclusive(&self, txn: &Txn, name: &str) -> Result<(), RmError> {
-        self.ensure_active(txn)?;
-        self.lock(
-            txn,
-            &Granule::Table(format!("\u{0}sync:{name}")),
-            LockMode::Exclusive,
-        )
-    }
-
     /// Acquires exclusive locks on several synchronisation points, always
     /// in canonical (sorted, deduplicated) order regardless of the order
     /// the caller passes them in.
@@ -835,7 +817,7 @@ mod tests {
         let rm2 = Arc::clone(&rm);
         let h = thread::spawn(move || {
             let t = rm2.begin();
-            rm2.lock_exclusive(&t, "b").unwrap();
+            rm2.lock_exclusive_many(&t, &["b"]).unwrap();
             rm2.commit(t).unwrap();
         });
         thread::sleep(std::time::Duration::from_millis(30));

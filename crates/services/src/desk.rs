@@ -17,7 +17,6 @@
 //! upstream's request index, which the follower replays from the
 //! journal, so live chains keep cascading releases to the promoted node.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use promises_core::{
@@ -33,7 +32,6 @@ pub const VOUCHER_POOL: &str = "desk-vouchers";
 /// An edge booking service whose real resources live upstream.
 pub struct BookingDesk {
     pm: Arc<PromiseManager>,
-    next_req: AtomicU64,
 }
 
 impl BookingDesk {
@@ -42,10 +40,7 @@ impl BookingDesk {
     pub fn new(pm: Arc<PromiseManager>, vouchers: u64) -> Result<Self, PromiseError> {
         pm.register_pool(PoolSchema::quantity(VOUCHER_POOL));
         pm.seed_quantity(VOUCHER_POOL, vouchers)?;
-        Ok(Self {
-            pm,
-            next_req: AtomicU64::new(1),
-        })
+        Ok(Self { pm })
     }
 
     /// Routes bookings touching `pool` to the upstream manager that owns
@@ -88,18 +83,6 @@ impl BookingDesk {
             PromiseDecision::Granted { promise, .. } => Ok(promise),
             PromiseDecision::Rejected { reason } => Err(reason),
         })
-    }
-
-    /// [`BookingDesk::book`] with a desk-generated request id, for callers
-    /// that do not manage their own retry identity.
-    pub fn book_auto(
-        &self,
-        client: &str,
-        legs: &[(String, u64)],
-        duration_ms: u64,
-    ) -> Result<Result<PromiseId, RejectReason>, PromiseError> {
-        let n = self.next_req.fetch_add(1, Ordering::Relaxed);
-        self.book(client, &format!("desk-{n}"), legs, duration_ms)
     }
 
     /// Cancels a booking: releasing the desk promise cascades the release

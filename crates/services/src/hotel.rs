@@ -180,125 +180,6 @@ impl Hotel {
         self.pm.release(promise)
     }
 
-    /// Opens a booking calendar date: §3.2's *virtual resources*, where
-    /// "'Room 212, Sydney Hilton, 12/3/2007' names a specific room
-    /// instance, and the date is the necessary part of the unique
-    /// identifier". Each date gets its own instance pool holding one
-    /// virtual instance per room night.
-    pub fn open_date(&self, date: &str) {
-        self.pm.register_pool(PoolSchema::instances(
-            Self::date_pool(date).as_str(),
-            vec![
-                PropertyDef::plain("floor"),
-                PropertyDef::plain("view"),
-                PropertyDef::plain("smoking"),
-                PropertyDef::plain("beds"),
-                PropertyDef::ordered("class", &["standard", "deluxe", "suite"]),
-            ],
-        ));
-    }
-
-    fn date_pool(date: &str) -> String {
-        format!("{ROOM_POOL}@{date}")
-    }
-
-    /// Adds one room-night: the room's availability on an opened date.
-    pub fn add_room_night(&self, date: &str, spec: &RoomSpec) -> Result<(), PromiseError> {
-        self.pm.seed_instance(
-            Self::date_pool(date).as_str(),
-            spec.number.as_str(),
-            Record::new()
-                .with("floor", spec.floor)
-                .with("view", spec.view)
-                .with("smoking", spec.smoking)
-                .with("beds", spec.beds)
-                .with("class", spec.class.as_str()),
-        )
-    }
-
-    /// Promises a specific room on a specific date — one named virtual
-    /// resource. The same room on a different date is a different
-    /// resource, so bookings on distinct dates never conflict.
-    pub fn promise_room_night(
-        &self,
-        client: &str,
-        number: &str,
-        date: &str,
-        duration_ms: u64,
-    ) -> Result<Result<PromiseId, RejectReason>, PromiseError> {
-        let n = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let resp = self.pm.request(
-            PromiseRequestSpec::new(
-                promises_core::RequestId(format!("night-{n}")),
-                promises_core::ClientId(client.to_owned()),
-            )
-            .predicate(Predicate::named(Self::date_pool(date).as_str(), number))
-            .duration_ms(duration_ms),
-        )?;
-        Ok(match resp.decision {
-            PromiseDecision::Granted { promise, .. } => Ok(promise),
-            PromiseDecision::Rejected { reason } => Err(reason),
-        })
-    }
-
-    /// Atomically promises the same room for every night of a stay (§4's
-    /// all-or-nothing multi-predicate request across several pools).
-    pub fn promise_stay(
-        &self,
-        client: &str,
-        number: &str,
-        dates: &[&str],
-        duration_ms: u64,
-    ) -> Result<Result<PromiseId, RejectReason>, PromiseError> {
-        let n = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let mut spec = PromiseRequestSpec::new(
-            promises_core::RequestId(format!("stay-{n}")),
-            promises_core::ClientId(client.to_owned()),
-        )
-        .duration_ms(duration_ms);
-        for date in dates {
-            spec = spec.predicate(Predicate::named(Self::date_pool(date).as_str(), number));
-        }
-        let resp = self.pm.request(spec)?;
-        Ok(match resp.decision {
-            PromiseDecision::Granted { promise, .. } => Ok(promise),
-            PromiseDecision::Rejected { reason } => Err(reason),
-        })
-    }
-
-    /// Confirms a stay: takes every promised room-night, releasing the
-    /// promise atomically with success.
-    pub fn book_stay(&self, promise: PromiseId) -> Result<usize, PromiseError> {
-        let rec = self
-            .pm
-            .promise(promise)
-            .ok_or(PromiseError::UnknownPromise(promise))?;
-        let nights: Vec<(String, String)> = rec
-            .allocations
-            .iter()
-            .filter_map(|a| {
-                rec.predicates
-                    .get(a.pred_idx)
-                    .map(|p| (Catalog::instance_table(p.pool()), a.instance.0.clone()))
-            })
-            .collect();
-        if nights.is_empty() {
-            return Err(PromiseError::ActionFailed("promise holds no nights".into()));
-        }
-        let count = nights.len();
-        self.pm
-            .execute(&Environment::none().releasing(promise), move |rm, txn| {
-                for (table, instance) in &nights {
-                    rm.update(txn, table, instance, |r| {
-                        r.set(Catalog::STATUS, status::TAKEN);
-                    })
-                    .map_err(promises_core::ActionError::from)?;
-                }
-                Ok(())
-            })?;
-        Ok(count)
-    }
-
     /// Rooms currently available (not promised, not taken).
     pub fn available_rooms(&self) -> Result<Vec<String>, PromiseError> {
         let rooms = self.pm.free_instances(ROOM_POOL)?;
@@ -432,104 +313,5 @@ mod tests {
             .promise_room("y", PropExpr::True, 60_000)
             .unwrap()
             .is_err());
-    }
-}
-
-#[cfg(test)]
-mod calendar_tests {
-    use super::*;
-    use promises_core::SystemClock;
-    use promises_rm::ResourceManager;
-
-    fn calendar_hotel() -> Hotel {
-        let rm = Arc::new(ResourceManager::new());
-        let pm = Arc::new(PromiseManager::new(rm, Arc::new(SystemClock::new())));
-        let h = Hotel::new(pm);
-        let room212 = RoomSpec::new("212", 2, false, false, 2, "standard");
-        let room512 = RoomSpec::new("512", 5, true, false, 2, "deluxe");
-        for date in ["2007-03-12", "2007-03-13", "2007-03-14"] {
-            h.open_date(date);
-            h.add_room_night(date, &room212).unwrap();
-            h.add_room_night(date, &room512).unwrap();
-        }
-        h
-    }
-
-    #[test]
-    fn same_room_different_dates_do_not_conflict() {
-        // §3.2: the date is part of the identifier, so these are distinct
-        // virtual resources.
-        let h = calendar_hotel();
-        let a = h
-            .promise_room_night("alice", "212", "2007-03-12", 60_000)
-            .unwrap()
-            .unwrap();
-        let _b = h
-            .promise_room_night("bob", "212", "2007-03-13", 60_000)
-            .unwrap()
-            .unwrap();
-        // But the same room-night conflicts.
-        assert!(h
-            .promise_room_night("carol", "212", "2007-03-12", 60_000)
-            .unwrap()
-            .is_err());
-        h.cancel(a).unwrap();
-        assert!(h
-            .promise_room_night("carol", "212", "2007-03-12", 60_000)
-            .unwrap()
-            .is_ok());
-    }
-
-    #[test]
-    fn multi_night_stay_is_all_or_nothing() {
-        let h = calendar_hotel();
-        // Block the middle night for room 212.
-        let _mid = h
-            .promise_room_night("x", "212", "2007-03-13", 60_000)
-            .unwrap()
-            .unwrap();
-        // A three-night stay in 212 must be rejected wholesale...
-        assert!(h
-            .promise_stay(
-                "alice",
-                "212",
-                &["2007-03-12", "2007-03-13", "2007-03-14"],
-                60_000
-            )
-            .unwrap()
-            .is_err());
-        // ...leaving all of room 512's nights available for the same stay.
-        let stay = h
-            .promise_stay(
-                "alice",
-                "512",
-                &["2007-03-12", "2007-03-13", "2007-03-14"],
-                60_000,
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(h.book_stay(stay).unwrap(), 3);
-        assert_eq!(h.manager().live_count(), 1, "only x's night remains");
-    }
-
-    #[test]
-    fn booked_stay_consumes_every_night() {
-        let h = calendar_hotel();
-        let stay = h
-            .promise_stay("alice", "212", &["2007-03-12", "2007-03-13"], 60_000)
-            .unwrap()
-            .unwrap();
-        h.book_stay(stay).unwrap();
-        for date in ["2007-03-12", "2007-03-13"] {
-            assert!(h
-                .promise_room_night("bob", "212", date, 60_000)
-                .unwrap()
-                .is_err());
-        }
-        // The unbooked third night is still free.
-        assert!(h
-            .promise_room_night("bob", "212", "2007-03-14", 60_000)
-            .unwrap()
-            .is_ok());
     }
 }

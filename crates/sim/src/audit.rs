@@ -17,11 +17,10 @@
 //!   has at most one grant-like journal record, however many times the
 //!   retrying client resent it;
 //! * **no oversells** — per manager, quantity promised to live promises
-//!   never exceeds quantity on hand;
-//! * **no lease oversells** and **no minting** (leased clusters only) —
-//!   per shard, promised quantity never exceeds the shard's stock on
-//!   hand, what is left of its lease slice after its sales; per pool, the
-//!   cluster-wide lease sum never exceeds the registered quantity;
+//!   never exceeds quantity on hand (on a leased shard, what is left of
+//!   its lease slice after its sales);
+//! * **no minting** (leased clusters only) — per pool, the cluster-wide
+//!   lease sum never exceeds the registered quantity;
 //! * **no leaks** — after every duration passes, expiry reclaims every
 //!   hold the run abandoned (crashed coordinators included, once recovery
 //!   has run);
@@ -55,9 +54,6 @@ pub struct ClusterAudit {
     /// Coordinator dedup entries plus shard tombstones surviving past
     /// every retry window and eviction grace.
     pub state_after_reap: usize,
-    /// Shards whose promised quantity exceeded their stock on hand of a
-    /// leased pool.
-    pub lease_oversells: u64,
     /// Pools whose cluster-wide lease sum exceeded the registered quantity.
     pub lease_sum_violations: u64,
 }
@@ -76,7 +72,6 @@ impl AddAssign for ClusterAudit {
         self.oversells += o.oversells;
         self.live_after_reap += o.live_after_reap;
         self.state_after_reap += o.state_after_reap;
-        self.lease_oversells += o.lease_oversells;
         self.lease_sum_violations += o.lease_sum_violations;
     }
 }
@@ -97,14 +92,19 @@ pub(crate) fn audit_manager(
             *grant_counts.entry((rec.client, rec.request)).or_insert(0) += 1;
         }
     }
+    ClusterAudit {
+        double_grants: grant_counts.values().filter(|&&n| n > 1).count() as u64,
+        oversells: oversells(pm),
+        ..ClusterAudit::default()
+    }
+}
+
+/// `pm`'s pools whose promised quantity exceeds the quantity on hand.
+pub(crate) fn oversells(pm: &PromiseManager) -> u64 {
     let promised = pm.promised_quantities().into_iter();
     let oversold =
         |(pool, qty): &(PoolId, u64)| *qty > pm.quantity_on_hand(pool.clone()).unwrap_or(0);
-    ClusterAudit {
-        double_grants: grant_counts.values().filter(|&&n| n > 1).count() as u64,
-        oversells: promised.filter(oversold).count() as u64,
-        ..ClusterAudit::default()
-    }
+    promised.filter(oversold).count() as u64
 }
 
 /// Audits every op `run` recorded against `cluster`'s observable state,
@@ -193,19 +193,14 @@ pub(crate) fn lease_sum(cluster: &PromiseCluster, pool: &str) -> u64 {
     cluster.nodes.iter().map(lease).sum()
 }
 
-/// The two lease invariants, audited from authoritative shard state: per
-/// shard, promised quantity never exceeds the stock on hand (escrow never
-/// oversells, sales included); per pool, Σ leases never exceeds the
-/// registered quantity (rebalancing never mints units — a crash between a
-/// withdraw and its deposit may only *lose* headroom, which the heal pass
-/// re-credits).
+/// The lease invariant, audited from authoritative shard state: per pool,
+/// Σ leases never exceeds the registered quantity (rebalancing never mints
+/// units — a crash between a withdraw and its deposit may only *lose*
+/// headroom, which the heal pass re-credits). That escrow never oversells
+/// is [`audit_manager`]'s `oversells`, read from the same shard stock.
 pub(crate) fn audit_leases(cluster: &PromiseCluster) -> ClusterAudit {
     let mut audit = ClusterAudit::default();
     for (pool, total, _) in cluster.registered_pools() {
-        for node in &cluster.nodes {
-            let on_hand = node.pm.quantity_on_hand(pool.as_str()).unwrap_or(0);
-            audit.lease_oversells += u64::from(node.pm.promised_qty(pool.as_str()) > on_hand);
-        }
         audit.lease_sum_violations += u64::from(lease_sum(cluster, &pool) > total);
     }
     audit

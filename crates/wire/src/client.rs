@@ -51,16 +51,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A policy that never retries (every error surfaces immediately).
-    pub fn no_retries() -> Self {
-        Self {
-            max_retries: 0,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_seed: 0,
-        }
-    }
-
     /// Sets the retry budget.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
@@ -397,7 +387,7 @@ mod tests {
             drop_request: 1.0,
             ..FaultScenario::quiet(3)
         }))));
-        let client = RetryingClient::new(Arc::clone(&bus), RetryPolicy::no_retries());
+        let client = RetryingClient::new(Arc::clone(&bus), RetryPolicy::new(0).with_max_retries(0));
         assert_eq!(
             client.send("echo", &Envelope::new()).unwrap_err(),
             BusError::DroppedRequest

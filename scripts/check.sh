@@ -23,6 +23,14 @@ if grep -rn 'PromiseGateway::new' crates/sim/src; then
     exit 1
 fi
 
+# The promise path rejects or re-runs at once and never sleeps: a sleep in
+# the manager is a backoff hiding a lock-order inversion (DESIGN.md §9).
+echo "==> crates/core/src/manager.rs never sleeps"
+if grep -n 'thread::sleep' crates/core/src/manager.rs; then
+    echo "crates/core/src/manager.rs sleeps: the library path must not block"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
