@@ -125,8 +125,8 @@ impl Catalog {
         name: &str,
     ) -> Result<Option<u64>, PromiseError> {
         self.get(pool)?;
-        let rec = rm.get(txn, Self::QTY_TABLE, &pool.0)?;
-        Ok(rec.and_then(|r| r.int(name)).map(|v| v.max(0) as u64))
+        let field = rm.get_with(txn, Self::QTY_TABLE, &pool.0, |rec| rec?.int(name))?;
+        Ok(field.map(|v| v.max(0) as u64))
     }
 
     /// Adds an instance to an instance pool with the given properties and

@@ -33,7 +33,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use promises_matching::assign_slots_seeded;
@@ -106,7 +106,7 @@ pub struct Checker<'a> {
     /// only thing a quantity pool is checked against, so its records need
     /// not be in the snapshot at all. It holds every quantity pool the
     /// check visits.
-    qty_demand: HashMap<PoolId, u64>,
+    qty_demand: Vec<(&'a PoolId, u64)>,
     /// Names the promise a failed post-check blames for a pool none of
     /// whose records are in the snapshot.
     victim_of: Option<VictimLookup<'a>>,
@@ -242,7 +242,7 @@ impl<'a> Checker<'a> {
             rm,
             txn,
             catalog,
-            qty_demand: HashMap::new(),
+            qty_demand: Vec::new(),
             victim_of: None,
             pinned: HashSet::new(),
             stats: RefCell::new(CheckerStats::default()),
@@ -251,7 +251,7 @@ impl<'a> Checker<'a> {
 
     /// Supplies the exact live demand of every quantity pool the check
     /// visits (see [`Checker::qty_demand`]).
-    pub fn with_qty_demand(mut self, demand: HashMap<PoolId, u64>) -> Self {
+    pub fn with_qty_demand(mut self, demand: Vec<(&'a PoolId, u64)>) -> Self {
         self.qty_demand = demand;
         self
     }
@@ -273,44 +273,56 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// What this checker has looked at so far.
-    pub fn stats(&self) -> CheckerStats {
-        self.stats.borrow().clone()
+    /// What this checker looked at.
+    pub fn into_stats(self) -> CheckerStats {
+        self.stats.into_inner()
     }
 
     /// Grant-time check of `candidate` against the other live promises in
-    /// `existing`. On success, fills `candidate.allocations` (tag
-    /// strategies), possibly re-arranges existing allocations (tentative
-    /// strategy), and returns the ids of existing promises whose
-    /// allocations changed.
+    /// `existing`, pool by pool in `footprint`'s order (sorted; it holds
+    /// every pool the candidate names). On success, fills
+    /// `candidate.allocations` (tag strategies), possibly re-arranges
+    /// existing allocations (tentative strategy), and returns the ids of
+    /// existing promises whose allocations changed.
     pub fn grant(
         &self,
         existing: &mut [Arc<PromiseRecord>],
         candidate: &mut PromiseRecord,
+        footprint: &[&PoolId],
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
         self.stats.borrow_mut().promises_considered += existing.len();
-        for pool in candidate.pools().into_iter().cloned().collect::<Vec<_>>() {
+        let named = |pool: &PoolId, candidate: &PromiseRecord| {
+            candidate.predicates.iter().any(|pred| pred.pool() == pool)
+        };
+        debug_assert!(
+            (candidate.predicates.iter()).all(|pred| footprint.contains(&pred.pool())),
+            "a grant's footprint holds every pool its candidate names"
+        );
+        for &pool in footprint {
+            if !named(pool, candidate) {
+                continue;
+            }
             let schema = self
                 .catalog
-                .get(&pool)
+                .get(pool)
                 .map_err(|_| CheckError::Reject(RejectReason::UnknownPool(pool.clone())))?;
             match schema.kind {
-                PoolKind::Quantity => self.check_quantity(&pool)?,
+                PoolKind::Quantity => self.check_quantity(pool)?,
                 PoolKind::Instances => match schema.strategy {
                     CheckStrategy::Satisfiability => {
-                        self.match_or_err(&pool, existing, Some(&*candidate))
-                            .map_err(|e| self.as_reject(e, &pool, candidate))?;
+                        self.match_or_err(pool, existing, Some(&*candidate))
+                            .map_err(|e| self.as_reject(e, pool, candidate))?;
                     }
                     CheckStrategy::AllocatedTags => {
-                        self.grant_tags_strict(&pool, existing, candidate)?;
+                        self.grant_tags_strict(pool, existing, candidate)?;
                     }
                     CheckStrategy::TentativeAllocation => {
                         let assignment = self
-                            .match_or_err(&pool, existing, Some(&*candidate))
-                            .map_err(|e| self.as_reject(e, &pool, candidate))?;
+                            .match_or_err(pool, existing, Some(&*candidate))
+                            .map_err(|e| self.as_reject(e, pool, candidate))?;
                         changed.extend(self.apply_assignment(
-                            &pool,
+                            pool,
                             existing,
                             Some(&mut *candidate),
                             &assignment,
@@ -328,44 +340,41 @@ impl<'a> Checker<'a> {
     /// changed. Errors with [`CheckError::Violation`] if some promise can
     /// no longer be honoured.
     ///
-    /// Only the `scope` pools are re-checked: the caller asserts the
-    /// action wrote nothing outside them, so promises over other pools
-    /// cannot have been invalidated, and `live` holds just the promises
-    /// that intersect the scope's instance pools.
+    /// Only the `scope` pools (sorted and distinct) are re-checked, in
+    /// order: the caller asserts the action wrote nothing outside them, so
+    /// promises over other pools cannot have been invalidated, and `live`
+    /// holds just the promises that intersect the scope's instance pools.
     pub fn post_check(
         &self,
         live: &mut [Arc<PromiseRecord>],
-        scope: &[PoolId],
+        scope: &[&PoolId],
     ) -> Result<Vec<PromiseId>, CheckError> {
         let mut changed = Vec::new();
-        let mut pools = scope.to_vec();
-        pools.sort();
-        pools.dedup();
         self.stats.borrow_mut().promises_considered += live.len();
-        for pool in pools {
+        for &pool in scope {
             self.stats.borrow_mut().pools_visited.push(pool.clone());
-            let schema = match self.catalog.get(&pool) {
+            let schema = match self.catalog.get(pool) {
                 Ok(s) => s,
                 Err(_) => continue,
             };
             match schema.kind {
                 PoolKind::Quantity => {
-                    self.check_quantity(&pool)
-                        .map_err(|e| self.as_violation(e, &pool, live))?;
+                    self.check_quantity(pool)
+                        .map_err(|e| self.as_violation(e, pool, live))?;
                 }
                 PoolKind::Instances => match schema.strategy {
                     CheckStrategy::Satisfiability => {
-                        self.match_or_err(&pool, live, None)
-                            .map_err(|e| self.as_violation(e, &pool, live))?;
+                        self.match_or_err(pool, live, None)
+                            .map_err(|e| self.as_violation(e, pool, live))?;
                     }
                     CheckStrategy::AllocatedTags => {
-                        self.validate_tags(&pool, live)?;
+                        self.validate_tags(pool, live)?;
                     }
                     CheckStrategy::TentativeAllocation => {
                         let assignment = self
-                            .match_or_err(&pool, live, None)
-                            .map_err(|e| self.as_violation(e, &pool, live))?;
-                        changed.extend(self.apply_assignment(&pool, live, None, &assignment));
+                            .match_or_err(pool, live, None)
+                            .map_err(|e| self.as_violation(e, pool, live))?;
+                        changed.extend(self.apply_assignment(pool, live, None, &assignment));
                     }
                 },
             }
@@ -384,11 +393,12 @@ impl<'a> Checker<'a> {
             .catalog
             .quantity(self.rm, self.txn, pool)
             .map_err(|e| lookup_failed(pool, e))?;
+        let demand = self.qty_demand.iter().find(|(p, _)| *p == pool);
         debug_assert!(
-            self.qty_demand.contains_key(pool),
+            demand.is_some(),
             "quantity pool {pool} checked without its demand"
         );
-        let demand = self.qty_demand.get(pool).copied().unwrap_or(0);
+        let demand = demand.map_or(0, |(_, demand)| *demand);
         if demand <= on_hand {
             Ok(())
         } else {

@@ -79,6 +79,12 @@ impl From<&str> for PoolId {
     }
 }
 
+impl AsRef<str> for PoolId {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Identifies one resource instance within an instance pool (the paper's
 /// "named view" identifier, e.g. `room-512` or `seat-24G-QF1-20071008`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]

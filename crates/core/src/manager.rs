@@ -33,9 +33,12 @@
 //! synchronisation point, making every promise operation conflict with
 //! every other one. Here each operation instead derives its *footprint* —
 //! the pools its predicates constrain, its released promises cover, or its
-//! action actually wrote — and locks one synchronisation point per pool
-//! (`promise-ops/<pool>`), acquired in canonical sorted order so promise
-//! operations never deadlock against one another (§9). Operations over
+//! action actually wrote — and locks one synchronisation point per pool,
+//! named by the pool and acquired in canonical sorted order so promise
+//! operations never deadlock against one another (§9). The footprint
+//! borrows the pool names from the predicates and records it covers, so
+//! an uncontended operation allocates little beyond what it keeps: the
+//! record, its journal line, its request-index key. Operations over
 //! disjoint pools proceed fully in parallel; the checker then re-checks
 //! only the footprint's pools: a quantity pool from its exact live demand,
 //! an instance pool against the promises that intersect it (see
@@ -53,6 +56,7 @@
 //! a client on promise availability**: unfulfillable requests are
 //! rejected immediately (§9), so it introduces no deadlocks of its own.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,11 +79,7 @@ use crate::journal::{JournalOp, PromiseJournal};
 use crate::predicate::Predicate;
 use crate::promise::{qty_demand_on, PromiseRecord};
 use crate::schema::{PoolKind, PoolSchema};
-use crate::state::PromiseState;
-
-/// Prefix of the RM synchronisation points serialising promise
-/// operations: one `promise-ops/<pool>` point per footprint pool.
-const PM_OPS: &str = "promise-ops";
+use crate::state::{footprint, PromiseState};
 
 /// Default tombstone lifetime past the reap: long enough that any client
 /// still retrying against an expired promise sees "promise-expired", short
@@ -514,11 +514,11 @@ pub struct RecoveryReport {
 /// What one check reads from the promise table (see
 /// [`PromiseManager::check_inputs`]).
 #[derive(Default)]
-struct CheckInputs {
+struct CheckInputs<'f> {
     /// The records the checker may re-arrange, shared with the table.
     snapshot: Vec<Arc<PromiseRecord>>,
     /// Exact demand for every pool checked without its records.
-    qty_demand: HashMap<PoolId, u64>,
+    qty_demand: Vec<(&'f PoolId, u64)>,
     /// Observation pins as of the snapshot.
     pinned: HashSet<PromiseId>,
 }
@@ -540,7 +540,7 @@ enum Check<'a> {
     /// `duration_ms` on behalf of `spec`, as a prepared hold if `prepared`.
     Grant {
         spec: &'a PromiseRequestSpec,
-        predicates: Vec<Predicate>,
+        predicates: &'a [Predicate],
         duration_ms: u64,
         prepared: bool,
     },
@@ -552,8 +552,9 @@ enum Check<'a> {
 /// One §8 transaction over the promise table; see
 /// [`PromiseManager::transition`].
 struct Transition<'a> {
-    /// The pools whose synchronisation points serialise it.
-    footprint: &'a [PoolId],
+    /// The pools whose synchronisation points serialise it, sorted and
+    /// distinct.
+    footprint: &'a [&'a PoolId],
     /// Where its lock wait and checking time are recorded.
     lat: &'a OpLatencyMetrics,
     /// The promises it takes out of the table when it commits; ids no
@@ -814,7 +815,7 @@ impl PromiseManager {
     /// strands promised units and never moves units this shard was not
     /// leased (a restock above the lease stays here). The pool row's
     /// `qty` and `lease` both shrink by what moved, which is returned.
-    /// Runs under the pool's promise-ops synchronisation point,
+    /// Runs under the pool's synchronisation point,
     /// serialising against concurrent grants.
     ///
     /// A rebalance is withdraw-then-deposit: the donor's `W` record lands
@@ -852,7 +853,7 @@ impl PromiseManager {
         let tel = tel.as_deref();
         self.with_retries(|| {
             let txn = self.rm.begin();
-            if let Err(e) = self.lock_ops(&txn, std::slice::from_ref(pool)) {
+            if let Err(e) = self.lock_ops(&txn, &[pool]) {
                 return Err(self.abort_with(txn, e.into()));
             }
             // Nothing else moves this pool's promised quantity while its
@@ -1020,16 +1021,22 @@ impl PromiseManager {
             return Ok((rejection(&spec, RejectReason::Overloaded), false));
         }
 
-        // Split predicates between local pools and delegated pools.
+        // Split predicates between local pools and delegated pools; with
+        // no pool delegated, the request's own list is the local one.
         let upstream_map = self.upstreams.read().clone();
-        let mut local = Vec::new();
         let mut remote: HashMap<PoolId, Vec<Predicate>> = HashMap::new();
-        for p in &spec.predicates {
-            match upstream_map.get(p.pool()) {
-                Some(_) => remote.entry(p.pool().clone()).or_default().push(p.clone()),
-                None => local.push(p.clone()),
+        let local: Cow<'_, [Predicate]> = if upstream_map.is_empty() {
+            Cow::Borrowed(&spec.predicates)
+        } else {
+            let mut local = Vec::new();
+            for p in &spec.predicates {
+                match upstream_map.get(p.pool()) {
+                    Some(_) => remote.entry(p.pool().clone()).or_default().push(p.clone()),
+                    None => local.push(p.clone()),
+                }
             }
-        }
+            Cow::Owned(local)
+        };
 
         // Acquire upstream promises first (delegation); give them back on
         // any later failure so the whole request stays atomic to the
@@ -1069,8 +1076,8 @@ impl PromiseManager {
         }
 
         let duration_ms = spec.duration_ms.min(upstream_duration);
-        let result = self
-            .with_retries(|| self.grant_local(tel, &spec, local.clone(), duration_ms, prepared));
+        let result =
+            self.with_retries(|| self.grant_local(tel, &spec, &local, duration_ms, prepared));
         // A granted attempt keeps what it acquired, and so does a
         // deduplicated one: the upstream answered it from the same keys,
         // so its holds are its original's.
@@ -1091,7 +1098,7 @@ impl PromiseManager {
         &self,
         tel: Option<&PmTel>,
         spec: &PromiseRequestSpec,
-        predicates: Vec<Predicate>,
+        predicates: &[Predicate],
         duration_ms: u64,
         prepared: bool,
     ) -> Result<(PromiseResponse, bool), PromiseError> {
@@ -1099,8 +1106,8 @@ impl PromiseManager {
         // locking — predicate sets are immutable, so an exchange record's
         // pools cannot change while we wait; if the record vanishes
         // meanwhile, admission rejects).
-        let pools = predicates.iter().map(|p| p.pool().clone()).collect();
-        let footprint = self.state.lock().footprint(pools, &spec.exchange);
+        let exchanged = self.state.lock().shared(spec.exchange.iter().copied());
+        let footprint = footprint(predicates.iter().map(Predicate::pool), &exchanged);
         let transition = Transition {
             footprint: &footprint,
             lat: &self.metrics.grant_lat,
@@ -1163,11 +1170,14 @@ impl PromiseManager {
         let result = self.with_retries(|| {
             // The released promise's pools (immutable once granted, so the
             // pre-lock read stays exact while we wait for the locks).
-            let footprint = {
+            let released = {
                 let st = self.state.lock();
-                present(&st)?;
-                st.footprint(Vec::new(), &[id])
+                match st.table().get(id) {
+                    Some(rec) => [Arc::clone(rec)],
+                    None => return Err(st.absent(id)),
+                }
             };
+            let footprint = footprint([], &released);
             let transition = Transition {
                 footprint: &footprint,
                 lat: &self.metrics.release_lat,
@@ -1397,18 +1407,22 @@ impl PromiseManager {
         // — promises' pools are immutable, so the read stays exact while
         // the points are awaited, outside the state lock.
         let now = self.clock.now_ms();
-        let scope = {
+        let named = {
             let st = self.state.lock();
             let valid = self.validate_env(&st, env, now);
-            valid.map(|()| st.footprint(wrote.clone(), &env.promise_ids()))
+            valid.map(|()| st.shared(env.entries().iter().map(|(id, _)| *id)))
         };
-        let wait_started = Instant::now();
-        let locked = scope.and_then(|locks| Ok(self.lock_ops(&txn, &locks).map(|()| locks)?));
-        let lock_wait = wait_started.elapsed();
-        let locks = match locked {
-            Ok(locks) => locks,
+        let named = match named {
+            Ok(named) => named,
             Err(e) => return Err(self.abort_with(txn, e)),
         };
+        let scope = footprint(wrote.iter(), &named);
+        let wait_started = Instant::now();
+        let locked = self.lock_ops(&txn, &scope);
+        let lock_wait = wait_started.elapsed();
+        if let Err(e) = locked {
+            return Err(self.abort_with(txn, e.into()));
+        }
         let out = match action(&self.rm, &txn) {
             Ok(v) => v,
             Err(ActionError::App(msg)) => {
@@ -1420,23 +1434,32 @@ impl PromiseManager {
             Err(ActionError::Rm(e)) => return Err(self.abort_with(txn, PromiseError::Rm(e))),
         };
         // What the action wrote, as it will commit; the pools among it
-        // plus the pools of the promises being released.
+        // plus the pools of the promises being released, all in the scope.
         let writes = match self.rm.write_set(&txn) {
             Ok(writes) => writes,
             Err(e) => return Err(self.abort_with(txn, e.into())),
         };
-        let written = self.written_pools(&writes);
-        if let Some(pool) = written.iter().find(|p| locks.binary_search(p).is_err()) {
+        let outside = self.pools_outside(&writes, &scope);
+        if let Some(pool) = outside.first() {
             if enforce_scope {
                 let pool = pool.clone();
                 return Err(self.abort_with(txn, PromiseError::ScopeViolation { pool }));
             }
-            wrote.extend(written);
+            wrote.extend(outside);
             return self.abort_then(txn, None);
         }
         let lat = &self.metrics.execute_lat;
         lat.lock_wait.record_duration(lock_wait);
-        let footprint = self.state.lock().footprint(written, releases);
+        let released = |pool: &PoolId| {
+            (named.iter().filter(|rec| releases.contains(&rec.id)))
+                .any(|rec| rec.predicates.iter().any(|pred| pred.pool() == pool))
+        };
+        let written = |pool: &PoolId| {
+            (writes.keys()).any(|(table, key)| row_pool(table, key) == Some(pool.0.as_str()))
+        };
+        let footprint: Vec<&PoolId> = (scope.iter().copied())
+            .filter(|pool| written(pool) || released(pool))
+            .collect();
         let transition = Transition {
             footprint: &footprint,
             lat,
@@ -1469,7 +1492,7 @@ impl PromiseManager {
             // only ever *shrinks* (concurrent releases): `now` is fixed, so
             // nothing new expires, and a concurrent grant can only insert
             // records live past it.
-            let (expired, footprint) = {
+            let (expired, records) = {
                 let mut st = self.state.lock();
                 let expired = st.table().expired_ids(now);
                 if expired.is_empty() {
@@ -1478,9 +1501,10 @@ impl PromiseManager {
                     st.tombstones.evict_due(now);
                     return Ok(Vec::new());
                 }
-                let footprint = st.footprint(Vec::new(), &expired);
-                (expired, footprint)
+                let records = st.shared(expired.iter().copied());
+                (expired, records)
             };
+            let footprint = footprint([], &records);
             let transition = Transition {
                 footprint: &footprint,
                 lat: &self.metrics.prune_lat,
@@ -1912,15 +1936,11 @@ impl PromiseManager {
     }
 
     /// Acquires an operation's synchronisation points: one per footprint
-    /// pool, taken in canonical sorted order (handled by
-    /// [`ResourceManager::lock_exclusive_many`]) so two promise operations
-    /// can never deadlock on sync points alone.
-    fn lock_ops(&self, txn: &Txn, footprint: &[PoolId]) -> Result<(), RmError> {
-        let names: Vec<String> = footprint
-            .iter()
-            .map(|pool| format!("{PM_OPS}/{pool}"))
-            .collect();
-        self.rm.lock_exclusive_many(txn, &names)
+    /// pool, named by the pool, taken in canonical sorted order (handled
+    /// by [`ResourceManager::lock_exclusive_many`]) so two promise
+    /// operations can never deadlock on sync points alone.
+    fn lock_ops(&self, txn: &Txn, footprint: &[&PoolId]) -> Result<(), RmError> {
+        self.rm.lock_exclusive_many(txn, footprint)
     }
 
     /// Gathers, under the state lock, what the checker reads for an
@@ -1936,45 +1956,44 @@ impl PromiseManager {
     /// only then is the observation-pin set copied. So a quantity-only
     /// operation reads no record at all, however many promises its pools
     /// hold.
-    fn check_inputs(
+    fn check_inputs<'f>(
         &self,
         st: &PromiseState,
         catalog: &Catalog,
         now: u64,
-        footprint: &[PoolId],
+        footprint: &[&'f PoolId],
         excluded: &[Arc<PromiseRecord>],
         candidate: &[Predicate],
-    ) -> CheckInputs {
+    ) -> CheckInputs<'f> {
         let tbl = st.table();
-        let except: Vec<PromiseId> = excluded.iter().map(|rec| rec.id).collect();
-        let (instance_pools, counted_pools): (Vec<PoolId>, Vec<PoolId>) =
-            footprint.iter().cloned().partition(|pool| {
-                catalog
-                    .get(pool)
-                    .is_ok_and(|schema| schema.kind == PoolKind::Instances)
-            });
+        let except = || excluded.iter().map(|rec| rec.id).collect::<Vec<_>>();
+        let is_instances = |pool: &PoolId| {
+            (catalog.get(pool)).is_ok_and(|schema| schema.kind == PoolKind::Instances)
+        };
         let nothing_expired = tbl.none_expired(now);
-        let qty_demand = counted_pools
-            .into_iter()
-            .map(|pool| {
-                let held = if nothing_expired {
-                    let leaving: u64 = excluded
-                        .iter()
-                        .map(|rec| qty_demand_on(&rec.predicates, &pool))
-                        .sum();
-                    tbl.promised_qty(&pool).saturating_sub(leaving)
-                } else {
-                    tbl.qty_demand(&pool, now, &except)
-                };
-                let demand = held.saturating_add(qty_demand_on(candidate, &pool));
-                (pool, demand)
-            })
-            .collect();
+        let mut instance_pools = Vec::new();
+        let mut qty_demand = Vec::new();
+        for &pool in footprint {
+            if is_instances(pool) {
+                instance_pools.push(pool);
+                continue;
+            }
+            let held = if nothing_expired {
+                let leaving: u64 = excluded
+                    .iter()
+                    .map(|rec| qty_demand_on(&rec.predicates, pool))
+                    .sum();
+                tbl.promised_qty(pool).saturating_sub(leaving)
+            } else {
+                tbl.qty_demand(pool, now, &except())
+            };
+            qty_demand.push((pool, held.saturating_add(qty_demand_on(candidate, pool))));
+        }
         let (snapshot, pinned) = if instance_pools.is_empty() {
             (Vec::new(), HashSet::new())
         } else {
             (
-                tbl.snapshot_pools(now, &instance_pools, &except),
+                tbl.snapshot_pools(now, &instance_pools, &except()),
                 st.pinned().clone(),
             )
         };
@@ -1985,27 +2004,30 @@ impl PromiseManager {
         }
     }
 
-    /// Pools this manager protects among the rows an action wrote — the
-    /// action's write footprint, mapped from the RM write-set the same way
-    /// scope enforcement maps it.
-    fn written_pools(&self, writes: &RowImages) -> Vec<PoolId> {
+    /// The pools this manager protects among the rows an action wrote
+    /// that `scope` does not hold, sorted and distinct: none when the
+    /// action stayed in its scope. The rows map to pools as scope
+    /// enforcement maps them (see [`row_pool`]).
+    fn pools_outside(&self, writes: &RowImages, scope: &[&PoolId]) -> Vec<PoolId> {
         let catalog = self.catalog.read();
-        let mut pools = Vec::new();
-        for (table, key) in writes.keys() {
-            let touched: Option<PoolId> = if table == Catalog::QTY_TABLE {
-                Some(PoolId(key.clone()))
-            } else {
-                table.strip_prefix("inst:").map(|p| PoolId(p.to_owned()))
-            };
-            if let Some(pool) = touched {
+        let mut outside = Vec::new();
+        for name in writes
+            .keys()
+            .filter_map(|(table, key)| row_pool(table, key))
+        {
+            if scope
+                .binary_search_by(|pool| pool.0.as_str().cmp(name))
+                .is_err()
+            {
+                let pool = PoolId(name.to_owned());
                 if catalog.contains(&pool) {
-                    pools.push(pool);
+                    outside.push(pool);
                 }
             }
         }
-        pools.sort();
-        pools.dedup();
-        pools
+        outside.sort();
+        outside.dedup();
+        outside
     }
 
     /// The §8 transaction every promise operation is: inside `txn`, lock
@@ -2043,11 +2065,7 @@ impl PromiseManager {
             drop(st);
             return Err(self.halted(txn, halt));
         }
-        let leaving: Vec<Arc<PromiseRecord>> = t
-            .leaving
-            .iter()
-            .filter_map(|id| st.table().get(*id).cloned())
-            .collect();
+        let mut leaving = st.shared(t.leaving.iter().copied());
         let post_check = matches!(t.check, Check::Action { .. });
         let (inputs, mut candidate, writes) = match t.check {
             Check::Nothing => (CheckInputs::default(), None, RowImages::new()),
@@ -2062,12 +2080,12 @@ impl PromiseManager {
                 prepared,
             } => {
                 let inputs =
-                    self.check_inputs(&st, &catalog, now, t.footprint, &leaving, &predicates);
+                    self.check_inputs(&st, &catalog, now, t.footprint, &leaving, predicates);
                 let record = PromiseRecord {
                     id: st.next_id(),
                     client: spec.client.clone(),
                     request: spec.request.clone(),
-                    predicates,
+                    predicates: predicates.to_vec(),
                     granted_at: now,
                     expires_at: now.saturating_add(duration_ms.min(self.max_duration_ms)),
                     allocations: Vec::new(),
@@ -2095,7 +2113,7 @@ impl PromiseManager {
             // only once it passes (§4: "the previous one should be
             // retained" if it does not).
             let result = if let Some((record, _)) = &mut candidate {
-                checker.grant(&mut snapshot, record)
+                checker.grant(&mut snapshot, record, t.footprint)
             } else if post_check {
                 // Only the footprint's pools can have been invalidated by
                 // the action; released promises never constrain others
@@ -2104,7 +2122,7 @@ impl PromiseManager {
             } else {
                 Ok(Vec::new())
             };
-            let mut stats = checker.stats();
+            let mut stats = checker.into_stats();
             if candidate.is_none() && !post_check {
                 stats.promises_considered = leaving.len();
             }
@@ -2152,17 +2170,21 @@ impl PromiseManager {
         // The action's writes go first, in the same batch as the releases
         // that ride with them (§8: one transaction).
         self.journal_writes(&mut st, tel, writes);
-        let mut left = Vec::with_capacity(t.leaving.len());
-        for id in t.leaving {
-            if let Some(rec) = st.take(*id) {
-                let op = match t.leave {
-                    Leave::Release => JournalOp::Release(*id),
-                    Leave::Expire => JournalOp::Expire(*id),
-                };
-                self.journal_append(tel, |j| j.append(op));
-                left.push(rec);
-            }
-        }
+        // The leaving records, in `t.leaving`'s order, become the ones
+        // that left: those the table still holds (an id listed twice
+        // leaves once).
+        leaving.retain(|rec| {
+            let Some(rec) = st.take(rec.id) else {
+                return false;
+            };
+            let op = match t.leave {
+                Leave::Release => JournalOp::Release(rec.id),
+                Leave::Expire => JournalOp::Expire(rec.id),
+            };
+            self.journal_append(tel, |j| j.append(op));
+            true
+        });
+        let left = leaving;
         if let Leave::Expire = t.leave {
             let evict_at = now.saturating_add(self.tombstone_grace_ms.load(Ordering::Relaxed));
             for rec in &left {
@@ -2214,14 +2236,11 @@ impl PromiseManager {
         env: &Environment,
         now: u64,
     ) -> Result<(), PromiseError> {
-        let verdict = env
-            .promise_ids()
-            .into_iter()
-            .try_for_each(|id| match st.table().get(id) {
-                None => Err(st.absent(id)),
-                Some(r) if !r.is_live(now) => Err(PromiseError::PromiseExpired(id)),
-                Some(_) => Ok(()),
-            });
+        let verdict = (env.entries().iter()).try_for_each(|&(id, _)| match st.table().get(id) {
+            None => Err(st.absent(id)),
+            Some(r) if !r.is_live(now) => Err(PromiseError::PromiseExpired(id)),
+            Some(_) => Ok(()),
+        });
         if let Err(PromiseError::PromiseExpired(_)) = verdict {
             self.metrics.expired_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -2275,4 +2294,14 @@ impl PromiseManager {
 /// promises of the same client.
 fn delegated_request(request: &RequestId, pool: &PoolId) -> RequestId {
     RequestId(format!("{request}::delegated::{pool}"))
+}
+
+/// The pool whose state the RM row `(table, key)` holds, if any: a
+/// quantity pool's row, or an instance of an instance pool.
+fn row_pool<'r>(table: &'r str, key: &'r str) -> Option<&'r str> {
+    if table == Catalog::QTY_TABLE {
+        Some(key)
+    } else {
+        table.strip_prefix("inst:")
+    }
 }

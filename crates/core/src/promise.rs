@@ -4,6 +4,7 @@
 //! their predicates in a 'promise table'. Promises are placed in this
 //! table when they are granted and removed when they are released" (§8).
 
+use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -164,12 +165,10 @@ impl PromiseTable {
 
     /// Removes (releases) a promise, returning its record.
     pub fn remove(&mut self, id: PromiseId) -> Option<Arc<PromiseRecord>> {
-        let rec = self.live.remove(&id);
-        if let Some(rec) = &rec {
-            self.unindex(rec);
-        }
+        let rec = self.live.remove(&id)?;
+        self.unindex(&rec);
         self.debug_assert_consistent();
-        rec
+        Some(rec)
     }
 
     /// Looks up a live-or-expired promise still in the table; clone the
@@ -266,15 +265,15 @@ impl PromiseTable {
     /// of `pools`, excluding `except`, for checking outside the state
     /// lock: the records shared, not copied. Cost is proportional to the
     /// number of intersecting promises, not the table size.
-    pub fn snapshot_pools(
+    pub fn snapshot_pools<P: Borrow<PoolId>>(
         &self,
         now: u64,
-        pools: &[PoolId],
+        pools: &[P],
         except: &[PromiseId],
     ) -> Vec<Arc<PromiseRecord>> {
         let mut ids: Vec<PromiseId> = pools
             .iter()
-            .filter_map(|pool| self.by_pool.get(pool))
+            .filter_map(|pool| self.by_pool.get(pool.borrow()))
             .flatten()
             .copied()
             .collect();

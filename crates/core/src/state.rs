@@ -10,7 +10,9 @@
 //! only way a record leaves the table, so a mark cannot outlive its
 //! record.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use promises_rm::RowImages;
@@ -20,6 +22,63 @@ use crate::error::PromiseError;
 use crate::ids::{request_key, ClientId, PoolId, PromiseId, RequestId};
 use crate::promise::{Allocation, PromiseRecord, PromiseTable};
 
+/// A `(client, request)` pair as the request index hashes and compares
+/// it, so that a lookup borrows the two strings instead of packing a key.
+trait RequestPair {
+    fn pair(&self) -> (&str, &str);
+}
+
+impl RequestPair for (&str, &str) {
+    fn pair(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+impl Hash for dyn RequestPair + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pair().hash(state);
+    }
+}
+
+impl PartialEq for dyn RequestPair + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.pair() == other.pair()
+    }
+}
+
+impl Eq for dyn RequestPair + '_ {}
+
+/// A request-index key as stored: [`request_key`]'s one allocation.
+#[derive(Debug)]
+struct IndexKey(Box<str>);
+
+impl RequestPair for IndexKey {
+    fn pair(&self) -> (&str, &str) {
+        let (len, rest) = self.0.split_once(':').expect("request_key writes a length");
+        rest.split_at(len.parse().expect("request_key writes a length"))
+    }
+}
+
+impl<'a> Borrow<dyn RequestPair + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn RequestPair + 'a) {
+        self
+    }
+}
+
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pair().hash(state);
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for IndexKey {}
+
 /// The promise table and every per-promise mark (see the module doc).
 #[derive(Debug, Default)]
 pub(crate) struct PromiseState {
@@ -28,7 +87,7 @@ pub(crate) struct PromiseState {
     /// a *retried* grant request (duplicate delivery, reply lost) is
     /// answered with the original promise instead of being granted — and
     /// charged — twice.
-    by_request: HashMap<Box<str>, PromiseId>,
+    by_request: HashMap<IndexKey, PromiseId>,
     /// Prepared holds awaiting their cross-shard coordinator's decision.
     /// Durable: journalled as `P`/`C` records, rebuilt by recovery, part
     /// of the digest.
@@ -82,8 +141,8 @@ impl PromiseState {
         if prepared {
             self.prepared.insert(rec.id);
         }
-        self.by_request
-            .insert(request_key(&rec.client.0, &rec.request.0), rec.id);
+        let key = IndexKey(request_key(&rec.client.0, &rec.request.0));
+        self.by_request.insert(key, rec.id);
         self.table.insert(rec);
     }
 
@@ -94,9 +153,9 @@ impl PromiseState {
         let rec = self.table.remove(id)?;
         self.prepared.remove(&id);
         self.pinned.remove(&id);
-        let key = request_key(&rec.client.0, &rec.request.0);
-        if self.by_request.get(&key) == Some(&id) {
-            self.by_request.remove(&key);
+        let key: &dyn RequestPair = &(rec.client.0.as_str(), rec.request.0.as_str());
+        if self.by_request.get(key) == Some(&id) {
+            self.by_request.remove(key);
         }
         Some(rec)
     }
@@ -145,7 +204,8 @@ impl PromiseState {
     /// The promise in the table under `(client, request)`, live or expired
     /// and not yet reaped.
     pub(crate) fn indexed(&self, client: &ClientId, request: &RequestId) -> Option<&PromiseRecord> {
-        let id = self.by_request.get(&request_key(&client.0, &request.0))?;
+        let key: &dyn RequestPair = &(client.0.as_str(), request.0.as_str());
+        let id = self.by_request.get(key)?;
         self.table.get(*id).map(Arc::as_ref)
     }
 
@@ -159,14 +219,13 @@ impl PromiseState {
         }
     }
 
-    /// The pools constrained by any of `ids`' records, sorted and
-    /// deduplicated, after `also`: an operation's footprint.
-    pub(crate) fn footprint(&self, mut also: Vec<PoolId>, ids: &[PromiseId]) -> Vec<PoolId> {
-        let recs = ids.iter().filter_map(|id| self.table.get(*id));
-        also.extend(recs.flat_map(|rec| rec.pools().into_iter().cloned()));
-        also.sort();
-        also.dedup();
-        also
+    /// The records of those of `ids` in the table, shared with it.
+    pub(crate) fn shared(
+        &self,
+        ids: impl IntoIterator<Item = PromiseId>,
+    ) -> Vec<Arc<PromiseRecord>> {
+        let recs = ids.into_iter().filter_map(|id| self.table.get(id));
+        recs.cloned().collect()
     }
 
     /// Every record with its prepared mark, sorted by id (table iteration
@@ -211,4 +270,18 @@ impl PromiseState {
         }
         out
     }
+}
+
+/// The pools of `asked` and of `records`, sorted and deduplicated, each
+/// borrowed where it lies: an operation's footprint.
+pub(crate) fn footprint<'a>(
+    asked: impl IntoIterator<Item = &'a PoolId>,
+    records: &'a [Arc<PromiseRecord>],
+) -> Vec<&'a PoolId> {
+    let held = records.iter().flat_map(|rec| &rec.predicates);
+    let mut pools: Vec<&PoolId> = asked.into_iter().collect();
+    pools.extend(held.map(|pred| pred.pool()));
+    pools.sort_unstable();
+    pools.dedup();
+    pools
 }

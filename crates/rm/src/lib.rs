@@ -42,7 +42,6 @@ mod txn;
 mod value;
 
 pub use error::RmError;
-pub use lock::{LockManager, LockMode};
 pub use txn::{ResourceManager, RowImages, StorageFaultHook, Txn, TxnId};
 pub use value::{Record, Value};
 

@@ -25,11 +25,30 @@ impl Store {
     }
 
     pub fn get(&self, table: &str, key: &str) -> Result<Option<Record>, RmError> {
-        Ok(self.table(table)?.get(key).cloned())
+        self.get_with(table, key, |rec| rec.cloned())
     }
 
+    /// Lends the record under `key`, if any, to `f`.
+    pub fn get_with<R>(
+        &self,
+        table: &str,
+        key: &str,
+        f: impl FnOnce(Option<&Record>) -> R,
+    ) -> Result<R, RmError> {
+        Ok(f(self.table(table)?.get(key)))
+    }
+
+    pub fn get_mut(&mut self, table: &str, key: &str) -> Result<Option<&mut Record>, RmError> {
+        Ok(self.table_mut(table)?.get_mut(key))
+    }
+
+    /// Writes `rec` under `key`, in place when the key is there already.
     pub fn put(&mut self, table: &str, key: &str, rec: Record) -> Result<Option<Record>, RmError> {
-        Ok(self.table_mut(table)?.insert(key.to_owned(), rec))
+        let t = self.table_mut(table)?;
+        Ok(match t.get_mut(key) {
+            Some(slot) => Some(std::mem::replace(slot, rec)),
+            None => t.insert(key.to_owned(), rec),
+        })
     }
 
     pub fn insert(&mut self, table: &str, key: &str, rec: Record) -> Result<(), RmError> {

@@ -279,19 +279,24 @@ impl ResourceManager {
 
     /// Reads a record (`IS` on the table, `S` on the record).
     pub fn get(&self, txn: &Txn, table: &str, key: &str) -> Result<Option<Record>, RmError> {
+        self.get_with(txn, table, key, |rec| rec.cloned())
+    }
+
+    /// [`ResourceManager::get`] without the copy: the same locks and
+    /// `"get"` fault point, the record (if any) lent to `f`. `f` runs under
+    /// the store latch and must not call back into the resource manager.
+    pub fn get_with<R>(
+        &self,
+        txn: &Txn,
+        table: &str,
+        key: &str,
+        f: impl FnOnce(Option<&Record>) -> R,
+    ) -> Result<R, RmError> {
         self.ensure_active(txn)?;
-        self.lock(
-            txn,
-            &Granule::Table(table.to_owned()),
-            LockMode::IntentionShared,
-        )?;
-        self.lock(
-            txn,
-            &Granule::Record(table.to_owned(), key.to_owned()),
-            LockMode::Shared,
-        )?;
+        self.lock(txn, Granule::Table(table), LockMode::IntentionShared)?;
+        self.lock(txn, Granule::Record(table, key), LockMode::Shared)?;
         self.faultable("get", table)?;
-        self.store.lock().get(table, key)
+        self.store.lock().get_with(table, key, f)
     }
 
     /// Writes a record unconditionally (`IX` table, `X` record); creates it
@@ -354,14 +359,15 @@ impl ResourceManager {
         self.write_locks(txn, table, key)?;
         self.faultable("update", table)?;
         let mut store = self.store.lock();
-        let before = store.get(table, key)?.ok_or_else(|| RmError::NoSuchKey {
-            table: table.to_owned(),
-            key: key.to_owned(),
-        })?;
-        self.record_undo(txn, table, key, Some(before.clone()))?;
-        let mut rec = before;
-        f(&mut rec);
-        store.put(table, key, rec).map(|_| ())
+        let rec = store
+            .get_mut(table, key)?
+            .ok_or_else(|| RmError::NoSuchKey {
+                table: table.to_owned(),
+                key: key.to_owned(),
+            })?;
+        self.record_undo(txn, table, key, Some(rec.clone()))?;
+        f(rec);
+        Ok(())
     }
 
     /// The `(table, key)` rows this transaction has modified so far (its
@@ -397,7 +403,9 @@ impl ResourceManager {
 
     /// Acquires exclusive locks on several synchronisation points, always
     /// in canonical (sorted, deduplicated) order regardless of the order
-    /// the caller passes them in.
+    /// the caller passes them in. A sync point is a name — the promise
+    /// manager passes pool names — in a namespace of its own: it conflicts
+    /// with no table or record.
     ///
     /// This is the footprint-locking primitive for the promise manager:
     /// every promise operation locks the sync points of exactly the pools
@@ -405,24 +413,22 @@ impl ResourceManager {
     /// through this single sorted path, sync points alone can never form
     /// a wait-for cycle (paper §9's no-new-deadlocks property). Cycles
     /// through ordinary data locks are still possible and remain handled
-    /// by deadlock detection + victimisation.
+    /// by deadlock detection + victimisation. Names passed already sorted
+    /// and distinct are locked as they stand, with no copy.
     pub fn lock_exclusive_many<S: AsRef<str>>(
         &self,
         txn: &Txn,
         names: &[S],
     ) -> Result<(), RmError> {
         self.ensure_active(txn)?;
+        let lock = |name: &str| self.lock(txn, Granule::Sync(name), LockMode::Exclusive);
+        if (names.windows(2)).all(|w| w[0].as_ref() < w[1].as_ref()) {
+            return names.iter().try_for_each(|name| lock(name.as_ref()));
+        }
         let mut sorted: Vec<&str> = names.iter().map(AsRef::as_ref).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        for name in sorted {
-            self.lock(
-                txn,
-                &Granule::Table(format!("\u{0}sync:{name}")),
-                LockMode::Exclusive,
-            )?;
-        }
-        Ok(())
+        sorted.into_iter().try_for_each(lock)
     }
 
     /// Scans a whole table under a table-level `S` lock (phantom-safe),
@@ -446,7 +452,7 @@ impl ResourceManager {
         f: impl FnMut(&str, &Record),
     ) -> Result<(), RmError> {
         self.ensure_active(txn)?;
-        self.lock(txn, &Granule::Table(table.to_owned()), LockMode::Shared)?;
+        self.lock(txn, Granule::Table(table), LockMode::Shared)?;
         self.faultable("scan", table)?;
         self.store.lock().scan_with(table, f)
     }
@@ -510,19 +516,11 @@ impl ResourceManager {
 
     fn write_locks(&self, txn: &Txn, table: &str, key: &str) -> Result<(), RmError> {
         self.ensure_active(txn)?;
-        self.lock(
-            txn,
-            &Granule::Table(table.to_owned()),
-            LockMode::IntentionExclusive,
-        )?;
-        self.lock(
-            txn,
-            &Granule::Record(table.to_owned(), key.to_owned()),
-            LockMode::Exclusive,
-        )
+        self.lock(txn, Granule::Table(table), LockMode::IntentionExclusive)?;
+        self.lock(txn, Granule::Record(table, key), LockMode::Exclusive)
     }
 
-    fn lock(&self, txn: &Txn, granule: &Granule, mode: LockMode) -> Result<(), RmError> {
+    fn lock(&self, txn: &Txn, granule: Granule<'_>, mode: LockMode) -> Result<(), RmError> {
         match self.locks.lock(txn.id, granule, mode) {
             Err(e @ RmError::Deadlock { .. }) => {
                 self.counters.deadlocks.fetch_add(1, Ordering::Relaxed);

@@ -119,7 +119,13 @@ impl Record {
 
     /// Sets a field, replacing any previous value.
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
-        self.fields.insert(name.to_owned(), value.into());
+        let value = value.into();
+        match self.fields.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.fields.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Gets a field by name.

@@ -72,6 +72,23 @@ if [ -z "$resident" ] || [ "$resident" -gt 490 ]; then
     echo "pm_table live_bytes_per_promise = ${resident:-missing} B, limit 490"
     exit 1
 fi
+# pm_table runs traced as well, for allocations per op, a count too: 91.7
+# at seed 1 while the RM lock manager cloned a granule's strings up to
+# three times per lock and the promise path formatted a sync-point name
+# per pool, copied its predicates, footprint and demand map per attempt
+# and packed a request key for each index lookup; ≈ 61 since an
+# uncontended operation allocates what it keeps (the record, its journal
+# line, its request-index key). A per-lock or per-pool copy creeping back
+# goes past 70.
+echo "==> benchmark --workload pm_table --seed 1 --seconds 2 --trace 1"
+traced=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload pm_table --seed 1 --seconds 2 --trace 1)
+echo "$traced"
+allocs=$(sed -n 's/.*"alloc.count_per_op": {"value": \([0-9]*\).*/\1/p' <<<"$traced")
+if [ -z "$allocs" ] || [ "$allocs" -gt 70 ]; then
+    echo "pm_table alloc.count_per_op = ${allocs:-missing}, limit 70"
+    exit 1
+fi
 # failover runs traced for the group-commit give-up count: replies a
 # shard released with the follower still behind their batch. A healthy
 # link never gives up, so it reads 0 (benchmark/README.md); a commit that
