@@ -7,7 +7,7 @@ use promises_rm::{Record, ResourceManager};
 use promises_services::Merchant;
 
 /// A fresh promise manager on its own RM with a wall clock.
-pub fn fresh_pm() -> Arc<PromiseManager> {
+fn fresh_pm() -> Arc<PromiseManager> {
     Arc::new(PromiseManager::new(
         Arc::new(ResourceManager::new()),
         Arc::new(SystemClock::new()),

@@ -522,7 +522,7 @@ impl PromiseCluster {
     /// `cluster.lease.headroom.<pool>.shardN` into the cluster registry.
     /// Replication tip/watermark/lag gauges are refreshed by every link
     /// sync and need no help here.
-    pub fn publish_health_gauges(&self) {
+    fn publish_health_gauges(&self) {
         for node in &self.nodes {
             node.telemetry.set_gauge(
                 "pm.in_doubt.oldest_ms",

@@ -48,7 +48,7 @@ pub use coordinator::{
     NegotiatedClusterGrant,
 };
 pub use lease::LeaseDirectory;
-pub use log::{CoordLogError, CoordRecord, CoordinatorLog, LogCompaction, LogSummary, TxnId};
+pub use log::{CoordRecord, CoordinatorLog, LogCompaction, LogSummary, TxnId};
 pub use replica::{ReplicationLink, ShardFollower, SyncReport};
 pub use router::{shard_endpoint, versioned_endpoint, ShardMap};
 pub use shard::{PoolSeed, ShardNode, ShardServer};

@@ -9,13 +9,13 @@
 //! shards may or may not have heard, so commits are resent (shard-side
 //! resolution is idempotent).
 //!
-//! Like `PromiseJournal`, the log is an in-memory line store standing in
-//! for an fsynced append-only file: the format is line-oriented `|`-sep
-//! text so the encode/decode pair is trivially auditable.
+//! The log is a [`LineStore`], the store the promise journal writes
+//! through, and its `B`/`C`/`A` records are written and read with the
+//! journal's field codec (`core/src/journal.rs`, "Record format").
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use parking_lot::Mutex;
+use promises_core::{push_num, push_text, FieldReader, JournalError, LineStore};
 
 /// Identity of one cross-shard transaction: the client and the original
 /// (pre-split) request id.
@@ -69,47 +69,46 @@ pub enum CoordRecord {
 }
 
 impl CoordRecord {
-    fn encode(&self) -> String {
+    fn encode(&self, out: &mut String) {
         match self {
-            CoordRecord::Begin { txn, shards } => {
-                let list = shards
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!("B|{}|{}|{list}", esc(&txn.client), esc(&txn.request))
-            }
-            CoordRecord::Commit { txn } => {
-                format!("C|{}|{}", esc(&txn.client), esc(&txn.request))
-            }
-            CoordRecord::Abort { txn } => {
-                format!("A|{}|{}", esc(&txn.client), esc(&txn.request))
-            }
+            CoordRecord::Begin { txn, shards } => encode_record(out, "\tB", txn, Some(shards)),
+            CoordRecord::Commit { txn } => encode_record(out, "\tC", txn, None),
+            CoordRecord::Abort { txn } => encode_record(out, "\tA", txn, None),
         }
     }
 
-    fn decode(line: &str) -> Result<Self, CoordLogError> {
-        let mut parts = line.split('|');
-        let tag = parts.next().unwrap_or_default();
-        let client = unesc(parts.next().ok_or(CoordLogError::Truncated)?);
-        let request = unesc(parts.next().ok_or(CoordLogError::Truncated)?);
-        let txn = TxnId { client, request };
-        match tag {
-            "B" => {
-                let list = parts.next().ok_or(CoordLogError::Truncated)?;
-                let shards = if list.is_empty() {
-                    vec![]
-                } else {
-                    list.split(',')
-                        .map(|s| s.parse().map_err(|_| CoordLogError::BadShardList))
-                        .collect::<Result<_, _>>()?
-                };
-                Ok(CoordRecord::Begin { txn, shards })
-            }
-            "C" => Ok(CoordRecord::Commit { txn }),
-            "A" => Ok(CoordRecord::Abort { txn }),
-            other => Err(CoordLogError::UnknownTag(other.to_owned())),
+    /// Reads what follows a line's `seq` and `gen` fields: the inverse of
+    /// [`CoordRecord::encode`].
+    fn decode(r: &mut FieldReader<'_>) -> Result<Self, JournalError> {
+        let tag = r.next("record tag")?;
+        if !matches!(tag, "B" | "C" | "A") {
+            return Err(r.error(format!("unknown coordinator record tag {tag:?}")));
         }
+        let client = r.text("client")?.into_owned();
+        let request = r.text("request")?.into_owned();
+        let txn = TxnId { client, request };
+        let rec = match tag {
+            "B" => {
+                let (n, room) = r.count("shard count")?;
+                let mut shards: Vec<usize> = Vec::with_capacity(room);
+                for _ in 0..n {
+                    let shard = r.next_u64("shard")? as usize;
+                    if shards.last().is_some_and(|&prev| prev >= shard) {
+                        return Err(r.error(format!("shard list not ascending at {shard}")));
+                    }
+                    shards.push(shard);
+                }
+                CoordRecord::Begin { txn, shards }
+            }
+            "C" => CoordRecord::Commit { txn },
+            _ => CoordRecord::Abort { txn },
+        };
+        let end = r.next("end mark")?;
+        if end != "." {
+            return Err(r.error(format!("bad end mark {end:?}")));
+        }
+        r.end()?;
+        Ok(rec)
     }
 
     /// The transaction this record is about.
@@ -122,33 +121,33 @@ impl CoordRecord {
     }
 }
 
-/// Decode failures (a corrupt line is an error, never skipped silently).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoordLogError {
-    /// A record line ended before its required fields.
-    Truncated,
-    /// An unrecognised record tag.
-    UnknownTag(String),
-    /// The Begin shard list did not parse.
-    BadShardList,
-}
-
-impl std::fmt::Display for CoordLogError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoordLogError::Truncated => write!(f, "truncated coordinator log record"),
-            CoordLogError::UnknownTag(t) => write!(f, "unknown coordinator log tag {t:?}"),
-            CoordLogError::BadShardList => write!(f, "bad shard list in Begin record"),
+/// One record: its tag, the transaction's client and request, a `B`'s
+/// shard count and shards, and the end mark `.`, which lets no cut line
+/// read as a shorter request or shard list.
+fn encode_record(out: &mut String, tag: &str, txn: &TxnId, shards: Option<&[usize]>) {
+    out.push_str(tag);
+    push_text(out, &txn.client);
+    push_text(out, &txn.request);
+    if let Some(shards) = shards {
+        push_num(out, shards.len() as u64);
+        for &shard in shards {
+            push_num(out, shard as u64);
         }
     }
+    out.push_str("\t.");
 }
 
-impl std::error::Error for CoordLogError {}
+/// Decodes line `i` of the log.
+fn decode_line(raw: &str, i: usize) -> Result<CoordRecord, JournalError> {
+    let mut r = FieldReader::new(raw, i);
+    r.head()?;
+    CoordRecord::decode(&mut r)
+}
 
 /// The append-only coordinator log.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct CoordinatorLog {
-    lines: Mutex<Vec<String>>,
+    store: LineStore,
 }
 
 impl CoordinatorLog {
@@ -157,18 +156,33 @@ impl CoordinatorLog {
         Self::default()
     }
 
-    /// Appends one record (the in-memory stand-in for append+fsync).
+    /// Rebuilds a log from dumped lines, as a coordinator reads its file
+    /// back. Every line must decode.
+    pub fn from_lines<S: AsRef<str>>(lines: &[S]) -> Result<Self, JournalError> {
+        match LineStore::from_lines_tolerant(lines, |r| CoordRecord::decode(r).map(drop))? {
+            (store, None) => Ok(Self { store }),
+            (_, Some(torn)) => Err(torn),
+        }
+    }
+
+    /// The raw encoded lines (what would be written to a log file).
+    pub fn lines(&self) -> Vec<String> {
+        self.store.lines()
+    }
+
+    /// Appends one record and returns once a flush covers it (the
+    /// in-memory stand-in for append+fsync).
     pub fn append(&self, rec: CoordRecord) {
-        self.lines.lock().push(rec.encode());
+        self.store.append_with(|out| rec.encode(out));
+        self.store.flush_all(0);
     }
 
     /// Decodes every record, oldest first.
-    pub fn entries(&self) -> Result<Vec<CoordRecord>, CoordLogError> {
-        self.lines
-            .lock()
-            .iter()
-            .map(|l| CoordRecord::decode(l))
-            .collect()
+    pub fn entries(&self) -> Result<Vec<CoordRecord>, JournalError> {
+        self.store.read(|lines| {
+            let numbered = lines.iter().enumerate();
+            numbered.map(|(i, l)| decode_line(l, i)).collect()
+        })
     }
 
     /// Replays the log into per-transaction outcomes: transactions with a
@@ -188,72 +202,18 @@ impl CoordinatorLog {
     /// recovery pass double-logged — but it is never swallowed silently:
     /// the orphan is reported in [`LogSummary::orphan_aborts`] so audits
     /// can count it.
-    pub fn replay(&self) -> Result<LogSummary, CoordLogError> {
-        #[derive(PartialEq)]
-        enum Status {
-            Pending,
-            Committed,
-            Aborted,
-        }
-        let mut order: Vec<TxnId> = Vec::new();
-        let mut state: std::collections::HashMap<TxnId, (Vec<usize>, Status)> =
-            std::collections::HashMap::new();
-        let mut orphan_aborts: Vec<TxnId> = Vec::new();
-        for rec in self.entries()? {
-            match rec {
-                CoordRecord::Begin { txn, shards } => {
-                    if !state.contains_key(&txn) {
-                        order.push(txn.clone());
-                    }
-                    let entry = state
-                        .entry(txn)
-                        .or_insert_with(|| (shards.clone(), Status::Pending));
-                    entry.0 = shards;
-                    // A new attempt after an abort is pending again; a
-                    // committed transaction stays committed.
-                    if entry.1 == Status::Aborted {
-                        entry.1 = Status::Pending;
-                    }
-                }
-                CoordRecord::Commit { txn } => {
-                    if let Some(entry) = state.get_mut(&txn) {
-                        entry.1 = Status::Committed;
-                    }
-                }
-                CoordRecord::Abort { txn } => match state.get_mut(&txn) {
-                    Some(entry) => {
-                        if entry.1 != Status::Committed {
-                            entry.1 = Status::Aborted;
-                        }
-                    }
-                    None => orphan_aborts.push(txn),
-                },
-            }
-        }
-        let mut summary = LogSummary {
-            undecided: Vec::new(),
-            committed: Vec::new(),
-            orphan_aborts,
-        };
-        for txn in order {
-            let (shards, status) = &state[&txn];
-            match status {
-                Status::Pending => summary.undecided.push((txn.clone(), shards.clone())),
-                Status::Committed => summary.committed.push((txn.clone(), shards.clone())),
-                Status::Aborted => {}
-            }
-        }
-        Ok(summary)
+    pub fn replay(&self) -> Result<LogSummary, JournalError> {
+        self.store.read(summarize)
     }
 
     /// Number of records currently in the log.
     pub fn len(&self) -> usize {
-        self.lines.lock().len()
+        self.store.len()
     }
 
     /// True if the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.lines.lock().is_empty()
+        self.store.is_empty()
     }
 
     /// Compacts the log to the minimal record set replay needs, dropping
@@ -273,45 +233,86 @@ impl CoordinatorLog {
     /// The rewrite happens atomically under the log lock. Replay of the
     /// compacted log yields the same [`LogSummary`] (minus orphan aborts,
     /// which are dead history by definition) as the uncompacted one.
-    pub fn compact(&self, resolved: &HashSet<TxnId>) -> Result<LogCompaction, CoordLogError> {
-        let summary = self.replay()?;
-        let mut keep: Vec<String> = Vec::new();
-        let mut kept_txns = 0usize;
-        for (txn, shards) in &summary.undecided {
-            keep.push(
-                CoordRecord::Begin {
-                    txn: txn.clone(),
-                    shards: shards.clone(),
-                }
-                .encode(),
-            );
-            kept_txns += 1;
-        }
-        let mut dropped_resolved = 0usize;
-        for (txn, shards) in &summary.committed {
-            if resolved.contains(txn) {
-                dropped_resolved += 1;
-                continue;
+    pub fn compact(&self, resolved: &HashSet<TxnId>) -> Result<LogCompaction, JournalError> {
+        self.store.rewrite(|lines, out| {
+            let summary = summarize(lines)?;
+            let (mut kept, mut dropped_resolved) = (0, 0);
+            for (txn, shards) in &summary.undecided {
+                out.line(|line| encode_record(line, "\tB", txn, Some(shards)));
+                kept += 1;
             }
-            keep.push(
-                CoordRecord::Begin {
-                    txn: txn.clone(),
-                    shards: shards.clone(),
+            for (txn, shards) in &summary.committed {
+                if resolved.contains(txn) {
+                    dropped_resolved += 1;
+                    continue;
                 }
-                .encode(),
-            );
-            keep.push(CoordRecord::Commit { txn: txn.clone() }.encode());
-            kept_txns += 1;
-        }
-        let mut lines = self.lines.lock();
-        let report = LogCompaction {
-            dropped: lines.len().saturating_sub(keep.len()),
-            dropped_resolved,
-            kept_txns,
-        };
-        *lines = keep;
-        Ok(report)
+                out.line(|line| encode_record(line, "\tB", txn, Some(shards)));
+                out.line(|line| encode_record(line, "\tC", txn, None));
+                kept += 2;
+            }
+            Ok(LogCompaction {
+                dropped: lines.len().saturating_sub(kept),
+                dropped_resolved,
+                kept_txns: summary.undecided.len() + summary.committed.len() - dropped_resolved,
+            })
+        })
     }
+}
+
+/// Folds the log's lines into per-transaction outcomes; see
+/// [`CoordinatorLog::replay`].
+fn summarize(lines: &[String]) -> Result<LogSummary, JournalError> {
+    #[derive(PartialEq)]
+    enum Status {
+        Pending,
+        Committed,
+        Aborted,
+    }
+    let mut order: Vec<TxnId> = Vec::new();
+    let mut state: HashMap<TxnId, (Vec<usize>, Status)> = HashMap::new();
+    let mut orphan_aborts: Vec<TxnId> = Vec::new();
+    for (i, raw) in lines.iter().enumerate() {
+        match decode_line(raw, i)? {
+            CoordRecord::Begin { txn, shards } => {
+                if !state.contains_key(&txn) {
+                    order.push(txn.clone());
+                }
+                let entry = state.entry(txn).or_insert((vec![], Status::Pending));
+                entry.0 = shards;
+                // A new attempt after an abort is pending again; a
+                // committed transaction stays committed.
+                if entry.1 == Status::Aborted {
+                    entry.1 = Status::Pending;
+                }
+            }
+            CoordRecord::Commit { txn } => {
+                if let Some(entry) = state.get_mut(&txn) {
+                    entry.1 = Status::Committed;
+                }
+            }
+            CoordRecord::Abort { txn } => match state.get_mut(&txn) {
+                Some(entry) => {
+                    if entry.1 != Status::Committed {
+                        entry.1 = Status::Aborted;
+                    }
+                }
+                None => orphan_aborts.push(txn),
+            },
+        }
+    }
+    let mut summary = LogSummary {
+        undecided: Vec::new(),
+        committed: Vec::new(),
+        orphan_aborts,
+    };
+    for txn in order {
+        match state.remove(&txn) {
+            Some((shards, Status::Pending)) => summary.undecided.push((txn, shards)),
+            Some((shards, Status::Committed)) => summary.committed.push((txn, shards)),
+            _ => {}
+        }
+    }
+    Ok(summary)
 }
 
 /// Per-transaction outcome of a log replay. See [`CoordinatorLog::replay`].
@@ -335,27 +336,6 @@ pub struct LogCompaction {
     pub dropped_resolved: usize,
     /// Transactions still represented after compaction.
     pub kept_txns: usize,
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('|', "\\p")
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('p') => out.push('|'),
-                Some(other) => out.push(other),
-                None => break,
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -438,12 +418,11 @@ mod tests {
 
     #[test]
     fn corrupt_lines_error_out() {
-        let log = CoordinatorLog::new();
-        log.lines.lock().push("Z|x|y".into());
-        assert!(matches!(
-            log.entries(),
-            Err(CoordLogError::UnknownTag(t)) if t == "Z"
-        ));
+        let err = CoordinatorLog::from_lines(&["1\t0\tZ\tx\ty"])
+            .err()
+            .unwrap();
+        assert_eq!(err.line, 0);
+        assert!(err.detail.contains("\"Z\""), "{err}");
     }
 
     #[test]

@@ -78,13 +78,6 @@ impl Catalog {
         self.pools.contains_key(pool)
     }
 
-    /// All registered pool ids (deterministic order).
-    pub fn pool_ids(&self) -> Vec<PoolId> {
-        let mut ids: Vec<_> = self.pools.keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
     /// Sets the quantity on hand for a quantity pool (setup/admin path;
     /// creates the record if missing).
     pub fn set_quantity(
@@ -231,14 +224,5 @@ mod tests {
         rm.commit(tx).unwrap();
         assert!(!cat.contains(&missing));
         assert!(cat.contains(&PoolId::from("widgets")));
-    }
-
-    #[test]
-    fn pool_ids_sorted() {
-        let (_rm, cat) = setup();
-        assert_eq!(
-            cat.pool_ids(),
-            vec![PoolId::from("rooms"), PoolId::from("widgets")]
-        );
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! # Record format
 //!
-//! Entries are encoded one per line, tab-separated, so the journal is
+//! Entries are encoded one per line, tab-separated, through the
+//! [`LineStore`] and field codec of `line_store.rs`, so the journal is
 //! human-inspectable and trivially file-backed. Variable-length string
 //! fields (client, request, predicate, instance) are percent-escaped for
 //! `%`, tab, CR and LF; predicates use their canonical [`std::fmt::Display`]
@@ -27,6 +28,16 @@
 //! seq  gen  A  id  na  (idx inst)…      — allocation rewrite
 //! seq  gen  W  n  (table key f (name value)…)…  — an action's or a lease move's row writes
 //! seq  gen  K  next  n  (G|P record…)…  r  (row…)…  — checkpoint snapshot
+//! ```
+//!
+//! The cluster coordinator's decision log (`cluster/src/log.rs`) writes
+//! its records through the same store and codec, one line each, every
+//! one ending in the end mark `.` so that no cut line decodes:
+//!
+//! ```text
+//! seq  gen  B  client  request  n  shard…  .   — prepare fan-out begins
+//! seq  gen  C  client  request  .              — the commit point
+//! seq  gen  A  client  request  .              — abort
 //! ```
 //!
 //! `W` carries the after-image of every row one committed action wrote,
@@ -68,16 +79,18 @@
 //! a journal records how many incarnations of the manager produced it and
 //! which entries are recovery decisions rather than client operations.
 
-use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::convert::Infallible;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use promises_telemetry::JournalFacts;
 
 use promises_rm::{Record, RowImages, Value};
 
 use crate::ids::{ClientId, InstanceId, PromiseId, RequestId};
+use crate::line_store::{
+    escape_into, needs_escape, push_num, push_text, unescape, FieldReader, JournalError, LineStore,
+};
 use crate::parser::parse_predicate;
 use crate::promise::{Allocation, PromiseRecord};
 
@@ -160,104 +173,6 @@ pub struct JournalEntry {
     pub op: JournalOp,
 }
 
-/// A malformed journal line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalError {
-    /// Zero-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub detail: String,
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "journal line {}: {}", self.line, self.detail)
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-/// True if `s` holds a byte the escape rewrites.
-fn needs_escape(s: &str) -> bool {
-    s.bytes().any(|b| matches!(b, b'%' | b'\t' | b'\n' | b'\r'))
-}
-
-/// Pushes `s` with `%`, tab, LF and CR percent-escaped; unchanged when it
-/// holds none of them.
-fn escape_into(out: &mut String, s: &str) {
-    if !needs_escape(s) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Pushes `n` in decimal, one digit at a time: no `String` and no
-/// formatter; a 4 096-record compaction runs ≈ 20 % faster than with `write!`.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
-}
-
-/// Pushes a tab and then `n`: one numeric field.
-fn push_num(out: &mut String, n: u64) {
-    out.push('\t');
-    push_u64(out, n);
-}
-
-/// Pushes a tab and then `s` escaped: one text field.
-fn push_text(out: &mut String, s: &str) {
-    out.push('\t');
-    escape_into(out, s);
-}
-
-fn unescape(s: &str) -> Cow<'_, str> {
-    if !s.contains('%') {
-        return Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next();
-        let lo = chars.next();
-        match (hi, lo) {
-            (Some('2'), Some('5')) => out.push('%'),
-            (Some('0'), Some('9')) => out.push('\t'),
-            (Some('0'), Some('A')) => out.push('\n'),
-            (Some('0'), Some('D')) => out.push('\r'),
-            // Tolerate unknown escapes by passing them through.
-            (Some(a), Some(b)) => {
-                out.push('%');
-                out.push(a);
-                out.push(b);
-            }
-            _ => out.push('%'),
-        }
-    }
-    Cow::Owned(out)
-}
-
 fn encode_allocs(out: &mut String, allocations: &[Allocation]) {
     push_num(out, allocations.len() as u64);
     for a in allocations {
@@ -286,12 +201,6 @@ fn encode_record(out: &mut String, tag: &str, rec: &PromiseRecord) {
         }
     }
     encode_allocs(out, &rec.allocations);
-}
-
-/// Writes a line's `seq` and `gen` fields.
-fn encode_head(out: &mut String, seq: u64, generation: u64) {
-    push_u64(out, seq);
-    push_num(out, generation);
 }
 
 /// Encodes what follows a line's `seq` and `gen` fields.
@@ -370,51 +279,13 @@ fn encode_checkpoint<'a>(
     }
 }
 
-struct FieldReader<'a> {
-    fields: std::str::Split<'a, char>,
-    line: usize,
-    /// The line's length: every counted item takes at least one byte of
-    /// it, so no count read from the line reserves more than this.
-    bound: usize,
-}
-
-impl<'a> FieldReader<'a> {
-    /// An error naming this line.
-    fn error(&self, detail: String) -> JournalError {
-        JournalError {
-            line: self.line,
-            detail,
-        }
-    }
-
-    fn next(&mut self, what: &str) -> Result<&'a str, JournalError> {
-        let field = self.fields.next();
-        field.ok_or_else(|| self.error(format!("missing field: {what}")))
-    }
-
-    fn next_u64(&mut self, what: &str) -> Result<u64, JournalError> {
-        let raw = self.next(what)?;
-        raw.parse()
-            .map_err(|_| self.error(format!("bad {what}: {raw:?}")))
-    }
-
-    /// The next field, left unread.
-    fn peek(&self) -> Option<&'a str> {
-        self.fields.clone().next()
-    }
-
-    /// A count read from the line, and the room to reserve for it.
-    fn count(&mut self, what: &str) -> Result<(u64, usize), JournalError> {
-        let n = self.next_u64(what)?;
-        Ok((n, n.min(self.bound as u64) as usize))
-    }
-
+impl FieldReader<'_> {
     fn allocs(&mut self) -> Result<Vec<Allocation>, JournalError> {
         let (n, room) = self.count("allocation count")?;
         let mut out = Vec::with_capacity(room);
         for _ in 0..n {
             let pred_idx = self.next_u64("allocation predicate index")? as usize;
-            let instance = InstanceId(unescape(self.next("allocation instance")?).into_owned());
+            let instance = InstanceId(self.text("allocation instance")?.into_owned());
             out.push(Allocation { pred_idx, instance });
         }
         Ok(out)
@@ -424,15 +295,15 @@ impl<'a> FieldReader<'a> {
     fn rows(&mut self) -> Result<RowImages, JournalError> {
         let mut rows = RowImages::new();
         for _ in 0..self.next_u64("row count")? {
-            let table = unescape(self.next("row table")?).into_owned();
-            let key = unescape(self.next("row key")?).into_owned();
+            let table = self.text("row table")?.into_owned();
+            let key = self.text("row key")?.into_owned();
             let image = if self.peek() == Some("-") {
-                self.fields.next();
+                self.next("row image")?;
                 None
             } else {
                 let mut record = Record::new();
                 for _ in 0..self.next_u64("row field count")? {
-                    let name = unescape(self.next("field name")?);
+                    let name = self.text("field name")?;
                     record.set(&name, self.value()?);
                 }
                 Some(record)
@@ -459,14 +330,14 @@ impl<'a> FieldReader<'a> {
 /// shared payload of `G`/`P` entries and checkpoint-embedded records.
 fn read_record(r: &mut FieldReader<'_>) -> Result<PromiseRecord, JournalError> {
     let id = PromiseId(r.next_u64("promise id")?);
-    let client = ClientId(unescape(r.next("client")?).into_owned());
-    let request = RequestId(unescape(r.next("request")?).into_owned());
+    let client = ClientId(r.text("client")?.into_owned());
+    let request = RequestId(r.text("request")?.into_owned());
     let granted_at = r.next_u64("granted_at")?;
     let expires_at = r.next_u64("expires_at")?;
     let (np, room) = r.count("predicate count")?;
     let mut predicates = Vec::with_capacity(room);
     for _ in 0..np {
-        let text = unescape(r.next("predicate")?);
+        let text = r.text("predicate")?;
         let parsed = parse_predicate(&text);
         predicates.push(parsed.map_err(|e| r.error(format!("bad predicate {text:?}: {e}")))?);
     }
@@ -491,16 +362,21 @@ fn line_seq(raw: &str) -> Option<u64> {
 /// Decodes one journal line (inverse of the encoder). `line` is used
 /// only for error reporting.
 fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
-    let mut r = FieldReader {
-        fields: raw.split('\t'),
-        line,
-        bound: raw.len(),
-    };
-    let seq = r.next_u64("seq")?;
-    let generation = r.next_u64("generation")?;
-    let op = match r.next("op tag")? {
-        "G" => JournalOp::Grant(read_record(&mut r)?),
-        "P" => JournalOp::Prepared(read_record(&mut r)?),
+    let mut r = FieldReader::new(raw, line);
+    let (seq, generation) = r.head()?;
+    let op = decode_op(&mut r)?;
+    Ok(JournalEntry {
+        seq,
+        generation,
+        op,
+    })
+}
+
+/// Decodes what follows a line's `seq` and `gen` fields.
+fn decode_op(r: &mut FieldReader<'_>) -> Result<JournalOp, JournalError> {
+    Ok(match r.next("op tag")? {
+        "G" => JournalOp::Grant(read_record(r)?),
+        "P" => JournalOp::Prepared(read_record(r)?),
         "C" => JournalOp::CommitPrepared(PromiseId(r.next_u64("promise id")?)),
         "R" => JournalOp::Release(PromiseId(r.next_u64("promise id")?)),
         "E" => JournalOp::Expire(PromiseId(r.next_u64("promise id")?)),
@@ -522,7 +398,7 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
                         return Err(r.error(format!("unknown checkpoint record tag {other:?}")))
                     }
                 };
-                let record = read_record(&mut r)?;
+                let record = read_record(r)?;
                 live.push(CheckpointRecord { prepared, record });
             }
             // The optional trailing row group: absent when it is empty.
@@ -538,42 +414,18 @@ fn decode_entry(raw: &str, line: usize) -> Result<JournalEntry, JournalError> {
             })
         }
         other => return Err(r.error(format!("unknown op tag {other:?}"))),
-    };
-    Ok(JournalEntry {
-        seq,
-        generation,
-        op,
     })
 }
 
-struct JournalInner {
-    lines: Vec<String>,
-    next_seq: u64,
-    generation: u64,
-    /// Durability watermark: the highest seq covered by a flushed batch.
-    /// Appends land *above* this line as buffered (not-yet-durable)
-    /// records; [`PromiseJournal::flush_all`] raises it to the tip in one
-    /// swap-safe write. Journals rebuilt from dumped lines start fully
-    /// flushed — what was read back from disk is durable by definition.
-    flushed_seq: u64,
-    /// Batched writes performed (one per `flush_all` that had pending
-    /// lines, plus one per checkpoint swap).
-    flush_writes: u64,
-    /// Records covered by those writes; `flushed_records / flush_writes`
-    /// is the group-commit amortization factor.
-    flushed_records: u64,
-    /// Where an append encodes its line before storing an exact-size copy.
-    scratch: String,
-}
-
-/// An append-only, generation-stamped journal of promise-table transitions.
+/// An append-only, generation-stamped journal of promise-table transitions:
+/// a [`LineStore`] plus the promise codec above.
 ///
 /// In-memory but line-encoded throughout, so it models (and can be dumped
 /// to / loaded from) a durable log file; "crashing" a manager and handing
 /// its journal to a fresh one is exactly the durability scenario the
 /// recovery tests exercise.
 pub struct PromiseJournal {
-    inner: Mutex<JournalInner>,
+    inner: LineStore,
     /// Modeled latency of one durable batch write, slept *outside* the
     /// line buffer's lock so appends proceed while a flush is in flight —
     /// the window group commit amortizes. Zero (the default) models free
@@ -591,16 +443,12 @@ impl Default for PromiseJournal {
 impl PromiseJournal {
     /// Creates an empty journal at generation 0.
     pub fn new() -> Self {
+        Self::on(LineStore::new())
+    }
+
+    fn on(inner: LineStore) -> Self {
         Self {
-            inner: Mutex::new(JournalInner {
-                lines: Vec::new(),
-                next_seq: 1,
-                generation: 0,
-                flushed_seq: 0,
-                flush_writes: 0,
-                flushed_records: 0,
-                scratch: String::new(),
-            }),
+            inner,
             flush_delay_us: AtomicU64::new(0),
         }
     }
@@ -617,89 +465,42 @@ impl PromiseJournal {
         }
     }
 
-    /// Rebuilds a journal from dumped lines, tolerating a *torn trailing
-    /// record*: a crash mid-append leaves at most the final line partially
-    /// written, so a malformed last line is truncated (not replayed) and
-    /// returned for logging, while a malformed *interior* line is still a
-    /// hard error — interior corruption is never a torn append and must
-    /// not be skipped silently.
+    /// Rebuilds a journal from dumped lines, tolerating a torn trailing
+    /// record (see [`LineStore::from_lines_tolerant`]).
     pub fn from_lines_tolerant<S: AsRef<str>>(
         lines: &[S],
     ) -> Result<(Self, Option<JournalError>), JournalError> {
-        let mut next_seq = 1;
-        let mut generation = 0;
-        let mut keep: Vec<String> = Vec::with_capacity(lines.len());
-        let mut torn = None;
-        let last = lines.len().saturating_sub(1);
-        for (i, raw) in lines.iter().enumerate() {
-            match decode_entry(raw.as_ref(), i) {
-                Ok(entry) => {
-                    next_seq = next_seq.max(entry.seq + 1);
-                    generation = generation.max(entry.generation);
-                    keep.push(raw.as_ref().to_owned());
-                }
-                Err(e) if i == last => torn = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((
-            Self {
-                inner: Mutex::new(JournalInner {
-                    lines: keep,
-                    next_seq,
-                    generation,
-                    flushed_seq: next_seq - 1,
-                    flush_writes: 0,
-                    flushed_records: 0,
-                    scratch: String::new(),
-                }),
-                flush_delay_us: AtomicU64::new(0),
-            },
-            torn,
-        ))
+        let (store, torn) = LineStore::from_lines_tolerant(lines, |r| decode_op(r).map(drop))?;
+        Ok((Self::on(store), torn))
     }
 
     /// Atomically swaps the journal's contents for a single checkpoint
     /// entry — the [`CheckpointState`] made of `next_id`, `live` (each
     /// record with its prepared mark, in the order given) and `rows`,
-    /// encoded straight from the borrowed records. The swap happens under
-    /// the journal lock — the in-memory analogue of writing the
-    /// checkpoint to a temp file and renaming it over the log, so a reader
-    /// (or a crash) sees either the full old journal or the checkpointed
-    /// one, never a mix. The checkpoint is assigned the next sequence number;
-    /// entries appended afterwards form the post-checkpoint suffix replay
-    /// picks up after resetting at the `K` record.
+    /// encoded straight from the borrowed records by
+    /// [`LineStore::rewrite`], so a reader (or a crash) sees either the
+    /// full old journal or the checkpointed one, never a mix. The
+    /// checkpoint is assigned the next sequence number; entries appended
+    /// afterwards form the post-checkpoint suffix replay picks up after
+    /// resetting at the `K` record.
     pub fn install_checkpoint(
         &self,
         next_id: u64,
         live: &[(bool, &PromiseRecord)],
         rows: &RowImages,
     ) -> CheckpointStats {
-        let mut inner = self.inner.lock();
-        let dropped = inner.lines.len();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        // Its own string, left at its exact size: neither the journal nor
-        // the append scratch keeps a checkpoint-sized slack.
-        let mut line = String::new();
-        encode_head(&mut line, seq, inner.generation);
-        encode_checkpoint(&mut line, next_id, live.iter().copied(), rows);
-        line.shrink_to_fit();
-        inner.lines = vec![line];
-        // The swap is itself one durable write, and it covers every record
-        // folded into the checkpoint: nothing below the `K` line can be
-        // pending afterwards.
-        let covered = (seq - inner.flushed_seq).max(1);
-        inner.flushed_seq = seq;
-        inner.flush_writes += 1;
-        inner.flushed_records += covered;
-        CheckpointStats { seq, dropped }
+        let Ok(stats) = self.inner.rewrite(|lines, out| {
+            let dropped = lines.len();
+            let seq = out.line(|line| encode_checkpoint(line, next_id, live.iter().copied(), rows));
+            Ok::<_, Infallible>(CheckpointStats { seq, dropped })
+        });
+        stats
     }
 
     /// Appends one operation, assigning it the next sequence number and the
     /// current generation. Returns the assigned sequence number.
     pub fn append(&self, op: JournalOp) -> u64 {
-        self.append_with(|out| encode_op(out, &op))
+        self.inner.append_with(|out| encode_op(out, &op))
     }
 
     /// Appends a grant — a `P` prepared hold when `prepared` — encoded
@@ -707,63 +508,22 @@ impl PromiseJournal {
     /// [`JournalOp::Prepared`] would write, without a copy of the record
     /// to put in one.
     pub(crate) fn append_grant(&self, rec: &PromiseRecord, prepared: bool) -> u64 {
-        self.append_with(|out| encode_record(out, if prepared { "\tP" } else { "\tG" }, rec))
+        self.inner
+            .append_with(|out| encode_record(out, if prepared { "\tP" } else { "\tG" }, rec))
     }
 
     /// Appends an action's row writes from the borrowed images: the line
     /// [`JournalOp::Write`] would write.
     pub(crate) fn append_writes(&self, rows: &RowImages) -> u64 {
-        self.append_with(|out| encode_write(out, rows))
+        self.inner.append_with(|out| encode_write(out, rows))
     }
 
-    /// Appends the line `encode` writes after the next sequence number and
-    /// the current generation, returning that sequence number.
-    fn append_with(&self, encode: impl FnOnce(&mut String)) -> u64 {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.scratch.clear();
-        encode_head(&mut inner.scratch, seq, inner.generation);
-        encode(&mut inner.scratch);
-        // The stored copy's capacity is its length.
-        inner.lines.push(inner.scratch.as_str().to_owned());
-        seq
-    }
-
-    /// Flushes every buffered record in one batched, swap-safe write:
-    /// the durability watermark jumps from wherever it was straight to
-    /// the current tip, whatever number of concurrent handlers appended
-    /// in between. This is the group-commit primitive — callers that need
-    /// "my record is durable" wait for *a* flush covering their seq, not
-    /// for a write of their own — amortizing the per-write cost exactly
-    /// like the checkpoint swap amortizes compaction. Returns the new
+    /// Flushes every buffered record in one batched write, after the
+    /// modeled delay (see [`LineStore::flush_all`]). Returns the new
     /// flushed watermark (the tip).
     pub fn flush_all(&self) -> u64 {
-        // Snapshot the tip first: only records that existed when the
-        // write "started" become durable. The modeled write latency is
-        // slept outside the lock, so concurrent handlers keep appending
-        // behind the in-flight flush — those records stay buffered until
-        // the next batch, which is precisely how real group commit
-        // accumulates its batches behind a slow fsync.
-        let (tip, pending) = {
-            let inner = self.inner.lock();
-            let tip = inner.next_seq - 1;
-            (tip, tip > inner.flushed_seq)
-        };
-        if pending {
-            let delay = self.flush_delay_us.load(Ordering::Relaxed);
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay));
-            }
-        }
-        let mut inner = self.inner.lock();
-        if tip > inner.flushed_seq {
-            inner.flushed_records += tip - inner.flushed_seq;
-            inner.flush_writes += 1;
-            inner.flushed_seq = tip;
-        }
-        tip
+        self.inner
+            .flush_all(self.flush_delay_us.load(Ordering::Relaxed))
     }
 
     /// Sets the modeled latency of one durable batch write (default 0).
@@ -803,17 +563,17 @@ impl PromiseJournal {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().lines.len()
+        self.inner.len()
     }
 
     /// True if no entries have been appended.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().lines.is_empty()
+        self.inner.is_empty()
     }
 
     /// The raw encoded lines (what would be written to a log file).
     pub fn lines(&self) -> Vec<String> {
-        self.inner.lock().lines.clone()
+        self.inner.lines()
     }
 
     /// The highest sequence number assigned so far (0 for a journal that
@@ -879,22 +639,20 @@ impl PromiseJournal {
     /// decoded all at once. Returns the number of entries. The journal
     /// stays locked throughout, so `fold` must not call it.
     pub(crate) fn replay(&self, mut fold: impl FnMut(JournalOp)) -> Result<usize, JournalError> {
-        let inner = self.inner.lock();
-        for (i, raw) in inner.lines.iter().enumerate() {
-            fold(decode_entry(raw, i)?.op);
-        }
-        Ok(inner.lines.len())
+        self.inner.read(|lines| {
+            for (i, raw) in lines.iter().enumerate() {
+                fold(decode_entry(raw, i)?.op);
+            }
+            Ok(lines.len())
+        })
     }
 
     /// All entries, decoded, in append order.
     pub fn entries(&self) -> Result<Vec<JournalEntry>, JournalError> {
-        self.inner
-            .lock()
-            .lines
-            .iter()
-            .enumerate()
-            .map(|(i, l)| decode_entry(l, i))
-            .collect()
+        self.inner.read(|lines| {
+            let decoded = lines.iter().enumerate();
+            decoded.map(|(i, l)| decode_entry(l, i)).collect()
+        })
     }
 
     /// Digests the journal into the id sets the lifecycle auditor checks
@@ -930,6 +688,7 @@ impl PromiseJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line_store::encode_head;
     use crate::predicate::{Predicate, PropExpr};
 
     /// Encodes one owned entry as its journal line.

@@ -73,6 +73,7 @@ mod environment;
 mod error;
 mod ids;
 mod journal;
+mod line_store;
 mod manager;
 mod negotiate;
 mod parser;
@@ -89,9 +90,9 @@ pub use environment::{Environment, ReleaseOption};
 pub use error::{ActionError, PromiseError, RejectReason};
 pub use ids::{request_key, ClientId, InstanceId, PoolId, PromiseId, RequestId};
 pub use journal::{
-    CheckpointRecord, CheckpointState, CheckpointStats, JournalEntry, JournalError, JournalOp,
-    PromiseJournal,
+    CheckpointRecord, CheckpointState, CheckpointStats, JournalEntry, JournalOp, PromiseJournal,
 };
+pub use line_store::{push_num, push_text, FieldReader, JournalError, LineStore, LineWriter};
 pub use manager::{
     CompactionCrash, CompactionReport, OpLatency, PmMetricsSnapshot, PromiseDecision,
     PromiseManager, PromiseRequestSpec, PromiseResponse, RecoveryReport,

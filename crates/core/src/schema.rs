@@ -131,11 +131,6 @@ impl PoolSchema {
         let s = value.as_str()?;
         order.iter().position(|v| v == s)
     }
-
-    /// True if the pool declares a property with this name.
-    pub fn has_property(&self, prop: &str) -> bool {
-        self.properties.iter().any(|p| p.name == prop)
-    }
 }
 
 impl From<String> for PoolId {
@@ -169,8 +164,6 @@ mod tests {
         assert_eq!(s.rank("class", &Value::Str("cargo".into())), None);
         assert_eq!(s.rank("window", &Value::Bool(true)), None);
         assert_eq!(s.rank("missing", &Value::Int(1)), None);
-        assert!(s.has_property("window"));
-        assert!(!s.has_property("aisle"));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   keeps, its footprint and its pool's demand);
 //! - its release: ≤ 4 (18 then, 3 now);
 //! - `pm_table`'s purchase, an `execute` under `releasing` that updates
-//!   the pool's row: ≤ 39, half of the 78 it made then (25 now; most of
-//!   them the RM's undo entry and write set).
+//!   the pool's row: ≤ 39, half of the 78 it made then (22 now, 25
+//!   while the RM undo log kept a second copy of each written row's key;
+//!   most of them the undo entry and the write set).
 //!
 //! Its own test binary, because it installs a counting global allocator.
 

@@ -13,11 +13,11 @@
 //!   returning the reply, and applies [`FaultInjector::delay`] to each
 //!   direction. Dropping the *request* means the service never ran; dropping
 //!   the *reply* means it may have — the distinction drives the retry policy.
-//! - **RM storage** — [`FaultInjector::storage_fault`] is installed as the
+//! - **RM storage** — [`FaultInjector::rm_hook`] is installed as the
 //!   resource manager's storage-fault hook and turns a configurable fraction
 //!   of page accesses into typed `RmError::StorageFault` errors.
-//! - **Named points** — [`FaultInjector::pause`] and
-//!   [`FaultInjector::point_error`] fire at named injection points (for
+//! - **Named points** — [`FaultInjector::pause`], the rollback hook and
+//!   [`FaultInjector::point_fires`] fire at named injection points (for
 //!   example `"undo"` inside rollback, or PM pause points), controlled per
 //!   point by [`FaultScenario::points`] so dangerous faults stay off unless a
 //!   test opts in.
@@ -121,12 +121,6 @@ impl FaultScenario {
     /// Adds RM storage faults at the given rate.
     pub fn with_storage_errors(mut self, rate: f64) -> Self {
         self.storage_error = rate;
-        self
-    }
-
-    /// Adds a named injection point with the given settings.
-    pub fn with_point(mut self, name: &str, faults: PointFaults) -> Self {
-        self.points.insert(name.to_owned(), faults);
         self
     }
 
@@ -299,7 +293,7 @@ impl FaultInjector {
 
     /// Storage-fault hook for the resource manager: returns the error to
     /// inject into an access of `table`, or `None` to let it through.
-    pub fn storage_fault(&self, op: &str, table: &str) -> Option<RmError> {
+    fn storage_fault(&self, op: &str, table: &str) -> Option<RmError> {
         if !self.roll(self.scenario.storage_error) {
             return None;
         }
@@ -323,10 +317,10 @@ impl FaultInjector {
 
     /// Builds the resource manager's storage-fault hook for this injector.
     ///
-    /// Ordinary accesses draw from [`FaultInjector::storage_fault`];
+    /// Ordinary accesses draw from the scenario's storage-error rate;
     /// rollback replay (op `"undo"`) is routed to the named `"undo"` point
     /// instead, so undo writes stay fault-free unless a scenario opts in
-    /// with [`FaultScenario::with_point`] — injecting there deliberately
+    /// through [`FaultScenario::points`] — injecting there deliberately
     /// corrupts rollback (`RmError::RollbackIncomplete`) and is only for
     /// tests of that path.
     pub fn rm_hook(self: &std::sync::Arc<Self>) -> promises_rm::StorageFaultHook {
@@ -343,7 +337,7 @@ impl FaultInjector {
     /// Fires the named error point: returns a storage fault naming the
     /// point, or `None`. Unknown points never fire — in particular the
     /// `"undo"` point (rollback writes) only fires when a scenario opts in.
-    pub fn point_error(&self, point: &str) -> Option<RmError> {
+    fn point_error(&self, point: &str) -> Option<RmError> {
         let pf = self.scenario.points.get(point)?;
         if !self.roll(pf.error_probability) {
             return None;
@@ -355,7 +349,7 @@ impl FaultInjector {
         })
     }
 
-    /// Boolean form of [`FaultInjector::point_error`] for faults that are
+    /// Boolean form of the named error point for faults that are
     /// events rather than storage errors (dropped replication shipments,
     /// lagged acks, leader kills). Draws from the same seeded stream and
     /// counts into `point_errors`, so replication scenarios stay exactly
@@ -441,24 +435,23 @@ mod tests {
 
     #[test]
     fn points_only_fire_when_configured() {
-        let inj = FaultInjector::new(FaultScenario::quiet(3).with_point(
-            "undo",
-            PointFaults {
-                pause_probability: 0.0,
-                pause: Duration::ZERO,
-                error_probability: 1.0,
-            },
-        ));
+        let mut undo = FaultScenario::quiet(3);
+        let always = PointFaults {
+            error_probability: 1.0,
+            ..PointFaults::default()
+        };
+        undo.points.insert("undo".into(), always);
+        let inj = FaultInjector::new(undo);
         assert!(inj.point_error("undo").is_some());
         assert!(inj.point_error("other").is_none());
-        let inj2 = FaultInjector::new(FaultScenario::quiet(3).with_point(
-            "pm-grant",
-            PointFaults {
-                pause_probability: 1.0,
-                pause: Duration::from_millis(1),
-                error_probability: 0.0,
-            },
-        ));
+        let mut paused = FaultScenario::quiet(3);
+        let pause = PointFaults {
+            pause_probability: 1.0,
+            pause: Duration::from_millis(1),
+            error_probability: 0.0,
+        };
+        paused.points.insert("pm-grant".into(), pause);
+        let inj2 = FaultInjector::new(paused);
         assert_eq!(inj2.pause("pm-grant"), Some(Duration::from_millis(1)));
         assert!(inj2.pause("undo").is_none());
     }

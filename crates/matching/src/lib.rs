@@ -206,11 +206,6 @@ impl BipartiteGraph {
     pub fn neighbours(&self, l: usize) -> &[usize] {
         &self.adj[l]
     }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +220,6 @@ mod tests {
         g.add_edge(1, 1);
         assert_eq!(g.left_len(), 2);
         assert_eq!(g.right_len(), 3);
-        assert_eq!(g.edge_count(), 3);
         assert_eq!(g.neighbours(0), &[0, 2]);
     }
 

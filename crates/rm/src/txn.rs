@@ -243,15 +243,15 @@ impl ResourceManager {
         let mut failure: Option<RmError> = None;
         if let Some(log) = log.filter(|l| !l.is_empty()) {
             let mut store = self.store.lock();
-            let entries: Vec<_> = log.entries_reversed().collect();
-            for (idx, entry) in entries.iter().enumerate() {
-                let undo_write = self.faultable("undo", &entry.table).and_then(|()| {
-                    match &entry.before {
-                        Some(rec) => store.put(&entry.table, &entry.key, rec.clone()).map(|_| ()),
+            let entries = log.entries_reversed();
+            for (idx, &(table, key, before)) in entries.iter().enumerate() {
+                let undo_write = self.faultable("undo", table).and_then(|()| {
+                    match before {
+                        Some(rec) => store.put(table, key, rec.clone()).map(|_| ()),
                         // An absent before-image means the record was created
                         // by this transaction; it may already be gone if a
                         // statement failed before the write landed.
-                        None => match store.delete(&entry.table, &entry.key) {
+                        None => match store.delete(table, key) {
                             Ok(_) | Err(RmError::NoSuchKey { .. }) => Ok(()),
                             Err(e) => Err(e),
                         },
@@ -262,7 +262,7 @@ impl ResourceManager {
                         txn: id,
                         remaining: entries[idx..]
                             .iter()
-                            .map(|e| (e.table.clone(), e.key.clone()))
+                            .map(|&(table, key, _)| (table.to_owned(), key.to_owned()))
                             .collect(),
                     });
                     break;
@@ -383,20 +383,15 @@ impl ResourceManager {
     /// transaction holds every such row's `X` lock, so no other writer can
     /// move them before it ends.
     pub fn write_set(&self, txn: &Txn) -> Result<RowImages, RmError> {
-        // Let go of the undo log first: a write takes the store latch and
-        // then the undo log.
-        let written: Vec<(String, String)> = {
-            let undo = self.undo.lock();
-            let log = undo.get(&txn.id).ok_or(RmError::TxnNotActive(txn.id))?;
-            let entries = log.entries_reversed();
-            entries.map(|e| (e.table.clone(), e.key.clone())).collect()
-        };
+        // The store latch, then the undo log: the order every write takes
+        // them in.
         let store = self.store.lock();
-        written
-            .into_iter()
+        let undo = self.undo.lock();
+        let log = undo.get(&txn.id).ok_or(RmError::TxnNotActive(txn.id))?;
+        log.keys()
             .map(|(table, key)| {
-                let image = store.get(&table, &key)?;
-                Ok(((table, key), image))
+                let image = store.get(table, key)?;
+                Ok(((table.to_owned(), key.to_owned()), image))
             })
             .collect()
     }

@@ -22,7 +22,7 @@ pub enum Value {
 
 impl Value {
     /// Returns the integer payload, if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
+    fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,

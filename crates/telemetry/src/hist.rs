@@ -165,16 +165,6 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> Option<u64> {
         self.quantile_ns(0.99)
     }
-
-    /// Merges another snapshot into this one (bucket-wise sum).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst = dst.saturating_add(*src);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -223,19 +213,6 @@ mod tests {
         assert_eq!(s.mean_ns(), None);
         assert_eq!(s.p50(), None);
         assert_eq!(s.p99(), None);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        b.record(500);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 505);
-        assert_eq!(s.max, 500);
     }
 
     #[test]

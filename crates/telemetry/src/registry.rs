@@ -57,7 +57,7 @@ impl Telemetry {
     }
 
     /// A registry whose span ring retains at most `capacity` spans.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
+    fn with_ring_capacity(capacity: usize) -> Self {
         Self {
             epoch: Instant::now(),
             ring: SpanRing::new(capacity),
@@ -349,16 +349,6 @@ impl TelemetrySnapshot {
         self.spans_recorded += other.spans_recorded;
         self.spans_dropped += other.spans_dropped;
     }
-
-    /// Names of exported histograms with zero samples (a healthy snapshot
-    /// from an instrumented run has none).
-    pub fn empty_histograms(&self) -> Vec<&str> {
-        self.histograms
-            .iter()
-            .filter(|(_, h)| h.is_empty())
-            .map(|(k, _)| k.as_str())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +367,6 @@ mod tests {
         assert_eq!(snap.histogram("stage.a").unwrap().count, 2);
         assert_eq!(snap.counter("hits"), 3);
         assert_eq!(snap.counter("missing"), 0);
-        assert!(snap.empty_histograms().is_empty());
     }
 
     #[test]
